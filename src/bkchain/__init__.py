@@ -19,6 +19,7 @@ from .spectral import (
     bkc_pbc_dispersion,
     eigendecompose,
     modbkc_spectrum_zero_omega,
+    solve,
     spectrum_distance,
     spectrum_via_similarity,
     zero_gap,
@@ -50,7 +51,7 @@ from .topology import (
     zero_modes,
 )
 from .skin import SpatialProfile, edge_weight, mean_position, nhse_fraction, profile_matrix, spatial_profile
-from .disorder import DisorderSpec, EnsembleResult, disordered_similarity, ensemble_observables, sample_site_fields
+from .disorder import DisorderSpec, EnsembleResult, ensemble_observables, sample_site_fields
 from .floquet import DriveSpec, EffectiveParams, averaged_phase, bessel_j0, chi, delta_omega, effective_params
 
 __version__ = "0.1.0"

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
+import math
 import os
 import sys
 
@@ -23,20 +25,21 @@ import numpy as np
 
 from . import __version__
 from .csvio import write_csv, write_manifest
-from .disorder import DisorderSpec, ensemble_observables, sample_site_fields
+from .disorder import OBSERVABLES, DisorderSpec, ensemble_observables
 from .floquet import DriveSpec, bessel_j0, effective_params
-from .model import (
-    BKCParams,
-    BoundaryCondition,
-    ModBKCParams,
-    build_bkc_excitation_direct,
-    build_modbkc_excitation_direct,
-    build_modbkc_quadratic,
-    excitation_matrix,
-)
+from .model import BKCParams, BoundaryCondition, ModBKCParams
 from .skin import profile_matrix
-from .spectral import eigendecompose, modbkc_spectrum_zero_omega
-from .topology import AxisSpec, phase_scan
+from .spectral import solve
+from .topology import (
+    MIN_WINDING_GRID,
+    AxisSpec,
+    GapClosedError,
+    grid_size,
+    phase_scan,
+    winding_analytic,
+    winding_numeric,
+)
+from .transform import effective_ssh_params
 from . import svgplot
 
 COMMANDS = ("spectrum", "profiles", "winding", "phase-scan", "disorder", "floquet")
@@ -116,13 +119,13 @@ def _model_params(cfg: RunConfig):
         raise ConfigError("model.kind must be 'bkc' or 'modbkc'")
     n = _get_int(sec, "N", "model")
     omega = _get_float(sec, "omega", "model", 0.0)
-    if kind == "bkc":
-        p = BKCParams(J0=_get_float(sec, "J0", "model"), Delta0=_get_float(sec, "Delta0", "model"),
-                      omega=omega, N=n)
-    else:
-        p = ModBKCParams(J1=_get_float(sec, "J1", "model"), J2=_get_float(sec, "J2", "model"),
-                         Delta1=_get_float(sec, "Delta1", "model"), Delta2=_get_float(sec, "Delta2", "model"),
-                         omega=omega, N=n)
+    cls, names = (BKCParams, ("J0", "Delta0")) if kind == "bkc" else \
+        (ModBKCParams, ("J1", "J2", "Delta1", "Delta2"))
+    couplings = {name: _get_float(sec, name, "model") for name in names}
+    try:
+        p = cls(**couplings, omega=omega, N=n)
+    except ValueError as err:
+        raise ConfigError(f"[model]: {err}") from err
     bc = sec.get("bc", "obc").lower()
     if bc not in ("obc", "pbc", "both"):
         raise ConfigError("model.bc must be one of obc, pbc, both")
@@ -130,18 +133,32 @@ def _model_params(cfg: RunConfig):
 
 
 def _validate(cfg: RunConfig):
+    """Every configuration check, so that a bad config exits 2 before any output exists."""
     if cfg.command in ("spectrum", "profiles", "winding", "phase-scan", "disorder"):
         if "model" not in cfg.sections:
             raise ConfigError("missing required section [model]")
-        _model_params(cfg)
+        p, bc = _model_params(cfg)
+        if cfg.command in ("winding", "phase-scan", "disorder") and not isinstance(p, ModBKCParams):
+            raise ConfigError(f"{cfg.command} requires model.kind = modbkc")
+        if cfg.command == "phase-scan" and bc != "obc":
+            raise ConfigError("phase-scan scans open chains only; set model.bc = obc")
+        if cfg.command == "disorder" and bc == "both":
+            raise ConfigError("disorder runs one boundary condition; set model.bc to obc or pbc")
+        if "sweep" in cfg.sections:
+            _axes(cfg)
     if cfg.command == "phase-scan" and "sweep" not in cfg.sections:
         raise ConfigError("phase-scan requires a [sweep] section")
     if cfg.command == "disorder":
         if "disorder" not in cfg.sections:
             raise ConfigError("disorder command requires a [disorder] section")
         _disorder_spec(cfg, seed_override=None)
-    if cfg.command == "floquet" and "floquet" not in cfg.sections:
-        raise ConfigError("floquet command requires a [floquet] section")
+        _disorder_options(cfg)
+    if cfg.command == "winding":
+        _winding_grid(cfg)
+    if cfg.command == "floquet":
+        if "floquet" not in cfg.sections:
+            raise ConfigError("floquet command requires a [floquet] section")
+        _floquet_drives(cfg)
 
 
 def _disorder_spec(cfg: RunConfig, seed_override) -> DisorderSpec:
@@ -151,11 +168,50 @@ def _disorder_spec(cfg: RunConfig, seed_override) -> DisorderSpec:
         if key.startswith("W_"):
             strengths[key[2:]] = _get_float(sec, key, "disorder")
     seed = seed_override if seed_override is not None else _get_int(sec, "seed", "disorder", 12345)
-    return DisorderSpec(strengths=strengths, seed=seed,
-                        realizations=_get_int(sec, "realizations", "disorder", 20))
+    realizations = _get_int(sec, "realizations", "disorder", 20)
+    try:
+        return DisorderSpec(strengths=strengths, seed=seed, realizations=realizations)
+    except ValueError as err:
+        raise ConfigError(f"[disorder]: {err}") from err
+
+
+def _disorder_options(cfg: RunConfig):
+    """Observable names, frac, threshold and zero_tol of the [disorder] section."""
+    sec = cfg.section("disorder")
+    names = tuple(x.strip() for x in sec.get("observables", "zero_gap,zero_modes").split(","))
+    for name in names:
+        if name not in OBSERVABLES:
+            raise ConfigError(f"unknown observable {name!r} in [disorder]; choose from {OBSERVABLES}")
+    return (names, _get_float(sec, "frac", "disorder", 0.1),
+            _get_float(sec, "threshold", "disorder", 0.9),
+            _get_float(sec, "zero_tol", "disorder", 1e-6))
+
+
+def _winding_grid(cfg: RunConfig) -> int:
+    grid = _get_int(cfg.section("winding"), "grid", "winding", 1024)
+    if grid < MIN_WINDING_GRID:
+        raise ConfigError(f"winding.grid must be >= {MIN_WINDING_GRID}, got {grid}")
+    return grid
+
+
+def _floquet_drives(cfg: RunConfig) -> list:
+    """One DriveSpec per drive strength in floquet.lambdas."""
+    sec = cfg.section("floquet")
+    base = {key: _get_float(sec, key, "floquet", default)
+            for key, default in (("T", 1.0), ("Jt1", 0.0), ("Jt2", 0.0), ("Dt1", 0.0),
+                                 ("Dt2", 0.0), ("phi1", 0.0), ("phi2", 0.0))}
+    try:
+        return [DriveSpec(lam=float(x), **base)
+                for x in sec.get("lambdas", "0,0.25,0.5,0.75,1").split(",")]
+    except ValueError as err:
+        raise ConfigError(f"[floquet]: {err}") from err
 
 
 def _axes(cfg: RunConfig):
+    """[sweep] axes, checked against the model and the grid-size cap.
+
+    Only phase-scan sweeps the second axis; the other commands use the first.
+    """
     sec = cfg.section("sweep")
     axes = [AxisSpec(name=sec.get("parameter") or _missing("parameter", "sweep"),
                      start=_get_float(sec, "min", "sweep"),
@@ -164,6 +220,15 @@ def _axes(cfg: RunConfig):
     if "parameter2" in sec:
         axes.append(AxisSpec(name=sec["parameter2"], start=_get_float(sec, "min2", "sweep"),
                              stop=_get_float(sec, "max2", "sweep"), step=_get_float(sec, "step2", "sweep")))
+    p, _ = _model_params(cfg)
+    fields = {f.name for f in dataclasses.fields(p)}
+    for ax in axes:
+        if ax.name not in fields:
+            raise ConfigError(f"sweep parameter {ax.name!r} does not exist on this model")
+    try:
+        grid_size(axes if cfg.command == "phase-scan" else axes[:1])
+    except ValueError as err:
+        raise ConfigError(f"[sweep]: {err}") from err
     return axes
 
 
@@ -173,30 +238,7 @@ def _missing(key, section):
 
 def _sweep_values(p, axis: AxisSpec):
     for v in axis.values():
-        kw = {f: getattr(p, f) for f in ("J1", "J2", "Delta1", "Delta2", "omega", "N")} \
-            if isinstance(p, ModBKCParams) else {f: getattr(p, f) for f in ("J0", "Delta0", "omega", "N")}
-        if axis.name not in kw:
-            raise ConfigError(f"sweep parameter {axis.name!r} does not exist on this model")
-        kw[axis.name] = float(v)
-        yield float(v), type(p)(**kw)
-
-
-def _spectrum_of(p, bc: BoundaryCondition):
-    # Open boundaries at omega = 0 are exponentially non-normal (skin regime);
-    # route them through the exact diagonal gauge instead of the raw solver.
-    if isinstance(p, BKCParams):
-        if p.omega == 0 and bc is BoundaryCondition.OBC:
-            try:
-                from .spectral import spectrum_via_similarity
-                from .transform import hatano_nelson_A
-                M = build_bkc_excitation_direct(p, bc)
-                return spectrum_via_similarity(M, hatano_nelson_A(p))
-            except Exception:
-                pass  # singular gauge (Delta0 = J0): fall through to the raw solver
-        return eigendecompose(build_bkc_excitation_direct(p, bc))
-    if p.omega == 0 and bc is BoundaryCondition.OBC:
-        return modbkc_spectrum_zero_omega(p, bc)
-    return eigendecompose(build_modbkc_excitation_direct(p, bc))
+        yield float(v), dataclasses.replace(p, **{axis.name: float(v)})
 
 
 def _bcs(bc: str):
@@ -214,11 +256,11 @@ def _run_spectrum(cfg, out, plots, threads):
         rows = []
         if sweep:
             for value, pv in _sweep_values(p, sweep[0]):
-                s = _spectrum_of(pv, b)
+                s = solve(pv, b)
                 rows += [(value, i, e.real, e.imag) for i, e in enumerate(s.eigenvalues)]
             header = (sweep[0].name, "index", "re_E", "im_E")
         else:
-            s = _spectrum_of(p, b)
+            s = solve(p, b)
             rows = [(i, e.real, e.imag) for i, e in enumerate(s.eigenvalues)]
             header = ("index", "re_E", "im_E")
         path = os.path.join(out, f"{b.value}.csv")
@@ -244,7 +286,7 @@ def _run_profiles(cfg, out, plots, threads):
     p, bc = _model_params(cfg)
     files = []
     for b in _bcs(bc):
-        s = _spectrum_of(p, b)
+        s = solve(p, b)
         if s.eigenvectors is None:
             raise RuntimeError("profiles unavailable: gauge is singular at these parameters")
         P = profile_matrix(s, p.N)
@@ -260,12 +302,8 @@ def _run_profiles(cfg, out, plots, threads):
 
 
 def _run_winding(cfg, out, plots, threads):
-    from .topology import GapClosedError, winding_analytic, winding_numeric
-    from .transform import effective_ssh_params
     p, _ = _model_params(cfg)
-    if not isinstance(p, ModBKCParams):
-        raise ConfigError("winding requires model.kind = modbkc")
-    grid = _get_int(cfg.section("winding"), "grid", "winding", 1024)
+    grid = _winding_grid(cfg)
     sweep = _axes(cfg) if "sweep" in cfg.sections else None
     rows = []
     pairs = [(None, p)] if sweep is None else list(_sweep_values(p, sweep[0]))
@@ -295,8 +333,6 @@ def _run_winding(cfg, out, plots, threads):
 
 def _run_phase_scan(cfg, out, plots, threads):
     p, _ = _model_params(cfg)
-    if not isinstance(p, ModBKCParams):
-        raise ConfigError("phase-scan requires model.kind = modbkc")
     axes = _axes(cfg)
     diagram = phase_scan(p, axes, threads=threads)
     header = tuple(ax.name for ax in axes) + ("abs_E_min", "zero_modes", "w_plus", "w_minus",
@@ -323,15 +359,9 @@ def _run_phase_scan(cfg, out, plots, threads):
 
 def _run_disorder(cfg, out, plots, threads, seed_override):
     p, bc = _model_params(cfg)
-    if not isinstance(p, ModBKCParams):
-        raise ConfigError("disorder requires model.kind = modbkc")
     spec = _disorder_spec(cfg, seed_override)
-    sec = cfg.section("disorder")
-    names = tuple(x.strip() for x in sec.get("observables", "zero_gap,zero_modes").split(","))
-    frac = _get_float(sec, "frac", "disorder", 0.1)
-    threshold = _get_float(sec, "threshold", "disorder", 0.9)
-    zero_tol = _get_float(sec, "zero_tol", "disorder", 1e-6)
-    b = _bcs(bc)[0]
+    names, frac, threshold, zero_tol = _disorder_options(cfg)
+    b = BoundaryCondition(bc)
     files = []
     sweep = _axes(cfg) if "sweep" in cfg.sections else None
     scalar_names = [n for n in names if n in ("zero_gap", "zero_modes", "nhse_fraction")]
@@ -387,18 +417,11 @@ def _run_disorder(cfg, out, plots, threads, seed_override):
 
 
 def _run_floquet(cfg, out, plots, threads):
-    sec = cfg.section("floquet")
-    lambdas = [float(x) for x in sec.get("lambdas", "0,0.25,0.5,0.75,1").split(",")]
-    base = dict(T=_get_float(sec, "T", "floquet", 1.0),
-                Jt1=_get_float(sec, "Jt1", "floquet", 0.0), Jt2=_get_float(sec, "Jt2", "floquet", 0.0),
-                Dt1=_get_float(sec, "Dt1", "floquet", 0.0), Dt2=_get_float(sec, "Dt2", "floquet", 0.0),
-                phi1=_get_float(sec, "phi1", "floquet", 0.0), phi2=_get_float(sec, "phi2", "floquet", 0.0))
     rows = []
-    import math
-    for lam in lambdas:
-        eff = effective_params(DriveSpec(lam=lam, **base))
-        rows.append((lam, eff.J1.real, eff.J1.imag, eff.J2.real, eff.J2.imag,
-                     abs(bessel_j0(math.pi * lam / 2))))
+    for drive in _floquet_drives(cfg):
+        eff = effective_params(drive)
+        rows.append((drive.lam, eff.J1.real, eff.J1.imag, eff.J2.real, eff.J2.imag,
+                     abs(bessel_j0(math.pi * drive.lam / 2))))
     files = [write_csv(os.path.join(out, "floquet.csv"),
                        ("lambda", "re_J1", "im_J1", "re_J2", "im_J2", "abs_bessel"), rows)]
     if plots:
@@ -445,7 +468,10 @@ def main(argv=None) -> int:
         threads = args.threads
         if threads is None:
             env = os.environ.get("BKCHAIN_THREADS", "").strip()
-            threads = int(env) if env else None
+            try:
+                threads = int(env) if env else None
+            except ValueError:
+                raise ConfigError(f"BKCHAIN_THREADS must be an integer, got {env!r}") from None
         if threads is None:
             threads = _get_int(cfg.section("output"), "threads", "output", 1)
         out_dir = args.out or cfg.section("output").get("dir") or "out"

@@ -16,27 +16,14 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .model import (
-    BoundaryCondition,
-    ModBKCParams,
-    SiteFields,
-    build_modbkc_quadratic,
-    excitation_matrix,
-)
+from .model import BoundaryCondition, ModBKCParams, SiteFields
 from .skin import nhse_fraction, profile_matrix
-from .spectral import (
-    Spectrum,
-    eigendecompose,
-    modbkc_spectrum_zero_omega,
-    zero_gap,
-)
+from .spectral import solve, zero_gap
 from .topology import edge_mode_count, zero_modes
-from .transform import SimilarityMatrix, a_combined
 
 __all__ = [
     "DisorderSpec",
     "sample_site_fields",
-    "disordered_similarity",
     "EnsembleResult",
     "ensemble_observables",
     "OBSERVABLES",
@@ -109,22 +96,6 @@ def sample_site_fields(base: ModBKCParams, spec: DisorderSpec, realization: int)
     )
 
 
-def disordered_similarity(f: SiteFields) -> SimilarityMatrix:
-    """Product-form diagonal gauge for site-resolved couplings.
-
-    Replaces the uniform powers r^(j/2) by cumulative products of the local
-    ratios r_{i,l} = (Delta_{i,l} + J_{i,l}) / (Delta_{i,l} - J_{i,l}); for
-    uniform fields this equals the clean combined gauge entrywise.
-    """
-    return a_combined(f)
-
-
-def _ensemble_spectrum(f: SiteFields, bc: BoundaryCondition) -> Spectrum:
-    if np.all(f.omega_A == 0) and np.all(f.omega_B == 0):
-        return modbkc_spectrum_zero_omega(f, bc)
-    return eigendecompose(excitation_matrix(build_modbkc_quadratic(f, bc)))
-
-
 @dataclass(frozen=True)
 class EnsembleResult:
     """Per-realization observable values with mean/std aggregates."""
@@ -147,7 +118,7 @@ def ensemble_observables(base: ModBKCParams, spec: DisorderSpec,
 
     Per-realization failures are recorded and skipped; the run only fails if
     every realization does.  ``zero_modes`` is the per-quadrature-copy count
-    at omega = 0 and the literal threshold count otherwise.
+    of the open chain at omega = 0 and the literal threshold count otherwise.
     """
     names = tuple(observables)
     for name in names:
@@ -156,7 +127,7 @@ def ensemble_observables(base: ModBKCParams, spec: DisorderSpec,
 
     def one(realization: int):
         f = sample_site_fields(base, spec, realization)
-        spectrum = _ensemble_spectrum(f, bc)
+        spectrum = solve(f, bc)
         out = {}
         for name in names:
             if name == "abs_spectrum":
@@ -164,8 +135,8 @@ def ensemble_observables(base: ModBKCParams, spec: DisorderSpec,
             elif name == "zero_gap":
                 out[name] = zero_gap(spectrum)
             elif name == "zero_modes":
-                if np.all(f.omega_A == 0) and np.all(f.omega_B == 0):
-                    out[name] = edge_mode_count(f, tol=zero_tol, bc=bc)
+                if bc is BoundaryCondition.OBC and np.all(f.omega_A == 0) and np.all(f.omega_B == 0):
+                    out[name] = edge_mode_count(f, tol=zero_tol)
                 else:
                     out[name] = zero_modes(spectrum, zero_tol)[0]
             elif name == "nhse_fraction":

@@ -24,6 +24,11 @@ basis and is represented by the (generally non-Hermitian) excitation matrix
 where Sigma[a, b] = [v_a, v_b] / i is the symplectic form.  The basis is
 site-major: flat index 2j+s for the single-band chain and 4j+2S+s for the
 two-sublattice chain (S = 0 for A, 1 for B; s = 0 for x, 1 for p).
+
+Every production matrix is ``excitation_matrix(build_*_quadratic(...))``.
+The ``build_*_excitation_direct`` builders transcribe M from the commutators
+instead; they are kept only as an independent oracle for tests and are
+called nowhere else in the package.
 """
 
 from __future__ import annotations
@@ -201,19 +206,24 @@ def _bonds(n: int, bc: BoundaryCondition):
     return bonds
 
 
+def _add_symmetric(Q: np.ndarray, rows, cols, values):
+    """Q[r, c] += v and Q[c, r] += v; repeated entries accumulate (np.add.at).
+
+    The N = 2 periodic wrap bond of the single-band chain lands on the same
+    entries as the inner bond, so plain fancy-indexed assignment would drop it.
+    """
+    np.add.at(Q, (rows, cols), values)
+    np.add.at(Q, (cols, rows), values)
+
+
 def build_bkc_quadratic(p: BKCParams, bc: BoundaryCondition) -> QuadraticForm:
     """Quadratic form of the single-band chain; PBC adds the wrap bond."""
     n = p.N
     Q = np.zeros((2 * n, 2 * n))
     Q[np.diag_indices(2 * n)] = p.omega
-    for a, b in _bonds(n, bc):
-        # -(J0-Delta0) x_a p_b
-        Q[flat_index_bkc(a, 0), flat_index_bkc(b, 1)] += p.Delta0 - p.J0
-        Q[flat_index_bkc(b, 1), flat_index_bkc(a, 0)] += p.Delta0 - p.J0
-        # +(J0+Delta0) p_a x_b
-        Q[flat_index_bkc(a, 1), flat_index_bkc(b, 0)] += p.J0 + p.Delta0
-        Q[flat_index_bkc(b, 0), flat_index_bkc(a, 1)] += p.J0 + p.Delta0
-    Q = (Q + Q.T) / 2
+    a, b = np.array(_bonds(n, bc)).T
+    _add_symmetric(Q, 2 * a, 2 * b + 1, p.Delta0 - p.J0)  # -(J0-Delta0) x_a p_b
+    _add_symmetric(Q, 2 * a + 1, 2 * b, p.J0 + p.Delta0)  # +(J0+Delta0) p_a x_b
     return QuadraticForm(Q=Q, n_cells=n, n_sublattices=1, bc=bc)
 
 
@@ -221,50 +231,38 @@ def build_modbkc_quadratic(p: Union[ModBKCParams, SiteFields], bc: BoundaryCondi
     """Quadratic form of the two-sublattice chain, uniform or site-resolved."""
     f = SiteFields.uniform(p) if isinstance(p, ModBKCParams) else p
     n = f.N
-    Q = np.zeros((4 * n, 4 * n))
-    ix = flat_index_modbkc
-    for j in range(n):
-        Q[ix(j, 0, 0), ix(j, 0, 0)] = f.omega_A[j]
-        Q[ix(j, 0, 1), ix(j, 0, 1)] = f.omega_A[j]
-        Q[ix(j, 1, 0), ix(j, 1, 0)] = f.omega_B[j]
-        Q[ix(j, 1, 1), ix(j, 1, 1)] = f.omega_B[j]
-        # (J1+Delta1) x_{A,j} x_{B,j} + (J1-Delta1) p_{A,j} p_{B,j}
-        Q[ix(j, 0, 0), ix(j, 1, 0)] += f.J1[j] + f.Delta1[j]
-        Q[ix(j, 1, 0), ix(j, 0, 0)] += f.J1[j] + f.Delta1[j]
-        Q[ix(j, 0, 1), ix(j, 1, 1)] += f.J1[j] - f.Delta1[j]
-        Q[ix(j, 1, 1), ix(j, 0, 1)] += f.J1[j] - f.Delta1[j]
-    for a, b in _bonds(n, bc):
-        # (J2+Delta2) x_{B,a} x_{A,b} + (J2-Delta2) p_{B,a} p_{A,b}
-        Q[ix(a, 1, 0), ix(b, 0, 0)] += f.J2[a] + f.Delta2[a]
-        Q[ix(b, 0, 0), ix(a, 1, 0)] += f.J2[a] + f.Delta2[a]
-        Q[ix(a, 1, 1), ix(b, 0, 1)] += f.J2[a] - f.Delta2[a]
-        Q[ix(b, 0, 1), ix(a, 1, 1)] += f.J2[a] - f.Delta2[a]
-    Q = (Q + Q.T) / 2
+    Q = np.diag(np.repeat(np.column_stack([f.omega_A, f.omega_B]).ravel(), 2))
+    x_a = 4 * np.arange(n)  # flat index of x_{A,j}; p_A, x_B, p_B follow
+    # (J1+Delta1) x_{A,j} x_{B,j} + (J1-Delta1) p_{A,j} p_{B,j}
+    _add_symmetric(Q, x_a, x_a + 2, f.J1 + f.Delta1)
+    _add_symmetric(Q, x_a + 1, x_a + 3, f.J1 - f.Delta1)
+    # (J2+Delta2) x_{B,a} x_{A,b} + (J2-Delta2) p_{B,a} p_{A,b}
+    a, b = np.array(_bonds(n, bc)).T
+    _add_symmetric(Q, 4 * a + 2, 4 * b, f.J2[a] + f.Delta2[a])
+    _add_symmetric(Q, 4 * a + 3, 4 * b + 1, f.J2[a] - f.Delta2[a])
     return QuadraticForm(Q=Q, n_cells=n, n_sublattices=2, bc=bc)
-
-
-def symplectic_form(dim: int) -> np.ndarray:
-    """Sigma[a, b] = [v_a, v_b]/i: blocks [[0, 1], [-1, 0]] per (site, sublattice)."""
-    blk = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return np.kron(np.eye(dim // 2), blk)
 
 
 def excitation_matrix(q: QuadraticForm) -> ExcitationMatrix:
     """Commutator map of a quadratic Hamiltonian: M = -i Sigma Q.
 
-    The sign makes a single oscillator (Q = omega*I) come out as omega*sigma_y
-    in the (x, p) basis, consistent with the direct builders below.
+    Sigma[a, b] = [v_a, v_b]/i is block-diagonal with [[0, 1], [-1, 0]] per
+    (site, sublattice), so Sigma Q is a signed swap of the x and p rows.  The
+    sign makes a single oscillator (Q = omega*I) come out as omega*sigma_y in
+    the (x, p) basis, consistent with the direct builders below.
     """
     asym = np.abs(q.Q - q.Q.T).max()
     if asym > _ASYMMETRY_TOL:
         raise ValueError(f"quadratic form is not symmetric: max asymmetry {asym:.3e}")
-    M = -1j * symplectic_form(q.dim) @ q.Q
-    return ExcitationMatrix(M=M, n_cells=q.n_cells, n_sublattices=q.n_sublattices,
+    SQ = np.empty_like(q.Q)
+    SQ[0::2] = q.Q[1::2]
+    SQ[1::2] = -q.Q[0::2]
+    return ExcitationMatrix(M=-1j * SQ, n_cells=q.n_cells, n_sublattices=q.n_sublattices,
                             bc=q.bc, source="symplectic")
 
 
 def build_bkc_excitation_direct(p: BKCParams, bc: BoundaryCondition) -> ExcitationMatrix:
-    """Single-band excitation matrix transcribed from the commutators.
+    """Single-band excitation matrix transcribed from the commutators (test oracle).
 
     Per bond (a -> b = a+1):  [H, x_a] picks up -i(J0+Delta0) x_b,
     [H, x_b] picks up +i(J0-Delta0) x_a, and the p channel has the two
@@ -285,7 +283,7 @@ def build_bkc_excitation_direct(p: BKCParams, bc: BoundaryCondition) -> Excitati
 
 
 def build_modbkc_excitation_direct(p: ModBKCParams, bc: BoundaryCondition) -> ExcitationMatrix:
-    """Two-sublattice excitation matrix transcribed from the commutators.
+    """Two-sublattice excitation matrix transcribed from the commutators (test oracle).
 
     Intracell, [H', x_{A,j}] = ... + i(Delta1-J1) p_{B,j} and
     [H', p_{A,j}] = ... + i(Delta1+J1) x_{B,j} (and A <-> B mirrored);

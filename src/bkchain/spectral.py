@@ -1,21 +1,24 @@
-"""Eigendecomposition of excitation matrices and spectrum-level comparisons.
+"""Excitation spectra through one front door, `solve(p, bc)`.
 
-Two routes are provided:
+`p` is a `BKCParams`, a `ModBKCParams` or a `SiteFields`; `solve` is the only
+code that picks a solve route:
 
-* `eigendecompose` wraps the dense general eigensolver.  It is accurate
-  whenever the matrix is not exponentially non-normal (any omega != 0, or
-  periodic boundaries).
-* `spectrum_via_similarity` / `modbkc_spectrum_zero_omega` diagonalize the
-  gauge-transformed image instead and map back.  Under open boundaries at
-  omega = 0 the matrices are similar to (anti-)Hermitian ones with condition
-  numbers of the diagonal gauge as large as 1e60, and the direct eigensolver
-  returns pseudospectra rather than spectra; the transformed route is exact
-  because the conjugation is entrywise.
-
-At omega = 0 every eigenvalue is exactly twofold degenerate: the transformed
-matrix is i sigma_x (x) H_ssh, two decoupled copies of an SSH chain.  The
-lifted eigenbasis returned here is the deterministic product basis
-(sigma_x eigenvector) (x) (SSH eigenvector).
+* **Hatano-Nelson gauge** (single-band chain, OBC, omega = 0).  The open
+  chain is exponentially non-normal: its diagonal gauge onto an
+  (anti-)Hermitian matrix has condition numbers up to 1e60, and the dense
+  solver returns pseudospectra.  `spectrum_via_similarity` diagonalizes the
+  gauge image instead and lifts the eigenvectors back; the conjugation is
+  entrywise and therefore exact.  At Delta0 = J0 the gauge does not exist
+  (`SingularTransformError`) and the dense route is taken.
+* **SSH reduction** (two-sublattice chain, OBC, every onsite omega = 0).  The
+  combined gauge maps M onto i sigma_x (x) H_ssh, two decoupled copies of an
+  SSH chain, so `modbkc_spectrum_zero_omega` solves the 2N-dimensional H_ssh
+  and lifts the product basis (sigma_x eigenvector) (x) (SSH eigenvector);
+  every eigenvalue is exactly twofold degenerate.  At Delta = J somewhere the
+  eigenvalues stay exact but no eigenvectors are returned.
+* **Dense** `eigendecompose` of ``excitation_matrix(build_*_quadratic(p, bc))``
+  for everything else.  With omega != 0 the matrix is not exponentially
+  non-normal, and neither gauge closes around a ring, so PBC is always dense.
 """
 
 from __future__ import annotations
@@ -32,13 +35,22 @@ from .model import (
     ExcitationMatrix,
     ModBKCParams,
     SiteFields,
-    flat_index_modbkc,
+    build_bkc_quadratic,
+    build_modbkc_quadratic,
+    excitation_matrix,
 )
-from .transform import SimilarityMatrix, a_combined, effective_ssh_matrix
+from .transform import (
+    SimilarityMatrix,
+    SingularTransformError,
+    a_combined,
+    effective_ssh_matrix,
+    hatano_nelson_A,
+)
 
 __all__ = [
     "SolverError",
     "Spectrum",
+    "solve",
     "eigendecompose",
     "spectrum_via_similarity",
     "modbkc_spectrum_zero_omega",
@@ -48,6 +60,8 @@ __all__ = [
 ]
 
 RESIDUAL_FACTOR = 1e-8
+# relative tolerance on max|K - K^H| for treating the gauge image as Hermitian
+_HERMITIAN_TOL = 1e-10
 
 
 class SolverError(RuntimeError):
@@ -104,11 +118,10 @@ def eigendecompose(M: ExcitationMatrix) -> Spectrum:
     return spec
 
 
-def spectrum_via_similarity(M: ExcitationMatrix, A: SimilarityMatrix,
-                            hermitian_tol: float = 1e-10) -> Spectrum:
+def spectrum_via_similarity(M: ExcitationMatrix, A: SimilarityMatrix) -> Spectrum:
     """Spectrum of M obtained from the gauge image K = A^{-1} M A.
 
-    When K is Hermitian (or anti-Hermitian) within ``hermitian_tol`` relative
+    When K is Hermitian (or anti-Hermitian) within ``_HERMITIAN_TOL`` relative
     to max|K| the Hermitian solver is used, which pins the spectrum to the
     real (imaginary) axis exactly.  Eigenvectors are lifted back through A
     with log-space normalization.
@@ -117,10 +130,10 @@ def spectrum_via_similarity(M: ExcitationMatrix, A: SimilarityMatrix,
     scale = np.abs(K).max()
     herm = np.abs(K - K.conj().T).max()
     anti = np.abs(K + K.conj().T).max()
-    if herm <= hermitian_tol * scale:
+    if herm <= _HERMITIAN_TOL * scale:
         vals, vecs = np.linalg.eigh((K + K.conj().T) / 2)
         vals = vals.astype(complex)
-    elif anti <= hermitian_tol * scale:
+    elif anti <= _HERMITIAN_TOL * scale:
         Kh = 1j * K
         vals, vecs = np.linalg.eigh((Kh + Kh.conj().T) / 2)
         vals = -1j * vals
@@ -130,25 +143,29 @@ def spectrum_via_similarity(M: ExcitationMatrix, A: SimilarityMatrix,
     return _sorted(vals, lifted, source=f"similarity[{M.source},{M.bc.value},n={M.n_cells}]")
 
 
+def _zero_omega(p: Union[ModBKCParams, SiteFields]) -> bool:
+    if isinstance(p, ModBKCParams):
+        return p.omega == 0
+    return bool(np.all(p.omega_A == 0) and np.all(p.omega_B == 0))
+
+
 def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
                                bc: BoundaryCondition = BoundaryCondition.OBC,
                                with_vectors: bool = True) -> Spectrum:
-    """Exact omega=0 spectrum of the two-sublattice chain via the SSH reduction.
+    """Exact omega=0 spectrum of the open two-sublattice chain via the SSH reduction.
 
     Eigenvalues are +-i E_m over the reduced SSH spectrum {E_m}; eigenvectors
     are the product basis lifted through the combined gauge.  With
     ``with_vectors=False`` (or at singular gauge points Delta = J) only the
     eigenvalues are returned; they remain exact there by continuity of the
-    characteristic polynomial.
+    characteristic polynomial.  Open boundaries only: the gauge does not
+    close around a ring, so the reduced ring is not the PBC spectrum.
     """
-    if isinstance(p, ModBKCParams):
-        if p.omega != 0:
-            raise ValueError("modbkc_spectrum_zero_omega requires omega = 0")
-        n = p.N
-    else:
-        if np.any(p.omega_A != 0) or np.any(p.omega_B != 0):
-            raise ValueError("modbkc_spectrum_zero_omega requires all onsite omega = 0")
-        n = p.N
+    if bc is not BoundaryCondition.OBC:
+        raise ValueError("modbkc_spectrum_zero_omega requires open boundaries")
+    if not _zero_omega(p):
+        raise ValueError("modbkc_spectrum_zero_omega requires all onsite omega = 0")
+    n = p.N
     H = effective_ssh_matrix(p, bc)
     if np.abs(H.imag).max() == 0:
         E, U = np.linalg.eigh(H.real)
@@ -161,26 +178,31 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
         return _sorted(vals, None, source=f"reduced[modbkc,{bc.value},n={n}]")
     try:
         A = a_combined(p)
-    except Exception:
+    except SingularTransformError:
         return _sorted(vals, None, source=f"reduced[modbkc,{bc.value},n={n}]")
-    # lift (sigma_pm (x) u_m): quadrature components (1, +-1)/sqrt(2) * u
-    vecs = np.zeros((4 * n, 4 * n), dtype=complex)
-    ix = flat_index_modbkc
-    sub = np.arange(2 * n)
-    rows_x = np.array([ix(a // 2, a % 2, 0) for a in sub])
-    rows_p = np.array([ix(a // 2, a % 2, 1) for a in sub])
-    for m in range(2 * n):
-        u = U[:, m]
-        plus = np.zeros(4 * n, dtype=complex)
-        plus[rows_x] = u
-        plus[rows_p] = u
-        minus = np.zeros(4 * n, dtype=complex)
-        minus[rows_x] = u
-        minus[rows_p] = -u
-        vecs[:, m] = plus          # eigenvalue +i E_m
-        vecs[:, 2 * n + m] = minus  # eigenvalue -i E_m
+    # lift (sigma_pm (x) u_m): quadrature components (1, +-1)/sqrt(2) * u.
+    # SSH site a = 2j+S sits at flat index 2a (x) and 2a+1 (p).
+    vecs = np.empty((4 * n, 4 * n), dtype=complex)
+    vecs[0::2] = np.hstack([U, U])     # columns m: eigenvalue +i E_m
+    vecs[1::2] = np.hstack([U, -U])    # columns 2n+m: eigenvalue -i E_m
     lifted = A.lift(vecs)
     return _sorted(vals, lifted, source=f"reduced[modbkc,{bc.value},n={n}]")
+
+
+def solve(p: Union[BKCParams, ModBKCParams, SiteFields], bc: BoundaryCondition) -> Spectrum:
+    """Spectrum of the chain ``p`` under ``bc``; the route is chosen as in the module docstring."""
+    obc = bc is BoundaryCondition.OBC
+    if isinstance(p, BKCParams):
+        M = excitation_matrix(build_bkc_quadratic(p, bc))
+        if obc and p.omega == 0:
+            try:
+                return spectrum_via_similarity(M, hatano_nelson_A(p))
+            except SingularTransformError:
+                pass  # Delta0 = J0: no gauge, fall back to the dense solver
+        return eigendecompose(M)
+    if obc and _zero_omega(p):
+        return modbkc_spectrum_zero_omega(p, bc)
+    return eigendecompose(excitation_matrix(build_modbkc_quadratic(p, bc)))
 
 
 def bkc_pbc_dispersion(p: BKCParams, k: float):

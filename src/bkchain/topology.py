@@ -19,15 +19,16 @@ is the literal threshold count on whatever spectrum it is given.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .model import BoundaryCondition, ModBKCParams, SiteFields
 from .skin import edge_weight, spatial_profile
-from .spectral import Spectrum, modbkc_spectrum_zero_omega, zero_gap as _zero_gap
+from .spectral import Spectrum, solve, zero_gap as _zero_gap
 from .transform import EffectiveSSHParams, effective_ssh_matrix, effective_ssh_params
 
 __all__ = [
@@ -43,11 +44,14 @@ __all__ = [
     "AxisSpec",
     "PhasePoint",
     "PhaseDiagram",
+    "grid_size",
     "phase_scan",
 ]
 
 _WINDING_RESIDUE_TOL = 0.01
 _GAP_TOL = 1e-10
+MAX_GRID_POINTS = 10 ** 6
+MIN_WINDING_GRID = 64
 
 
 class GapClosedError(ValueError):
@@ -85,8 +89,8 @@ def _winding_of_samples(h: np.ndarray) -> int:
 
 def winding_numeric(eff: EffectiveSSHParams, grid: int = 1024) -> WindingResult:
     """Phase-unwrapped winding numbers of h_pm over k in [-pi, pi)."""
-    if grid < 64:
-        raise ValueError(f"grid must be >= 64, got {grid}")
+    if grid < MIN_WINDING_GRID:
+        raise ValueError(f"grid must be >= {MIN_WINDING_GRID}, got {grid}")
     ks = -np.pi + 2 * np.pi * np.arange(grid) / grid
     hp, hm = h_pm(ks, eff)
     return WindingResult(w_plus=_winding_of_samples(hp), w_minus=_winding_of_samples(hm))
@@ -113,12 +117,15 @@ def zero_modes(s: Spectrum, tol: float):
 
 def edge_mode_count(p: Union[ModBKCParams, SiteFields], tol: float = 1e-6,
                     bc: BoundaryCondition = BoundaryCondition.OBC) -> int:
-    """Zero modes per quadrature copy at omega = 0 (reduced SSH spectrum).
+    """Zero modes per quadrature copy of the open chain at omega = 0 (reduced SSH spectrum).
 
     The full excitation spectrum is two exact copies of the reduced one, so
     this equals ``zero_modes(full spectrum)[0] / 2`` but stays exact under
-    open boundaries where the direct eigensolver is unreliable.
+    open boundaries where the direct eigensolver is unreliable.  The
+    reduction holds for open chains only, so PBC is rejected.
     """
+    if bc is not BoundaryCondition.OBC:
+        raise ValueError("edge_mode_count requires open boundaries")
     H = effective_ssh_matrix(p, bc)
     if np.abs(H.imag).max() == 0:
         E = np.linalg.eigvalsh(H.real).astype(complex)
@@ -161,15 +168,28 @@ class AxisSpec:
     stop: float
     step: float
 
-    def values(self) -> np.ndarray:
+    def count(self) -> int:
+        """Number of grid points, computed without allocating the grid."""
         if self.name not in ("J1", "J2", "Delta1", "Delta2", "omega"):
             raise ValueError(f"unknown sweep parameter {self.name!r}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop) and math.isfinite(self.step)):
+            raise ValueError("axis start, stop and step must be finite")
         if self.step <= 0:
             raise ValueError("axis step must be positive")
         if self.stop < self.start:
             raise ValueError("axis stop must be >= start")
-        count = int(round((self.stop - self.start) / self.step)) + 1
-        return self.start + self.step * np.arange(count)
+        return int(round((self.stop - self.start) / self.step)) + 1
+
+    def values(self) -> np.ndarray:
+        return self.start + self.step * np.arange(grid_size([self]))
+
+
+def grid_size(axes: Sequence[AxisSpec]) -> int:
+    """Points of the product grid; raises ValueError above the 1e6 limit."""
+    total = math.prod(ax.count() for ax in axes)
+    if total > MAX_GRID_POINTS:
+        raise ValueError(f"grid has {total} points, above the 1e6 limit")
+    return total
 
 
 @dataclass(frozen=True)
@@ -188,9 +208,6 @@ class PhaseDiagram:
     axes: tuple
     points: tuple
 
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(pt, name) for pt in self.points], dtype=object)
-
 
 def _scan_point(p: ModBKCParams, values: tuple, tol: float, frac: float, threshold: float) -> PhasePoint:
     try:
@@ -200,14 +217,8 @@ def _scan_point(p: ModBKCParams, values: tuple, tol: float, frac: float, thresho
             w_plus, w_minus = w.w_plus, w.w_minus
         except GapClosedError:
             w_plus = w_minus = None
-        if p.omega == 0:
-            spec = modbkc_spectrum_zero_omega(p, BoundaryCondition.OBC)
-            count = edge_mode_count(p, tol=tol)
-        else:
-            from .model import build_modbkc_excitation_direct
-            from .spectral import eigendecompose
-            spec = eigendecompose(build_modbkc_excitation_direct(p, BoundaryCondition.OBC))
-            count = zero_modes(spec, tol)[0]
+        spec = solve(p, BoundaryCondition.OBC)
+        count = edge_mode_count(p, tol=tol) if p.omega == 0 else zero_modes(spec, tol)[0]
         gap = _zero_gap(spec)
         if spec.eigenvectors is not None:
             ew = np.array([
@@ -231,25 +242,13 @@ def phase_scan(base: ModBKCParams, axes: Sequence[AxisSpec], tol: float = 1e-6,
     """Sweep 1-2 parameters; per-point records never abort on solver errors."""
     if not 1 <= len(axes) <= 2:
         raise ValueError("phase_scan takes one or two axes")
-    grids = [ax.values() for ax in axes]
-    total = int(np.prod([len(g) for g in grids]))
-    if total > 10 ** 6:
-        raise ValueError(f"grid has {total} points, above the 1e6 limit")
-    combos = []
-    if len(grids) == 1:
-        combos = [(v,) for v in grids[0]]
-    else:
-        combos = [(u, v) for u in grids[0] for v in grids[1]]
-
-    def make_params(vals):
-        kw = dict(J1=base.J1, J2=base.J2, Delta1=base.Delta1, Delta2=base.Delta2,
-                  omega=base.omega, N=base.N)
-        for ax, v in zip(axes, vals):
-            kw[ax.name] = float(v)
-        return ModBKCParams(**kw)
+    grid_size(axes)
+    combos = list(itertools.product(*(ax.values() for ax in axes)))
 
     def work(vals):
-        return _scan_point(make_params(vals), tuple(float(v) for v in vals), tol, frac, threshold)
+        vals = tuple(float(v) for v in vals)
+        p = replace(base, **{ax.name: v for ax, v in zip(axes, vals)})
+        return _scan_point(p, vals, tol, frac, threshold)
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -28,8 +28,6 @@ from .model import (
     ExcitationMatrix,
     ModBKCParams,
     SiteFields,
-    flat_index_bkc,
-    flat_index_modbkc,
 )
 
 __all__ = [
@@ -73,17 +71,8 @@ class SimilarityMatrix:
         return len(self.log_scale)
 
     @property
-    def scale(self) -> np.ndarray:
-        """Explicit diagonal; may overflow for extreme condition numbers."""
-        return np.exp(self.log_scale) * self.phase
-
-    @property
     def log10_condition(self) -> float:
         return float((self.log_scale.max() - self.log_scale.min()) / np.log(10.0))
-
-    @property
-    def condition_number(self) -> float:
-        return float(np.exp(self.log_scale.max() - self.log_scale.min()))
 
     def conjugate(self, M: np.ndarray) -> np.ndarray:
         """A^{-1} M A, computed entrywise only on the nonzero pattern of M."""
@@ -135,10 +124,10 @@ def hatano_nelson_A(p: BKCParams) -> SimilarityMatrix:
     """
     r = _ratio(p.Delta0, p.J0, "hatano_nelson_A")
     half_log_r = 0.5 * np.log(r)  # principal branch for negative/complex r
-    diag = np.zeros(2 * p.N, dtype=complex)
-    for j in range(p.N):
-        diag[flat_index_bkc(j, 0)] = np.exp(-j * half_log_r)
-        diag[flat_index_bkc(j, 1)] = np.exp(j * half_log_r)
+    j = np.arange(p.N)
+    diag = np.empty(2 * p.N, dtype=complex)
+    diag[0::2] = np.exp(-j * half_log_r)  # x_j
+    diag[1::2] = np.exp(j * half_log_r)   # p_j
     log_scale, phase = _as_log_phase(diag)
     return SimilarityMatrix(log_scale=log_scale, phase=phase, r_values={"r": r})
 
@@ -157,14 +146,10 @@ def hatano_nelson_target(p: BKCParams, bc: BoundaryCondition = BoundaryCondition
         c = -c
     n = p.N
     T = np.zeros((2 * n, 2 * n), dtype=complex)
-    bonds = [(j, j + 1) for j in range(n - 1)]
-    if bc is BoundaryCondition.PBC:
-        bonds.append((n - 1, 0))
-    for a, b in bonds:
-        T[flat_index_bkc(a, 0), flat_index_bkc(b, 0)] = c
-        T[flat_index_bkc(b, 0), flat_index_bkc(a, 0)] = c
-        T[flat_index_bkc(a, 1), flat_index_bkc(b, 1)] = -c
-        T[flat_index_bkc(b, 1), flat_index_bkc(a, 1)] = -c
+    a = np.arange(n if bc is BoundaryCondition.PBC else n - 1)
+    b = (a + 1) % n
+    T[2 * a, 2 * b] = T[2 * b, 2 * a] = c                   # x channel
+    T[2 * a + 1, 2 * b + 1] = T[2 * b + 1, 2 * a + 1] = -c   # p channel
     return T
 
 
@@ -197,13 +182,11 @@ def _similarity_from_products(f: SiteFields, use_r1: bool, use_r2: bool) -> Simi
         log_r2 = np.zeros_like(log_r2)
     c1 = np.concatenate([[0.0], np.cumsum(log_r1)])  # c1[j] = sum_{l<j} log r1_l
     c2 = np.concatenate([[0.0], np.cumsum(log_r2)])
-    diag_log = np.zeros(4 * f.N, dtype=complex)
-    ix = flat_index_modbkc
-    for j in range(f.N):
-        diag_log[ix(j, 0, 0)] = 0.5 * (c1[j] - c2[j])
-        diag_log[ix(j, 0, 1)] = 0.5 * (c2[j] - c1[j])
-        diag_log[ix(j, 1, 0)] = 0.5 * (c2[j] - c1[j + 1])
-        diag_log[ix(j, 1, 1)] = 0.5 * (c1[j + 1] - c2[j])
+    diag_log = np.empty(4 * f.N, dtype=complex)
+    diag_log[0::4] = 0.5 * (c1[:-1] - c2[:-1])  # A x
+    diag_log[1::4] = 0.5 * (c2[:-1] - c1[:-1])  # A p
+    diag_log[2::4] = 0.5 * (c2[:-1] - c1[1:])   # B x
+    diag_log[3::4] = 0.5 * (c1[1:] - c2[:-1])   # B p
     log_scale = diag_log.real
     phase = np.exp(1j * diag_log.imag)
     r_values = {}
@@ -257,25 +240,26 @@ def effective_ssh_matrix(p: Union[ModBKCParams, SiteFields],
                          bc: BoundaryCondition = BoundaryCondition.OBC) -> np.ndarray:
     """2N-dimensional SSH-form matrix with couplings dtilde1[j], dtilde2[j].
 
-    The omega=0 excitation matrix is isospectral to i sigma_x (x) (this
-    matrix): its 4N eigenvalues are +-i E_m over the 2N eigenvalues E_m here.
-    The identity holds for all parameters (including Delta = J, where the
-    gauge itself is singular) because characteristic polynomials depend
-    polynomially on the couplings.
+    Under open boundaries the omega=0 excitation matrix is isospectral to
+    i sigma_x (x) (this matrix): its 4N eigenvalues are +-i E_m over the 2N
+    eigenvalues E_m here.  The identity holds for all parameters (including
+    Delta = J, where the gauge itself is singular) because characteristic
+    polynomials depend polynomially on the couplings.  It does not hold for
+    the ring: the gauge does not close around it (the wrap bond is rescaled
+    by the gauge accumulated along the chain instead of being symmetrized),
+    so the PBC matrix built here is the symmetric SSH ring, not an image of
+    the periodic excitation matrix.
     """
     f = _fields(p)
     n = f.N
     v = np.sqrt((f.Delta1 ** 2 - f.J1 ** 2).astype(complex))
     w = np.sqrt((f.Delta2 ** 2 - f.J2 ** 2).astype(complex))
     H = np.zeros((2 * n, 2 * n), dtype=complex)
-    for j in range(n):
-        H[2 * j, 2 * j + 1] = v[j]
-        H[2 * j + 1, 2 * j] = v[j]
-    bonds = list(range(n - 1)) + ([n - 1] if bc is BoundaryCondition.PBC else [])
-    for a in bonds:
-        b = (a + 1) % n
-        H[2 * a + 1, 2 * b] = w[a]
-        H[2 * b, 2 * a + 1] = w[a]
+    j = np.arange(n)
+    H[2 * j, 2 * j + 1] = H[2 * j + 1, 2 * j] = v
+    a = j if bc is BoundaryCondition.PBC else j[:-1]
+    b = (a + 1) % n
+    H[2 * a + 1, 2 * b] = H[2 * b, 2 * a + 1] = w[a]
     return H
 
 
@@ -283,17 +267,10 @@ def ssh_lift_target(p: Union[ModBKCParams, SiteFields],
                     bc: BoundaryCondition = BoundaryCondition.OBC) -> np.ndarray:
     """4N target matrix i sigma_x (x) effective_ssh_matrix in the flat basis."""
     H = effective_ssh_matrix(p, bc)
-    n = H.shape[0] // 2
-    T = np.zeros((4 * n, 4 * n), dtype=complex)
-    ix = flat_index_modbkc
-    for a in range(2 * n):
-        for b in range(2 * n):
-            if H[a, b] != 0:
-                ja, Sa = divmod(a, 2)
-                jb, Sb = divmod(b, 2)
-                # sigma_x flips the quadrature bit
-                T[ix(ja, Sa, 0), ix(jb, Sb, 1)] += 1j * H[a, b]
-                T[ix(ja, Sa, 1), ix(jb, Sb, 0)] += 1j * H[a, b]
+    T = np.zeros((2 * H.shape[0], 2 * H.shape[0]), dtype=complex)
+    # SSH site a = 2j+S sits at flat index 2a (x) and 2a+1 (p); sigma_x
+    # flips the quadrature bit
+    T[0::2, 1::2] = T[1::2, 0::2] = 1j * H
     return T
 
 

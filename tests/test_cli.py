@@ -68,6 +68,78 @@ W_J3 = 0.1
         assert "N" in capsys.readouterr().err
 
 
+MODBKC_MODEL = """
+[model]
+kind = modbkc
+J1 = 1
+J2 = 0.5
+Delta1 = 1.5
+Delta2 = 2.1
+omega = 0
+N = 8
+bc = {bc}
+"""
+BKC_MODEL = """
+[model]
+kind = bkc
+J0 = 0.5
+Delta0 = 1
+omega = 0
+N = {n}
+bc = obc
+"""
+SWEEP = """
+[sweep]
+parameter = {name}
+min = 0
+max = 1
+step = {step}
+"""
+DISORDER = """
+[disorder]
+W_J1 = 0.1
+realizations = 2
+observables = {obs}
+"""
+
+
+@pytest.mark.parametrize("command,text", [
+    ("spectrum", MODBKC_MODEL.format(bc="obc") + SWEEP.format(name="J3", step=0.5)),
+    ("spectrum", BKC_MODEL.format(n=8) + SWEEP.format(name="J1", step=0.5)),
+    ("spectrum", MODBKC_MODEL.format(bc="obc") + SWEEP.format(name="J1", step=0)),
+    ("spectrum", MODBKC_MODEL.format(bc="obc") + SWEEP.format(name="J1", step=1e-8)),
+    ("phase-scan", MODBKC_MODEL.format(bc="obc") + SWEEP.format(name="J1", step=0.001)
+     + "parameter2 = J2\nmin2 = 0\nmax2 = 1\nstep2 = 0.001\n"),
+    ("phase-scan", MODBKC_MODEL.format(bc="pbc") + SWEEP.format(name="J1", step=0.5)),
+    ("phase-scan", MODBKC_MODEL.format(bc="both") + SWEEP.format(name="J1", step=0.5)),
+    ("phase-scan", BKC_MODEL.format(n=8) + SWEEP.format(name="omega", step=0.5)),
+    ("winding", BKC_MODEL.format(n=8)),
+    ("disorder", BKC_MODEL.format(n=8) + DISORDER.format(obs="zero_gap")),
+    ("disorder", MODBKC_MODEL.format(bc="both") + DISORDER.format(obs="zero_gap")),
+    ("disorder", MODBKC_MODEL.format(bc="obc") + DISORDER.format(obs="zero_gap,gap_ratio")),
+    ("spectrum", BKC_MODEL.format(n=1)),
+    ("winding", MODBKC_MODEL.format(bc="obc") + "[winding]\ngrid = 10\n"),
+    ("floquet", "[floquet]\nlambdas = 0,x\n"),
+    ("floquet", "[floquet]\nT = 0\n"),
+], ids=["unknown-sweep-parameter", "sweep-parameter-not-on-model", "zero-step",
+        "oversized-sweep", "oversized-scan-grid", "phase-scan-pbc", "phase-scan-both",
+        "phase-scan-bkc", "winding-bkc", "disorder-bkc", "disorder-both",
+        "unknown-observable", "chain-too-short", "winding-grid-too-coarse",
+        "floquet-lambda-not-a-number", "floquet-zero-period"])
+def test_config_errors_exit_2_before_output(tmp_path, capsys, command, text):
+    out = tmp_path / "out"
+    assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_malformed_threads_env_exits_2(tmp_path, monkeypatch):
+    monkeypatch.setenv("BKCHAIN_THREADS", "two")
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", write(tmp_path, MINIMAL_SPECTRUM), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 class TestRuns:
     def test_spectrum_outputs_and_manifest(self, tmp_path):
         cfg = write(tmp_path, MINIMAL_SPECTRUM)

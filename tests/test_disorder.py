@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from bkchain.disorder import (
     DisorderSpec,
-    disordered_similarity,
     ensemble_observables,
     sample_site_fields,
 )
@@ -13,6 +12,7 @@ from bkchain.model import (
     BoundaryCondition,
     ModBKCParams,
     SiteFields,
+    bloch_matrix,
     build_modbkc_quadratic,
     excitation_matrix,
 )
@@ -21,6 +21,7 @@ from bkchain.topology import edge_mode_count
 from bkchain.transform import SingularTransformError, a_combined, ssh_lift_target, transform_residual
 
 OBC = BoundaryCondition.OBC
+PBC = BoundaryCondition.PBC
 
 
 @pytest.fixture
@@ -90,7 +91,7 @@ class TestSampling:
 class TestDisorderedSimilarity:
     def test_uniform_fields_collapse_to_clean_gauge(self, base):
         A_clean = a_combined(base)
-        A_dis = disordered_similarity(SiteFields.uniform(base))
+        A_dis = a_combined(SiteFields.uniform(base))
         assert np.abs(A_clean.log_scale - A_dis.log_scale).max() < 1e-13
         assert np.abs(A_clean.phase - A_dis.phase).max() < 1e-13
 
@@ -99,7 +100,7 @@ class TestDisorderedSimilarity:
                             seed=31, realizations=1)
         f = sample_site_fields(base, spec, 0)
         M = excitation_matrix(build_modbkc_quadratic(f, OBC))
-        res = transform_residual(M, disordered_similarity(f), ssh_lift_target(f))
+        res = transform_residual(M, a_combined(f), ssh_lift_target(f))
         assert res < 1e-8
 
     def test_singular_site_named_in_error(self):
@@ -110,7 +111,7 @@ class TestDisorderedSimilarity:
         bad = SiteFields(J1=J1, J2=f.J2, Delta1=f.Delta1, Delta2=f.Delta2,
                          omega_A=f.omega_A, omega_B=f.omega_B)
         with pytest.raises(SingularTransformError, match="cell 3"):
-            disordered_similarity(bad)
+            a_combined(bad)
 
 
 class TestEnsembles:
@@ -120,6 +121,16 @@ class TestEnsembles:
         clean = modbkc_spectrum_zero_omega(base, OBC)
         assert res.observables["zero_gap"][0] == zero_gap(clean)
         assert res.observables["zero_modes"][0] == edge_mode_count(base)
+
+    def test_pbc_zero_omega_matches_bloch_blocks(self):
+        # the gauge does not close around a ring, so a clean omega = 0 ring
+        # must report the periodic spectrum, not the reduced SSH ring's
+        p = ModBKCParams(J1=1.4, J2=1.2, Delta1=1.0, Delta2=1.0, omega=0.0, N=20)
+        spec = DisorderSpec(strengths={}, seed=3, realizations=1)
+        res = ensemble_observables(p, spec, ("abs_spectrum",), bc=PBC)
+        blocks = np.concatenate([np.linalg.eigvals(bloch_matrix(p, 2 * np.pi * m / p.N))
+                                 for m in range(p.N)])
+        assert np.abs(res.observables["abs_spectrum"][0] - np.sort(np.abs(blocks))).max() < 1e-8
 
     def test_zero_mode_robustness_at_ten_percent(self):
         # both topological parameter sets keep their edge-mode pair in every

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bkchain.model import (
@@ -193,6 +193,64 @@ class TestOracleEquivalence:
             M = excitation_matrix(build_modbkc_quadratic(f, bc)).M
             assert M.shape == (16, 16)
             assert np.all(np.isfinite(M))
+
+
+def _loop_bkc_quadratic(p, bc):
+    """Per-bond loop that the vectorized builder replaced: the exact reference."""
+    n = p.N
+    Q = np.diag(np.full(2 * n, float(p.omega)))
+    bonds = [(j, j + 1) for j in range(n - 1)] + ([(n - 1, 0)] if bc is PBC else [])
+    for a, b in bonds:
+        for r, c, v in ((flat_index_bkc(a, 0), flat_index_bkc(b, 1), p.Delta0 - p.J0),
+                        (flat_index_bkc(a, 1), flat_index_bkc(b, 0), p.J0 + p.Delta0)):
+            Q[r, c] += v
+            Q[c, r] += v
+    return Q
+
+
+def _loop_modbkc_quadratic(f, bc):
+    n, ix = f.N, flat_index_modbkc
+    Q = np.zeros((4 * n, 4 * n))
+    for j in range(n):
+        for S, w in ((0, f.omega_A[j]), (1, f.omega_B[j])):
+            Q[ix(j, S, 0), ix(j, S, 0)] = Q[ix(j, S, 1), ix(j, S, 1)] = w
+    terms = [(ix(j, 0, s), ix(j, 1, s), f.J1[j] + (-1) ** s * f.Delta1[j])
+             for j in range(n) for s in (0, 1)]
+    bonds = [(j, j + 1) for j in range(n - 1)] + ([(n - 1, 0)] if bc is PBC else [])
+    terms += [(ix(a, 1, s), ix(b, 0, s), f.J2[a] + (-1) ** s * f.Delta2[a])
+              for a, b in bonds for s in (0, 1)]
+    for r, c, v in terms:
+        Q[r, c] += v
+        Q[c, r] += v
+    return Q
+
+
+class TestVectorizedBuilders:
+    @given(J0=finite, Delta0=finite, omega=finite,
+           N=st.integers(min_value=2, max_value=6), pbc=st.booleans())
+    @example(J0=0.5, Delta0=1.0, omega=0.3, N=2, pbc=True)  # wrap bond hits the inner bond's entries
+    @settings(max_examples=60, deadline=None)
+    def test_bkc_quadratic_equals_loop(self, J0, Delta0, omega, N, pbc):
+        p = BKCParams(J0=J0, Delta0=Delta0, omega=omega, N=N)
+        bc = PBC if pbc else OBC
+        assert np.array_equal(build_bkc_quadratic(p, bc).Q, _loop_bkc_quadratic(p, bc))
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), N=st.integers(min_value=2, max_value=6),
+           pbc=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_modbkc_quadratic_equals_loop(self, seed, N, pbc):
+        rng = np.random.default_rng(seed)
+        f = SiteFields(*(rng.uniform(-3, 3, N) for _ in range(6)))
+        bc = PBC if pbc else OBC
+        assert np.array_equal(build_modbkc_quadratic(f, bc).Q, _loop_modbkc_quadratic(f, bc))
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), N=st.integers(min_value=2, max_value=6))
+    @settings(max_examples=30, deadline=None)
+    def test_row_swap_equals_symplectic_product(self, seed, N):
+        rng = np.random.default_rng(seed)
+        q = build_modbkc_quadratic(SiteFields(*(rng.uniform(-3, 3, N) for _ in range(6))), PBC)
+        sigma = np.kron(np.eye(2 * N), [[0.0, 1.0], [-1.0, 0.0]])
+        assert np.array_equal(excitation_matrix(q).M, -1j * sigma @ q.Q)
 
 
 class TestBloch:
