@@ -53,6 +53,8 @@ _SCHEMA = {
     "floquet": {"lambdas", "T", "Jt1", "Jt2", "Dt1", "Dt2", "phi1", "phi2"},
     "output": {"dir", "plots", "threads"},
 }
+# keys of the second [sweep] axis, which only phase-scan reads
+_SECOND_AXIS = {"parameter2", "min2", "max2", "step2"}
 
 
 class ConfigError(ValueError):
@@ -145,6 +147,12 @@ def _validate(cfg: RunConfig):
         if cfg.command == "disorder" and bc == "both":
             raise ConfigError("disorder runs one boundary condition; set model.bc to obc or pbc")
         if "sweep" in cfg.sections:
+            if cfg.command == "profiles":
+                raise ConfigError("profiles solves one point and takes no [sweep] section")
+            second = sorted(_SECOND_AXIS & set(cfg.section("sweep")))
+            if second and cfg.command != "phase-scan":
+                raise ConfigError(f"{cfg.command} sweeps one parameter; remove {', '.join(second)} "
+                                  "from [sweep]")
             _axes(cfg)
     if cfg.command == "phase-scan" and "sweep" not in cfg.sections:
         raise ConfigError("phase-scan requires a [sweep] section")
@@ -210,7 +218,7 @@ def _floquet_drives(cfg: RunConfig) -> list:
 def _axes(cfg: RunConfig):
     """[sweep] axes, checked against the model and the grid-size cap.
 
-    Only phase-scan sweeps the second axis; the other commands use the first.
+    Only phase-scan has a second axis; `_validate` rejects one elsewhere.
     """
     sec = cfg.section("sweep")
     axes = [AxisSpec(name=sec.get("parameter") or _missing("parameter", "sweep"),
@@ -226,7 +234,7 @@ def _axes(cfg: RunConfig):
         if ax.name not in fields:
             raise ConfigError(f"sweep parameter {ax.name!r} does not exist on this model")
     try:
-        grid_size(axes if cfg.command == "phase-scan" else axes[:1])
+        grid_size(axes)
     except ValueError as err:
         raise ConfigError(f"[sweep]: {err}") from err
     return axes

@@ -16,15 +16,26 @@ code that picks a solve route:
   and lifts the product basis (sigma_x eigenvector) (x) (SSH eigenvector);
   every eigenvalue is exactly twofold degenerate.  At Delta = J somewhere the
   eigenvalues stay exact but no eigenvectors are returned.
+* **x/p** for every other point whose quadratic form has an exactly zero x-p
+  cross block ``Q[0::2, 1::2]``: every other two-sublattice point, uniform or
+  site-resolved, at any omega, open or periodic.  In (x, p) block order
+  M = [[0, -i Qp], [i Qx, 0]], so M^2 = diag(Qp Qx, Qx Qp) and the spectrum is
+  +-sqrt(eig(Qp Qx)), a real problem of half the size (Colpa, Physica A 93,
+  327 (1978); McDonald, Pereg-Barnea & Clerk, PRX 8, 041031 (2018)).
+  `_xp_spectrum` lifts each eigenvector x of Qp Qx to (x, i Qx x / E).
+  Squaring loses about sqrt(eps) of accuracy near E = 0, so a point with
+  min|E| <= ``XP_MIN_EIGENVALUE`` * max|Q| is solved densely instead, and its
+  ``Spectrum.source`` names the guard and the smallest |E|.
 * **Dense** `eigendecompose` of ``excitation_matrix(build_*_quadratic(p, bc))``
-  for everything else.  With omega != 0 the matrix is not exponentially
-  non-normal, and neither gauge closes around a ring, so PBC is always dense.
+  for everything else: the single-band chain off the gauge route (its cross
+  block is nonzero) and the points the x/p guard turns away.  Neither gauge
+  closes around a ring, so no ring takes a gauge route.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -34,6 +45,7 @@ from .model import (
     BoundaryCondition,
     ExcitationMatrix,
     ModBKCParams,
+    QuadraticForm,
     SiteFields,
     build_bkc_quadratic,
     build_modbkc_quadratic,
@@ -62,6 +74,12 @@ __all__ = [
 RESIDUAL_FACTOR = 1e-8
 # relative tolerance on max|K - K^H| for treating the gauge image as Hermitian
 _HERMITIAN_TOL = 1e-10
+# Smallest |E| the x/p route accepts, relative to max|Q|.  That route solves
+# for E^2, and squaring loses about sqrt(eps) of accuracy near E = 0: at
+# J1=1.2, J2=0, Delta1=1, Delta2=1.5, N=100 it returns a 1.4e-6 "zero mode"
+# where the dense value is 3e-15, above the 1e-6 zero-mode tolerance.  Points
+# with a smaller eigenvalue are solved densely instead.
+XP_MIN_EIGENVALUE = 1e-4
 
 
 class SolverError(RuntimeError):
@@ -189,20 +207,63 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     return _sorted(vals, lifted, source=f"reduced[modbkc,{bc.value},n={n}]")
 
 
+def _xp_spectrum(q: QuadraticForm, M: ExcitationMatrix) -> Spectrum:
+    """Spectrum of M from the x/p blocks of a form with a zero cross block.
+
+    In (x, p) block order M = [[0, -i Qp], [i Qx, 0]], so M (x, p) = E (x, p)
+    holds exactly when Qp Qx x = E^2 x and p = i Qx x / E: each eigenpair
+    (mu, x) of the real, half-dimensional Qp Qx gives the eigenvalues
+    E = +-sqrt(mu).  A point whose smallest |E| is at or below
+    ``XP_MIN_EIGENVALUE`` * max|Q| goes to `eigendecompose` instead.
+    """
+    Qx, Qp = q.Q[0::2, 0::2], q.Q[1::2, 1::2]
+    try:
+        mu, X = np.linalg.eig(Qp @ Qx)
+    except np.linalg.LinAlgError as err:
+        raise SolverError(f"x/p eigensolver failed, dim={q.dim}, bc={q.bc}: {err}") from err
+    root = np.sqrt(mu.astype(complex))
+    smallest, floor = np.abs(root).min(), XP_MIN_EIGENVALUE * np.abs(q.Q).max()
+    if not smallest > floor:
+        spec = eigendecompose(M)
+        return replace(spec, source=f"{spec.source} (x/p guard: min|E| {smallest:.2e} "
+                                    f"<= {XP_MIN_EIGENVALUE:g} max|Q|)")
+    # Allocated before the temporaries below, so that freeing them leaves no
+    # hole under it; allocated after them, it raised the peak RSS of a fig9
+    # ensemble run by 2 MB (4%).
+    vecs = np.empty((q.dim, q.dim), dtype=complex)
+    # unit-norm (x, p) halves per mu; the -sqrt(mu) partner has p negated
+    P = (Qx @ X) * (1j / root)
+    norm = np.sqrt((np.abs(X) ** 2).sum(axis=0) + (np.abs(P) ** 2).sum(axis=0))
+    X, P = X / norm, P / norm
+    half = len(mu)
+    vals = np.concatenate([root, -root])
+    order = np.lexsort((vals.imag, vals.real))  # the order `_sorted` gives
+    vecs[0::2] = X[:, order % half]
+    vecs[1::2] = P[:, order % half]
+    vecs[1::2] *= np.where(order < half, 1.0, -1.0)
+    del X, P  # the residual check below is the peak of memory use
+    spec = Spectrum(eigenvalues=vals[order], eigenvectors=vecs,
+                    source=f"xp[{M.source},{M.bc.value},n={M.n_cells}]")
+    _check_residual(M.M, spec)
+    return spec
+
+
 def solve(p: Union[BKCParams, ModBKCParams, SiteFields], bc: BoundaryCondition) -> Spectrum:
     """Spectrum of the chain ``p`` under ``bc``; the route is chosen as in the module docstring."""
     obc = bc is BoundaryCondition.OBC
-    if isinstance(p, BKCParams):
-        M = excitation_matrix(build_bkc_quadratic(p, bc))
-        if obc and p.omega == 0:
-            try:
-                return spectrum_via_similarity(M, hatano_nelson_A(p))
-            except SingularTransformError:
-                pass  # Delta0 = J0: no gauge, fall back to the dense solver
-        return eigendecompose(M)
-    if obc and _zero_omega(p):
+    single_band = isinstance(p, BKCParams)
+    if not single_band and obc and _zero_omega(p):
         return modbkc_spectrum_zero_omega(p, bc)
-    return eigendecompose(excitation_matrix(build_modbkc_quadratic(p, bc)))
+    q = build_bkc_quadratic(p, bc) if single_band else build_modbkc_quadratic(p, bc)
+    M = excitation_matrix(q)
+    if single_band and obc and p.omega == 0:
+        try:
+            return spectrum_via_similarity(M, hatano_nelson_A(p))
+        except SingularTransformError:
+            pass  # Delta0 = J0: no gauge, fall back to the dense solver
+    if np.any(q.Q[0::2, 1::2]):
+        return eigendecompose(M)
+    return _xp_spectrum(q, M)
 
 
 def bkc_pbc_dispersion(p: BKCParams, k: float):

@@ -161,7 +161,7 @@ def gap_closing_predicates(p: ModBKCParams, rel_tol: float = 1e-9) -> dict:
 
 @dataclass(frozen=True)
 class AxisSpec:
-    """One swept parameter: name in {J1, J2, Delta1, Delta2, omega}, inclusive range."""
+    """One swept parameter, inclusive range; the name is a coupling or omega of either model."""
 
     name: str
     start: float
@@ -170,7 +170,7 @@ class AxisSpec:
 
     def count(self) -> int:
         """Number of grid points, computed without allocating the grid."""
-        if self.name not in ("J1", "J2", "Delta1", "Delta2", "omega"):
+        if self.name not in ("J0", "Delta0", "J1", "J2", "Delta1", "Delta2", "omega"):
             raise ValueError(f"unknown sweep parameter {self.name!r}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop) and math.isfinite(self.step)):
             raise ValueError("axis start, stop and step must be finite")
@@ -242,6 +242,9 @@ def phase_scan(base: ModBKCParams, axes: Sequence[AxisSpec], tol: float = 1e-6,
     """Sweep 1-2 parameters; per-point records never abort on solver errors."""
     if not 1 <= len(axes) <= 2:
         raise ValueError("phase_scan takes one or two axes")
+    for ax in axes:
+        if not hasattr(base, ax.name):
+            raise ValueError(f"sweep parameter {ax.name!r} does not exist on {type(base).__name__}")
     grid_size(axes)
     combos = list(itertools.product(*(ax.values() for ax in axes)))
 

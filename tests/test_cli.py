@@ -101,6 +101,7 @@ W_J1 = 0.1
 realizations = 2
 observables = {obs}
 """
+SECOND_AXIS = "parameter2 = J2\nmin2 = 0\nmax2 = 1\nstep2 = 0.5\n"
 
 
 @pytest.mark.parametrize("command,text", [
@@ -121,11 +122,19 @@ observables = {obs}
     ("winding", MODBKC_MODEL.format(bc="obc") + "[winding]\ngrid = 10\n"),
     ("floquet", "[floquet]\nlambdas = 0,x\n"),
     ("floquet", "[floquet]\nT = 0\n"),
+    ("spectrum", MODBKC_MODEL.format(bc="obc") + SWEEP.format(name="J1", step=0.5) + SECOND_AXIS),
+    ("winding", MODBKC_MODEL.format(bc="obc") + SWEEP.format(name="J1", step=0.5) + SECOND_AXIS),
+    ("disorder", MODBKC_MODEL.format(bc="obc") + SWEEP.format(name="J1", step=0.5) + SECOND_AXIS
+     + DISORDER.format(obs="zero_gap")),
+    ("profiles", MODBKC_MODEL.format(bc="obc") + SWEEP.format(name="J1", step=0.5)),
+    ("spectrum", MODBKC_MODEL.format(bc="obc") + SWEEP.format(name="J0", step=0.5)),
 ], ids=["unknown-sweep-parameter", "sweep-parameter-not-on-model", "zero-step",
         "oversized-sweep", "oversized-scan-grid", "phase-scan-pbc", "phase-scan-both",
         "phase-scan-bkc", "winding-bkc", "disorder-bkc", "disorder-both",
         "unknown-observable", "chain-too-short", "winding-grid-too-coarse",
-        "floquet-lambda-not-a-number", "floquet-zero-period"])
+        "floquet-lambda-not-a-number", "floquet-zero-period", "spectrum-second-axis",
+        "winding-second-axis", "disorder-second-axis", "profiles-sweep",
+        "bkc-parameter-on-modbkc"])
 def test_config_errors_exit_2_before_output(tmp_path, capsys, command, text):
     out = tmp_path / "out"
     assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 2
@@ -232,6 +241,16 @@ step = 0.1
         lines = (out / "phase_scan.csv").read_text().splitlines()
         assert lines[0] == "J1,abs_E_min,zero_modes,w_plus,w_minus,nhse_fraction,error"
         assert len(lines) == 4
+
+    def test_bkc_sweep_over_j0(self, tmp_path):
+        cfg = write(tmp_path, BKC_MODEL.format(n=8) + SWEEP.format(name="J0", step=0.5))
+        out = tmp_path / "j0"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "obc.csv").read_text().splitlines()
+        assert lines[0] == "J0,index,re_E,im_E"
+        values = [float(line.split(",")[0]) for line in lines[1:]]
+        assert sorted(set(values)) == [0.0, 0.5, 1.0]
+        assert all(values.count(v) == 2 * 8 for v in set(values))
 
     def test_profiles_csv_row_count(self, tmp_path):
         text = """

@@ -1,13 +1,20 @@
 """Differential tests of the spectral front door `solve` against independent references.
 
 Every route `solve` can take is compared with a reference that does not go
-through it:
+through it.  The routes are the Hatano-Nelson gauge ("similarity[", single-band
+chain, OBC, omega = 0), the SSH reduction ("reduced[", two-sublattice chain,
+OBC, every omega = 0), the half-size x/p solve ("xp[", any other point whose
+quadratic form has a zero x-p cross block, i.e. every other two-sublattice
+point) and the dense solve ("eig[", everything else, and x/p points with an
+eigenvalue below the small-eigenvalue guard).  The references are:
 
 * uniform couplings: the dense eigenvalues of the commutator-transcribed
   `build_*_excitation_direct` matrix, and under PBC also the union of the
   Bloch blocks;
-* site-resolved fields on the reduced route (OBC, omega = 0): the dense
-  eigenvalues of ``excitation_matrix(build_modbkc_quadratic(f, OBC))``.
+* site-resolved fields: the dense eigenvalues of
+  ``excitation_matrix(build_modbkc_quadratic(f, bc))``;
+* eigenvectors of the x/p route: the skin census and mean profile of the
+  dense route on a disorder realization of fig9.
 
 Couplings are drawn with |Delta -+ J| bounded away from zero, so the gauge
 ratios r = (Delta+J)/(Delta-J) stay within 1/4 <= |r| <= 4 (6.5 for the
@@ -32,7 +39,9 @@ from bkchain.model import (
     build_modbkc_quadratic,
     excitation_matrix,
 )
-from bkchain.spectral import modbkc_spectrum_zero_omega, solve
+from bkchain.disorder import DisorderSpec, sample_site_fields
+from bkchain.skin import nhse_fraction, profile_matrix
+from bkchain.spectral import XP_MIN_EIGENVALUE, eigendecompose, modbkc_spectrum_zero_omega, solve
 from bkchain.topology import edge_mode_count
 
 OBC = BoundaryCondition.OBC
@@ -91,6 +100,15 @@ def zero_omega_site_fields(draw):
                       Delta2=jitter(p.Delta2), omega_A=zero, omega_B=zero)
 
 
+@st.composite
+def disordered_omega_site_fields(draw):
+    """Jittered couplings with per-site omega in [-0.05, 0.15], the fig9 draw (0.05 +- 200%)."""
+    f = draw(zero_omega_site_fields())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return SiteFields(J1=f.J1, J2=f.J2, Delta1=f.Delta1, Delta2=f.Delta2,
+                      omega_A=rng.uniform(-0.05, 0.15, f.N), omega_B=rng.uniform(-0.05, 0.15, f.N))
+
+
 def _distance(a, b):
     """Largest gap of the optimal one-to-one matching (multiplicities count)."""
     d = np.abs(np.asarray(a)[:, None] - np.asarray(b)[None, :])
@@ -103,20 +121,43 @@ def _bloch_union(p):
                            for m in range(p.N)])
 
 
+def _assert_xp_route(s, ref, M):
+    """The x/p route, or the dense one where the guard saw an eigenvalue near 0.
+
+    M = -i Sigma Q has the entries of Q up to sign, so max|M| = max|Q|.  Random
+    rings do reach exact zero modes (J1 = J2, Delta1 = Delta2 = 0 at N = 2).
+    """
+    if "x/p guard" not in s.source:
+        assert s.source.startswith("xp[")
+        return
+    assert s.source.startswith("eig[")
+    assert np.abs(ref).min() <= 2 * XP_MIN_EIGENVALUE * np.abs(M).max()
+
+
 def _check_against_oracles(p, bc, direct, gauge_route):
     s = solve(p, bc)
-    ref = np.linalg.eigvals(direct(p, bc).M)
+    M = direct(p, bc).M
+    ref = np.linalg.eigvals(M)
     scale = max(1.0, float(np.abs(ref).max()))
     gauge = bc is OBC and p.omega == 0
-    assert s.source.startswith(gauge_route if gauge else "eig[")
+    if gauge:
+        assert s.source.startswith(gauge_route)
+    elif isinstance(p, BKCParams):
+        assert s.source.startswith("eig[")  # the single-band x-p cross block is nonzero
+    else:
+        _assert_xp_route(s, ref, M)
     bound = (GAUGE_BOUND if gauge else DENSE_BOUND) * scale
     assert _distance(s.eigenvalues, ref) <= bound
     if bc is PBC:
         assert _distance(s.eigenvalues, _bloch_union(p)) <= bound
 
 
+def _quadratic_matrix(f, bc):
+    return excitation_matrix(build_modbkc_quadratic(f, bc)).M
+
+
 def _dense_quadratic(f, bc):
-    return np.linalg.eigvals(excitation_matrix(build_modbkc_quadratic(f, bc)).M)
+    return np.linalg.eigvals(_quadratic_matrix(f, bc))
 
 
 class TestSolveRoutes:
@@ -140,12 +181,39 @@ class TestSolveRoutes:
 
     @given(f=zero_omega_site_fields())
     @settings(PROPERTY, max_examples=30)
-    def test_site_fields_ring_takes_dense_route(self, f):
+    def test_site_fields_ring_skips_reduction(self, f):
         # the gauge does not close around a ring: no reduction under PBC
         s = solve(f, PBC)
         ref = _dense_quadratic(f, PBC)
-        assert s.source.startswith("eig[")
+        _assert_xp_route(s, ref, _quadratic_matrix(f, PBC))
         assert _distance(s.eigenvalues, ref) <= DENSE_BOUND * max(1.0, float(np.abs(ref).max()))
+
+    @given(f=disordered_omega_site_fields(), bc=bcs)
+    @settings(PROPERTY, max_examples=60)
+    def test_site_fields_disordered_omega_xp_route_matches_dense(self, f, bc):
+        s = solve(f, bc)
+        ref = _dense_quadratic(f, bc)
+        _assert_xp_route(s, ref, _quadratic_matrix(f, bc))
+        assert _distance(s.eigenvalues, ref) <= DENSE_BOUND * max(1.0, float(np.abs(ref).max()))
+
+    def test_small_eigenvalue_guard_takes_dense_route(self):
+        # min|E| ~ 1e-8 on this ring, far below 1e-4 max|Q|: squaring would
+        # leave it with ~sqrt(eps) accuracy, so the dense solver is used
+        p = ModBKCParams(J1=1.4, J2=1.2, Delta1=1.5, Delta2=1.0, omega=0.3, N=100)
+        s = solve(p, PBC)
+        assert s.source.startswith("eig[") and "x/p guard" in s.source
+        ref = _bloch_union(p)
+        assert _distance(s.eigenvalues, ref) <= DENSE_BOUND * max(1.0, float(np.abs(ref).max()))
+
+    def test_xp_eigenvectors_match_dense_on_fig9_realization(self):
+        base = ModBKCParams(J1=2.2, J2=1.0, Delta1=2.1, Delta2=1.5, omega=0.05, N=100)
+        f = sample_site_fields(base, DisorderSpec({"omega": 2.0}, seed=20240601, realizations=20), 0)
+        s = solve(f, OBC)
+        dense = eigendecompose(excitation_matrix(build_modbkc_quadratic(f, OBC)))
+        assert s.source.startswith("xp[")
+        assert nhse_fraction(s, 0.1, 0.5, f.N) == nhse_fraction(dense, 0.1, 0.5, f.N)
+        mean_xp, mean_dense = profile_matrix(s, f.N).mean(0), profile_matrix(dense, f.N).mean(0)
+        assert np.abs(mean_xp - mean_dense).max() <= 1e-12
 
     def test_bkc_singular_point_falls_back_to_dense(self):
         # Delta0 = J0: no gauge exists; the hopping is one-way, so M is

@@ -220,6 +220,12 @@ class TestPhaseScan:
         with pytest.raises(ValueError, match="1e6"):
             phase_scan(base, [AxisSpec("J1", 0.0, 1.0, 1e-8)])
 
+    def test_single_band_axis_rejected(self):
+        # AxisSpec takes J0 for single-band sweeps; the two-sublattice scan has none
+        base = ModBKCParams(J1=0.0, J2=0.0, Delta1=1.5, Delta2=1.0, omega=0.0, N=20)
+        with pytest.raises(ValueError, match="J0"):
+            phase_scan(base, [AxisSpec("J0", 0.0, 1.0, 0.5)])
+
     def test_two_axes_and_threads(self):
         base = ModBKCParams(J1=0.0, J2=0.0, Delta1=1.5, Delta2=1.0, omega=0.0, N=12)
         d1 = phase_scan(base, [AxisSpec("J1", 0.0, 0.4, 0.2), AxisSpec("J2", 0.0, 0.4, 0.2)])
