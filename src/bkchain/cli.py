@@ -166,6 +166,8 @@ def _validate(cfg: RunConfig):
     if cfg.command == "floquet":
         if "floquet" not in cfg.sections:
             raise ConfigError("floquet command requires a [floquet] section")
+        if {"model", "sweep"} & set(cfg.sections):
+            raise ConfigError("floquet reads no [model] or [sweep] section; remove them")
         _floquet_drives(cfg)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .model import BoundaryCondition, ModBKCParams, SiteFields
 from .skin import nhse_fraction, profile_matrix
 from .spectral import solve, zero_gap
-from .topology import edge_mode_count, zero_modes
+from .topology import zero_modes
 
 __all__ = [
     "DisorderSpec",
@@ -135,10 +135,9 @@ def ensemble_observables(base: ModBKCParams, spec: DisorderSpec,
             elif name == "zero_gap":
                 out[name] = zero_gap(spectrum)
             elif name == "zero_modes":
-                if bc is BoundaryCondition.OBC and np.all(f.omega_A == 0) and np.all(f.omega_B == 0):
-                    out[name] = edge_mode_count(f, tol=zero_tol)
-                else:
-                    out[name] = zero_modes(spectrum, zero_tol)[0]
+                # the open omega = 0 spectrum holds two copies of each edge mode
+                reduced = bc is BoundaryCondition.OBC and not (f.omega_A.any() or f.omega_B.any())
+                out[name] = zero_modes(spectrum, zero_tol)[0] // (2 if reduced else 1)
             elif name == "nhse_fraction":
                 out[name] = nhse_fraction(spectrum, frac, threshold, base.N)
             elif name == "mean_profile":

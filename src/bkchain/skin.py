@@ -29,7 +29,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpatialProfile:
-    """Occupation probabilities over the flat basis; sums to one."""
+    """Occupation probabilities over the flat basis, one column per state; each sums to one."""
 
     prob: np.ndarray
     n_cells: int
@@ -37,52 +37,52 @@ class SpatialProfile:
     def __post_init__(self):
         if np.any(self.prob < 0):
             raise ValueError("profile entries must be non-negative")
-        if abs(self.prob.sum() - 1.0) > 1e-12:
-            raise ValueError(f"profile must sum to 1, got {self.prob.sum()!r}")
+        drift = np.abs(self.prob.sum(axis=0) - 1.0).max()
+        if drift > 1e-12:
+            raise ValueError(f"profile must sum to 1, off by {drift!r}")
+
+
+def _per_column(x):
+    """A float for a single profile, an array with one entry per column otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def spatial_profile(v: np.ndarray, n_cells: int) -> SpatialProfile:
-    """Normalized |v|^2 over the flat basis."""
-    v = np.asarray(v)
-    norm2 = float(np.vdot(v, v).real)
-    if norm2 == 0 or not math.isfinite(norm2):
+    """Normalized |v|^2 over the flat basis; a 2-D ``v`` holds one vector per column."""
+    prob = np.abs(np.asarray(v)) ** 2
+    norm2 = prob.sum(axis=0)
+    if np.any(norm2 == 0) or not np.all(np.isfinite(norm2)):
         raise ValueError("cannot build a profile from a zero or non-finite vector")
-    prob = (np.abs(v) ** 2) / norm2
-    prob = prob / prob.sum()  # repair last-ulp drift
+    prob = prob / norm2
+    prob /= prob.sum(axis=0)  # repair last-ulp drift
     return SpatialProfile(prob=prob, n_cells=n_cells)
 
 
-def edge_weight(p: SpatialProfile, frac: float) -> float:
-    """Profile mass in the first and last ceil(frac*N) cells."""
+def edge_weight(p: SpatialProfile, frac: float):
+    """Profile mass in the first and last ceil(frac*N) cells, per column."""
     if not 0 < frac <= 0.5:
         raise ValueError(f"frac must be in (0, 0.5], got {frac}")
     n = p.n_cells
     ncells = math.ceil(frac * n)
     cells = cell_index(len(p.prob), n)
     mask = (cells < ncells) | (cells >= n - ncells)
-    return float(p.prob[mask].sum())
+    return _per_column(p.prob[mask].sum(axis=0))
 
 
 def nhse_fraction(s: Spectrum, frac: float, threshold: float, n_cells: int) -> float:
     """Fraction of eigenstates with edge weight above the threshold."""
     if s.eigenvectors is None:
         raise ValueError("nhse_fraction needs a spectrum with eigenvectors")
-    weights = [edge_weight(spatial_profile(s.eigenvectors[:, m], n_cells), frac)
-               for m in range(s.eigenvectors.shape[1])]
-    return float(np.mean([w > threshold for w in weights]))
+    return float((edge_weight(spatial_profile(s.eigenvectors, n_cells), frac) > threshold).mean())
 
 
-def mean_position(p: SpatialProfile) -> float:
-    """Profile-weighted mean cell index."""
-    cells = cell_index(len(p.prob), p.n_cells)
-    return float((p.prob * cells).sum())
+def mean_position(p: SpatialProfile):
+    """Profile-weighted mean cell index, per column."""
+    return _per_column(cell_index(len(p.prob), p.n_cells) @ p.prob)
 
 
 def profile_matrix(s: Spectrum, n_cells: int) -> np.ndarray:
     """Stacked profiles, row = eigenstate (in eigenvalue sort order), column = flat index."""
     if s.eigenvectors is None:
         raise ValueError("profile_matrix needs a spectrum with eigenvectors")
-    return np.stack([
-        spatial_profile(s.eigenvectors[:, m], n_cells).prob
-        for m in range(s.eigenvectors.shape[1])
-    ])
+    return spatial_profile(s.eigenvectors, n_cells).prob.T

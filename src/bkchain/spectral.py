@@ -14,8 +14,11 @@ code that picks a solve route:
   combined gauge maps M onto i sigma_x (x) H_ssh, two decoupled copies of an
   SSH chain, so `modbkc_spectrum_zero_omega` solves the 2N-dimensional H_ssh
   and lifts the product basis (sigma_x eigenvector) (x) (SSH eigenvector);
-  every eigenvalue is exactly twofold degenerate.  At Delta = J somewhere the
-  eigenvalues stay exact but no eigenvectors are returned.
+  every eigenvalue is exactly twofold degenerate.  H_ssh is tridiagonal with
+  real or imaginary bonds, so a diagonal S of exact phases +-1, +-i maps it
+  onto a real H_r, solved by `eigh` (all bonds real) or real `eig` with
+  eigenvectors S U_r; nothing is squared.  At Delta = J somewhere the
+  eigenvalues stay exact but no eigenvectors are computed.
 * **x/p** for every other point whose quadratic form has an exactly zero x-p
   cross block ``Q[0::2, 1::2]``: every other two-sublattice point, uniform or
   site-resolved, at any omega, open or periodic.  In (x, p) block order
@@ -132,6 +135,7 @@ def eigendecompose(M: ExcitationMatrix) -> Spectrum:
         raise SolverError(
             f"eigensolver failed for {M.source} matrix, dim={M.dim}, bc={M.bc}: {err}") from err
     spec = _sorted(vals, vecs, source=f"eig[{M.source},{M.bc.value},n={M.n_cells}]")
+    del vals, vecs  # the residual check below is the peak of memory use
     _check_residual(M.M, spec)
     return spec
 
@@ -172,11 +176,12 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
                                with_vectors: bool = True) -> Spectrum:
     """Exact omega=0 spectrum of the open two-sublattice chain via the SSH reduction.
 
-    Eigenvalues are +-i E_m over the reduced SSH spectrum {E_m}; eigenvectors
-    are the product basis lifted through the combined gauge.  With
-    ``with_vectors=False`` (or at singular gauge points Delta = J) only the
-    eigenvalues are returned; they remain exact there by continuity of the
-    characteristic polynomial.  Open boundaries only: the gauge does not
+    Eigenvalues are +-i E_m over the reduced SSH spectrum {E_m}, solved in
+    real arithmetic through the phase gauge of the module docstring;
+    eigenvectors are the product basis lifted through the combined gauge.
+    With ``with_vectors=False`` (or at singular gauge points Delta = J) only
+    the eigenvalues are computed; they remain exact there by continuity of
+    the characteristic polynomial.  Open boundaries only: the gauge does not
     close around a ring, so the reduced ring is not the PBC spectrum.
     """
     if bc is not BoundaryCondition.OBC:
@@ -184,27 +189,29 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     if not _zero_omega(p):
         raise ValueError("modbkc_spectrum_zero_omega requires all onsite omega = 0")
     n = p.N
-    H = effective_ssh_matrix(p, bc)
-    if np.abs(H.imag).max() == 0:
-        E, U = np.linalg.eigh(H.real)
-        E = E.astype(complex)
-        U = U.astype(complex)
-    else:
-        E, U = np.linalg.eig(H)
-    vals = np.concatenate([1j * E, -1j * E])
-    if not with_vectors:
-        return _sorted(vals, None, source=f"reduced[modbkc,{bc.value},n={n}]")
+    source = f"reduced[modbkc,{bc.value},n={n}]"
+    # H is tridiagonal with bonds b_k, each real or purely imaginary: with s_{k+1} = s_k |b_k| / b_k,
+    # a power of i, S^-1 H S is the real H_r with |b_k| above and b_k^2 / |b_k| below the diagonal.
+    b = np.diagonal(effective_ssh_matrix(p, bc), 1)
+    mag, symmetric = np.abs(b), not b.imag.any()
+    Hr = np.diag(mag, 1) + np.diag(np.where(b.imag != 0, -mag, mag), -1)
     try:
-        A = a_combined(p)
+        A = a_combined(p) if with_vectors else None
     except SingularTransformError:
-        return _sorted(vals, None, source=f"reduced[modbkc,{bc.value},n={n}]")
+        A = None  # Delta = +-J somewhere: no gauge, eigenvalues only
+    if A is None:
+        E = np.linalg.eigvalsh(Hr) if symmetric else np.linalg.eigvals(Hr)
+        return _sorted(np.concatenate([1j * E, -1j * E]), None, source)
+    E, U = np.linalg.eigh(Hr) if symmetric else np.linalg.eig(Hr)
+    # U = S U_r; |b| / b and S hold +-1, +-i only, so every product is exact
+    U = np.concatenate([[1], np.cumprod(np.sign(b.real) - 1j * np.sign(b.imag))])[:, None] * U
+    vals = np.concatenate([1j * E, -1j * E])
     # lift (sigma_pm (x) u_m): quadrature components (1, +-1)/sqrt(2) * u.
     # SSH site a = 2j+S sits at flat index 2a (x) and 2a+1 (p).
     vecs = np.empty((4 * n, 4 * n), dtype=complex)
     vecs[0::2] = np.hstack([U, U])     # columns m: eigenvalue +i E_m
     vecs[1::2] = np.hstack([U, -U])    # columns 2n+m: eigenvalue -i E_m
-    lifted = A.lift(vecs)
-    return _sorted(vals, lifted, source=f"reduced[modbkc,{bc.value},n={n}]")
+    return _sorted(vals, A.lift(vecs), source)
 
 
 def _xp_spectrum(q: QuadraticForm, M: ExcitationMatrix) -> Spectrum:

@@ -11,10 +11,12 @@ must agree with the closed form on every gapped point.
 
 Zero modes: at omega = 0 the excitation spectrum consists of two exact copies
 of the reduced SSH spectrum (+-i E_m each), so counting threshold crossings on
-the full matrix double-counts the physical edge modes.  `edge_mode_count`
-counts, per copy, eigenvalues of the reduced SSH matrix with |E| below
-tolerance: 2 in the topological phase, 0 in the trivial one.  `zero_modes`
-is the literal threshold count on whatever spectrum it is given.
+the full matrix double-counts the physical edge modes.  The per-copy count,
+2 in the topological phase and 0 in the trivial one, is therefore half of the
+literal `zero_modes` count on that spectrum; `phase_scan` takes it from the
+spectrum it has already solved, and `edge_mode_count` solves the reduced
+spectrum for it without eigenvectors.  `zero_modes` is the literal threshold
+count on whatever spectrum it is given.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .model import BoundaryCondition, ModBKCParams, SiteFields
-from .skin import edge_weight, spatial_profile
-from .spectral import Spectrum, solve, zero_gap as _zero_gap
-from .transform import EffectiveSSHParams, effective_ssh_matrix, effective_ssh_params
+from .skin import nhse_fraction
+from .spectral import Spectrum, modbkc_spectrum_zero_omega, solve, zero_gap as _zero_gap
+from .transform import EffectiveSSHParams, effective_ssh_params
 
 __all__ = [
     "WindingResult",
@@ -119,19 +121,12 @@ def edge_mode_count(p: Union[ModBKCParams, SiteFields], tol: float = 1e-6,
                     bc: BoundaryCondition = BoundaryCondition.OBC) -> int:
     """Zero modes per quadrature copy of the open chain at omega = 0 (reduced SSH spectrum).
 
-    The full excitation spectrum is two exact copies of the reduced one, so
-    this equals ``zero_modes(full spectrum)[0] / 2`` but stays exact under
-    open boundaries where the direct eigensolver is unreliable.  The
-    reduction holds for open chains only, so PBC is rejected.
+    The reduced spectrum is {+i E_m} and {-i E_m}, two exact copies, so this
+    is ``zero_modes(spectrum, tol)[0] // 2`` on it, which callers that
+    already hold the spectrum compute directly.  The reduction holds for
+    open chains only, so PBC is rejected.
     """
-    if bc is not BoundaryCondition.OBC:
-        raise ValueError("edge_mode_count requires open boundaries")
-    H = effective_ssh_matrix(p, bc)
-    if np.abs(H.imag).max() == 0:
-        E = np.linalg.eigvalsh(H.real).astype(complex)
-    else:
-        E = np.linalg.eigvals(H)
-    return int((np.abs(E) < tol).sum())
+    return zero_modes(modbkc_spectrum_zero_omega(p, bc, with_vectors=False), tol)[0] // 2
 
 
 def gap_closing_predicates(p: ModBKCParams, rel_tol: float = 1e-9) -> dict:
@@ -218,16 +213,10 @@ def _scan_point(p: ModBKCParams, values: tuple, tol: float, frac: float, thresho
         except GapClosedError:
             w_plus = w_minus = None
         spec = solve(p, BoundaryCondition.OBC)
-        count = edge_mode_count(p, tol=tol) if p.omega == 0 else zero_modes(spec, tol)[0]
+        # at omega = 0 the reduced spectrum holds two copies of each edge mode
+        count = zero_modes(spec, tol)[0] // (2 if p.omega == 0 else 1)
         gap = _zero_gap(spec)
-        if spec.eigenvectors is not None:
-            ew = np.array([
-                edge_weight(spatial_profile(spec.eigenvectors[:, m], n_cells=p.N), frac)
-                for m in range(spec.eigenvectors.shape[1])
-            ])
-            nhse = float((ew > threshold).mean())
-        else:
-            nhse = None
+        nhse = None if spec.eigenvectors is None else nhse_fraction(spec, frac, threshold, p.N)
         return PhasePoint(values=values, zero_gap=gap, zero_modes=count,
                           w_plus=w_plus, w_minus=w_minus, nhse_fraction=nhse)
     except Exception as err:  # record, do not abort the scan

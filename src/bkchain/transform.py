@@ -238,22 +238,23 @@ def effective_ssh_params(p: Union[ModBKCParams, SiteFields]) -> EffectiveSSHPara
 
 def effective_ssh_matrix(p: Union[ModBKCParams, SiteFields],
                          bc: BoundaryCondition = BoundaryCondition.OBC) -> np.ndarray:
-    """2N-dimensional SSH-form matrix with couplings dtilde1[j], dtilde2[j].
+    """2N-dimensional SSH-form matrix with bonds sign(Delta - J) dtilde[j].
 
-    Under open boundaries the omega=0 excitation matrix is isospectral to
-    i sigma_x (x) (this matrix): its 4N eigenvalues are +-i E_m over the 2N
-    eigenvalues E_m here.  The identity holds for all parameters (including
-    Delta = J, where the gauge itself is singular) because characteristic
-    polynomials depend polynomially on the couplings.  It does not hold for
-    the ring: the gauge does not close around it (the wrap bond is rescaled
-    by the gauge accumulated along the chain instead of being symmetrized),
-    so the PBC matrix built here is the symmetric SSH ring, not an image of
-    the periodic excitation matrix.
+    Under open boundaries the combined gauge maps the omega=0 excitation
+    matrix exactly onto i sigma_x (x) (this matrix): each bond is the gauge's
+    (Delta - J) sqrt(r), real or purely imaginary, and the 4N eigenvalues are
+    +-i E_m over the 2N eigenvalues E_m here.  The eigenvalue identity holds
+    for all parameters (including Delta = J, where the gauge is singular)
+    because characteristic polynomials depend polynomially on the couplings.
+    It does not hold for the ring: the gauge does not close around it (the
+    wrap bond is rescaled by the gauge accumulated along the chain instead of
+    being symmetrized), so the PBC matrix built here is the symmetric SSH
+    ring, not an image of the periodic excitation matrix.
     """
     f = _fields(p)
     n = f.N
-    v = np.sqrt((f.Delta1 ** 2 - f.J1 ** 2).astype(complex))
-    w = np.sqrt((f.Delta2 ** 2 - f.J2 ** 2).astype(complex))
+    v = np.sign(f.Delta1 - f.J1) * np.sqrt((f.Delta1 ** 2 - f.J1 ** 2).astype(complex))
+    w = np.sign(f.Delta2 - f.J2) * np.sqrt((f.Delta2 ** 2 - f.J2 ** 2).astype(complex))
     H = np.zeros((2 * n, 2 * n), dtype=complex)
     j = np.arange(n)
     H[2 * j, 2 * j + 1] = H[2 * j + 1, 2 * j] = v

@@ -68,8 +68,7 @@ def _with_omega(p: ModBKCParams, omega: float) -> ModBKCParams:
                         omega=omega, N=p.N)
 
 
-def _localized_in_gap_count(M, n_cells, in_gap_cut, frac=0.1, ew_cut=0.9):
-    s = eigendecompose(M)
+def _localized_in_gap_count(s, n_cells, in_gap_cut, frac=0.1, ew_cut=0.9):
     count = 0
     for m in range(len(s)):
         if abs(s.eigenvalues[m]) < in_gap_cut:
@@ -273,7 +272,8 @@ def test_criterion_07_finite_omega_disorder_asymmetry():
                             seed=813, realizations=20)
         cmin = min(
             _localized_in_gap_count(
-                excitation_matrix(build_modbkc_quadratic(sample_site_fields(inter, spec, r), OBC)),
+                eigendecompose(excitation_matrix(
+                    build_modbkc_quadratic(sample_site_fields(inter, spec, r), OBC))),
                 inter.N, gap_inter / 2)
             for r in range(spec.realizations))
         details.append(f"intercell W={W}: min localized in-gap {cmin}")
@@ -284,9 +284,9 @@ def test_criterion_07_finite_omega_disorder_asymmetry():
     zero_ok = True
     for r in range(specA.realizations):
         f = sample_site_fields(intra, specA, r)
-        M = excitation_matrix(build_modbkc_quadratic(f, OBC))
-        absent_ok &= _localized_in_gap_count(M, intra.N, gap_intra / 2) == 0
-        zero_ok &= zero_modes(eigendecompose(M), 1e-6)[0] == 0
+        s = eigendecompose(excitation_matrix(build_modbkc_quadratic(f, OBC)))
+        absent_ok &= _localized_in_gap_count(s, intra.N, gap_intra / 2) == 0
+        zero_ok &= zero_modes(s, 1e-6)[0] == 0
     details.append(f"intracell W=0.1: localized in-gap always 0: {absent_ok}, "
                    f"zero count always 0: {zero_ok}")
     ok = persist_ok and absent_ok and zero_ok

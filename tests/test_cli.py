@@ -128,13 +128,15 @@ SECOND_AXIS = "parameter2 = J2\nmin2 = 0\nmax2 = 1\nstep2 = 0.5\n"
      + DISORDER.format(obs="zero_gap")),
     ("profiles", MODBKC_MODEL.format(bc="obc") + SWEEP.format(name="J1", step=0.5)),
     ("spectrum", MODBKC_MODEL.format(bc="obc") + SWEEP.format(name="J0", step=0.5)),
+    ("floquet", "[floquet]\nlambdas = 0,1\n" + MODBKC_MODEL.format(bc="obc")),
+    ("floquet", "[floquet]\nlambdas = 0,1\n" + SWEEP.format(name="J1", step=0.5)),
 ], ids=["unknown-sweep-parameter", "sweep-parameter-not-on-model", "zero-step",
         "oversized-sweep", "oversized-scan-grid", "phase-scan-pbc", "phase-scan-both",
         "phase-scan-bkc", "winding-bkc", "disorder-bkc", "disorder-both",
         "unknown-observable", "chain-too-short", "winding-grid-too-coarse",
         "floquet-lambda-not-a-number", "floquet-zero-period", "spectrum-second-axis",
         "winding-second-axis", "disorder-second-axis", "profiles-sweep",
-        "bkc-parameter-on-modbkc"])
+        "bkc-parameter-on-modbkc", "floquet-model", "floquet-sweep"])
 def test_config_errors_exit_2_before_output(tmp_path, capsys, command, text):
     out = tmp_path / "out"
     assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 2

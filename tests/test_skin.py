@@ -4,8 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bkchain.model import BoundaryCondition, ModBKCParams, build_modbkc_excitation_direct
-from bkchain.skin import edge_weight, mean_position, nhse_fraction, profile_matrix, spatial_profile
-from bkchain.spectral import eigendecompose, modbkc_spectrum_zero_omega
+from bkchain.skin import (
+    SpatialProfile,
+    edge_weight,
+    mean_position,
+    nhse_fraction,
+    profile_matrix,
+    spatial_profile,
+)
+from bkchain.spectral import Spectrum, eigendecompose, modbkc_spectrum_zero_omega
 
 OBC = BoundaryCondition.OBC
 
@@ -89,6 +96,42 @@ class TestCensus:
         s = modbkc_spectrum_zero_omega(p, OBC)
         frac = nhse_fraction(s, 0.1, 0.9, 100)
         assert frac == pytest.approx(4 / 400)
+
+
+class TestColumnwise:
+    """One array expression over all eigenvector columns against a per-column loop."""
+
+    p = ModBKCParams(J1=0.4, J2=0.1, Delta1=1.0, Delta2=0.5, omega=0.0, N=20)
+
+    def test_matches_per_column_profiles(self):
+        s = modbkc_spectrum_zero_omega(self.p, OBC)
+        columns = [spatial_profile(s.eigenvectors[:, m], self.p.N) for m in range(len(s))]
+        ref = np.stack([c.prob for c in columns])
+        assert np.abs(profile_matrix(s, self.p.N) - ref).max() <= 1e-15
+        both = spatial_profile(s.eigenvectors, self.p.N)
+        weights = np.array([edge_weight(c, 0.1) for c in columns])
+        assert np.abs(edge_weight(both, 0.1) - weights).max() <= 1e-14
+        positions = np.array([mean_position(c) for c in columns])
+        assert np.abs(mean_position(both) - positions).max() <= 1e-12
+        for threshold in (0.5, 0.9):
+            assert np.abs(weights - threshold).min() > 1e-9  # no weight on the cut
+            assert nhse_fraction(s, 0.1, threshold, self.p.N) == np.mean(weights > threshold)
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_bad_column_rejected(self, bad):
+        s = modbkc_spectrum_zero_omega(self.p, OBC)
+        vecs = s.eigenvectors.copy()
+        vecs[:, 3] = bad
+        with pytest.raises(ValueError, match="zero or non-finite"):
+            spatial_profile(vecs, self.p.N)
+        with pytest.raises(ValueError, match="zero or non-finite"):
+            nhse_fraction(Spectrum(s.eigenvalues, vecs), 0.1, 0.9, self.p.N)
+
+    def test_each_column_must_sum_to_one(self):
+        prob = np.full((8, 2), 0.125)
+        prob[0, 1] = 0.25
+        with pytest.raises(ValueError, match="sum to 1"):
+            SpatialProfile(prob=prob, n_cells=2)
 
 
 class TestMeanPosition:

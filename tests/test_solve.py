@@ -14,7 +14,9 @@ eigenvalue below the small-eigenvalue guard).  The references are:
 * site-resolved fields: the dense eigenvalues of
   ``excitation_matrix(build_modbkc_quadratic(f, bc))``;
 * eigenvectors of the x/p route: the skin census and mean profile of the
-  dense route on a disorder realization of fig9.
+  dense route on a disorder realization of fig9;
+* the reduced route's real gauge: the complex eigenvalues of
+  `effective_ssh_matrix` and the eigenpair residual on the 4N matrix.
 
 Couplings are drawn with |Delta -+ J| bounded away from zero, so the gauge
 ratios r = (Delta+J)/(Delta-J) stay within 1/4 <= |r| <= 4 (6.5 for the
@@ -43,6 +45,7 @@ from bkchain.disorder import DisorderSpec, sample_site_fields
 from bkchain.skin import nhse_fraction, profile_matrix
 from bkchain.spectral import XP_MIN_EIGENVALUE, eigendecompose, modbkc_spectrum_zero_omega, solve
 from bkchain.topology import edge_mode_count
+from bkchain.transform import effective_ssh_matrix
 
 OBC = BoundaryCondition.OBC
 PBC = BoundaryCondition.PBC
@@ -60,6 +63,10 @@ GAUGE_BOUND = 1e-9
 # grid, or J2 = Delta1 = 0 with |J1| = |Delta2| on the ring (measured <= 4e-11
 # elsewhere).
 DENSE_BOUND = 1e-6
+# Reduced route against the complex eigenvalues of the same SSH matrix: both
+# solve a 2N problem, unitarily similar through S, so they differ by rounding
+# only (measured <= 2e-13 over 1500 random sign-mixed draws).
+SSH_BOUND = 1e-10
 # shared settings: derandomized, so a run of the suite is reproducible
 PROPERTY = settings(deadline=None, derandomize=True)
 
@@ -107,6 +114,28 @@ def disordered_omega_site_fields(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     return SiteFields(J1=f.J1, J2=f.J2, Delta1=f.Delta1, Delta2=f.Delta2,
                       omega_A=rng.uniform(-0.05, 0.15, f.N), omega_B=rng.uniform(-0.05, 0.15, f.N))
+
+
+@st.composite
+def sign_mixed_site_fields(draw):
+    """omega = 0 fields whose bonds mix both signs of Delta^2 - J^2 from cell to cell.
+
+    Each intracell and intercell bond is Delta-dominant (a real SSH bond) or
+    J-dominant (an imaginary one), with the magnitudes and signs of
+    `_coupling`; up to three bonds of the open chain (every pair but the last
+    intercell one, which has no bond) are then set to Delta = J or
+    Delta = -J exactly, which cuts the SSH chain and leaves the gauge singular.
+    """
+    n = draw(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    big = rng.uniform(0.5, 2.0, (2, n)) * rng.choice([-1.0, 1.0], (2, n))
+    small = big * rng.uniform(-0.6, 0.6, (2, n))
+    hop_dominant = np.array(draw(st.lists(st.booleans(), min_size=2 * n, max_size=2 * n))).reshape(2, n)
+    delta, hop = np.where(hop_dominant, small, big), np.where(hop_dominant, big, small)
+    for k in draw(st.lists(st.integers(0, 2 * n - 2), max_size=3)):
+        hop.flat[k] = delta.flat[k] * draw(st.sampled_from([1.0, -1.0]))
+    zero = np.zeros(n)
+    return SiteFields(J1=hop[0], J2=hop[1], Delta1=delta[0], Delta2=delta[1], omega_A=zero, omega_B=zero)
 
 
 def _distance(a, b):
@@ -178,6 +207,29 @@ class TestSolveRoutes:
         ref = _dense_quadratic(f, OBC)
         assert s.source.startswith("reduced[")
         assert _distance(s.eigenvalues, ref) <= GAUGE_BOUND * max(1.0, float(np.abs(ref).max()))
+
+    @given(f=sign_mixed_site_fields())
+    @settings(PROPERTY, max_examples=100)
+    def test_reduced_route_with_mixed_bond_signs(self, f):
+        s = solve(f, OBC)
+        assert s.source.startswith("reduced[")
+        E = np.linalg.eigvals(effective_ssh_matrix(f, OBC))
+        M = _quadratic_matrix(f, OBC)
+        dense = np.linalg.eigvals(M)
+        scale = max(1.0, float(np.abs(dense).max()))
+        assert _distance(s.eigenvalues, np.concatenate([1j * E, -1j * E])) <= SSH_BOUND * scale
+        # A cut at Delta = +-J couples the two pieces of M one way only, so
+        # exact zero modes of both pieces form Jordan blocks of size up to
+        # their count z, which any dense solve resolves to ~eps^(1/z).
+        z = 2 * int((np.abs(E) < 1e-9 * scale).sum())
+        bound = max(GAUGE_BOUND, 10 * np.finfo(float).eps ** (1 / z)) if z else GAUGE_BOUND
+        assert _distance(s.eigenvalues, dense) <= bound * scale
+        cut = np.any(np.abs(f.Delta1) == np.abs(f.J1)) or np.any(np.abs(f.Delta2[:-1]) == np.abs(f.J2[:-1]))
+        assert (s.eigenvectors is None) == cut
+        if not cut:
+            V = s.eigenvectors
+            residual = np.linalg.norm(M @ V - V * s.eigenvalues, axis=0).max()
+            assert residual <= 1e-10 * np.abs(M).max()
 
     @given(f=zero_omega_site_fields())
     @settings(PROPERTY, max_examples=30)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -214,6 +216,15 @@ class TestPhaseScan:
         assert pt.error is None
         assert np.isfinite(pt.zero_gap)
         assert pt.nhse_fraction is None
+
+    def test_scan_count_matches_edge_mode_count(self):
+        # every 5th point of the fig4 grid; the scan halves the literal count
+        # on its own spectrum, edge_mode_count solves the reduced chain again
+        base = ModBKCParams(J1=0.0, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100)
+        d = phase_scan(base, [AxisSpec("J1", 0.0, 2.5, 0.1)])
+        counts = [edge_mode_count(replace(base, J1=pt.values[0])) for pt in d.points]
+        assert [pt.zero_modes for pt in d.points] == counts
+        assert counts.count(2) > 5 and counts.count(0) > 5
 
     def test_grid_size_limit(self):
         base = ModBKCParams(J1=0.0, J2=0.0, Delta1=1.5, Delta2=1.0, omega=0.0, N=20)

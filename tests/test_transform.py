@@ -100,6 +100,14 @@ class TestSublatticeGauges:
         res = transform_residual(M, a_combined(p), ssh_lift_target(p))
         assert res < 1e-8
 
+    @pytest.mark.parametrize("J1,Delta1", [(2.0, 1.0), (0.5, -1.0), (-2.0, 1.0)])
+    def test_target_for_every_bond_sign(self, J1, Delta1):
+        # J > Delta and Delta < 0: the gauge maps each bond to
+        # sign(Delta - J) sqrt(Delta^2 - J^2), imaginary or negative here
+        p = ModBKCParams(J1=J1, J2=2.5, Delta1=Delta1, Delta2=1.5, omega=0.0, N=20)
+        M = build_modbkc_excitation_direct(p, OBC)
+        assert transform_residual(M, a_combined(p), ssh_lift_target(p)) < 1e-12
+
     def test_combined_is_product_of_gauges(self):
         p = ModBKCParams(J1=0.7, J2=1.1, Delta1=1.5, Delta2=2.1, omega=0, N=20)
         A = a_combined(p)
