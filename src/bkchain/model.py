@@ -308,30 +308,45 @@ def build_modbkc_excitation_direct(p: ModBKCParams, bc: BoundaryCondition) -> Ex
     return ExcitationMatrix(M=M, n_cells=n, n_sublattices=2, bc=bc, source="direct")
 
 
-def bloch_matrix(p: Union[BKCParams, ModBKCParams], k: float) -> np.ndarray:
+def bloch_matrix(p: Union[BKCParams, ModBKCParams], k) -> np.ndarray:
     """Bloch block of the periodic chain at quasi-momentum k.
 
-    The Fourier convention maps the forward shift |j+1><j| to exp(-ik), so
-    for the single-band chain the block is
-    -2 J0 sin(k) sigma_0 - 2i Delta0 cos(k) sigma_z + omega sigma_y;
-    the eigenvalue set over k = 2 pi m / N equals the PBC spectrum either way
-    (k -> -k maps the two sign conventions onto each other).
+    ``k`` is a scalar, giving one (s, s) block (s = 2 for the single-band
+    chain, 4 for the two-sublattice chain), or an array of any shape, giving
+    a stack of shape ``k.shape + (s, s)``.
+
+    The blocks of the two models use opposite Fourier conventions.  The
+    two-sublattice block maps the forward shift |j+1><j| to exp(-ik), so the
+    plane wave v[(j, a)] = exp(+ikj) u_a is an eigenvector of the ring
+    wherever u is one of the block.  The single-band block maps it to
+    exp(+ik), giving -2 J0 sin(k) sigma_0 - 2i Delta0 cos(k) sigma_z +
+    omega sigma_y, with plane waves exp(-ikj) u_a.  The eigenvalue set over
+    k = 2 pi m / N equals the PBC spectrum either way (k -> -k maps the two
+    conventions onto each other).
     """
-    if not math.isfinite(k):
+    k = np.asarray(k, dtype=float)
+    if not np.all(np.isfinite(k)):
         raise ValueError(f"momentum must be finite, got {k!r}")
+    # exp(+ik), exact at the quarter turns k = 0, pi/2, pi, 3 pi/2 as rounded:
+    # in the two-cell ring (k = 0, pi) the wrap bond lands on the inner
+    # bond's entries, and couplings that cancel there must cancel here too
+    turns = np.round(k / (np.pi / 2))
+    exact = np.array([1, 1j, -1, -1j])[(turns % 4).astype(int)]
+    fwd = np.where(turns * (np.pi / 2) == k, exact, np.exp(1j * k))
+    back = fwd.conj()
     if isinstance(p, BKCParams):
-        B = np.zeros((2, 2), dtype=complex)
-        B[0, 1] = -1j * p.omega
-        B[1, 0] = 1j * p.omega
-        B[0, 0] = -1j * (p.J0 + p.Delta0) * np.exp(-1j * k) + 1j * (p.J0 - p.Delta0) * np.exp(1j * k)
-        B[1, 1] = -1j * (p.J0 - p.Delta0) * np.exp(-1j * k) + 1j * (p.J0 + p.Delta0) * np.exp(1j * k)
+        B = np.zeros(k.shape + (2, 2), dtype=complex)
+        B[..., 0, 1] = -1j * p.omega
+        B[..., 1, 0] = 1j * p.omega
+        B[..., 0, 0] = -1j * (p.J0 + p.Delta0) * back + 1j * (p.J0 - p.Delta0) * fwd
+        B[..., 1, 1] = -1j * (p.J0 - p.Delta0) * back + 1j * (p.J0 + p.Delta0) * fwd
         return B
-    B = np.zeros((4, 4), dtype=complex)
+    B = np.zeros(k.shape + (4, 4), dtype=complex)
     for S in (0, 1):
-        B[2 * S + 0, 2 * S + 1] = -1j * p.omega
-        B[2 * S + 1, 2 * S + 0] = 1j * p.omega
-    B[0, 3] = 1j * (p.Delta1 - p.J1) + 1j * (p.Delta2 - p.J2) * np.exp(-1j * k)
-    B[1, 2] = 1j * (p.Delta1 + p.J1) + 1j * (p.Delta2 + p.J2) * np.exp(-1j * k)
-    B[2, 1] = 1j * (p.Delta1 - p.J1) + 1j * (p.Delta2 - p.J2) * np.exp(1j * k)
-    B[3, 0] = 1j * (p.Delta1 + p.J1) + 1j * (p.Delta2 + p.J2) * np.exp(1j * k)
+        B[..., 2 * S + 0, 2 * S + 1] = -1j * p.omega
+        B[..., 2 * S + 1, 2 * S + 0] = 1j * p.omega
+    B[..., 0, 3] = 1j * (p.Delta1 - p.J1) + 1j * (p.Delta2 - p.J2) * back
+    B[..., 1, 2] = 1j * (p.Delta1 + p.J1) + 1j * (p.Delta2 + p.J2) * back
+    B[..., 2, 1] = 1j * (p.Delta1 - p.J1) + 1j * (p.Delta2 - p.J2) * fwd
+    B[..., 3, 0] = 1j * (p.Delta1 + p.J1) + 1j * (p.Delta2 + p.J2) * fwd
     return B

@@ -19,20 +19,30 @@ code that picks a solve route:
   onto a real H_r, solved by `eigh` (all bonds real) or real `eig` with
   eigenvectors S U_r; nothing is squared.  At Delta = J somewhere the
   eigenvalues stay exact but no eigenvectors are computed.
+* **Bloch** (uniform ring of either model, `BKCParams` or `ModBKCParams`
+  under PBC, any omega).  Translation invariance splits the ring into N
+  independent blocks B(k), k = 2 pi m / N (`bloch_matrix`), 2x2 or 4x4.
+  `_bloch_spectrum` solves them in one batched `eig` and writes each ring
+  eigenvector as the plane wave of a block eigenvector.  Nothing is squared,
+  so no eigenvalue needs a guard.  Neither gauge closes around a ring, so no
+  ring takes a gauge route.
 * **x/p** for every other point whose quadratic form has an exactly zero x-p
-  cross block ``Q[0::2, 1::2]``: every other two-sublattice point, uniform or
-  site-resolved, at any omega, open or periodic.  In (x, p) block order
-  M = [[0, -i Qp], [i Qx, 0]], so M^2 = diag(Qp Qx, Qx Qp) and the spectrum is
-  +-sqrt(eig(Qp Qx)), a real problem of half the size (Colpa, Physica A 93,
-  327 (1978); McDonald, Pereg-Barnea & Clerk, PRX 8, 041031 (2018)).
-  `_xp_spectrum` lifts each eigenvector x of Qp Qx to (x, i Qx x / E).
-  Squaring loses about sqrt(eps) of accuracy near E = 0, so a point with
-  min|E| <= ``XP_MIN_EIGENVALUE`` * max|Q| is solved densely instead, and its
-  ``Spectrum.source`` names the guard and the smallest |E|.
+  cross block ``Q[0::2, 1::2]``: every other two-sublattice point, that is,
+  open chains at nonzero omega and site-resolved fields, open or periodic.
+  In (x, p) block order M = [[0, -i Qp], [i Qx, 0]], so
+  M^2 = diag(Qp Qx, Qx Qp) and the spectrum is +-sqrt(eig(Qp Qx)), a real
+  problem of half the size (Colpa, Physica A 93, 327 (1978); McDonald,
+  Pereg-Barnea & Clerk, PRX 8, 041031 (2018)).  `_xp_spectrum` lifts each
+  eigenvector x of Qp Qx to (x, i Qx x / E).  Squaring loses about sqrt(eps)
+  of accuracy near E = 0, so a point with min|E| <= ``XP_MIN_EIGENVALUE`` *
+  max|Q| is solved densely instead, and its ``Spectrum.source`` names the
+  guard and the smallest |E|.
 * **Dense** `eigendecompose` of ``excitation_matrix(build_*_quadratic(p, bc))``
-  for everything else: the single-band chain off the gauge route (its cross
-  block is nonzero) and the points the x/p guard turns away.  Neither gauge
-  closes around a ring, so no ring takes a gauge route.
+  for everything else: the open single-band chain off the gauge route (its
+  cross block is nonzero) and the points the x/p guard turns away.
+
+Every route that returns eigenvectors except the two gauge routes checks
+them by `_check_residual` on the full matrix M.
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ from .model import (
     ModBKCParams,
     QuadraticForm,
     SiteFields,
+    bloch_matrix,
     build_bkc_quadratic,
     build_modbkc_quadratic,
     excitation_matrix,
@@ -83,6 +94,8 @@ _HERMITIAN_TOL = 1e-10
 # where the dense value is 3e-15, above the 1e-6 zero-mode tolerance.  Points
 # with a smaller eigenvalue are solved densely instead.
 XP_MIN_EIGENVALUE = 1e-4
+# Columns per block of `_residuals`: its temporaries are a few (dim, 64) arrays.
+_RESIDUAL_BLOCK = 64
 
 
 class SolverError(RuntimeError):
@@ -106,22 +119,42 @@ class Spectrum:
 
 
 def _sorted(eigenvalues, eigenvectors, source):
+    """Spectrum in (Re, Im) order; every route hands in unit-norm columns already."""
     order = np.lexsort((eigenvalues.imag, eigenvalues.real))
-    vals = eigenvalues[order]
-    vecs = None
-    if eigenvectors is not None:
-        vecs = eigenvectors[:, order]
-        vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs, source=source)
+    vecs = None if eigenvectors is None else eigenvectors[:, order]
+    return Spectrum(eigenvalues=eigenvalues[order], eigenvectors=vecs, source=source)
+
+
+def _residuals(M: np.ndarray, vectors: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
+    """Column norms of M V - V diag(E), in O(nnz(M) n) time.
+
+    M V is accumulated over the nonzero diagonals of M (four for an open
+    chain of either model, eight for a two-sublattice ring with its wrap
+    corners; a dense M has 2n - 1), ``_RESIDUAL_BLOCK`` columns at a time, so
+    no n x n temporary is allocated.
+    """
+    n = M.shape[0]
+    flat = np.flatnonzero(M != 0)
+    diagonals = [(d, np.diagonal(M, d)[:, None]) for d in np.unique(flat % n - flat // n)]
+    res = np.empty(vectors.shape[1])
+    for c in range(0, vectors.shape[1], _RESIDUAL_BLOCK):
+        V = vectors[:, c:c + _RESIDUAL_BLOCK]
+        R = V * -eigenvalues[c:c + _RESIDUAL_BLOCK]
+        for d, m in diagonals:
+            if d >= 0:
+                R[:n - d] += m * V[d:]
+            else:
+                R[-d:] += m * V[:n + d]
+        res[c:c + _RESIDUAL_BLOCK] = np.linalg.norm(R, axis=0)
+    return res
 
 
 def _check_residual(M, spec: Spectrum):
     if spec.eigenvectors is None:
         return
-    res = np.linalg.norm(M @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues[None, :], axis=0)
     bound = RESIDUAL_FACTOR * np.abs(M).max() * M.shape[0]
-    worst = res.max()
-    if worst > bound:
+    worst = _residuals(M, spec.eigenvectors, spec.eigenvalues).max()
+    if not worst <= bound:
         raise SolverError(f"eigenpair residual {worst:.3e} exceeds bound {bound:.3e}")
 
 
@@ -255,6 +288,37 @@ def _xp_spectrum(q: QuadraticForm, M: ExcitationMatrix) -> Spectrum:
     return spec
 
 
+def _bloch_spectrum(p: Union[BKCParams, ModBKCParams], M: ExcitationMatrix) -> Spectrum:
+    """Spectrum of a uniform ring from its N Bloch blocks, checked on the ring matrix M.
+
+    Each eigenpair (E, u) of the block at k = 2 pi m / N gives the ring
+    eigenpair (E, v), v[(j, a)] = w^(j m) u_a / sqrt(N), with w = exp(+-2 pi i / N)
+    by the block's Fourier convention (see `bloch_matrix`).  The plane waves
+    are written straight into the ring's eigenvector array, in the order
+    `_sorted` gives.
+    """
+    n = p.N
+    m = np.arange(n)
+    B = bloch_matrix(p, 2 * np.pi * m / n)
+    s = B.shape[-1]
+    vecs = np.empty((n * s, n * s), dtype=complex)
+    try:
+        E, U = np.linalg.eig(B)
+    except np.linalg.LinAlgError as err:
+        raise SolverError(f"Bloch eigensolver failed, n={n}: {err}") from err
+    vals = E.ravel()
+    order = np.lexsort((vals.imag, vals.real))
+    mk, band = np.divmod(order, s)
+    sign = -1 if isinstance(p, BKCParams) else 1
+    wave = np.exp(sign * 2j * np.pi * m / n) / np.sqrt(n)   # w^t / sqrt(N), t = j m mod N
+    np.multiply(wave[np.outer(m, mk) % n][:, None, :], U[mk, :, band].T,
+                out=vecs.reshape(n, s, n * s))
+    spec = Spectrum(eigenvalues=vals[order], eigenvectors=vecs,
+                    source=f"bloch[{M.source},{M.bc.value},n={M.n_cells}]")
+    _check_residual(M.M, spec)
+    return spec
+
+
 def solve(p: Union[BKCParams, ModBKCParams, SiteFields], bc: BoundaryCondition) -> Spectrum:
     """Spectrum of the chain ``p`` under ``bc``; the route is chosen as in the module docstring."""
     obc = bc is BoundaryCondition.OBC
@@ -263,7 +327,9 @@ def solve(p: Union[BKCParams, ModBKCParams, SiteFields], bc: BoundaryCondition) 
         return modbkc_spectrum_zero_omega(p, bc)
     q = build_bkc_quadratic(p, bc) if single_band else build_modbkc_quadratic(p, bc)
     M = excitation_matrix(q)
-    if single_band and obc and p.omega == 0:
+    if not obc and not isinstance(p, SiteFields):
+        return _bloch_spectrum(p, M)
+    if single_band and p.omega == 0:
         try:
             return spectrum_via_similarity(M, hatano_nelson_A(p))
         except SingularTransformError:

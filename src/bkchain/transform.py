@@ -86,14 +86,21 @@ class SimilarityMatrix:
     def lift(self, vectors: np.ndarray) -> np.ndarray:
         """Map eigenvectors of A^{-1} M A to unit-norm eigenvectors of M.
 
-        Columns are vectors.  Normalization is done in log space so the
-        result is finite even when the explicit diagonal would overflow.
+        Columns are vectors.  Entry v_im becomes v_im phase_i exp(s_i - t_m),
+        s = ``log_scale``, with the column maximum t_m = max_i (s_i + log|v_im|)
+        taken in log space, so the result is finite even when the explicit
+        diagonal would overflow, and exact zeros stay zero.
         """
         v = np.asarray(vectors, dtype=complex)
-        logmag = self.log_scale[:, None] + np.log(np.abs(v) + 1e-300)
-        logmag = logmag - logmag.max(axis=0, keepdims=True)
-        out = np.exp(logmag) * self.phase[:, None] * np.where(v == 0, 0, v / np.abs(np.where(v == 0, 1, v)))
-        return out / np.linalg.norm(out, axis=0, keepdims=True)
+        s = self.log_scale[:, None]
+        with np.errstate(divide="ignore"):  # log|0| = -inf never wins a maximum
+            top = (np.log(np.abs(v)) + s).max(axis=0)
+        # s_i - t_m <= -log|v_im| < 709 wherever v_im is a normal number; the
+        # clip keeps the factor finite on zero and subnormal entries
+        out = v * np.exp(np.minimum(s - top, 700.0))
+        out *= self.phase[:, None]
+        out /= np.linalg.norm(out, axis=0)
+        return out
 
 
 def _as_log_phase(values: np.ndarray):
@@ -104,16 +111,24 @@ def _as_log_phase(values: np.ndarray):
     return np.log(mag), values / mag
 
 
-def _ratio(delta: float, J: float, what: str) -> complex:
-    if abs(delta - J) < _SINGULAR_TOL:
+def _log_ratios(delta, J, what: str):
+    """(log r, r) with r = (Delta + J)/(Delta - J), elementwise over bonds.
+
+    The gauge needs Delta != +-J on every bond: Delta = J divides by zero and
+    Delta = -J gives r = 0, so both raise `SingularTransformError`.
+    """
+    delta, J = np.asarray(delta, dtype=float), np.asarray(J, dtype=float)
+    singular = (np.abs(delta - J) < _SINGULAR_TOL) | (np.abs(delta + J) < _SINGULAR_TOL)
+    if singular.any():
+        j = np.flatnonzero(singular)[0]
+        where = "" if delta.ndim == 0 else f" at cell {j}"
         raise SingularTransformError(
-            f"{what}: |Delta - J| = {abs(delta - J):.2e} < {_SINGULAR_TOL}; transform is singular")
-    r = complex(delta + J) / complex(delta - J)
-    # real division can leave a signed-zero imaginary part, which would flip
-    # the principal branch of log/sqrt for negative r
-    if r.imag == 0:
-        r = complex(r.real, 0.0)
-    return r
+            f"{what}{where}: Delta = {float(delta.flat[j])!r}, J = {float(J.flat[j])!r} "
+            f"within {_SINGULAR_TOL} of Delta = +-J; transform is singular")
+    # real division, then complex: a complex division can leave a signed-zero
+    # imaginary part, which would flip the principal branch of log for negative r
+    r = ((delta + J) / (delta - J)).astype(complex)
+    return np.log(r), r
 
 
 def hatano_nelson_A(p: BKCParams) -> SimilarityMatrix:
@@ -122,14 +137,14 @@ def hatano_nelson_A(p: BKCParams) -> SimilarityMatrix:
     Scales are r^(-j/2) on x components and r^(+j/2) on p components; with
     this choice A^{-1} M A is (anti-)Hermitian, see `hatano_nelson_target`.
     """
-    r = _ratio(p.Delta0, p.J0, "hatano_nelson_A")
-    half_log_r = 0.5 * np.log(r)  # principal branch for negative/complex r
+    log_r, r = _log_ratios(p.Delta0, p.J0, "hatano_nelson_A")
+    half_log_r = 0.5 * log_r  # principal branch for negative r
     j = np.arange(p.N)
     diag = np.empty(2 * p.N, dtype=complex)
     diag[0::2] = np.exp(-j * half_log_r)  # x_j
     diag[1::2] = np.exp(j * half_log_r)   # p_j
     log_scale, phase = _as_log_phase(diag)
-    return SimilarityMatrix(log_scale=log_scale, phase=phase, r_values={"r": r})
+    return SimilarityMatrix(log_scale=log_scale, phase=phase, r_values={"r": complex(r)})
 
 
 def hatano_nelson_target(p: BKCParams, bc: BoundaryCondition = BoundaryCondition.OBC) -> np.ndarray:
@@ -157,15 +172,6 @@ def _fields(p: Union[ModBKCParams, SiteFields]) -> SiteFields:
     return SiteFields.uniform(p) if isinstance(p, ModBKCParams) else p
 
 
-def _log_r_arrays(f: SiteFields):
-    r1 = np.empty(f.N, dtype=complex)
-    r2 = np.empty(f.N, dtype=complex)
-    for j in range(f.N):
-        r1[j] = _ratio(f.Delta1[j], f.J1[j], f"intracell bond at cell {j}")
-        r2[j] = _ratio(f.Delta2[j], f.J2[j], f"intercell bond at cell {j}")
-    return np.log(r1), np.log(r2), r1, r2
-
-
 def _similarity_from_products(f: SiteFields, use_r1: bool, use_r2: bool) -> SimilarityMatrix:
     """Product-form diagonal; uniform fields collapse to powers of r1, r2.
 
@@ -174,26 +180,29 @@ def _similarity_from_products(f: SiteFields, use_r1: bool, use_r2: bool) -> Simi
         A p:  r1^(-j/2)  r2^(+j/2)
         B x:  r1^(-(j+1)/2)  r2^(+j/2)
         B p:  r1^(+(j+1)/2)  r2^(-j/2)
+
+    r1 runs over the N intracell bonds and r2 over the N - 1 intercell bonds
+    of the open chain; the last entry of ``J2``/``Delta2`` is the ring's wrap
+    bond, which no gauge uses.
     """
-    log_r1, log_r2, r1, r2 = _log_r_arrays(f)
-    if not use_r1:
-        log_r1 = np.zeros_like(log_r1)
-    if not use_r2:
-        log_r2 = np.zeros_like(log_r2)
-    c1 = np.concatenate([[0.0], np.cumsum(log_r1)])  # c1[j] = sum_{l<j} log r1_l
-    c2 = np.concatenate([[0.0], np.cumsum(log_r2)])
-    diag_log = np.empty(4 * f.N, dtype=complex)
-    diag_log[0::4] = 0.5 * (c1[:-1] - c2[:-1])  # A x
-    diag_log[1::4] = 0.5 * (c2[:-1] - c1[:-1])  # A p
-    diag_log[2::4] = 0.5 * (c2[:-1] - c1[1:])   # B x
-    diag_log[3::4] = 0.5 * (c1[1:] - c2[:-1])   # B p
+    n = f.N
+    log_r1, r1 = (_log_ratios(f.Delta1, f.J1, "intracell bond") if use_r1
+                  else (np.zeros(n), None))
+    log_r2, r2 = (_log_ratios(f.Delta2[:-1], f.J2[:-1], "intercell bond") if use_r2
+                  else (np.zeros(n - 1), None))
+    c1 = np.concatenate([[0.0], np.cumsum(log_r1)])  # c1[j] = sum_{l<j} log r1_l, j = 0..N
+    c2 = np.concatenate([[0.0], np.cumsum(log_r2)])  # j = 0..N-1
+    diag_log = np.empty(4 * n, dtype=complex)
+    diag_log[0::4] = 0.5 * (c1[:-1] - c2)  # A x
+    diag_log[1::4] = 0.5 * (c2 - c1[:-1])  # A p
+    diag_log[2::4] = 0.5 * (c2 - c1[1:])   # B x
+    diag_log[3::4] = 0.5 * (c1[1:] - c2)   # B p
     log_scale = diag_log.real
     phase = np.exp(1j * diag_log.imag)
     r_values = {}
-    if use_r1:
-        r_values["r1"] = r1 if isinstance(f, SiteFields) and np.ptp(r1.real) + np.ptp(r1.imag) > 0 else r1[0]
-    if use_r2:
-        r_values["r2"] = r2 if isinstance(f, SiteFields) and np.ptp(r2.real) + np.ptp(r2.imag) > 0 else r2[0]
+    for name, r in (("r1", r1), ("r2", r2)):
+        if r is not None:
+            r_values[name] = r if np.ptp(r.real) + np.ptp(r.imag) > 0 else r[0]
     return SimilarityMatrix(log_scale=log_scale, phase=phase, r_values=r_values)
 
 

@@ -267,6 +267,18 @@ class TestBloch:
         BKCParams(J0=0.5, Delta0=1.0, omega=0.3, N=8),
         ModBKCParams(J1=0.4, J2=0.9, Delta1=1.1, Delta2=0.5, omega=0.2, N=8),
     ])
+    def test_array_k_stacks_scalar_blocks(self, params):
+        k = np.linspace(-4, 4, 15).reshape(3, 5)
+        stack = bloch_matrix(params, k)
+        s = 2 if isinstance(params, BKCParams) else 4
+        assert stack.shape == (3, 5, s, s) and bloch_matrix(params, 0.7).shape == (s, s)
+        for idx in np.ndindex(k.shape):
+            assert np.array_equal(stack[idx], bloch_matrix(params, float(k[idx])))
+
+    @pytest.mark.parametrize("params", [
+        BKCParams(J0=0.5, Delta0=1.0, omega=0.3, N=8),
+        ModBKCParams(J1=0.4, J2=0.9, Delta1=1.1, Delta2=0.5, omega=0.2, N=8),
+    ])
     def test_pbc_spectrum_is_union_of_bloch_blocks(self, params, set_distance):
         if isinstance(params, BKCParams):
             M = build_bkc_excitation_direct(params, PBC).M

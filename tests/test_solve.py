@@ -3,14 +3,16 @@
 Every route `solve` can take is compared with a reference that does not go
 through it.  The routes are the Hatano-Nelson gauge ("similarity[", single-band
 chain, OBC, omega = 0), the SSH reduction ("reduced[", two-sublattice chain,
-OBC, every omega = 0), the half-size x/p solve ("xp[", any other point whose
-quadratic form has a zero x-p cross block, i.e. every other two-sublattice
-point) and the dense solve ("eig[", everything else, and x/p points with an
-eigenvalue below the small-eigenvalue guard).  The references are:
+OBC, every omega = 0), the Bloch blocks ("bloch[", uniform rings of either
+model), the half-size x/p solve ("xp[", any other point whose quadratic form
+has a zero x-p cross block, i.e. every other two-sublattice point) and the
+dense solve ("eig[", everything else, and x/p points with an eigenvalue below
+the small-eigenvalue guard).  The references are:
 
 * uniform couplings: the dense eigenvalues of the commutator-transcribed
-  `build_*_excitation_direct` matrix, and under PBC also the union of the
-  Bloch blocks;
+  `build_*_excitation_direct` matrix (for rings the independent oracle of the
+  Bloch route, which is built on `bloch_matrix`), under PBC also the union of
+  the Bloch blocks, and for single-band rings the analytic dispersion;
 * site-resolved fields: the dense eigenvalues of
   ``excitation_matrix(build_modbkc_quadratic(f, bc))``;
 * eigenvectors of the x/p route: the skin census and mean profile of the
@@ -37,13 +39,24 @@ from bkchain.model import (
     SiteFields,
     bloch_matrix,
     build_bkc_excitation_direct,
+    build_bkc_quadratic,
     build_modbkc_excitation_direct,
     build_modbkc_quadratic,
     excitation_matrix,
 )
 from bkchain.disorder import DisorderSpec, sample_site_fields
 from bkchain.skin import nhse_fraction, profile_matrix
-from bkchain.spectral import XP_MIN_EIGENVALUE, eigendecompose, modbkc_spectrum_zero_omega, solve
+from bkchain.spectral import (
+    XP_MIN_EIGENVALUE,
+    SolverError,
+    Spectrum,
+    _check_residual,
+    _residuals,
+    bkc_pbc_dispersion,
+    eigendecompose,
+    modbkc_spectrum_zero_omega,
+    solve,
+)
 from bkchain.topology import edge_mode_count
 from bkchain.transform import effective_ssh_matrix
 
@@ -171,6 +184,8 @@ def _check_against_oracles(p, bc, direct, gauge_route):
     gauge = bc is OBC and p.omega == 0
     if gauge:
         assert s.source.startswith(gauge_route)
+    elif bc is PBC:
+        assert s.source.startswith("bloch[")
     elif isinstance(p, BKCParams):
         assert s.source.startswith("eig[")  # the single-band x-p cross block is nonzero
     else:
@@ -250,9 +265,10 @@ class TestSolveRoutes:
 
     def test_small_eigenvalue_guard_takes_dense_route(self):
         # min|E| ~ 1e-8 on this ring, far below 1e-4 max|Q|: squaring would
-        # leave it with ~sqrt(eps) accuracy, so the dense solver is used
+        # leave it with ~sqrt(eps) accuracy, so the dense solver is used.  The
+        # uniform ring itself takes the Bloch route; its site fields do not.
         p = ModBKCParams(J1=1.4, J2=1.2, Delta1=1.5, Delta2=1.0, omega=0.3, N=100)
-        s = solve(p, PBC)
+        s = solve(SiteFields.uniform(p), PBC)
         assert s.source.startswith("eig[") and "x/p guard" in s.source
         ref = _bloch_union(p)
         assert _distance(s.eigenvalues, ref) <= DENSE_BOUND * max(1.0, float(np.abs(ref).max()))
@@ -277,6 +293,58 @@ class TestSolveRoutes:
         assert s.eigenvectors is not None
         scale = np.abs(build_bkc_excitation_direct(p, OBC).M).max()
         assert np.abs(s.eigenvalues).max() <= 10 * np.finfo(float).eps ** (1 / p.N) * scale
+
+
+class TestBlochRoute:
+    @given(p=st.one_of(modbkc_params(), bkc_params()))
+    @settings(PROPERTY, max_examples=80)
+    def test_uniform_ring_matches_direct_oracle(self, p):
+        s = solve(p, PBC)
+        direct = build_bkc_excitation_direct if isinstance(p, BKCParams) else build_modbkc_excitation_direct
+        M = direct(p, PBC).M
+        ref = np.linalg.eigvals(M)
+        assert s.source.startswith("bloch[")
+        assert _distance(s.eigenvalues, ref) <= DENSE_BOUND * max(1.0, float(np.abs(ref).max()))
+        V = s.eigenvectors
+        assert np.linalg.norm(M @ V - V * s.eigenvalues, axis=0).max() <= 1e-10 * np.abs(M).max()
+        assert np.abs(np.linalg.norm(V, axis=0) - 1).max() <= 1e-14
+
+    @pytest.mark.parametrize("J0,Delta0,omega", [(0.5, 1.0, 0.0), (0.5, 1.0, 0.5), (1.3, -0.4, 2.0)])
+    def test_bkc_ring_matches_dispersion(self, J0, Delta0, omega):
+        p = BKCParams(J0=J0, Delta0=Delta0, omega=omega, N=100)
+        s = solve(p, PBC)
+        ref = np.concatenate([bkc_pbc_dispersion(p, 2 * np.pi * m / p.N) for m in range(p.N)])
+        assert s.source.startswith("bloch[")
+        assert _distance(s.eigenvalues, ref) <= 1e-12 * max(1.0, float(np.abs(ref).max()))
+
+
+class TestResidualCheck:
+    @pytest.mark.parametrize("name", ["dense", "obc", "pbc", "bkc-pbc-n2"])
+    def test_blocked_residual_matches_dense_product(self, name):
+        rng = np.random.default_rng(7)
+        p = ModBKCParams(J1=1.4, J2=1.2, Delta1=0.7, Delta2=1.0, omega=0.3, N=100)
+        M = {"dense": lambda: rng.normal(size=(70, 70)) + 1j * rng.normal(size=(70, 70)),
+             "obc": lambda: excitation_matrix(build_modbkc_quadratic(p, OBC)).M,
+             "pbc": lambda: excitation_matrix(build_modbkc_quadratic(p, PBC)).M,
+             "bkc-pbc-n2": lambda: excitation_matrix(build_bkc_quadratic(
+                 BKCParams(J0=0.5, Delta0=1.0, omega=0.3, N=2), PBC)).M}[name]()
+        n = M.shape[0]
+        V = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        E = rng.normal(size=n) + 1j * rng.normal(size=n)
+        ref = np.linalg.norm(M @ V - V * E, axis=0)
+        assert np.abs(_residuals(M, V, E) - ref).max() <= 1e-12 * ref.max()
+
+    @pytest.mark.parametrize("column", [0, 399])
+    @pytest.mark.parametrize("kick", [1e-3, np.nan])
+    def test_perturbed_eigenvector_raises(self, column, kick):
+        p = ModBKCParams(J1=1.4, J2=1.2, Delta1=0.7, Delta2=1.0, omega=0.3, N=100)
+        M = excitation_matrix(build_modbkc_quadratic(p, PBC)).M
+        s = solve(p, PBC)
+        _check_residual(M, s)
+        V = s.eigenvectors.copy()
+        V[column // 2, column] += kick
+        with pytest.raises(SolverError, match="residual"):
+            _check_residual(M, Spectrum(s.eigenvalues, V))
 
 
 class TestReductionIsOpenOnly:

@@ -5,10 +5,13 @@ from bkchain.model import (
     BKCParams,
     BoundaryCondition,
     ModBKCParams,
+    SiteFields,
     build_bkc_excitation_direct,
     build_modbkc_excitation_direct,
+    build_modbkc_quadratic,
+    excitation_matrix,
 )
-from bkchain.spectral import eigendecompose, modbkc_spectrum_zero_omega, zero_gap
+from bkchain.spectral import eigendecompose, modbkc_spectrum_zero_omega, solve, zero_gap
 from bkchain.transform import (
     SingularTransformError,
     a1_prime,
@@ -141,6 +144,89 @@ class TestSublatticeGauges:
         p = ModBKCParams(J1=1.0, J2=0.3, Delta1=1.0, Delta2=1.5, omega=0, N=6)
         with pytest.raises(SingularTransformError):
             a1_prime(p)
+
+
+@pytest.mark.filterwarnings("error")
+class TestOpenChainBonds:
+    """The gauge of the open chain uses its 2N - 1 bonds and nothing else.
+
+    The last entry of ``J2``/``Delta2`` is the ring's wrap bond, which the
+    open chain does not have; Delta = +-J on a bond it does have raises
+    before any log(0).
+    """
+
+    @staticmethod
+    def _fields(**last_cell):
+        f = SiteFields.uniform(ModBKCParams(J1=1.0, J2=0.5, Delta1=1.5, Delta2=2.1, omega=0.0, N=6))
+        arrays = {name: getattr(f, name).copy() for name in ("J1", "J2", "Delta1", "Delta2", "omega_A", "omega_B")}
+        for name, value in last_cell.items():
+            arrays[name][-1] = value
+        return SiteFields(**arrays)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_last_intercell_entry_is_not_a_bond(self, sign):
+        f = self._fields(J2=sign * 2.1)   # Delta2 = +-J2 on the wrap bond only
+        s = solve(f, OBC)
+        assert s.source.startswith("reduced[") and s.eigenvectors is not None
+        M = excitation_matrix(build_modbkc_quadratic(f, OBC)).M
+        V = s.eigenvectors
+        assert np.linalg.norm(M @ V - V * s.eigenvalues, axis=0).max() <= 1e-10 * np.abs(M).max()
+
+    @pytest.mark.parametrize("cut", [dict(J1=-1.5), dict(J1=1.5)])
+    def test_singular_bond_raises_before_log(self, cut):
+        f = self._fields(**cut)           # Delta1 = -+J1 in the last cell
+        with pytest.raises(SingularTransformError, match="cell 5"):
+            a_combined(f)
+        assert solve(f, OBC).eigenvectors is None
+
+    def test_single_band_anti_sweet_spot_raises(self):
+        with pytest.raises(SingularTransformError):
+            hatano_nelson_A(BKCParams(J0=1.0, Delta0=-1.0, omega=0, N=5))
+
+
+def _reference_lift(A, vectors):
+    """The entrywise log-space lift the production `lift` replaced."""
+    v = np.asarray(vectors, dtype=complex)
+    logmag = A.log_scale[:, None] + np.log(np.abs(v) + 1e-300)
+    logmag = logmag - logmag.max(axis=0, keepdims=True)
+    out = np.exp(logmag) * A.phase[:, None] * np.where(v == 0, 0, v / np.abs(np.where(v == 0, 1, v)))
+    return out / np.linalg.norm(out, axis=0, keepdims=True)
+
+
+@pytest.mark.filterwarnings("error")
+class TestLift:
+    @staticmethod
+    def _product_basis(p):
+        b = np.diagonal(effective_ssh_matrix(p, OBC), 1)
+        _, U = np.linalg.eig(np.diag(b, 1) + np.diag(b, -1))
+        vecs = np.empty((4 * p.N, 4 * p.N), dtype=complex)
+        vecs[0::2], vecs[1::2] = np.hstack([U, U]), np.hstack([U, -U])
+        return vecs
+
+    # log10 conditions 0.7, 37, 48, 104 and 913; the last sits 1e-9 from Delta1 = J1
+    @pytest.mark.parametrize("J1,J2,Delta1,Delta2,bound", [
+        (1.0, 1.4, 1.5, 2.1, 1e-14), (2.5, 0.0, 1.0, 1.5, 1e-14), (2.0, 0.0, 1.0, 1.5, 1e-14),
+        (1.2, 0.0, 1.0, 1.5, 1e-14), (1.0 + 1e-9, 0.3, 1.0, 1.5, 1e-12)])
+    def test_matches_reference_formula(self, J1, J2, Delta1, Delta2, bound):
+        p = ModBKCParams(J1=J1, J2=J2, Delta1=Delta1, Delta2=Delta2, omega=0.0, N=100)
+        A = a_combined(p)
+        vecs = self._product_basis(p)
+        out = A.lift(vecs)
+        assert np.all(np.isfinite(out))
+        assert np.abs(np.linalg.norm(out, axis=0) - 1).max() <= 1e-14
+        # the reference is accurate to ~eps * max|log_scale| (log and exp round trip)
+        assert np.abs(out - _reference_lift(A, vecs)).max() <= bound
+
+    def test_exact_zeros_stay_zero(self):
+        p = ModBKCParams(J1=1.2, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100)
+        A = a_combined(p)
+        assert A.log10_condition >= 60
+        vecs = self._product_basis(p)
+        vecs[::3, ::2] = 0
+        out = A.lift(vecs)
+        assert np.all(out[::3, ::2] == 0)
+        assert np.all(np.isfinite(out))
+        assert np.abs(out - _reference_lift(A, vecs)).max() <= 1e-14
 
 
 class TestEffectiveParams:
