@@ -12,14 +12,14 @@ and outputs are bit-identical across platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
 from .model import BoundaryCondition, ModBKCParams, SiteFields
 from .skin import nhse_fraction, profile_matrix
 from .spectral import solve, zero_gap
-from .topology import zero_modes
+from .topology import map_points, zero_modes_per_copy
 
 __all__ = [
     "DisorderSpec",
@@ -116,9 +116,10 @@ def ensemble_observables(base: ModBKCParams, spec: DisorderSpec,
                          threads: int = 1) -> EnsembleResult:
     """Disorder-averaged observables over ``spec.realizations`` realizations.
 
-    Per-realization failures are recorded and skipped; the run only fails if
-    every realization does.  ``zero_modes`` is the per-quadrature-copy count
-    of the open chain at omega = 0 and the literal threshold count otherwise.
+    A realization that raises one of `topology.POINT_ERRORS` is recorded and
+    skipped; the run only fails if every realization does.  ``zero_modes`` is
+    the per-quadrature-copy count of the open chain at omega = 0 and the
+    literal threshold count otherwise.
     """
     names = tuple(observables)
     for name in names:
@@ -135,33 +136,16 @@ def ensemble_observables(base: ModBKCParams, spec: DisorderSpec,
             elif name == "zero_gap":
                 out[name] = zero_gap(spectrum)
             elif name == "zero_modes":
-                # the open omega = 0 spectrum holds two copies of each edge mode
-                reduced = bc is BoundaryCondition.OBC and not (f.omega_A.any() or f.omega_B.any())
-                out[name] = zero_modes(spectrum, zero_tol)[0] // (2 if reduced else 1)
+                out[name] = zero_modes_per_copy(spectrum, f, bc, zero_tol)
             elif name == "nhse_fraction":
                 out[name] = nhse_fraction(spectrum, frac, threshold, base.N)
             elif name == "mean_profile":
                 out[name] = profile_matrix(spectrum, base.N).mean(axis=0)
         return out
 
-    results: list[Optional[dict]] = [None] * spec.realizations
-    failures = []
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = {r: pool.submit(one, r) for r in range(spec.realizations)}
-            for r, fut in futs.items():
-                try:
-                    results[r] = fut.result()
-                except Exception as err:
-                    failures.append((r, f"{type(err).__name__}: {err}"))
-    else:
-        for r in range(spec.realizations):
-            try:
-                results[r] = one(r)
-            except Exception as err:
-                failures.append((r, f"{type(err).__name__}: {err}"))
-    good = [r for r in results if r is not None]
+    results = map_points(one, range(spec.realizations), threads)
+    failures = [(r, error) for r, (_, error) in enumerate(results) if error is not None]
+    good = [out for out, _ in results if out is not None]
     if not good:
         raise RuntimeError(f"all {spec.realizations} realizations failed; first: {failures[0][1]}")
     obs = {name: np.array([g[name] for g in good]) for name in names}

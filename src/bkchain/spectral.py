@@ -80,6 +80,7 @@ __all__ = [
     "eigendecompose",
     "spectrum_via_similarity",
     "modbkc_spectrum_zero_omega",
+    "reduced_route",
     "bkc_pbc_dispersion",
     "spectrum_distance",
     "zero_gap",
@@ -204,6 +205,15 @@ def _zero_omega(p: Union[ModBKCParams, SiteFields]) -> bool:
     return bool(np.all(p.omega_A == 0) and np.all(p.omega_B == 0))
 
 
+def reduced_route(p: Union[BKCParams, ModBKCParams, SiteFields], bc: BoundaryCondition) -> bool:
+    """Whether `solve` takes the SSH reduction: the open two-sublattice chain at every omega = 0.
+
+    Its spectrum holds two exact copies of the reduced SSH spectrum, so each
+    edge mode appears twice.
+    """
+    return not isinstance(p, BKCParams) and bc is BoundaryCondition.OBC and _zero_omega(p)
+
+
 def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
                                bc: BoundaryCondition = BoundaryCondition.OBC,
                                with_vectors: bool = True) -> Spectrum:
@@ -321,10 +331,10 @@ def _bloch_spectrum(p: Union[BKCParams, ModBKCParams], M: ExcitationMatrix) -> S
 
 def solve(p: Union[BKCParams, ModBKCParams, SiteFields], bc: BoundaryCondition) -> Spectrum:
     """Spectrum of the chain ``p`` under ``bc``; the route is chosen as in the module docstring."""
+    if reduced_route(p, bc):
+        return modbkc_spectrum_zero_omega(p, bc)
     obc = bc is BoundaryCondition.OBC
     single_band = isinstance(p, BKCParams)
-    if not single_band and obc and _zero_omega(p):
-        return modbkc_spectrum_zero_omega(p, bc)
     q = build_bkc_quadratic(p, bc) if single_band else build_modbkc_quadratic(p, bc)
     M = excitation_matrix(q)
     if not obc and not isinstance(p, SiteFields):

@@ -56,55 +56,50 @@ def _proj(xs, ys, xlo, xhi, ylo, yhi):
     return px, py
 
 
-def _document(parts):
+def _write(path, parts):
     body = "\n".join(parts)
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-            f'viewBox="0 0 {_W} {_H}">\n{body}\n</svg>\n')
-
-
-def scatter_svg(path, series, title="", xlabel="", ylabel=""):
-    """series: list of (label, xs, ys, color)."""
-    allx, ally = [], []
-    cleaned = []
-    for label, xs, ys, color in series:
-        xs, ys = _finite(xs, ys)
-        cleaned.append((label, xs, ys, color))
-        allx.append(xs)
-        ally.append(ys)
-    allx = np.concatenate([a for a in allx if len(a)]) if any(len(a) for a in allx) else np.array([0.0])
-    ally = np.concatenate([a for a in ally if len(a)]) if any(len(a) for a in ally) else np.array([0.0])
-    xlo, xhi = _limits(allx)
-    ylo, yhi = _limits(ally)
-    parts = _axes(xlo, xhi, ylo, yhi, title, xlabel, ylabel)
-    for i, (label, xs, ys, color) in enumerate(cleaned):
-        px, py = _proj(xs, ys, xlo, xhi, ylo, yhi)
-        for x, y in zip(px, py):
-            parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.2" fill="{color}" fill-opacity="0.7"/>')
-        parts.append(f'<text x="{_W-_MR-8}" y="{_MT+16+14*i}" text-anchor="end" '
-                     f'font-size="11" fill="{color}">{label}</text>')
     with open(path, "w", newline="\n") as fh:
-        fh.write(_document(parts))
+        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+                 f'viewBox="0 0 {_W} {_H}">\n{body}\n</svg>\n')
     return path
 
 
-def line_svg(path, series, title="", xlabel="", ylabel=""):
-    """series: list of (label, xs, ys, color); points joined in x order."""
-    allx = np.concatenate([_finite(xs, ys)[0] for _, xs, ys, _ in series])
-    ally = np.concatenate([_finite(xs, ys)[1] for _, xs, ys, _ in series])
+def _series_svg(path, series, title, xlabel, ylabel, line):
+    """Points, or with ``line`` a polyline in x order, per series.
+
+    Non-finite points are dropped; the limits span every point left, or
+    [-1.1, 1.1] where none is left.
+    """
+    series = [(label, *_finite(xs, ys), color) for label, xs, ys, color in series]
+    allx = np.concatenate([np.empty(0)] + [xs for _, xs, _, _ in series])
+    ally = np.concatenate([np.empty(0)] + [ys for _, _, ys, _ in series])
+    if not len(allx):
+        allx = ally = np.array([0.0])
     xlo, xhi = _limits(allx)
     ylo, yhi = _limits(ally)
     parts = _axes(xlo, xhi, ylo, yhi, title, xlabel, ylabel)
     for i, (label, xs, ys, color) in enumerate(series):
-        xs, ys = _finite(xs, ys)
-        order = np.argsort(xs)
-        px, py = _proj(xs[order], ys[order], xlo, xhi, ylo, yhi)
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        px, py = _proj(xs, ys, xlo, xhi, ylo, yhi)
+        if line:
+            order = np.argsort(xs)
+            pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px[order], py[order]))
+            parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        else:
+            parts += [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.2" fill="{color}" fill-opacity="0.7"/>'
+                      for x, y in zip(px, py)]
         parts.append(f'<text x="{_W-_MR-8}" y="{_MT+16+14*i}" text-anchor="end" '
                      f'font-size="11" fill="{color}">{label}</text>')
-    with open(path, "w", newline="\n") as fh:
-        fh.write(_document(parts))
-    return path
+    return _write(path, parts)
+
+
+def scatter_svg(path, series, title="", xlabel="", ylabel=""):
+    """series: list of (label, xs, ys, color)."""
+    return _series_svg(path, series, title, xlabel, ylabel, line=False)
+
+
+def line_svg(path, series, title="", xlabel="", ylabel=""):
+    """series: list of (label, xs, ys, color); points joined in x order."""
+    return _series_svg(path, series, title, xlabel, ylabel, line=True)
 
 
 def _viridis(v):
@@ -158,6 +153,4 @@ def heatmap_svg(path, matrix, title="", xlabel="", ylabel="", log_floor=1e-12):
             y = _H - _MB - (i + 1) * ch
             parts.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{math.ceil(cw*100)/100:.2f}" '
                          f'height="{math.ceil(ch*100)/100:.2f}" fill="{_viridis(v)}"/>')
-    with open(path, "w", newline="\n") as fh:
-        fh.write(_document(parts))
-    return path
+    return _write(path, parts)

@@ -13,8 +13,8 @@ Zero modes: at omega = 0 the excitation spectrum consists of two exact copies
 of the reduced SSH spectrum (+-i E_m each), so counting threshold crossings on
 the full matrix double-counts the physical edge modes.  The per-copy count,
 2 in the topological phase and 0 in the trivial one, is therefore half of the
-literal `zero_modes` count on that spectrum; `phase_scan` takes it from the
-spectrum it has already solved, and `edge_mode_count` solves the reduced
+literal `zero_modes` count on that spectrum; `zero_modes_per_copy` takes it
+from a spectrum already solved, and `edge_mode_count` solves the reduced
 spectrum for it without eigenvectors.  `zero_modes` is the literal threshold
 count on whatever spectrum it is given.
 """
@@ -30,7 +30,8 @@ import numpy as np
 
 from .model import BoundaryCondition, ModBKCParams, SiteFields
 from .skin import nhse_fraction
-from .spectral import Spectrum, modbkc_spectrum_zero_omega, solve, zero_gap as _zero_gap
+from .spectral import (SolverError, Spectrum, modbkc_spectrum_zero_omega, reduced_route, solve,
+                       zero_gap as _zero_gap)
 from .transform import EffectiveSSHParams, effective_ssh_params
 
 __all__ = [
@@ -41,12 +42,15 @@ __all__ = [
     "winding_numeric",
     "winding_analytic",
     "zero_modes",
+    "zero_modes_per_copy",
     "edge_mode_count",
     "gap_closing_predicates",
     "AxisSpec",
     "PhasePoint",
     "PhaseDiagram",
     "grid_size",
+    "POINT_ERRORS",
+    "map_points",
     "phase_scan",
 ]
 
@@ -115,6 +119,16 @@ def zero_modes(s: Spectrum, tol: float):
         raise ValueError(f"tol must be positive, got {tol}")
     idx = np.flatnonzero(np.abs(s.eigenvalues) < tol)
     return len(idx), idx.tolist()
+
+
+def zero_modes_per_copy(s: Spectrum, p: Union[ModBKCParams, SiteFields], bc: BoundaryCondition,
+                        tol: float) -> int:
+    """Zero modes of ``s = solve(p, bc)`` per quadrature copy.
+
+    Half the literal count where `reduced_route` holds (its spectrum has two
+    copies of each edge mode), the literal count otherwise.
+    """
+    return zero_modes(s, tol)[0] // (2 if reduced_route(p, bc) else 1)
 
 
 def edge_mode_count(p: Union[ModBKCParams, SiteFields], tol: float = 1e-6,
@@ -205,47 +219,61 @@ class PhaseDiagram:
 
 
 def _scan_point(p: ModBKCParams, values: tuple, tol: float, frac: float, threshold: float) -> PhasePoint:
+    eff = effective_ssh_params(p)
     try:
-        eff = effective_ssh_params(p)
+        w = winding_analytic(eff)
+        w_plus, w_minus = w.w_plus, w.w_minus
+    except GapClosedError:
+        w_plus = w_minus = None
+    spec = solve(p, BoundaryCondition.OBC)
+    nhse = None if spec.eigenvectors is None else nhse_fraction(spec, frac, threshold, p.N)
+    return PhasePoint(values=values, zero_gap=_zero_gap(spec),
+                      zero_modes=zero_modes_per_copy(spec, p, BoundaryCondition.OBC, tol),
+                      w_plus=w_plus, w_minus=w_minus, nhse_fraction=nhse)
+
+
+# Errors that fail a single point or realization.  Anything else is a
+# programming error and propagates.  ValueError covers SingularTransformError
+# and GapClosedError.
+POINT_ERRORS = (SolverError, ValueError, np.linalg.LinAlgError)
+
+
+def map_points(fn, items: Sequence, threads: int = 1) -> list:
+    """fn over items in input order, on ``threads`` worker threads when threads > 1.
+
+    Each result is ``(fn(item), None)``, or ``(None, "Name: message")`` where
+    fn raised one of `POINT_ERRORS`; any other exception propagates.
+    """
+    def guarded(item):
         try:
-            w = winding_analytic(eff)
-            w_plus, w_minus = w.w_plus, w.w_minus
-        except GapClosedError:
-            w_plus = w_minus = None
-        spec = solve(p, BoundaryCondition.OBC)
-        # at omega = 0 the reduced spectrum holds two copies of each edge mode
-        count = zero_modes(spec, tol)[0] // (2 if p.omega == 0 else 1)
-        gap = _zero_gap(spec)
-        nhse = None if spec.eigenvectors is None else nhse_fraction(spec, frac, threshold, p.N)
-        return PhasePoint(values=values, zero_gap=gap, zero_modes=count,
-                          w_plus=w_plus, w_minus=w_minus, nhse_fraction=nhse)
-    except Exception as err:  # record, do not abort the scan
-        return PhasePoint(values=values, zero_gap=float("nan"), zero_modes=None,
-                          w_plus=None, w_minus=None, nhse_fraction=None,
-                          error=f"{type(err).__name__}: {err}")
+            return fn(item), None
+        except POINT_ERRORS as err:
+            return None, f"{type(err).__name__}: {err}"
+
+    if threads <= 1:
+        return [guarded(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(guarded, items))
 
 
 def phase_scan(base: ModBKCParams, axes: Sequence[AxisSpec], tol: float = 1e-6,
                frac: float = 0.1, threshold: float = 0.9,
                threads: int = 1) -> PhaseDiagram:
-    """Sweep 1-2 parameters; per-point records never abort on solver errors."""
+    """Sweep 1-2 parameters; a point that fails records its error and does not abort the scan."""
     if not 1 <= len(axes) <= 2:
         raise ValueError("phase_scan takes one or two axes")
     for ax in axes:
         if not hasattr(base, ax.name):
             raise ValueError(f"sweep parameter {ax.name!r} does not exist on {type(base).__name__}")
     grid_size(axes)
-    combos = list(itertools.product(*(ax.values() for ax in axes)))
+    combos = [tuple(float(v) for v in vals) for vals in itertools.product(*(ax.values() for ax in axes))]
 
     def work(vals):
-        vals = tuple(float(v) for v in vals)
         p = replace(base, **{ax.name: v for ax, v in zip(axes, vals)})
         return _scan_point(p, vals, tol, frac, threshold)
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = tuple(pool.map(work, combos))
-    else:
-        points = tuple(work(vals) for vals in combos)
+    points = tuple(point or PhasePoint(values=vals, zero_gap=float("nan"), zero_modes=None, w_plus=None,
+                                       w_minus=None, nhse_fraction=None, error=error)
+                   for vals, (point, error) in zip(combos, map_points(work, combos, threads)))
     return PhaseDiagram(axes=tuple(axes), points=points)

@@ -130,13 +130,20 @@ SECOND_AXIS = "parameter2 = J2\nmin2 = 0\nmax2 = 1\nstep2 = 0.5\n"
     ("spectrum", MODBKC_MODEL.format(bc="obc") + SWEEP.format(name="J0", step=0.5)),
     ("floquet", "[floquet]\nlambdas = 0,1\n" + MODBKC_MODEL.format(bc="obc")),
     ("floquet", "[floquet]\nlambdas = 0,1\n" + SWEEP.format(name="J1", step=0.5)),
+    ("spectrum", MODBKC_MODEL.format(bc="obc") + DISORDER.format(obs="zero_gap")),
+    ("disorder", MODBKC_MODEL.format(bc="obc") + SWEEP.format(name="J2", step=0.5)
+     + DISORDER.format(obs="nhse_fraction,mean_profile,abs_spectrum")),
+    ("disorder", MODBKC_MODEL.format(bc="obc") + SWEEP.format(name="J2", step=0.5)
+     + DISORDER.format(obs="mean_profile")),
+    ("spectrum", BKC_MODEL.format(n="nan")),
 ], ids=["unknown-sweep-parameter", "sweep-parameter-not-on-model", "zero-step",
         "oversized-sweep", "oversized-scan-grid", "phase-scan-pbc", "phase-scan-both",
         "phase-scan-bkc", "winding-bkc", "disorder-bkc", "disorder-both",
         "unknown-observable", "chain-too-short", "winding-grid-too-coarse",
         "floquet-lambda-not-a-number", "floquet-zero-period", "spectrum-second-axis",
         "winding-second-axis", "disorder-second-axis", "profiles-sweep",
-        "bkc-parameter-on-modbkc", "floquet-model", "floquet-sweep"])
+        "bkc-parameter-on-modbkc", "floquet-model", "floquet-sweep", "spectrum-disorder-section",
+        "disorder-sweep-array-observables", "disorder-sweep-mean-profile", "chain-length-nan"])
 def test_config_errors_exit_2_before_output(tmp_path, capsys, command, text):
     out = tmp_path / "out"
     assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 2
@@ -151,49 +158,77 @@ def test_malformed_threads_env_exits_2(tmp_path, monkeypatch):
     assert not out.exists()
 
 
-class TestRuns:
-    def test_spectrum_outputs_and_manifest(self, tmp_path):
-        cfg = write(tmp_path, MINIMAL_SPECTRUM)
-        out = tmp_path / "out"
-        assert main(["spectrum", "--config", cfg, "--out", str(out), "--plots"]) == 0
-        for name in ("obc.csv", "pbc.csv", "spectrum.svg", "manifest.cfg"):
-            assert (out / name).exists()
-        header = (out / "obc.csv").read_text().splitlines()[0]
-        assert header == "index,re_E,im_E"
-        manifest = (out / "manifest.cfg").read_text()
-        for name in ("obc.csv", "pbc.csv", "spectrum.svg"):
-            assert name in manifest
-        # no orphan outputs
-        produced = {p.name for p in out.iterdir()} - {"manifest.cfg"}
-        listed = {line.split("= ")[1] for line in manifest.splitlines() if line.startswith("file")}
-        assert produced == listed
-
-    def test_byte_identical_reruns(self, tmp_path):
-        text = """
-[model]
-kind = modbkc
-J1 = 1
-J2 = 0.5
-Delta1 = 1.5
-Delta2 = 2.1
-omega = 0
-N = 16
-bc = obc
-
+# One small run per command (two for disorder, with and without a [sweep]):
+# command, config, the files it writes with --plots in write order, and the
+# header of the first.
+RUNS = [
+    ("spectrum", MINIMAL_SPECTRUM.replace("N = 100", "N = 8"),
+     ["obc.csv", "pbc.csv", "spectrum.svg"], "index,re_E,im_E"),
+    ("profiles", MODBKC_MODEL.format(bc="both").replace("N = 8", "N = 2"),
+     ["profiles_obc.csv", "profiles_obc.svg", "profiles_pbc.csv", "profiles_pbc.svg"],
+     ",".join(["state"] + [f"b{a}" for a in range(8)])),
+    ("winding", MODBKC_MODEL.format(bc="obc") + SWEEP.format(name="J1", step=0.5),
+     ["winding.csv", "winding.svg"],
+     "J1,re_dtilde1,im_dtilde1,re_dtilde2,im_dtilde2,"
+     "w_plus_numeric,w_minus_numeric,w_plus_analytic,w_minus_analytic"),
+    ("phase-scan", MODBKC_MODEL.format(bc="obc") + SWEEP.format(name="J1", step=0.5),
+     ["phase_scan.csv", "phase_scan.svg"], "J1,abs_E_min,zero_modes,w_plus,w_minus,nhse_fraction,error"),
+    ("disorder", MODBKC_MODEL.format(bc="obc").replace("N = 8", "N = 16") + """
 [disorder]
 W_J1 = 0.1
 W_omega = 2
 realizations = 3
 seed = 99
-observables = zero_gap,zero_modes
-"""
+observables = zero_gap,zero_modes,nhse_fraction,mean_profile,abs_spectrum
+""", ["zero_gap.csv", "zero_modes.csv", "nhse_fraction.csv", "mean_profile.csv", "mean_profile.svg",
+      "abs_spectrum_realizations.csv"], "realization,zero_gap"),
+    ("disorder", MODBKC_MODEL.format(bc="obc") + SWEEP.format(name="J2", step=0.5)
+     + DISORDER.format(obs="zero_gap,zero_modes"),
+     ["zero_gap_aggregate.csv", "zero_gap_realizations.csv", "zero_modes_aggregate.csv",
+      "zero_modes_realizations.csv", "disorder_sweep.svg"], "J2,mean,std,n"),
+    ("floquet", "[floquet]\nlambdas = 0,0.5,1\nJt1 = 0.4\nJt2 = 0.1\n",
+     ["floquet.csv", "floquet.svg"], "lambda,re_J1,im_J1,re_J2,im_J2,abs_bessel"),
+]
+RUN_IDS = ["spectrum", "profiles", "winding", "phase-scan", "disorder", "disorder-sweep", "floquet"]
+
+
+class TestRuns:
+    @pytest.mark.parametrize("command,text,files,header", RUNS, ids=RUN_IDS)
+    def test_spectrum_outputs_and_manifest(self, tmp_path, capsys, command, text, files, header):
+        cfg = write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), "--plots"]) == 0
+        printed = [os.path.basename(line) for line in capsys.readouterr().out.splitlines()]
+        assert printed == files + ["manifest.cfg"]
+        assert (out / files[0]).read_text().splitlines()[0] == header
+        manifest = (out / "manifest.cfg").read_text()
+        # the manifest lists exactly the files written, in write order: no orphan outputs
+        listed = [line.split("= ")[1] for line in manifest.splitlines() if line.startswith("file")]
+        assert listed == files
+        assert {p.name for p in out.iterdir()} == set(files) | {"manifest.cfg"}
+
+    @pytest.mark.parametrize("command,text,files,header", RUNS, ids=RUN_IDS)
+    def test_byte_identical_reruns(self, tmp_path, command, text, files, header):
         cfg = write(tmp_path, text)
         outs = []
         for sub in ("a", "b"):
             out = tmp_path / sub
-            assert main(["disorder", "--config", cfg, "--out", str(out)]) == 0
-            outs.append((out / "zero_gap.csv").read_bytes())
+            assert main([command, "--config", cfg, "--out", str(out), "--plots"]) == 0
+            outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(outs[0]) == sorted(files + ["manifest.cfg"])
         assert outs[0] == outs[1]
+
+    def test_winding_plot_of_gap_closed_sweep(self, tmp_path):
+        # J1 = J2 and Delta1 = Delta2 close the gap at every omega: no point has a
+        # winding number, so the plotted series is empty
+        text = MODBKC_MODEL.format(bc="obc").replace("J1 = 1\n", "J1 = 0.5\n")
+        text = text.replace("Delta1 = 1.5", "Delta1 = 1").replace("Delta2 = 2.1", "Delta2 = 1")
+        cfg = write(tmp_path, text + SWEEP.format(name="omega", step=0.5))
+        out = tmp_path / "w"
+        assert main(["winding", "--config", cfg, "--out", str(out), "--plots"]) == 0
+        rows = (out / "winding.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3 and all(row.endswith(",,,,") for row in rows)
+        assert '<polyline points=""' in (out / "winding.svg").read_text()
 
     def test_seed_override_changes_output(self, tmp_path):
         text = """
@@ -323,9 +358,11 @@ N = 10
 bc = obc
 """
         cfg = write(tmp_path, text)
-        code = main(["profiles", "--config", cfg, "--out", str(tmp_path / "e")])
+        out = tmp_path / "e"
+        code = main(["profiles", "--config", cfg, "--out", str(out), "--plots"])
         assert code == 1
         assert "profiles" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_threads_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BKCHAIN_THREADS", "2")

@@ -16,8 +16,9 @@ from bkchain.model import (
     build_modbkc_quadratic,
     excitation_matrix,
 )
-from bkchain.spectral import modbkc_spectrum_zero_omega, zero_gap
-from bkchain.topology import edge_mode_count
+from bkchain import disorder, topology
+from bkchain.spectral import SolverError, modbkc_spectrum_zero_omega, zero_gap
+from bkchain.topology import AxisSpec, edge_mode_count, phase_scan
 from bkchain.transform import SingularTransformError, a_combined, ssh_lift_target, transform_residual
 
 OBC = BoundaryCondition.OBC
@@ -173,3 +174,28 @@ class TestEnsembles:
         vals = res.observables["zero_gap"]
         assert res.mean["zero_gap"] == pytest.approx(vals.mean())
         assert res.std["zero_gap"] == pytest.approx(vals.std(ddof=1))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("error,recorded", [(SolverError, True), (TypeError, False)],
+                         ids=["solver-error-recorded", "type-error-propagates"])
+def test_only_point_errors_are_recorded(monkeypatch, error, recorded, threads):
+    # a SolverError fails one point or realization; a TypeError is a bug and must propagate
+    def broken_solve(p, bc):
+        raise error("broken solve")
+
+    monkeypatch.setattr(topology, "solve", broken_solve)
+    monkeypatch.setattr(disorder, "solve", broken_solve)
+    base = ModBKCParams(J1=1.0, J2=0.5, Delta1=1.5, Delta2=2.1, omega=0.0, N=8)
+    spec = DisorderSpec(strengths={"J1": 0.1}, seed=1, realizations=3)
+    axes = [AxisSpec("J1", 0.0, 0.4, 0.2)]
+    if recorded:
+        d = phase_scan(base, axes, threads=threads)
+        assert [pt.error for pt in d.points] == ["SolverError: broken solve"] * 3
+        with pytest.raises(RuntimeError, match="all 3 realizations failed; first: SolverError"):
+            ensemble_observables(base, spec, threads=threads)
+    else:
+        with pytest.raises(TypeError, match="broken solve"):
+            phase_scan(base, axes, threads=threads)
+        with pytest.raises(TypeError, match="broken solve"):
+            ensemble_observables(base, spec, threads=threads)
