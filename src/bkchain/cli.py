@@ -17,6 +17,11 @@ Every command may also have an [output] section; any other section is a
 configuration error.  [sweep] has one axis (parameter, min, max, step);
 phase-scan takes a second (parameter2, min2, max2, step2).
 
+Integer keys (model.N, disorder.seed and .realizations, winding.grid,
+output.threads) are integer literals, parsed exactly.  A chain has at most
+MAX_CELLS = 2500 cells, and a disorder seed, from the config or --seed, lies
+in [0, 2**64).
+
 Every run writes CSV files plus a run manifest listing them; --plots adds
 self-contained SVG figures.  A run computes all of its outputs before it
 writes any, so a failed compute step writes no file.  Exit codes: 2 for
@@ -47,6 +52,7 @@ from .model import BKCParams, BoundaryCondition, ModBKCParams
 from .skin import profile_matrix
 from .spectral import solve
 from .topology import (
+    MAX_CELLS,
     MIN_WINDING_GRID,
     AxisSpec,
     GapClosedError,
@@ -160,22 +166,29 @@ def parse_config(path: str, command: str) -> RunConfig:
     return cfg
 
 
-def _get_float(sec: dict, name: str, section: str, default=None) -> float:
+def _get(sec: dict, name: str, section: str, default, parse: Callable, kind: str):
     if name not in sec:
         if default is None:
             raise ConfigError(f"missing required key {name!r} in section [{section}]")
         return default
     try:
-        return float(sec[name])
+        return parse(sec[name])
     except ValueError as err:
-        raise ConfigError(f"key {name!r} in [{section}] must be a number, got {sec[name]!r}") from err
+        raise ConfigError(f"key {name!r} in [{section}] must be {kind}, got {sec[name]!r}") from err
+
+
+def _get_float(sec: dict, name: str, section: str, default=None) -> float:
+    return _get(sec, name, section, default, float, "a number")
 
 
 def _get_int(sec: dict, name: str, section: str, default=None) -> int:
-    v = _get_float(sec, name, section, default)
-    if not math.isfinite(v) or v != int(v):
-        raise ConfigError(f"key {name!r} in [{section}] must be an integer, got {v}")
-    return int(v)
+    return _get(sec, name, section, default, int, "an integer")
+
+
+def _check_seed(seed: int, where: str) -> int:
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"{where} must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def _parse_model(sec: dict, command: str):
@@ -186,6 +199,8 @@ def _parse_model(sec: dict, command: str):
     if command in ("winding", "phase-scan", "disorder") and kind != "modbkc":
         raise ConfigError(f"{command} requires model.kind = modbkc")
     n = _get_int(sec, "N", "model")
+    if n > MAX_CELLS:
+        raise ConfigError(f"model.N must be <= {MAX_CELLS}, got {n}")
     omega = _get_float(sec, "omega", "model", 0.0)
     cls, names = (BKCParams, ("J0", "Delta0")) if kind == "bkc" else \
         (ModBKCParams, ("J1", "J2", "Delta1", "Delta2"))
@@ -235,7 +250,8 @@ def _parse_disorder(sec: dict, axes: tuple) -> dict:
     """RunConfig fields of the [disorder] section."""
     strengths = {key[2:]: _get_float(sec, key, "disorder") for key in sec if key.startswith("W_")}
     try:
-        spec = DisorderSpec(strengths=strengths, seed=_get_int(sec, "seed", "disorder", 12345),
+        spec = DisorderSpec(strengths=strengths,
+                            seed=_check_seed(_get_int(sec, "seed", "disorder", 12345), "disorder.seed"),
                             realizations=_get_int(sec, "realizations", "disorder", 20))
     except ValueError as err:
         raise ConfigError(f"[disorder]: {err}") from err
@@ -246,9 +262,15 @@ def _parse_disorder(sec: dict, axes: tuple) -> dict:
         if axes and name not in _SCALAR_OBSERVABLES:
             raise ConfigError(f"observable {name!r} has no [sweep] output; choose from "
                               f"{_SCALAR_OBSERVABLES} or remove the [sweep] section")
-    return dict(disorder=spec, observables=names, frac=_get_float(sec, "frac", "disorder", 0.1),
-                threshold=_get_float(sec, "threshold", "disorder", 0.9),
-                zero_tol=_get_float(sec, "zero_tol", "disorder", 1e-6))
+    frac = _get_float(sec, "frac", "disorder", 0.1)
+    threshold = _get_float(sec, "threshold", "disorder", 0.9)
+    zero_tol = _get_float(sec, "zero_tol", "disorder", 1e-6)
+    for name, value, ok, domain in (("frac", frac, 0 < frac <= 0.5, "(0, 0.5]"),
+                                    ("threshold", threshold, 0 <= threshold <= 1, "[0, 1]"),
+                                    ("zero_tol", zero_tol, 0 < zero_tol < math.inf, "(0, inf)")):
+        if not ok:
+            raise ConfigError(f"disorder.{name} must be in {domain}, got {value}")
+    return dict(disorder=spec, observables=names, frac=frac, threshold=threshold, zero_tol=zero_tol)
 
 
 def _parse_floquet(sec: dict) -> tuple:
@@ -453,6 +475,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config, args.command)
+        if args.seed is not None:
+            _check_seed(args.seed, "--seed")
         threads = args.threads
         if threads is None:
             env = os.environ.get("BKCHAIN_THREADS", "").strip()

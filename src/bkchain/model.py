@@ -34,7 +34,7 @@ called nowhere else in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Union
 
@@ -315,14 +315,13 @@ def bloch_matrix(p: Union[BKCParams, ModBKCParams], k) -> np.ndarray:
     chain, 4 for the two-sublattice chain), or an array of any shape, giving
     a stack of shape ``k.shape + (s, s)``.
 
-    The blocks of the two models use opposite Fourier conventions.  The
-    two-sublattice block maps the forward shift |j+1><j| to exp(-ik), so the
-    plane wave v[(j, a)] = exp(+ikj) u_a is an eigenvector of the ring
-    wherever u is one of the block.  The single-band block maps it to
-    exp(+ik), giving -2 J0 sin(k) sigma_0 - 2i Delta0 cos(k) sigma_z +
-    omega sigma_y, with plane waves exp(-ikj) u_a.  The eigenvalue set over
-    k = 2 pi m / N equals the PBC spectrum either way (k -> -k maps the two
-    conventions onto each other).
+    B(k) = T0 + T+ exp(ik) + T- exp(-ik), where T0, T+ and T- are the blocks
+    of cell 0 with cells 0, 1 and 2 of the model's production matrix on a
+    three-cell ring (there cells 1 and 2 are the distinct neighbours of
+    cell 0).  Both models therefore share one convention: the plane wave
+    v[(j, a)] = exp(+ikj) u_a is an eigenvector of the ring wherever u is
+    one of the block, and the eigenvalue set over k = 2 pi m / N is the PBC
+    spectrum.
     """
     k = np.asarray(k, dtype=float)
     if not np.all(np.isfinite(k)):
@@ -332,21 +331,8 @@ def bloch_matrix(p: Union[BKCParams, ModBKCParams], k) -> np.ndarray:
     # bond's entries, and couplings that cancel there must cancel here too
     turns = np.round(k / (np.pi / 2))
     exact = np.array([1, 1j, -1, -1j])[(turns % 4).astype(int)]
-    fwd = np.where(turns * (np.pi / 2) == k, exact, np.exp(1j * k))
-    back = fwd.conj()
-    if isinstance(p, BKCParams):
-        B = np.zeros(k.shape + (2, 2), dtype=complex)
-        B[..., 0, 1] = -1j * p.omega
-        B[..., 1, 0] = 1j * p.omega
-        B[..., 0, 0] = -1j * (p.J0 + p.Delta0) * back + 1j * (p.J0 - p.Delta0) * fwd
-        B[..., 1, 1] = -1j * (p.J0 - p.Delta0) * back + 1j * (p.J0 + p.Delta0) * fwd
-        return B
-    B = np.zeros(k.shape + (4, 4), dtype=complex)
-    for S in (0, 1):
-        B[..., 2 * S + 0, 2 * S + 1] = -1j * p.omega
-        B[..., 2 * S + 1, 2 * S + 0] = 1j * p.omega
-    B[..., 0, 3] = 1j * (p.Delta1 - p.J1) + 1j * (p.Delta2 - p.J2) * back
-    B[..., 1, 2] = 1j * (p.Delta1 + p.J1) + 1j * (p.Delta2 + p.J2) * back
-    B[..., 2, 1] = 1j * (p.Delta1 - p.J1) + 1j * (p.Delta2 - p.J2) * fwd
-    B[..., 3, 0] = 1j * (p.Delta1 + p.J1) + 1j * (p.Delta2 + p.J2) * fwd
-    return B
+    fwd = np.where(turns * (np.pi / 2) == k, exact, np.exp(1j * k))[..., None, None]
+    build = build_bkc_quadratic if isinstance(p, BKCParams) else build_modbkc_quadratic
+    M = excitation_matrix(build(replace(p, N=3), BoundaryCondition.PBC)).M
+    s = M.shape[0] // 3
+    return M[:s, :s] + M[:s, s:2 * s] * fwd + M[:s, 2 * s:] * fwd.conj()

@@ -21,11 +21,11 @@ code that picks a solve route:
   eigenvalues stay exact but no eigenvectors are computed.
 * **Bloch** (uniform ring of either model, `BKCParams` or `ModBKCParams`
   under PBC, any omega).  Translation invariance splits the ring into N
-  independent blocks B(k), k = 2 pi m / N (`bloch_matrix`), 2x2 or 4x4.
-  `_bloch_spectrum` solves them in one batched `eig` and writes each ring
-  eigenvector as the plane wave of a block eigenvector.  Nothing is squared,
-  so no eigenvalue needs a guard.  Neither gauge closes around a ring, so no
-  ring takes a gauge route.
+  independent blocks B(k), k = 2 pi m / N, 2x2 or 4x4, read off the model's
+  builder by `bloch_matrix`.  `_bloch_spectrum` solves them in one batched
+  `eig` and writes each ring eigenvector as the plane wave exp(+ikj) of a
+  block eigenvector.  Nothing is squared, so no eigenvalue needs a guard.
+  Neither gauge closes around a ring, so no ring takes a gauge route.
 * **x/p** for every other point whose quadratic form has an exactly zero x-p
   cross block ``Q[0::2, 1::2]``: every other two-sublattice point, that is,
   open chains at nonzero omega and site-resolved fields, open or periodic.
@@ -302,10 +302,9 @@ def _bloch_spectrum(p: Union[BKCParams, ModBKCParams], M: ExcitationMatrix) -> S
     """Spectrum of a uniform ring from its N Bloch blocks, checked on the ring matrix M.
 
     Each eigenpair (E, u) of the block at k = 2 pi m / N gives the ring
-    eigenpair (E, v), v[(j, a)] = w^(j m) u_a / sqrt(N), with w = exp(+-2 pi i / N)
-    by the block's Fourier convention (see `bloch_matrix`).  The plane waves
-    are written straight into the ring's eigenvector array, in the order
-    `_sorted` gives.
+    eigenpair (E, v), v[(j, a)] = w^(j m) u_a / sqrt(N), with w = exp(2 pi i / N)
+    (see `bloch_matrix`).  The plane waves are written straight into the
+    ring's eigenvector array, in the order `_sorted` gives.
     """
     n = p.N
     m = np.arange(n)
@@ -319,8 +318,7 @@ def _bloch_spectrum(p: Union[BKCParams, ModBKCParams], M: ExcitationMatrix) -> S
     vals = E.ravel()
     order = np.lexsort((vals.imag, vals.real))
     mk, band = np.divmod(order, s)
-    sign = -1 if isinstance(p, BKCParams) else 1
-    wave = np.exp(sign * 2j * np.pi * m / n) / np.sqrt(n)   # w^t / sqrt(N), t = j m mod N
+    wave = np.exp(2j * np.pi * m / n) / np.sqrt(n)   # w^t / sqrt(N), t = j m mod N
     np.multiply(wave[np.outer(m, mk) % n][:, None, :], U[mk, :, band].T,
                 out=vecs.reshape(n, s, n * s))
     spec = Spectrum(eigenvalues=vals[order], eigenvectors=vecs,

@@ -57,6 +57,9 @@ __all__ = [
 _WINDING_RESIDUE_TOL = 0.01
 _GAP_TOL = 1e-10
 MAX_GRID_POINTS = 10 ** 6
+# Largest chain length a run config may ask for: the 4N x 4N complex
+# eigenvectors of a two-sublattice chain take 1.6 GB at N = 2500 cells
+MAX_CELLS = 2500
 MIN_WINDING_GRID = 64
 
 
@@ -187,7 +190,10 @@ class AxisSpec:
             raise ValueError("axis step must be positive")
         if self.stop < self.start:
             raise ValueError("axis stop must be >= start")
-        return int(round((self.stop - self.start) / self.step)) + 1
+        ratio = (self.stop - self.start) / self.step
+        if not math.isfinite(ratio):
+            raise ValueError(f"axis step {self.step!r} gives a non-finite number of points")
+        return int(round(ratio)) + 1
 
     def values(self) -> np.ndarray:
         return self.start + self.step * np.arange(grid_size([self]))

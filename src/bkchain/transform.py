@@ -9,10 +9,12 @@ into a mapping onto an SSH chain with renormalized couplings
     dtilde1 = sqrt(Delta1^2 - J1^2),   dtilde2 = sqrt(Delta2^2 - J2^2).
 
 Diagonal entries grow/decay like r^(j/2), which overflows double precision
-near N ~ 100 for large r, so scales are stored as (log-modulus, phase) and all
-products are taken entrywise in log space.  Transforms are exact entrywise
-(each transformed entry is a single product), which keeps residual checks at
-machine precision even when the condition number of the diagonal is 1e60+.
+near N ~ 100 for large r.  Every gauge is therefore built from log r as a
+complex log-diagonal and stored as (log-modulus, phase); the diagonal itself
+is never formed, and all products are taken entrywise in log space.
+Transforms are exact entrywise (each transformed entry is a single product),
+which keeps residual checks at machine precision even when the condition
+number of the diagonal is 1e60+.
 """
 
 from __future__ import annotations
@@ -103,14 +105,6 @@ class SimilarityMatrix:
         return out
 
 
-def _as_log_phase(values: np.ndarray):
-    values = np.asarray(values, dtype=complex)
-    mag = np.abs(values)
-    if np.any(mag == 0) or not np.all(np.isfinite(mag)):
-        raise SingularTransformError("similarity diagonal has zero or non-finite entries")
-    return np.log(mag), values / mag
-
-
 def _log_ratios(delta, J, what: str):
     """(log r, r) with r = (Delta + J)/(Delta - J), elementwise over bonds.
 
@@ -131,20 +125,23 @@ def _log_ratios(delta, J, what: str):
     return np.log(r), r
 
 
+def _from_log(diag_log: np.ndarray, r_values: dict) -> SimilarityMatrix:
+    """Similarity whose diagonal is exp(diag_log), never formed explicitly."""
+    return SimilarityMatrix(log_scale=diag_log.real, phase=np.exp(1j * diag_log.imag), r_values=r_values)
+
+
 def hatano_nelson_A(p: BKCParams) -> SimilarityMatrix:
     """Diagonal gauge for the single-band chain, r = (Delta0+J0)/(Delta0-J0).
 
     Scales are r^(-j/2) on x components and r^(+j/2) on p components; with
     this choice A^{-1} M A is (anti-)Hermitian, see `hatano_nelson_target`.
     """
-    log_r, r = _log_ratios(p.Delta0, p.J0, "hatano_nelson_A")
-    half_log_r = 0.5 * log_r  # principal branch for negative r
+    log_r, r = _log_ratios(p.Delta0, p.J0, "hatano_nelson_A")  # principal branch for negative r
     j = np.arange(p.N)
-    diag = np.empty(2 * p.N, dtype=complex)
-    diag[0::2] = np.exp(-j * half_log_r)  # x_j
-    diag[1::2] = np.exp(j * half_log_r)   # p_j
-    log_scale, phase = _as_log_phase(diag)
-    return SimilarityMatrix(log_scale=log_scale, phase=phase, r_values={"r": complex(r)})
+    diag_log = np.empty(2 * p.N, dtype=complex)
+    diag_log[0::2] = -0.5 * j * log_r  # x_j
+    diag_log[1::2] = 0.5 * j * log_r   # p_j
+    return _from_log(diag_log, {"r": complex(r)})
 
 
 def hatano_nelson_target(p: BKCParams, bc: BoundaryCondition = BoundaryCondition.OBC) -> np.ndarray:
@@ -197,13 +194,11 @@ def _similarity_from_products(f: SiteFields, use_r1: bool, use_r2: bool) -> Simi
     diag_log[1::4] = 0.5 * (c2 - c1[:-1])  # A p
     diag_log[2::4] = 0.5 * (c2 - c1[1:])   # B x
     diag_log[3::4] = 0.5 * (c1[1:] - c2)   # B p
-    log_scale = diag_log.real
-    phase = np.exp(1j * diag_log.imag)
     r_values = {}
     for name, r in (("r1", r1), ("r2", r2)):
         if r is not None:
             r_values[name] = r if np.ptp(r.real) + np.ptp(r.imag) > 0 else r[0]
-    return SimilarityMatrix(log_scale=log_scale, phase=phase, r_values=r_values)
+    return _from_log(diag_log, r_values)
 
 
 def a1_prime(p: Union[ModBKCParams, SiteFields]) -> SimilarityMatrix:

@@ -136,6 +136,18 @@ SECOND_AXIS = "parameter2 = J2\nmin2 = 0\nmax2 = 1\nstep2 = 0.5\n"
     ("disorder", MODBKC_MODEL.format(bc="obc") + SWEEP.format(name="J2", step=0.5)
      + DISORDER.format(obs="mean_profile")),
     ("spectrum", BKC_MODEL.format(n="nan")),
+    ("disorder", MODBKC_MODEL.format(bc="obc") + DISORDER.format(obs="zero_gap") + "seed = 18446744073709551616\n"),
+    ("disorder", MODBKC_MODEL.format(bc="obc") + DISORDER.format(obs="zero_gap") + "seed = -1\n"),
+    ("disorder", MODBKC_MODEL.format(bc="obc") + DISORDER.format(obs="zero_gap") + "seed = 1e3\n"),
+    ("disorder", MODBKC_MODEL.format(bc="obc").replace("N = 8", "N = 1e300") + DISORDER.format(obs="zero_gap")),
+    ("spectrum", BKC_MODEL.format(n=2501)),
+    ("spectrum", MODBKC_MODEL.format(bc="obc") + SWEEP.format(name="J1", step=1e-320)),
+    ("disorder", MODBKC_MODEL.format(bc="obc") + DISORDER.format(obs="zero_modes") + "zero_tol = 0\n"),
+    ("disorder", MODBKC_MODEL.format(bc="obc") + DISORDER.format(obs="zero_modes") + "zero_tol = inf\n"),
+    ("disorder", MODBKC_MODEL.format(bc="obc") + DISORDER.format(obs="nhse_fraction") + "frac = 0\n"),
+    ("disorder", MODBKC_MODEL.format(bc="obc") + DISORDER.format(obs="nhse_fraction") + "frac = 0.6\n"),
+    ("disorder", MODBKC_MODEL.format(bc="obc") + DISORDER.format(obs="nhse_fraction") + "threshold = nan\n"),
+    ("disorder", MODBKC_MODEL.format(bc="obc") + DISORDER.format(obs="nhse_fraction") + "threshold = 1.5\n"),
 ], ids=["unknown-sweep-parameter", "sweep-parameter-not-on-model", "zero-step",
         "oversized-sweep", "oversized-scan-grid", "phase-scan-pbc", "phase-scan-both",
         "phase-scan-bkc", "winding-bkc", "disorder-bkc", "disorder-both",
@@ -143,12 +155,29 @@ SECOND_AXIS = "parameter2 = J2\nmin2 = 0\nmax2 = 1\nstep2 = 0.5\n"
         "floquet-lambda-not-a-number", "floquet-zero-period", "spectrum-second-axis",
         "winding-second-axis", "disorder-second-axis", "profiles-sweep",
         "bkc-parameter-on-modbkc", "floquet-model", "floquet-sweep", "spectrum-disorder-section",
-        "disorder-sweep-array-observables", "disorder-sweep-mean-profile", "chain-length-nan"])
+        "disorder-sweep-array-observables", "disorder-sweep-mean-profile", "chain-length-nan",
+        "seed-2-to-the-64", "seed-negative", "seed-float-literal", "chain-length-1e300",
+        "chain-length-above-cap", "subnormal-sweep-step", "zero-tol-zero", "zero-tol-inf", "frac-zero",
+        "frac-above-half", "threshold-nan", "threshold-above-one"])
 def test_config_errors_exit_2_before_output(tmp_path, capsys, command, text):
     out = tmp_path / "out"
     assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_seed_flag_out_of_range_exits_2(tmp_path, capsys, seed):
+    out = tmp_path / "out"
+    text = MODBKC_MODEL.format(bc="obc") + DISORDER.format(obs="zero_gap")
+    assert main(["disorder", "--config", write(tmp_path, text), "--out", str(out), f"--seed={seed}"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_largest_seed_is_parsed_exactly(tmp_path):
+    text = MODBKC_MODEL.format(bc="obc") + DISORDER.format(obs="zero_gap") + "seed = 18446744073709551615\n"
+    assert parse_config(write(tmp_path, text), "disorder").disorder.seed == 2 ** 64 - 1
 
 
 def test_malformed_threads_env_exits_2(tmp_path, monkeypatch):

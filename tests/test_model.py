@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -280,13 +282,19 @@ class TestBloch:
         ModBKCParams(J1=0.4, J2=0.9, Delta1=1.1, Delta2=0.5, omega=0.2, N=8),
     ])
     def test_pbc_spectrum_is_union_of_bloch_blocks(self, params, set_distance):
-        if isinstance(params, BKCParams):
-            M = build_bkc_excitation_direct(params, PBC).M
-        else:
-            M = build_modbkc_excitation_direct(params, PBC).M
+        direct = build_bkc_excitation_direct if isinstance(params, BKCParams) else build_modbkc_excitation_direct
+        M = direct(params, PBC).M
         full = np.linalg.eigvals(M)
         blocks = np.concatenate([
             np.linalg.eigvals(bloch_matrix(params, 2 * np.pi * m / params.N))
             for m in range(params.N)
         ])
         assert set_distance(full, blocks) < 1e-10
+        # every block eigenpair (E, u) at k is the ring eigenpair of the plane wave exp(ikj) u / sqrt(N)
+        for n in (2, 3, 8):
+            p = replace(params, N=n)
+            M = direct(p, PBC).M
+            for k in 2 * np.pi * np.arange(n) / n:
+                E, U = np.linalg.eig(bloch_matrix(p, k))
+                V = np.kron(np.exp(1j * k * np.arange(n))[:, None], U) / np.sqrt(n)
+                assert np.linalg.norm(M @ V - V * E, axis=0).max() <= 1e-12 * np.abs(M).max()

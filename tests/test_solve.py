@@ -26,6 +26,8 @@ site-jittered fields) and the dense reference of an open omega = 0 chain
 stays accurate enough to compare against at N <= 12.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -293,6 +295,20 @@ class TestSolveRoutes:
         assert s.eigenvectors is not None
         scale = np.abs(build_bkc_excitation_direct(p, OBC).M).max()
         assert np.abs(s.eigenvalues).max() <= 10 * np.finfo(float).eps ** (1 / p.N) * scale
+
+    @pytest.mark.parametrize("Delta0,N", [(0.5001, 200), (0.51, 400)])
+    def test_bkc_gauge_beyond_exp_overflow(self, Delta0, N):
+        # (N - 1)/2 log r > 709: the gauge diagonal itself overflows a double,
+        # but the gauge built in log space exists and the route stays exact
+        p = BKCParams(J0=0.5, Delta0=Delta0, omega=0.0, N=N)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            s = solve(p, OBC)
+        band = 2 * np.sqrt(complex(p.J0 ** 2 - p.Delta0 ** 2)) * np.cos(np.pi * np.arange(1, N + 1) / (N + 1))
+        ref = np.concatenate([band, band])
+        ref = ref[np.lexsort((ref.imag, ref.real))]
+        assert s.source.startswith("similarity[")
+        assert np.abs(s.eigenvalues - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestBlochRoute:
