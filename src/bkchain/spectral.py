@@ -235,7 +235,7 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     source = f"reduced[modbkc,{bc.value},n={n}]"
     # H is tridiagonal with bonds b_k, each real or purely imaginary: with s_{k+1} = s_k |b_k| / b_k,
     # a power of i, S^-1 H S is the real H_r with |b_k| above and b_k^2 / |b_k| below the diagonal.
-    b = np.diagonal(effective_ssh_matrix(p, bc), 1)
+    b = np.diagonal(effective_ssh_matrix(p), 1)
     mag, symmetric = np.abs(b), not b.imag.any()
     Hr = np.diag(mag, 1) + np.diag(np.where(b.imag != 0, -mag, mag), -1)
     try:

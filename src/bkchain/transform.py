@@ -26,7 +26,6 @@ import numpy as np
 
 from .model import (
     BKCParams,
-    BoundaryCondition,
     ExcitationMatrix,
     ModBKCParams,
     SiteFields,
@@ -144,8 +143,8 @@ def hatano_nelson_A(p: BKCParams) -> SimilarityMatrix:
     return _from_log(diag_log, {"r": complex(r)})
 
 
-def hatano_nelson_target(p: BKCParams, bc: BoundaryCondition = BoundaryCondition.OBC) -> np.ndarray:
-    """Image of the omega=0 single-band chain under `hatano_nelson_A`.
+def hatano_nelson_target(p: BKCParams) -> np.ndarray:
+    """Image of the open omega=0 single-band chain under `hatano_nelson_A`.
 
     The transformed matrix is c * sigma_z (x) (S + S^T) with
     c = -sqrt(J0^2 - Delta0^2) (principal root) for |Delta0| <= |J0| and
@@ -158,8 +157,8 @@ def hatano_nelson_target(p: BKCParams, bc: BoundaryCondition = BoundaryCondition
         c = -c
     n = p.N
     T = np.zeros((2 * n, 2 * n), dtype=complex)
-    a = np.arange(n if bc is BoundaryCondition.PBC else n - 1)
-    b = (a + 1) % n
+    a = np.arange(n - 1)
+    b = a + 1
     T[2 * a, 2 * b] = T[2 * b, 2 * a] = c                   # x channel
     T[2 * a + 1, 2 * b + 1] = T[2 * b + 1, 2 * a + 1] = -c   # p channel
     return T
@@ -240,20 +239,15 @@ def effective_ssh_params(p: Union[ModBKCParams, SiteFields]) -> EffectiveSSHPara
     return EffectiveSSHParams(dtilde1=d1, dtilde2=d2)
 
 
-def effective_ssh_matrix(p: Union[ModBKCParams, SiteFields],
-                         bc: BoundaryCondition = BoundaryCondition.OBC) -> np.ndarray:
-    """2N-dimensional SSH-form matrix with bonds sign(Delta - J) dtilde[j].
+def effective_ssh_matrix(p: Union[ModBKCParams, SiteFields]) -> np.ndarray:
+    """2N-dimensional open SSH chain with bonds sign(Delta - J) dtilde[j].
 
-    Under open boundaries the combined gauge maps the omega=0 excitation
-    matrix exactly onto i sigma_x (x) (this matrix): each bond is the gauge's
-    (Delta - J) sqrt(r), real or purely imaginary, and the 4N eigenvalues are
-    +-i E_m over the 2N eigenvalues E_m here.  The eigenvalue identity holds
-    for all parameters (including Delta = J, where the gauge is singular)
-    because characteristic polynomials depend polynomially on the couplings.
-    It does not hold for the ring: the gauge does not close around it (the
-    wrap bond is rescaled by the gauge accumulated along the chain instead of
-    being symmetrized), so the PBC matrix built here is the symmetric SSH
-    ring, not an image of the periodic excitation matrix.
+    The combined gauge maps the open omega=0 excitation matrix exactly onto
+    i sigma_x (x) (this matrix): each bond is the gauge's (Delta - J) sqrt(r),
+    real or purely imaginary, and the 4N eigenvalues are +-i E_m over the 2N
+    eigenvalues E_m here.  The eigenvalue identity holds for all parameters
+    (including Delta = J, where the gauge is singular) because characteristic
+    polynomials depend polynomially on the couplings.
     """
     f = _fields(p)
     n = f.N
@@ -262,16 +256,15 @@ def effective_ssh_matrix(p: Union[ModBKCParams, SiteFields],
     H = np.zeros((2 * n, 2 * n), dtype=complex)
     j = np.arange(n)
     H[2 * j, 2 * j + 1] = H[2 * j + 1, 2 * j] = v
-    a = j if bc is BoundaryCondition.PBC else j[:-1]
-    b = (a + 1) % n
+    a = j[:-1]
+    b = a + 1
     H[2 * a + 1, 2 * b] = H[2 * b, 2 * a + 1] = w[a]
     return H
 
 
-def ssh_lift_target(p: Union[ModBKCParams, SiteFields],
-                    bc: BoundaryCondition = BoundaryCondition.OBC) -> np.ndarray:
+def ssh_lift_target(p: Union[ModBKCParams, SiteFields]) -> np.ndarray:
     """4N target matrix i sigma_x (x) effective_ssh_matrix in the flat basis."""
-    H = effective_ssh_matrix(p, bc)
+    H = effective_ssh_matrix(p)
     T = np.zeros((2 * H.shape[0], 2 * H.shape[0]), dtype=complex)
     # SSH site a = 2j+S sits at flat index 2a (x) and 2a+1 (p); sigma_x
     # flips the quadrature bit

@@ -230,7 +230,7 @@ class TestSolveRoutes:
     def test_reduced_route_with_mixed_bond_signs(self, f):
         s = solve(f, OBC)
         assert s.source.startswith("reduced[")
-        E = np.linalg.eigvals(effective_ssh_matrix(f, OBC))
+        E = np.linalg.eigvals(effective_ssh_matrix(f))
         M = _quadratic_matrix(f, OBC)
         dense = np.linalg.eigvals(M)
         scale = max(1.0, float(np.abs(dense).max()))

@@ -197,7 +197,7 @@ def _reference_lift(A, vectors):
 class TestLift:
     @staticmethod
     def _product_basis(p):
-        b = np.diagonal(effective_ssh_matrix(p, OBC), 1)
+        b = np.diagonal(effective_ssh_matrix(p), 1)
         _, U = np.linalg.eig(np.diag(b, 1) + np.diag(b, -1))
         vecs = np.empty((4 * p.N, 4 * p.N), dtype=complex)
         vecs[0::2], vecs[1::2] = np.hstack([U, U]), np.hstack([U, -U])
