@@ -5,9 +5,10 @@ Usage: python scripts/compare_figures.py DIR_A DIR_B
 
 Every file is reported as identical (byte for byte), changed, or present on
 one side only.  For a changed CSV the report gives, per numeric column, the
-largest absolute difference and the number of rows that differ; when at most
-ten rows differ, their keys (the first column) are listed, and when more than
-ten columns differ, one line sums them up.  Eigenvalue tables
+largest absolute difference and the number of rows that differ, with cells
+that became empty or were filled counted apart; when at most ten rows
+differ, their keys (the first column) are listed, and when more than ten
+columns differ, one line sums them up.  Eigenvalue tables
 (columns ``re_E`` and ``im_E``) are compared as sets per sweep value instead,
 because the row order follows a sort on real parts that round-off can
 reorder: each eigenvalue is paired with its nearest unused partner, and the
@@ -79,28 +80,39 @@ def _compare_spectra(header, rows_a, rows_b):
 def _compare_columns(header, rows_a, rows_b):
     if len(rows_a) != len(rows_b):
         return f"row counts differ: {len(rows_a)} vs {len(rows_b)}"
-    parts = []  # (max |diff|, column name, differing row keys)
+    parts = []  # (max |diff| or None, column name, differing row keys, emptied, filled)
     for c, name in enumerate(header):
-        diffs, keys = [], []
+        diffs, keys, emptied, filled = [], [], 0, 0
         for row_a, row_b in zip(rows_a, rows_b):
             if row_a[c] == row_b[c]:
                 continue
-            x, y = _number(row_a[c]), _number(row_b[c])
-            diffs.append(abs(x - y) if x is not None and y is not None else float("nan"))
             keys.append(row_a[0])
-        if diffs:
-            parts.append((max(diffs), name, keys))
+            if not row_b[c]:
+                emptied += 1
+            elif not row_a[c]:
+                filled += 1
+            else:
+                x, y = _number(row_a[c]), _number(row_b[c])
+                diffs.append(abs(x - y) if x is not None and y is not None else float("nan"))
+        if keys:
+            parts.append((max(diffs) if diffs else None, name, keys, emptied, filled))
     if not parts:
         return "cells equal, bytes differ"
     if len(parts) > MAX_LISTED:
         # wide tables (profiles): one line for all columns
-        worst, name, _ = max(parts, key=lambda part: part[0])
-        cells = sum(len(keys) for _, _, keys in parts)
-        return (f"{len(parts)} of {len(header)} columns differ in {cells} cell(s); "
-                f"max |diff| {worst:.2e} (column {name})")
+        cells = sum(len(part[2]) for part in parts)
+        text = f"{len(parts)} of {len(header)} columns differ in {cells} cell(s)"
+        numeric = [(part[0], part[1]) for part in parts if part[0] is not None]
+        if numeric:
+            worst, name = max(numeric)
+            text += f"; max |diff| {worst:.2e} (column {name})"
+        return text
     out = []
-    for worst, name, keys in parts:
-        text = f"{name}: max |diff| {worst:.2e} in {len(keys)} row(s)"
+    for worst, name, keys, emptied, filled in parts:
+        counts = [f"{n} cell(s) {what}" for n, what in ((emptied, "emptied"), (filled, "filled")) if n]
+        if worst is not None:
+            counts.append(f"max |diff| {worst:.2e} in {len(keys) - emptied - filled} row(s)")
+        text = f"{name}: {', '.join(counts)}"
         if len(keys) <= MAX_LISTED:
             text += f" at {header[0]} = {', '.join(keys)}"
         out.append(text)

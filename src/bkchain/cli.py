@@ -19,8 +19,9 @@ phase-scan takes a second (parameter2, min2, max2, step2).
 
 Integer keys (model.N, disorder.seed and .realizations, winding.grid,
 output.threads) are integer literals, parsed exactly.  A chain has at most
-MAX_CELLS = 2500 cells, and a disorder seed, from the config or --seed, lies
-in [0, 2**64).
+MAX_CELLS = 2500 cells, a disorder seed, from the config or --seed, lies in
+[0, 2**64), and a thread count, from any of the three sources below, lies in
+[1, MAX_THREADS = 64].
 
 Every run writes CSV files plus a run manifest listing them; --plots adds
 self-contained SVG figures.  A run computes all of its outputs before it
@@ -53,6 +54,7 @@ from .skin import profile_matrix
 from .spectral import solve
 from .topology import (
     MAX_CELLS,
+    MAX_THREADS,
     MIN_WINDING_GRID,
     AxisSpec,
     GapClosedError,
@@ -149,7 +151,7 @@ def parse_config(path: str, command: str) -> RunConfig:
     output = sections.get("output", {})
     cfg = RunConfig(command, sections, out_dir=output.get("dir") or "out",
                     plots=output.get("plots", "").lower() in ("1", "true", "yes"),
-                    threads=_get_int(output, "threads", "output", 1))
+                    threads=_check_threads(_get_int(output, "threads", "output", 1), "output.threads"))
     if "model" in sections:
         model, bcs = _parse_model(sections["model"], command)
         axes = _parse_axes(sections["sweep"], model, command) if "sweep" in sections else ()
@@ -185,10 +187,10 @@ def _get_int(sec: dict, name: str, section: str, default=None) -> int:
     return _get(sec, name, section, default, int, "an integer")
 
 
-def _check_seed(seed: int, where: str) -> int:
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigError(f"{where} must be in [0, 2**64), got {seed}")
-    return seed
+def _check_threads(threads: int, where: str) -> int:
+    if not 1 <= threads <= MAX_THREADS:
+        raise ConfigError(f"{where} must be in [1, {MAX_THREADS}], got {threads}")
+    return threads
 
 
 def _parse_model(sec: dict, command: str):
@@ -251,7 +253,7 @@ def _parse_disorder(sec: dict, axes: tuple) -> dict:
     strengths = {key[2:]: _get_float(sec, key, "disorder") for key in sec if key.startswith("W_")}
     try:
         spec = DisorderSpec(strengths=strengths,
-                            seed=_check_seed(_get_int(sec, "seed", "disorder", 12345), "disorder.seed"),
+                            seed=_get_int(sec, "seed", "disorder", 12345),
                             realizations=_get_int(sec, "realizations", "disorder", 20))
     except ValueError as err:
         raise ConfigError(f"[disorder]: {err}") from err
@@ -337,7 +339,7 @@ def _profiles(cfg, seed, threads):
     for b in cfg.bcs:
         s = solve(cfg.model, b)
         if s.eigenvectors is None:
-            raise RuntimeError("profiles unavailable: gauge is singular at these parameters")
+            raise RuntimeError(f"profiles unavailable: {s.source}")
         P = profile_matrix(s, cfg.model.N)
         header = ("state",) + tuple(f"b{a}" for a in range(P.shape[1]))
         out += [_Table(f"profiles_{b.value}.csv", header, [[m] + list(P[m]) for m in range(P.shape[0])]),
@@ -476,7 +478,10 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config, args.command)
         if args.seed is not None:
-            _check_seed(args.seed, "--seed")
+            try:
+                DisorderSpec(strengths={}, seed=args.seed)
+            except ValueError as err:
+                raise ConfigError(f"--seed: {err}") from None
         threads = args.threads
         if threads is None:
             env = os.environ.get("BKCHAIN_THREADS", "").strip()
@@ -484,6 +489,7 @@ def main(argv=None) -> int:
                 threads = int(env) if env else cfg.threads
             except ValueError:
                 raise ConfigError(f"BKCHAIN_THREADS must be an integer, got {env!r}") from None
+        _check_threads(threads, "thread count")
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2

@@ -37,7 +37,11 @@ OBSERVABLES = ("abs_spectrum", "zero_gap", "zero_modes", "nhse_fraction", "mean_
 
 @dataclass(frozen=True)
 class DisorderSpec:
-    """Disorder strengths W_P per parameter, RNG seed and realization count."""
+    """Disorder strengths W_P per parameter, RNG seed and realization count.
+
+    The seed lies in [0, 2**64): the hash keys on its 64 bits, so a seed
+    outside that range would alias one inside it.
+    """
 
     strengths: dict
     seed: int
@@ -50,6 +54,8 @@ class DisorderSpec:
                 raise ValueError(f"unknown disorder parameter {name!r}; allowed: {sorted(allowed)}")
             if w < 0:
                 raise ValueError(f"disorder strength W_{name} must be >= 0, got {w}")
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
 

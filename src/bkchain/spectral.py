@@ -8,8 +8,10 @@ code that picks a solve route:
   (anti-)Hermitian matrix has condition numbers up to 1e60, and the dense
   solver returns pseudospectra.  `spectrum_via_similarity` diagonalizes the
   gauge image instead and lifts the eigenvectors back; the conjugation is
-  entrywise and therefore exact.  At Delta0 = J0 the gauge does not exist
-  (`SingularTransformError`) and the dense route is taken.
+  entrywise and therefore exact.  The image has no x-p coupling, so its x
+  and p channels, whose spectra are equal, are solved apart.  At
+  Delta0 = +-J0 the gauge does not exist (`SingularTransformError`) and the
+  dense route is taken.
 * **SSH reduction** (two-sublattice chain, OBC, every onsite omega = 0).  The
   combined gauge maps M onto i sigma_x (x) H_ssh, two decoupled copies of an
   SSH chain, so `modbkc_spectrum_zero_omega` solves the 2N-dimensional H_ssh
@@ -17,8 +19,8 @@ code that picks a solve route:
   every eigenvalue is exactly twofold degenerate.  H_ssh is tridiagonal with
   real or imaginary bonds, so a diagonal S of exact phases +-1, +-i maps it
   onto a real H_r, solved by `eigh` (all bonds real) or real `eig` with
-  eigenvectors S U_r; nothing is squared.  At Delta = J somewhere the
-  eigenvalues stay exact but no eigenvectors are computed.
+  eigenvectors S U_r; nothing is squared.  At Delta = +-J exactly on some
+  bond the eigenvalues stay exact but no eigenvectors are computed.
 * **Bloch** (uniform ring of either model, `BKCParams` or `ModBKCParams`
   under PBC, any omega).  Translation invariance splits the ring into N
   independent blocks B(k), k = 2 pi m / N, 2x2 or 4x4, read off the model's
@@ -41,8 +43,10 @@ code that picks a solve route:
   for everything else: the open single-band chain off the gauge route (its
   cross block is nonzero) and the points the x/p guard turns away.
 
-Every route that returns eigenvectors except the two gauge routes checks
-them by `_check_residual` on the full matrix M.
+Every route checks its eigenvectors by `_check_residual` on the full matrix
+M.  A failure raises `SolverError`, except on the two gauge routes: their
+eigenvalues are exact, so they are returned without eigenvectors, and
+``Spectrum.source`` names the failure.
 """
 
 from __future__ import annotations
@@ -108,7 +112,8 @@ class Spectrum:
     """Eigenvalues with column-aligned unit-norm right eigenvectors.
 
     Sorted lexicographically by (real part, imaginary part).  ``eigenvectors``
-    is None for routes that can produce eigenvalues only (singular gauge).
+    is None where a gauge route has eigenvalues only (singular gauge, or
+    vectors that failed the residual check); ``source`` then says why.
     """
 
     eigenvalues: np.ndarray
@@ -174,27 +179,44 @@ def eigendecompose(M: ExcitationMatrix) -> Spectrum:
     return spec
 
 
-def spectrum_via_similarity(M: ExcitationMatrix, A: SimilarityMatrix) -> Spectrum:
-    """Spectrum of M obtained from the gauge image K = A^{-1} M A.
+def _eig_image(K: np.ndarray):
+    """Eigenpairs of a gauge image K.
 
     When K is Hermitian (or anti-Hermitian) within ``_HERMITIAN_TOL`` relative
     to max|K| the Hermitian solver is used, which pins the spectrum to the
-    real (imaginary) axis exactly.  Eigenvectors are lifted back through A
-    with log-space normalization.
+    real (imaginary) axis exactly.
     """
-    K = A.conjugate(M.M)
     scale = np.abs(K).max()
     herm = np.abs(K - K.conj().T).max()
     anti = np.abs(K + K.conj().T).max()
     if herm <= _HERMITIAN_TOL * scale:
         vals, vecs = np.linalg.eigh((K + K.conj().T) / 2)
-        vals = vals.astype(complex)
-    elif anti <= _HERMITIAN_TOL * scale:
+        return vals.astype(complex), vecs
+    if anti <= _HERMITIAN_TOL * scale:
         Kh = 1j * K
         vals, vecs = np.linalg.eigh((Kh + Kh.conj().T) / 2)
-        vals = -1j * vals
+        return -1j * vals, vecs
+    return np.linalg.eig(K)
+
+
+def spectrum_via_similarity(M: ExcitationMatrix, A: SimilarityMatrix) -> Spectrum:
+    """Spectrum of M obtained from the gauge image K = A^{-1} M A.
+
+    Eigenvectors are lifted back through A with log-space normalization.
+    Where K does not couple x and p (omega = 0), the two channels are solved
+    apart: their spectra are equal, so a joint solve mixes them inside each
+    degenerate pair, and the lift, which scales the channels differently,
+    maps such a mixture to no eigenvector of M.
+    """
+    K = A.conjugate(M.M)
+    if np.any(K[0::2, 1::2]) or np.any(K[1::2, 0::2]):
+        vals, vecs = _eig_image(K)
     else:
-        vals, vecs = np.linalg.eig(K)
+        n = K.shape[0] // 2
+        vecs = np.zeros_like(K)
+        vals_x, vecs[0::2, :n] = _eig_image(K[0::2, 0::2])
+        vals_p, vecs[1::2, n:] = _eig_image(K[1::2, 1::2])
+        vals = np.concatenate([vals_x, vals_p])
     lifted = A.lift(vecs)
     return _sorted(vals, lifted, source=f"similarity[{M.source},{M.bc.value},n={M.n_cells}]")
 
@@ -222,7 +244,7 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     Eigenvalues are +-i E_m over the reduced SSH spectrum {E_m}, solved in
     real arithmetic through the phase gauge of the module docstring;
     eigenvectors are the product basis lifted through the combined gauge.
-    With ``with_vectors=False`` (or at singular gauge points Delta = J) only
+    With ``with_vectors=False`` (or at singular gauge points Delta = +-J) only
     the eigenvalues are computed; they remain exact there by continuity of
     the characteristic polynomial.  Open boundaries only: the gauge does not
     close around a ring, so the reduced ring is not the PBC spectrum.
@@ -238,10 +260,12 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     b = np.diagonal(effective_ssh_matrix(p), 1)
     mag, symmetric = np.abs(b), not b.imag.any()
     Hr = np.diag(mag, 1) + np.diag(np.where(b.imag != 0, -mag, mag), -1)
-    try:
-        A = a_combined(p) if with_vectors else None
-    except SingularTransformError:
-        A = None  # Delta = +-J somewhere: no gauge, eigenvalues only
+    A = None
+    if with_vectors:
+        try:
+            A = a_combined(p)
+        except SingularTransformError as err:  # Delta = +-J somewhere: no gauge, eigenvalues only
+            source += f" (no vectors: {err})"
     if A is None:
         E = np.linalg.eigvalsh(Hr) if symmetric else np.linalg.eigvals(Hr)
         return _sorted(np.concatenate([1j * E, -1j * E]), None, source)
@@ -327,10 +351,25 @@ def _bloch_spectrum(p: Union[BKCParams, ModBKCParams], M: ExcitationMatrix) -> S
     return spec
 
 
+def _checked_gauge_spectrum(M: ExcitationMatrix, spec: Spectrum) -> Spectrum:
+    """A gauge route's spectrum, without its eigenvectors if they fail `_check_residual`.
+
+    The eigenvalues are exact either way, so they are kept, and ``source``
+    names the failure.
+    """
+    try:
+        _check_residual(M.M, spec)
+    except SolverError as err:
+        return replace(spec, eigenvectors=None, source=f"{spec.source} (no vectors: {err})")
+    return spec
+
+
 def solve(p: Union[BKCParams, ModBKCParams, SiteFields], bc: BoundaryCondition) -> Spectrum:
     """Spectrum of the chain ``p`` under ``bc``; the route is chosen as in the module docstring."""
     if reduced_route(p, bc):
-        return modbkc_spectrum_zero_omega(p, bc)
+        spec = modbkc_spectrum_zero_omega(p, bc)
+        # M is built after the solve: alive during the lift, it raised the peak RSS of a scan by 7%
+        return _checked_gauge_spectrum(excitation_matrix(build_modbkc_quadratic(p, bc)), spec)
     obc = bc is BoundaryCondition.OBC
     single_band = isinstance(p, BKCParams)
     q = build_bkc_quadratic(p, bc) if single_band else build_modbkc_quadratic(p, bc)
@@ -339,9 +378,9 @@ def solve(p: Union[BKCParams, ModBKCParams, SiteFields], bc: BoundaryCondition) 
         return _bloch_spectrum(p, M)
     if single_band and p.omega == 0:
         try:
-            return spectrum_via_similarity(M, hatano_nelson_A(p))
+            return _checked_gauge_spectrum(M, spectrum_via_similarity(M, hatano_nelson_A(p)))
         except SingularTransformError:
-            pass  # Delta0 = J0: no gauge, fall back to the dense solver
+            pass  # Delta0 = +-J0: no gauge, fall back to the dense solver
     if np.any(q.Q[0::2, 1::2]):
         return eigendecompose(M)
     return _xp_spectrum(q, M)

@@ -60,6 +60,8 @@ MAX_GRID_POINTS = 10 ** 6
 # Largest chain length a run config may ask for: the 4N x 4N complex
 # eigenvectors of a two-sublattice chain take 1.6 GB at N = 2500 cells
 MAX_CELLS = 2500
+# Most worker threads a run config may ask for; map_points starts at most one per point
+MAX_THREADS = 64
 MIN_WINDING_GRID = 64
 
 
@@ -245,21 +247,25 @@ POINT_ERRORS = (SolverError, ValueError, np.linalg.LinAlgError)
 
 
 def map_points(fn, items: Sequence, threads: int = 1) -> list:
-    """fn over items in input order, on ``threads`` worker threads when threads > 1.
+    """fn over items in input order, on min(threads, len(items)) worker threads.
 
     Each result is ``(fn(item), None)``, or ``(None, "Name: message")`` where
     fn raised one of `POINT_ERRORS`; any other exception propagates.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+
     def guarded(item):
         try:
             return fn(item), None
         except POINT_ERRORS as err:
             return None, f"{type(err).__name__}: {err}"
 
-    if threads <= 1:
+    workers = min(threads, len(items))
+    if workers <= 1:
         return [guarded(item) for item in items]
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(guarded, items))
 
 

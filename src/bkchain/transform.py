@@ -14,7 +14,8 @@ complex log-diagonal and stored as (log-modulus, phase); the diagonal itself
 is never formed, and all products are taken entrywise in log space.
 Transforms are exact entrywise (each transformed entry is a single product),
 which keeps residual checks at machine precision even when the condition
-number of the diagonal is 1e60+.
+number of the diagonal is 1e60+.  A gauge is singular, and raises
+`SingularTransformError`, only where Delta = +-J exactly on a bond.
 """
 
 from __future__ import annotations
@@ -46,11 +47,8 @@ __all__ = [
     "transform_residual",
 ]
 
-_SINGULAR_TOL = 1e-12
-
-
 class SingularTransformError(ValueError):
-    """The requested diagonal rescaling does not exist (Delta = J somewhere)."""
+    """The requested diagonal rescaling does not exist (Delta = +-J exactly on some bond)."""
 
 
 @dataclass(frozen=True)
@@ -108,16 +106,19 @@ def _log_ratios(delta, J, what: str):
     """(log r, r) with r = (Delta + J)/(Delta - J), elementwise over bonds.
 
     The gauge needs Delta != +-J on every bond: Delta = J divides by zero and
-    Delta = -J gives r = 0, so both raise `SingularTransformError`.
+    Delta = -J gives r = 0, so both raise `SingularTransformError`.  Only an
+    exact equality is singular: the gauge is built in log space, where any
+    finite ratio fits, and distinct doubles Delta, J give |r| of order 1/eps
+    at most.
     """
     delta, J = np.asarray(delta, dtype=float), np.asarray(J, dtype=float)
-    singular = (np.abs(delta - J) < _SINGULAR_TOL) | (np.abs(delta + J) < _SINGULAR_TOL)
+    singular = (delta - J == 0) | (delta + J == 0)
     if singular.any():
         j = np.flatnonzero(singular)[0]
         where = "" if delta.ndim == 0 else f" at cell {j}"
         raise SingularTransformError(
             f"{what}{where}: Delta = {float(delta.flat[j])!r}, J = {float(J.flat[j])!r} "
-            f"within {_SINGULAR_TOL} of Delta = +-J; transform is singular")
+            f"gives Delta = +-J; transform is singular")
     # real division, then complex: a complex division can leave a signed-zero
     # imaginary part, which would flip the principal branch of log for negative r
     r = ((delta + J) / (delta - J)).astype(complex)

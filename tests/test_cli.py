@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bkchain.cli import ConfigError, main, parse_config
+from bkchain.topology import MAX_THREADS
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -148,6 +149,9 @@ SECOND_AXIS = "parameter2 = J2\nmin2 = 0\nmax2 = 1\nstep2 = 0.5\n"
     ("disorder", MODBKC_MODEL.format(bc="obc") + DISORDER.format(obs="nhse_fraction") + "frac = 0.6\n"),
     ("disorder", MODBKC_MODEL.format(bc="obc") + DISORDER.format(obs="nhse_fraction") + "threshold = nan\n"),
     ("disorder", MODBKC_MODEL.format(bc="obc") + DISORDER.format(obs="nhse_fraction") + "threshold = 1.5\n"),
+    ("spectrum", MINIMAL_SPECTRUM + "[output]\nthreads = 0\n"),
+    ("spectrum", MINIMAL_SPECTRUM + "[output]\nthreads = -3\n"),
+    ("spectrum", MINIMAL_SPECTRUM + f"[output]\nthreads = {MAX_THREADS + 1}\n"),
 ], ids=["unknown-sweep-parameter", "sweep-parameter-not-on-model", "zero-step",
         "oversized-sweep", "oversized-scan-grid", "phase-scan-pbc", "phase-scan-both",
         "phase-scan-bkc", "winding-bkc", "disorder-bkc", "disorder-both",
@@ -158,7 +162,8 @@ SECOND_AXIS = "parameter2 = J2\nmin2 = 0\nmax2 = 1\nstep2 = 0.5\n"
         "disorder-sweep-array-observables", "disorder-sweep-mean-profile", "chain-length-nan",
         "seed-2-to-the-64", "seed-negative", "seed-float-literal", "chain-length-1e300",
         "chain-length-above-cap", "subnormal-sweep-step", "zero-tol-zero", "zero-tol-inf", "frac-zero",
-        "frac-above-half", "threshold-nan", "threshold-above-one"])
+        "frac-above-half", "threshold-nan", "threshold-above-one", "threads-zero", "threads-negative",
+        "threads-above-cap"])
 def test_config_errors_exit_2_before_output(tmp_path, capsys, command, text):
     out = tmp_path / "out"
     assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 2
@@ -180,10 +185,18 @@ def test_largest_seed_is_parsed_exactly(tmp_path):
     assert parse_config(write(tmp_path, text), "disorder").disorder.seed == 2 ** 64 - 1
 
 
-def test_malformed_threads_env_exits_2(tmp_path, monkeypatch):
-    monkeypatch.setenv("BKCHAIN_THREADS", "two")
+@pytest.mark.parametrize("source,value", [("env", "two"), ("env", "0"), ("env", "-3"),
+                                          ("env", str(MAX_THREADS + 1)), ("flag", "0"), ("flag", "-3"),
+                                          ("flag", str(MAX_THREADS + 1))])
+def test_malformed_threads_env_exits_2(tmp_path, monkeypatch, source, value):
+    # every value is rejected while parsing, so no test starts that many threads
+    flags = []
+    if source == "env":
+        monkeypatch.setenv("BKCHAIN_THREADS", value)
+    else:
+        flags = [f"--threads={value}"]
     out = tmp_path / "out"
-    assert main(["spectrum", "--config", write(tmp_path, MINIMAL_SPECTRUM), "--out", str(out)]) == 2
+    assert main(["spectrum", "--config", write(tmp_path, MINIMAL_SPECTRUM), "--out", str(out)] + flags) == 2
     assert not out.exists()
 
 
@@ -317,6 +330,13 @@ step = 0.1
         values = [float(line.split(",")[0]) for line in lines[1:]]
         assert sorted(set(values)) == [0.0, 0.5, 1.0]
         assert all(values.count(v) == 2 * 8 for v in set(values))
+
+    def test_bkc_sweep_through_one_ulp_of_the_sweet_spot(self, tmp_path):
+        # the fig2-shaped grid holds Delta0 = 1.4000000000000001, 2.2e-16 from
+        # J0: the gauge exists there and the sweep runs through
+        text = BKC_MODEL.format(n=100).replace("J0 = 0.5", "J0 = 1.4")
+        cfg = write(tmp_path, text + SWEEP.format(name="Delta0", step=0.05).replace("max = 1", "max = 3"))
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "d0")]) == 0
 
     def test_profiles_csv_row_count(self, tmp_path):
         text = """

@@ -74,6 +74,12 @@ class TestSampling:
         with pytest.raises(ValueError, match="J3"):
             DisorderSpec(strengths={"J3": 0.1}, seed=1, realizations=1)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_out_of_range_seed_rejected(self, seed):
+        # the hash keys on 64 bits: 2**64 would draw the realizations of seed 0
+        with pytest.raises(ValueError, match="seed"):
+            DisorderSpec(strengths={}, seed=seed, realizations=1)
+
     def test_out_of_range_realization_rejected(self, base):
         spec = DisorderSpec(strengths={}, seed=1, realizations=2)
         with pytest.raises(ValueError):
@@ -199,3 +205,9 @@ def test_only_point_errors_are_recorded(monkeypatch, error, recorded, threads):
             phase_scan(base, axes, threads=threads)
         with pytest.raises(TypeError, match="broken solve"):
             ensemble_observables(base, spec, threads=threads)
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_map_points_rejects_fewer_than_one_thread(threads):
+    with pytest.raises(ValueError, match="threads"):
+        topology.map_points(abs, [1, 2], threads)

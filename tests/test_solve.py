@@ -27,6 +27,7 @@ stays accurate enough to compare against at N <= 12.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ from bkchain.spectral import (
     modbkc_spectrum_zero_omega,
     solve,
 )
-from bkchain.topology import edge_mode_count
+from bkchain.topology import AxisSpec, edge_mode_count, phase_scan
 from bkchain.transform import effective_ssh_matrix
 
 OBC = BoundaryCondition.OBC
@@ -296,19 +297,34 @@ class TestSolveRoutes:
         scale = np.abs(build_bkc_excitation_direct(p, OBC).M).max()
         assert np.abs(s.eigenvalues).max() <= 10 * np.finfo(float).eps ** (1 / p.N) * scale
 
-    @pytest.mark.parametrize("Delta0,N", [(0.5001, 200), (0.51, 400)])
+    @pytest.mark.parametrize("Delta0,N", [(0.5001, 200), (0.51, 400),
+                                          (np.nextafter(0.5, 1), 100), (np.nextafter(0.5, 0), 100)])
     def test_bkc_gauge_beyond_exp_overflow(self, Delta0, N):
         # (N - 1)/2 log r > 709: the gauge diagonal itself overflows a double,
-        # but the gauge built in log space exists and the route stays exact
+        # but the gauge built in log space exists and the route stays exact,
+        # down to Delta0 one ulp from J0
         p = BKCParams(J0=0.5, Delta0=Delta0, omega=0.0, N=N)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             s = solve(p, OBC)
-        band = 2 * np.sqrt(complex(p.J0 ** 2 - p.Delta0 ** 2)) * np.cos(np.pi * np.arange(1, N + 1) / (N + 1))
+        band = 2 * np.sqrt(complex((p.J0 - p.Delta0) * (p.J0 + p.Delta0))) \
+            * np.cos(np.pi * np.arange(1, N + 1) / (N + 1))
         ref = np.concatenate([band, band])
         ref = ref[np.lexsort((ref.imag, ref.real))]
         assert s.source.startswith("similarity[")
         assert np.abs(s.eigenvalues - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_failed_gauge_vectors_are_dropped(self):
+        # fig4 at J1 = 1.2: the near-zero edge pair of the reduced route comes
+        # back as a mixture that the gauge lift maps to no eigenvector of M;
+        # the exact eigenvalues stay, the vectors go, and the scan still counts
+        p = ModBKCParams(J1=1.2, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100)
+        s = solve(p, OBC)
+        assert s.source.startswith("reduced[") and "no vectors: eigenpair residual" in s.source
+        assert s.eigenvectors is None
+        assert np.array_equal(s.eigenvalues, modbkc_spectrum_zero_omega(p, OBC).eigenvalues)
+        pt = phase_scan(replace(p, J1=0.0), [AxisSpec("J1", 1.2, 1.2, 0.02)]).points[0]
+        assert (pt.nhse_fraction, pt.zero_modes, pt.error) == (None, 2, None)
 
 
 class TestBlochRoute:

@@ -83,9 +83,13 @@ class TestTransformedRoutes:
                                        -2 * c * np.cos(2 * np.pi * m / p.N)]))
         assert np.abs(np.sort(s.eigenvalues.real) - ring).max() > 0.01
 
-    def test_lifted_vectors_satisfy_eigen_equation(self, skin_bkc):
-        M = build_bkc_excitation_direct(skin_bkc, OBC)
-        s = spectrum_via_similarity(M, hatano_nelson_A(skin_bkc))
+    # the skin chain, and four Hermitian-side chains whose equal x and p
+    # spectra a joint solve mixes inside each degenerate pair
+    @pytest.mark.parametrize("J0,Delta0", [(0.5, 1.0), (1.0, 0.7), (1.0, 0.9), (1.0, 0.99), (1.0, -0.9)])
+    def test_lifted_vectors_satisfy_eigen_equation(self, J0, Delta0):
+        p = BKCParams(J0=J0, Delta0=Delta0, omega=0.0, N=100)
+        M = build_bkc_excitation_direct(p, OBC)
+        s = spectrum_via_similarity(M, hatano_nelson_A(p))
         res = np.linalg.norm(M.M @ s.eigenvectors - s.eigenvectors * s.eigenvalues, axis=0)
         assert res.max() <= 1e-8 * np.abs(M.M).max() * M.dim
 
