@@ -319,11 +319,7 @@ def _spectrum(cfg, seed, threads):
     for b in cfg.bcs:
         rows = []
         for x, p in _points(cfg):
-            # s stays referenced until the next solve returns: freed before it, its memory
-            # let malloc trim the heap, and every solve faulted the pages back in (5x the
-            # page faults and 14% more wall time on a 5-point sweep at N = 100)
-            s = solve(p, b)
-            rows += [x + (i, e.real, e.imag) for i, e in enumerate(s.eigenvalues)]
+            rows += [x + (i, e.real, e.imag) for i, e in enumerate(solve(p, b, vectors=False).eigenvalues)]
         out.append(_Table(f"{b.value}.csv", head + ("index", "re_E", "im_E"), rows))
         if head:
             xs, ys = [r[0] for r in rows], [abs(complex(r[2], r[3])) for r in rows]

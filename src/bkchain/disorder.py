@@ -63,26 +63,26 @@ class DisorderSpec:
         return float(self.strengths.get(name, 0.0))
 
 
-def _splitmix64(z: int) -> int:
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, elementwise over np.uint64, whose arithmetic wraps mod 2**64."""
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
-def _keyed_uniform(seed: int, realization: int, param_id: int, index: int) -> float:
-    """Uniform in [0, 1) with a 53-bit mantissa, keyed by the full coordinate."""
-    h = seed & _MASK64
-    for part in (realization, param_id, index):
-        h = _splitmix64(h ^ (part & _MASK64))
-    return (h >> 11) * 2.0 ** -53
+def _keyed_uniforms(seed: int, realization: int, param_id: int, n: int) -> np.ndarray:
+    """Uniforms in [0, 1) with 53-bit mantissas, one per site index 0..n-1, keyed by the full coordinate."""
+    h = np.array([seed], dtype=np.uint64)
+    for part in (np.uint64(realization), np.uint64(param_id), np.arange(n, dtype=np.uint64)):
+        h = _splitmix64(h ^ part)
+    return (h >> np.uint64(11)).astype(float) * 2.0 ** -53
 
 
 def _draw(base: float, w: float, seed: int, realization: int, param: str, n: int) -> np.ndarray:
-    pid = _PARAM_IDS[param]
     if w == 0.0:
         return np.full(n, base)
-    u = np.array([_keyed_uniform(seed, realization, pid, j) for j in range(n)])
+    u = _keyed_uniforms(seed, realization, _PARAM_IDS[param], n)
     return base * (1.0 + w * (2.0 * u - 1.0))
 
 
@@ -125,16 +125,19 @@ def ensemble_observables(base: ModBKCParams, spec: DisorderSpec,
     A realization that raises one of `topology.POINT_ERRORS` is recorded and
     skipped; the run only fails if every realization does.  ``zero_modes`` is
     the per-quadrature-copy count of the open chain at omega = 0 and the
-    literal threshold count otherwise.
+    literal threshold count otherwise.  Eigenvectors are solved only when
+    ``nhse_fraction`` or ``mean_profile`` asks for them.
     """
     names = tuple(observables)
     for name in names:
         if name not in OBSERVABLES:
             raise ValueError(f"unknown observable {name!r}; choose from {OBSERVABLES}")
 
+    vectors = not {"nhse_fraction", "mean_profile"}.isdisjoint(names)
+
     def one(realization: int):
         f = sample_site_fields(base, spec, realization)
-        spectrum = solve(f, bc)
+        spectrum = solve(f, bc, vectors=vectors)
         out = {}
         for name in names:
             if name == "abs_spectrum":

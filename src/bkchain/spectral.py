@@ -47,6 +47,28 @@ Every route checks its eigenvectors by `_check_residual` on the full matrix
 M.  A failure raises `SolverError`, except on the two gauge routes: their
 eigenvalues are exact, so they are returned without eigenvectors, and
 ``Spectrum.source`` names the failure.
+
+**Eigenvalues only.**  ``solve(p, bc, vectors=False)`` takes the same route,
+with the same ``source`` prefix, but computes no eigenvector, lifts nothing
+and builds no M that it does not solve.  These spectra get no residual
+check: there is nothing to check it on.  Per route:
+
+* Hatano-Nelson gauge: `eigvalsh` of the two channel images, no lift; the
+  dense fallback at Delta0 = +-J0 takes `eigvals` of M.
+* SSH reduction: where every bond is real, `eigvalsh` of H_r, which squares
+  nothing, so the exponentially small zero modes stay exact.  Where some
+  Delta^2 - J^2 < 0, H_r is bipartite with a zero diagonal, [[0, D], [F, 0]]
+  in sublattice order, so its spectrum is +-sqrt(eig(D F)), an N x N real
+  problem.  That squares E: a chain with min|E| <=
+  ``REDUCED_MIN_EIGENVALUE`` * max|H_r| goes to the real `eigvals` of H_r
+  instead, and ``source`` names the guard.  A singular gauge, which has no
+  vectors either way, is solved the same way.
+* Bloch: one batched `eigvals` of the N blocks; neither the ring's Q nor M is
+  built.
+* x/p: `eigvals` of Qp Qx; a guarded point takes the dense `eigvals` of M.
+
+The x/p and reduced half-size solves share one helper, `_half_size`: the
+square root, the small-|E| guard, the +- pairing and the sort order.
 """
 
 from __future__ import annotations
@@ -99,6 +121,12 @@ _HERMITIAN_TOL = 1e-10
 # where the dense value is 3e-15, above the 1e-6 zero-mode tolerance.  Points
 # with a smaller eigenvalue are solved densely instead.
 XP_MIN_EIGENVALUE = 1e-4
+# Smallest |E| the reduced route's half-size solve accepts, relative to
+# max|H_r|: the x/p guard, made stricter because these eigenvalues are
+# written out as they are (fig8 zero_gap).  At 1e-4 they strayed from the
+# unsquared eig(H_r) by up to 1.3e-11 max|E| over the 160 sign-mixed fig8
+# realizations; at 1e-2 by at most 1.1e-13, with 138 of them still half-size.
+REDUCED_MIN_EIGENVALUE = 1e-2
 # Columns per block of `_residuals`: its temporaries are a few (dim, 64) arrays.
 _RESIDUAL_BLOCK = 64
 
@@ -112,8 +140,9 @@ class Spectrum:
     """Eigenvalues with column-aligned unit-norm right eigenvectors.
 
     Sorted lexicographically by (real part, imaginary part).  ``eigenvectors``
-    is None where a gauge route has eigenvalues only (singular gauge, or
-    vectors that failed the residual check); ``source`` then says why.
+    is None in a spectrum solved with ``vectors=False``, and where a gauge
+    route has eigenvalues only (singular gauge, or vectors that failed the
+    residual check); ``source`` then says why.
     """
 
     eigenvalues: np.ndarray
@@ -164,12 +193,12 @@ def _check_residual(M, spec: Spectrum):
         raise SolverError(f"eigenpair residual {worst:.3e} exceeds bound {bound:.3e}")
 
 
-def eigendecompose(M: ExcitationMatrix) -> Spectrum:
-    """Full spectrum with right eigenvectors from the dense solver."""
+def eigendecompose(M: ExcitationMatrix, vectors: bool = True) -> Spectrum:
+    """Full spectrum from the dense solver, with right eigenvectors unless ``vectors`` is False."""
     if not np.all(np.isfinite(M.M)):
         raise SolverError(f"matrix contains non-finite entries ({M.source}, bc={M.bc})")
     try:
-        vals, vecs = np.linalg.eig(M.M)
+        vals, vecs = np.linalg.eig(M.M) if vectors else (np.linalg.eigvals(M.M), None)
     except np.linalg.LinAlgError as err:
         raise SolverError(
             f"eigensolver failed for {M.source} matrix, dim={M.dim}, bc={M.bc}: {err}") from err
@@ -179,8 +208,8 @@ def eigendecompose(M: ExcitationMatrix) -> Spectrum:
     return spec
 
 
-def _eig_image(K: np.ndarray):
-    """Eigenpairs of a gauge image K.
+def _eig_image(K: np.ndarray, vectors: bool = True):
+    """Eigenvalues of a gauge image K, with its eigenvectors (else None) when ``vectors``.
 
     When K is Hermitian (or anti-Hermitian) within ``_HERMITIAN_TOL`` relative
     to max|K| the Hermitian solver is used, which pins the spectrum to the
@@ -190,35 +219,40 @@ def _eig_image(K: np.ndarray):
     herm = np.abs(K - K.conj().T).max()
     anti = np.abs(K + K.conj().T).max()
     if herm <= _HERMITIAN_TOL * scale:
-        vals, vecs = np.linalg.eigh((K + K.conj().T) / 2)
-        return vals.astype(complex), vecs
-    if anti <= _HERMITIAN_TOL * scale:
-        Kh = 1j * K
-        vals, vecs = np.linalg.eigh((Kh + Kh.conj().T) / 2)
-        return -1j * vals, vecs
-    return np.linalg.eig(K)
+        factor, H = 1, K
+    elif anti <= _HERMITIAN_TOL * scale:
+        factor, H = -1j, 1j * K
+    else:
+        return np.linalg.eig(K) if vectors else (np.linalg.eigvals(K), None)
+    H = (H + H.conj().T) / 2
+    vals, vecs = np.linalg.eigh(H) if vectors else (np.linalg.eigvalsh(H), None)
+    return (factor * vals).astype(complex), vecs
 
 
-def spectrum_via_similarity(M: ExcitationMatrix, A: SimilarityMatrix) -> Spectrum:
+def spectrum_via_similarity(M: ExcitationMatrix, A: SimilarityMatrix, vectors: bool = True) -> Spectrum:
     """Spectrum of M obtained from the gauge image K = A^{-1} M A.
 
-    Eigenvectors are lifted back through A with log-space normalization.
-    Where K does not couple x and p (omega = 0), the two channels are solved
-    apart: their spectra are equal, so a joint solve mixes them inside each
+    Eigenvectors are lifted back through A with log-space normalization;
+    with ``vectors=False`` none are computed and nothing is lifted.  Where K
+    does not couple x and p (omega = 0), the two channels are solved apart:
+    their spectra are equal, so a joint solve mixes them inside each
     degenerate pair, and the lift, which scales the channels differently,
     maps such a mixture to no eigenvector of M.
     """
     K = A.conjugate(M.M)
+    source = f"similarity[{M.source},{M.bc.value},n={M.n_cells}]"
     if np.any(K[0::2, 1::2]) or np.any(K[1::2, 0::2]):
-        vals, vecs = _eig_image(K)
+        vals, vecs = _eig_image(K, vectors)
+    elif not vectors:
+        vals = np.concatenate([_eig_image(K[c::2, c::2], False)[0] for c in (0, 1)])
+        vecs = None
     else:
         n = K.shape[0] // 2
         vecs = np.zeros_like(K)
         vals_x, vecs[0::2, :n] = _eig_image(K[0::2, 0::2])
         vals_p, vecs[1::2, n:] = _eig_image(K[1::2, 1::2])
         vals = np.concatenate([vals_x, vals_p])
-    lifted = A.lift(vecs)
-    return _sorted(vals, lifted, source=f"similarity[{M.source},{M.bc.value},n={M.n_cells}]")
+    return _sorted(vals, None if vecs is None else A.lift(vecs), source)
 
 
 def _zero_omega(p: Union[ModBKCParams, SiteFields]) -> bool:
@@ -236,6 +270,35 @@ def reduced_route(p: Union[BKCParams, ModBKCParams, SiteFields], bc: BoundaryCon
     return not isinstance(p, BKCParams) and bc is BoundaryCondition.OBC and _zero_omega(p)
 
 
+class _SmallEigenvalue(Exception):
+    """A half-size solve met an eigenvalue too close to zero to take from its square."""
+
+
+def _half_size(P: np.ndarray, vectors: bool, min_eigenvalue: float, scale: float, scale_name: str):
+    """Spectrum +-sqrt(mu) of a matrix whose square is block-diagonal with the real block P.
+
+    Both half-size routes solve such a matrix, [[0, D], [F, 0]] with P = D F:
+    an eigenpair (mu, x) of P gives the eigenvalues E = +-sqrt(mu).  Returns
+    ``(vals, order, root, X)``: ``vals`` is concat([root, -root])[order],
+    sorted as `_sorted` sorts, and X holds the eigenvectors of P (None
+    without ``vectors``).  Squaring loses about sqrt(eps) of accuracy near
+    E = 0, so where min|E| <= ``min_eigenvalue`` * ``scale`` (max|entry| of
+    the matrix that was squared, named ``scale_name``) it raises
+    `_SmallEigenvalue` instead.
+    """
+    try:
+        mu, X = np.linalg.eig(P) if vectors else (np.linalg.eigvals(P), None)
+    except np.linalg.LinAlgError as err:
+        raise SolverError(f"half-size eigensolver failed, dim={len(P)}: {err}") from err
+    root = np.sqrt(mu.astype(complex))
+    smallest = np.abs(root).min()
+    if not smallest > min_eigenvalue * scale:
+        raise _SmallEigenvalue(f"min|E| {smallest:.2e} <= {min_eigenvalue:g} max|{scale_name}|")
+    vals = np.concatenate([root, -root])
+    order = np.lexsort((vals.imag, vals.real))
+    return vals[order], order, root, X
+
+
 def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
                                bc: BoundaryCondition = BoundaryCondition.OBC,
                                with_vectors: bool = True) -> Spectrum:
@@ -245,9 +308,10 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     real arithmetic through the phase gauge of the module docstring;
     eigenvectors are the product basis lifted through the combined gauge.
     With ``with_vectors=False`` (or at singular gauge points Delta = +-J) only
-    the eigenvalues are computed; they remain exact there by continuity of
-    the characteristic polynomial.  Open boundaries only: the gauge does not
-    close around a ring, so the reduced ring is not the PBC spectrum.
+    the eigenvalues are computed, as the module docstring's eigenvalue-only
+    reduced route says; they remain exact at singular points by continuity
+    of the characteristic polynomial.  Open boundaries only: the gauge does
+    not close around a ring, so the reduced ring is not the PBC spectrum.
     """
     if bc is not BoundaryCondition.OBC:
         raise ValueError("modbkc_spectrum_zero_omega requires open boundaries")
@@ -267,7 +331,14 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
         except SingularTransformError as err:  # Delta = +-J somewhere: no gauge, eigenvalues only
             source += f" (no vectors: {err})"
     if A is None:
-        E = np.linalg.eigvalsh(Hr) if symmetric else np.linalg.eigvals(Hr)
+        if symmetric:
+            E = np.linalg.eigvalsh(Hr)
+        else:
+            try:  # bipartite: [[0, D], [F, 0]] in sublattice order, E = +-sqrt(eig(D F))
+                DF = Hr[0::2, 1::2] @ Hr[1::2, 0::2]
+                E = _half_size(DF, False, REDUCED_MIN_EIGENVALUE, mag.max(), "H_r")[0]
+            except _SmallEigenvalue as guard:
+                E, source = np.linalg.eigvals(Hr), f"{source} (half-size guard: {guard})"
         return _sorted(np.concatenate([1j * E, -1j * E]), None, source)
     E, U = np.linalg.eigh(Hr) if symmetric else np.linalg.eig(Hr)
     # U = S U_r; |b| / b and S hold +-1, +-i only, so every product is exact
@@ -281,26 +352,27 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     return _sorted(vals, A.lift(vecs), source)
 
 
-def _xp_spectrum(q: QuadraticForm, M: ExcitationMatrix) -> Spectrum:
-    """Spectrum of M from the x/p blocks of a form with a zero cross block.
+def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:
+    """Spectrum of M = `excitation_matrix` (q) from the x/p blocks of a form with a zero cross block.
 
     In (x, p) block order M = [[0, -i Qp], [i Qx, 0]], so M (x, p) = E (x, p)
     holds exactly when Qp Qx x = E^2 x and p = i Qx x / E: each eigenpair
     (mu, x) of the real, half-dimensional Qp Qx gives the eigenvalues
-    E = +-sqrt(mu).  A point whose smallest |E| is at or below
-    ``XP_MIN_EIGENVALUE`` * max|Q| goes to `eigendecompose` instead.
+    E = +-sqrt(mu) (`_half_size`).  A point whose smallest |E| is at or below
+    ``XP_MIN_EIGENVALUE`` * max|Q| goes to `eigendecompose` instead.  M is
+    built for the residual check, or for that dense solve; without vectors
+    and off the guard it is never built.
     """
+    M = excitation_matrix(q) if vectors else None
     Qx, Qp = q.Q[0::2, 0::2], q.Q[1::2, 1::2]
     try:
-        mu, X = np.linalg.eig(Qp @ Qx)
-    except np.linalg.LinAlgError as err:
-        raise SolverError(f"x/p eigensolver failed, dim={q.dim}, bc={q.bc}: {err}") from err
-    root = np.sqrt(mu.astype(complex))
-    smallest, floor = np.abs(root).min(), XP_MIN_EIGENVALUE * np.abs(q.Q).max()
-    if not smallest > floor:
-        spec = eigendecompose(M)
-        return replace(spec, source=f"{spec.source} (x/p guard: min|E| {smallest:.2e} "
-                                    f"<= {XP_MIN_EIGENVALUE:g} max|Q|)")
+        vals, order, root, X = _half_size(Qp @ Qx, vectors, XP_MIN_EIGENVALUE, np.abs(q.Q).max(), "Q")
+    except _SmallEigenvalue as guard:
+        spec = eigendecompose(excitation_matrix(q) if M is None else M, vectors)
+        return replace(spec, source=f"{spec.source} (x/p guard: {guard})")
+    source = f"xp[symplectic,{q.bc.value},n={q.n_cells}]"
+    if not vectors:
+        return Spectrum(eigenvalues=vals, eigenvectors=None, source=source)
     # Allocated before the temporaries below, so that freeing them leaves no
     # hole under it; allocated after them, it raised the peak RSS of a fig9
     # ensemble run by 2 MB (4%).
@@ -309,33 +381,39 @@ def _xp_spectrum(q: QuadraticForm, M: ExcitationMatrix) -> Spectrum:
     P = (Qx @ X) * (1j / root)
     norm = np.sqrt((np.abs(X) ** 2).sum(axis=0) + (np.abs(P) ** 2).sum(axis=0))
     X, P = X / norm, P / norm
-    half = len(mu)
-    vals = np.concatenate([root, -root])
-    order = np.lexsort((vals.imag, vals.real))  # the order `_sorted` gives
+    half = len(root)
     vecs[0::2] = X[:, order % half]
     vecs[1::2] = P[:, order % half]
     vecs[1::2] *= np.where(order < half, 1.0, -1.0)
     del X, P  # the residual check below is the peak of memory use
-    spec = Spectrum(eigenvalues=vals[order], eigenvectors=vecs,
-                    source=f"xp[{M.source},{M.bc.value},n={M.n_cells}]")
+    spec = Spectrum(eigenvalues=vals, eigenvectors=vecs, source=source)
     _check_residual(M.M, spec)
     return spec
 
 
-def _bloch_spectrum(p: Union[BKCParams, ModBKCParams], M: ExcitationMatrix) -> Spectrum:
+def _bloch_spectrum(p: Union[BKCParams, ModBKCParams], vectors: bool) -> Spectrum:
     """Spectrum of a uniform ring from its N Bloch blocks, checked on the ring matrix M.
 
     Each eigenpair (E, u) of the block at k = 2 pi m / N gives the ring
     eigenpair (E, v), v[(j, a)] = w^(j m) u_a / sqrt(N), with w = exp(2 pi i / N)
     (see `bloch_matrix`).  The plane waves are written straight into the
-    ring's eigenvector array, in the order `_sorted` gives.
+    ring's eigenvector array, in the order `_sorted` gives.  Without
+    ``vectors`` only the block eigenvalues are solved, and neither the ring's
+    Q nor M is built.
     """
     n = p.N
+    source = f"bloch[symplectic,{BoundaryCondition.PBC.value},n={n}]"
+    M = None
+    if vectors:
+        build = build_bkc_quadratic if isinstance(p, BKCParams) else build_modbkc_quadratic
+        M = excitation_matrix(build(p, BoundaryCondition.PBC))
     m = np.arange(n)
     B = bloch_matrix(p, 2 * np.pi * m / n)
     s = B.shape[-1]
-    vecs = np.empty((n * s, n * s), dtype=complex)
     try:
+        if not vectors:
+            return _sorted(np.linalg.eigvals(B).ravel(), None, source)
+        vecs = np.empty((n * s, n * s), dtype=complex)
         E, U = np.linalg.eig(B)
     except np.linalg.LinAlgError as err:
         raise SolverError(f"Bloch eigensolver failed, n={n}: {err}") from err
@@ -345,8 +423,7 @@ def _bloch_spectrum(p: Union[BKCParams, ModBKCParams], M: ExcitationMatrix) -> S
     wave = np.exp(2j * np.pi * m / n) / np.sqrt(n)   # w^t / sqrt(N), t = j m mod N
     np.multiply(wave[np.outer(m, mk) % n][:, None, :], U[mk, :, band].T,
                 out=vecs.reshape(n, s, n * s))
-    spec = Spectrum(eigenvalues=vals[order], eigenvectors=vecs,
-                    source=f"bloch[{M.source},{M.bc.value},n={M.n_cells}]")
+    spec = Spectrum(eigenvalues=vals[order], eigenvectors=vecs, source=source)
     _check_residual(M.M, spec)
     return spec
 
@@ -364,26 +441,36 @@ def _checked_gauge_spectrum(M: ExcitationMatrix, spec: Spectrum) -> Spectrum:
     return spec
 
 
-def solve(p: Union[BKCParams, ModBKCParams, SiteFields], bc: BoundaryCondition) -> Spectrum:
-    """Spectrum of the chain ``p`` under ``bc``; the route is chosen as in the module docstring."""
+def solve(p: Union[BKCParams, ModBKCParams, SiteFields], bc: BoundaryCondition,
+          vectors: bool = True) -> Spectrum:
+    """Spectrum of the chain ``p`` under ``bc``; the route is chosen as in the module docstring.
+
+    With ``vectors=False`` the same route returns the eigenvalues alone
+    (``eigenvectors`` is None, ``source`` has the same route prefix): it
+    computes, lifts and residual-checks no eigenvector, and builds M only
+    where M itself is solved.  Use it wherever only eigenvalues are read.
+    """
     if reduced_route(p, bc):
-        spec = modbkc_spectrum_zero_omega(p, bc)
+        spec = modbkc_spectrum_zero_omega(p, bc, with_vectors=vectors)
+        if not vectors:
+            return spec
         # M is built after the solve: alive during the lift, it raised the peak RSS of a scan by 7%
         return _checked_gauge_spectrum(excitation_matrix(build_modbkc_quadratic(p, bc)), spec)
-    obc = bc is BoundaryCondition.OBC
+    if bc is BoundaryCondition.PBC and not isinstance(p, SiteFields):
+        return _bloch_spectrum(p, vectors)
     single_band = isinstance(p, BKCParams)
     q = build_bkc_quadratic(p, bc) if single_band else build_modbkc_quadratic(p, bc)
-    M = excitation_matrix(q)
-    if not obc and not isinstance(p, SiteFields):
-        return _bloch_spectrum(p, M)
+    M = None
     if single_band and p.omega == 0:
+        M = excitation_matrix(q)
         try:
-            return _checked_gauge_spectrum(M, spectrum_via_similarity(M, hatano_nelson_A(p)))
+            spec = spectrum_via_similarity(M, hatano_nelson_A(p), vectors)
+            return _checked_gauge_spectrum(M, spec) if vectors else spec
         except SingularTransformError:
             pass  # Delta0 = +-J0: no gauge, fall back to the dense solver
     if np.any(q.Q[0::2, 1::2]):
-        return eigendecompose(M)
-    return _xp_spectrum(q, M)
+        return eigendecompose(excitation_matrix(q) if M is None else M, vectors)
+    return _xp_spectrum(q, vectors)
 
 
 def bkc_pbc_dispersion(p: BKCParams, k: float):

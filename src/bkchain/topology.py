@@ -14,8 +14,8 @@ of the reduced SSH spectrum (+-i E_m each), so counting threshold crossings on
 the full matrix double-counts the physical edge modes.  The per-copy count,
 2 in the topological phase and 0 in the trivial one, is therefore half of the
 literal `zero_modes` count on that spectrum; `zero_modes_per_copy` takes it
-from a spectrum already solved, and `edge_mode_count` solves the reduced
-spectrum for it without eigenvectors.  `zero_modes` is the literal threshold
+from a spectrum already solved, and `edge_mode_count` solves the spectrum
+for it without eigenvectors.  `zero_modes` is the literal threshold
 count on whatever spectrum it is given.
 """
 
@@ -30,8 +30,7 @@ import numpy as np
 
 from .model import BoundaryCondition, ModBKCParams, SiteFields
 from .skin import nhse_fraction
-from .spectral import (SolverError, Spectrum, modbkc_spectrum_zero_omega, reduced_route, solve,
-                       zero_gap as _zero_gap)
+from .spectral import SolverError, Spectrum, reduced_route, solve, zero_gap as _zero_gap
 from .transform import EffectiveSSHParams, effective_ssh_params
 
 __all__ = [
@@ -138,14 +137,16 @@ def zero_modes_per_copy(s: Spectrum, p: Union[ModBKCParams, SiteFields], bc: Bou
 
 def edge_mode_count(p: Union[ModBKCParams, SiteFields], tol: float = 1e-6,
                     bc: BoundaryCondition = BoundaryCondition.OBC) -> int:
-    """Zero modes per quadrature copy of the open chain at omega = 0 (reduced SSH spectrum).
+    """Zero modes per quadrature copy of the open chain, from an eigenvalue-only `solve`.
 
-    The reduced spectrum is {+i E_m} and {-i E_m}, two exact copies, so this
-    is ``zero_modes(spectrum, tol)[0] // 2`` on it, which callers that
-    already hold the spectrum compute directly.  The reduction holds for
-    open chains only, so PBC is rejected.
+    This is `zero_modes_per_copy` on ``solve(p, bc, vectors=False)``, which
+    callers that already hold the spectrum compute directly; at omega = 0 it
+    counts on the reduced SSH spectrum.  Edge modes live on open chains
+    only, so PBC is rejected.
     """
-    return zero_modes(modbkc_spectrum_zero_omega(p, bc, with_vectors=False), tol)[0] // 2
+    if bc is not BoundaryCondition.OBC:
+        raise ValueError("edge_mode_count requires open boundaries")
+    return zero_modes_per_copy(solve(p, bc, vectors=False), p, bc, tol)
 
 
 def gap_closing_predicates(p: ModBKCParams, rel_tol: float = 1e-9) -> dict:

@@ -17,12 +17,29 @@ from bkchain.model import (
     excitation_matrix,
 )
 from bkchain import disorder, topology
-from bkchain.spectral import SolverError, modbkc_spectrum_zero_omega, zero_gap
-from bkchain.topology import AxisSpec, edge_mode_count, phase_scan
+from bkchain.spectral import SolverError, modbkc_spectrum_zero_omega, solve, zero_gap
+from bkchain.topology import AxisSpec, edge_mode_count, phase_scan, zero_modes_per_copy
 from bkchain.transform import SingularTransformError, a_combined, ssh_lift_target, transform_residual
 
 OBC = BoundaryCondition.OBC
 PBC = BoundaryCondition.PBC
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(z: int) -> int:
+    """Scalar SplitMix64 finalizer on Python ints: the reference for the vectorized draw."""
+    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _keyed_uniform(seed: int, realization: int, param_id: int, index: int) -> float:
+    """Uniform in [0, 1) with a 53-bit mantissa, keyed by the full coordinate."""
+    h = seed & _MASK64
+    for part in (realization, param_id, index):
+        h = _splitmix64(h ^ (part & _MASK64))
+    return (h >> 11) * 2.0 ** -53
 
 
 @pytest.fixture
@@ -85,6 +102,16 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_site_fields(base, spec, 2)
 
+    @pytest.mark.parametrize("seed", [0, 1, 20240601, 2 ** 63, 2 ** 64 - 1])
+    def test_vectorized_draws_match_scalar_reference(self, seed):
+        # the uint64 SplitMix64 must reproduce the Python-int hash bit for bit, at
+        # every parameter id, with the wrap at seed 2**64 - 1, and N = 1 below the
+        # SiteFields minimum of 2 cells
+        for pid in sorted(disorder._PARAM_IDS.values()):
+            for n in (1, 2, 100):
+                ref = np.array([_keyed_uniform(seed, 5, pid, j) for j in range(n)])
+                assert np.array_equal(disorder._keyed_uniforms(seed, 5, pid, n), ref)
+
     @given(seed=st.integers(min_value=0, max_value=2 ** 63), w=st.floats(0, 1))
     @settings(max_examples=30, deadline=None)
     def test_draw_bounds_property(self, seed, w):
@@ -125,9 +152,14 @@ class TestEnsembles:
     def test_single_clean_realization_equals_clean_values(self, base):
         spec = DisorderSpec(strengths={}, seed=1, realizations=1)
         res = ensemble_observables(base, spec, ("zero_gap", "zero_modes"))
-        clean = modbkc_spectrum_zero_omega(base, OBC)
+        # these observables read eigenvalues only, which the ensemble solves without vectors
+        clean = modbkc_spectrum_zero_omega(base, OBC, with_vectors=False)
         assert res.observables["zero_gap"][0] == zero_gap(clean)
         assert res.observables["zero_modes"][0] == edge_mode_count(base)
+        # eigh (with vectors) and eigvalsh round the same eigenvalues apart
+        with_vectors = modbkc_spectrum_zero_omega(base, OBC)
+        scale = np.abs(with_vectors.eigenvalues).max()
+        assert abs(res.observables["zero_gap"][0] - zero_gap(with_vectors)) <= 1e-12 * scale
 
     def test_pbc_zero_omega_matches_bloch_blocks(self):
         # the gauge does not close around a ring, so a clean omega = 0 ring
@@ -182,12 +214,44 @@ class TestEnsembles:
         assert res.std["zero_gap"] == pytest.approx(vals.std(ddof=1))
 
 
+@pytest.mark.parametrize("observables,vectors", [
+    (("zero_gap",), False), (("zero_modes",), False), (("abs_spectrum",), False),
+    (("zero_gap", "zero_modes", "abs_spectrum"), False), (("nhse_fraction",), True),
+    (("mean_profile",), True), (("zero_gap", "mean_profile"), True)])
+def test_ensemble_solves_vectors_only_when_read(monkeypatch, observables, vectors):
+    requests = []
+
+    def recording_solve(p, bc, vectors=True):
+        requests.append(vectors)
+        return solve(p, bc, vectors)
+
+    monkeypatch.setattr(disorder, "solve", recording_solve)
+    base = ModBKCParams(J1=2.2, J2=1.0, Delta1=2.1, Delta2=1.5, omega=0.05, N=20)
+    spec = DisorderSpec(strengths={"omega": 2.0}, seed=5, realizations=3)
+    ensemble_observables(base, spec, observables)
+    assert requests == [vectors] * 3
+
+
+@pytest.mark.parametrize("J2", [0.0, 1.0, 2.0, 2.5])
+def test_fig8_realization_without_vectors(J2):
+    # fig8's first realization across its J2 grid: all bonds real up to J2 ~ 1.9,
+    # sign-mixed beyond (half-size solve, or its guard near the gap closing)
+    base = ModBKCParams(J1=1.0, J2=J2, Delta1=1.5, Delta2=2.1, omega=0.0, N=100)
+    spec = DisorderSpec(strengths={"J1": 0.1, "J2": 0.1, "Delta1": 0.1, "Delta2": 0.1},
+                        seed=20240601, realizations=20)
+    f = sample_site_fields(base, spec, 0)
+    full, bare = solve(f, OBC), solve(f, OBC, vectors=False)
+    assert bare.eigenvectors is None
+    assert zero_modes_per_copy(bare, f, OBC, 1e-6) == zero_modes_per_copy(full, f, OBC, 1e-6)
+    assert abs(zero_gap(bare) - zero_gap(full)) <= 1e-12 * np.abs(full.eigenvalues).max()
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("error,recorded", [(SolverError, True), (TypeError, False)],
                          ids=["solver-error-recorded", "type-error-propagates"])
 def test_only_point_errors_are_recorded(monkeypatch, error, recorded, threads):
     # a SolverError fails one point or realization; a TypeError is a bug and must propagate
-    def broken_solve(p, bc):
+    def broken_solve(p, bc, vectors=True):
         raise error("broken solve")
 
     monkeypatch.setattr(topology, "solve", broken_solve)

@@ -18,7 +18,10 @@ the small-eigenvalue guard).  The references are:
 * eigenvectors of the x/p route: the skin census and mean profile of the
   dense route on a disorder realization of fig9;
 * the reduced route's real gauge: the complex eigenvalues of
-  `effective_ssh_matrix` and the eigenpair residual on the 4N matrix.
+  `effective_ssh_matrix` and the eigenpair residual on the 4N matrix;
+* eigenvalue-only solves (``vectors=False``): the same route with vectors,
+  and for the reduced half-size solve of a sign-mixed chain the complex
+  eigenvalues of `effective_ssh_matrix`.
 
 Couplings are drawn with |Delta -+ J| bounded away from zero, so the gauge
 ratios r = (Delta+J)/(Delta-J) stay within 1/4 <= |r| <= 4 (6.5 for the
@@ -47,9 +50,11 @@ from bkchain.model import (
     build_modbkc_quadratic,
     excitation_matrix,
 )
+from bkchain import topology
 from bkchain.disorder import DisorderSpec, sample_site_fields
 from bkchain.skin import nhse_fraction, profile_matrix
 from bkchain.spectral import (
+    REDUCED_MIN_EIGENVALUE,
     XP_MIN_EIGENVALUE,
     SolverError,
     Spectrum,
@@ -60,7 +65,7 @@ from bkchain.spectral import (
     modbkc_spectrum_zero_omega,
     solve,
 )
-from bkchain.topology import AxisSpec, edge_mode_count, phase_scan
+from bkchain.topology import AxisSpec, edge_mode_count, phase_scan, zero_modes_per_copy
 from bkchain.transform import effective_ssh_matrix
 
 OBC = BoundaryCondition.OBC
@@ -325,6 +330,146 @@ class TestSolveRoutes:
         assert np.array_equal(s.eigenvalues, modbkc_spectrum_zero_omega(p, OBC).eigenvalues)
         pt = phase_scan(replace(p, J1=0.0), [AxisSpec("J1", 1.2, 1.2, 0.02)]).points[0]
         assert (pt.nhse_fraction, pt.zero_modes, pt.error) == (None, 2, None)
+
+
+def _route(s):
+    """The route prefix of ``Spectrum.source``, up to and including its "["."""
+    return s.source[:s.source.index("[") + 1]
+
+
+def _assert_same_without_vectors(p, bc, bound=1e-12):
+    """solve(p, bc, vectors=False) takes the route of solve(p, bc) and finds its eigenvalues.
+
+    ``bound`` is relative to max|E|; the eigenvalue-only solve skips the
+    vectors and the residual check only.
+    """
+    full, bare = solve(p, bc), solve(p, bc, vectors=False)
+    assert bare.eigenvectors is None
+    assert _route(bare) == _route(full)
+    assert _distance(bare.eigenvalues, full.eigenvalues) <= bound * np.abs(full.eigenvalues).max()
+    return full, bare
+
+
+class TestEigenvaluesOnly:
+    """Every route of `solve` with and without eigenvectors."""
+
+    @given(p=st.one_of(modbkc_params(), bkc_params()))
+    @settings(PROPERTY, max_examples=60)
+    def test_bloch(self, p):
+        full, _ = _assert_same_without_vectors(p, PBC, DENSE_BOUND)
+        assert _route(full) == "bloch["
+
+    @given(p=modbkc_params().filter(lambda p: p.omega != 0))
+    @settings(PROPERTY, max_examples=60)
+    def test_xp_open_chain(self, p):
+        full, _ = _assert_same_without_vectors(p, OBC, DENSE_BOUND)
+        assert _route(full) in ("xp[", "eig[")
+
+    @given(f=disordered_omega_site_fields(), bc=bcs)
+    @settings(PROPERTY, max_examples=40)
+    def test_xp_site_fields(self, f, bc):
+        full, _ = _assert_same_without_vectors(f, bc, DENSE_BOUND)
+        assert _route(full) in ("xp[", "eig[")
+
+    def test_xp_guard_point(self):
+        f = SiteFields.uniform(ModBKCParams(J1=1.4, J2=1.2, Delta1=1.5, Delta2=1.0, omega=0.3, N=100))
+        _, bare = _assert_same_without_vectors(f, PBC, DENSE_BOUND)
+        assert bare.source.startswith("eig[") and "x/p guard" in bare.source
+
+    @given(p=modbkc_params().map(lambda p: replace(p, omega=0.0)))
+    @settings(PROPERTY, max_examples=60)
+    def test_reduced_uniform(self, p):
+        full, _ = _assert_same_without_vectors(p, OBC, GAUGE_BOUND)
+        assert _route(full) == "reduced["
+
+    @given(f=zero_omega_site_fields())
+    @settings(PROPERTY, max_examples=40)
+    def test_reduced_site_fields(self, f):
+        _assert_same_without_vectors(f, OBC, GAUGE_BOUND)
+
+    @given(f=sign_mixed_site_fields())
+    @settings(PROPERTY, max_examples=60)
+    def test_reduced_sign_mixed_and_cut(self, f):
+        # cut chains (Delta = +-J on a bond) have eigenvalues only on both paths
+        full, _ = _assert_same_without_vectors(f, OBC, GAUGE_BOUND)
+        assert _route(full) == "reduced["
+
+    @pytest.mark.parametrize("J1,Delta1", [(0.8, 0.8), (0.8, -0.8)])
+    def test_singular_reduced_gauge(self, J1, Delta1):
+        p = ModBKCParams(J1=J1, J2=1.4, Delta1=Delta1, Delta2=2.1, omega=0.0, N=30)
+        full, _ = _assert_same_without_vectors(p, OBC)
+        assert _route(full) == "reduced[" and "no vectors" in full.source
+
+    @given(p=bkc_params().map(lambda p: replace(p, omega=0.0)))
+    @settings(PROPERTY, max_examples=60)
+    def test_single_band_gauge(self, p):
+        full, _ = _assert_same_without_vectors(p, OBC)
+        assert _route(full) == "similarity["
+
+    @pytest.mark.parametrize("Delta0", [0.8, -0.8])
+    def test_single_band_dense_fallback(self, Delta0):
+        # Delta0 = +-J0: M is nilpotent, and any dense solve scatters its
+        # eigenvalues to ~eps^(1/N) * max|M| (see the singular-point test above)
+        p = BKCParams(J0=0.8, Delta0=Delta0, omega=0.0, N=4)
+        bare = solve(p, OBC, vectors=False)
+        assert bare.eigenvectors is None and _route(bare) == _route(solve(p, OBC)) == "eig["
+        scale = np.abs(build_bkc_excitation_direct(p, OBC).M).max()
+        assert np.abs(bare.eigenvalues).max() <= 10 * np.finfo(float).eps ** (1 / p.N) * scale
+
+    def test_edge_mode_count_solves_no_vectors(self, monkeypatch):
+        calls = []
+
+        def recording_solve(p, bc, vectors=True):
+            calls.append(vectors)
+            return solve(p, bc, vectors)
+
+        monkeypatch.setattr(topology, "solve", recording_solve)
+        p = ModBKCParams(J1=1.0, J2=1.4, Delta1=1.5, Delta2=2.1, omega=0.0, N=100)
+        assert edge_mode_count(p) == 2 and calls == [False]
+
+
+class TestReducedHalfSize:
+    """The eigenvalue-only solve of a sign-mixed reduced chain, +-sqrt(eig(D F))."""
+
+    @given(f=sign_mixed_site_fields())
+    @settings(PROPERTY, max_examples=100)
+    def test_matches_complex_ssh_eigenvalues(self, f):
+        s = solve(f, OBC, vectors=False)
+        E = np.linalg.eigvals(effective_ssh_matrix(f))
+        ref = np.concatenate([1j * E, -1j * E])
+        assert s.source.startswith("reduced[") and s.eigenvectors is None
+        assert _distance(s.eigenvalues, ref) <= SSH_BOUND * max(1.0, float(np.abs(ref).max()))
+        if "half-size guard" in s.source:
+            H = effective_ssh_matrix(f)
+            assert np.abs(E).min() <= 2 * REDUCED_MIN_EIGENVALUE * np.abs(H).max()
+
+    @pytest.mark.parametrize("J2", [1.6, 2.0, 2.2])
+    def test_uniform_sign_mixed_chain_takes_half_size(self, J2):
+        # fig8's intercell-dominant side: J2 > Delta2 makes the intercell bonds imaginary
+        p = ModBKCParams(J1=1.0, J2=J2, Delta1=1.5, Delta2=2.1, omega=0.0, N=100)
+        s = solve(p, OBC, vectors=False)
+        assert s.source == "reduced[modbkc,obc,n=100]"
+        E = np.linalg.eigvals(effective_ssh_matrix(p))
+        ref = np.concatenate([1j * E, -1j * E])
+        assert _distance(s.eigenvalues, ref) <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("cut", [False, True])
+    def test_guard_keeps_zero_mode_count(self, cut):
+        # fig5 at J2 = 2.2: a topological sign-mixed chain whose edge pair is
+        # ~1e-21 from zero; cut at the middle intercell bond (Delta2 = J2
+        # there), each half keeps an edge pair of ~1e-11
+        p = ModBKCParams(J1=0.0, J2=2.2, Delta1=1.0, Delta2=1.5, omega=0.0, N=100)
+        f = SiteFields.uniform(p)
+        if cut:
+            J2 = f.J2.copy()
+            J2[49] = f.Delta2[49]
+            f = replace(f, J2=J2)
+        bare, full = solve(f, OBC, vectors=False), solve(f, OBC)
+        assert "half-size guard" in bare.source
+        count = zero_modes_per_copy(bare, f, OBC, 1e-6)
+        assert count == zero_modes_per_copy(full, f, OBC, 1e-6) == (4 if cut else 2)
+        E = np.linalg.eigvals(effective_ssh_matrix(f))
+        assert _distance(bare.eigenvalues, np.concatenate([1j * E, -1j * E])) <= SSH_BOUND * np.abs(E).max()
 
 
 class TestBlochRoute:
