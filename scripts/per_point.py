@@ -1,0 +1,153 @@
+#!/usr/bin/env python3
+"""Per-stage timings of one parameter point per solve route.
+
+Usage: PYTHONPATH=src python scripts/per_point.py [--cells N] [--repeats K]
+
+For one point of each route of `bkchain.spectral.solve` (chain length N,
+default 100) it times, best of K runs (default 7), in milliseconds:
+
+* ``build``: the quadratic form Q and the excitation matrix M;
+* ``solve`` and ``solve_no_vectors``: ``solve(p, bc)`` and
+  ``solve(p, bc, vectors=False)``;
+* ``lift`` and ``residuals``: the gauge lift and `_residuals`, each timed
+  inside ``solve`` by wrapping it (null where the route runs no such step);
+* ``census``: `nhse_fraction` on the spectrum with vectors;
+* ``csv_write``: one `write_csv` of the point's eigenvalues.
+
+``sample_site_fields`` (one realization with every parameter disordered) is
+timed once.  BLAS and OpenMP run on one thread unless the environment sets
+otherwise; the JSON printed on standard output records the thread settings
+and the NumPy and BLAS build.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+from dataclasses import asdict, replace  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from bkchain import spectral, transform  # noqa: E402
+from bkchain.csvio import write_csv  # noqa: E402
+from bkchain.disorder import DisorderSpec, sample_site_fields  # noqa: E402
+from bkchain.model import (  # noqa: E402
+    BKCParams,
+    BoundaryCondition,
+    ModBKCParams,
+    build_bkc_quadratic,
+    build_modbkc_quadratic,
+    excitation_matrix,
+)
+from bkchain.skin import nhse_fraction  # noqa: E402
+
+OBC, PBC = BoundaryCondition.OBC, BoundaryCondition.PBC
+
+
+def points(n):
+    """(label, params, bc): one point per route; the reduced route has three branches."""
+    scan = ModBKCParams(J1=0.0, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=n)
+    sweep = ModBKCParams(J1=1.4, J2=1.2, Delta1=1.0, Delta2=1.0, omega=0.3, N=n)
+    return [
+        ("similarity", BKCParams(J0=0.5, Delta0=1.0, omega=0.0, N=n), OBC),
+        ("reduced_eigh", ModBKCParams(J1=0.0, J2=0.5, Delta1=1.0, Delta2=1.5, omega=0.0, N=n), OBC),
+        ("reduced_half_size", replace(scan, J1=2.0), OBC),
+        ("reduced_guarded", replace(scan, J1=1.4), OBC),
+        ("bloch", sweep, PBC),
+        ("xp", sweep, OBC),
+        ("eig", BKCParams(J0=0.5, Delta0=1.0, omega=0.5, N=n), OBC),
+    ]
+
+
+def best_ms(fn, repeats):
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return 1e3 * min(times)
+
+
+class StageTimer:
+    """Wraps ``owner.name`` and records the wall time of each call."""
+
+    def __init__(self, owner, name):
+        self.owner, self.name, self.times = owner, name, []
+
+    def __enter__(self):
+        inner = getattr(self.owner, self.name)
+
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                self.times.append(time.perf_counter() - t0)
+
+        self.inner = inner
+        setattr(self.owner, self.name, timed)
+        return self
+
+    def __exit__(self, *exc):
+        setattr(self.owner, self.name, self.inner)
+
+    def best_ms(self):
+        return 1e3 * min(self.times) if self.times else None
+
+
+def route_stages(p, bc, repeats, tmpdir):
+    build = build_bkc_quadratic if isinstance(p, BKCParams) else build_modbkc_quadratic
+    lift_owner = (spectral, "_lift_product") if isinstance(p, ModBKCParams) else (transform.SimilarityMatrix, "lift")
+    with StageTimer(*lift_owner) as lift, StageTimer(spectral, "_residuals") as residuals:
+        solve_ms = best_ms(lambda: spectral.solve(p, bc), repeats)
+    spec = spectral.solve(p, bc)
+    stages = {
+        "build": best_ms(lambda: excitation_matrix(build(p, bc)), repeats),
+        "solve": solve_ms,
+        "solve_no_vectors": best_ms(lambda: spectral.solve(p, bc, vectors=False), repeats),
+        "lift": lift.best_ms(),
+        "residuals": residuals.best_ms(),
+        "census": (None if spec.eigenvectors is None
+                   else best_ms(lambda: nhse_fraction(spec, 0.1, 0.9, p.N), repeats)),
+    }
+    rows = [(i, e.real, e.imag) for i, e in enumerate(spec.eigenvalues)]
+    path = os.path.join(tmpdir, "eigenvalues.csv")
+    stages["csv_write"] = best_ms(lambda: write_csv(path, ("index", "re_E", "im_E"), rows), repeats)
+    return {"params": asdict(p), "bc": bc.value, "source": spec.source,
+            "stages_ms": {k: None if v is None else round(v, 3) for k, v in stages.items()}}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--cells", type=int, default=100, help="chain length N (default 100)")
+    parser.add_argument("--repeats", type=int, default=7, help="runs per stage, best kept (default 7)")
+    args = parser.parse_args(argv)
+    if args.cells < 2 or args.repeats < 1:
+        parser.error("--cells must be >= 2 and --repeats >= 1")
+    base = ModBKCParams(J1=1.0, J2=1.4, Delta1=1.5, Delta2=2.1, omega=0.3, N=args.cells)
+    spec = DisorderSpec({"J1": 0.5, "J2": 0.5, "Delta1": 0.5, "Delta2": 0.5, "omega": 0.5}, seed=1)
+    with tempfile.TemporaryDirectory() as tmpdir:
+        routes = {label: route_stages(p, bc, args.repeats, tmpdir) for label, p, bc in points(args.cells)}
+    report = {
+        "cells": args.cells,
+        "repeats": args.repeats,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas"),
+        "thread_env": {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                                       "MKL_NUM_THREADS")},
+        "nproc": os.cpu_count(),
+        "routes": routes,
+        "sample_site_fields_ms": round(best_ms(lambda: sample_site_fields(base, spec, 0), args.repeats), 3),
+    }
+    print(json.dumps(report, indent=1))
+
+
+if __name__ == "__main__":
+    main()

@@ -18,9 +18,17 @@ code that picks a solve route:
   and lifts the product basis (sigma_x eigenvector) (x) (SSH eigenvector);
   every eigenvalue is exactly twofold degenerate.  H_ssh is tridiagonal with
   real or imaginary bonds, so a diagonal S of exact phases +-1, +-i maps it
-  onto a real H_r, solved by `eigh` (all bonds real) or real `eig` with
-  eigenvectors S U_r; nothing is squared.  At Delta = +-J exactly on some
-  bond the eigenvalues stay exact but no eigenvectors are computed.
+  onto a real H_r with eigenvectors S U_r.  Where every bond is real, `eigh`
+  solves H_r and nothing is squared.  Where some Delta^2 - J^2 < 0, H_r is
+  bipartite with a zero diagonal, [[0, D], [F, 0]] in sublattice order, so
+  an eigenpair (mu, a) of the N x N real D F gives E = +-sqrt(mu) with the
+  eigenvector (a, +-F a / E) of H_r (`_half_size`, as on the x/p route).
+  That squares E: a chain with min|E| <= ``REDUCED_MIN_EIGENVALUE`` *
+  max|H_r| is solved by the real `eig` of H_r instead, and its
+  ``Spectrum.source`` names the guard.  The lift of the product basis runs
+  on the SSH eigenvectors directly (`_lift_product`).  At Delta = +-J
+  exactly on some bond the eigenvalues stay exact but no eigenvectors are
+  computed.
 * **Bloch** (uniform ring of either model, `BKCParams` or `ModBKCParams`
   under PBC, any omega).  Translation invariance splits the ring into N
   independent blocks B(k), k = 2 pi m / N, 2x2 or 4x4, read off the model's
@@ -55,20 +63,18 @@ check: there is nothing to check it on.  Per route:
 
 * Hatano-Nelson gauge: `eigvalsh` of the two channel images, no lift; the
   dense fallback at Delta0 = +-J0 takes `eigvals` of M.
-* SSH reduction: where every bond is real, `eigvalsh` of H_r, which squares
-  nothing, so the exponentially small zero modes stay exact.  Where some
-  Delta^2 - J^2 < 0, H_r is bipartite with a zero diagonal, [[0, D], [F, 0]]
-  in sublattice order, so its spectrum is +-sqrt(eig(D F)), an N x N real
-  problem.  That squares E: a chain with min|E| <=
-  ``REDUCED_MIN_EIGENVALUE`` * max|H_r| goes to the real `eigvals` of H_r
-  instead, and ``source`` names the guard.  A singular gauge, which has no
-  vectors either way, is solved the same way.
+* SSH reduction: the branches of the vector solve, without vectors:
+  `eigvalsh` of H_r where every bond is real, which squares nothing, so the
+  exponentially small zero modes stay exact; else +-sqrt(eigvals(D F)),
+  with the same guard, falling back to the real `eigvals` of H_r.  A
+  singular gauge, which has no vectors either way, is solved the same way.
 * Bloch: one batched `eigvals` of the N blocks; neither the ring's Q nor M is
   built.
 * x/p: `eigvals` of Qp Qx; a guarded point takes the dense `eigvals` of M.
 
-The x/p and reduced half-size solves share one helper, `_half_size`: the
-square root, the small-|E| guard, the +- pairing and the sort order.
+The x/p and reduced half-size solves share `_half_size` (the square root,
+the small-|E| guard, the +- pairing and the sort order) and, with vectors,
+`_paired` (the eigenvectors of the full-size matrix).
 """
 
 from __future__ import annotations
@@ -122,10 +128,11 @@ _HERMITIAN_TOL = 1e-10
 # with a smaller eigenvalue are solved densely instead.
 XP_MIN_EIGENVALUE = 1e-4
 # Smallest |E| the reduced route's half-size solve accepts, relative to
-# max|H_r|: the x/p guard, made stricter because these eigenvalues are
-# written out as they are (fig8 zero_gap).  At 1e-4 they strayed from the
-# unsquared eig(H_r) by up to 1.3e-11 max|E| over the 160 sign-mixed fig8
-# realizations; at 1e-2 by at most 1.1e-13, with 138 of them still half-size.
+# max|H_r|, with or without vectors: the x/p guard, made stricter because
+# these eigenvalues are written out as they are (fig8 zero_gap).  At 1e-4
+# they strayed from the unsquared eig(H_r) by up to 1.3e-11 max|E| over the
+# 160 sign-mixed fig8 realizations; at 1e-2 by at most 1.1e-13, with 138 of
+# them still half-size.
 REDUCED_MIN_EIGENVALUE = 1e-2
 # Columns per block of `_residuals`: its temporaries are a few (dim, 64) arrays.
 _RESIDUAL_BLOCK = 64
@@ -277,8 +284,11 @@ class _SmallEigenvalue(Exception):
 def _half_size(P: np.ndarray, vectors: bool, min_eigenvalue: float, scale: float, scale_name: str):
     """Spectrum +-sqrt(mu) of a matrix whose square is block-diagonal with the real block P.
 
-    Both half-size routes solve such a matrix, [[0, D], [F, 0]] with P = D F:
-    an eigenpair (mu, x) of P gives the eigenvalues E = +-sqrt(mu).  Returns
+    Three solves call it: the x/p route (P = Qp Qx, with or without
+    vectors) and the sign-mixed reduced route's solves with and without
+    vectors (P = D F of H_r).  Each solves a matrix [[0, D], [F, 0]]: an
+    eigenpair (mu, x) of P = D F gives the eigenvalues E = +-sqrt(mu), and
+    `_paired` their eigenvectors.  Returns
     ``(vals, order, root, X)``: ``vals`` is concat([root, -root])[order],
     sorted as `_sorted` sorts, and X holds the eigenvectors of P (None
     without ``vectors``).  Squaring loses about sqrt(eps) of accuracy near
@@ -299,30 +309,78 @@ def _half_size(P: np.ndarray, vectors: bool, min_eigenvalue: float, scale: float
     return vals[order], order, root, X
 
 
+def _paired(X: np.ndarray, Y: np.ndarray, order: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Unit-norm eigenvectors (x, +-y) of [[0, D], [F, 0]] from a `_half_size` solve, interleaved.
+
+    Column m of X is an eigenvector x of D F, with eigenvalue mu, and column m
+    of Y is F x / sqrt(mu); (x, y) and (x, -y) then belong to +-sqrt(mu) and
+    share one norm.  The rows of the result (``out``, if given) alternate x and
+    y, and its columns follow ``order`` from `_half_size`.
+    """
+    norm = np.sqrt((np.abs(X) ** 2).sum(axis=0) + (np.abs(Y) ** 2).sum(axis=0))
+    X, Y = X / norm, Y / norm
+    half = len(norm)
+    if out is None:
+        out = np.empty((2 * len(X), len(order)), dtype=complex)
+    out[0::2] = X[:, order % half]
+    out[1::2] = Y[:, order % half]
+    out[1::2] *= np.where(order < half, 1.0, -1.0)
+    return out
+
+
+def _lift_product(A: SimilarityMatrix, U: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``A.lift`` of the product basis (sigma_pm (x) u_m), with its columns in ``order``.
+
+    SSH site a sits at flat index 2a (x) and 2a+1 (p), so the basis column of
+    +i E_m holds U[:, m] at both quadratures and the column of -i E_m holds
+    U[:, m] at x and -U[:, m] at p.  The two share |U| and hence lift's column
+    maximum t_m = max_a (log|U_am| + max(s_x,a, s_p,a)): log runs on the (2N)^2
+    entries of U and exp on the x and p halves of the gauge, (2N)^2 each, not
+    on the (4N)^2 of the basis.  The rest is lift's own arithmetic on the same
+    values in the same C layout (its column norms sum the x and p rows in
+    their interleaved order), then `_sorted`'s gather: the result equals
+    ``A.lift(basis)[:, order]`` bit for bit, F-contiguous like that gather,
+    which `spatial_profile`'s column sums depend on.
+    """
+    two_n = U.shape[1]
+    s = A.log_scale[:, None]
+    with np.errstate(divide="ignore"):  # log|0| = -inf never wins a maximum
+        top = (np.log(np.abs(U)) + np.maximum(s[0::2], s[1::2])).max(axis=0)
+    out = np.empty((2 * two_n, 2, two_n), dtype=complex)  # (flat index, sign, m)
+    out[0::2] = U[:, None]
+    out[1::2, 0] = U
+    np.negative(U, out=out[1::2, 1])
+    out *= np.exp(np.minimum(s - top, 700.0))[:, None]
+    out *= A.phase[:, None, None]
+    out /= np.linalg.norm(out[:, 0], axis=0)  # the -i E_m column differs in signs only
+    return out.reshape(2 * two_n, 2 * two_n)[:, order]
+
+
 def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
                                bc: BoundaryCondition = BoundaryCondition.OBC,
                                with_vectors: bool = True) -> Spectrum:
     """Exact omega=0 spectrum of the open two-sublattice chain via the SSH reduction.
 
     Eigenvalues are +-i E_m over the reduced SSH spectrum {E_m}, solved in
-    real arithmetic through the phase gauge of the module docstring;
-    eigenvectors are the product basis lifted through the combined gauge.
+    real arithmetic through the phase gauge of the module docstring: `eigh`
+    of H_r where every bond is real, else the half-size +-sqrt(eig(D F)) with
+    its guard, falling back to the real `eig` of H_r.  Eigenvectors are the
+    product basis lifted through the combined gauge (`_lift_product`).
     With ``with_vectors=False`` (or at singular gauge points Delta = +-J) only
-    the eigenvalues are computed, as the module docstring's eigenvalue-only
-    reduced route says; they remain exact at singular points by continuity
-    of the characteristic polynomial.  Open boundaries only: the gauge does
-    not close around a ring, so the reduced ring is not the PBC spectrum.
+    the eigenvalues are computed, along the same branches; they remain exact
+    at singular points by continuity of the characteristic polynomial.  Open
+    boundaries only: the gauge does not close around a ring, so the reduced
+    ring is not the PBC spectrum.
     """
     if bc is not BoundaryCondition.OBC:
         raise ValueError("modbkc_spectrum_zero_omega requires open boundaries")
     if not _zero_omega(p):
         raise ValueError("modbkc_spectrum_zero_omega requires all onsite omega = 0")
-    n = p.N
-    source = f"reduced[modbkc,{bc.value},n={n}]"
+    source = f"reduced[modbkc,{bc.value},n={p.N}]"
     # H is tridiagonal with bonds b_k, each real or purely imaginary: with s_{k+1} = s_k |b_k| / b_k,
     # a power of i, S^-1 H S is the real H_r with |b_k| above and b_k^2 / |b_k| below the diagonal.
     b = np.diagonal(effective_ssh_matrix(p), 1)
-    mag, symmetric = np.abs(b), not b.imag.any()
+    mag = np.abs(b)
     Hr = np.diag(mag, 1) + np.diag(np.where(b.imag != 0, -mag, mag), -1)
     A = None
     if with_vectors:
@@ -330,26 +388,24 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
             A = a_combined(p)
         except SingularTransformError as err:  # Delta = +-J somewhere: no gauge, eigenvalues only
             source += f" (no vectors: {err})"
-    if A is None:
-        if symmetric:
-            E = np.linalg.eigvalsh(Hr)
-        else:
-            try:  # bipartite: [[0, D], [F, 0]] in sublattice order, E = +-sqrt(eig(D F))
-                DF = Hr[0::2, 1::2] @ Hr[1::2, 0::2]
-                E = _half_size(DF, False, REDUCED_MIN_EIGENVALUE, mag.max(), "H_r")[0]
-            except _SmallEigenvalue as guard:
-                E, source = np.linalg.eigvals(Hr), f"{source} (half-size guard: {guard})"
-        return _sorted(np.concatenate([1j * E, -1j * E]), None, source)
-    E, U = np.linalg.eigh(Hr) if symmetric else np.linalg.eig(Hr)
+    vectors = A is not None
+    if not b.imag.any():
+        E, U = np.linalg.eigh(Hr) if vectors else (np.linalg.eigvalsh(Hr), None)
+    else:
+        try:  # bipartite: [[0, D], [F, 0]] in sublattice order, E = +-sqrt(eig(D F))
+            F = Hr[1::2, 0::2]
+            E, order, root, X = _half_size(Hr[0::2, 1::2] @ F, vectors, REDUCED_MIN_EIGENVALUE, mag.max(), "H_r")
+            U = None if X is None else _paired(X, (F @ X) / root, order)
+        except _SmallEigenvalue as guard:
+            source = f"{source} (half-size guard: {guard})"
+            E, U = np.linalg.eig(Hr) if vectors else (np.linalg.eigvals(Hr), None)
+    vals = np.concatenate([1j * E, -1j * E])
+    if U is None:
+        return _sorted(vals, None, source)
     # U = S U_r; |b| / b and S hold +-1, +-i only, so every product is exact
     U = np.concatenate([[1], np.cumprod(np.sign(b.real) - 1j * np.sign(b.imag))])[:, None] * U
-    vals = np.concatenate([1j * E, -1j * E])
-    # lift (sigma_pm (x) u_m): quadrature components (1, +-1)/sqrt(2) * u.
-    # SSH site a = 2j+S sits at flat index 2a (x) and 2a+1 (p).
-    vecs = np.empty((4 * n, 4 * n), dtype=complex)
-    vecs[0::2] = np.hstack([U, U])     # columns m: eigenvalue +i E_m
-    vecs[1::2] = np.hstack([U, -U])    # columns 2n+m: eigenvalue -i E_m
-    return _sorted(vals, A.lift(vecs), source)
+    order = np.lexsort((vals.imag, vals.real))
+    return Spectrum(eigenvalues=vals[order], eigenvectors=_lift_product(A, U, order), source=source)
 
 
 def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:
@@ -377,15 +433,8 @@ def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:
     # hole under it; allocated after them, it raised the peak RSS of a fig9
     # ensemble run by 2 MB (4%).
     vecs = np.empty((q.dim, q.dim), dtype=complex)
-    # unit-norm (x, p) halves per mu; the -sqrt(mu) partner has p negated
-    P = (Qx @ X) * (1j / root)
-    norm = np.sqrt((np.abs(X) ** 2).sum(axis=0) + (np.abs(P) ** 2).sum(axis=0))
-    X, P = X / norm, P / norm
-    half = len(root)
-    vecs[0::2] = X[:, order % half]
-    vecs[1::2] = P[:, order % half]
-    vecs[1::2] *= np.where(order < half, 1.0, -1.0)
-    del X, P  # the residual check below is the peak of memory use
+    _paired(X, (Qx @ X) * (1j / root), order, vecs)
+    del X  # the residual check below is the peak of memory use
     spec = Spectrum(eigenvalues=vals, eigenvectors=vecs, source=source)
     _check_residual(M.M, spec)
     return spec

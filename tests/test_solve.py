@@ -19,6 +19,10 @@ the small-eigenvalue guard).  The references are:
   dense route on a disorder realization of fig9;
 * the reduced route's real gauge: the complex eigenvalues of
   `effective_ssh_matrix` and the eigenpair residual on the 4N matrix;
+* the reduced route's half-size eigenvectors of sign-mixed chains: the
+  same, the eigenvalue-only solve, and the skin census of the full-size
+  `eig` of H_r; its product lift: ``SimilarityMatrix.lift`` of the full
+  product basis, bit for bit;
 * eigenvalue-only solves (``vectors=False``): the same route with vectors,
   and for the reduced half-size solve of a sign-mixed chain the complex
   eigenvalues of `effective_ssh_matrix`.
@@ -50,7 +54,7 @@ from bkchain.model import (
     build_modbkc_quadratic,
     excitation_matrix,
 )
-from bkchain import topology
+from bkchain import spectral, topology
 from bkchain.disorder import DisorderSpec, sample_site_fields
 from bkchain.skin import nhse_fraction, profile_matrix
 from bkchain.spectral import (
@@ -59,6 +63,7 @@ from bkchain.spectral import (
     SolverError,
     Spectrum,
     _check_residual,
+    _lift_product,
     _residuals,
     bkc_pbc_dispersion,
     eigendecompose,
@@ -66,7 +71,7 @@ from bkchain.spectral import (
     solve,
 )
 from bkchain.topology import AxisSpec, edge_mode_count, phase_scan, zero_modes_per_copy
-from bkchain.transform import effective_ssh_matrix
+from bkchain.transform import SimilarityMatrix, effective_ssh_matrix
 
 OBC = BoundaryCondition.OBC
 PBC = BoundaryCondition.PBC
@@ -166,6 +171,11 @@ def _distance(a, b):
     return float(d[rows, cols].max())
 
 
+def _cut(f):
+    """Whether some bond of the open chain has Delta = +-J (a singular gauge)."""
+    return bool(np.any(np.abs(f.Delta1) == np.abs(f.J1)) or np.any(np.abs(f.Delta2[:-1]) == np.abs(f.J2[:-1])))
+
+
 def _bloch_union(p):
     return np.concatenate([np.linalg.eigvals(bloch_matrix(p, 2 * np.pi * m / p.N))
                            for m in range(p.N)])
@@ -247,9 +257,8 @@ class TestSolveRoutes:
         z = 2 * int((np.abs(E) < 1e-9 * scale).sum())
         bound = max(GAUGE_BOUND, 10 * np.finfo(float).eps ** (1 / z)) if z else GAUGE_BOUND
         assert _distance(s.eigenvalues, dense) <= bound * scale
-        cut = np.any(np.abs(f.Delta1) == np.abs(f.J1)) or np.any(np.abs(f.Delta2[:-1]) == np.abs(f.J2[:-1]))
-        assert (s.eigenvectors is None) == cut
-        if not cut:
+        assert (s.eigenvectors is None) == _cut(f)
+        if not _cut(f):
             V = s.eigenvectors
             residual = np.linalg.norm(M @ V - V * s.eigenvalues, axis=0).max()
             assert residual <= 1e-10 * np.abs(M).max()
@@ -470,6 +479,126 @@ class TestReducedHalfSize:
         assert count == zero_modes_per_copy(full, f, OBC, 1e-6) == (4 if cut else 2)
         E = np.linalg.eigvals(effective_ssh_matrix(f))
         assert _distance(bare.eigenvalues, np.concatenate([1j * E, -1j * E])) <= SSH_BOUND * np.abs(E).max()
+
+    @pytest.mark.parametrize("J1,guarded", [(1.4, True), (2.0, False)])
+    def test_vector_path_names_the_guard(self, J1, guarded):
+        # scan-grid points: J1 = 1.4 is topological, its edge pair ~1e-8 from
+        # zero; J1 = 2.0 is trivial and takes the half-size solve
+        p = ModBKCParams(J1=J1, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100)
+        full, bare = solve(p, OBC), solve(p, OBC, vectors=False)
+        guard = " (half-size guard: min|E| "
+        for s in (full, bare):
+            assert s.source.startswith("reduced[modbkc,obc,n=100]")
+            assert (guard in s.source) == guarded
+        assert full.source == bare.source
+        assert full.eigenvectors is not None
+        _check_residual(_quadratic_matrix(p, OBC), full)
+        count = zero_modes_per_copy(full, p, OBC, 1e-6)
+        assert count == zero_modes_per_copy(bare, p, OBC, 1e-6) == (2 if guarded else 0)
+
+
+def _all_mixed_chain(n=100):
+    """omega = 0 fields with each bond J- or Delta-dominant at random, in the trivial phase."""
+    rng = np.random.default_rng(11)
+    delta1, delta2 = rng.uniform(1.0, 2.0, n), rng.uniform(0.2, 0.5, n)
+    J1 = np.where(rng.random(n) < 0.5, delta1 * rng.uniform(0.2, 0.5, n), delta1 * rng.uniform(1.5, 2.0, n))
+    J2 = np.where(rng.random(n) < 0.5, delta2 * rng.uniform(0.2, 0.5, n), delta2 * rng.uniform(1.5, 2.0, n))
+    zero = np.zeros(n)
+    return SiteFields(J1=J1, J2=J2, Delta1=delta1, Delta2=delta2, omega_A=zero, omega_B=zero)
+
+
+def _assert_half_size_vectors(f):
+    """The reduced route's eigenpairs of a sign-mixed chain: residual, and eigenvalues of two references."""
+    s, bare = solve(f, OBC), solve(f, OBC, vectors=False)
+    assert s.source.startswith("reduced[") and s.eigenvectors is not None
+    M = _quadratic_matrix(f, OBC)
+    assert _residuals(M, s.eigenvectors, s.eigenvalues).max() <= 1e-10 * np.abs(M).max()
+    E = np.linalg.eigvals(effective_ssh_matrix(f))
+    ref = np.concatenate([1j * E, -1j * E])
+    assert _distance(s.eigenvalues, ref) <= SSH_BOUND * max(1.0, float(np.abs(ref).max()))
+    assert _distance(s.eigenvalues, bare.eigenvalues) <= 1e-12 * np.abs(s.eigenvalues).max()
+    return s
+
+
+class TestReducedHalfSizeVectors:
+    """Eigenvectors of a sign-mixed reduced chain from the half-size solve, (a, +-F a / E)."""
+
+    @given(f=sign_mixed_site_fields().filter(lambda f: not _cut(f) and effective_ssh_matrix(f).imag.any()))
+    @settings(PROPERTY, max_examples=100)
+    def test_sign_mixed_chains(self, f):
+        _assert_half_size_vectors(f)
+
+    def test_all_mixed_chain(self):
+        f = _all_mixed_chain()
+        b = np.diagonal(effective_ssh_matrix(f), 1)
+        assert b.real.any() and b.imag.any()
+        assert _assert_half_size_vectors(f).source == "reduced[modbkc,obc,n=100]"
+
+    def test_census_matches_full_size_solve_on_fig4(self, monkeypatch):
+        # fig4's grid: 75 sign-mixed points (J1 > Delta1 = 1), 39 of them unguarded
+        base = ModBKCParams(J1=0.0, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100)
+        grid = [replace(base, J1=float(J1)) for J1 in AxisSpec("J1", 0.0, 2.5, 0.02).values() if J1 > 1.0]
+        points = [p for p in grid if solve(p, OBC, vectors=False).source == "reduced[modbkc,obc,n=100]"]
+        assert (len(grid), len(points)) == (75, 39)
+        half = [nhse_fraction(solve(p, OBC), 0.1, 0.9, p.N) for p in points]
+        monkeypatch.setattr(spectral, "REDUCED_MIN_EIGENVALUE", np.inf)  # every chain takes eig(H_r)
+        full = [solve(p, OBC) for p in points]
+        assert all("half-size guard" in s.source for s in full)
+        assert half == [nhse_fraction(s, 0.1, 0.9, p.N) for s, p in zip(full, points)]
+
+
+def _lift_reference(A, U, order):
+    """The product basis (sigma_pm (x) U) built out in full, lifted by ``A.lift`` and gathered as `_sorted` does."""
+    two_n = U.shape[1]
+    basis = np.empty((2 * two_n, 2 * two_n), dtype=complex)
+    basis[0::2] = np.hstack([U, U])
+    basis[1::2] = np.hstack([U, -U])
+    return A.lift(basis)[:, order]
+
+
+class TestProductLift:
+    """`_lift_product` against ``SimilarityMatrix.lift`` of the full product basis."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("two_n", [2, 7, 24, 200])
+    def test_bit_identical_on_random_vectors(self, seed, two_n):
+        rng = np.random.default_rng(seed)
+        U = rng.normal(size=(two_n, two_n)) + 1j * rng.normal(size=(two_n, two_n))
+        U *= 10.0 ** rng.uniform(-300, 300, (two_n, two_n)) if seed % 2 else 1.0
+        U.real[rng.random(U.shape) < 0.2] = 0.0
+        U.imag[rng.random(U.shape) < 0.2] = 0.0
+        U[rng.random(U.shape) < 0.1] = 0.0
+        U[rng.random(U.shape) < 0.1] *= 1e-310  # subnormal parts
+        U[:, 0] = 0.0
+        U[0, 0] = 1.0  # a column with a single nonzero entry
+        # from seed 2 on the gauge spans e^1400, log10_condition 608
+        log_scale = rng.permutation(np.linspace(-700.0, 700.0, 2 * two_n)) if seed >= 2 \
+            else rng.uniform(-5.0, 5.0, 2 * two_n)
+        A = SimilarityMatrix(log_scale=log_scale, phase=np.exp(1j * rng.choice([0, 0.5, 1, 1.5], 2 * two_n) * np.pi),
+                             r_values={})
+        assert (A.log10_condition > 300) == (seed >= 2)
+        E = rng.normal(size=two_n) + 1j * rng.normal(size=two_n) * (seed % 3 != 0)
+        E[: two_n // 2] = E[0]  # degenerate values keep lexsort's tie order
+        vals = np.concatenate([1j * E, -1j * E])
+        order = np.lexsort((vals.imag, vals.real))
+        ref, out = _lift_reference(A, U, order), _lift_product(A, U, order)
+        assert np.array_equal(out, ref)
+        assert out.tobytes() == ref.tobytes()
+        assert out.flags.f_contiguous == ref.flags.f_contiguous
+
+    @pytest.mark.parametrize("p", [
+        ModBKCParams(J1=0.4, J2=0.1, Delta1=1.0, Delta2=0.5, omega=0.0, N=100),  # fig3
+        ModBKCParams(J1=0.0, J2=0.5, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # fig6
+        ModBKCParams(J1=2.0, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # half-size
+        ModBKCParams(J1=1.4, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # guarded
+    ])
+    def test_profiles_unchanged(self, p, monkeypatch):
+        s = solve(p, OBC)
+        monkeypatch.setattr(spectral, "_lift_product", _lift_reference)
+        ref = solve(p, OBC)
+        assert s.eigenvectors.tobytes() == ref.eigenvectors.tobytes()
+        assert s.eigenvectors.flags.f_contiguous and ref.eigenvectors.flags.f_contiguous
+        assert profile_matrix(s, p.N).tobytes() == profile_matrix(ref, p.N).tobytes()
 
 
 class TestBlochRoute:
