@@ -41,6 +41,7 @@ from bkchain.model import (  # noqa: E402
     BKCParams,
     BoundaryCondition,
     ModBKCParams,
+    SiteFields,
     build_bkc_quadratic,
     build_modbkc_quadratic,
     excitation_matrix,
@@ -51,14 +52,27 @@ OBC, PBC = BoundaryCondition.OBC, BoundaryCondition.PBC
 
 
 def points(n):
-    """(label, params, bc): one point per route; the reduced route has three branches."""
+    """(label, params, bc): one point per route; the reduced route has five branches.
+
+    ``reduced_eigh`` (all bonds real) and ``reduced_deflated`` (sign-mixed)
+    are topological, with a closed-form edge pair; ``reduced_deflated_solved``
+    lies near the transition, where the pair's vectors are solved instead;
+    ``reduced_guarded`` is the fig5 chain at J2 = 2.2 nearly cut at its
+    middle intercell bond, whose two edge pairs send it to the full-size
+    solve.
+    """
     scan = ModBKCParams(J1=0.0, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=n)
+    split = SiteFields.uniform(replace(scan, J2=2.2))
+    J2 = split.J2.copy()
+    J2[n // 2 - 1] = split.Delta2[n // 2 - 1] * (1 - 1e-6)
     sweep = ModBKCParams(J1=1.4, J2=1.2, Delta1=1.0, Delta2=1.0, omega=0.3, N=n)
     return [
         ("similarity", BKCParams(J0=0.5, Delta0=1.0, omega=0.0, N=n), OBC),
         ("reduced_eigh", ModBKCParams(J1=0.0, J2=0.5, Delta1=1.0, Delta2=1.5, omega=0.0, N=n), OBC),
         ("reduced_half_size", replace(scan, J1=2.0), OBC),
-        ("reduced_guarded", replace(scan, J1=1.4), OBC),
+        ("reduced_deflated", replace(scan, J1=1.4), OBC),
+        ("reduced_deflated_solved", replace(scan, J1=1.7), OBC),
+        ("reduced_guarded", replace(split, J2=J2), OBC),
         ("bloch", sweep, PBC),
         ("xp", sweep, OBC),
         ("eig", BKCParams(J0=0.5, Delta0=1.0, omega=0.5, N=n), OBC),
@@ -103,7 +117,7 @@ class StageTimer:
 
 def route_stages(p, bc, repeats, tmpdir):
     build = build_bkc_quadratic if isinstance(p, BKCParams) else build_modbkc_quadratic
-    lift_owner = (spectral, "_lift_product") if isinstance(p, ModBKCParams) else (transform.SimilarityMatrix, "lift")
+    lift_owner = (transform.SimilarityMatrix, "lift") if isinstance(p, BKCParams) else (spectral, "_lift_product")
     with StageTimer(*lift_owner) as lift, StageTimer(spectral, "_residuals") as residuals:
         solve_ms = best_ms(lambda: spectral.solve(p, bc), repeats)
     spec = spectral.solve(p, bc)
@@ -119,7 +133,8 @@ def route_stages(p, bc, repeats, tmpdir):
     rows = [(i, e.real, e.imag) for i, e in enumerate(spec.eigenvalues)]
     path = os.path.join(tmpdir, "eigenvalues.csv")
     stages["csv_write"] = best_ms(lambda: write_csv(path, ("index", "re_E", "im_E"), rows), repeats)
-    return {"params": asdict(p), "bc": bc.value, "source": spec.source,
+    params = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in asdict(p).items()}
+    return {"params": params, "bc": bc.value, "source": spec.source,
             "stages_ms": {k: None if v is None else round(v, 3) for k, v in stages.items()}}
 
 

@@ -10,8 +10,8 @@ code that picks a solve route:
   gauge image instead and lifts the eigenvectors back; the conjugation is
   entrywise and therefore exact.  The image has no x-p coupling, so its x
   and p channels, whose spectra are equal, are solved apart.  At
-  Delta0 = +-J0 the gauge does not exist (`SingularTransformError`) and the
-  dense route is taken.
+  Delta0 = +-J0 the gauge does not exist (`SingularTransformError`): the
+  dense route is taken, and ``Spectrum.source`` names the error.
 * **SSH reduction** (two-sublattice chain, OBC, every onsite omega = 0).  The
   combined gauge maps M onto i sigma_x (x) H_ssh, two decoupled copies of an
   SSH chain, so `modbkc_spectrum_zero_omega` solves the 2N-dimensional H_ssh
@@ -21,14 +21,26 @@ code that picks a solve route:
   onto a real H_r with eigenvectors S U_r.  Where every bond is real, `eigh`
   solves H_r and nothing is squared.  Where some Delta^2 - J^2 < 0, H_r is
   bipartite with a zero diagonal, [[0, D], [F, 0]] in sublattice order, so
-  an eigenpair (mu, a) of the N x N real D F gives E = +-sqrt(mu) with the
-  eigenvector (a, +-F a / E) of H_r (`_half_size`, as on the x/p route).
-  That squares E: a chain with min|E| <= ``REDUCED_MIN_EIGENVALUE`` *
-  max|H_r| is solved by the real `eig` of H_r instead, and its
-  ``Spectrum.source`` names the guard.  The lift of the product basis runs
-  on the SSH eigenvectors directly (`_lift_product`).  At Delta = +-J
-  exactly on some bond the eigenvalues stay exact but no eigenvectors are
-  computed.
+  the eigenvalues mu of the N x N real D F give E = +-sqrt(mu)
+  (`_half_size`, as on the x/p route), and `_twisted` the eigenvector of
+  H_r at each E, accurate entry by entry, as the gauge lift of a localized
+  state needs.  The eigenvector for -E is that for E with its B entries
+  negated.  Squaring E loses accuracy near 0, so a value with
+  |E| <= ``REDUCED_MIN_EIGENVALUE`` * max|H_r| is not taken from its square.
+
+  In the topological phase H_r has one such value, its edge pair,
+  exponentially close to 0: a dense solve returns noise for E and mixes the
+  two vectors.  `_edge_pair` deflates the pair on either branch, in O(N):
+  E from the determinant identity det(D F) = prod(mu), vectors from the
+  sublattice zero-mode recursions, or, near a transition where those are
+  too inexact, from the branch's own solve; the guard judges the other
+  N - 1 values only.  The full-size solve, the real `eig` of H_r, remains
+  for a sign-mixed chain with more than one small value (weakly coupled
+  pieces, an edge pair each) or an exactly zero bond; there the `eigh`
+  branch keeps its own pair.  ``Spectrum.source`` names the deflation or
+  the fallback.  The lift of the product basis runs on the SSH
+  eigenvectors directly (`_lift_product`).  At Delta = +-J exactly on some
+  bond the eigenvalues stay exact but no eigenvectors are computed.
 * **Bloch** (uniform ring of either model, `BKCParams` or `ModBKCParams`
   under PBC, any omega).  Translation invariance splits the ring into N
   independent blocks B(k), k = 2 pi m / N, 2x2 or 4x4, read off the model's
@@ -64,10 +76,11 @@ check: there is nothing to check it on.  Per route:
 * Hatano-Nelson gauge: `eigvalsh` of the two channel images, no lift; the
   dense fallback at Delta0 = +-J0 takes `eigvals` of M.
 * SSH reduction: the branches of the vector solve, without vectors:
-  `eigvalsh` of H_r where every bond is real, which squares nothing, so the
-  exponentially small zero modes stay exact; else +-sqrt(eigvals(D F)),
-  with the same guard, falling back to the real `eigvals` of H_r.  A
-  singular gauge, which has no vectors either way, is solved the same way.
+  `eigvalsh` of H_r where every bond is real, which squares nothing; else
+  +-sqrt(eigvals(D F)), with the same guard, falling back to the real
+  `eigvals` of H_r.  The edge pair is deflated as with vectors, so both
+  paths take the same branch and write the same ``source``.  A singular
+  gauge, which has no vectors either way, is solved the same way.
 * Bloch: one batched `eigvals` of the N blocks; neither the ring's Q nor M is
   built.
 * x/p: `eigvals` of Qp Qx; a guarded point takes the dense `eigvals` of M.
@@ -81,7 +94,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -134,6 +147,13 @@ XP_MIN_EIGENVALUE = 1e-4
 # 160 sign-mixed fig8 realizations; at 1e-2 by at most 1.1e-13, with 138 of
 # them still half-size.
 REDUCED_MIN_EIGENVALUE = 1e-2
+# Largest backward error of the closed-form edge pair vectors (`_edge_pair`),
+# relative to max|H_r|, that the reduced route accepts.  It bounds the pair's
+# residual on M relative to max|M|, so an accepted pair meets the 1e-10
+# max|M| the route's other eigenpairs are tested to.  The error is about
+# |E| / max|H_r|: a pair above it lies near a transition, where |E| is large
+# enough for a solver to resolve the pair, and the pair's vectors are solved.
+EDGE_PAIR_MAX_ERROR = 1e-10
 # Columns per block of `_residuals`: its temporaries are a few (dim, 64) arrays.
 _RESIDUAL_BLOCK = 64
 
@@ -281,32 +301,41 @@ class _SmallEigenvalue(Exception):
     """A half-size solve met an eigenvalue too close to zero to take from its square."""
 
 
-def _half_size(P: np.ndarray, vectors: bool, min_eigenvalue: float, scale: float, scale_name: str):
-    """Spectrum +-sqrt(mu) of a matrix whose square is block-diagonal with the real block P.
+def _square_eig(P: np.ndarray, vectors: bool):
+    """Eigenvalues mu of the real matrix P, with its eigenvectors (else None) when ``vectors``."""
+    try:
+        return np.linalg.eig(P) if vectors else (np.linalg.eigvals(P), None)
+    except np.linalg.LinAlgError as err:
+        raise SolverError(f"half-size eigensolver failed, dim={len(P)}: {err}") from err
+
+
+def _half_size(mu: np.ndarray, min_eigenvalue: float, scale: float, scale_name: str, edge=None):
+    """Spectrum +-sqrt(mu) of a matrix whose square is block-diagonal with a real block P.
 
     Three solves call it: the x/p route (P = Qp Qx, with or without
     vectors) and the sign-mixed reduced route's solves with and without
-    vectors (P = D F of H_r).  Each solves a matrix [[0, D], [F, 0]]: an
-    eigenpair (mu, x) of P = D F gives the eigenvalues E = +-sqrt(mu), and
-    `_paired` their eigenvectors.  Returns
-    ``(vals, order, root, X)``: ``vals`` is concat([root, -root])[order],
-    sorted as `_sorted` sorts, and X holds the eigenvectors of P (None
-    without ``vectors``).  Squaring loses about sqrt(eps) of accuracy near
-    E = 0, so where min|E| <= ``min_eigenvalue`` * ``scale`` (max|entry| of
-    the matrix that was squared, named ``scale_name``) it raises
-    `_SmallEigenvalue` instead.
+    vectors (P = D F of H_r).  Each solves a matrix [[0, D], [F, 0]]: the
+    eigenvalues mu of P = D F (`_square_eig`) give its eigenvalues
+    E = +-sqrt(mu), and `_paired` pairs their eigenvectors.  Returns
+    ``(vals, order, root)``: ``vals`` is concat([root, -root])[order],
+    sorted as `_sorted` sorts.  Squaring loses about sqrt(eps) of accuracy
+    near E = 0, so where min|E| <= ``min_eigenvalue`` * ``scale`` (max|entry|
+    of the matrix that was squared, named ``scale_name``) it raises
+    `_SmallEigenvalue` instead.  ``edge`` = (m, E_m) sets root m to a value
+    found without squaring (`_edge_pair`), and the guard skips it.
     """
-    try:
-        mu, X = np.linalg.eig(P) if vectors else (np.linalg.eigvals(P), None)
-    except np.linalg.LinAlgError as err:
-        raise SolverError(f"half-size eigensolver failed, dim={len(P)}: {err}") from err
     root = np.sqrt(mu.astype(complex))
-    smallest = np.abs(root).min()
-    if not smallest > min_eigenvalue * scale:
-        raise _SmallEigenvalue(f"min|E| {smallest:.2e} <= {min_eigenvalue:g} max|{scale_name}|")
+    kept = root
+    if edge is not None:
+        m, root[m] = edge
+        kept = np.delete(root, m)
+    small = ~(np.abs(kept) > min_eigenvalue * scale)
+    if small.any():
+        count = f", {small.sum()} values" if small.sum() > 1 else ""
+        raise _SmallEigenvalue(f"min|E| {np.abs(kept).min():.2e} <= {min_eigenvalue:g} max|{scale_name}|{count}")
     vals = np.concatenate([root, -root])
     order = np.lexsort((vals.imag, vals.real))
-    return vals[order], order, root, X
+    return vals[order], order, root
 
 
 def _paired(X: np.ndarray, Y: np.ndarray, order: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -326,6 +355,133 @@ def _paired(X: np.ndarray, Y: np.ndarray, order: np.ndarray, out: Optional[np.nd
     out[1::2] = Y[:, order % half]
     out[1::2] *= np.where(order < half, 1.0, -1.0)
     return out
+
+
+class _EdgePair(NamedTuple):
+    m: int                  # index of the pair's value in mu
+    E: complex              # its root, from the determinant identity
+    error: float            # backward error of the closed-form vectors, relative to max|H_r|
+    u: Optional[np.ndarray]  # eigenvector of H_r for +E; None where error > EDGE_PAIR_MAX_ERROR
+
+
+def _edge_pair(mag: np.ndarray, lower: np.ndarray, mu: np.ndarray) -> Optional[_EdgePair]:
+    """The near-zero eigenpair of H_r = diag(mag, 1) + diag(lower, -1), in closed form.
+
+    ``mu`` holds the N values E^2 of H_r from one solve (the eigenvalues of
+    D F).  Returns None where every |E| lies above the half-size guard
+    (``REDUCED_MIN_EIGENVALUE`` max|H_r|).  Where exactly one lies at or
+    below it, returns an `_EdgePair`: mu[m] is that value, E its root, u the
+    eigenvector of H_r for +E, with max|u| = 1 (for -E negate its B
+    entries), and ``error`` the backward error of u; u is None where that
+    error exceeds ``EDGE_PAIR_MAX_ERROR``.  Raises `_SmallEigenvalue` where
+    more values are small or a bond is zero.
+
+    H_r is bipartite with a zero diagonal; site 2j is A_j and 2j+1 is B_j.
+    Its A-sublattice zero mode a solves every B row but the last,
+    lower[2j] a_j + mag[2j+1] a_{j+1} = 0, and its B mode b every A row but
+    the first, lower[2j-1] b_{j-1} + mag[2j] b_j = 0, run from the right
+    end (the transfer recursion of Kunst, Edvardsson, Budich & Bergholtz,
+    PRL 121, 026808 (2018); Asboth, Oroszlany & Palyi, LNP 919 (2016),
+    ch. 1).  Both are kept as cumulative sums of log ratios and cumulative
+    sign products, so nothing overflows; entries below 1e-308 max|u| flush
+    to zero.  They are the far tails of a and b, which the gauge lifts no
+    higher than the other mode's entries in the same cell, so the lift
+    loses nothing by them.
+
+    * E: det(D F) = prod_j mag[2j] lower[2j] is the product of all N values
+      of mu, so mu[m] is that determinant over the other N - 1.  They lie
+      above the guard, so their rounding, and hence E's, stays relative.
+    * u = (a, k b).  The left A mode has entries tau_j a_j (tau_j = +-1) and
+      D^T (tau a) = mag[-1] tau_{N-1} a_{N-1} e_{N-1}, so an exact eigenvector
+      (x_A, x_B) has E (tau a . x_A) = mag[-1] tau_{N-1} a_{N-1} x_B[N-1].
+      With x_A = a near the left end and x_B = k b near the right end,
+      k = E (tau a . a) / (mag[-1] tau_{N-1} a_{N-1} b_{N-1}).
+    * ``error``: u solves H_r u = E u up to -E u in every row but rows A_0
+      and B_{N-1}, which the recursions leave.  ``error`` is
+      max_i |(H_r u - E u)_i / u_i| / max|H_r|.  The gauge and the phase S
+      are diagonal, so it bounds the residual of the lifted unit column on
+      M by error max|H_r| <= error max|M|.
+    """
+    size = np.sqrt(np.abs(mu))
+    small = ~(size > REDUCED_MIN_EIGENVALUE * mag.max())
+    if not small.any():
+        return None
+    if small.sum() > 1:
+        raise _SmallEigenvalue(
+            f"min|E| {size.min():.2e} <= {REDUCED_MIN_EIGENVALUE:g} max|H_r|, {small.sum()} values")
+    if not mag.all():
+        raise _SmallEigenvalue(f"min|E| {size.min():.2e} on a chain cut by a zero bond")
+    m = int(np.argmax(small))
+    rest = np.delete(mu, m)
+    sign = lower / mag
+    lm = np.log(mag)
+    la = np.concatenate([[0.0], np.cumsum(lm[:-1:2] - lm[1::2])])
+    lb = np.concatenate([np.cumsum(lm[-1:0:-2] - lm[-2::-2])[::-1], [0.0]])
+    la -= la.max()
+    lb -= lb.max()
+    sa = np.concatenate([[1.0], np.cumprod(-sign[:-1:2])])
+    sb = np.concatenate([np.cumprod(-sign[-2::-2])[::-1], [1.0]])
+    tau = np.concatenate([[1.0], np.cumprod(sign[:-1:2] * sign[1::2])])
+    overlap = np.sum(tau * np.exp(2 * la))
+    log_E = lm[0::2].sum() - 0.5 * np.log(np.abs(rest)).sum()
+    phase_E = 1.0 if np.prod(sign[0::2]) * np.prod(rest / np.abs(rest)).real > 0 else 1j
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a failed pair reads as error inf or nan
+        log_k = log_E + np.log(np.abs(overlap)) - lm[-1] - la[-1] - lb[-1]
+        phase_k = phase_E * np.sign(overlap) * tau[-1] * sa[-1]
+        E = phase_E * np.exp(log_E)
+        row_a0 = phase_k * sb[0] * np.exp(log_k + lb[0] + lm[0] - la[0]) - E
+        row_bn = sign[-1] * sa[-1] / phase_k * np.exp(lm[-1] + la[-1] - log_k - lb[-1]) - E
+        error = max(abs(E), abs(row_a0), abs(row_bn)) / mag.max()
+    if not error <= EDGE_PAIR_MAX_ERROR:
+        return _EdgePair(m, E, error, None)
+    log_u = np.empty(2 * len(la))
+    log_u[0::2], log_u[1::2] = la, log_k + lb
+    u = np.exp(log_u - log_u.max()).astype(complex)
+    u[0::2] *= sa
+    u[1::2] *= phase_k * sb
+    return _EdgePair(m, E, error, u)
+
+
+def _twisted(mag: np.ndarray, lower: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Eigenvectors of H_r = diag(mag, 1) + diag(lower, -1), one column per eigenvalue in E.
+
+    Twisted factorization (Parlett & Dhillon, Linear Algebra Appl. 267, 247
+    (1997)): for each E the pivots of H_r - E from the top,
+    P_i = -E - mag_{i-1} lower_{i-1} / P_{i-1}, and from the bottom,
+    Q_i = -E - mag_i lower_i / Q_{i+1}, give the vector z with z_k = 1 at the
+    twist k that minimizes |P_k + Q_k + E|, and the ratios
+    z_{i+1} / z_i = -P_i / mag_i above k and -lower_i / Q_{i+1} below it.
+    Each row of (H_r - E) z = 0 but row k then holds to rounding relative to
+    its own entries, however far z decays from k, so the gauge lift keeps
+    the residual small.  A dense solver's eigenvectors carry errors of
+    eps max|z| instead, which the gauge lifts above the true tails of a
+    localized state: in disordered chains those columns failed the check on
+    M.  The ratios are accumulated as logs and unit phases; entries below
+    1e-308 of a column's largest flush to zero.  All columns are solved at
+    once, one row at a time.
+    """
+    n = len(mag) + 1
+    bond = (mag * lower)[:, None]
+    P = np.empty((n, len(E)), dtype=complex)
+    Q = np.empty((n, len(E)), dtype=complex)
+    # a zero pivot makes the next one finite again and its own ratio 0 or inf;
+    # the residual check on M rejects such a column
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        P[0] = Q[-1] = -E
+        for i in range(1, n):
+            P[i] = -E - bond[i - 1] / P[i - 1]
+            Q[-1 - i] = -E - bond[-i] / Q[-i]
+        twist = np.argmin(np.abs(P + Q + E), axis=0)
+        ratio = np.where(np.arange(n - 1)[:, None] < twist, -P[:-1] / mag[:, None], -lower[:, None] / Q[1:])
+        del P, Q
+        size = np.abs(ratio)
+        log_z = np.zeros((n, len(E)))
+        np.cumsum(np.log(size), axis=0, out=log_z[1:])
+        ratio /= size
+    z = np.ones((n, len(E)), dtype=complex)
+    np.cumprod(ratio, axis=0, out=z[1:])
+    z *= np.exp(log_z - log_z.max(axis=0))
+    return z
 
 
 def _lift_product(A: SimilarityMatrix, U: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -363,14 +519,24 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
 
     Eigenvalues are +-i E_m over the reduced SSH spectrum {E_m}, solved in
     real arithmetic through the phase gauge of the module docstring: `eigh`
-    of H_r where every bond is real, else the half-size +-sqrt(eig(D F)) with
-    its guard, falling back to the real `eig` of H_r.  Eigenvectors are the
-    product basis lifted through the combined gauge (`_lift_product`).
-    With ``with_vectors=False`` (or at singular gauge points Delta = +-J) only
-    the eigenvalues are computed, along the same branches; they remain exact
-    at singular points by continuity of the characteristic polynomial.  Open
-    boundaries only: the gauge does not close around a ring, so the reduced
-    ring is not the PBC spectrum.
+    of H_r where every bond is real, else the half-size +-sqrt(eig(D F)).
+    On either branch a lone value with |E| <= ``REDUCED_MIN_EIGENVALUE`` *
+    max|H_r|, the topological edge pair, is replaced by its closed form
+    (`_edge_pair`): E = +-sqrt(det(D F) / prod of the other values of
+    eig(D F)), which is forward-accurate however small E is, and vectors
+    (a, +-k b) from the sublattice zero-mode recursions where their
+    backward error is at most ``EDGE_PAIR_MAX_ERROR``, else the branch's
+    own.  The half-size branch takes its other eigenvectors from
+    `_twisted`.  It falls back to the real `eig` of H_r where more than one
+    value is that small or a bond is zero; the `eigh` branch then keeps its
+    own pair.  ``Spectrum.source`` names the deflation, with the closed
+    form's backward error, or the reason for the fallback.  Eigenvectors
+    are the product basis lifted through the combined gauge
+    (`_lift_product`).  With ``with_vectors=False`` (or at singular gauge
+    points Delta = +-J) only the eigenvalues are computed, along the same
+    branches; they remain exact at singular points by continuity of the
+    characteristic polynomial.  Open boundaries only: the gauge does not
+    close around a ring, so the reduced ring is not the PBC spectrum.
     """
     if bc is not BoundaryCondition.OBC:
         raise ValueError("modbkc_spectrum_zero_omega requires open boundaries")
@@ -381,7 +547,8 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     # a power of i, S^-1 H S is the real H_r with |b_k| above and b_k^2 / |b_k| below the diagonal.
     b = np.diagonal(effective_ssh_matrix(p), 1)
     mag = np.abs(b)
-    Hr = np.diag(mag, 1) + np.diag(np.where(b.imag != 0, -mag, mag), -1)
+    lower = np.where(b.imag != 0, -mag, mag)
+    Hr = np.diag(mag, 1) + np.diag(lower, -1)
     A = None
     if with_vectors:
         try:
@@ -389,16 +556,40 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
         except SingularTransformError as err:  # Delta = +-J somewhere: no gauge, eigenvalues only
             source += f" (no vectors: {err})"
     vectors = A is not None
+    n = p.N
     if not b.imag.any():
         E, U = np.linalg.eigh(Hr) if vectors else (np.linalg.eigvalsh(Hr), None)
+        try:  # E is ascending and symmetric about 0: E[n - 1 - m] = -E[n + m]
+            pair = _edge_pair(mag, lower, E[n:] ** 2)
+        except _SmallEigenvalue:  # nothing was squared: eigh's own pair stands
+            pair = None
+        if pair is not None:
+            cols = [n + pair.m, n - 1 - pair.m]
+            E[cols] = pair.E, -pair.E
+            if vectors and pair.u is not None:  # columns (a, +-k b) for +-E
+                U = U.astype(complex)
+                U[:, cols] = np.column_stack([pair.u, pair.u * np.resize([1, -1], len(pair.u))])
     else:
-        try:  # bipartite: [[0, D], [F, 0]] in sublattice order, E = +-sqrt(eig(D F))
-            F = Hr[1::2, 0::2]
-            E, order, root, X = _half_size(Hr[0::2, 1::2] @ F, vectors, REDUCED_MIN_EIGENVALUE, mag.max(), "H_r")
-            U = None if X is None else _paired(X, (F @ X) / root, order)
+        try:  # bipartite: [[0, D], [F, 0]] in sublattice order, E = +-sqrt(eigvals(D F))
+            mu, _ = _square_eig(Hr[0::2, 1::2] @ Hr[1::2, 0::2], False)
+            pair = _edge_pair(mag, lower, mu)
+            E, order, root = _half_size(mu, REDUCED_MIN_EIGENVALUE, mag.max(), "H_r",
+                                        None if pair is None else (pair.m, pair.E))
         except _SmallEigenvalue as guard:
-            source = f"{source} (half-size guard: {guard})"
+            source, pair = f"{source} (half-size guard: {guard})", None
             E, U = np.linalg.eig(Hr) if vectors else (np.linalg.eigvals(Hr), None)
+        else:
+            U = None
+            if vectors:  # eigenvectors (z_A, z_B) of H_r for +root; (z_A, -z_B) belongs to -root
+                Z = _twisted(mag, lower, root)
+                if pair is not None and pair.u is not None:
+                    Z[:, pair.m] = pair.u
+                U = _paired(Z[0::2], Z[1::2], order)
+    if pair is not None and pair.u is not None:
+        source += f" (deflated edge pair, closed form: backward error {pair.error:.1e})"
+    elif pair is not None:
+        source += (f" (deflated edge pair, solved vectors: closed-form backward error {pair.error:.2e}"
+                   f" > {EDGE_PAIR_MAX_ERROR:g})")
     vals = np.concatenate([1j * E, -1j * E])
     if U is None:
         return _sorted(vals, None, source)
@@ -421,9 +612,11 @@ def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:
     """
     M = excitation_matrix(q) if vectors else None
     Qx, Qp = q.Q[0::2, 0::2], q.Q[1::2, 1::2]
+    mu, X = _square_eig(Qp @ Qx, vectors)
     try:
-        vals, order, root, X = _half_size(Qp @ Qx, vectors, XP_MIN_EIGENVALUE, np.abs(q.Q).max(), "Q")
+        vals, order, root = _half_size(mu, XP_MIN_EIGENVALUE, np.abs(q.Q).max(), "Q")
     except _SmallEigenvalue as guard:
+        del X  # not used by the dense solve
         spec = eigendecompose(excitation_matrix(q) if M is None else M, vectors)
         return replace(spec, source=f"{spec.source} (x/p guard: {guard})")
     source = f"xp[symplectic,{q.bc.value},n={q.n_cells}]"
@@ -509,16 +702,16 @@ def solve(p: Union[BKCParams, ModBKCParams, SiteFields], bc: BoundaryCondition,
         return _bloch_spectrum(p, vectors)
     single_band = isinstance(p, BKCParams)
     q = build_bkc_quadratic(p, bc) if single_band else build_modbkc_quadratic(p, bc)
-    M = None
     if single_band and p.omega == 0:
         M = excitation_matrix(q)
         try:
             spec = spectrum_via_similarity(M, hatano_nelson_A(p), vectors)
-            return _checked_gauge_spectrum(M, spec) if vectors else spec
-        except SingularTransformError:
-            pass  # Delta0 = +-J0: no gauge, fall back to the dense solver
+        except SingularTransformError as err:  # Delta0 = +-J0: no gauge, so the dense solver
+            spec = eigendecompose(M, vectors)
+            return replace(spec, source=f"{spec.source} (no gauge: {err})")
+        return _checked_gauge_spectrum(M, spec) if vectors else spec
     if np.any(q.Q[0::2, 1::2]):
-        return eigendecompose(excitation_matrix(q) if M is None else M, vectors)
+        return eigendecompose(excitation_matrix(q), vectors)
     return _xp_spectrum(q, vectors)
 
 

@@ -358,6 +358,24 @@ bc = obc
         row = np.array([float(x) for x in lines[1].split(",")[1:]])
         assert row.sum() == pytest.approx(1.0, abs=1e-9)
 
+    def test_profiles_inside_the_topological_window(self, tmp_path):
+        # fig4 at J1 = 1.2: the open chain's edge pair is ~7e-36 from zero
+        text = """
+[model]
+kind = modbkc
+J1 = 1.2
+J2 = 0
+Delta1 = 1
+Delta2 = 1.5
+omega = 0
+N = 100
+bc = obc
+"""
+        cfg = write(tmp_path, text)
+        out = tmp_path / "prof"
+        assert main(["profiles", "--config", cfg, "--out", str(out)]) == 0
+        assert len((out / "profiles_obc.csv").read_text().splitlines()) == 1 + 400
+
     def test_floquet_csv(self, tmp_path):
         text = """
 [floquet]

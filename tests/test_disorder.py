@@ -190,6 +190,15 @@ class TestEnsembles:
             res = ensemble_observables(p, spec, ("zero_gap",))
             assert res.mean["zero_gap"] < 1e-4
 
+    def test_topological_ensemble_keeps_every_realization(self):
+        # fig4 at J1 = 1.2 with 10% disorder: every realization holds a
+        # near-zero edge pair, whose eigenvectors the census needs
+        p = ModBKCParams(J1=1.2, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100)
+        spec = DisorderSpec(strengths={"J1": 0.1, "J2": 0.1, "Delta1": 0.1, "Delta2": 0.1},
+                            seed=7, realizations=20)
+        res = ensemble_observables(p, spec, ("nhse_fraction",))
+        assert res.failures == () and len(res.observables["nhse_fraction"]) == 20
+
     def test_failures_recorded_not_fatal(self):
         # a sweet-spot base with zero disorder on J1 fails the gauge in every
         # realization only if the spectrum route needs it; the reduced route

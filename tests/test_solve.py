@@ -25,7 +25,10 @@ the small-eigenvalue guard).  The references are:
   product basis, bit for bit;
 * eigenvalue-only solves (``vectors=False``): the same route with vectors,
   and for the reduced half-size solve of a sign-mixed chain the complex
-  eigenvalues of `effective_ssh_matrix`.
+  eigenvalues of `effective_ssh_matrix`;
+* the reduced route's closed-form edge pair: its |E| against inverse
+  iteration on D F in 200-digit arithmetic, and its residual on the 4N
+  matrix.
 
 Couplings are drawn with |Delta -+ J| bounded away from zero, so the gauge
 ratios r = (Delta+J)/(Delta-J) stay within 1/4 <= |r| <= 4 (6.5 for the
@@ -36,6 +39,7 @@ stays accurate enough to compare against at N <= 12.
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +73,7 @@ from bkchain.spectral import (
     eigendecompose,
     modbkc_spectrum_zero_omega,
     solve,
+    zero_gap,
 )
 from bkchain.topology import AxisSpec, edge_mode_count, phase_scan, zero_modes_per_copy
 from bkchain.transform import SimilarityMatrix, effective_ssh_matrix
@@ -311,6 +316,14 @@ class TestSolveRoutes:
         scale = np.abs(build_bkc_excitation_direct(p, OBC).M).max()
         assert np.abs(s.eigenvalues).max() <= 10 * np.finfo(float).eps ** (1 / p.N) * scale
 
+    @pytest.mark.parametrize("Delta0", [0.8, -0.8])
+    def test_bkc_singular_point_names_the_missing_gauge(self, Delta0):
+        # Delta0 = +-J0: the dense fallback says why it was taken, on both paths
+        p = BKCParams(J0=0.8, Delta0=Delta0, omega=0.0, N=4)
+        note = f" (no gauge: hatano_nelson_A: Delta = {Delta0!r}, J = 0.8 gives Delta = +-J; transform is singular)"
+        for s in (solve(p, OBC), solve(p, OBC, vectors=False)):
+            assert s.source == "eig[symplectic,obc,n=4]" + note
+
     @pytest.mark.parametrize("Delta0,N", [(0.5001, 200), (0.51, 400),
                                           (np.nextafter(0.5, 1), 100), (np.nextafter(0.5, 0), 100)])
     def test_bkc_gauge_beyond_exp_overflow(self, Delta0, N):
@@ -328,12 +341,15 @@ class TestSolveRoutes:
         assert s.source.startswith("similarity[")
         assert np.abs(s.eigenvalues - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    def test_failed_gauge_vectors_are_dropped(self):
-        # fig4 at J1 = 1.2: the near-zero edge pair of the reduced route comes
-        # back as a mixture that the gauge lift maps to no eigenvector of M;
-        # the exact eigenvalues stay, the vectors go, and the scan still counts
+    def test_failed_gauge_vectors_are_dropped(self, monkeypatch):
+        # fig4 at J1 = 1.2, with the guard raised so that the full-size
+        # eig(H_r) runs: its near-zero edge pair comes back as a mixture that
+        # the gauge lift maps to no eigenvector of M; the exact eigenvalues
+        # stay, the vectors go, and the scan still counts
+        monkeypatch.setattr(spectral, "REDUCED_MIN_EIGENVALUE", np.inf)
         p = ModBKCParams(J1=1.2, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100)
         s = solve(p, OBC)
+        assert "(half-size guard: min|E| " in s.source
         assert s.source.startswith("reduced[") and "no vectors: eigenpair residual" in s.source
         assert s.eigenvectors is None
         assert np.array_equal(s.eigenvalues, modbkc_spectrum_zero_omega(p, OBC).eigenvalues)
@@ -457,7 +473,8 @@ class TestReducedHalfSize:
         # fig8's intercell-dominant side: J2 > Delta2 makes the intercell bonds imaginary
         p = ModBKCParams(J1=1.0, J2=J2, Delta1=1.5, Delta2=2.1, omega=0.0, N=100)
         s = solve(p, OBC, vectors=False)
-        assert s.source == "reduced[modbkc,obc,n=100]"
+        # J2 = 1.6 is topological: its edge pair (~2e-9) is deflated
+        assert s.source.startswith("reduced[modbkc,obc,n=100]") and "guard" not in s.source
         E = np.linalg.eigvals(effective_ssh_matrix(p))
         ref = np.concatenate([1j * E, -1j * E])
         assert _distance(s.eigenvalues, ref) <= 1e-12 * np.abs(ref).max()
@@ -465,36 +482,62 @@ class TestReducedHalfSize:
     @pytest.mark.parametrize("cut", [False, True])
     def test_guard_keeps_zero_mode_count(self, cut):
         # fig5 at J2 = 2.2: a topological sign-mixed chain whose edge pair is
-        # ~1e-21 from zero; cut at the middle intercell bond (Delta2 = J2
-        # there), each half keeps an edge pair of ~1e-11
-        p = ModBKCParams(J1=0.0, J2=2.2, Delta1=1.0, Delta2=1.5, omega=0.0, N=100)
-        f = SiteFields.uniform(p)
-        if cut:
-            J2 = f.J2.copy()
-            J2[49] = f.Delta2[49]
-            f = replace(f, J2=J2)
+        # ~1e-21 from zero, deflated in closed form; cut at the middle
+        # intercell bond (Delta2 = J2 there), each half keeps an edge pair of
+        # ~1e-11, two values lie below the guard and the full-size solve runs
+        f = _fig5_split(0.0 if cut else None)
         bare, full = solve(f, OBC, vectors=False), solve(f, OBC)
-        assert "half-size guard" in bare.source
+        note = " (half-size guard: min|E| " if cut else " (deflated edge pair, closed form: backward error "
+        for s in (bare, full):
+            assert note in s.source and (", 2 values)" in s.source) == cut
         count = zero_modes_per_copy(bare, f, OBC, 1e-6)
         assert count == zero_modes_per_copy(full, f, OBC, 1e-6) == (4 if cut else 2)
         E = np.linalg.eigvals(effective_ssh_matrix(f))
         assert _distance(bare.eigenvalues, np.concatenate([1j * E, -1j * E])) <= SSH_BOUND * np.abs(E).max()
 
-    @pytest.mark.parametrize("J1,guarded", [(1.4, True), (2.0, False)])
-    def test_vector_path_names_the_guard(self, J1, guarded):
-        # scan-grid points: J1 = 1.4 is topological, its edge pair ~1e-8 from
-        # zero; J1 = 2.0 is trivial and takes the half-size solve
+    def test_nearly_cut_chain_names_the_guard(self):
+        # the same chain with J2 = (1 - 1e-6) Delta2 at the middle bond: the
+        # gauge exists, the two inner edge states split off to ~1e-3, and with
+        # two values below the guard the vector path runs eig(H_r) and says so
+        f = _fig5_split(1e-6)
+        bare, full = solve(f, OBC, vectors=False), solve(f, OBC)
+        for s in (bare, full):
+            assert s.source.startswith("reduced[modbkc,obc,n=100] (half-size guard: min|E| ")
+            assert s.source.endswith(" <= 0.01 max|H_r|, 2 values)")
+        _check_residual(_quadratic_matrix(f, OBC), full)
+        assert zero_modes_per_copy(bare, f, OBC, 1e-6) == zero_modes_per_copy(full, f, OBC, 1e-6) == 2
+        assert _distance(full.eigenvalues, bare.eigenvalues) <= 1e-12 * np.abs(full.eigenvalues).max()
+
+    @pytest.mark.parametrize("J1,note,count", [
+        (1.4, " (deflated edge pair, closed form: backward error ", 2),
+        (1.7, " (deflated edge pair, solved vectors: closed-form backward error ", 0),
+        (2.0, None, 0)], ids=["closed_form", "solved_vectors", "plain"])
+    def test_vector_path_names_the_route(self, J1, note, count):
+        # scan-grid points: J1 = 1.4 is topological, its edge pair ~7e-19
+        # from zero, deflated with closed-form vectors; J1 = 1.7 lies near
+        # the transition at sqrt(3.25), where the pair (~5e-4) is too far
+        # from zero for the closed-form vectors and `_twisted` solves them;
+        # J1 = 2.0 is trivial and takes the plain half-size solve
         p = ModBKCParams(J1=J1, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100)
         full, bare = solve(p, OBC), solve(p, OBC, vectors=False)
-        guard = " (half-size guard: min|E| "
         for s in (full, bare):
             assert s.source.startswith("reduced[modbkc,obc,n=100]")
-            assert (guard in s.source) == guarded
+            assert (note in s.source) if note else s.source == "reduced[modbkc,obc,n=100]"
         assert full.source == bare.source
         assert full.eigenvectors is not None
         _check_residual(_quadratic_matrix(p, OBC), full)
-        count = zero_modes_per_copy(full, p, OBC, 1e-6)
-        assert count == zero_modes_per_copy(bare, p, OBC, 1e-6) == (2 if guarded else 0)
+        assert _distance(full.eigenvalues, bare.eigenvalues) <= 1e-12 * np.abs(full.eigenvalues).max()
+        assert zero_modes_per_copy(full, p, OBC, 1e-6) == zero_modes_per_copy(bare, p, OBC, 1e-6) == count
+
+
+def _fig5_split(cut):
+    """fig5's chain at J2 = 2.2 as site fields; with ``cut``, J2 = (1 - cut) Delta2 at the middle intercell bond."""
+    f = SiteFields.uniform(ModBKCParams(J1=0.0, J2=2.2, Delta1=1.0, Delta2=1.5, omega=0.0, N=100))
+    if cut is None:
+        return f
+    J2 = f.J2.copy()
+    J2[49] = f.Delta2[49] * (1 - cut)
+    return replace(f, J2=J2)
 
 
 def _all_mixed_chain(n=100):
@@ -538,13 +581,126 @@ class TestReducedHalfSizeVectors:
         # fig4's grid: 75 sign-mixed points (J1 > Delta1 = 1), 39 of them unguarded
         base = ModBKCParams(J1=0.0, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100)
         grid = [replace(base, J1=float(J1)) for J1 in AxisSpec("J1", 0.0, 2.5, 0.02).values() if J1 > 1.0]
-        points = [p for p in grid if solve(p, OBC, vectors=False).source == "reduced[modbkc,obc,n=100]"]
+        sources = [solve(p, OBC, vectors=False).source for p in grid]
+        points = [p for p, source in zip(grid, sources) if source == "reduced[modbkc,obc,n=100]"]
         assert (len(grid), len(points)) == (75, 39)
+        # the other 36 hold an edge pair, deflated with closed-form vectors or,
+        # near the transition, solved ones; none takes the full-size solve
+        closed = sum("(deflated edge pair, closed form: " in source for source in sources)
+        solved = sum("(deflated edge pair, solved vectors: " in source for source in sources)
+        assert (closed, solved) == (27, 9)
         half = [nhse_fraction(solve(p, OBC), 0.1, 0.9, p.N) for p in points]
         monkeypatch.setattr(spectral, "REDUCED_MIN_EIGENVALUE", np.inf)  # every chain takes eig(H_r)
         full = [solve(p, OBC) for p in points]
         assert all("half-size guard" in s.source for s in full)
         assert half == [nhse_fraction(s, 0.1, 0.9, p.N) for s, p in zip(full, points)]
+
+
+def _mp_edge_energy(f):
+    """|E| of the smallest eigenvalue mu of D F, for H_r of ``f``, to 40 digits.
+
+    Inverse iteration in 200-digit arithmetic on the doubles that make up
+    H_r (see `modbkc_spectrum_zero_omega`): D is lower and F upper
+    bidiagonal, so each step is two O(N) substitutions, and a lone small
+    mu converges in a few steps.
+    """
+    b = np.diagonal(effective_ssh_matrix(f), 1)
+    with mpmath.workdps(200):
+        upper = [mpmath.mpf(float(x)) for x in np.abs(b)]
+        lower = [-u if z.imag else u for u, z in zip(upper, b)]
+        n = (len(b) + 1) // 2
+        x, mu = [mpmath.mpf(1)] * n, mpmath.mpf(0)
+        for _ in range(200):
+            y = []  # D y = x, D[j, j] = upper[2j], D[j, j-1] = lower[2j-1]
+            for j in range(n):
+                y.append((x[j] - (lower[2 * j - 1] * y[j - 1] if j else 0)) / upper[2 * j])
+            z = [mpmath.mpf(0)] * (n + 1)  # F z = y, F[j, j] = lower[2j], F[j, j+1] = upper[2j+1]
+            for j in reversed(range(n)):
+                z[j] = (y[j] - (upper[2 * j + 1] * z[j + 1] if j < n - 1 else 0)) / lower[2 * j]
+            k = max(range(n), key=lambda j: abs(z[j]))
+            new, x = x[k] / z[k], [t / z[k] for t in z[:n]]
+            if abs(new - mu) <= mpmath.mpf(10) ** -45 * abs(new):
+                return mpmath.sqrt(abs(new))
+            mu = new
+    raise AssertionError("inverse iteration did not converge")
+
+
+@st.composite
+def topological_fields(draw, mixed):
+    """omega = 0 fields, N in [8, 12], deep in the topological phase.
+
+    Every intracell bond is weak: |J1| = |Delta1| (1 -+ t), t in
+    [1e-5, 5e-4] and |Delta1| in [0.5, 1], a bond below 0.032.  Every
+    intercell bond is strong, above 0.8, as `_coupling` draws it with
+    |Delta2| or |J2| in [1, 2].  So the edge pair lies below 1e-11 max|H_r|,
+    and Delta1^2 - J1^2 cancels to no worse than 1e-11 relative.  All bonds
+    are real unless ``mixed``; then each is real or imaginary at random, the
+    first intracell bond imaginary.
+    """
+    n = draw(st.integers(8, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    delta1 = rng.uniform(0.5, 1.0, n) * rng.choice([-1.0, 1.0], n)
+    outside = (rng.random(n) < 0.5) & mixed
+    outside[0] = mixed
+    t = 10 ** rng.uniform(-5, np.log10(5e-4), n)
+    J1 = delta1 * np.where(outside, 1 + t, 1 - t) * rng.choice([-1.0, 1.0], n)
+    big = rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    small = big * rng.uniform(-0.6, 0.6, n)
+    hop = (rng.random(n) < 0.5) & mixed
+    zero = np.zeros(n)
+    return SiteFields(J1=J1, J2=np.where(hop, big, small), Delta1=delta1, Delta2=np.where(hop, small, big),
+                      omega_A=zero, omega_B=zero)
+
+
+class TestEdgePair:
+    """The reduced route's closed-form edge pair against a high-precision reference."""
+
+    @staticmethod
+    def _assert_edge_pair(f, bound=1e-10):
+        # the unchecked solve: in chains this dimerized the gauge's condition
+        # reaches 1e26, and `solve` may drop the vectors for a bulk column
+        s, bare = modbkc_spectrum_zero_omega(f, OBC), solve(f, OBC, vectors=False)
+        assert "(deflated edge pair, closed form: backward error " in s.source and s.source == bare.source
+        assert _distance(s.eigenvalues, bare.eigenvalues) <= 1e-12 * np.abs(s.eigenvalues).max()
+        edge = np.argsort(np.abs(s.eigenvalues))[:4]  # +-i E in both copies
+        ref = _mp_edge_energy(f)
+        for spec in (s, bare):
+            assert float(abs(mpmath.mpf(zero_gap(spec)) / ref - 1)) <= bound
+            assert np.ptp(np.abs(spec.eigenvalues[np.argsort(np.abs(spec.eigenvalues))[:4]])) == 0
+        M = _quadratic_matrix(f, OBC)
+        assert _residuals(M, s.eigenvectors[:, edge], s.eigenvalues[edge]).max() <= 1e-10 * np.abs(M).max()
+        return s
+
+    @given(f=topological_fields(mixed=False))
+    @settings(PROPERTY, max_examples=30)
+    def test_all_real_chains(self, f):
+        self._assert_edge_pair(f)
+
+    @given(f=topological_fields(mixed=True))
+    @settings(PROPERTY, max_examples=30)
+    def test_sign_mixed_chains(self, f):
+        self._assert_edge_pair(f)
+
+    @pytest.mark.parametrize("J1,J2,numpy_value", [
+        (0.0, 0.0, 9.7e-16), (0.9, 0.0, 6.6e-18), (1.4, 0.0, 2.6e-16), (0.0, 2.3, 6.2e-16)])
+    def test_fig4_and_fig5_points(self, J1, J2, numpy_value):
+        # fig4 J1 = 0 and 0.9 (all bonds real), fig4 J1 = 1.4 and fig5 J2 = 2.3
+        # (sign-mixed); numpy_value is the abs_E_min the dense solves wrote,
+        # 1e2 to 1e36 times the true |E| (2.05e-18, 2.93e-54, 6.84e-19, 1.66e-24)
+        p = ModBKCParams(J1=J1, J2=J2, Delta1=1.0, Delta2=1.5, omega=0.0, N=100)
+        s = self._assert_edge_pair(p, bound=1e-12)
+        assert zero_gap(s) < 1e-2 * numpy_value
+
+    def test_pair_below_the_smallest_double(self):
+        # J1 = Delta1 (1 - 1e-8): E ~ 1e-360 flushes to zero, and the tails
+        # of the zero modes underflow, yet the lifted pair is exact
+        p = ModBKCParams(J1=1 - 1e-8, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100)
+        s = solve(p, OBC)
+        assert s.source == "reduced[modbkc,obc,n=100] (deflated edge pair, closed form: backward error 0.0e+00)"
+        edge = np.argsort(np.abs(s.eigenvalues))[:4]
+        assert np.all(s.eigenvalues[edge] == 0)
+        M = _quadratic_matrix(p, OBC)
+        assert _residuals(M, s.eigenvectors[:, edge], s.eigenvalues[edge]).max() <= 1e-15 * np.abs(M).max()
 
 
 def _lift_reference(A, U, order):
@@ -590,7 +746,8 @@ class TestProductLift:
         ModBKCParams(J1=0.4, J2=0.1, Delta1=1.0, Delta2=0.5, omega=0.0, N=100),  # fig3
         ModBKCParams(J1=0.0, J2=0.5, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # fig6
         ModBKCParams(J1=2.0, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # half-size
-        ModBKCParams(J1=1.4, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # guarded
+        ModBKCParams(J1=1.4, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # deflated
+        ModBKCParams(J1=1.7, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # deflated, solved vectors
     ])
     def test_profiles_unchanged(self, p, monkeypatch):
         s = solve(p, OBC)
