@@ -464,13 +464,20 @@ def _twisted(mag: np.ndarray, lower: np.ndarray, E: np.ndarray) -> np.ndarray:
     bond = (mag * lower)[:, None]
     P = np.empty((n, len(E)), dtype=complex)
     Q = np.empty((n, len(E)), dtype=complex)
-    # a zero pivot makes the next one finite again and its own ratio 0 or inf;
-    # the residual check on M rejects such a column
+    # an exactly zero pivot (E an exact eigenvalue of a leading or trailing
+    # block) becomes eps max|H_r|, the pivmin of the literature
+    pivmin = np.finfo(float).eps * mag.max()
+
+    def pivot(x):
+        return np.where(x == 0, pivmin, x)
+
+    # a deflated edge value far below every bond can still overflow a pivot;
+    # its column, NaN then, is replaced by the closed-form pair
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        P[0] = Q[-1] = -E
+        P[0] = Q[-1] = pivot(-E)
         for i in range(1, n):
-            P[i] = -E - bond[i - 1] / P[i - 1]
-            Q[-1 - i] = -E - bond[-i] / Q[-i]
+            P[i] = pivot(-E - bond[i - 1] / P[i - 1])
+            Q[-1 - i] = pivot(-E - bond[-i] / Q[-i])
         twist = np.argmin(np.abs(P + Q + E), axis=0)
         ratio = np.where(np.arange(n - 1)[:, None] < twist, -P[:-1] / mag[:, None], -lower[:, None] / Q[1:])
         del P, Q

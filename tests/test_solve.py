@@ -69,6 +69,7 @@ from bkchain.spectral import (
     _check_residual,
     _lift_product,
     _residuals,
+    _twisted,
     bkc_pbc_dispersion,
     eigendecompose,
     modbkc_spectrum_zero_omega,
@@ -701,6 +702,26 @@ class TestEdgePair:
         assert np.all(s.eigenvalues[edge] == 0)
         M = _quadratic_matrix(p, OBC)
         assert _residuals(M, s.eigenvectors[:, edge], s.eigenvalues[edge]).max() <= 1e-15 * np.abs(M).max()
+
+
+class TestTwisted:
+    """`_twisted` where a pivot of the factorization is exactly zero."""
+
+    def test_exact_eigenvalue_of_a_leading_block(self):
+        # the uniform 14-site chain has E = 2 cos(5 pi / 15) = 1, also an
+        # eigenvalue of its leading 2 x 2 block, so the pivot P_1 = -1 - 1 / (-1) is 0
+        mag = np.ones(13)
+        z = _twisted(mag, mag, np.array([1 + 0j]))
+        H = np.diag(mag, 1) + np.diag(mag, -1)
+        assert np.all(np.isfinite(z))
+        assert np.linalg.norm(H @ z - z) <= 1e-15 * np.linalg.norm(z)
+
+    def test_uniform_chain_through_solve(self):
+        # the same chain as an omega = 0 excitation matrix: Delta = -1, J = 0, N = 7
+        p = ModBKCParams(J1=0.0, J2=0.0, Delta1=-1.0, Delta2=-1.0, omega=0.0, N=7)
+        s = solve(p, OBC)
+        assert s.source == "reduced[modbkc,obc,n=7]" and s.eigenvectors is not None
+        _check_residual(_quadratic_matrix(p, OBC), s)
 
 
 def _lift_reference(A, U, order):
