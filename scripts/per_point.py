@@ -52,14 +52,16 @@ OBC, PBC = BoundaryCondition.OBC, BoundaryCondition.PBC
 
 
 def points(n):
-    """(label, params, bc): one point per route; the reduced route has five branches.
+    """(label, params, bc): one point per route; the reduced route has five cases.
 
-    ``reduced_eigh`` (all bonds real) and ``reduced_deflated`` (sign-mixed)
-    are topological, with a closed-form edge pair; ``reduced_deflated_solved``
-    lies near the transition, where the pair's vectors are solved instead;
-    ``reduced_guarded`` is the fig5 chain at J2 = 2.2 nearly cut at its
-    middle intercell bond, whose two edge pairs send it to the full-size
-    solve.
+    ``reduced_all_real`` (every bond real: `eigvalsh` of H_r) and
+    ``reduced_deflated`` (sign-mixed: eigenvalues of D F) are topological,
+    with a closed-form edge pair; both take their other eigenvectors from
+    the twisted factorization.  ``reduced_half_size`` is sign-mixed and
+    trivial; ``reduced_deflated_solved`` lies near the transition, where
+    the pair's vectors are solved instead; ``reduced_guarded`` is the fig5
+    chain at J2 = 2.2 nearly cut at its middle intercell bond, whose two
+    edge pairs send it to the full-size solve.
     """
     scan = ModBKCParams(J1=0.0, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=n)
     split = SiteFields.uniform(replace(scan, J2=2.2))
@@ -68,7 +70,7 @@ def points(n):
     sweep = ModBKCParams(J1=1.4, J2=1.2, Delta1=1.0, Delta2=1.0, omega=0.3, N=n)
     return [
         ("similarity", BKCParams(J0=0.5, Delta0=1.0, omega=0.0, N=n), OBC),
-        ("reduced_eigh", ModBKCParams(J1=0.0, J2=0.5, Delta1=1.0, Delta2=1.5, omega=0.0, N=n), OBC),
+        ("reduced_all_real", ModBKCParams(J1=0.0, J2=0.5, Delta1=1.0, Delta2=1.5, omega=0.0, N=n), OBC),
         ("reduced_half_size", replace(scan, J1=2.0), OBC),
         ("reduced_deflated", replace(scan, J1=1.4), OBC),
         ("reduced_deflated_solved", replace(scan, J1=1.7), OBC),

@@ -18,29 +18,30 @@ code that picks a solve route:
   and lifts the product basis (sigma_x eigenvector) (x) (SSH eigenvector);
   every eigenvalue is exactly twofold degenerate.  H_ssh is tridiagonal with
   real or imaginary bonds, so a diagonal S of exact phases +-1, +-i maps it
-  onto a real H_r with eigenvectors S U_r.  Where every bond is real, `eigh`
-  solves H_r and nothing is squared.  Where some Delta^2 - J^2 < 0, H_r is
-  bipartite with a zero diagonal, [[0, D], [F, 0]] in sublattice order, so
-  the eigenvalues mu of the N x N real D F give E = +-sqrt(mu)
-  (`_half_size`, as on the x/p route), and `_twisted` the eigenvector of
-  H_r at each E, accurate entry by entry, as the gauge lift of a localized
-  state needs.  The eigenvector for -E is that for E with its B entries
-  negated.  Squaring E loses accuracy near 0, so a value with
+  onto a real H_r with eigenvectors S U_r.  H_r is bipartite with a zero
+  diagonal, [[0, D], [F, 0]] in sublattice order, so its spectrum is
+  E = +-sqrt(mu) over N values mu: the eigenvalues of the N x N real D F
+  where some Delta^2 - J^2 < 0, else the squares of the upper half of
+  `eigvalsh` of the symmetric H_r, whose roots return them exactly.
+  `_half_size` takes the roots, as on the x/p route, and `_twisted` the
+  eigenvector of H_r at each E, accurate entry by entry, as the gauge lift
+  of a localized state needs.  The eigenvector for -E is that for E with
+  its B entries negated.  Squaring E loses accuracy near 0, so a value with
   |E| <= ``REDUCED_MIN_EIGENVALUE`` * max|H_r| is not taken from its square.
 
   In the topological phase H_r has one such value, its edge pair,
   exponentially close to 0: a dense solve returns noise for E and mixes the
-  two vectors.  `_edge_pair` deflates the pair on either branch, in O(N):
-  E from the determinant identity det(D F) = prod(mu), vectors from the
-  sublattice zero-mode recursions, or, near a transition where those are
-  too inexact, from the branch's own solve; the guard judges the other
-  N - 1 values only.  The full-size solve, the real `eig` of H_r, remains
-  for a sign-mixed chain with more than one small value (weakly coupled
-  pieces, an edge pair each) or an exactly zero bond; there the `eigh`
-  branch keeps its own pair.  ``Spectrum.source`` names the deflation or
-  the fallback.  The lift of the product basis runs on the SSH
-  eigenvectors directly (`_lift_product`).  At Delta = +-J exactly on some
-  bond the eigenvalues stay exact but no eigenvectors are computed.
+  two vectors.  `_edge_pair` deflates the pair in O(N): E from the
+  determinant identity det(D F) = prod(mu), vectors from the sublattice
+  zero-mode recursions, or, near a transition where those are too
+  inexact, from `_twisted`; the guard judges the other N - 1 values only.
+  A chain with more than one small value (weakly coupled pieces, an edge
+  pair each) or an exactly zero bond takes the full-size solve of H_r
+  instead: `eigh` where every bond is real, else the real `eig`.
+  ``Spectrum.source`` names the deflation or the fallback.  The lift of
+  the product basis runs on the SSH eigenvectors directly
+  (`_lift_product`).  At Delta = +-J exactly on some bond the eigenvalues
+  stay exact but no eigenvectors are computed.
 * **Bloch** (uniform ring of either model, `BKCParams` or `ModBKCParams`
   under PBC, any omega).  Translation invariance splits the ring into N
   independent blocks B(k), k = 2 pi m / N, 2x2 or 4x4, read off the model's
@@ -75,12 +76,11 @@ check: there is nothing to check it on.  Per route:
 
 * Hatano-Nelson gauge: `eigvalsh` of the two channel images, no lift; the
   dense fallback at Delta0 = +-J0 takes `eigvals` of M.
-* SSH reduction: the branches of the vector solve, without vectors:
-  `eigvalsh` of H_r where every bond is real, which squares nothing; else
-  +-sqrt(eigvals(D F)), with the same guard, falling back to the real
-  `eigvals` of H_r.  The edge pair is deflated as with vectors, so both
-  paths take the same branch and write the same ``source``.  A singular
-  gauge, which has no vectors either way, is solved the same way.
+* SSH reduction: the same values mu, roots, deflation and guard, without
+  `_twisted`; the fallback takes `eigvalsh` or `eigvals` of H_r.  Both
+  paths write the same ``source`` and, off the fallback, the same
+  eigenvalues bit for bit.  A singular gauge, which has no vectors either
+  way, is solved the same way.
 * Bloch: one batched `eigvals` of the N blocks; neither the ring's Q nor M is
   built.
 * x/p: `eigvals` of Qp Qx; a guarded point takes the dense `eigvals` of M.
@@ -312,11 +312,10 @@ def _square_eig(P: np.ndarray, vectors: bool):
 def _half_size(mu: np.ndarray, min_eigenvalue: float, scale: float, scale_name: str, edge=None):
     """Spectrum +-sqrt(mu) of a matrix whose square is block-diagonal with a real block P.
 
-    Three solves call it: the x/p route (P = Qp Qx, with or without
-    vectors) and the sign-mixed reduced route's solves with and without
-    vectors (P = D F of H_r).  Each solves a matrix [[0, D], [F, 0]]: the
-    eigenvalues mu of P = D F (`_square_eig`) give its eigenvalues
-    E = +-sqrt(mu), and `_paired` pairs their eigenvectors.  Returns
+    The x/p route (P = Qp Qx) and the reduced route (P = D F of H_r) call
+    it, with and without vectors.  Each solves a matrix [[0, D], [F, 0]]:
+    the eigenvalues mu of P = D F give its eigenvalues E = +-sqrt(mu), and
+    `_paired` pairs their eigenvectors.  Returns
     ``(vals, order, root)``: ``vals`` is concat([root, -root])[order],
     sorted as `_sorted` sorts.  Squaring loses about sqrt(eps) of accuracy
     near E = 0, so where min|E| <= ``min_eigenvalue`` * ``scale`` (max|entry|
@@ -525,23 +524,23 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     """Exact omega=0 spectrum of the open two-sublattice chain via the SSH reduction.
 
     Eigenvalues are +-i E_m over the reduced SSH spectrum {E_m}, solved in
-    real arithmetic through the phase gauge of the module docstring: `eigh`
-    of H_r where every bond is real, else the half-size +-sqrt(eig(D F)).
-    On either branch a lone value with |E| <= ``REDUCED_MIN_EIGENVALUE`` *
-    max|H_r|, the topological edge pair, is replaced by its closed form
-    (`_edge_pair`): E = +-sqrt(det(D F) / prod of the other values of
-    eig(D F)), which is forward-accurate however small E is, and vectors
-    (a, +-k b) from the sublattice zero-mode recursions where their
-    backward error is at most ``EDGE_PAIR_MAX_ERROR``, else the branch's
-    own.  The half-size branch takes its other eigenvectors from
-    `_twisted`.  It falls back to the real `eig` of H_r where more than one
-    value is that small or a bond is zero; the `eigh` branch then keeps its
-    own pair.  ``Spectrum.source`` names the deflation, with the closed
-    form's backward error, or the reason for the fallback.  Eigenvectors
-    are the product basis lifted through the combined gauge
+    real arithmetic through the phase gauge of the module docstring: the N
+    values mu = E^2 are the squares of the upper half of `eigvalsh` of H_r
+    where every bond is real, else the eigenvalues of D F, and `_half_size`
+    takes their roots.  A lone value with |E| <= ``REDUCED_MIN_EIGENVALUE``
+    * max|H_r|, the topological edge pair, is replaced by its closed form
+    (`_edge_pair`): E = +-sqrt(det(D F) / prod of the other values of mu),
+    which is forward-accurate however small E is, and vectors (a, +-k b)
+    from the sublattice zero-mode recursions where their backward error is
+    at most ``EDGE_PAIR_MAX_ERROR``.  Every other eigenvector of H_r comes
+    from `_twisted`.  Where more than one value is that small or a bond is
+    zero, the full-size solve of H_r runs instead, `eigh` where every bond
+    is real, else the real `eig`.  ``Spectrum.source`` names the deflation,
+    with the closed form's backward error, or the reason for the fallback.
+    Eigenvectors are the product basis lifted through the combined gauge
     (`_lift_product`).  With ``with_vectors=False`` (or at singular gauge
     points Delta = +-J) only the eigenvalues are computed, along the same
-    branches; they remain exact at singular points by continuity of the
+    path; they remain exact at singular points by continuity of the
     characteristic polynomial.  Open boundaries only: the gauge does not
     close around a ring, so the reduced ring is not the PBC spectrum.
     """
@@ -563,35 +562,28 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
         except SingularTransformError as err:  # Delta = +-J somewhere: no gauge, eigenvalues only
             source += f" (no vectors: {err})"
     vectors = A is not None
-    n = p.N
-    if not b.imag.any():
-        E, U = np.linalg.eigh(Hr) if vectors else (np.linalg.eigvalsh(Hr), None)
-        try:  # E is ascending and symmetric about 0: E[n - 1 - m] = -E[n + m]
-            pair = _edge_pair(mag, lower, E[n:] ** 2)
-        except _SmallEigenvalue:  # nothing was squared: eigh's own pair stands
-            pair = None
-        if pair is not None:
-            cols = [n + pair.m, n - 1 - pair.m]
-            E[cols] = pair.E, -pair.E
-            if vectors and pair.u is not None:  # columns (a, +-k b) for +-E
-                U = U.astype(complex)
-                U[:, cols] = np.column_stack([pair.u, pair.u * np.resize([1, -1], len(pair.u))])
-    else:
-        try:  # bipartite: [[0, D], [F, 0]] in sublattice order, E = +-sqrt(eigvals(D F))
+    mixed = b.imag.any()
+    try:
+        if mixed:  # bipartite: [[0, D], [F, 0]] in sublattice order, E^2 = eigvals(D F)
             mu, _ = _square_eig(Hr[0::2, 1::2] @ Hr[1::2, 0::2], False)
-            pair = _edge_pair(mag, lower, mu)
-            E, order, root = _half_size(mu, REDUCED_MIN_EIGENVALUE, mag.max(), "H_r",
-                                        None if pair is None else (pair.m, pair.E))
-        except _SmallEigenvalue as guard:
-            source, pair = f"{source} (half-size guard: {guard})", None
-            E, U = np.linalg.eig(Hr) if vectors else (np.linalg.eigvals(Hr), None)
+        else:  # ascending and symmetric about 0, and sqrt(x^2) = |x| exactly: nothing is squared
+            mu = np.linalg.eigvalsh(Hr)[p.N:] ** 2
+        pair = _edge_pair(mag, lower, mu)
+        E, order, root = _half_size(mu, REDUCED_MIN_EIGENVALUE, mag.max(), "H_r",
+                                    None if pair is None else (pair.m, pair.E))
+    except _SmallEigenvalue as guard:
+        source, pair = f"{source} (half-size guard: {guard})", None
+        if vectors:
+            E, U = np.linalg.eig(Hr) if mixed else np.linalg.eigh(Hr)
         else:
-            U = None
-            if vectors:  # eigenvectors (z_A, z_B) of H_r for +root; (z_A, -z_B) belongs to -root
-                Z = _twisted(mag, lower, root)
-                if pair is not None and pair.u is not None:
-                    Z[:, pair.m] = pair.u
-                U = _paired(Z[0::2], Z[1::2], order)
+            E, U = np.linalg.eigvals(Hr) if mixed else np.linalg.eigvalsh(Hr), None
+    else:
+        U = None
+        if vectors:  # eigenvectors (z_A, z_B) of H_r for +root; (z_A, -z_B) belongs to -root
+            Z = _twisted(mag, lower, root)
+            if pair is not None and pair.u is not None:
+                Z[:, pair.m] = pair.u
+            U = _paired(Z[0::2], Z[1::2], order)
     if pair is not None and pair.u is not None:
         source += f" (deflated edge pair, closed form: backward error {pair.error:.1e})"
     elif pair is not None:

@@ -19,13 +19,17 @@ the small-eigenvalue guard).  The references are:
   dense route on a disorder realization of fig9;
 * the reduced route's real gauge: the complex eigenvalues of
   `effective_ssh_matrix` and the eigenpair residual on the 4N matrix;
-* the reduced route's half-size eigenvectors of sign-mixed chains: the
-  same, the eigenvalue-only solve, and the skin census of the full-size
-  `eig` of H_r; its product lift: ``SimilarityMatrix.lift`` of the full
-  product basis, bit for bit;
+* the reduced route's eigenvectors, which come from the twisted
+  factorization of H_r (`_twisted`) on every chain off the guarded
+  fallback: the same, the eigenvalue-only solve, and the skin census of the
+  full-size `eig` of H_r; at an exactly zero pivot, the eigen-equation of
+  the uniform chain; its product lift: ``SimilarityMatrix.lift`` of the
+  full product basis, bit for bit;
 * eigenvalue-only solves (``vectors=False``): the same route with vectors,
-  and for the reduced half-size solve of a sign-mixed chain the complex
-  eigenvalues of `effective_ssh_matrix`;
+  which on the reduced route off its guarded fallback gives the same
+  eigenvalues bit for bit and the same ``source``, and for the reduced
+  solve of a sign-mixed chain the complex eigenvalues of
+  `effective_ssh_matrix`;
 * the reduced route's closed-form edge pair: its |E| against inverse
   iteration on D F in 200-digit arithmetic, and its residual on the 4N
   matrix.
@@ -412,6 +416,31 @@ class TestEigenvaluesOnly:
     @settings(PROPERTY, max_examples=40)
     def test_reduced_site_fields(self, f):
         _assert_same_without_vectors(f, OBC, GAUGE_BOUND)
+
+    @staticmethod
+    def _assert_reduced_parity(p):
+        # off the guarded fallback both paths take the same values mu and roots
+        full, bare = solve(p, OBC), solve(p, OBC, vectors=False)
+        assert full.eigenvectors is not None and full.source == bare.source
+        if "half-size guard" not in full.source:
+            assert np.array_equal(full.eigenvalues, bare.eigenvalues)
+
+    @given(p=st.one_of(modbkc_params().map(lambda p: replace(p, omega=0.0)), zero_omega_site_fields(),
+                       sign_mixed_site_fields().filter(lambda f: not _cut(f))))
+    @settings(PROPERTY, max_examples=100)
+    def test_reduced_parity(self, p):
+        self._assert_reduced_parity(p)
+
+    @pytest.mark.parametrize("p", [
+        ModBKCParams(J1=0.4, J2=0.1, Delta1=1.0, Delta2=0.5, omega=0.0, N=100),  # fig3
+        ModBKCParams(J1=0.0, J2=0.5, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # fig6
+        ModBKCParams(J1=0.9, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # all real, deflated
+        ModBKCParams(J1=1.4, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # sign-mixed, deflated
+        ModBKCParams(J1=1.7, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # deflated, solved vectors
+        ModBKCParams(J1=2.0, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # sign-mixed, plain
+    ], ids=["fig3", "fig6", "all_real_deflated", "sign_mixed_deflated", "solved_vectors", "sign_mixed"])
+    def test_reduced_parity_on_figure_points(self, p):
+        self._assert_reduced_parity(p)
 
     @given(f=sign_mixed_site_fields())
     @settings(PROPERTY, max_examples=60)
