@@ -238,9 +238,9 @@ def eigendecompose(M: ExcitationMatrix, vectors: bool = True) -> Spectrum:
 def _eig_image(K: np.ndarray, vectors: bool = True):
     """Eigenvalues of a gauge image K, with its eigenvectors (else None) when ``vectors``.
 
-    When K is Hermitian (or anti-Hermitian) within ``_HERMITIAN_TOL`` relative
-    to max|K| the Hermitian solver is used, which pins the spectrum to the
-    real (imaginary) axis exactly.
+    K is Hermitian (or anti-Hermitian) within ``_HERMITIAN_TOL`` relative to
+    max|K|, and the Hermitian solver pins the spectrum to the real
+    (imaginary) axis exactly.  Any other K raises `SolverError`.
     """
     scale = np.abs(K).max()
     herm = np.abs(K - K.conj().T).max()
@@ -250,7 +250,8 @@ def _eig_image(K: np.ndarray, vectors: bool = True):
     elif anti <= _HERMITIAN_TOL * scale:
         factor, H = -1j, 1j * K
     else:
-        return np.linalg.eig(K) if vectors else (np.linalg.eigvals(K), None)
+        raise SolverError(f"gauge image is neither Hermitian nor anti-Hermitian: "
+                          f"max|K -+ K^H| {min(herm, anti):.2e} > {_HERMITIAN_TOL:g} max|K|")
     H = (H + H.conj().T) / 2
     vals, vecs = np.linalg.eigh(H) if vectors else (np.linalg.eigvalsh(H), None)
     return (factor * vals).astype(complex), vecs
@@ -260,17 +261,18 @@ def spectrum_via_similarity(M: ExcitationMatrix, A: SimilarityMatrix, vectors: b
     """Spectrum of M obtained from the gauge image K = A^{-1} M A.
 
     Eigenvectors are lifted back through A with log-space normalization;
-    with ``vectors=False`` none are computed and nothing is lifted.  Where K
-    does not couple x and p (omega = 0), the two channels are solved apart:
+    with ``vectors=False`` none are computed and nothing is lifted.  K does
+    not couple x and p (omega = 0), and the two channels are solved apart:
     their spectra are equal, so a joint solve mixes them inside each
     degenerate pair, and the lift, which scales the channels differently,
-    maps such a mixture to no eigenvector of M.
+    maps such a mixture to no eigenvector of M.  A K that couples them
+    raises `SolverError`.
     """
     K = A.conjugate(M.M)
     source = f"similarity[{M.source},{M.bc.value},n={M.n_cells}]"
     if np.any(K[0::2, 1::2]) or np.any(K[1::2, 0::2]):
-        vals, vecs = _eig_image(K, vectors)
-    elif not vectors:
+        raise SolverError(f"gauge image couples x and p ({source})")
+    if not vectors:
         vals = np.concatenate([_eig_image(K[c::2, c::2], False)[0] for c in (0, 1)])
         vecs = None
     else:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from bkchain.model import (
     excitation_matrix,
 )
 from bkchain.spectral import (
+    SolverError,
     Spectrum,
     bkc_pbc_dispersion,
     eigendecompose,
@@ -92,6 +95,20 @@ class TestTransformedRoutes:
         s = spectrum_via_similarity(M, hatano_nelson_A(p))
         res = np.linalg.norm(M.M @ s.eigenvectors - s.eigenvectors * s.eigenvalues, axis=0)
         assert res.max() <= 1e-8 * np.abs(M.M).max() * M.dim
+
+    def test_image_coupling_x_and_p_raises(self):
+        # at omega != 0 the gauge image couples x and p; `solve` never sends such a chain here
+        p = BKCParams(J0=0.5, Delta0=1.0, omega=0.5, N=10)
+        with pytest.raises(SolverError, match="couples x and p"):
+            spectrum_via_similarity(build_bkc_excitation_direct(p, OBC), hatano_nelson_A(p))
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_non_hermitian_image_raises(self, vectors):
+        # the gauge of another chain leaves channel images that are neither Hermitian nor anti-Hermitian
+        p = BKCParams(J0=0.5, Delta0=1.0, omega=0.0, N=10)
+        with pytest.raises(SolverError, match="neither Hermitian nor anti-Hermitian"):
+            spectrum_via_similarity(build_bkc_excitation_direct(p, OBC), hatano_nelson_A(replace(p, J0=0.3)),
+                                    vectors)
 
     def test_reduced_route_matches_direct_eig_at_small_n(self, set_distance):
         p = ModBKCParams(J1=0.5, J2=0.3, Delta1=1.0, Delta2=1.5, omega=0.0, N=12)
