@@ -248,12 +248,17 @@ def effective_ssh_matrix(p: Union[ModBKCParams, SiteFields]) -> np.ndarray:
     real or purely imaginary, and the 4N eigenvalues are +-i E_m over the 2N
     eigenvalues E_m here.  The eigenvalue identity holds for all parameters
     (including Delta = J, where the gauge is singular) because characteristic
-    polynomials depend polynomially on the couplings.
+    polynomials depend polynomially on the couplings.  Each bond is computed
+    from (Delta - J)(Delta + J), which, unlike Delta^2 - J^2, keeps its
+    relative accuracy where |J| is close to |Delta|.
     """
     f = _fields(p)
     n = f.N
-    v = np.sign(f.Delta1 - f.J1) * np.sqrt((f.Delta1 ** 2 - f.J1 ** 2).astype(complex))
-    w = np.sign(f.Delta2 - f.J2) * np.sqrt((f.Delta2 ** 2 - f.J2 ** 2).astype(complex))
+
+    def bond(delta, hop):
+        return np.sign(delta - hop) * np.sqrt(((delta - hop) * (delta + hop)).astype(complex))
+
+    v, w = bond(f.Delta1, f.J1), bond(f.Delta2, f.J2)
     H = np.zeros((2 * n, 2 * n), dtype=complex)
     j = np.arange(n)
     H[2 * j, 2 * j + 1] = H[2 * j + 1, 2 * j] = v

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,7 +12,7 @@ from bkchain.model import (
     build_modbkc_quadratic,
     excitation_matrix,
 )
-from bkchain.spectral import eigendecompose, modbkc_spectrum_zero_omega, solve, zero_gap
+from bkchain.spectral import _residuals, eigendecompose, modbkc_spectrum_zero_omega, solve, zero_gap
 from bkchain.transform import (
     SingularTransformError,
     a1_prime,
@@ -178,6 +179,18 @@ class TestOpenChainBonds:
         with pytest.raises(SingularTransformError, match="cell 5"):
             a_combined(f)
         assert solve(f, OBC).eigenvectors is None
+
+    @pytest.mark.parametrize("t", [1e-8, 1e-10])
+    def test_bond_near_delta_equals_j(self, t):
+        # Delta1^2 - J1^2 cancels to a relative error of about eps / t here
+        p = ModBKCParams(J1=0.7 * (1 - t), J2=0.3, Delta1=0.7, Delta2=1.5, omega=0.0, N=12)
+        b = np.diagonal(effective_ssh_matrix(p), 1)
+        with mpmath.workdps(50):
+            ref = mpmath.sqrt(mpmath.mpf(p.Delta1) ** 2 - mpmath.mpf(p.J1) ** 2)
+            assert float(abs(mpmath.mpf(float(b[0].real)) / ref - 1)) <= 1e-14
+        s = modbkc_spectrum_zero_omega(p, OBC)
+        M = excitation_matrix(build_modbkc_quadratic(p, OBC)).M
+        assert _residuals(M, s.eigenvectors, s.eigenvalues).max() <= 1e-12 * np.abs(M).max()
 
     def test_single_band_anti_sweet_spot_raises(self):
         with pytest.raises(SingularTransformError):
