@@ -468,17 +468,19 @@ def _twisted(mag: np.ndarray, lower: np.ndarray, E: np.ndarray) -> np.ndarray:
     # an exactly zero pivot (E an exact eigenvalue of a leading or trailing
     # block) becomes eps max|H_r|, the pivmin of the literature
     pivmin = np.finfo(float).eps * mag.max()
-
-    def pivot(x):
-        return np.where(x == 0, pivmin, x)
-
+    minus_E = -E
+    P[0] = Q[-1] = np.where(E == 0, pivmin, minus_E)
     # a deflated edge value far below every bond can still overflow a pivot;
     # its column, NaN then, is replaced by the closed-form pair
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        P[0] = Q[-1] = pivot(-E)
-        for i in range(1, n):
-            P[i] = pivot(-E - bond[i - 1] / P[i - 1])
-            Q[-1 - i] = pivot(-E - bond[-i] / Q[-i])
+        for fix in (False, True):  # the second pass runs only where a pivot came out exactly zero
+            for i in range(1, n):
+                P[i] = minus_E - bond[i - 1] / P[i - 1]
+                Q[-1 - i] = minus_E - bond[-i] / Q[-i]
+                if fix:
+                    P[i, P[i] == 0] = Q[-1 - i, Q[-1 - i] == 0] = pivmin
+            if P.all() and Q.all():
+                break
         twist = np.argmin(np.abs(P + Q + E), axis=0)
         ratio = np.where(np.arange(n - 1)[:, None] < twist, -P[:-1] / mag[:, None], -lower[:, None] / Q[1:])
         del P, Q
