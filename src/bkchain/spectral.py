@@ -465,20 +465,20 @@ def _twisted(mag: np.ndarray, lower: np.ndarray, E: np.ndarray) -> np.ndarray:
     bond = (mag * lower)[:, None]
     P = np.empty((n, len(E)), dtype=complex)
     Q = np.empty((n, len(E)), dtype=complex)
-    # an exactly zero pivot (E an exact eigenvalue of a leading or trailing
-    # block) becomes eps max|H_r|, the pivmin of the literature
     pivmin = np.finfo(float).eps * mag.max()
     minus_E = -E
-    P[0] = Q[-1] = np.where(E == 0, pivmin, minus_E)
+    P[0] = Q[-1] = minus_E
     # a deflated edge value far below every bond can still overflow a pivot;
     # its column, NaN then, is replaced by the closed-form pair
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for fix in (False, True):  # the second pass runs only where a pivot came out exactly zero
+        # an exactly zero pivot (E an exact eigenvalue of a leading or trailing
+        # block) takes a second pass, which replaces it by pivmin = eps max|H_r|
+        for fix in (False, True):
             for i in range(1, n):
+                if fix:
+                    P[i - 1, P[i - 1] == 0] = Q[-i, Q[-i] == 0] = pivmin
                 P[i] = minus_E - bond[i - 1] / P[i - 1]
                 Q[-1 - i] = minus_E - bond[-i] / Q[-i]
-                if fix:
-                    P[i, P[i] == 0] = Q[-1 - i, Q[-1 - i] == 0] = pivmin
             if P.all() and Q.all():
                 break
         twist = np.argmin(np.abs(P + Q + E), axis=0)
