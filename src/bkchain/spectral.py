@@ -243,15 +243,11 @@ def _eig_image(K: np.ndarray, vectors: bool = True):
     (imaginary) axis exactly.  Any other K raises `SolverError`.
     """
     scale = np.abs(K).max()
-    herm = np.abs(K - K.conj().T).max()
-    anti = np.abs(K + K.conj().T).max()
-    if herm <= _HERMITIAN_TOL * scale:
-        factor, H = 1, K
-    elif anti <= _HERMITIAN_TOL * scale:
-        factor, H = -1j, 1j * K
+    for factor, H in ((1, K), (-1j, 1j * K)):  # K = factor H, H Hermitian
+        if np.abs(H - H.conj().T).max() <= _HERMITIAN_TOL * scale:
+            break
     else:
-        raise SolverError(f"gauge image is neither Hermitian nor anti-Hermitian: "
-                          f"max|K -+ K^H| {min(herm, anti):.2e} > {_HERMITIAN_TOL:g} max|K|")
+        raise SolverError(f"gauge image is not (anti-)Hermitian within {_HERMITIAN_TOL:g} max|K|")
     H = (H + H.conj().T) / 2
     vals, vecs = np.linalg.eigh(H) if vectors else (np.linalg.eigvalsh(H), None)
     return (factor * vals).astype(complex), vecs
@@ -272,16 +268,13 @@ def spectrum_via_similarity(M: ExcitationMatrix, A: SimilarityMatrix, vectors: b
     source = f"similarity[{M.source},{M.bc.value},n={M.n_cells}]"
     if np.any(K[0::2, 1::2]) or np.any(K[1::2, 0::2]):
         raise SolverError(f"gauge image couples x and p ({source})")
+    (vals_x, U_x), (vals_p, U_p) = (_eig_image(K[c::2, c::2], vectors) for c in (0, 1))
+    vals = np.concatenate([vals_x, vals_p])
     if not vectors:
-        vals = np.concatenate([_eig_image(K[c::2, c::2], False)[0] for c in (0, 1)])
-        vecs = None
-    else:
-        n = K.shape[0] // 2
-        vecs = np.zeros_like(K)
-        vals_x, vecs[0::2, :n] = _eig_image(K[0::2, 0::2])
-        vals_p, vecs[1::2, n:] = _eig_image(K[1::2, 1::2])
-        vals = np.concatenate([vals_x, vals_p])
-    return _sorted(vals, None if vecs is None else A.lift(vecs), source)
+        return _sorted(vals, None, source)
+    vecs = np.zeros_like(K)
+    vecs[0::2, :len(vals_x)], vecs[1::2, len(vals_x):] = U_x, U_p
+    return _sorted(vals, A.lift(vecs), source)
 
 
 def _zero_omega(p: Union[ModBKCParams, SiteFields]) -> bool:
