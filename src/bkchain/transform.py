@@ -248,17 +248,13 @@ def effective_ssh_matrix(p: Union[ModBKCParams, SiteFields]) -> np.ndarray:
     real or purely imaginary, and the 4N eigenvalues are +-i E_m over the 2N
     eigenvalues E_m here.  The eigenvalue identity holds for all parameters
     (including Delta = J, where the gauge is singular) because characteristic
-    polynomials depend polynomially on the couplings.  Each bond is computed
-    from (Delta - J)(Delta + J), which, unlike Delta^2 - J^2, keeps its
-    relative accuracy where |J| is close to |Delta|.
+    polynomials depend polynomially on the couplings.  Each bond is taken from
+    (Delta - J)(Delta + J), which stays accurate where |J| is close to |Delta|.
     """
     f = _fields(p)
     n = f.N
-
-    def bond(delta, hop):
-        return np.sign(delta - hop) * np.sqrt(((delta - hop) * (delta + hop)).astype(complex))
-
-    v, w = bond(f.Delta1, f.J1), bond(f.Delta2, f.J2)
+    v = np.sign(f.Delta1 - f.J1) * np.sqrt(((f.Delta1 - f.J1) * (f.Delta1 + f.J1)).astype(complex))
+    w = np.sign(f.Delta2 - f.J2) * np.sqrt(((f.Delta2 - f.J2) * (f.Delta2 + f.J2)).astype(complex))
     H = np.zeros((2 * n, 2 * n), dtype=complex)
     j = np.arange(n)
     H[2 * j, 2 * j + 1] = H[2 * j + 1, 2 * j] = v
