@@ -380,6 +380,13 @@ def _assert_same_without_vectors(p, bc, bound=1e-12):
     return full, bare
 
 
+def _assert_reduced_parity(full, bare):
+    """A reduced solve with vectors and without: off the guarded fallback, the same values mu and roots."""
+    assert full.eigenvectors is not None and full.source == bare.source
+    if "half-size guard" not in full.source:
+        assert np.array_equal(full.eigenvalues, bare.eigenvalues)
+
+
 class TestEigenvaluesOnly:
     """Every route of `solve` with and without eigenvectors."""
 
@@ -409,45 +416,31 @@ class TestEigenvaluesOnly:
     @given(p=modbkc_params().map(lambda p: replace(p, omega=0.0)))
     @settings(PROPERTY, max_examples=60)
     def test_reduced_uniform(self, p):
-        full, _ = _assert_same_without_vectors(p, OBC, GAUGE_BOUND)
+        full, bare = _assert_same_without_vectors(p, OBC, GAUGE_BOUND)
         assert _route(full) == "reduced["
+        _assert_reduced_parity(full, bare)
 
     @given(f=zero_omega_site_fields())
     @settings(PROPERTY, max_examples=40)
     def test_reduced_site_fields(self, f):
-        _assert_same_without_vectors(f, OBC, GAUGE_BOUND)
-
-    @staticmethod
-    def _assert_reduced_parity(p):
-        # off the guarded fallback both paths take the same values mu and roots
-        full, bare = solve(p, OBC), solve(p, OBC, vectors=False)
-        assert full.eigenvectors is not None and full.source == bare.source
-        if "half-size guard" not in full.source:
-            assert np.array_equal(full.eigenvalues, bare.eigenvalues)
-
-    @given(p=st.one_of(modbkc_params().map(lambda p: replace(p, omega=0.0)), zero_omega_site_fields(),
-                       sign_mixed_site_fields().filter(lambda f: not _cut(f))))
-    @settings(PROPERTY, max_examples=100)
-    def test_reduced_parity(self, p):
-        self._assert_reduced_parity(p)
+        _assert_reduced_parity(*_assert_same_without_vectors(f, OBC, GAUGE_BOUND))
 
     @pytest.mark.parametrize("p", [
         ModBKCParams(J1=0.4, J2=0.1, Delta1=1.0, Delta2=0.5, omega=0.0, N=100),  # fig3
         ModBKCParams(J1=0.0, J2=0.5, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # fig6
-        ModBKCParams(J1=0.9, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # all real, deflated
-        ModBKCParams(J1=1.4, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # sign-mixed, deflated
-        ModBKCParams(J1=1.7, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # deflated, solved vectors
-        ModBKCParams(J1=2.0, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # sign-mixed, plain
-    ], ids=["fig3", "fig6", "all_real_deflated", "sign_mixed_deflated", "solved_vectors", "sign_mixed"])
-    def test_reduced_parity_on_figure_points(self, p):
-        self._assert_reduced_parity(p)
+        ModBKCParams(J1=0.9, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # fig4, deflated
+    ], ids=["fig3", "fig6", "fig4_deflated"])
+    def test_reduced_all_real_figure_points(self, p):
+        _assert_reduced_parity(solve(p, OBC), solve(p, OBC, vectors=False))
 
     @given(f=sign_mixed_site_fields())
     @settings(PROPERTY, max_examples=60)
     def test_reduced_sign_mixed_and_cut(self, f):
         # cut chains (Delta = +-J on a bond) have eigenvalues only on both paths
-        full, _ = _assert_same_without_vectors(f, OBC, GAUGE_BOUND)
+        full, bare = _assert_same_without_vectors(f, OBC, GAUGE_BOUND)
         assert _route(full) == "reduced["
+        if not _cut(f):
+            _assert_reduced_parity(full, bare)
 
     @pytest.mark.parametrize("J1,Delta1", [(0.8, 0.8), (0.8, -0.8)])
     def test_singular_reduced_gauge(self, J1, Delta1):
@@ -553,10 +546,8 @@ class TestReducedHalfSize:
         for s in (full, bare):
             assert s.source.startswith("reduced[modbkc,obc,n=100]")
             assert (note in s.source) if note else s.source == "reduced[modbkc,obc,n=100]"
-        assert full.source == bare.source
-        assert full.eigenvectors is not None
+        _assert_reduced_parity(full, bare)
         _check_residual(_quadratic_matrix(p, OBC), full)
-        assert _distance(full.eigenvalues, bare.eigenvalues) <= 1e-12 * np.abs(full.eigenvalues).max()
         assert zero_modes_per_copy(full, p, OBC, 1e-6) == zero_modes_per_copy(bare, p, OBC, 1e-6) == count
 
 
