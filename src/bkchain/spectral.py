@@ -563,7 +563,7 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     try:
         if mixed:  # bipartite: [[0, D], [F, 0]] in sublattice order, E^2 = eigvals(D F)
             mu, _ = _square_eig(Hr[0::2, 1::2] @ Hr[1::2, 0::2], False)
-        else:  # ascending and symmetric about 0, and sqrt(x^2) = |x| exactly: nothing is squared
+        else:  # symmetric: eigvalsh is ascending and symmetric about 0, and sqrt(x^2) = |x| exactly
             mu = np.linalg.eigvalsh(Hr)[p.N:] ** 2
         pair = _edge_pair(mag, lower, mu)
         E, order, root = _half_size(mu, REDUCED_MIN_EIGENVALUE, mag.max(), "H_r",
