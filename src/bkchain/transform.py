@@ -229,14 +229,13 @@ def effective_ssh_params(p: Union[ModBKCParams, SiteFields]) -> EffectiveSSHPara
 
     Purely real when Delta > |J|, purely imaginary when Delta < |J|.
     Site-resolved fields use the per-cell leading values; use
-    `effective_ssh_matrix` for the full disordered couplings.
+    `effective_ssh_matrix` for the full disordered couplings.  Each root is
+    taken from (Delta - J)(Delta + J), as in `effective_ssh_matrix`, which
+    stays accurate where |J| is close to |Delta|.
     """
-    if isinstance(p, SiteFields):
-        d1 = np.sqrt(complex(p.Delta1[0] ** 2 - p.J1[0] ** 2))
-        d2 = np.sqrt(complex(p.Delta2[0] ** 2 - p.J2[0] ** 2))
-    else:
-        d1 = np.sqrt(complex(p.Delta1 ** 2 - p.J1 ** 2))
-        d2 = np.sqrt(complex(p.Delta2 ** 2 - p.J2 ** 2))
+    f = _fields(p)
+    d1, d2 = (np.sqrt(complex((delta[0] - J[0]) * (delta[0] + J[0])))
+              for delta, J in ((f.Delta1, f.J1), (f.Delta2, f.J2)))
     return EffectiveSSHParams(dtilde1=d1, dtilde2=d2)
 
 

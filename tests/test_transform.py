@@ -258,6 +258,18 @@ class TestEffectiveParams:
         assert eff.dtilde1.imag == 0
         assert eff.dtilde2.real == 0 and eff.dtilde2.imag > 0
 
+    @pytest.mark.parametrize("fields", [False, True])
+    def test_root_near_delta_equals_j(self, fields):
+        # fig2's sweep point one ulp above J1 = 1.4: Delta1^2 - J1^2 cancels
+        # to a 3.5e-2 relative error there
+        p = ModBKCParams(J1=1.4, J2=1.2, Delta1=1.4000000000000001, Delta2=1.0, omega=0.0, N=4)
+        eff = effective_ssh_params(SiteFields.uniform(p) if fields else p)
+        with mpmath.workdps(50):
+            ref = mpmath.sqrt(mpmath.mpf(p.Delta1) ** 2 - mpmath.mpf(p.J1) ** 2)
+            assert eff.dtilde1.imag == 0
+            assert float(abs(mpmath.mpf(float(eff.dtilde1.real)) / ref - 1)) <= 1e-15
+            assert np.array_equal(np.diagonal(effective_ssh_matrix(p), 1)[0], eff.dtilde1)
+
 
 class TestResidualMechanics:
     def test_identity_transform_zero_residual(self):
