@@ -53,6 +53,7 @@ __all__ = [
     "build_bkc_quadratic",
     "build_modbkc_quadratic",
     "excitation_matrix",
+    "excitation_bands",
     "build_bkc_excitation_direct",
     "build_modbkc_excitation_direct",
     "bloch_matrix",
@@ -259,6 +260,33 @@ def excitation_matrix(q: QuadraticForm) -> ExcitationMatrix:
     SQ[1::2] = -q.Q[0::2]
     return ExcitationMatrix(M=-1j * SQ, n_cells=q.n_cells, n_sublattices=q.n_sublattices,
                             bc=q.bc, source="symplectic")
+
+
+def excitation_bands(q: QuadraticForm) -> list:
+    """Nonzero diagonals of ``excitation_matrix(q).M`` as (offset, values) pairs, by ascending offset.
+
+    ``values`` equals ``np.diagonal(M, offset)``, computed by the same
+    arithmetic as `excitation_matrix`, but M is never formed: its diagonal d
+    reads Q's diagonal d - 1 on even rows and d + 1 on odd rows.  Both
+    builders couple a cell only to itself and to its neighbours, a ring's
+    last cell also to its first, so Q's nonzero diagonals lie within 2s - 1
+    of its main diagonal or of its corners (s quadratures per cell), and
+    only those O(s) diagonals of Q are read.  An all-zero M has no band.
+    """
+    Q, n = q.Q, q.dim
+    reach = 2 * n // q.n_cells - 1
+    near = range(-reach, reach + 1)
+    far = range(n - reach, n) if q.bc is BoundaryCondition.PBC else range(0)
+    offsets = {e for e in (*near, *far, *(-f for f in far)) if abs(e) < n and np.diagonal(Q, e).any()}
+    bands = []
+    for d in sorted({e + t for e in offsets for t in (-1, 1) if abs(e + t) < n}):
+        rows = np.arange(max(0, -d), min(n, n - d))
+        SQ = Q[rows ^ 1, rows + d]  # row 2i of Sigma Q is Q[2i + 1], row 2i + 1 is -Q[2i]
+        np.negative(SQ, out=SQ, where=rows % 2 == 1)
+        values = -1j * SQ
+        if values.any():
+            bands.append((d, values))
+    return bands
 
 
 def build_bkc_excitation_direct(p: BKCParams, bc: BoundaryCondition) -> ExcitationMatrix:

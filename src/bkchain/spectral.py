@@ -39,9 +39,11 @@ code that picks a solve route:
   pair each) or an exactly zero bond takes the full-size solve of H_r
   instead: `eigh` where every bond is real, else the real `eig`.
   ``Spectrum.source`` names the deflation or the fallback.  The lift of
-  the product basis runs on the SSH eigenvectors directly
-  (`_lift_product`).  At Delta = +-J exactly on some bond the eigenvalues
-  stay exact but no eigenvectors are computed.
+  the product basis runs on the SSH eigenvectors directly: `_lift_product`
+  lifts the 2N columns for +i E and the p rows of those for -i E, and
+  `_sorted_pairs` writes both straight into their sorted places.  At
+  Delta = +-J exactly on some bond the eigenvalues stay exact but no
+  eigenvectors are computed.
 * **Bloch** (uniform ring of either model, `BKCParams` or `ModBKCParams`
   under PBC, any omega).  Translation invariance splits the ring into N
   independent blocks B(k), k = 2 pi m / N, 2x2 or 4x4, read off the model's
@@ -64,10 +66,17 @@ code that picks a solve route:
   for everything else: the open single-band chain off the gauge route (its
   cross block is nonzero) and the points the x/p guard turns away.
 
-Every route checks its eigenvectors by `_check_residual` on the full matrix
-M.  A failure raises `SolverError`, except on the two gauge routes: their
-eigenvalues are exact, so they are returned without eigenvectors, and
-``Spectrum.source`` names the failure.
+Every route checks its eigenvectors by `_check_residual`: each eigenpair's
+residual on M must be at most ``RESIDUAL_FACTOR`` * max|M| * dim.  The
+check runs on M's nonzero diagonals.  The dense and Hatano-Nelson routes
+read them off the M they build (`_bands`); the SSH reduction, x/p and Bloch
+routes read them off Q (`excitation_bands`) and never form M.  On the SSH
+reduction and x/p routes M couples x only to p, so it anticommutes with
+Sigma = diag(+1, -1) over (x, p), and each -E eigenvector is the exact
+Sigma-flip of its +E partner.  Their residuals are equal bit for bit, so
+only the 2N +E columns are checked.  A failure raises `SolverError`, except
+on the two gauge routes: their eigenvalues are exact, so they are returned
+without eigenvectors, and ``Spectrum.source`` names the failure.
 
 **Eigenvalues only.**  ``solve(p, bc, vectors=False)`` takes the same route,
 with the same ``source`` prefix, but computes no eigenvector, lifts nothing
@@ -108,6 +117,7 @@ from .model import (
     bloch_matrix,
     build_bkc_quadratic,
     build_modbkc_quadratic,
+    excitation_bands,
     excitation_matrix,
 )
 from .transform import (
@@ -187,35 +197,40 @@ def _sorted(eigenvalues, eigenvectors, source):
     return Spectrum(eigenvalues=eigenvalues[order], eigenvectors=vecs, source=source)
 
 
-def _residuals(M: np.ndarray, vectors: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
-    """Column norms of M V - V diag(E), in O(nnz(M) n) time.
-
-    M V is accumulated over the nonzero diagonals of M (four for an open
-    chain of either model, eight for a two-sublattice ring with its wrap
-    corners; a dense M has 2n - 1), ``_RESIDUAL_BLOCK`` columns at a time, so
-    no n x n temporary is allocated.
-    """
+def _bands(M: np.ndarray) -> list:
+    """Nonzero diagonals of a dense M as (offset, values) pairs, in the format of `excitation_bands`."""
     n = M.shape[0]
     flat = np.flatnonzero(M != 0)
-    diagonals = [(d, np.diagonal(M, d)[:, None]) for d in np.unique(flat % n - flat // n)]
+    return [(d, np.diagonal(M, d)) for d in np.unique(flat % n - flat // n)]
+
+
+def _residuals(bands: list, vectors: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
+    """Column norms of M V - V diag(E), with M given by its nonzero diagonals.
+
+    ``bands`` holds (offset d, values) pairs by ascending d, values laid out
+    as ``np.diagonal(M, d)``: four for an open chain of either model, eight
+    for a two-sublattice ring with its wrap corners, 2n - 1 for a dense M.
+    M V is accumulated over them ``_RESIDUAL_BLOCK`` columns at a time, in
+    O(len(bands) n) time per column, so no n x n temporary is allocated.
+    """
+    n = len(vectors)
     res = np.empty(vectors.shape[1])
     for c in range(0, vectors.shape[1], _RESIDUAL_BLOCK):
         V = vectors[:, c:c + _RESIDUAL_BLOCK]
         R = V * -eigenvalues[c:c + _RESIDUAL_BLOCK]
-        for d, m in diagonals:
+        for d, m in bands:
             if d >= 0:
-                R[:n - d] += m * V[d:]
+                R[:n - d] += m[:, None] * V[d:]
             else:
-                R[-d:] += m * V[:n + d]
+                R[-d:] += m[:, None] * V[:n + d]
         res[c:c + _RESIDUAL_BLOCK] = np.linalg.norm(R, axis=0)
     return res
 
 
-def _check_residual(M, spec: Spectrum):
-    if spec.eigenvectors is None:
-        return
-    bound = RESIDUAL_FACTOR * np.abs(M).max() * M.shape[0]
-    worst = _residuals(M, spec.eigenvectors, spec.eigenvalues).max()
+def _check_residual(bands: list, vectors: np.ndarray, eigenvalues: np.ndarray):
+    """Raise `SolverError` unless every column's residual is at most ``RESIDUAL_FACTOR`` max|M| dim."""
+    bound = RESIDUAL_FACTOR * max((np.abs(m).max() for _, m in bands), default=0.0) * len(vectors)
+    worst = _residuals(bands, vectors, eigenvalues).max()
     if not worst <= bound:
         raise SolverError(f"eigenpair residual {worst:.3e} exceeds bound {bound:.3e}")
 
@@ -231,7 +246,8 @@ def eigendecompose(M: ExcitationMatrix, vectors: bool = True) -> Spectrum:
             f"eigensolver failed for {M.source} matrix, dim={M.dim}, bc={M.bc}: {err}") from err
     spec = _sorted(vals, vecs, source=f"eig[{M.source},{M.bc.value},n={M.n_cells}]")
     del vals, vecs  # the residual check below is the peak of memory use
-    _check_residual(M.M, spec)
+    if vectors:
+        _check_residual(_bands(M.M), spec.eigenvectors, spec.eigenvalues)
     return spec
 
 
@@ -487,32 +503,56 @@ def _twisted(mag: np.ndarray, lower: np.ndarray, E: np.ndarray) -> np.ndarray:
     return z
 
 
-def _lift_product(A: SimilarityMatrix, U: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """``A.lift`` of the product basis (sigma_pm (x) u_m), with its columns in ``order``.
+def _lift_product(A: SimilarityMatrix, U: np.ndarray):
+    """``A.lift`` of the product basis (sigma_pm (x) u_m) as ``(plus, minus_p)``.
 
     SSH site a sits at flat index 2a (x) and 2a+1 (p), so the basis column of
     +i E_m holds U[:, m] at both quadratures and the column of -i E_m holds
     U[:, m] at x and -U[:, m] at p.  The two share |U| and hence lift's column
-    maximum t_m = max_a (log|U_am| + max(s_x,a, s_p,a)): log runs on the (2N)^2
-    entries of U and exp on the x and p halves of the gauge, (2N)^2 each, not
-    on the (4N)^2 of the basis.  The rest is lift's own arithmetic on the same
-    values in the same C layout (its column norms sum the x and p rows in
-    their interleaved order), then `_sorted`'s gather: the result equals
-    ``A.lift(basis)[:, order]`` bit for bit, F-contiguous like that gather,
-    which `spatial_profile`'s column sums depend on.
+    maximum t_m = max_a (log|U_am| + max(s_x,a, s_p,a)) and column norm, so
+    they differ only in the signs of their p rows.  ``plus`` (4N x 2N) holds
+    the lifted +i E_m columns and ``minus_p`` (2N x 2N) the p rows of the
+    -i E_m columns; their x rows are those of ``plus``.  log runs on the
+    (2N)^2 entries of U and exp on the x and p halves of the gauge, not on the
+    (4N)^2 of the basis.  The rest is lift's own arithmetic on the same values
+    in the same C layout (its column norms sum the x and p rows in their
+    interleaved order), with -U negated before the gauge and phase multiply
+    as in the basis, so that each signed zero comes out as lift's:
+    `_sorted_pairs` of the two equals ``A.lift(basis)[:, order]`` bit for bit.
     """
-    two_n = U.shape[1]
     s = A.log_scale[:, None]
     with np.errstate(divide="ignore"):  # log|0| = -inf never wins a maximum
         top = (np.log(np.abs(U)) + np.maximum(s[0::2], s[1::2])).max(axis=0)
-    out = np.empty((2 * two_n, 2, two_n), dtype=complex)  # (flat index, sign, m)
-    out[0::2] = U[:, None]
-    out[1::2, 0] = U
-    np.negative(U, out=out[1::2, 1])
-    out *= np.exp(np.minimum(s - top, 700.0))[:, None]
-    out *= A.phase[:, None, None]
-    out /= np.linalg.norm(out[:, 0], axis=0)  # the -i E_m column differs in signs only
-    return out.reshape(2 * two_n, 2 * two_n)[:, order]
+    scale = np.exp(np.minimum(s - top, 700.0))
+    plus = np.empty((len(s), U.shape[1]), dtype=complex)
+    plus[0::2] = U
+    plus[1::2] = U
+    plus *= scale
+    plus *= A.phase[:, None]
+    norm = np.linalg.norm(plus, axis=0)
+    plus /= norm
+    minus_p = np.negative(U)
+    minus_p *= scale[1::2]
+    minus_p *= A.phase[1::2, None]
+    minus_p /= norm
+    return plus, minus_p
+
+
+def _sorted_pairs(plus: np.ndarray, minus_p: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The columns of `_lift_product`'s halves, +i E_m first, in ``order``.
+
+    Each column is written once, straight into its sorted place in an
+    F-contiguous array: the layout of a ``[:, order]`` gather, which
+    `spatial_profile`'s column sums depend on.
+    """
+    half = plus.shape[1]
+    place = np.empty_like(order)
+    place[order] = np.arange(len(order))
+    out = np.empty((len(plus), 2 * half), dtype=complex, order="F")
+    out[:, place[:half]] = plus
+    out[0::2, place[half:]] = plus[0::2]
+    out[1::2, place[half:]] = minus_p
+    return out
 
 
 def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
@@ -535,7 +575,9 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     is real, else the real `eig`.  ``Spectrum.source`` names the deflation,
     with the closed form's backward error, or the reason for the fallback.
     Eigenvectors are the product basis lifted through the combined gauge
-    (`_lift_product`).  With ``with_vectors=False`` (or at singular gauge
+    (`_lift_product`), checked on their +i E columns as the module docstring
+    says; where they fail, the eigenvalues are returned alone and ``source``
+    names the failure.  With ``with_vectors=False`` (or at singular gauge
     points Delta = +-J) only the eigenvalues are computed, along the same
     path; they remain exact at singular points by continuity of the
     characteristic polynomial.  Open boundaries only: the gauge does not
@@ -548,7 +590,7 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     source = f"reduced[modbkc,{bc.value},n={p.N}]"
     # H is tridiagonal with bonds b_k, each real or purely imaginary: with s_{k+1} = s_k |b_k| / b_k,
     # a power of i, S^-1 H S is the real H_r with |b_k| above and b_k^2 / |b_k| below the diagonal.
-    b = np.diagonal(effective_ssh_matrix(p), 1)
+    b = np.diagonal(effective_ssh_matrix(p), 1).copy()  # a view would keep the 2N x 2N matrix alive
     mag = np.abs(b)
     lower = np.where(b.imag != 0, -mag, mag)
     Hr = np.diag(mag, 1) + np.diag(lower, -1)
@@ -581,18 +623,28 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
             if pair is not None and pair.u is not None:
                 Z[:, pair.m] = pair.u
             U = _paired(Z[0::2], Z[1::2], order)
+            del Z
+    del Hr  # freed, like Z above and U below, before the lift's arrays: the peak of memory use
     if pair is not None and pair.u is not None:
         source += f" (deflated edge pair, closed form: backward error {pair.error:.1e})"
     elif pair is not None:
         source += (f" (deflated edge pair, solved vectors: closed-form backward error {pair.error:.2e}"
                    f" > {EDGE_PAIR_MAX_ERROR:g})")
     vals = np.concatenate([1j * E, -1j * E])
+    order = np.lexsort((vals.imag, vals.real))
+    spec = Spectrum(eigenvalues=vals[order], eigenvectors=None, source=source)
     if U is None:
-        return _sorted(vals, None, source)
+        return spec
+    bands = excitation_bands(build_modbkc_quadratic(p, bc))
     # U = S U_r; |b| / b and S hold +-1, +-i only, so every product is exact
     U = np.concatenate([[1], np.cumprod(np.sign(b.real) - 1j * np.sign(b.imag))])[:, None] * U
-    order = np.lexsort((vals.imag, vals.real))
-    return Spectrum(eigenvalues=vals[order], eigenvectors=_lift_product(A, U, order), source=source)
+    plus, minus_p = _lift_product(A, U)
+    del U
+    try:  # the -i E_m columns are the Sigma-flips of the +i E_m ones, with equal residuals
+        _check_residual(bands, plus, vals[:len(E)])
+    except SolverError as err:  # the eigenvalues are exact, so they stay
+        return replace(spec, source=f"{source} (no vectors: {err})")
+    return replace(spec, eigenvectors=_sorted_pairs(plus, minus_p, order))
 
 
 def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:
@@ -602,18 +654,19 @@ def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:
     holds exactly when Qp Qx x = E^2 x and p = i Qx x / E: each eigenpair
     (mu, x) of the real, half-dimensional Qp Qx gives the eigenvalues
     E = +-sqrt(mu) (`_half_size`).  A point whose smallest |E| is at or below
-    ``XP_MIN_EIGENVALUE`` * max|Q| goes to `eigendecompose` instead.  M is
-    built for the residual check, or for that dense solve; without vectors
-    and off the guard it is never built.
+    ``XP_MIN_EIGENVALUE`` * max|Q| goes to `eigendecompose` instead; M is
+    built only for that dense solve.  The residual check reads M's diagonals
+    off Q (`excitation_bands`) and runs on the +E columns alone: M couples x
+    only to p, so each -E column (x, -y) is the Sigma-flip of its +E partner
+    (x, y), and their residuals are equal bit for bit.
     """
-    M = excitation_matrix(q) if vectors else None
     Qx, Qp = q.Q[0::2, 0::2], q.Q[1::2, 1::2]
     mu, X = _square_eig(Qp @ Qx, vectors)
     try:
         vals, order, root = _half_size(mu, XP_MIN_EIGENVALUE, np.abs(q.Q).max(), "Q")
     except _SmallEigenvalue as guard:
         del X  # not used by the dense solve
-        spec = eigendecompose(excitation_matrix(q) if M is None else M, vectors)
+        spec = eigendecompose(excitation_matrix(q), vectors)
         return replace(spec, source=f"{spec.source} (x/p guard: {guard})")
     source = f"xp[symplectic,{q.bc.value},n={q.n_cells}]"
     if not vectors:
@@ -624,27 +677,27 @@ def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:
     vecs = np.empty((q.dim, q.dim), dtype=complex)
     _paired(X, (Qx @ X) * (1j / root), order, vecs)
     del X  # the residual check below is the peak of memory use
-    spec = Spectrum(eigenvalues=vals, eigenvectors=vecs, source=source)
-    _check_residual(M.M, spec)
-    return spec
+    plus = order < len(root)
+    _check_residual(excitation_bands(q), vecs[:, plus], vals[plus])
+    return Spectrum(eigenvalues=vals, eigenvectors=vecs, source=source)
 
 
 def _bloch_spectrum(p: Union[BKCParams, ModBKCParams], vectors: bool) -> Spectrum:
-    """Spectrum of a uniform ring from its N Bloch blocks, checked on the ring matrix M.
+    """Spectrum of a uniform ring from its N Bloch blocks, checked on the ring's M.
 
     Each eigenpair (E, u) of the block at k = 2 pi m / N gives the ring
     eigenpair (E, v), v[(j, a)] = w^(j m) u_a / sqrt(N), with w = exp(2 pi i / N)
     (see `bloch_matrix`).  The plane waves are written straight into the
-    ring's eigenvector array, in the order `_sorted` gives.  Without
-    ``vectors`` only the block eigenvalues are solved, and neither the ring's
-    Q nor M is built.
+    ring's eigenvector array, in the order `_sorted` gives.  The check reads
+    M's diagonals off the ring's Q (`excitation_bands`) and never forms M.
+    Without ``vectors`` only the block eigenvalues are solved, and the ring's
+    Q is not built.
     """
     n = p.N
     source = f"bloch[symplectic,{BoundaryCondition.PBC.value},n={n}]"
-    M = None
     if vectors:
         build = build_bkc_quadratic if isinstance(p, BKCParams) else build_modbkc_quadratic
-        M = excitation_matrix(build(p, BoundaryCondition.PBC))
+        bands = excitation_bands(build(p, BoundaryCondition.PBC))
     m = np.arange(n)
     B = bloch_matrix(p, 2 * np.pi * m / n)
     s = B.shape[-1]
@@ -662,20 +715,7 @@ def _bloch_spectrum(p: Union[BKCParams, ModBKCParams], vectors: bool) -> Spectru
     np.multiply(wave[np.outer(m, mk) % n][:, None, :], U[mk, :, band].T,
                 out=vecs.reshape(n, s, n * s))
     spec = Spectrum(eigenvalues=vals[order], eigenvectors=vecs, source=source)
-    _check_residual(M.M, spec)
-    return spec
-
-
-def _checked_gauge_spectrum(M: ExcitationMatrix, spec: Spectrum) -> Spectrum:
-    """A gauge route's spectrum, without its eigenvectors if they fail `_check_residual`.
-
-    The eigenvalues are exact either way, so they are kept, and ``source``
-    names the failure.
-    """
-    try:
-        _check_residual(M.M, spec)
-    except SolverError as err:
-        return replace(spec, eigenvectors=None, source=f"{spec.source} (no vectors: {err})")
+    _check_residual(bands, vecs, spec.eigenvalues)
     return spec
 
 
@@ -689,11 +729,7 @@ def solve(p: Union[BKCParams, ModBKCParams, SiteFields], bc: BoundaryCondition,
     where M itself is solved.  Use it wherever only eigenvalues are read.
     """
     if reduced_route(p, bc):
-        spec = modbkc_spectrum_zero_omega(p, bc, with_vectors=vectors)
-        if not vectors:
-            return spec
-        # M is built after the solve: alive during the lift, it raised the peak RSS of a scan by 7%
-        return _checked_gauge_spectrum(excitation_matrix(build_modbkc_quadratic(p, bc)), spec)
+        return modbkc_spectrum_zero_omega(p, bc, with_vectors=vectors)
     if bc is BoundaryCondition.PBC and not isinstance(p, SiteFields):
         return _bloch_spectrum(p, vectors)
     single_band = isinstance(p, BKCParams)
@@ -705,7 +741,12 @@ def solve(p: Union[BKCParams, ModBKCParams, SiteFields], bc: BoundaryCondition,
         except SingularTransformError as err:  # Delta0 = +-J0: no gauge, so the dense solver
             spec = eigendecompose(M, vectors)
             return replace(spec, source=f"{spec.source} (no gauge: {err})")
-        return _checked_gauge_spectrum(M, spec) if vectors else spec
+        if vectors:
+            try:
+                _check_residual(_bands(M.M), spec.eigenvectors, spec.eigenvalues)
+            except SolverError as err:  # the eigenvalues are exact, so they stay
+                spec = replace(spec, eigenvectors=None, source=f"{spec.source} (no vectors: {err})")
+        return spec
     if np.any(q.Q[0::2, 1::2]):
         return eigendecompose(excitation_matrix(q), vectors)
     return _xp_spectrum(q, vectors)

@@ -46,7 +46,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -60,9 +60,10 @@ from bkchain.model import (
     build_bkc_quadratic,
     build_modbkc_excitation_direct,
     build_modbkc_quadratic,
+    excitation_bands,
     excitation_matrix,
 )
-from bkchain import spectral, topology
+from bkchain import model, spectral, topology
 from bkchain.disorder import DisorderSpec, sample_site_fields
 from bkchain.skin import nhse_fraction, profile_matrix
 from bkchain.spectral import (
@@ -70,9 +71,11 @@ from bkchain.spectral import (
     XP_MIN_EIGENVALUE,
     SolverError,
     Spectrum,
+    _bands,
     _check_residual,
     _lift_product,
     _residuals,
+    _sorted_pairs,
     _twisted,
     bkc_pbc_dispersion,
     eigendecompose,
@@ -527,7 +530,7 @@ class TestReducedHalfSize:
         for s in (bare, full):
             assert s.source.startswith("reduced[modbkc,obc,n=100] (half-size guard: min|E| ")
             assert s.source.endswith(" <= 0.01 max|H_r|, 2 values)")
-        _check_residual(_quadratic_matrix(f, OBC), full)
+        _check_residual(_bands(_quadratic_matrix(f, OBC)), full.eigenvectors, full.eigenvalues)
         assert zero_modes_per_copy(bare, f, OBC, 1e-6) == zero_modes_per_copy(full, f, OBC, 1e-6) == 2
         assert _distance(full.eigenvalues, bare.eigenvalues) <= 1e-12 * np.abs(full.eigenvalues).max()
 
@@ -547,7 +550,7 @@ class TestReducedHalfSize:
             assert s.source.startswith("reduced[modbkc,obc,n=100]")
             assert (note in s.source) if note else s.source == "reduced[modbkc,obc,n=100]"
         _assert_reduced_parity(full, bare)
-        _check_residual(_quadratic_matrix(p, OBC), full)
+        _check_residual(_bands(_quadratic_matrix(p, OBC)), full.eigenvectors, full.eigenvalues)
         assert zero_modes_per_copy(full, p, OBC, 1e-6) == zero_modes_per_copy(bare, p, OBC, 1e-6) == count
 
 
@@ -576,7 +579,7 @@ def _assert_half_size_vectors(f):
     s, bare = solve(f, OBC), solve(f, OBC, vectors=False)
     assert s.source.startswith("reduced[") and s.eigenvectors is not None
     M = _quadratic_matrix(f, OBC)
-    assert _residuals(M, s.eigenvectors, s.eigenvalues).max() <= 1e-10 * np.abs(M).max()
+    assert _residuals(_bands(M), s.eigenvectors, s.eigenvalues).max() <= 1e-10 * np.abs(M).max()
     E = np.linalg.eigvals(effective_ssh_matrix(f))
     ref = np.concatenate([1j * E, -1j * E])
     assert _distance(s.eigenvalues, ref) <= SSH_BOUND * max(1.0, float(np.abs(ref).max()))
@@ -689,7 +692,7 @@ class TestEdgePair:
             assert float(abs(mpmath.mpf(zero_gap(spec)) / ref - 1)) <= bound
             assert np.ptp(np.abs(spec.eigenvalues[np.argsort(np.abs(spec.eigenvalues))[:4]])) == 0
         M = _quadratic_matrix(f, OBC)
-        assert _residuals(M, s.eigenvectors[:, edge], s.eigenvalues[edge]).max() <= 1e-10 * np.abs(M).max()
+        assert _residuals(_bands(M), s.eigenvectors[:, edge], s.eigenvalues[edge]).max() <= 1e-10 * np.abs(M).max()
         return s
 
     @given(f=topological_fields(mixed=False))
@@ -721,7 +724,7 @@ class TestEdgePair:
         edge = np.argsort(np.abs(s.eigenvalues))[:4]
         assert np.all(s.eigenvalues[edge] == 0)
         M = _quadratic_matrix(p, OBC)
-        assert _residuals(M, s.eigenvectors[:, edge], s.eigenvalues[edge]).max() <= 1e-15 * np.abs(M).max()
+        assert _residuals(_bands(M), s.eigenvectors[:, edge], s.eigenvalues[edge]).max() <= 1e-15 * np.abs(M).max()
 
 
 class TestTwisted:
@@ -741,7 +744,7 @@ class TestTwisted:
         p = ModBKCParams(J1=0.0, J2=0.0, Delta1=-1.0, Delta2=-1.0, omega=0.0, N=7)
         s = solve(p, OBC)
         assert s.source == "reduced[modbkc,obc,n=7]" and s.eigenvectors is not None
-        _check_residual(_quadratic_matrix(p, OBC), s)
+        _check_residual(_bands(_quadratic_matrix(p, OBC)), s.eigenvectors, s.eigenvalues)
 
 
 def _lift_reference(A, U, order):
@@ -753,8 +756,22 @@ def _lift_reference(A, U, order):
     return A.lift(basis)[:, order]
 
 
+def _halves_reference(A, U):
+    """The +i E_m columns of the full product basis lifted by ``A.lift``, and the p rows of its -i E_m columns."""
+    two_n = U.shape[1]
+    lifted = _lift_reference(A, U, np.arange(2 * two_n))
+    return lifted[:, :two_n], lifted[1::2, two_n:]
+
+
+def _gather_reference(plus, minus_p, order):
+    """Both halves side by side, +i E_m first, gathered in ``order`` as `_sorted` gathers."""
+    minus = plus.copy()
+    minus[1::2] = minus_p
+    return np.hstack([plus, minus])[:, order]
+
+
 class TestProductLift:
-    """`_lift_product` against ``SimilarityMatrix.lift`` of the full product basis."""
+    """`_lift_product` and `_sorted_pairs` against ``SimilarityMatrix.lift`` of the full product basis."""
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("two_n", [2, 7, 24, 200])
@@ -778,7 +795,7 @@ class TestProductLift:
         E[: two_n // 2] = E[0]  # degenerate values keep lexsort's tie order
         vals = np.concatenate([1j * E, -1j * E])
         order = np.lexsort((vals.imag, vals.real))
-        ref, out = _lift_reference(A, U, order), _lift_product(A, U, order)
+        ref, out = _lift_reference(A, U, order), _sorted_pairs(*_lift_product(A, U), order)
         assert np.array_equal(out, ref)
         assert out.tobytes() == ref.tobytes()
         assert out.flags.f_contiguous == ref.flags.f_contiguous
@@ -792,7 +809,8 @@ class TestProductLift:
     ])
     def test_profiles_unchanged(self, p, monkeypatch):
         s = solve(p, OBC)
-        monkeypatch.setattr(spectral, "_lift_product", _lift_reference)
+        monkeypatch.setattr(spectral, "_lift_product", _halves_reference)
+        monkeypatch.setattr(spectral, "_sorted_pairs", _gather_reference)
         ref = solve(p, OBC)
         assert s.eigenvectors.tobytes() == ref.eigenvectors.tobytes()
         assert s.eigenvectors.flags.f_contiguous and ref.eigenvectors.flags.f_contiguous
@@ -822,7 +840,125 @@ class TestBlochRoute:
         assert _distance(s.eigenvalues, ref) <= 1e-12 * max(1.0, float(np.abs(ref).max()))
 
 
+@st.composite
+def guarded_fields(draw):
+    """`topological_fields` nearly cut at the middle intercell bond: two edge pairs, so the half-size guard fires."""
+    f = draw(st.booleans().flatmap(topological_fields))
+    J2 = f.J2.copy()
+    J2[f.N // 2 - 1] = f.Delta2[f.N // 2 - 1] * (1 - 1e-6)
+    return replace(f, J2=J2)
+
+
+# Points whose M couples x only to p, so that M anticommutes with
+# Sigma = diag(+1, -1) over (x, p), with the ``source`` note each must carry.
+SIGMA_POINTS = {
+    "reduced_all_real": (zero_omega_site_fields().filter(lambda f: not effective_ssh_matrix(f).imag.any()), OBC, ""),
+    "reduced_sign_mixed": (sign_mixed_site_fields().filter(
+        lambda f: not _cut(f) and effective_ssh_matrix(f).imag.any()), OBC, ""),
+    "reduced_deflated": (st.booleans().flatmap(topological_fields), OBC, "(deflated edge pair"),
+    "reduced_guarded": (guarded_fields(), OBC, "(half-size guard"),
+    "xp_open_chain": (modbkc_params().filter(lambda p: p.omega != 0), OBC, ""),
+    "xp_site_fields": (disordered_omega_site_fields(), PBC, ""),
+    "xp_site_fields_open": (disordered_omega_site_fields(), OBC, ""),
+}
+
+
+def _assert_sigma_pairs(s, M):
+    """Each column of ``s`` has a partner at -E that is its Sigma-flip, and the two residuals on M are equal bit for bit."""
+    V, E = s.eigenvectors, s.eigenvalues
+    res = _residuals(_bands(M), V, E)
+    flipped = V.copy()
+    flipped[1::2] *= -1
+    columns = {}
+    for j, e in enumerate(E):
+        columns.setdefault(complex(e), []).append(j)
+    for j, e in enumerate(E):
+        partner = [k for k in columns.get(complex(-e), []) if np.array_equal(V[:, k], flipped[:, j])]
+        assert partner, f"column {j} (E = {e}) has no Sigma-flipped partner"
+        assert res[partner[0]].tobytes() == res[j].tobytes()
+
+
 class TestResidualCheck:
+    @pytest.mark.parametrize("kind", sorted(SIGMA_POINTS))
+    @given(data=st.data())
+    @settings(PROPERTY, max_examples=25)
+    def test_sigma_partners_have_equal_residuals(self, kind, data):
+        # the reduced and x/p routes check only one column of each +-E pair
+        strategy, bc, note = SIGMA_POINTS[kind]
+        f = data.draw(strategy)
+        s = solve(f, bc)
+        assume(not s.source.startswith("eig["))  # the x/p guard's dense solve
+        # the full-size eig(H_r) of a guarded chain can mix its two edge pairs
+        # (1 of 60 such draws); the check then drops the vectors
+        assume(kind != "reduced_guarded" or s.eigenvectors is not None)
+        assert s.source.startswith(kind.split("_")[0] + "[") and note in s.source and s.eigenvectors is not None
+        _assert_sigma_pairs(s, excitation_matrix(build_modbkc_quadratic(f, bc)).M)
+
+    @pytest.mark.parametrize("p", [
+        ModBKCParams(J1=1.2, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # fig4, deflated
+        _fig5_split(1e-6),                                                      # guarded
+        ModBKCParams(J1=1.4, J2=1.2, Delta1=1.0, Delta2=1.0, omega=0.3, N=100),  # x/p
+    ])
+    def test_sigma_partners_at_n100(self, p):
+        _assert_sigma_pairs(solve(p, OBC), _quadratic_matrix(p, OBC))
+
+    @pytest.mark.parametrize("q", [
+        build_modbkc_quadratic(ModBKCParams(J1=1.4, J2=1.2, Delta1=0.7, Delta2=1.0, omega=0.3, N=20), OBC),
+        build_modbkc_quadratic(ModBKCParams(J1=1.4, J2=1.2, Delta1=0.7, Delta2=1.0, omega=0.0, N=20), OBC),
+        build_modbkc_quadratic(ModBKCParams(J1=1.4, J2=1.2, Delta1=0.7, Delta2=1.0, omega=0.3, N=20), PBC),
+        build_modbkc_quadratic(ModBKCParams(J1=1.4, J2=1.2, Delta1=0.7, Delta2=1.0, omega=0.3, N=2), PBC),
+        build_modbkc_quadratic(ModBKCParams(J1=1.4, J2=1.2, Delta1=0.7, Delta2=1.0, omega=0.3, N=3), PBC),
+        build_modbkc_quadratic(sample_site_fields(ModBKCParams(J1=1.4, J2=1.2, Delta1=0.7, Delta2=1.0, omega=0.3, N=9),
+                                                  DisorderSpec({"J2": 1.0, "omega": 1.0}, seed=3), 0), PBC),
+        build_bkc_quadratic(BKCParams(J0=0.5, Delta0=1.0, omega=0.3, N=20), OBC),
+        build_bkc_quadratic(BKCParams(J0=0.5, Delta0=1.0, omega=0.3, N=20), PBC),
+        build_bkc_quadratic(BKCParams(J0=0.5, Delta0=1.0, omega=0.3, N=2), PBC),
+        build_bkc_quadratic(BKCParams(J0=0.5, Delta0=1.0, omega=0.0, N=3), PBC),
+        build_bkc_quadratic(BKCParams(J0=-1.0, Delta0=-0.0, omega=0.0, N=2), PBC),  # the wrap bond cancels: M = 0
+    ], ids=["modbkc-obc", "modbkc-obc-omega0", "modbkc-pbc", "modbkc-pbc-n2", "modbkc-pbc-n3", "fields-pbc",
+            "bkc-obc", "bkc-pbc", "bkc-pbc-n2", "bkc-pbc-n3-omega0", "zero"])
+    def test_bands_match_dense_matrix(self, q):
+        M = excitation_matrix(q).M
+        bands = excitation_bands(q)
+        assert [d for d, _ in bands] == [d for d, _ in _bands(M)]
+        for d, values in bands:
+            assert np.array_equal(values, np.diagonal(M, d))
+        rng = np.random.default_rng(5)
+        V = rng.normal(size=M.shape) + 1j * rng.normal(size=M.shape)
+        E = rng.normal(size=len(M)) + 1j * rng.normal(size=len(M))
+        assert _residuals(bands, V, E).tobytes() == _residuals(_bands(M), V, E).tobytes()
+
+    def test_zero_matrix_passes_at_bound_zero(self):
+        p = BKCParams(J0=-1.0, Delta0=-0.0, omega=0.0, N=2)
+        assert excitation_bands(build_bkc_quadratic(p, PBC)) == []
+        s = solve(p, PBC)
+        assert s.source.startswith("bloch[") and np.array_equal(s.eigenvalues, np.zeros(4))
+        _check_residual([], s.eigenvectors, s.eigenvalues)
+        with pytest.raises(SolverError, match="exceeds bound 0.000e"):
+            _check_residual([], s.eigenvectors, s.eigenvalues + 1e-3)
+
+    @pytest.mark.parametrize("p,bc,route", [
+        (ModBKCParams(J1=1.4, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=20), OBC, "reduced["),
+        (_fig5_split(1e-6), OBC, "reduced["),
+        (ModBKCParams(J1=1.4, J2=1.2, Delta1=1.0, Delta2=1.0, omega=0.3, N=20), OBC, "xp["),
+        (ModBKCParams(J1=1.4, J2=1.2, Delta1=1.0, Delta2=1.0, omega=0.3, N=20), PBC, "bloch["),
+        (BKCParams(J0=0.5, Delta0=1.0, omega=0.3, N=20), PBC, "bloch["),
+    ])
+    def test_vector_solves_never_form_m(self, p, bc, route, monkeypatch):
+        # `bloch_matrix` forms the M of a three-cell ring for its blocks; no
+        # route forms the M of the chain it solves
+        dims = []
+
+        def recording(q):
+            dims.append(q.dim)
+            return excitation_matrix(q)
+
+        monkeypatch.setattr(spectral, "excitation_matrix", recording)
+        monkeypatch.setattr(model, "excitation_matrix", recording)
+        s = solve(p, bc)
+        assert _route(s) == route and s.eigenvectors is not None
+        assert len(s) not in dims
+
     @pytest.mark.parametrize("name", ["dense", "obc", "pbc", "bkc-pbc-n2"])
     def test_blocked_residual_matches_dense_product(self, name):
         rng = np.random.default_rng(7)
@@ -836,19 +972,19 @@ class TestResidualCheck:
         V = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         E = rng.normal(size=n) + 1j * rng.normal(size=n)
         ref = np.linalg.norm(M @ V - V * E, axis=0)
-        assert np.abs(_residuals(M, V, E) - ref).max() <= 1e-12 * ref.max()
+        assert np.abs(_residuals(_bands(M), V, E) - ref).max() <= 1e-12 * ref.max()
 
     @pytest.mark.parametrize("column", [0, 399])
     @pytest.mark.parametrize("kick", [1e-3, np.nan])
     def test_perturbed_eigenvector_raises(self, column, kick):
         p = ModBKCParams(J1=1.4, J2=1.2, Delta1=0.7, Delta2=1.0, omega=0.3, N=100)
-        M = excitation_matrix(build_modbkc_quadratic(p, PBC)).M
+        bands = excitation_bands(build_modbkc_quadratic(p, PBC))
         s = solve(p, PBC)
-        _check_residual(M, s)
+        _check_residual(bands, s.eigenvectors, s.eigenvalues)
         V = s.eigenvectors.copy()
         V[column // 2, column] += kick
         with pytest.raises(SolverError, match="residual"):
-            _check_residual(M, Spectrum(s.eigenvalues, V))
+            _check_residual(bands, V, s.eigenvalues)
 
 
 class TestReductionIsOpenOnly:
