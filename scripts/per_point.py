@@ -6,13 +6,22 @@ Usage: PYTHONPATH=src python scripts/per_point.py [--cells N] [--repeats K]
 For one point of each route of `bkchain.spectral.solve` (chain length N,
 default 100) it times, best of K runs (default 7), in milliseconds:
 
-* ``build``: the quadratic form Q and the excitation matrix M;
+* ``build``: what the route builds for its checks: the quadratic form Q
+  and the diagonals of M read off it (`excitation_bands`) on the reduced,
+  x/p and Bloch routes, Q and the dense excitation matrix M on the others;
 * ``solve`` and ``solve_no_vectors``: ``solve(p, bc)`` and
   ``solve(p, bc, vectors=False)``;
-* ``lift`` and ``residuals``: the gauge lift and `_residuals`, each timed
-  inside ``solve`` by wrapping it (null where the route runs no such step);
+* ``lift`` and ``residuals``: the gauge lift (`_lift_product` and
+  `_sorted_pairs` on the reduced route, ``SimilarityMatrix.lift`` on the
+  single-band one) and `_residuals`, each timed inside ``solve`` by wrapping
+  it (null where the route runs no such step);
 * ``census``: `nhse_fraction` on the spectrum with vectors;
 * ``csv_write``: one `write_csv` of the point's eigenvalues.
+
+It also reports ``minor_faults_per_solve``, the median over the K timed
+``solve(p, bc)`` calls of the minor page faults each took (``ru_minflt`` of
+`resource.getrusage`): the cost of fresh pages for the arrays a solve
+allocates.
 
 ``sample_site_fields`` (one realization with every parameter disordered) is
 timed once.  BLAS and OpenMP run on one thread unless the environment sets
@@ -28,6 +37,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import resource  # noqa: E402
+import statistics  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
 from dataclasses import asdict, replace  # noqa: E402
@@ -44,6 +55,7 @@ from bkchain.model import (  # noqa: E402
     SiteFields,
     build_bkc_quadratic,
     build_modbkc_quadratic,
+    excitation_bands,
     excitation_matrix,
 )
 from bkchain.skin import nhse_fraction  # noqa: E402
@@ -81,51 +93,66 @@ def points(n):
     ]
 
 
-def best_ms(fn, repeats):
-    times = []
+def runs(fn, repeats):
+    """Wall time (s) and minor page faults of each of ``repeats`` calls of fn."""
+    times, faults = [], []
     for _ in range(repeats):
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return 1e3 * min(times)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+    return times, faults
+
+
+def best_ms(fn, repeats):
+    return 1e3 * min(runs(fn, repeats)[0])
 
 
 class StageTimer:
-    """Wraps ``owner.name`` and records the wall time of each call."""
+    """Wraps the functions ``names`` of ``owner`` and records the wall time of each call."""
 
-    def __init__(self, owner, name):
-        self.owner, self.name, self.times = owner, name, []
+    def __init__(self, owner, *names):
+        self.owner, self.times = owner, {name: [] for name in names}
 
     def __enter__(self):
-        inner = getattr(self.owner, self.name)
+        self.inner = {name: getattr(self.owner, name) for name in self.times}
+        for name, inner in self.inner.items():
+            setattr(self.owner, name, self._timed(inner, self.times[name]))
+        return self
 
+    @staticmethod
+    def _timed(inner, times):
         def timed(*args, **kwargs):
             t0 = time.perf_counter()
             try:
                 return inner(*args, **kwargs)
             finally:
-                self.times.append(time.perf_counter() - t0)
-
-        self.inner = inner
-        setattr(self.owner, self.name, timed)
-        return self
+                times.append(time.perf_counter() - t0)
+        return timed
 
     def __exit__(self, *exc):
-        setattr(self.owner, self.name, self.inner)
+        for name, inner in self.inner.items():
+            setattr(self.owner, name, inner)
 
     def best_ms(self):
-        return 1e3 * min(self.times) if self.times else None
+        """Sum over the wrapped functions of each one's best call; None if one was never called."""
+        if not all(self.times.values()):
+            return None
+        return 1e3 * sum(min(times) for times in self.times.values())
 
 
 def route_stages(p, bc, repeats, tmpdir):
     build = build_bkc_quadratic if isinstance(p, BKCParams) else build_modbkc_quadratic
-    lift_owner = (transform.SimilarityMatrix, "lift") if isinstance(p, BKCParams) else (spectral, "_lift_product")
-    with StageTimer(*lift_owner) as lift, StageTimer(spectral, "_residuals") as residuals:
-        solve_ms = best_ms(lambda: spectral.solve(p, bc), repeats)
+    lift_timer = (StageTimer(transform.SimilarityMatrix, "lift") if isinstance(p, BKCParams)
+                  else StageTimer(spectral, "_lift_product", "_sorted_pairs"))
+    with lift_timer as lift, StageTimer(spectral, "_residuals") as residuals:
+        solve_times, solve_faults = runs(lambda: spectral.solve(p, bc), repeats)
     spec = spectral.solve(p, bc)
+    checked = excitation_bands if spec.source.startswith(("reduced[", "xp[", "bloch[")) else excitation_matrix
     stages = {
-        "build": best_ms(lambda: excitation_matrix(build(p, bc)), repeats),
-        "solve": solve_ms,
+        "build": best_ms(lambda: checked(build(p, bc)), repeats),
+        "solve": 1e3 * min(solve_times),
         "solve_no_vectors": best_ms(lambda: spectral.solve(p, bc, vectors=False), repeats),
         "lift": lift.best_ms(),
         "residuals": residuals.best_ms(),
@@ -137,7 +164,8 @@ def route_stages(p, bc, repeats, tmpdir):
     stages["csv_write"] = best_ms(lambda: write_csv(path, ("index", "re_E", "im_E"), rows), repeats)
     params = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in asdict(p).items()}
     return {"params": params, "bc": bc.value, "source": spec.source,
-            "stages_ms": {k: None if v is None else round(v, 3) for k, v in stages.items()}}
+            "stages_ms": {k: None if v is None else round(v, 3) for k, v in stages.items()},
+            "minor_faults_per_solve": statistics.median(solve_faults)}
 
 
 def main(argv=None):
