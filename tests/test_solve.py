@@ -32,7 +32,11 @@ the small-eigenvalue guard).  The references are:
   `effective_ssh_matrix`;
 * the reduced route's closed-form edge pair: its |E| against inverse
   iteration on D F in 200-digit arithmetic, and its residual on the 4N
-  matrix.
+  matrix;
+* the residual check, which works from M's diagonals read off Q and, on the
+  reduced and x/p routes, skips each -E column: the diagonals and residuals
+  of the dense M, bit for bit, and the Sigma-flipped partner of every
+  column, with a residual equal bit for bit.
 
 Couplings are drawn with |Delta -+ J| bounded away from zero, so the gauge
 ratios r = (Delta+J)/(Delta-J) stay within 1/4 <= |r| <= 4 (6.5 for the
