@@ -949,19 +949,19 @@ class TestResidualCheck:
         (BKCParams(J0=0.5, Delta0=1.0, omega=0.3, N=20), PBC, "bloch["),
     ])
     def test_vector_solves_never_form_m(self, p, bc, route, monkeypatch):
-        # `bloch_matrix` forms the M of a three-cell ring for its blocks; no
-        # route forms the M of the chain it solves
-        dims = []
+        # only `bloch_matrix` calls it, for the M of a three-cell ring whose
+        # blocks it reads; no route forms the M of the chain it solves
+        cells = []
 
         def recording(q):
-            dims.append(q.dim)
+            cells.append(q.n_cells)
             return excitation_matrix(q)
 
         monkeypatch.setattr(spectral, "excitation_matrix", recording)
         monkeypatch.setattr(model, "excitation_matrix", recording)
         s = solve(p, bc)
         assert _route(s) == route and s.eigenvectors is not None
-        assert len(s) not in dims
+        assert cells == ([3] if route == "bloch[" else [])
 
     @pytest.mark.parametrize("name", ["dense", "obc", "pbc", "bkc-pbc-n2"])
     def test_blocked_residual_matches_dense_product(self, name):
