@@ -11,10 +11,10 @@ default 100) it times, best of K runs (default 7), in milliseconds:
   x/p and Bloch routes, Q and the dense excitation matrix M on the others;
 * ``solve`` and ``solve_no_vectors``: ``solve(p, bc)`` and
   ``solve(p, bc, vectors=False)``;
-* ``lift`` and ``residuals``: the gauge lift (`_lift_product` and
-  `_sorted_pairs` on the reduced route, ``SimilarityMatrix.lift`` on the
-  single-band one) and `_residuals`, each timed inside ``solve`` by wrapping
-  it (null where the route runs no such step);
+* ``lift`` and ``residuals``: the gauge lift (``SimilarityMatrix.lift`` on
+  both gauge routes, plus `_sorted_pairs` on the reduced route) and
+  `_residuals`, each timed inside ``solve`` by wrapping it (null where the
+  route runs no such step);
 * ``census``: `nhse_fraction` on the spectrum with vectors;
 * ``csv_write``: one `write_csv` of the point's eigenvalues.
 
@@ -110,15 +110,15 @@ def best_ms(fn, repeats):
 
 
 class StageTimer:
-    """Wraps the functions ``names`` of ``owner`` and records the wall time of each call."""
+    """Wraps the functions ``(owner, name)`` and records the wall time of each call."""
 
-    def __init__(self, owner, *names):
-        self.owner, self.times = owner, {name: [] for name in names}
+    def __init__(self, *targets):
+        self.times = {target: [] for target in targets}
 
     def __enter__(self):
-        self.inner = {name: getattr(self.owner, name) for name in self.times}
-        for name, inner in self.inner.items():
-            setattr(self.owner, name, self._timed(inner, self.times[name]))
+        self.inner = {target: getattr(*target) for target in self.times}
+        for (owner, name), inner in self.inner.items():
+            setattr(owner, name, self._timed(inner, self.times[owner, name]))
         return self
 
     @staticmethod
@@ -132,21 +132,19 @@ class StageTimer:
         return timed
 
     def __exit__(self, *exc):
-        for name, inner in self.inner.items():
-            setattr(self.owner, name, inner)
+        for (owner, name), inner in self.inner.items():
+            setattr(owner, name, inner)
 
     def best_ms(self):
-        """Sum over the wrapped functions of each one's best call; None if one was never called."""
-        if not all(self.times.values()):
-            return None
-        return 1e3 * sum(min(times) for times in self.times.values())
+        """Sum over the wrapped functions that were called of each one's best call; None if none was."""
+        called = [min(times) for times in self.times.values() if times]
+        return 1e3 * sum(called) if called else None
 
 
 def route_stages(p, bc, repeats, tmpdir):
     build = build_bkc_quadratic if isinstance(p, BKCParams) else build_modbkc_quadratic
-    lift_timer = (StageTimer(transform.SimilarityMatrix, "lift") if isinstance(p, BKCParams)
-                  else StageTimer(spectral, "_lift_product", "_sorted_pairs"))
-    with lift_timer as lift, StageTimer(spectral, "_residuals") as residuals:
+    with StageTimer((transform.SimilarityMatrix, "lift"), (spectral, "_sorted_pairs")) as lift, \
+            StageTimer((spectral, "_residuals")) as residuals:
         solve_times, solve_faults = runs(lambda: spectral.solve(p, bc), repeats)
     spec = spectral.solve(p, bc)
     checked = excitation_bands if spec.source.startswith(("reduced[", "xp[", "bloch[")) else excitation_matrix

@@ -38,10 +38,11 @@ code that picks a solve route:
   A chain with more than one small value (weakly coupled pieces, an edge
   pair each) or an exactly zero bond takes the full-size solve of H_r
   instead: `eigh` where every bond is real, else the real `eig`.
-  ``Spectrum.source`` names the deflation or the fallback.  The lift of
-  the product basis runs on the SSH eigenvectors directly: `_lift_product`
-  lifts the 2N columns for +i E and the p rows of those for -i E, and
-  `_sorted_pairs` writes both straight into their sorted places.  At
+  ``Spectrum.source`` names the deflation or the fallback.  Only the 2N
+  product-basis columns for +i E, the SSH eigenvector at both quadratures
+  of each site, are lifted (``SimilarityMatrix.lift``); the columns for
+  -i E are their Sigma-flips, and `_sorted_pairs` writes both straight into
+  their sorted places.  At
   Delta = +-J exactly on some bond the eigenvalues stay exact but no
   eigenvectors are computed.
 * **Bloch** (uniform ring of either model, `BKCParams` or `ModBKCParams`
@@ -124,8 +125,8 @@ from .transform import (
     SimilarityMatrix,
     SingularTransformError,
     a_combined,
-    effective_ssh_matrix,
     hatano_nelson_A,
+    ssh_bonds,
 )
 
 __all__ = [
@@ -503,43 +504,8 @@ def _twisted(mag: np.ndarray, lower: np.ndarray, E: np.ndarray) -> np.ndarray:
     return z
 
 
-def _lift_product(A: SimilarityMatrix, U: np.ndarray):
-    """``A.lift`` of the product basis (sigma_pm (x) u_m) as ``(plus, minus_p)``.
-
-    SSH site a sits at flat index 2a (x) and 2a+1 (p), so the basis column of
-    +i E_m holds U[:, m] at both quadratures and the column of -i E_m holds
-    U[:, m] at x and -U[:, m] at p.  The two share |U| and hence lift's column
-    maximum t_m = max_a (log|U_am| + max(s_x,a, s_p,a)) and column norm, so
-    they differ only in the signs of their p rows.  ``plus`` (4N x 2N) holds
-    the lifted +i E_m columns and ``minus_p`` (2N x 2N) the p rows of the
-    -i E_m columns; their x rows are those of ``plus``.  log runs on the
-    (2N)^2 entries of U and exp on the x and p halves of the gauge, not on the
-    (4N)^2 of the basis.  The rest is lift's own arithmetic on the same values
-    in the same C layout (its column norms sum the x and p rows in their
-    interleaved order), with -U negated before the gauge and phase multiply
-    as in the basis, so that each signed zero comes out as lift's:
-    `_sorted_pairs` of the two equals ``A.lift(basis)[:, order]`` bit for bit.
-    """
-    s = A.log_scale[:, None]
-    with np.errstate(divide="ignore"):  # log|0| = -inf never wins a maximum
-        top = (np.log(np.abs(U)) + np.maximum(s[0::2], s[1::2])).max(axis=0)
-    scale = np.exp(np.minimum(s - top, 700.0))
-    plus = np.empty((len(s), U.shape[1]), dtype=complex)
-    plus[0::2] = U
-    plus[1::2] = U
-    plus *= scale
-    plus *= A.phase[:, None]
-    norm = np.linalg.norm(plus, axis=0)
-    plus /= norm
-    minus_p = np.negative(U)
-    minus_p *= scale[1::2]
-    minus_p *= A.phase[1::2, None]
-    minus_p /= norm
-    return plus, minus_p
-
-
-def _sorted_pairs(plus: np.ndarray, minus_p: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """The columns of `_lift_product`'s halves, +i E_m first, in ``order``.
+def _sorted_pairs(plus: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The lifted +i E_m columns ``plus``, then their Sigma-flips (the -i E_m columns), in ``order``.
 
     Each column is written once, straight into its sorted place in an
     F-contiguous array: the layout of a ``[:, order]`` gather, which
@@ -551,7 +517,7 @@ def _sorted_pairs(plus: np.ndarray, minus_p: np.ndarray, order: np.ndarray) -> n
     out = np.empty((len(plus), 2 * half), dtype=complex, order="F")
     out[:, place[:half]] = plus
     out[0::2, place[half:]] = plus[0::2]
-    out[1::2, place[half:]] = minus_p
+    out[1::2, place[half:]] = -plus[1::2]
     return out
 
 
@@ -575,12 +541,12 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     is real, else the real `eig`.  ``Spectrum.source`` names the deflation,
     with the closed form's backward error, or the reason for the fallback.
     Eigenvectors are the product basis lifted through the combined gauge
-    (`_lift_product`), checked on their +i E columns as the module docstring
-    says; where they fail, the eigenvalues are returned alone and ``source``
-    names the failure.  With ``with_vectors=False`` (or at singular gauge
-    points Delta = +-J) only the eigenvalues are computed, along the same
-    path; they remain exact at singular points by continuity of the
-    characteristic polynomial.  Open boundaries only: the gauge does not
+    (``SimilarityMatrix.lift``), checked on their +i E columns as the module
+    docstring says; where they fail, the eigenvalues are returned alone and
+    ``source`` names the failure.  With
+    ``with_vectors=False`` (or at singular gauge points Delta = +-J) only
+    the eigenvalues are computed, along the same path; they remain exact at
+    singular points by continuity of the characteristic polynomial.  Open boundaries only: the gauge does not
     close around a ring, so the reduced ring is not the PBC spectrum.
     """
     if bc is not BoundaryCondition.OBC:
@@ -590,7 +556,7 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     source = f"reduced[modbkc,{bc.value},n={p.N}]"
     # H is tridiagonal with bonds b_k, each real or purely imaginary: with s_{k+1} = s_k |b_k| / b_k,
     # a power of i, S^-1 H S is the real H_r with |b_k| above and b_k^2 / |b_k| below the diagonal.
-    b = np.diagonal(effective_ssh_matrix(p), 1).copy()  # a view would keep the 2N x 2N matrix alive
+    b = ssh_bonds(p)
     mag = np.abs(b)
     lower = np.where(b.imag != 0, -mag, mag)
     Hr = np.diag(mag, 1) + np.diag(lower, -1)
@@ -638,13 +604,13 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     bands = excitation_bands(build_modbkc_quadratic(p, bc))
     # U = S U_r; |b| / b and S hold +-1, +-i only, so every product is exact
     U = np.concatenate([[1], np.cumprod(np.sign(b.real) - 1j * np.sign(b.imag))])[:, None] * U
-    plus, minus_p = _lift_product(A, U)
+    plus = A.lift(np.repeat(U, 2, axis=0))  # site a at x row 2a and p row 2a + 1
     del U
     try:  # the -i E_m columns are the Sigma-flips of the +i E_m ones, with equal residuals
         _check_residual(bands, plus, vals[:len(E)])
     except SolverError as err:  # the eigenvalues are exact, so they stay
         return replace(spec, source=f"{source} (no vectors: {err})")
-    return replace(spec, eigenvectors=_sorted_pairs(plus, minus_p, order))
+    return replace(spec, eigenvectors=_sorted_pairs(plus, order))
 
 
 def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:

@@ -42,6 +42,7 @@ __all__ = [
     "a2_prime",
     "a_combined",
     "effective_ssh_params",
+    "ssh_bonds",
     "effective_ssh_matrix",
     "ssh_lift_target",
     "transform_residual",
@@ -230,7 +231,7 @@ def effective_ssh_params(p: Union[ModBKCParams, SiteFields]) -> EffectiveSSHPara
     Purely real when Delta > |J|, purely imaginary when Delta < |J|.
     Site-resolved fields use the per-cell leading values; use
     `effective_ssh_matrix` for the full disordered couplings.  Each root is
-    taken from (Delta - J)(Delta + J), as in `effective_ssh_matrix`, which
+    taken from (Delta - J)(Delta + J), as in `ssh_bonds`, which
     stays accurate where |J| is close to |Delta|.
     """
     f = _fields(p)
@@ -239,27 +240,33 @@ def effective_ssh_params(p: Union[ModBKCParams, SiteFields]) -> EffectiveSSHPara
     return EffectiveSSHParams(dtilde1=d1, dtilde2=d2)
 
 
-def effective_ssh_matrix(p: Union[ModBKCParams, SiteFields]) -> np.ndarray:
-    """2N-dimensional open SSH chain with bonds sign(Delta - J) dtilde[j].
+def ssh_bonds(p: Union[ModBKCParams, SiteFields]) -> np.ndarray:
+    """The 2N - 1 bonds sign(Delta - J) sqrt((Delta - J)(Delta + J)) of the open SSH chain, in chain order.
 
-    The combined gauge maps the open omega=0 excitation matrix exactly onto
-    i sigma_x (x) (this matrix): each bond is the gauge's (Delta - J) sqrt(r),
-    real or purely imaginary, and the 4N eigenvalues are +-i E_m over the 2N
-    eigenvalues E_m here.  The eigenvalue identity holds for all parameters
-    (including Delta = J, where the gauge is singular) because characteristic
-    polynomials depend polynomially on the couplings.  Each bond is taken from
-    (Delta - J)(Delta + J), which stays accurate where |J| is close to |Delta|.
+    Each is the combined gauge's (Delta - J) sqrt(r), real or purely
+    imaginary; the product (Delta - J)(Delta + J) stays accurate where |J|
+    is close to |Delta|, and the ring's wrap bond is not among them.
     """
     f = _fields(p)
-    n = f.N
-    v = np.sign(f.Delta1 - f.J1) * np.sqrt(((f.Delta1 - f.J1) * (f.Delta1 + f.J1)).astype(complex))
-    w = np.sign(f.Delta2 - f.J2) * np.sqrt(((f.Delta2 - f.J2) * (f.Delta2 + f.J2)).astype(complex))
-    H = np.zeros((2 * n, 2 * n), dtype=complex)
-    j = np.arange(n)
-    H[2 * j, 2 * j + 1] = H[2 * j + 1, 2 * j] = v
-    a = j[:-1]
-    b = a + 1
-    H[2 * a + 1, 2 * b] = H[2 * b, 2 * a + 1] = w[a]
+    delta, J = np.empty((2, 2 * f.N - 1))
+    delta[0::2], delta[1::2] = f.Delta1, f.Delta2[:-1]
+    J[0::2], J[1::2] = f.J1, f.J2[:-1]
+    return np.sign(delta - J) * np.sqrt(((delta - J) * (delta + J)).astype(complex))
+
+
+def effective_ssh_matrix(p: Union[ModBKCParams, SiteFields]) -> np.ndarray:
+    """2N-dimensional open SSH chain with the bonds `ssh_bonds` on its off-diagonals.
+
+    The combined gauge maps the open omega=0 excitation matrix exactly onto
+    i sigma_x (x) (this matrix), and the 4N eigenvalues are +-i E_m over the
+    2N eigenvalues E_m here.  The eigenvalue identity holds for all parameters
+    (including Delta = J, where the gauge is singular) because characteristic
+    polynomials depend polynomially on the couplings.
+    """
+    b = ssh_bonds(p)
+    H = np.zeros((len(b) + 1, len(b) + 1), dtype=complex)
+    k = np.arange(len(b))
+    H[k, k + 1] = H[k + 1, k] = b
     return H
 
 

@@ -23,8 +23,11 @@ the small-eigenvalue guard).  The references are:
   factorization of H_r (`_twisted`) on every chain off the guarded
   fallback: the same, the eigenvalue-only solve, and the skin census of the
   full-size `eig` of H_r; at an exactly zero pivot, the eigen-equation of
-  the uniform chain; its product lift: ``SimilarityMatrix.lift`` of the
-  full product basis, bit for bit;
+  the uniform chain; its lift of the +i E columns, with their
+  Sigma-flips for the -i E columns: ``SimilarityMatrix.lift`` of the full
+  product basis, equal in value;
+* the reduced route's SSH bonds (`ssh_bonds`): the superdiagonal of
+  `effective_ssh_matrix`, bit for bit, which no reduced solve builds;
 * eigenvalue-only solves (``vectors=False``): the same route with vectors,
   which on the reduced route off its guarded fallback gives the same
   eigenvalues bit for bit and the same ``source``, and for the reduced
@@ -67,7 +70,7 @@ from bkchain.model import (
     excitation_bands,
     excitation_matrix,
 )
-from bkchain import model, spectral, topology
+from bkchain import model, spectral, topology, transform
 from bkchain.disorder import DisorderSpec, sample_site_fields
 from bkchain.skin import nhse_fraction, profile_matrix
 from bkchain.spectral import (
@@ -77,7 +80,6 @@ from bkchain.spectral import (
     Spectrum,
     _bands,
     _check_residual,
-    _lift_product,
     _residuals,
     _sorted_pairs,
     _twisted,
@@ -88,7 +90,7 @@ from bkchain.spectral import (
     zero_gap,
 )
 from bkchain.topology import AxisSpec, edge_mode_count, phase_scan, zero_modes_per_copy
-from bkchain.transform import SimilarityMatrix, effective_ssh_matrix
+from bkchain.transform import SimilarityMatrix, effective_ssh_matrix, ssh_bonds
 
 OBC = BoundaryCondition.OBC
 PBC = BoundaryCondition.PBC
@@ -751,35 +753,31 @@ class TestTwisted:
         _check_residual(_bands(_quadratic_matrix(p, OBC)), s.eigenvectors, s.eigenvalues)
 
 
+# the lift itself: `TestProductLift.test_profiles_unchanged` replaces ``SimilarityMatrix.lift``
+_LIFT = SimilarityMatrix.lift
+
+
 def _lift_reference(A, U, order):
-    """The product basis (sigma_pm (x) U) built out in full, lifted by ``A.lift`` and gathered as `_sorted` does."""
+    """The full product basis (sigma_pm (x) U), lifted by ``SimilarityMatrix.lift`` and gathered as `_sorted` does."""
     two_n = U.shape[1]
     basis = np.empty((2 * two_n, 2 * two_n), dtype=complex)
     basis[0::2] = np.hstack([U, U])
     basis[1::2] = np.hstack([U, -U])
-    return A.lift(basis)[:, order]
-
-
-def _halves_reference(A, U):
-    """The +i E_m columns of the full product basis lifted by ``A.lift``, and the p rows of its -i E_m columns."""
-    two_n = U.shape[1]
-    lifted = _lift_reference(A, U, np.arange(2 * two_n))
-    return lifted[:, :two_n], lifted[1::2, two_n:]
-
-
-def _gather_reference(plus, minus_p, order):
-    """Both halves side by side, +i E_m first, gathered in ``order`` as `_sorted` gathers."""
-    minus = plus.copy()
-    minus[1::2] = minus_p
-    return np.hstack([plus, minus])[:, order]
+    return _LIFT(A, basis)[:, order]
 
 
 class TestProductLift:
-    """`_lift_product` and `_sorted_pairs` against ``SimilarityMatrix.lift`` of the full product basis."""
+    """The reduced route's lift of the +i E_m columns, and their Sigma-flips, against the full product basis.
+
+    The route lifts the 2N columns with U at both quadratures of each site
+    and `_sorted_pairs` adds the -i E_m columns, whose p rows are negated.
+    Negating after the gauge and phase multiply can flip the sign of a zero
+    part, so the result equals the lifted full basis in value, not in bytes.
+    """
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("two_n", [2, 7, 24, 200])
-    def test_bit_identical_on_random_vectors(self, seed, two_n):
+    def test_bit_identical_on_random_vectors(self, seed, two_n):  # equal in value: see the class docstring
         rng = np.random.default_rng(seed)
         U = rng.normal(size=(two_n, two_n)) + 1j * rng.normal(size=(two_n, two_n))
         U *= 10.0 ** rng.uniform(-300, 300, (two_n, two_n)) if seed % 2 else 1.0
@@ -799,9 +797,9 @@ class TestProductLift:
         E[: two_n // 2] = E[0]  # degenerate values keep lexsort's tie order
         vals = np.concatenate([1j * E, -1j * E])
         order = np.lexsort((vals.imag, vals.real))
-        ref, out = _lift_reference(A, U, order), _sorted_pairs(*_lift_product(A, U), order)
+        ref, out = _lift_reference(A, U, order), _sorted_pairs(A.lift(np.repeat(U, 2, axis=0)), order)
         assert np.array_equal(out, ref)
-        assert out.tobytes() == ref.tobytes()
+        assert np.all(np.isfinite(out))
         assert out.flags.f_contiguous == ref.flags.f_contiguous
 
     @pytest.mark.parametrize("p", [
@@ -813,12 +811,69 @@ class TestProductLift:
     ])
     def test_profiles_unchanged(self, p, monkeypatch):
         s = solve(p, OBC)
-        monkeypatch.setattr(spectral, "_lift_product", _halves_reference)
-        monkeypatch.setattr(spectral, "_sorted_pairs", _gather_reference)
+        full = {}
+
+        def lift_full_basis(A, plus):
+            # the route lifts the +i E_m columns, with U at the x and p rows of each site
+            U = plus[0::2]
+            assert np.array_equal(plus[1::2], U)
+            full["lifted"] = _lift_reference(A, U, np.arange(2 * U.shape[1]))
+            return full["lifted"][:, :U.shape[1]]
+
+        monkeypatch.setattr(SimilarityMatrix, "lift", lift_full_basis)
+        monkeypatch.setattr(spectral, "_sorted_pairs", lambda plus, order: full["lifted"][:, order])
         ref = solve(p, OBC)
-        assert s.eigenvectors.tobytes() == ref.eigenvectors.tobytes()
+        assert np.array_equal(s.eigenvectors, ref.eigenvectors)
         assert s.eigenvectors.flags.f_contiguous and ref.eigenvectors.flags.f_contiguous
         assert profile_matrix(s, p.N).tobytes() == profile_matrix(ref, p.N).tobytes()
+
+
+# site fields for `ssh_bonds`: uniform couplings, sign-mixed bonds, and
+# sign-mixed bonds with at least one Delta = +-J exactly
+SSH_BOND_FIELDS = {
+    "uniform": modbkc_params().map(SiteFields.uniform),
+    "sign_mixed": sign_mixed_site_fields().filter(lambda f: not _cut(f)),
+    "cut": sign_mixed_site_fields().filter(_cut),
+}
+
+
+class TestSSHBonds:
+    """The reduced route reads its bonds from `ssh_bonds`, the bonds `effective_ssh_matrix` holds."""
+
+    @pytest.mark.parametrize("kind", sorted(SSH_BOND_FIELDS))
+    @given(data=st.data())
+    @settings(PROPERTY, max_examples=40)
+    def test_bonds_are_the_superdiagonal(self, kind, data):
+        f = data.draw(SSH_BOND_FIELDS[kind])
+        b = ssh_bonds(f)
+        assert b.tobytes() == np.diagonal(effective_ssh_matrix(f), 1).tobytes()
+        # b^2 = Delta^2 - J^2 on the 2N - 1 bonds of the open chain, in chain order
+        delta, J = np.empty(len(b)), np.empty(len(b))
+        delta[0::2], delta[1::2] = f.Delta1, f.Delta2[:-1]
+        J[0::2], J[1::2] = f.J1, f.J2[:-1]
+        assert np.all(np.abs(b ** 2 - (delta ** 2 - J ** 2)) <= 4 * np.finfo(float).eps * (delta ** 2 + J ** 2))
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    @pytest.mark.parametrize("p", [
+        ModBKCParams(J1=0.4, J2=0.1, Delta1=1.0, Delta2=0.5, omega=0.0, N=20),  # all bonds real
+        ModBKCParams(J1=2.0, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=20),  # half-size
+        ModBKCParams(J1=1.4, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=20),  # deflated
+        _fig5_split(1e-6),                                                     # guarded
+        ModBKCParams(J1=1.0, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=20),  # Delta1 = J1: no gauge
+    ], ids=["all-real", "half-size", "deflated", "guarded", "singular"])
+    def test_reduced_solves_never_build_the_ssh_matrix(self, p, vectors, monkeypatch):
+        calls = []
+
+        def recording(f):
+            calls.append(f)
+            return effective_ssh_matrix(f)
+
+        for module in (transform, spectral):
+            monkeypatch.setattr(module, "effective_ssh_matrix", recording, raising=False)
+        s = solve(p, OBC, vectors=vectors)
+        assert _route(s) == "reduced["
+        assert (s.eigenvectors is not None) == (vectors and "no vectors" not in s.source)
+        assert calls == []
 
 
 class TestBlochRoute:
