@@ -11,6 +11,7 @@ and outputs are bit-identical across platforms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -52,8 +53,8 @@ class DisorderSpec:
         for name, w in self.strengths.items():
             if name not in allowed:
                 raise ValueError(f"unknown disorder parameter {name!r}; allowed: {sorted(allowed)}")
-            if w < 0:
-                raise ValueError(f"disorder strength W_{name} must be >= 0, got {w}")
+            if not 0 <= w < math.inf:
+                raise ValueError(f"disorder strength W_{name} must be finite and >= 0, got {w}")
         if not 0 <= self.seed <= _MASK64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.realizations < 1:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,10 +31,13 @@ __all__ = [
     "bessel_j0",
 ]
 
+# Largest |x| at which the power series of `bessel_j0` is evaluated
+BESSEL_MAX_X = 8.0
+
 
 @dataclass(frozen=True)
 class DriveSpec:
-    """Modulation strength/period, bare hoppings and pairings, pump phases."""
+    """Modulation strength/period, bare hoppings and pairings, pump phases; |pi lam / 2| <= ``BESSEL_MAX_X``."""
 
     lam: float
     T: float
@@ -46,8 +49,14 @@ class DriveSpec:
     phi2: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"drive parameter {f.name} must be finite, got {getattr(self, f.name)}")
         if self.T <= 0:
             raise ValueError(f"modulation period must be positive, got {self.T}")
+        if abs(math.pi * self.lam / 2) > BESSEL_MAX_X:
+            raise ValueError(f"drive strength lambda must satisfy |pi lambda / 2| <= {BESSEL_MAX_X:g}, "
+                             f"got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -76,7 +85,7 @@ def averaged_phase(lam: float, order: int = 256) -> complex:
 
     The integrand is analytic and periodic, so the uniform-grid average
     converges spectrally; order 256 is far beyond double precision already.
-    Equals e^{i lam pi / 2} J_0(lam pi / 2).
+    Equals e^{i lam pi / 2} J_0(lam pi / 2); lam lies in the range `DriveSpec` accepts.
     """
     if order < 32:
         raise ValueError(f"quadrature order must be >= 32, got {order}")
@@ -104,9 +113,9 @@ def effective_params(d: DriveSpec) -> EffectiveParams:
 
 
 def bessel_j0(x: float) -> float:
-    """J_0 by its power series; |x| <= 8 reaches 1e-12 absolute in <= 40 terms."""
-    if abs(x) > 8:
-        raise ValueError(f"series evaluation restricted to |x| <= 8, got {x}")
+    """J_0 by its power series; finite |x| <= ``BESSEL_MAX_X`` reaches 1e-12 absolute in <= 40 terms."""
+    if not abs(x) <= BESSEL_MAX_X:  # NaN too: its series would stop at once and return 1
+        raise ValueError(f"series evaluation restricted to finite |x| <= {BESSEL_MAX_X:g}, got {x}")
     total = 0.0
     term = 1.0
     m = 0

@@ -152,6 +152,13 @@ SECOND_AXIS = "parameter2 = J2\nmin2 = 0\nmax2 = 1\nstep2 = 0.5\n"
     ("spectrum", MINIMAL_SPECTRUM + "[output]\nthreads = 0\n"),
     ("spectrum", MINIMAL_SPECTRUM + "[output]\nthreads = -3\n"),
     ("spectrum", MINIMAL_SPECTRUM + f"[output]\nthreads = {MAX_THREADS + 1}\n"),
+    ("disorder", MODBKC_MODEL.format(bc="obc") + DISORDER.format(obs="zero_gap").replace("W_J1 = 0.1", "W_J1 = nan")),
+    ("disorder", MODBKC_MODEL.format(bc="obc") + DISORDER.format(obs="zero_gap").replace("W_J1 = 0.1", "W_J1 = inf")),
+    ("disorder", MODBKC_MODEL.format(bc="obc") + DISORDER.format(obs="zero_gap").replace("W_J1 = 0.1", "W_J1 = 1e400")),
+    ("floquet", "[floquet]\nlambdas = 0,nan\n"),
+    ("floquet", "[floquet]\nT = nan\n"),
+    ("floquet", "[floquet]\nJt1 = inf\n"),
+    ("floquet", "[floquet]\nlambdas = 20\n"),
 ], ids=["unknown-sweep-parameter", "sweep-parameter-not-on-model", "zero-step",
         "oversized-sweep", "oversized-scan-grid", "phase-scan-pbc", "phase-scan-both",
         "phase-scan-bkc", "winding-bkc", "disorder-bkc", "disorder-both",
@@ -163,7 +170,8 @@ SECOND_AXIS = "parameter2 = J2\nmin2 = 0\nmax2 = 1\nstep2 = 0.5\n"
         "seed-2-to-the-64", "seed-negative", "seed-float-literal", "chain-length-1e300",
         "chain-length-above-cap", "subnormal-sweep-step", "zero-tol-zero", "zero-tol-inf", "frac-zero",
         "frac-above-half", "threshold-nan", "threshold-above-one", "threads-zero", "threads-negative",
-        "threads-above-cap"])
+        "threads-above-cap", "disorder-strength-nan", "disorder-strength-inf", "disorder-strength-1e400",
+        "floquet-lambda-nan", "floquet-period-nan", "floquet-hopping-inf", "floquet-lambda-beyond-series"])
 def test_config_errors_exit_2_before_output(tmp_path, capsys, command, text):
     out = tmp_path / "out"
     assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 2

@@ -44,6 +44,13 @@ class TestDrive:
         with pytest.raises(ValueError):
             DriveSpec(lam=0.5, T=0.0)
 
+    @pytest.mark.parametrize("fields", [dict(lam=math.nan), dict(T=math.nan), dict(T=math.inf),
+                                        dict(Jt1=math.inf), dict(phi2=-math.inf), dict(lam=5.1), dict(lam=-20.0)])
+    def test_non_finite_or_beyond_series_rejected(self, fields):
+        # |pi lam / 2| <= 8, the range of bessel_j0's series, is |lam| <= 5.09
+        with pytest.raises(ValueError):
+            DriveSpec(**{"lam": 0.5, "T": 1.0, **fields})
+
 
 class TestAveragedPhase:
     @pytest.mark.parametrize("lam", [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -92,6 +99,12 @@ class TestBessel:
     def test_range_guard(self):
         with pytest.raises(ValueError):
             bessel_j0(9.0)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, x):
+        # abs(nan) > 8 is False, and the series of nan would stop at once and return 1
+        with pytest.raises(ValueError, match="finite"):
+            bessel_j0(x)
 
 
 class TestEffectiveParams:
