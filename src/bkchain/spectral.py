@@ -509,15 +509,16 @@ def _sorted_pairs(plus: np.ndarray, order: np.ndarray) -> np.ndarray:
 
     Each column is written once, straight into its sorted place in an
     F-contiguous array: the layout of a ``[:, order]`` gather, which
-    `spatial_profile`'s column sums depend on.
+    `spatial_profile`'s column sums depend on.  The flip negates the p rows
+    of ``plus`` in place, which allocates nothing beside the result.
     """
     half = plus.shape[1]
     place = np.empty_like(order)
     place[order] = np.arange(len(order))
     out = np.empty((len(plus), 2 * half), dtype=complex, order="F")
     out[:, place[:half]] = plus
-    out[0::2, place[half:]] = plus[0::2]
-    out[1::2, place[half:]] = -plus[1::2]
+    np.negative(plus[1::2], out=plus[1::2])
+    out[:, place[half:]] = plus
     return out
 
 
