@@ -42,9 +42,8 @@ code that picks a solve route:
   product-basis columns for +i E, the SSH eigenvector at both quadratures
   of each site, are lifted (``SimilarityMatrix.lift``); the columns for
   -i E are their Sigma-flips, and `_sorted_pairs` writes both straight into
-  their sorted places.  At
-  Delta = +-J exactly on some bond the eigenvalues stay exact but no
-  eigenvectors are computed.
+  their sorted places.  At Delta = +-J exactly on some bond the eigenvalues
+  stay exact but no eigenvectors are computed.
 * **Bloch** (uniform ring of either model, `BKCParams` or `ModBKCParams`
   under PBC, any omega).  Translation invariance splits the ring into N
   independent blocks B(k), k = 2 pi m / N, 2x2 or 4x4, read off the model's
@@ -544,11 +543,11 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     Eigenvectors are the product basis lifted through the combined gauge
     (``SimilarityMatrix.lift``), checked on their +i E columns as the module
     docstring says; where they fail, the eigenvalues are returned alone and
-    ``source`` names the failure.  With
-    ``with_vectors=False`` (or at singular gauge points Delta = +-J) only
-    the eigenvalues are computed, along the same path; they remain exact at
-    singular points by continuity of the characteristic polynomial.  Open boundaries only: the gauge does not
-    close around a ring, so the reduced ring is not the PBC spectrum.
+    ``source`` names the failure.  With ``with_vectors=False`` (or at
+    singular gauge points Delta = +-J) only the eigenvalues are computed,
+    along the same path; they remain exact at singular points by continuity
+    of the characteristic polynomial.  Open boundaries only: the gauge does
+    not close around a ring, so the reduced ring is not the PBC spectrum.
     """
     if bc is not BoundaryCondition.OBC:
         raise ValueError("modbkc_spectrum_zero_omega requires open boundaries")
