@@ -24,10 +24,10 @@ code that picks a solve route:
   where some Delta^2 - J^2 < 0, else the squares of the upper half of
   `eigvalsh` of the symmetric H_r, whose roots return them exactly.
   `_half_size` takes the roots, as on the x/p route, and `_twisted` the
-  eigenvector of H_r at each E, accurate entry by entry, as the gauge lift
-  of a localized state needs.  The eigenvector for -E is that for E with
-  its B entries negated.  Squaring E loses accuracy near 0, so a value with
-  |E| <= ``REDUCED_MIN_EIGENVALUE`` * max|H_r| is not taken from its square.
+  eigenvector of H_r at each root, accurate entry by entry, as the gauge
+  lift of a localized state needs.  Squaring E loses accuracy near 0, so a
+  value with |E| <= ``REDUCED_MIN_EIGENVALUE`` * max|H_r| is not taken from
+  its square.
 
   In the topological phase H_r has one such value, its edge pair,
   exponentially close to 0: a dense solve returns noise for E and mixes the
@@ -38,12 +38,17 @@ code that picks a solve route:
   A chain with more than one small value (weakly coupled pieces, an edge
   pair each) or an exactly zero bond takes the full-size solve of H_r
   instead: `eigh` where every bond is real, else the real `eig`.
-  ``Spectrum.source`` names the deflation or the fallback.  Only the 2N
-  product-basis columns for +i E, the SSH eigenvector at both quadratures
-  of each site, are lifted (``SimilarityMatrix.lift``); the columns for
-  -i E are their Sigma-flips, and `_sorted_pairs` writes both straight into
-  their sorted places.  At Delta = +-J exactly on some bond the eigenvalues
-  stay exact but no eigenvectors are computed.
+  ``Spectrum.source`` names the deflation or the fallback.  M anticommutes
+  with Sigma = diag(+1, -1) over (x, p) and with Gamma = diag(+1, -1) over
+  the sublattices (Asboth, Oroszlany & Palyi, LNP 919 (2016), ch. 1): with
+  v the lifted column for +i root, Gamma v and Sigma v belong to -i root
+  and Sigma Gamma v to +i root.  So only the N columns v, the SSH
+  eigenvector at both quadratures of each site, are lifted
+  (``SimilarityMatrix.lift``) and checked; `_sorted_pairs` writes all 4N
+  into their sorted places.  The fallback's -E vectors are no Gamma-flips,
+  so it lifts 2N columns and adds their Sigma-flips.  At Delta = +-J
+  exactly on some bond the eigenvalues stay exact but no eigenvectors are
+  computed.
 * **Bloch** (uniform ring of either model, `BKCParams` or `ModBKCParams`
   under PBC, any omega).  Translation invariance splits the ring into N
   independent blocks B(k), k = 2 pi m / N, 2x2 or 4x4, read off the model's
@@ -72,11 +77,12 @@ check runs on M's nonzero diagonals.  The dense and Hatano-Nelson routes
 read them off the M they build (`_bands`); the SSH reduction, x/p and Bloch
 routes read them off Q (`excitation_bands`) and never form M.  On the SSH
 reduction and x/p routes M couples x only to p, so it anticommutes with
-Sigma = diag(+1, -1) over (x, p), and each -E eigenvector is the exact
-Sigma-flip of its +E partner.  Their residuals are equal bit for bit, so
-only the 2N +E columns are checked.  A failure raises `SolverError`, except
-on the two gauge routes: their eigenvalues are exact, so they are returned
-without eigenvectors, and ``Spectrum.source`` names the failure.
+Sigma, and each -E eigenvector is the exact Sigma-flip of its +E partner.
+Their residuals are equal bit for bit, as are those of Gamma-flips, so the
+x/p route checks its 2N +E columns and the reduction its N lifted ones.  A
+failure raises `SolverError`, except on the two gauge routes: their
+eigenvalues are exact, so they are returned without eigenvectors, and
+``Spectrum.source`` names the failure.
 
 **Eigenvalues only.**  ``solve(p, bc, vectors=False)`` takes the same route,
 with the same ``source`` prefix, but computes no eigenvector, lifts nothing
@@ -95,8 +101,7 @@ check: there is nothing to check it on.  Per route:
 * x/p: `eigvals` of Qp Qx; a guarded point takes the dense `eigvals` of M.
 
 The x/p and reduced half-size solves share `_half_size` (the square root,
-the small-|E| guard, the +- pairing and the sort order) and, with vectors,
-`_paired` (the eigenvectors of the full-size matrix).
+the small-|E| guard, the +- pairing and the sort order).
 """
 
 from __future__ import annotations
@@ -325,8 +330,7 @@ def _half_size(mu: np.ndarray, min_eigenvalue: float, scale: float, scale_name: 
 
     The x/p route (P = Qp Qx) and the reduced route (P = D F of H_r) call
     it, with and without vectors.  Each solves a matrix [[0, D], [F, 0]]:
-    the eigenvalues mu of P = D F give its eigenvalues E = +-sqrt(mu), and
-    `_paired` pairs their eigenvectors.  Returns
+    the eigenvalues mu of P = D F give its eigenvalues E = +-sqrt(mu).  Returns
     ``(vals, order, root)``: ``vals`` is concat([root, -root])[order],
     sorted as `_sorted` sorts.  Squaring loses about sqrt(eps) of accuracy
     near E = 0, so where min|E| <= ``min_eigenvalue`` * ``scale`` (max|entry|
@@ -348,19 +352,17 @@ def _half_size(mu: np.ndarray, min_eigenvalue: float, scale: float, scale_name: 
     return vals[order], order, root
 
 
-def _paired(X: np.ndarray, Y: np.ndarray, order: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _paired(X: np.ndarray, Y: np.ndarray, order: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Unit-norm eigenvectors (x, +-y) of [[0, D], [F, 0]] from a `_half_size` solve, interleaved.
 
     Column m of X is an eigenvector x of D F, with eigenvalue mu, and column m
     of Y is F x / sqrt(mu); (x, y) and (x, -y) then belong to +-sqrt(mu) and
-    share one norm.  The rows of the result (``out``, if given) alternate x and
-    y, and its columns follow ``order`` from `_half_size`.
+    share one norm.  The rows of ``out`` alternate x and y, and its columns
+    follow ``order`` from `_half_size`.
     """
     norm = np.sqrt((np.abs(X) ** 2).sum(axis=0) + (np.abs(Y) ** 2).sum(axis=0))
     X, Y = X / norm, Y / norm
     half = len(norm)
-    if out is None:
-        out = np.empty((2 * len(X), len(order)), dtype=complex)
     out[0::2] = X[:, order % half]
     out[1::2] = Y[:, order % half]
     out[1::2] *= np.where(order < half, 1.0, -1.0)
@@ -471,12 +473,13 @@ def _twisted(mag: np.ndarray, lower: np.ndarray, E: np.ndarray) -> np.ndarray:
     once, one row at a time.
     """
     n = len(mag) + 1
-    bond = (mag * lower)[:, None]
-    P = np.empty((n, len(E)), dtype=complex)
-    Q = np.empty((n, len(E)), dtype=complex)
+    bond = mag * lower
+    # W[i] stacks P_i and Q_{n-1-i}: both recurrences advance in one step per row
+    W = np.empty((n, 2, len(E)), dtype=complex)
+    step = np.stack([bond, bond[::-1]], axis=1)[:, :, None]
     pivmin = np.finfo(float).eps * mag.max()
     minus_E = -E
-    P[0] = Q[-1] = minus_E
+    W[0] = minus_E
     # a deflated edge value far below every bond can still overflow a pivot;
     # its column, NaN then, is replaced by the closed-form pair
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -485,14 +488,14 @@ def _twisted(mag: np.ndarray, lower: np.ndarray, E: np.ndarray) -> np.ndarray:
         for fix in (False, True):
             for i in range(1, n):
                 if fix:
-                    P[i - 1, P[i - 1] == 0] = Q[-i, Q[-i] == 0] = pivmin
-                P[i] = minus_E - bond[i - 1] / P[i - 1]
-                Q[-1 - i] = minus_E - bond[-i] / Q[-i]
-            if P.all() and Q.all():
+                    W[i - 1, W[i - 1] == 0] = pivmin
+                W[i] = minus_E - step[i - 1] / W[i - 1]
+            if W.all():
                 break
+        P, Q = W[:, 0], W[::-1, 1]
         twist = np.argmin(np.abs(P + Q + E), axis=0)
         ratio = np.where(np.arange(n - 1)[:, None] < twist, -P[:-1] / mag[:, None], -lower[:, None] / Q[1:])
-        del P, Q
+        del W, P, Q
         size = np.abs(ratio)
         log_z = np.zeros((n, len(E)))
         np.cumsum(np.log(size), axis=0, out=log_z[1:])
@@ -503,21 +506,28 @@ def _twisted(mag: np.ndarray, lower: np.ndarray, E: np.ndarray) -> np.ndarray:
     return z
 
 
-def _sorted_pairs(plus: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """The lifted +i E_m columns ``plus``, then their Sigma-flips (the -i E_m columns), in ``order``.
+def _sorted_pairs(base: np.ndarray, order: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The lifted columns ``base`` and their chiral flips, each written into its sorted place.
 
-    Each column is written once, straight into its sorted place in an
-    F-contiguous array: the layout of a ``[:, order]`` gather, which
-    `spatial_profile`'s column sums depend on.  The flip negates the p rows
-    of ``plus`` in place, which allocates nothing beside the result.
+    ``order`` sorts the eigenvalues concat([i E, -i E]); column c of
+    [``base``, Gamma ``base``] belongs to i E[cols[c]] and its Sigma-flip to
+    -i E[cols[c]].  Sigma negates the p rows, Gamma the x and p rows of the
+    B sites; where ``cols`` has one entry per column (the full-size solve)
+    only Sigma-flips are written.  Each column is written once into an
+    F-contiguous array, the layout of a ``[:, order]`` gather, which
+    `spatial_profile`'s column sums depend on.  The flips negate rows of
+    ``base`` in place, which allocates nothing beside the result.
     """
-    half = plus.shape[1]
     place = np.empty_like(order)
     place[order] = np.arange(len(order))
-    out = np.empty((len(plus), 2 * half), dtype=complex, order="F")
-    out[:, place[:half]] = plus
-    np.negative(plus[1::2], out=plus[1::2])
-    out[:, place[half:]] = plus
+    slots = place.reshape(2, -1)[:, cols].reshape(2, -1, base.shape[1])  # [Sigma, Gamma, column]
+    out = np.empty((len(base), len(order)), dtype=complex, order="F")
+    p_rows, b_rows = [base[1::2]], [base[2::4], base[3::4]]  # B_j is site 2j + 1: rows 4j + 2, 4j + 3
+    walk = [((0, 0), []), ((1, 0), p_rows), ((1, 1), b_rows), ((0, 1), p_rows)]  # 1, Sigma, Sigma Gamma, Gamma
+    for (s, g), negate in walk[:len(order) // base.shape[1]]:
+        for rows in negate:
+            np.negative(rows, out=rows)
+        out[:, slots[s, g]] = base
     return out
 
 
@@ -541,9 +551,11 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     is real, else the real `eig`.  ``Spectrum.source`` names the deflation,
     with the closed form's backward error, or the reason for the fallback.
     Eigenvectors are the product basis lifted through the combined gauge
-    (``SimilarityMatrix.lift``), checked on their +i E columns as the module
-    docstring says; where they fail, the eigenvalues are returned alone and
-    ``source`` names the failure.  With ``with_vectors=False`` (or at
+    (``SimilarityMatrix.lift``): N unit columns v for +i root, phase-gauged
+    and lifted, then Gamma v, Sigma v and Sigma Gamma v (module docstring);
+    the fallback lifts 2N columns and adds their Sigma-flips.  The lifted
+    columns are checked; where they fail, the eigenvalues are returned alone
+    and ``source`` names the failure.  With ``with_vectors=False`` (or at
     singular gauge points Delta = +-J) only the eigenvalues are computed,
     along the same path; they remain exact at singular points by continuity
     of the characteristic polynomial.  Open boundaries only: the gauge does
@@ -574,23 +586,24 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
         else:  # symmetric: eigvalsh is ascending and symmetric about 0, and sqrt(x^2) = |x| exactly
             mu = np.linalg.eigvalsh(Hr)[p.N:] ** 2
         pair = _edge_pair(mag, lower, mu)
-        E, order, root = _half_size(mu, REDUCED_MIN_EIGENVALUE, mag.max(), "H_r",
-                                    None if pair is None else (pair.m, pair.E))
+        E, half_order, root = _half_size(mu, REDUCED_MIN_EIGENVALUE, mag.max(), "H_r",
+                                         None if pair is None else (pair.m, pair.E))
     except _SmallEigenvalue as guard:
         source, pair = f"{source} (half-size guard: {guard})", None
         if vectors:
             E, U = np.linalg.eig(Hr) if mixed else np.linalg.eigh(Hr)
         else:
             E, U = np.linalg.eigvals(Hr) if mixed else np.linalg.eigvalsh(Hr), None
+        root, cols = E, np.arange(len(E))  # column j belongs to E[j]; -E[j]'s is no Gamma-flip of it
     else:
         U = None
-        if vectors:  # eigenvectors (z_A, z_B) of H_r for +root; (z_A, -z_B) belongs to -root
-            Z = _twisted(mag, lower, root)
+        if vectors:  # unit eigenvectors (z_A, z_B) of H_r for +root; (z_A, -z_B) belongs to -root
+            U = _twisted(mag, lower, root)
             if pair is not None and pair.u is not None:
-                Z[:, pair.m] = pair.u
-            U = _paired(Z[0::2], Z[1::2], order)
-            del Z
-    del Hr  # freed, like Z above and U below, before the lift's arrays: the peak of memory use
+                U[:, pair.m] = pair.u
+            U /= np.sqrt((np.abs(U[0::2]) ** 2).sum(axis=0) + (np.abs(U[1::2]) ** 2).sum(axis=0))
+        cols = np.argsort(half_order)  # column c of [U, Gamma U] belongs to E[cols[c]]
+    del Hr  # freed, like U below, before the lift's arrays: the peak of memory use
     if pair is not None and pair.u is not None:
         source += f" (deflated edge pair, closed form: backward error {pair.error:.1e})"
     elif pair is not None:
@@ -606,11 +619,11 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     U = np.concatenate([[1], np.cumprod(np.sign(b.real) - 1j * np.sign(b.imag))])[:, None] * U
     plus = A.lift(np.repeat(U, 2, axis=0))  # site a at x row 2a and p row 2a + 1
     del U
-    try:  # the -i E_m columns are the Sigma-flips of the +i E_m ones, with equal residuals
-        _check_residual(bands, plus, vals[:len(E)])
+    try:  # the Sigma- and Gamma-flips of these columns have equal residuals
+        _check_residual(bands, plus, 1j * root)
     except SolverError as err:  # the eigenvalues are exact, so they stay
         return replace(spec, source=f"{source} (no vectors: {err})")
-    return replace(spec, eigenvectors=_sorted_pairs(plus, order))
+    return replace(spec, eigenvectors=_sorted_pairs(plus, order, cols))
 
 
 def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:

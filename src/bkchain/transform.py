@@ -99,7 +99,10 @@ class SimilarityMatrix:
         # clip keeps the factor finite on zero and subnormal entries
         out = v * np.exp(np.minimum(s - top, 700.0))
         out *= self.phase[:, None]
-        out /= np.linalg.norm(out, axis=0)
+        # `np.linalg.norm`'s column norms from one temporary; Re(conj(v) v) rounds once (FMA), re^2 + im^2 twice
+        sq = np.conj(out)
+        sq *= out
+        out /= np.sqrt(np.add.reduce(sq.real, axis=0))
         return out
 
 

@@ -23,9 +23,12 @@ the small-eigenvalue guard).  The references are:
   factorization of H_r (`_twisted`) on every chain off the guarded
   fallback: the same, the eigenvalue-only solve, and the skin census of the
   full-size `eig` of H_r; at an exactly zero pivot, the eigen-equation of
-  the uniform chain; its lift of the +i E columns, with their
-  Sigma-flips for the -i E columns: ``SimilarityMatrix.lift`` of the full
-  product basis, equal in value;
+  the uniform chain; for its stacked P and Q recurrences, the two-loop
+  factorization, bit for bit; its lift of one column per root, with their
+  Gamma-, Sigma- and Sigma-Gamma-flips (on the guarded fallback, 2N columns
+  and their Sigma-flips): ``SimilarityMatrix.lift`` of the full product
+  basis, equal in value, and the lift's column norms against
+  `np.linalg.norm`, bit for bit;
 * the reduced route's SSH bonds (`ssh_bonds`): the superdiagonal of
   `effective_ssh_matrix`, bit for bit, which no reduced solve builds;
 * eigenvalue-only solves (``vectors=False``): the same route with vectors,
@@ -39,7 +42,8 @@ the small-eigenvalue guard).  The references are:
 * the residual check, which works from M's diagonals read off Q and, on the
   reduced and x/p routes, skips each -E column: the diagonals and residuals
   of the dense M, bit for bit, and the Sigma-flipped partner of every
-  column, with a residual equal bit for bit.
+  column, with a residual equal bit for bit (on the reduced route off its
+  fallback also the Gamma-flipped partner, which it never checks).
 
 Couplings are drawn with |Delta -+ J| bounded away from zero, so the gauge
 ratios r = (Delta+J)/(Delta-J) stay within 1/4 <= |r| <= 4 (6.5 for the
@@ -733,8 +737,37 @@ class TestEdgePair:
         assert _residuals(_bands(M), s.eigenvectors[:, edge], s.eigenvalues[edge]).max() <= 1e-15 * np.abs(M).max()
 
 
+def _twisted_two_loops(mag, lower, E):
+    """`_twisted` with its P and Q pivots in two arrays, each advanced on its own: the reference."""
+    n = len(mag) + 1
+    bond = (mag * lower)[:, None]
+    P = np.empty((n, len(E)), dtype=complex)
+    Q = np.empty((n, len(E)), dtype=complex)
+    pivmin = np.finfo(float).eps * mag.max()
+    P[0] = Q[-1] = -E
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for fix in (False, True):
+            for i in range(1, n):
+                if fix:
+                    P[i - 1, P[i - 1] == 0] = Q[-i, Q[-i] == 0] = pivmin
+                P[i] = -E - bond[i - 1] / P[i - 1]
+                Q[-1 - i] = -E - bond[-i] / Q[-i]
+            if P.all() and Q.all():
+                break
+        twist = np.argmin(np.abs(P + Q + E), axis=0)
+        ratio = np.where(np.arange(n - 1)[:, None] < twist, -P[:-1] / mag[:, None], -lower[:, None] / Q[1:])
+        size = np.abs(ratio)
+        log_z = np.zeros((n, len(E)))
+        np.cumsum(np.log(size), axis=0, out=log_z[1:])
+        ratio /= size
+    z = np.ones((n, len(E)), dtype=complex)
+    np.cumprod(ratio, axis=0, out=z[1:])
+    z *= np.exp(log_z - log_z.max(axis=0))
+    return z
+
+
 class TestTwisted:
-    """`_twisted` where a pivot of the factorization is exactly zero."""
+    """`_twisted` where a pivot of the factorization is exactly zero, and against its two-loop reference."""
 
     def test_exact_eigenvalue_of_a_leading_block(self):
         # the uniform 14-site chain has E = 2 cos(5 pi / 15) = 1, also an
@@ -752,6 +785,28 @@ class TestTwisted:
         assert s.source == "reduced[modbkc,obc,n=7]" and s.eigenvectors is not None
         _check_residual(_bands(_quadratic_matrix(p, OBC)), s.eigenvectors, s.eigenvalues)
 
+    @pytest.mark.parametrize("chain", ["uniform-zero-pivot", "fig4", "fig5", "sign-mixed", "random"])
+    def test_stacked_recurrences_match_two_loops(self, chain):
+        # `_twisted` runs the P and Q recurrences as one loop over stacked rows; same arithmetic, same bytes
+        if chain == "uniform-zero-pivot":
+            mag = lower = np.ones(13)
+            E = np.array([1 + 0j, 0.3 + 0j])
+        elif chain == "random":
+            rng = np.random.default_rng(3)
+            mag = rng.uniform(0.1, 2.0, 39)
+            lower = mag * rng.choice([-1.0, 1.0], 39)
+            E = rng.normal(size=20) + 1j * rng.normal(size=20)
+        else:
+            p = {"fig4": ModBKCParams(J1=1.2, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=40),
+                 "fig5": ModBKCParams(J1=0.0, J2=2.2, Delta1=1.0, Delta2=1.5, omega=0.0, N=40),
+                 "sign-mixed": _all_mixed_chain(40)}[chain]
+            b = ssh_bonds(p)
+            mag = np.abs(b)
+            lower = np.where(b.imag != 0, -mag, mag)
+            Hr = np.diag(mag, 1) + np.diag(lower, -1)
+            E = np.sqrt(np.linalg.eigvals(Hr[0::2, 1::2] @ Hr[1::2, 0::2]).astype(complex))
+        assert _twisted(mag, lower, E).tobytes() == _twisted_two_loops(mag, lower, E).tobytes()
+
 
 # the lift itself: `TestProductLift.test_profiles_unchanged` replaces ``SimilarityMatrix.lift``
 _LIFT = SimilarityMatrix.lift
@@ -766,62 +821,117 @@ def _lift_reference(A, U, order):
     return _LIFT(A, basis)[:, order]
 
 
-class TestProductLift:
-    """The reduced route's lift of the +i E_m columns, and their Sigma-flips, against the full product basis.
+def _gamma_partners(U, cols):
+    """The SSH eigenvector matrix in E order: column c of [U, Gamma U] at cols[c], Gamma negating the B rows."""
+    flipped = U.copy()
+    flipped[1::2] *= -1
+    full = np.empty((len(U), len(cols)), dtype=complex)
+    full[:, cols] = np.hstack([U, flipped])[:, :len(cols)]
+    return full
 
-    The route lifts the 2N columns with U at both quadratures of each site
-    and `_sorted_pairs` adds the -i E_m columns, whose p rows are negated.
-    Negating after the gauge and phase multiply can flip the sign of a zero
-    part, so the result equals the lifted full basis in value, not in bytes.
+
+def _random_lift(seed, rows, columns):
+    """Random SSH vectors with zero, tiny and subnormal parts, and a gauge spanning e^1400 from seed 2 on."""
+    rng = np.random.default_rng(seed)
+    U = rng.normal(size=(rows, columns)) + 1j * rng.normal(size=(rows, columns))
+    U *= 10.0 ** rng.uniform(-300, 300, (rows, columns)) if seed % 2 else 1.0
+    U.real[rng.random(U.shape) < 0.2] = 0.0
+    U.imag[rng.random(U.shape) < 0.2] = 0.0
+    U[rng.random(U.shape) < 0.1] = 0.0
+    U[rng.random(U.shape) < 0.1] *= 1e-310  # subnormal parts
+    U[:, 0] = 0.0
+    U[0, 0] = 1.0  # a column with a single nonzero entry
+    log_scale = rng.permutation(np.linspace(-700.0, 700.0, 2 * rows)) if seed >= 2 \
+        else rng.uniform(-5.0, 5.0, 2 * rows)
+    A = SimilarityMatrix(log_scale=log_scale, phase=np.exp(1j * rng.choice([0, 0.5, 1, 1.5], 2 * rows) * np.pi),
+                         r_values={})
+    assert (A.log10_condition > 300) == (seed >= 2)
+    E = rng.normal(size=columns) + 1j * rng.normal(size=columns) * (seed % 3 != 0)
+    E[: columns // 2] = E[0]  # degenerate values keep lexsort's tie order
+    return U, A, E
+
+
+class TestProductLift:
+    """The reduced route's lift of its base columns, and their chiral flips, against the full product basis.
+
+    The route lifts its base columns with U at both quadratures of each site
+    and `_sorted_pairs` adds their flips: Sigma negates the p rows, Gamma the
+    rows of the B sites.  Off the guarded fallback the base columns are one
+    per root of mu and all three flips are written; on it they are the 2N
+    columns of the full-size solve, with Sigma-flips only.  Negating after
+    the gauge and phase multiply can flip the sign of a zero part, so the
+    result equals the lifted full basis in value, not in bytes.
     """
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("two_n", [2, 7, 24, 200])
     def test_bit_identical_on_random_vectors(self, seed, two_n):  # equal in value: see the class docstring
-        rng = np.random.default_rng(seed)
-        U = rng.normal(size=(two_n, two_n)) + 1j * rng.normal(size=(two_n, two_n))
-        U *= 10.0 ** rng.uniform(-300, 300, (two_n, two_n)) if seed % 2 else 1.0
-        U.real[rng.random(U.shape) < 0.2] = 0.0
-        U.imag[rng.random(U.shape) < 0.2] = 0.0
-        U[rng.random(U.shape) < 0.1] = 0.0
-        U[rng.random(U.shape) < 0.1] *= 1e-310  # subnormal parts
-        U[:, 0] = 0.0
-        U[0, 0] = 1.0  # a column with a single nonzero entry
-        # from seed 2 on the gauge spans e^1400, log10_condition 608
-        log_scale = rng.permutation(np.linspace(-700.0, 700.0, 2 * two_n)) if seed >= 2 \
-            else rng.uniform(-5.0, 5.0, 2 * two_n)
-        A = SimilarityMatrix(log_scale=log_scale, phase=np.exp(1j * rng.choice([0, 0.5, 1, 1.5], 2 * two_n) * np.pi),
-                             r_values={})
-        assert (A.log10_condition > 300) == (seed >= 2)
-        E = rng.normal(size=two_n) + 1j * rng.normal(size=two_n) * (seed % 3 != 0)
-        E[: two_n // 2] = E[0]  # degenerate values keep lexsort's tie order
+        # the guarded fallback: 2N columns, each with its Sigma-flip
+        U, A, E = _random_lift(seed, two_n, two_n)
         vals = np.concatenate([1j * E, -1j * E])
         order = np.lexsort((vals.imag, vals.real))
-        ref, out = _lift_reference(A, U, order), _sorted_pairs(A.lift(np.repeat(U, 2, axis=0)), order)
+        cols = np.arange(two_n)
+        ref, out = _lift_reference(A, U, order), _sorted_pairs(A.lift(np.repeat(U, 2, axis=0)), order, cols)
         assert np.array_equal(out, ref)
         assert np.all(np.isfinite(out))
         assert out.flags.f_contiguous == ref.flags.f_contiguous
 
-    @pytest.mark.parametrize("p", [
-        ModBKCParams(J1=0.4, J2=0.1, Delta1=1.0, Delta2=0.5, omega=0.0, N=100),  # fig3
-        ModBKCParams(J1=0.0, J2=0.5, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # fig6
-        ModBKCParams(J1=2.0, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # half-size
-        ModBKCParams(J1=1.4, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # deflated
-        ModBKCParams(J1=1.7, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # deflated, solved vectors
-    ])
-    def test_profiles_unchanged(self, p, monkeypatch):
-        s = solve(p, OBC)
-        full = {}
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("two_n", [2, 7, 24, 200])
+    def test_lift_norm_is_linalg_norm(self, seed, two_n):
+        # the lift's column norms avoid `np.linalg.norm`'s two complex copies, with the same bytes
+        U, A, _ = _random_lift(seed, two_n, two_n)
+        for V in (np.repeat(U, 2, axis=0), np.repeat(U, 2, axis=0)[:, : two_n // 2 + 1], np.asfortranarray(
+                np.vstack([U, -U]))):
+            with np.errstate(divide="ignore"):
+                top = (np.log(np.abs(V)) + A.log_scale[:, None]).max(axis=0)
+            ref = V * np.exp(np.minimum(A.log_scale[:, None] - top, 700.0)) * A.phase[:, None]
+            ref /= np.linalg.norm(ref, axis=0)
+            assert A.lift(V).tobytes() == ref.tobytes()
 
-        def lift_full_basis(A, plus):
-            # the route lifts the +i E_m columns, with U at the x and p rows of each site
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n", [1, 4, 12, 100])
+    def test_chiral_flips_on_random_vectors(self, seed, n):  # equal in value: see the class docstring
+        # the half-size path: N columns for +root, their Gamma-flips for -root, as `_half_size` sorts them
+        U, A, root = _random_lift(seed, 2 * n, n)
+        both = np.concatenate([root, -root])
+        half_order = np.lexsort((both.imag, both.real))
+        E = both[half_order]
+        vals = np.concatenate([1j * E, -1j * E])
+        order = np.lexsort((vals.imag, vals.real))
+        cols = np.argsort(half_order)
+        ref = _lift_reference(A, _gamma_partners(U, cols), order)
+        out = _sorted_pairs(A.lift(np.repeat(U, 2, axis=0)), order, cols)
+        assert np.array_equal(out, ref)
+        assert np.all(np.isfinite(out))
+        assert out.flags.f_contiguous == ref.flags.f_contiguous
+
+    @pytest.mark.parametrize("p,columns", [
+        (ModBKCParams(J1=0.4, J2=0.1, Delta1=1.0, Delta2=0.5, omega=0.0, N=100), 100),  # fig3
+        (ModBKCParams(J1=0.0, J2=0.5, Delta1=1.0, Delta2=1.5, omega=0.0, N=100), 100),  # fig6
+        (ModBKCParams(J1=2.0, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100), 100),  # half-size
+        (ModBKCParams(J1=1.4, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100), 100),  # deflated
+        (ModBKCParams(J1=1.7, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100), 100),  # deflated, solved vectors
+        (_fig5_split(1e-6), 200),                                                      # guarded
+    ], ids=["p0", "p1", "p2", "p3", "p4", "guarded"])
+    def test_profiles_unchanged(self, p, columns, monkeypatch):
+        s = solve(p, OBC)
+        seen = {}
+
+        def lift_recording(A, plus):
+            # the route lifts its base columns, with U at the x and p rows of each site
             U = plus[0::2]
             assert np.array_equal(plus[1::2], U)
-            full["lifted"] = _lift_reference(A, U, np.arange(2 * U.shape[1]))
-            return full["lifted"][:, :U.shape[1]]
+            seen.update(A=A, U=U.copy())
+            return _LIFT(A, plus)
 
-        monkeypatch.setattr(SimilarityMatrix, "lift", lift_full_basis)
-        monkeypatch.setattr(spectral, "_sorted_pairs", lambda plus, order: full["lifted"][:, order])
+        def full_basis(base, order, cols):
+            # the full product basis of the SSH eigenvectors in E order, lifted at once
+            assert len(cols) == len(seen["U"]) and base.shape[1] == columns
+            return _lift_reference(seen["A"], _gamma_partners(seen["U"], cols), order)
+
+        monkeypatch.setattr(SimilarityMatrix, "lift", lift_recording)
+        monkeypatch.setattr(spectral, "_sorted_pairs", full_basis)
         ref = solve(p, OBC)
         assert np.array_equal(s.eigenvectors, ref.eigenvectors)
         assert s.eigenvectors.flags.f_contiguous and ref.eigenvectors.flags.f_contiguous
@@ -922,18 +1032,22 @@ SIGMA_POINTS = {
 }
 
 
-def _assert_sigma_pairs(s, M):
-    """Each column of ``s`` has a partner at -E that is its Sigma-flip, and the two residuals on M are equal bit for bit."""
+def _assert_flip_pairs(s, M, flip="Sigma"):
+    """Each column of ``s`` has a partner at -E that is its ``flip``, and the two residuals on M are equal bit for bit.
+
+    Sigma negates the p rows (every odd row); Gamma negates the x and p rows
+    of the B sites of the SSH reduction (rows 4j + 2 and 4j + 3).
+    """
     V, E = s.eigenvectors, s.eigenvalues
     res = _residuals(_bands(M), V, E)
     flipped = V.copy()
-    flipped[1::2] *= -1
+    flipped[np.arange(len(V)) % 2 == 1 if flip == "Sigma" else np.arange(len(V)) % 4 >= 2] *= -1
     columns = {}
     for j, e in enumerate(E):
         columns.setdefault(complex(e), []).append(j)
     for j, e in enumerate(E):
         partner = [k for k in columns.get(complex(-e), []) if np.array_equal(V[:, k], flipped[:, j])]
-        assert partner, f"column {j} (E = {e}) has no Sigma-flipped partner"
+        assert partner, f"column {j} (E = {e}) has no {flip}-flipped partner"
         assert res[partner[0]].tobytes() == res[j].tobytes()
 
 
@@ -951,7 +1065,7 @@ class TestResidualCheck:
         # (1 of 60 such draws); the check then drops the vectors
         assume(kind != "reduced_guarded" or s.eigenvectors is not None)
         assert s.source.startswith(kind.split("_")[0] + "[") and note in s.source and s.eigenvectors is not None
-        _assert_sigma_pairs(s, excitation_matrix(build_modbkc_quadratic(f, bc)).M)
+        _assert_flip_pairs(s, excitation_matrix(build_modbkc_quadratic(f, bc)).M)
 
     @pytest.mark.parametrize("p", [
         ModBKCParams(J1=1.2, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # fig4, deflated
@@ -959,7 +1073,51 @@ class TestResidualCheck:
         ModBKCParams(J1=1.4, J2=1.2, Delta1=1.0, Delta2=1.0, omega=0.3, N=100),  # x/p
     ])
     def test_sigma_partners_at_n100(self, p):
-        _assert_sigma_pairs(solve(p, OBC), _quadratic_matrix(p, OBC))
+        _assert_flip_pairs(solve(p, OBC), _quadratic_matrix(p, OBC))
+
+    @pytest.mark.parametrize("kind", ["reduced_all_real", "reduced_deflated", "reduced_sign_mixed"])
+    @given(data=st.data())
+    @settings(PROPERTY, max_examples=25)
+    def test_gamma_partners_have_equal_residuals(self, kind, data):
+        # off the guarded fallback the reduced route lifts and checks one column per root of mu
+        strategy, bc, note = SIGMA_POINTS[kind]
+        f = data.draw(strategy)
+        s = solve(f, bc)
+        assume("(half-size guard" not in s.source)  # a full-size solve's -E vectors are no Gamma-flips
+        assert s.source.startswith("reduced[") and note in s.source and s.eigenvectors is not None
+        _assert_flip_pairs(s, excitation_matrix(build_modbkc_quadratic(f, bc)).M, flip="Gamma")
+
+    @pytest.mark.parametrize("p", [
+        ModBKCParams(J1=0.4, J2=0.1, Delta1=1.0, Delta2=0.5, omega=0.0, N=100),  # fig3, all real
+        ModBKCParams(J1=1.2, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # fig4, deflated
+    ])
+    def test_gamma_partners_at_n100(self, p):
+        _assert_flip_pairs(solve(p, OBC), _quadratic_matrix(p, OBC), flip="Gamma")
+
+    @pytest.mark.parametrize("p,note,columns", [
+        (ModBKCParams(J1=0.0, J2=0.5, Delta1=1.0, Delta2=1.5, omega=0.0, N=40), "", 40),     # all real
+        (ModBKCParams(J1=2.0, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=40), "", 40),     # half-size
+        (ModBKCParams(J1=1.4, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=40), "(deflated edge pair", 40),
+        (_fig5_split(1e-6), "(half-size guard", 200),
+    ], ids=["all-real", "half-size", "deflated", "guarded"])
+    def test_lift_and_check_take_one_column_per_root(self, p, note, columns, monkeypatch):
+        # N columns where each root's -root eigenvector is a Gamma-flip, 2N on the guarded fallback
+        lifted, checked = [], []
+
+        def lift(A, vectors):
+            lifted.append(vectors.shape)
+            return _LIFT(A, vectors)
+
+        def check(bands, vectors, eigenvalues):
+            checked.append((vectors.shape, eigenvalues.shape))
+            return _check_residual(bands, vectors, eigenvalues)
+
+        monkeypatch.setattr(SimilarityMatrix, "lift", lift)
+        monkeypatch.setattr(spectral, "_check_residual", check)
+        s = solve(p, OBC)
+        assert note in s.source and s.eigenvectors is not None and s.eigenvectors.shape == (4 * p.N, 4 * p.N)
+        assert lifted == [(4 * p.N, columns)]
+        assert checked == [((4 * p.N, columns), (columns,))]
 
     @pytest.mark.parametrize("q", [
         build_modbkc_quadratic(ModBKCParams(J1=1.4, J2=1.2, Delta1=0.7, Delta2=1.0, omega=0.3, N=20), OBC),
