@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .model import BoundaryCondition, ModBKCParams, SiteFields
-from .skin import nhse_fraction, profile_matrix
+from .skin import edge_weight, spatial_profile
 from .spectral import solve, zero_gap
 from .topology import map_points, zero_modes_per_copy
 
@@ -126,8 +126,9 @@ def ensemble_observables(base: ModBKCParams, spec: DisorderSpec,
     A realization that raises one of `topology.POINT_ERRORS` is recorded and
     skipped; the run only fails if every realization does.  ``zero_modes`` is
     the per-quadrature-copy count of the open chain at omega = 0 and the
-    literal threshold count otherwise.  Eigenvectors are solved only when
-    ``nhse_fraction`` or ``mean_profile`` asks for them.
+    literal threshold count otherwise.  Eigenvectors are solved, and their
+    `spatial_profile` built once, only when ``nhse_fraction`` or
+    ``mean_profile`` asks for them.
     """
     names = tuple(observables)
     for name in names:
@@ -139,7 +140,7 @@ def ensemble_observables(base: ModBKCParams, spec: DisorderSpec,
     def one(realization: int):
         f = sample_site_fields(base, spec, realization)
         spectrum = solve(f, bc, vectors=vectors)
-        out = {}
+        out, profile = {}, None
         for name in names:
             if name == "abs_spectrum":
                 out[name] = np.sort(np.abs(spectrum.eigenvalues))
@@ -147,10 +148,12 @@ def ensemble_observables(base: ModBKCParams, spec: DisorderSpec,
                 out[name] = zero_gap(spectrum)
             elif name == "zero_modes":
                 out[name] = zero_modes_per_copy(spectrum, f, bc, zero_tol)
-            elif name == "nhse_fraction":
-                out[name] = nhse_fraction(spectrum, frac, threshold, base.N)
-            elif name == "mean_profile":
-                out[name] = profile_matrix(spectrum, base.N).mean(axis=0)
+            elif spectrum.eigenvectors is None:
+                raise ValueError(f"{name} needs a spectrum with eigenvectors")
+            else:  # nhse_fraction or mean_profile, from one profile per realization
+                profile = profile or spatial_profile(spectrum.eigenvectors, base.N)
+                out[name] = (float((edge_weight(profile, frac) > threshold).mean()) if name == "nhse_fraction"
+                             else profile.prob.T.mean(axis=0))
         return out
 
     results = map_points(one, range(spec.realizations), threads)

@@ -49,11 +49,12 @@ def _per_column(x):
 
 def spatial_profile(v: np.ndarray, n_cells: int) -> SpatialProfile:
     """Normalized |v|^2 over the flat basis; a 2-D ``v`` holds one vector per column."""
-    prob = np.abs(np.asarray(v)) ** 2
+    prob = np.abs(np.asarray(v)).astype(float, copy=False)
+    np.square(prob, out=prob)  # in place, like the divisions: one array of the size of v's parts
     norm2 = prob.sum(axis=0)
     if np.any(norm2 == 0) or not np.all(np.isfinite(norm2)):
         raise ValueError("cannot build a profile from a zero or non-finite vector")
-    prob = prob / norm2
+    prob /= norm2
     prob /= prob.sum(axis=0)  # repair last-ulp drift
     return SpatialProfile(prob=prob, n_cells=n_cells)
 

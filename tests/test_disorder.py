@@ -17,6 +17,7 @@ from bkchain.model import (
     excitation_matrix,
 )
 from bkchain import disorder, topology
+from bkchain.skin import nhse_fraction, profile_matrix, spatial_profile
 from bkchain.spectral import SolverError, modbkc_spectrum_zero_omega, solve, zero_gap
 from bkchain.topology import AxisSpec, edge_mode_count, phase_scan, zero_modes_per_copy
 from bkchain.transform import SingularTransformError, a_combined, ssh_lift_target, transform_residual
@@ -248,6 +249,30 @@ def test_ensemble_solves_vectors_only_when_read(monkeypatch, observables, vector
     spec = DisorderSpec(strengths={"omega": 2.0}, seed=5, realizations=3)
     ensemble_observables(base, spec, observables)
     assert requests == [vectors] * 3
+
+
+@pytest.mark.parametrize("observables", [("nhse_fraction", "mean_profile"), ("mean_profile", "zero_gap"),
+                                         ("nhse_fraction",)])
+def test_ensemble_builds_one_profile_per_realization(monkeypatch, observables):
+    # nhse_fraction and mean_profile read one `spatial_profile` per realization, with the values
+    # `nhse_fraction` and `profile_matrix` give
+    built = []
+
+    def recording(v, n_cells):
+        built.append(v.shape)
+        return spatial_profile(v, n_cells)
+
+    monkeypatch.setattr(disorder, "spatial_profile", recording)
+    base = ModBKCParams(J1=2.2, J2=1.0, Delta1=2.1, Delta2=1.5, omega=0.05, N=20)
+    spec = DisorderSpec(strengths={"omega": 2.0}, seed=5, realizations=3)
+    res = ensemble_observables(base, spec, observables)
+    assert built == [(80, 80)] * 3
+    for r in range(3):
+        s = solve(sample_site_fields(base, spec, r), OBC)
+        if "nhse_fraction" in observables:
+            assert res.observables["nhse_fraction"][r] == nhse_fraction(s, 0.1, 0.9, base.N)
+        if "mean_profile" in observables:
+            assert res.observables["mean_profile"][r].tobytes() == profile_matrix(s, base.N).mean(axis=0).tobytes()
 
 
 @pytest.mark.parametrize("J2", [0.0, 1.0, 2.0, 2.5])

@@ -32,6 +32,20 @@ class TestSpatialProfile:
         with pytest.raises(ValueError):
             spatial_profile(np.zeros(4), n_cells=1)
 
+    @pytest.mark.parametrize("kind", ["complex", "complex-F", "column", "real", "int"])
+    def test_in_place_profile_matches_out_of_place(self, kind):
+        # |v|^2, its column sums and both divisions run in place; the bytes are those of the out-of-place formula
+        rng = np.random.default_rng(4)
+        v = rng.normal(size=(40, 40)) * 10.0 ** rng.uniform(-150, 150, (40, 40)) + 1j * rng.normal(size=(40, 40))
+        v = {"complex": v, "complex-F": np.asfortranarray(v), "column": v[:, 3], "real": v.real,
+             "int": rng.integers(-3, 4, (40, 40))}[kind]
+        v[..., 0] = 1  # no zero column
+        ref = np.abs(v) ** 2
+        ref = ref / ref.sum(axis=0)
+        ref /= ref.sum(axis=0)
+        prob = spatial_profile(v, n_cells=10).prob
+        assert prob.tobytes() == ref.tobytes() and prob.flags.f_contiguous == ref.flags.f_contiguous
+
     @given(st.lists(st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
                     min_size=4, max_size=40).filter(lambda xs: any(abs(x) > 1e-3 for x in xs)))
     @settings(max_examples=60, deadline=None)
