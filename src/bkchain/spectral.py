@@ -4,14 +4,13 @@
 code that picks a solve route:
 
 * **Hatano-Nelson gauge** (single-band chain, OBC, omega = 0).  The open
-  chain is exponentially non-normal: its diagonal gauge onto an
-  (anti-)Hermitian matrix has condition numbers up to 1e60, and the dense
-  solver returns pseudospectra.  `spectrum_via_similarity` diagonalizes the
-  gauge image instead and lifts the eigenvectors back; the conjugation is
-  entrywise and therefore exact.  The image has no x-p coupling, so its x
-  and p channels, whose spectra are equal, are solved apart.  At
-  Delta0 = +-J0 the gauge does not exist (`SingularTransformError`): the
-  dense route is taken, and ``Spectrum.source`` names the error.
+  chain is exponentially non-normal (gauge condition numbers up to 1e60),
+  so a dense solver returns pseudospectra.  The gauge maps M onto
+  c sigma_z (x) (S + S^T), a uniform open chain per channel (Hatano &
+  Nelson, PRL 77, 570 (1996)): `_hatano_nelson_spectrum` writes its
+  standing waves in closed form and lifts them.  At Delta0 = +-J0 there is
+  no gauge (`SingularTransformError`): the dense route is taken, and
+  ``Spectrum.source`` names the error.
 * **SSH reduction** (two-sublattice chain, OBC, every onsite omega = 0).  The
   combined gauge maps M onto i sigma_x (x) H_ssh, two decoupled copies of an
   SSH chain, so `modbkc_spectrum_zero_omega` solves the 2N-dimensional H_ssh
@@ -73,11 +72,11 @@ code that picks a solve route:
 
 Every route checks its eigenvectors by `_check_residual`: each eigenpair's
 residual on M must be at most ``RESIDUAL_FACTOR`` * max|M| * dim.  The
-check runs on M's nonzero diagonals.  The dense and Hatano-Nelson routes
-read them off the M they build (`_bands`); the SSH reduction, x/p and Bloch
-routes read them off Q (`excitation_bands`) and never form M.  On the SSH
-reduction and x/p routes M couples x only to p, so it anticommutes with
-Sigma, and each -E eigenvector is the exact Sigma-flip of its +E partner.
+check runs on M's nonzero diagonals.  The dense route reads them off the M
+it builds (`_bands`); every other route reads them off Q
+(`excitation_bands`) and never forms M.  On the SSH reduction and x/p
+routes M couples x only to p, so it anticommutes with Sigma, and each -E
+eigenvector is the exact Sigma-flip of its +E partner.
 Their residuals are equal bit for bit, as are those of Gamma-flips, so the
 x/p route checks its 2N +E columns and the reduction its N lifted ones.  A
 failure raises `SolverError`, except on the two gauge routes: their
@@ -89,8 +88,8 @@ with the same ``source`` prefix, but computes no eigenvector, lifts nothing
 and builds no M that it does not solve.  These spectra get no residual
 check: there is nothing to check it on.  Per route:
 
-* Hatano-Nelson gauge: `eigvalsh` of the two channel images, no lift; the
-  dense fallback at Delta0 = +-J0 takes `eigvals` of M.
+* Hatano-Nelson gauge: the same closed form, with no standing wave or Q;
+  the dense fallback at Delta0 = +-J0 takes `eigvals` of M.
 * SSH reduction: the same values mu, roots, deflation and guard, without
   `_twisted`; the fallback takes `eigvalsh` or `eigvals` of H_r.  Both
   paths write the same ``source`` and, off the fallback, the same
@@ -126,10 +125,10 @@ from .model import (
     excitation_matrix,
 )
 from .transform import (
-    SimilarityMatrix,
     SingularTransformError,
     a_combined,
     hatano_nelson_A,
+    hatano_nelson_coupling,
     ssh_bonds,
 )
 
@@ -138,7 +137,6 @@ __all__ = [
     "Spectrum",
     "solve",
     "eigendecompose",
-    "spectrum_via_similarity",
     "modbkc_spectrum_zero_omega",
     "reduced_route",
     "bkc_pbc_dispersion",
@@ -147,8 +145,6 @@ __all__ = [
 ]
 
 RESIDUAL_FACTOR = 1e-8
-# relative tolerance on max|K - K^H| for treating the gauge image as Hermitian
-_HERMITIAN_TOL = 1e-10
 # Smallest |E| the x/p route accepts, relative to max|Q|.  That route solves
 # for E^2, and squaring loses about sqrt(eps) of accuracy near E = 0: at
 # J1=1.2, J2=0, Delta1=1, Delta2=1.5, N=100 it returns a 1.4e-6 "zero mode"
@@ -256,46 +252,36 @@ def eigendecompose(M: ExcitationMatrix, vectors: bool = True) -> Spectrum:
     return spec
 
 
-def _eig_image(K: np.ndarray, vectors: bool = True):
-    """Eigenvalues of a gauge image K, with its eigenvectors (else None) when ``vectors``.
+def _hatano_nelson_spectrum(p: BKCParams, vectors: bool) -> Spectrum:
+    """Closed-form spectrum of the open single-band chain at omega = 0 (module docstring).
 
-    K is Hermitian (or anti-Hermitian) within ``_HERMITIAN_TOL`` relative to
-    max|K|, and the Hermitian solver pins the spectrum to the real
-    (imaginary) axis exactly.  Any other K raises `SolverError`.
+    The x channel has E_m = 2 c sin(pi (N + 1 - 2 m) / (2 N + 2)), which is
+    2 c cos(pi m / (N + 1)), m = 1..N; the p channel has -E_m.  The odd sine
+    argument makes the set its own negative bit for bit.  Both channels share
+    the standing waves sqrt(2 / (N + 1)) sin(pi m (j + 1) / (N + 1)).
     """
-    scale = np.abs(K).max()
-    for factor, H in ((1, K), (-1j, 1j * K)):  # K = factor H, H Hermitian
-        if np.abs(H - H.conj().T).max() <= _HERMITIAN_TOL * scale:
-            break
-    else:
-        raise SolverError(f"gauge image is not (anti-)Hermitian within {_HERMITIAN_TOL:g} max|K|")
-    H = (H + H.conj().T) / 2
-    vals, vecs = np.linalg.eigh(H) if vectors else (np.linalg.eigvalsh(H), None)
-    return (factor * vals).astype(complex), vecs
-
-
-def spectrum_via_similarity(M: ExcitationMatrix, A: SimilarityMatrix, vectors: bool = True) -> Spectrum:
-    """Spectrum of M obtained from the gauge image K = A^{-1} M A.
-
-    Eigenvectors are lifted back through A with log-space normalization;
-    with ``vectors=False`` none are computed and nothing is lifted.  K does
-    not couple x and p (omega = 0), and the two channels are solved apart:
-    their spectra are equal, so a joint solve mixes them inside each
-    degenerate pair, and the lift, which scales the channels differently,
-    maps such a mixture to no eigenvector of M.  A K that couples them
-    raises `SolverError`.
-    """
-    K = A.conjugate(M.M)
-    source = f"similarity[{M.source},{M.bc.value},n={M.n_cells}]"
-    if np.any(K[0::2, 1::2]) or np.any(K[1::2, 0::2]):
-        raise SolverError(f"gauge image couples x and p ({source})")
-    (vals_x, U_x), (vals_p, U_p) = (_eig_image(K[c::2, c::2], vectors) for c in (0, 1))
-    vals = np.concatenate([vals_x, vals_p])
+    try:
+        A = hatano_nelson_A(p)
+    except SingularTransformError as err:  # Delta0 = +-J0: no gauge, so the dense solver
+        spec = eigendecompose(excitation_matrix(build_bkc_quadratic(p, BoundaryCondition.OBC)), vectors)
+        return replace(spec, source=f"{spec.source} (no gauge: {err})")
+    n = p.N
+    source = f"similarity[symplectic,{BoundaryCondition.OBC.value},n={n}]"
+    m = np.arange(1, n + 1)
+    E = 2 * hatano_nelson_coupling(p) * np.sin(np.pi * (n + 1 - 2 * m) / (2 * n + 2))
+    vals = np.concatenate([E, -E]) + 0.0  # + 0.0 turns every -0.0 part, which a CSV writes as "-0", into 0
     if not vectors:
         return _sorted(vals, None, source)
-    vecs = np.zeros_like(K)
-    vecs[0::2, :len(vals_x)], vecs[1::2, len(vals_x):] = U_x, U_p
-    return _sorted(vals, A.lift(vecs), source)
+    U = np.sqrt(2 / (n + 1)) * np.sin(np.pi * (np.outer(m, m) % (2 * n + 2)) / (n + 1))  # row j, column m - 1
+    vecs = np.zeros((2 * n, 2 * n), dtype=complex)
+    vecs[0::2, :n] = vecs[1::2, n:] = U
+    spec = _sorted(vals, A.lift(vecs), source)
+    bands = excitation_bands(build_bkc_quadratic(p, BoundaryCondition.OBC))  # M's diagonals; M is never formed
+    try:
+        _check_residual(bands, spec.eigenvectors, spec.eigenvalues)
+    except SolverError as err:  # the eigenvalues are exact, so they stay
+        return replace(spec, eigenvectors=None, source=f"{source} (no vectors: {err})")
+    return spec
 
 
 def _zero_omega(p: Union[ModBKCParams, SiteFields]) -> bool:
@@ -712,20 +698,9 @@ def solve(p: Union[BKCParams, ModBKCParams, SiteFields], bc: BoundaryCondition,
     if bc is BoundaryCondition.PBC and not isinstance(p, SiteFields):
         return _bloch_spectrum(p, vectors)
     single_band = isinstance(p, BKCParams)
+    if single_band and p.omega == 0:  # open: the ring took the Bloch route
+        return _hatano_nelson_spectrum(p, vectors)
     q = build_bkc_quadratic(p, bc) if single_band else build_modbkc_quadratic(p, bc)
-    if single_band and p.omega == 0:
-        M = excitation_matrix(q)
-        try:
-            spec = spectrum_via_similarity(M, hatano_nelson_A(p), vectors)
-        except SingularTransformError as err:  # Delta0 = +-J0: no gauge, so the dense solver
-            spec = eigendecompose(M, vectors)
-            return replace(spec, source=f"{spec.source} (no gauge: {err})")
-        if vectors:
-            try:
-                _check_residual(_bands(M.M), spec.eigenvectors, spec.eigenvalues)
-            except SolverError as err:  # the eigenvalues are exact, so they stay
-                spec = replace(spec, eigenvectors=None, source=f"{spec.source} (no vectors: {err})")
-        return spec
     if np.any(q.Q[0::2, 1::2]):
         return eigendecompose(excitation_matrix(q), vectors)
     return _xp_spectrum(q, vectors)

@@ -37,6 +37,7 @@ __all__ = [
     "SimilarityMatrix",
     "EffectiveSSHParams",
     "hatano_nelson_A",
+    "hatano_nelson_coupling",
     "hatano_nelson_target",
     "a1_prime",
     "a2_prime",
@@ -138,7 +139,8 @@ def hatano_nelson_A(p: BKCParams) -> SimilarityMatrix:
     """Diagonal gauge for the single-band chain, r = (Delta0+J0)/(Delta0-J0).
 
     Scales are r^(-j/2) on x components and r^(+j/2) on p components; with
-    this choice A^{-1} M A is (anti-)Hermitian, see `hatano_nelson_target`.
+    this choice A^{-1} M A is c sigma_z (x) (S + S^T), c from
+    `hatano_nelson_coupling`.
     """
     log_r, r = _log_ratios(p.Delta0, p.J0, "hatano_nelson_A")  # principal branch for negative r
     j = np.arange(p.N)
@@ -148,18 +150,18 @@ def hatano_nelson_A(p: BKCParams) -> SimilarityMatrix:
     return _from_log(diag_log, {"r": complex(r)})
 
 
-def hatano_nelson_target(p: BKCParams) -> np.ndarray:
-    """Image of the open omega=0 single-band chain under `hatano_nelson_A`.
+def hatano_nelson_coupling(p: BKCParams) -> complex:
+    """Bond c = -sign(J0 + Delta0) sqrt((J0 - Delta0)(J0 + Delta0)) of `hatano_nelson_target`.
 
-    The transformed matrix is c * sigma_z (x) (S + S^T) with
-    c = -sqrt(J0^2 - Delta0^2) (principal root) for |Delta0| <= |J0| and
-    c = -sign(Delta0) sqrt(J0^2 - Delta0^2) otherwise: Hermitian for
-    J0 > |Delta0| (purely real spectrum) and anti-Hermitian for
-    |Delta0| > |J0| (purely imaginary spectrum).
+    Real (Hermitian image) where |J0| > |Delta0|, else purely imaginary; the
+    sign matches the gauge's principal branch of log r in every quadrant.
     """
-    c = -np.sqrt(complex(p.J0 ** 2 - p.Delta0 ** 2))
-    if abs(p.Delta0) > abs(p.J0) and p.Delta0 < 0:
-        c = -c
+    return complex(-np.sign(p.J0 + p.Delta0) * np.sqrt(complex((p.J0 - p.Delta0) * (p.J0 + p.Delta0))))
+
+
+def hatano_nelson_target(p: BKCParams) -> np.ndarray:
+    """The open omega=0 chain under `hatano_nelson_A`: c sigma_z (x) (S + S^T), c = `hatano_nelson_coupling`."""
+    c = hatano_nelson_coupling(p)
     n = p.N
     T = np.zeros((2 * n, 2 * n), dtype=complex)
     a = np.arange(n - 1)

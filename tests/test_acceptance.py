@@ -32,8 +32,8 @@ from bkchain.spectral import (
     bkc_pbc_dispersion,
     eigendecompose,
     modbkc_spectrum_zero_omega,
+    solve,
     spectrum_distance,
-    spectrum_via_similarity,
 )
 from bkchain.topology import edge_mode_count, winding_analytic, winding_numeric, zero_modes
 from bkchain.topology import GapClosedError
@@ -98,8 +98,7 @@ def test_criterion_01_hatano_nelson_transform():
 def test_criterion_02_boundary_dichotomy_obc_imaginary():
     p = BKCParams(J0=0.5, Delta0=1.0, omega=0.0, N=100)
     t0 = time.time()
-    M = build_bkc_excitation_direct(p, OBC)
-    s = spectrum_via_similarity(M, hatano_nelson_A(p))
+    s = solve(p, OBC)
     max_re = np.abs(s.eigenvalues.real).max()
     elapsed = time.time() - t0
     ok = max_re < 1e-8 and elapsed < 5.0

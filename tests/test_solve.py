@@ -17,6 +17,10 @@ the small-eigenvalue guard).  The references are:
   ``excitation_matrix(build_modbkc_quadratic(f, bc))``;
 * eigenvectors of the x/p route: the skin census and mean profile of the
   dense route on a disorder realization of fig9;
+* the Hatano-Nelson route's closed form, in every sign quadrant of
+  (J0, Delta0): the per-channel `eigvalsh` of the gauge image
+  ``hatano_nelson_A(p).conjugate(M)``, the dense eigenvalues of the
+  direct M at N <= 10, and the eigenpair residual on the direct M;
 * the reduced route's real gauge: the complex eigenvalues of
   `effective_ssh_matrix` and the eigenpair residual on the 4N matrix;
 * the reduced route's eigenvectors, which come from the twisted
@@ -94,7 +98,7 @@ from bkchain.spectral import (
     zero_gap,
 )
 from bkchain.topology import AxisSpec, edge_mode_count, phase_scan, zero_modes_per_copy
-from bkchain.transform import SimilarityMatrix, effective_ssh_matrix, ssh_bonds
+from bkchain.transform import SimilarityMatrix, effective_ssh_matrix, hatano_nelson_A, ssh_bonds
 
 OBC = BoundaryCondition.OBC
 PBC = BoundaryCondition.PBC
@@ -487,6 +491,77 @@ class TestEigenvaluesOnly:
         monkeypatch.setattr(topology, "solve", recording_solve)
         p = ModBKCParams(J1=1.0, J2=1.4, Delta1=1.5, Delta2=2.1, omega=0.0, N=100)
         assert edge_mode_count(p) == 2 and calls == [False]
+
+
+# (J0, Delta0) over every sign quadrant, on both sides of |J0| = |Delta0|
+_HN_VALUES = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+HN_POINTS = [(J0, Delta0) for J0 in _HN_VALUES for Delta0 in _HN_VALUES if abs(J0) != abs(Delta0)]
+
+
+def _image_channel_eigenvalues(p):
+    """Per-channel eigenvalues of the gauge image ``hatano_nelson_A(p).conjugate(M)``, by `eigvalsh`.
+
+    Each channel is Hermitian (|J0| > |Delta0|) or anti-Hermitian; an
+    anti-Hermitian K is -i times the Hermitian i K.
+    """
+    K = hatano_nelson_A(p).conjugate(build_bkc_excitation_direct(p, OBC).M)
+    out = []
+    for c in (0, 1):
+        H = K[c::2, c::2]
+        factor = 1 if np.abs(H - H.conj().T).max() <= 1e-12 * np.abs(K).max() else -1j
+        H = H / factor
+        assert np.abs(H - H.conj().T).max() <= 1e-12 * np.abs(K).max()
+        out.append(factor * np.linalg.eigvalsh((H + H.conj().T) / 2))
+    return np.concatenate(out)
+
+
+class TestHatanoNelsonRoute:
+    """The closed-form route of the open single-band chain at omega = 0."""
+
+    @pytest.mark.parametrize("J0,Delta0", HN_POINTS)
+    def test_every_sign_quadrant(self, J0, Delta0):
+        for N in (2, 3, 10, 101):
+            p = BKCParams(J0=J0, Delta0=Delta0, omega=0.0, N=N)
+            s, bare = solve(p, OBC), solve(p, OBC, vectors=False)
+            assert s.source == bare.source == f"similarity[symplectic,obc,n={N}]"
+            M = build_bkc_excitation_direct(p, OBC).M
+            V, E = s.eigenvectors, s.eigenvalues
+            assert np.linalg.norm(M @ V - V * E, axis=0).max() <= 1e-13 * np.abs(M).max()
+            assert np.abs(np.linalg.norm(V, axis=0) - 1).max() <= 1e-14
+            values, counts = np.unique(E, return_counts=True)
+            assert np.all(counts == 2) and len(values) == N
+            negated = -E[::-1]
+            assert np.array_equal(negated[np.lexsort((negated.imag, negated.real))], E)
+            assert bare.eigenvalues.tobytes() == E.tobytes()
+
+    @pytest.mark.parametrize("J0,Delta0", HN_POINTS)
+    def test_matches_image_and_dense_references(self, J0, Delta0):
+        # the image solve is the route the closed form replaced; the dense
+        # solve loses accuracy to the chain's non-normality, little at N <= 10
+        for N in (2, 3, 10, 40):
+            p = BKCParams(J0=J0, Delta0=Delta0, omega=0.0, N=N)
+            E = solve(p, OBC).eigenvalues
+            image = _image_channel_eigenvalues(p)
+            assert _distance(E, image) <= 1e-14 * np.abs(image).max()
+            if N <= 10:
+                dense = np.linalg.eigvals(build_bkc_excitation_direct(p, OBC).M)
+                assert _distance(E, dense) <= 1e-12 * max(1.0, float(np.abs(dense).max()))
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    @pytest.mark.parametrize("J0,Delta0", [(0.5, 1.0), (-2.0, 1.0), (-0.5, -1.0), (2.0, 0.0),
+                                           (0.8, 0.8), (0.8, -0.8)])
+    def test_never_forms_M(self, J0, Delta0, vectors, monkeypatch):
+        def refuse(q):
+            raise AssertionError("excitation_matrix called")
+
+        monkeypatch.setattr(spectral, "excitation_matrix", refuse)
+        p = BKCParams(J0=J0, Delta0=Delta0, omega=0.0, N=20)
+        if abs(J0) == abs(Delta0):  # no gauge: the dense fallback builds M
+            with pytest.raises(AssertionError, match="excitation_matrix called"):
+                solve(p, OBC, vectors=vectors)
+            return
+        s = solve(p, OBC, vectors=vectors)
+        assert _route(s) == "similarity[" and (s.eigenvectors is not None) == vectors
 
 
 class TestReducedHalfSize:

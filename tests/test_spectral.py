@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -13,16 +11,14 @@ from bkchain.model import (
     excitation_matrix,
 )
 from bkchain.spectral import (
-    SolverError,
     Spectrum,
     bkc_pbc_dispersion,
     eigendecompose,
     modbkc_spectrum_zero_omega,
+    solve,
     spectrum_distance,
-    spectrum_via_similarity,
     zero_gap,
 )
-from bkchain.transform import hatano_nelson_A
 
 OBC, PBC = BoundaryCondition.OBC, BoundaryCondition.PBC
 
@@ -60,14 +56,12 @@ class TestEigendecompose:
 class TestTransformedRoutes:
     def test_obc_purely_imaginary_below_sweet_spot(self, skin_bkc):
         # J0 < Delta0, omega = 0: spectrum on the imaginary axis
-        M = build_bkc_excitation_direct(skin_bkc, OBC)
-        s = spectrum_via_similarity(M, hatano_nelson_A(skin_bkc))
+        s = solve(skin_bkc, OBC)
         assert np.abs(s.eigenvalues.real).max() < 1e-8
 
     def test_obc_purely_real_above_sweet_spot(self):
         p = BKCParams(J0=2.0, Delta0=1.0, omega=0.0, N=100)
-        M = build_bkc_excitation_direct(p, OBC)
-        s = spectrum_via_similarity(M, hatano_nelson_A(p))
+        s = solve(p, OBC)
         assert np.abs(s.eigenvalues.imag).max() < 1e-8
 
     def test_obc_standing_wave_quantization(self):
@@ -75,8 +69,7 @@ class TestTransformedRoutes:
         # the m/(N) quantization does not match (checked against the exact
         # Hermitian reduction, which is the ground truth here)
         p = BKCParams(J0=2.0, Delta0=1.0, omega=0.0, N=40)
-        M = build_bkc_excitation_direct(p, OBC)
-        s = spectrum_via_similarity(M, hatano_nelson_A(p))
+        s = solve(p, OBC)
         c = np.sqrt(p.J0 ** 2 - p.Delta0 ** 2)
         m = np.arange(1, p.N + 1)
         standing = np.sort(np.concatenate([2 * c * np.cos(np.pi * m / (p.N + 1)),
@@ -92,23 +85,9 @@ class TestTransformedRoutes:
     def test_lifted_vectors_satisfy_eigen_equation(self, J0, Delta0):
         p = BKCParams(J0=J0, Delta0=Delta0, omega=0.0, N=100)
         M = build_bkc_excitation_direct(p, OBC)
-        s = spectrum_via_similarity(M, hatano_nelson_A(p))
+        s = solve(p, OBC)
         res = np.linalg.norm(M.M @ s.eigenvectors - s.eigenvectors * s.eigenvalues, axis=0)
         assert res.max() <= 1e-8 * np.abs(M.M).max() * M.dim
-
-    def test_image_coupling_x_and_p_raises(self):
-        # at omega != 0 the gauge image couples x and p; `solve` never sends such a chain here
-        p = BKCParams(J0=0.5, Delta0=1.0, omega=0.5, N=10)
-        with pytest.raises(SolverError, match="couples x and p"):
-            spectrum_via_similarity(build_bkc_excitation_direct(p, OBC), hatano_nelson_A(p))
-
-    @pytest.mark.parametrize("vectors", [True, False])
-    def test_non_hermitian_image_raises(self, vectors):
-        # the gauge of another chain leaves channel images that are neither Hermitian nor anti-Hermitian
-        p = BKCParams(J0=0.5, Delta0=1.0, omega=0.0, N=10)
-        with pytest.raises(SolverError, match=r"not \(anti-\)Hermitian"):
-            spectrum_via_similarity(build_bkc_excitation_direct(p, OBC), hatano_nelson_A(replace(p, J0=0.3)),
-                                    vectors)
 
     def test_reduced_route_matches_direct_eig_at_small_n(self, set_distance):
         p = ModBKCParams(J1=0.5, J2=0.3, Delta1=1.0, Delta2=1.5, omega=0.0, N=12)
@@ -167,8 +146,7 @@ class TestSpectrumComparisons:
             spectrum_distance(s, s)
 
     def test_boundary_sensitivity_at_zero_omega(self, skin_bkc, set_distance):
-        M = build_bkc_excitation_direct(skin_bkc, OBC)
-        s_obc = spectrum_via_similarity(M, hatano_nelson_A(skin_bkc))
+        s_obc = solve(skin_bkc, OBC)
         s_pbc = eigendecompose(build_bkc_excitation_direct(skin_bkc, PBC))
         d = spectrum_distance(s_obc, s_pbc)
         assert d > 0.9 * skin_bkc.Delta0  # of order the imaginary gap

@@ -38,7 +38,9 @@ class TestHatanoNelson:
         # x component carries the reciprocal scale
         assert np.exp(A.log_scale[4]) == pytest.approx(1 / 3.0)
 
-    @pytest.mark.parametrize("J0,Delta0", [(0.5, 1.0), (2.0, 1.0), (0.5, -1.0), (2.0, -1.0)])
+    # every sign quadrant of (J0, Delta0), on both sides of |J0| = |Delta0|
+    @pytest.mark.parametrize("J0,Delta0", [(0.5, 1.0), (2.0, 1.0), (0.5, -1.0), (2.0, -1.0),
+                                           (-2.0, 1.0), (-2.0, -1.0), (-0.5, 1.0), (-0.5, -1.0)])
     def test_residual_against_target(self, J0, Delta0):
         p = BKCParams(J0=J0, Delta0=Delta0, omega=0.0, N=100)
         M = build_bkc_excitation_direct(p, OBC)
