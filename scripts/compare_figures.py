@@ -11,9 +11,10 @@ differ, their keys (the first column) are listed, and when more than ten
 columns differ, one line sums them up.  Eigenvalue tables
 (columns ``re_E`` and ``im_E``) are compared as sets per sweep value instead,
 because the row order follows a sort on real parts that round-off can
-reorder: each eigenvalue is paired with its nearest unused partner, and the
-report gives the largest paired distance, absolute and relative to max|E| of
-the sweep value.  The exit status is 0 when every file is identical.
+reorder: the two sets are paired one to one with the least total distance,
+and the report gives the largest paired distance, absolute and relative to
+max|E| of the sweep value.  The exit status is 0 when every file is
+identical.  Needs SciPy (the ``test`` extra).
 """
 
 import csv
@@ -21,6 +22,7 @@ import pathlib
 import sys
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 MAX_LISTED = 10  # rows or columns listed by name
 
@@ -39,19 +41,14 @@ def _number(text):
 
 
 def _paired_distance(a, b):
-    """Largest distance of a greedy nearest-first pairing of two equal-size sets."""
+    """Largest distance of the one-to-one pairing of two equal-size sets with the least total distance.
+
+    A nearest-first greedy pairing can leave a far pair for last, and so
+    overstate a change.
+    """
     d = np.abs(a[:, None] - b[None, :])
-    used_a, used_b = np.zeros(len(a), bool), np.zeros(len(b), bool)
-    worst = 0.0
-    for flat in np.argsort(d, axis=None):
-        i, j = divmod(int(flat), len(b))
-        if used_a[i] or used_b[j]:
-            continue
-        used_a[i] = used_b[j] = True
-        worst = max(worst, float(d[i, j]))
-        if used_a.all():
-            break
-    return worst
+    rows, cols = linear_sum_assignment(d)
+    return float(d[rows, cols].max())
 
 
 def _compare_spectra(header, rows_a, rows_b):

@@ -7,8 +7,8 @@ For one point of each route of `bkchain.spectral.solve` (chain length N,
 default 100) it times, best of K runs (default 7), in milliseconds:
 
 * ``build``: what the route builds for its checks: the quadratic form Q
-  and the diagonals of M read off it (`excitation_bands`) on the reduced,
-  x/p and Bloch routes, Q and the dense excitation matrix M on the others;
+  and the diagonals of M read off it (`excitation_bands`), or Q and the
+  dense excitation matrix M on the dense route;
 * ``solve`` and ``solve_no_vectors``: ``solve(p, bc)`` and
   ``solve(p, bc, vectors=False)``;
 * ``lift`` and ``residuals``: the gauge lift (``SimilarityMatrix.lift`` on
@@ -148,7 +148,7 @@ def route_stages(p, bc, repeats, tmpdir):
             StageTimer((spectral, "_residuals")) as residuals:
         solve_times, solve_faults = runs(lambda: spectral.solve(p, bc), repeats)
     spec = spectral.solve(p, bc)
-    checked = excitation_bands if spec.source.startswith(("reduced[", "xp[", "bloch[")) else excitation_matrix
+    checked = excitation_matrix if spec.source.startswith("eig[") else excitation_bands
     census = None if spec.eigenvectors is None else runs(lambda: nhse_fraction(spec, 0.1, 0.9, p.N), repeats)
     stages = {
         "build": best_ms(lambda: checked(build(p, bc)), repeats),
