@@ -62,10 +62,21 @@ code that picks a solve route:
   M^2 = diag(Qp Qx, Qx Qp) and the spectrum is +-sqrt(eig(Qp Qx)), a real
   problem of half the size (Colpa, Physica A 93, 327 (1978); McDonald,
   Pereg-Barnea & Clerk, PRX 8, 041031 (2018)).  `_xp_spectrum` lifts each
-  eigenvector x of Qp Qx to (x, i Qx x / E).  Squaring loses about sqrt(eps)
-  of accuracy near E = 0, so a point with min|E| <= ``XP_MIN_EIGENVALUE`` *
-  max|Q| is solved densely instead, and its ``Spectrum.source`` names the
-  guard and the smallest |E|.
+  eigenvector x of Qp Qx to (x, i Qx x / E).  A chain whose fields read the
+  same from both ends, such as every uniform open chain, is symmetric under
+  the mirror A_j <-> B_{N-1-j}, which reverses the site order: Qx and Qp
+  then equal their own reversals T[::-1, ::-1] (centrosymmetric), a test
+  read off Q exactly.  With J the reversal of N sites, such a T of 2N sites
+  maps the even vectors (y, J y) and the odd ones (y, -J y) into
+  themselves, through the N x N blocks T+- = T[:N, :N] +- T[:N, N:] J
+  (Cantoni & Butler, Linear Algebra Appl. 13, 275 (1976)).  So Qp Qx is
+  solved as Qp+ Qx+ and Qp- Qx-, two N x N problems in place of one
+  2N x 2N, and x is (y, +-J y) from their eigenvectors y;
+  ``Spectrum.source`` adds " (mirror halves: 2 x N)".  Squaring loses about
+  sqrt(eps) of accuracy near E = 0, so a point with min|E| <=
+  ``XP_MIN_EIGENVALUE`` * max|Q|, judged on the values of both halves
+  together, is solved densely instead, and its ``Spectrum.source`` names
+  the guard and the smallest |E|.
 * **Dense** `eigendecompose` of ``excitation_matrix(build_*_quadratic(p, bc))``
   for everything else: the open single-band chain off the gauge route (its
   cross block is nonzero) and the points the x/p guard turns away.
@@ -97,7 +108,8 @@ check: there is nothing to check it on.  Per route:
   way, is solved the same way.
 * Bloch: one batched `eigvals` of the N blocks; neither the ring's Q nor M is
   built.
-* x/p: `eigvals` of Qp Qx; a guarded point takes the dense `eigvals` of M.
+* x/p: `eigvals` of Qp Qx, or of its two mirror halves where Qx and Qp are
+  centrosymmetric; a guarded point takes the dense `eigvals` of M.
 
 The x/p and reduced half-size solves share `_half_size` (the square root,
 the small-|E| guard, the +- pairing and the sort order).
@@ -258,7 +270,10 @@ def _hatano_nelson_spectrum(p: BKCParams, vectors: bool) -> Spectrum:
     The x channel has E_m = 2 c sin(pi (N + 1 - 2 m) / (2 N + 2)), which is
     2 c cos(pi m / (N + 1)), m = 1..N; the p channel has -E_m.  The odd sine
     argument makes the set its own negative bit for bit.  Both channels share
-    the standing waves sqrt(2 / (N + 1)) sin(pi m (j + 1) / (N + 1)).
+    the standing waves sqrt(2 / (N + 1)) sin(pi m (j + 1) / (N + 1)).  Each
+    column lives on one channel, so each channel's N x N block is lifted
+    through that channel's rows of the gauge and written into its sorted
+    columns; the other channel's rows stay zero.
     """
     try:
         A = hatano_nelson_A(p)
@@ -272,10 +287,15 @@ def _hatano_nelson_spectrum(p: BKCParams, vectors: bool) -> Spectrum:
     vals = np.concatenate([E, -E]) + 0.0  # + 0.0 turns every -0.0 part, which a CSV writes as "-0", into 0
     if not vectors:
         return _sorted(vals, None, source)
+    order = np.lexsort((vals.imag, vals.real))
+    place = np.empty_like(order)
+    place[order] = np.arange(2 * n)  # column c of concat([x channel, p channel]) is sorted column place[c]
     U = np.sqrt(2 / (n + 1)) * np.sin(np.pi * (np.outer(m, m) % (2 * n + 2)) / (n + 1))  # row j, column m - 1
-    vecs = np.zeros((2 * n, 2 * n), dtype=complex)
-    vecs[0::2, :n] = vecs[1::2, n:] = U
-    spec = _sorted(vals, A.lift(vecs), source)
+    # each column lives on one channel: lift that channel's rows only, into the layout of a [:, order] gather
+    vecs = np.zeros((2 * n, 2 * n), dtype=complex, order="F")
+    for rows, cols in ((slice(0, None, 2), place[:n]), (slice(1, None, 2), place[n:])):
+        vecs[rows, cols] = replace(A, log_scale=A.log_scale[rows], phase=A.phase[rows]).lift(U)
+    spec = Spectrum(eigenvalues=vals[order], eigenvectors=vecs, source=source)
     bands = excitation_bands(build_bkc_quadratic(p, BoundaryCondition.OBC))  # M's diagonals; M is never formed
     try:
         _check_residual(bands, spec.eigenvectors, spec.eigenvalues)
@@ -612,13 +632,33 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     return replace(spec, eigenvectors=_sorted_pairs(plus, order, cols))
 
 
+def _mirrored(T: np.ndarray) -> bool:
+    """Whether T has even size and equals its own reversal T[::-1, ::-1] exactly (centrosymmetric)."""
+    return len(T) % 2 == 0 and np.array_equal(T, T[::-1, ::-1])
+
+
+def _mirror_halves(T: np.ndarray):
+    """The even and odd blocks T[:h, :h] +- T[:h, h:] J of a centrosymmetric T, h = len(T) / 2."""
+    h = len(T) // 2
+    flip = T[:h, h:][:, ::-1]
+    return T[:h, :h] + flip, T[:h, :h] - flip
+
+
+def _mirror_join(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """[[Y+, Y-], [J Y+, -J Y-]]: the columns (y, J y) of ``even`` and (y, -J y) of ``odd`` on the whole chain."""
+    return np.block([[even, odd], [even[::-1], -odd[::-1]]])
+
+
 def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:
     """Spectrum of M = `excitation_matrix` (q) from the x/p blocks of a form with a zero cross block.
 
     In (x, p) block order M = [[0, -i Qp], [i Qx, 0]], so M (x, p) = E (x, p)
     holds exactly when Qp Qx x = E^2 x and p = i Qx x / E: each eigenpair
     (mu, x) of the real, half-dimensional Qp Qx gives the eigenvalues
-    E = +-sqrt(mu) (`_half_size`).  A point whose smallest |E| is at or below
+    E = +-sqrt(mu) (`_half_size`).  Where Qx and Qp are both centrosymmetric
+    (`_mirrored`), Qp Qx is solved as its two mirror halves Qp+- Qx+-
+    (module docstring) and x is joined from their eigenvectors
+    (`_mirror_join`).  A point whose smallest |E| is at or below
     ``XP_MIN_EIGENVALUE`` * max|Q| goes to `eigendecompose` instead; M is
     built only for that dense solve.  The residual check reads M's diagonals
     off Q (`excitation_bands`) and runs on the +E columns alone: M couples x
@@ -626,22 +666,37 @@ def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:
     (x, y), and their residuals are equal bit for bit.
     """
     Qx, Qp = q.Q[0::2, 0::2], q.Q[1::2, 1::2]
-    mu, X = _square_eig(Qp @ Qx, vectors)
+    source = f"xp[symplectic,{q.bc.value},n={q.n_cells}]"
+    split = _mirrored(Qx) and _mirrored(Qp)
+    if split:
+        blocks = list(zip(_mirror_halves(Qx), _mirror_halves(Qp)))
+        source += f" (mirror halves: 2 x {len(Qx) // 2})"
+    else:
+        blocks = [(Qx, Qp)]
+    solved = [_square_eig(P @ T, vectors) for T, P in blocks]
+    mu = np.concatenate([m for m, _ in solved])
     try:
         vals, order, root = _half_size(mu, XP_MIN_EIGENVALUE, np.abs(q.Q).max(), "Q")
     except _SmallEigenvalue as guard:
-        del X  # not used by the dense solve
+        del solved  # not used by the dense solve
         spec = eigendecompose(excitation_matrix(q), vectors)
         return replace(spec, source=f"{spec.source} (x/p guard: {guard})")
-    source = f"xp[symplectic,{q.bc.value},n={q.n_cells}]"
     if not vectors:
         return Spectrum(eigenvalues=vals, eigenvectors=None, source=source)
     # Allocated before the temporaries below, so that freeing them leaves no
     # hole under it; allocated after them, it raised the peak RSS of a fig9
     # ensemble run by 2 MB (4%).
     vecs = np.empty((q.dim, q.dim), dtype=complex)
-    _paired(X, (Qx @ X) * (1j / root), order, vecs)
-    del X  # the residual check below is the peak of memory use
+    if split:
+        X = _mirror_join(*(Y for _, Y in solved))
+        Y = _mirror_join(*(T @ Y for (T, _), (_, Y) in zip(blocks, solved)))
+    else:
+        X = solved[0][1]
+        Y = Qx @ X
+    del solved
+    Y = Y * (1j / root)
+    _paired(X, Y, order, vecs)
+    del X, Y  # the residual check below is the peak of memory use
     plus = order < len(root)
     _check_residual(excitation_bands(q), vecs[:, plus], vals[plus])
     return Spectrum(eigenvalues=vals, eigenvectors=vecs, source=source)

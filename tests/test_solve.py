@@ -17,10 +17,18 @@ the small-eigenvalue guard).  The references are:
   ``excitation_matrix(build_modbkc_quadratic(f, bc))``;
 * eigenvectors of the x/p route: the skin census and mean profile of the
   dense route on a disorder realization of fig9;
+* the x/p route's mirror split (a centrosymmetric Qx and Qp solved as two
+  half-size blocks): on mirror-symmetric, non-uniform fields, the dense
+  eigenvalues, the residual of all 4N columns on the dense M and their
+  Sigma-flips; the same fields one ulp off the mirror, which take the
+  unsplit solve; and, at N = 100 on the benchmark's Delta1 sweep and the
+  fig3b point, the unsplit ``eigvals(Qp Qx)``;
 * the Hatano-Nelson route's closed form, in every sign quadrant of
   (J0, Delta0): the per-channel `eigvalsh` of the gauge image
   ``hatano_nelson_A(p).conjugate(M)``, the dense eigenvalues of the
-  direct M at N <= 10, and the eigenpair residual on the direct M;
+  direct M at N <= 10, and the eigenpair residual on the direct M; its
+  per-channel lift: the lift of the whole 2N x 2N standing-wave array,
+  bit for bit up to the sign of zero;
 * the reduced route's real gauge: the complex eigenvalues of
   `effective_ssh_matrix` and the eigenpair residual on the 4N matrix;
 * the reduced route's eigenvectors, which come from the twisted
@@ -83,6 +91,7 @@ from bkchain.disorder import DisorderSpec, sample_site_fields
 from bkchain.skin import nhse_fraction, profile_matrix
 from bkchain.spectral import (
     REDUCED_MIN_EIGENVALUE,
+    RESIDUAL_FACTOR,
     XP_MIN_EIGENVALUE,
     SolverError,
     Spectrum,
@@ -98,7 +107,13 @@ from bkchain.spectral import (
     zero_gap,
 )
 from bkchain.topology import AxisSpec, edge_mode_count, phase_scan, zero_modes_per_copy
-from bkchain.transform import SimilarityMatrix, effective_ssh_matrix, hatano_nelson_A, ssh_bonds
+from bkchain.transform import (
+    SimilarityMatrix,
+    effective_ssh_matrix,
+    hatano_nelson_A,
+    hatano_nelson_coupling,
+    ssh_bonds,
+)
 
 OBC = BoundaryCondition.OBC
 PBC = BoundaryCondition.PBC
@@ -515,6 +530,18 @@ def _image_channel_eigenvalues(p):
     return np.concatenate(out)
 
 
+def _hatano_nelson_full_lift(p):
+    """The route's eigenvectors formed whole: the 2N x 2N standing-wave array lifted, then gathered sorted."""
+    n = p.N
+    m = np.arange(1, n + 1)
+    U = np.sqrt(2 / (n + 1)) * np.sin(np.pi * (np.outer(m, m) % (2 * n + 2)) / (n + 1))
+    vecs = np.zeros((2 * n, 2 * n), dtype=complex)
+    vecs[0::2, :n] = vecs[1::2, n:] = U
+    E = 2 * hatano_nelson_coupling(p) * np.sin(np.pi * (n + 1 - 2 * m) / (2 * n + 2))
+    vals = np.concatenate([E, -E]) + 0.0
+    return hatano_nelson_A(p).lift(vecs)[:, np.lexsort((vals.imag, vals.real))]
+
+
 class TestHatanoNelsonRoute:
     """The closed-form route of the open single-band chain at omega = 0."""
 
@@ -533,6 +560,17 @@ class TestHatanoNelsonRoute:
             negated = -E[::-1]
             assert np.array_equal(negated[np.lexsort((negated.imag, negated.real))], E)
             assert bare.eigenvalues.tobytes() == E.tobytes()
+
+    @pytest.mark.parametrize("J0,Delta0", HN_POINTS)
+    def test_channel_lift_matches_full_lift(self, J0, Delta0):
+        # the route lifts each channel's N x N block into its sorted columns;
+        # equal bit for bit up to the sign of zero: the whole lift multiplied
+        # the other channel's zero rows by the gauge phases, which leaves -0.0
+        for N in (2, 3, 10, 101):
+            p = BKCParams(J0=J0, Delta0=Delta0, omega=0.0, N=N)
+            V, ref = solve(p, OBC).eigenvectors, _hatano_nelson_full_lift(p)
+            assert V.flags.f_contiguous == ref.flags.f_contiguous
+            assert (V + 0.0).tobytes() == (ref + 0.0).tobytes()
 
     @pytest.mark.parametrize("J0,Delta0", HN_POINTS)
     def test_matches_image_and_dense_references(self, J0, Delta0):
@@ -1289,3 +1327,87 @@ class TestReductionIsOpenOnly:
     def test_edge_mode_count_rejects_pbc(self):
         with pytest.raises(ValueError, match="open boundaries"):
             edge_mode_count(self.p, bc=PBC)
+
+
+def _mirrored_fields(f):
+    """``f`` made symmetric under the chain mirror A_j <-> B_{N-1-j}, so that Qx and Qp are centrosymmetric.
+
+    The mirror maps the intracell bond of cell j to that of cell N-1-j, the
+    intercell bond after cell j to the one after cell N-2-j, and omega_A[j]
+    to omega_B[N-1-j]; the wrap bond of a ring maps to itself.  Each second
+    half is copied from the first, so the fields are palindromic exactly.
+    """
+    def palindrome(a):
+        return np.where(np.arange(len(a)) < len(a) / 2, a, a[::-1])
+
+    return SiteFields(J1=palindrome(f.J1), J2=np.append(palindrome(f.J2[:-1]), f.J2[-1]),
+                      Delta1=palindrome(f.Delta1), Delta2=np.append(palindrome(f.Delta2[:-1]), f.Delta2[-1]),
+                      omega_A=f.omega_A, omega_B=f.omega_A[::-1])
+
+
+@st.composite
+def mirrored_fields(draw):
+    """`disordered_omega_site_fields` made mirror-symmetric (`_mirrored_fields`): non-uniform, omega != 0."""
+    return _mirrored_fields(draw(disordered_omega_site_fields()))
+
+
+def _mirror_note(n):
+    return f" (mirror halves: 2 x {n})"
+
+
+class TestMirrorSplit:
+    """The x/p route's solve of a centrosymmetric Qp Qx as its even and odd mirror halves."""
+
+    @given(f=mirrored_fields(), bc=bcs)
+    @settings(PROPERTY, max_examples=40)
+    def test_mirrored_fields_take_the_split(self, f, bc):
+        s = solve(f, bc)
+        assume(not s.source.startswith("eig["))  # the x/p guard's dense solve
+        assert s.source == f"xp[symplectic,{bc.value},n={f.N}]" + _mirror_note(f.N)
+        M = _quadratic_matrix(f, bc)
+        ref = np.linalg.eigvals(M)
+        assert _distance(s.eigenvalues, ref) <= DENSE_BOUND * max(1.0, float(np.abs(ref).max()))
+        _check_residual(_bands(M), s.eigenvectors, s.eigenvalues)  # all 4N columns, on the dense M
+        _assert_flip_pairs(s, M)
+        bare = solve(f, bc, vectors=False)
+        assert bare.source == s.source
+        assert _distance(bare.eigenvalues, s.eigenvalues) <= 1e-12 * np.abs(s.eigenvalues).max()
+
+    @given(f=mirrored_fields(), bc=bcs, data=st.data())
+    @settings(PROPERTY, max_examples=40)
+    def test_one_ulp_off_the_mirror_is_not_split(self, f, bc, data):
+        # omega enters Q as it is, so one ulp on one site breaks the symmetry of Q
+        split = solve(f, bc, vectors=False)
+        assume(not split.source.startswith("eig["))
+        name = data.draw(st.sampled_from(["omega_A", "omega_B"]))
+        moved = getattr(f, name).copy()
+        j = data.draw(st.integers(0, f.N - 1))
+        moved[j] = np.nextafter(moved[j], np.inf)
+        g = replace(f, **{name: moved})
+        bound = DENSE_BOUND * max(1.0, float(np.abs(split.eigenvalues).max()))
+        for vectors in (True, False):
+            s = solve(g, bc, vectors)
+            assume(not s.source.startswith("eig["))
+            assert s.source == f"xp[symplectic,{bc.value},n={f.N}]"
+            assert _distance(s.eigenvalues, split.eigenvalues) <= bound
+
+    @pytest.mark.parametrize("p", [
+        *(ModBKCParams(J1=1.4, J2=1.2, Delta1=d, Delta2=1.0, omega=0.3, N=100) for d in (0.0, 0.75, 1.5, 2.25, 3.0)),
+        ModBKCParams(J1=0.4, J2=0.1, Delta1=1.0, Delta2=0.5, omega=0.1, N=100),
+    ], ids=["sweep-0", "sweep-0.75", "sweep-1.5", "sweep-2.25", "sweep-3", "fig3b"])
+    def test_matches_the_unsplit_solve_at_n100(self, p):
+        # measured <= 1.3e-14 max|E|
+        Q = build_modbkc_quadratic(p, OBC).Q
+        root = np.sqrt(np.linalg.eigvals(Q[1::2, 1::2] @ Q[0::2, 0::2]).astype(complex))
+        ref = np.concatenate([root, -root])
+        for vectors in (True, False):
+            s = solve(p, OBC, vectors)
+            assert s.source == "xp[symplectic,obc,n=100]" + _mirror_note(100)
+            assert _distance(s.eigenvalues, ref) <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("N,split", [(3, False), (4, True)])
+    def test_odd_quadrature_blocks_are_not_split(self, N, split):
+        # J0 = Delta0 = 0: Q = omega I, whose N x N x and p blocks have no mirror halves at odd N
+        s = solve(BKCParams(J0=0.0, Delta0=0.0, omega=0.5, N=N), OBC)
+        assert s.source == f"xp[symplectic,obc,n={N}]" + (_mirror_note(N // 2) if split else "")
+        assert np.array_equal(np.abs(s.eigenvalues), np.full(2 * N, 0.5))
