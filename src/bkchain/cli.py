@@ -41,14 +41,12 @@ import dataclasses
 import math
 import os
 import sys
-from typing import Callable, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from . import __version__
 from .csvio import write_csv, write_manifest
-from .disorder import OBSERVABLES, DisorderSpec, ensemble_observables
-from .floquet import DriveSpec, bessel_j0, effective_params
 from .model import BKCParams, BoundaryCondition, ModBKCParams
 from .skin import profile_matrix
 from .spectral import solve
@@ -65,6 +63,9 @@ from .topology import (
 )
 from .transform import effective_ssh_params
 from . import svgplot
+
+if TYPE_CHECKING:  # disorder and floquet are imported by the commands and checks that use them
+    from .disorder import DisorderSpec
 
 _SCHEMA = {
     "model": {"kind", "J0", "Delta0", "J1", "J2", "Delta1", "Delta2", "omega", "N", "bc"},
@@ -250,6 +251,7 @@ def _parse_axes(sec: dict, p, command: str) -> tuple:
 
 def _parse_disorder(sec: dict, axes: tuple) -> dict:
     """RunConfig fields of the [disorder] section."""
+    from .disorder import OBSERVABLES, DisorderSpec
     strengths = {key[2:]: _get_float(sec, key, "disorder") for key in sec if key.startswith("W_")}
     try:
         spec = DisorderSpec(strengths=strengths,
@@ -277,6 +279,7 @@ def _parse_disorder(sec: dict, axes: tuple) -> dict:
 
 def _parse_floquet(sec: dict) -> tuple:
     """One DriveSpec per drive strength in floquet.lambdas."""
+    from .floquet import DriveSpec
     base = {key: _get_float(sec, key, "floquet", default)
             for key, default in (("T", 1.0), ("Jt1", 0.0), ("Jt2", 0.0), ("Dt1", 0.0),
                                  ("Dt2", 0.0), ("phi1", 0.0), ("phi2", 0.0))}
@@ -379,6 +382,7 @@ def _phase_scan(cfg, seed, threads):
 
 
 def _disorder(cfg, seed, threads):
+    from .disorder import ensemble_observables
     spec = cfg.disorder if seed is None else dataclasses.replace(cfg.disorder, seed=seed)
     head = tuple(ax.name for ax in cfg.axes)
     results = [(x, ensemble_observables(p, spec, cfg.observables, bc=cfg.bcs[0], zero_tol=cfg.zero_tol,
@@ -417,6 +421,7 @@ def _disorder(cfg, seed, threads):
 
 
 def _floquet(cfg, seed, threads):
+    from .floquet import bessel_j0, effective_params
     rows = []
     for drive in cfg.drives:
         eff = effective_params(drive)
@@ -474,6 +479,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config, args.command)
         if args.seed is not None:
+            from .disorder import DisorderSpec
             try:
                 DisorderSpec(strengths={}, seed=args.seed)
             except ValueError as err:

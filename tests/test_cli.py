@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bkchain
 from bkchain.cli import ConfigError, main, parse_config
 from bkchain.topology import MAX_THREADS
 
@@ -443,3 +446,23 @@ bc = obc
         monkeypatch.setenv("BKCHAIN_THREADS", "2")
         cfg = write(tmp_path, MINIMAL_SPECTRUM)
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "t")]) == 0
+
+
+@pytest.mark.parametrize("command,text,flags,loaded", [
+    ("spectrum", MINIMAL_SPECTRUM, [], []),
+    ("phase-scan", MODBKC_MODEL.format(bc="obc") + SWEEP.format(name="J1", step=0.5), [], []),
+    ("spectrum", MODBKC_MODEL.format(bc="obc"), ["--seed", "3"], ["bkchain.disorder"]),
+    ("disorder", MODBKC_MODEL.format(bc="obc") + DISORDER.format(obs="zero_gap"), [], ["bkchain.disorder"]),
+    ("floquet", "[floquet]\nlambdas = 0,0.5\n", [], ["bkchain.floquet"]),
+], ids=["spectrum", "phase-scan", "spectrum-seed", "disorder", "floquet"])
+def test_commands_import_disorder_and_floquet_only_where_used(tmp_path, command, text, flags, loaded):
+    # a fresh interpreter runs the command; [disorder], [floquet] and --seed import their modules
+    argv = [command, "--config", write(tmp_path, text), "--out", str(tmp_path / "out"), *flags]
+    script = ("import sys\nfrom bkchain.cli import main\ncode = main(sys.argv[1:])\n"
+              "print(code, [m for m in ('bkchain.disorder', 'bkchain.floquet') if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(bkchain.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == f"0 {loaded}"
