@@ -65,7 +65,7 @@ OBC, PBC = BoundaryCondition.OBC, BoundaryCondition.PBC
 
 
 def points(n):
-    """(label, params, bc): one point per route; the reduced route has five cases.
+    """(label, params, bc): one point per route; the reduced route has five cases, the x/p route two.
 
     ``reduced_all_real`` (every bond real: `eigvalsh` of H_r) and
     ``reduced_deflated`` (sign-mixed: eigenvalues of D F) are topological,
@@ -74,13 +74,17 @@ def points(n):
     trivial; ``reduced_deflated_solved`` lies near the transition, where
     the pair's vectors are solved instead; ``reduced_guarded`` is the fig5
     chain at J2 = 2.2 nearly cut at its middle intercell bond, whose two
-    edge pairs send it to the full-size solve.
+    edge pairs send it to the full-size solve.  ``xp`` is the uniform open
+    chain, which the x/p route solves as two mirror halves; ``xp_fields``
+    is the first fig9 realization (onsite omega disordered, no mirror
+    symmetry), which keeps the unsplit x/p solve.
     """
     scan = ModBKCParams(J1=0.0, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=n)
     split = SiteFields.uniform(replace(scan, J2=2.2))
     J2 = split.J2.copy()
     J2[n // 2 - 1] = split.Delta2[n // 2 - 1] * (1 - 1e-6)
     sweep = ModBKCParams(J1=1.4, J2=1.2, Delta1=1.0, Delta2=1.0, omega=0.3, N=n)
+    fig9 = ModBKCParams(J1=2.2, J2=1.0, Delta1=2.1, Delta2=1.5, omega=0.05, N=n)
     return [
         ("similarity", BKCParams(J0=0.5, Delta0=1.0, omega=0.0, N=n), OBC),
         ("reduced_all_real", ModBKCParams(J1=0.0, J2=0.5, Delta1=1.0, Delta2=1.5, omega=0.0, N=n), OBC),
@@ -90,6 +94,7 @@ def points(n):
         ("reduced_guarded", replace(split, J2=J2), OBC),
         ("bloch", sweep, PBC),
         ("xp", sweep, OBC),
+        ("xp_fields", sample_site_fields(fig9, DisorderSpec({"omega": 2.0}, seed=20240601), 0), OBC),
         ("eig", BKCParams(J0=0.5, Delta0=1.0, omega=0.5, N=n), OBC),
     ]
 
