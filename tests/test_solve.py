@@ -91,7 +91,6 @@ from bkchain.disorder import DisorderSpec, sample_site_fields
 from bkchain.skin import nhse_fraction, profile_matrix
 from bkchain.spectral import (
     REDUCED_MIN_EIGENVALUE,
-    RESIDUAL_FACTOR,
     XP_MIN_EIGENVALUE,
     SolverError,
     Spectrum,
