@@ -11,10 +11,10 @@ default 100) it times, best of K runs (default 7), in milliseconds:
   dense excitation matrix M on the dense route;
 * ``solve`` and ``solve_no_vectors``: ``solve(p, bc)`` and
   ``solve(p, bc, vectors=False)``;
-* ``lift`` and ``residuals``: the gauge lift (``SimilarityMatrix.lift`` on
-  both gauge routes, plus `_sorted_pairs` on the reduced route) and
-  `_residuals`, each timed inside ``solve`` by wrapping it (null where the
-  route runs no such step);
+* ``lift`` and ``residuals``: the writing of the eigenvector columns
+  (``SimilarityMatrix.lift`` on both gauge routes, plus `_sorted_pairs` on
+  the reduced and x/p routes) and `_residuals`, each timed inside ``solve``
+  by wrapping it (null where the route runs no such step);
 * ``census``: `nhse_fraction` on the spectrum with vectors;
 * ``csv_write``: one `write_csv` of the point's eigenvalues.
 

@@ -30,7 +30,9 @@ configuration errors, which are found before any compute step runs; 1 for
 compute errors.
 
 Thread count: --threads beats the BKCHAIN_THREADS environment variable beats
-the config; sweeps and disorder realizations are farmed out deterministically.
+the config.  Only phase-scan points and disorder realizations are farmed out
+over the threads, deterministically; spectrum, profiles, winding and floquet
+run on one thread whatever the count.
 """
 
 from __future__ import annotations
@@ -381,6 +383,12 @@ def _phase_scan(cfg, seed, threads):
     return out
 
 
+def _kept(res) -> list:
+    """Indices of the realizations that did not fail, in order: the rows of ``res.observables``."""
+    failed = dict(res.failures)
+    return [r for r in range(res.realizations) if r not in failed]
+
+
 def _disorder(cfg, seed, threads):
     from .disorder import ensemble_observables
     spec = cfg.disorder if seed is None else dataclasses.replace(cfg.disorder, seed=seed)
@@ -390,7 +398,7 @@ def _disorder(cfg, seed, threads):
                for x, p in _points(cfg)]
     out = []
     for name in (n for n in cfg.observables if n in _SCALAR_OBSERVABLES):
-        per = [x + (r, float(v)) for x, res in results for r, v in enumerate(res.observables[name])]
+        per = [x + (r, float(v)) for x, res in results for r, v in zip(_kept(res), res.observables[name])]
         if head:
             agg = [x + (float(res.mean[name]), float(res.std[name]), spec.realizations - len(res.failures))
                    for x, res in results]
@@ -416,7 +424,7 @@ def _disorder(cfg, seed, threads):
     if "abs_spectrum" in cfg.observables:
         arr = res.observables["abs_spectrum"]
         out.append(_Table("abs_spectrum_realizations.csv", ("realization", "index", "abs_E"),
-                          [(r, i, float(v)) for r in range(arr.shape[0]) for i, v in enumerate(arr[r])]))
+                          [(r, i, float(v)) for r, row in zip(_kept(res), arr) for i, v in enumerate(row)]))
     return out
 
 

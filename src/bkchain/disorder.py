@@ -107,7 +107,7 @@ def sample_site_fields(base: ModBKCParams, spec: DisorderSpec, realization: int)
 class EnsembleResult:
     """Per-realization observable values with mean/std aggregates."""
 
-    observables: dict            # name -> array, first axis = realization
+    observables: dict            # name -> array, one row per realization not in failures, in order
     mean: dict
     std: dict
     seed: int

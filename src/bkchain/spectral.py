@@ -22,11 +22,11 @@ code that picks a solve route:
   E = +-sqrt(mu) over N values mu: the eigenvalues of the N x N real D F
   where some Delta^2 - J^2 < 0, else the squares of the upper half of
   `eigvalsh` of the symmetric H_r, whose roots return them exactly.
-  `_half_size` takes the roots, as on the x/p route, and `_twisted` the
-  eigenvector of H_r at each root, accurate entry by entry, as the gauge
-  lift of a localized state needs.  Squaring E loses accuracy near 0, so a
-  value with |E| <= ``REDUCED_MIN_EIGENVALUE`` * max|H_r| is not taken from
-  its square.
+  `_half_size` sorts the roots +-sqrt(mu), as on the x/p route, and
+  `_twisted` gives the eigenvector of H_r at each root, accurate entry by
+  entry, as the gauge lift of a localized state needs.  Squaring E loses
+  accuracy near 0, so a value with |E| <= ``REDUCED_MIN_EIGENVALUE`` *
+  max|H_r| is not taken from its square.
 
   In the topological phase H_r has one such value, its edge pair,
   exponentially close to 0: a dense solve returns noise for E and mixes the
@@ -111,8 +111,11 @@ check: there is nothing to check it on.  Per route:
 * x/p: `eigvals` of Qp Qx, or of its two mirror halves where Qx and Qp are
   centrosymmetric; a guarded point takes the dense `eigvals` of M.
 
-The x/p and reduced half-size solves share `_half_size` (the square root,
-the small-|E| guard, the +- pairing and the sort order).
+The x/p and reduced half-size solves share the +- sort of their roots
+(`_half_size`) and one eigenvector writer, `_sorted_pairs`, which writes
+each checked column and its sign flips into their sorted places.  Each route
+owns its small-|E| guard: `_edge_pair` decides it on the reduced route, one
+test in `_xp_spectrum` on the x/p route.
 """
 
 from __future__ import annotations
@@ -331,48 +334,18 @@ def _square_eig(P: np.ndarray, vectors: bool):
         raise SolverError(f"half-size eigensolver failed, dim={len(P)}: {err}") from err
 
 
-def _half_size(mu: np.ndarray, min_eigenvalue: float, scale: float, scale_name: str, edge=None):
-    """Spectrum +-sqrt(mu) of a matrix whose square is block-diagonal with a real block P.
+def _half_size(root: np.ndarray):
+    """The +- sort both half-size routes share: ``(vals, order)`` for the spectrum +-``root``.
 
-    The x/p route (P = Qp Qx) and the reduced route (P = D F of H_r) call
-    it, with and without vectors.  Each solves a matrix [[0, D], [F, 0]]:
-    the eigenvalues mu of P = D F give its eigenvalues E = +-sqrt(mu).  Returns
-    ``(vals, order, root)``: ``vals`` is concat([root, -root])[order],
-    sorted as `_sorted` sorts.  Squaring loses about sqrt(eps) of accuracy
-    near E = 0, so where min|E| <= ``min_eigenvalue`` * ``scale`` (max|entry|
-    of the matrix that was squared, named ``scale_name``) it raises
-    `_SmallEigenvalue` instead.  ``edge`` = (m, E_m) sets root m to a value
-    found without squaring (`_edge_pair`), and the guard skips it.
+    ``vals`` is concat([root, -root])[order], sorted as `_sorted` sorts.  The
+    x/p route passes the roots sqrt(mu) of P = Qp Qx, the reduced route those
+    of P = D F of H_r.  It holds no guard: each route rules out the small |E|
+    that squaring cannot resolve before it calls this, the x/p route by its
+    own test, the reduced route in `_edge_pair`.
     """
-    root = np.sqrt(mu.astype(complex))
-    kept = root
-    if edge is not None:
-        m, root[m] = edge
-        kept = np.delete(root, m)
-    small = ~(np.abs(kept) > min_eigenvalue * scale)
-    if small.any():
-        count = f", {small.sum()} values" if small.sum() > 1 else ""
-        raise _SmallEigenvalue(f"min|E| {np.abs(kept).min():.2e} <= {min_eigenvalue:g} max|{scale_name}|{count}")
     vals = np.concatenate([root, -root])
     order = np.lexsort((vals.imag, vals.real))
-    return vals[order], order, root
-
-
-def _paired(X: np.ndarray, Y: np.ndarray, order: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Unit-norm eigenvectors (x, +-y) of [[0, D], [F, 0]] from a `_half_size` solve, interleaved.
-
-    Column m of X is an eigenvector x of D F, with eigenvalue mu, and column m
-    of Y is F x / sqrt(mu); (x, y) and (x, -y) then belong to +-sqrt(mu) and
-    share one norm.  The rows of ``out`` alternate x and y, and its columns
-    follow ``order`` from `_half_size`.
-    """
-    norm = np.sqrt((np.abs(X) ** 2).sum(axis=0) + (np.abs(Y) ** 2).sum(axis=0))
-    X, Y = X / norm, Y / norm
-    half = len(norm)
-    out[0::2] = X[:, order % half]
-    out[1::2] = Y[:, order % half]
-    out[1::2] *= np.where(order < half, 1.0, -1.0)
-    return out
+    return vals[order], order
 
 
 class _EdgePair(NamedTuple):
@@ -513,13 +486,15 @@ def _twisted(mag: np.ndarray, lower: np.ndarray, E: np.ndarray) -> np.ndarray:
 
 
 def _sorted_pairs(base: np.ndarray, order: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The lifted columns ``base`` and their chiral flips, each written into its sorted place.
+    """The checked columns ``base`` and their chiral flips, each written into its sorted place.
 
-    ``order`` sorts the eigenvalues concat([i E, -i E]); column c of
-    [``base``, Gamma ``base``] belongs to i E[cols[c]] and its Sigma-flip to
-    -i E[cols[c]].  Sigma negates the p rows, Gamma the x and p rows of the
-    B sites; where ``cols`` has one entry per column (the full-size solve)
-    only Sigma-flips are written.  Each column is written once into an
+    The eigenvector writer of both half-size routes.  ``order`` sorts the
+    eigenvalues concat([e, -e]): e = i E on the reduced route, the roots
+    sqrt(mu) on the x/p route.  Column c of [``base``, Gamma ``base``]
+    belongs to e[cols[c]] and its Sigma-flip to -e[cols[c]].  Sigma negates
+    the p rows, Gamma the x and p rows of the B sites; where ``cols`` has one
+    entry per column (the x/p route, and the reduced route's full-size
+    solve) only Sigma-flips are written.  Each column is written once into an
     F-contiguous array, the layout of a ``[:, order]`` gather, which
     `spatial_profile`'s column sums depend on.  The flips negate rows of
     ``base`` in place, which allocates nothing beside the result.
@@ -546,7 +521,7 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     real arithmetic through the phase gauge of the module docstring: the N
     values mu = E^2 are the squares of the upper half of `eigvalsh` of H_r
     where every bond is real, else the eigenvalues of D F, and `_half_size`
-    takes their roots.  A lone value with |E| <= ``REDUCED_MIN_EIGENVALUE``
+    sorts their roots.  A lone value with |E| <= ``REDUCED_MIN_EIGENVALUE``
     * max|H_r|, the topological edge pair, is replaced by its closed form
     (`_edge_pair`): E = +-sqrt(det(D F) / prod of the other values of mu),
     which is forward-accurate however small E is, and vectors (a, +-k b)
@@ -592,8 +567,6 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
         else:  # symmetric: eigvalsh is ascending and symmetric about 0, and sqrt(x^2) = |x| exactly
             mu = np.linalg.eigvalsh(Hr)[p.N:] ** 2
         pair = _edge_pair(mag, lower, mu)
-        E, half_order, root = _half_size(mu, REDUCED_MIN_EIGENVALUE, mag.max(), "H_r",
-                                         None if pair is None else (pair.m, pair.E))
     except _SmallEigenvalue as guard:
         source, pair = f"{source} (half-size guard: {guard})", None
         if vectors:
@@ -602,6 +575,10 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
             E, U = np.linalg.eigvals(Hr) if mixed else np.linalg.eigvalsh(Hr), None
         root, cols = E, np.arange(len(E))  # column j belongs to E[j]; -E[j]'s is no Gamma-flip of it
     else:
+        root = np.sqrt(mu.astype(complex))
+        if pair is not None:  # the one value too small to take from its square
+            root[pair.m] = pair.E
+        E, half_order = _half_size(root)
         U = None
         if vectors:  # unit eigenvectors (z_A, z_B) of H_r for +root; (z_A, -z_B) belongs to -root
             U = _twisted(mag, lower, root)
@@ -615,6 +592,7 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     elif pair is not None:
         source += (f" (deflated edge pair, solved vectors: closed-form backward error {pair.error:.2e}"
                    f" > {EDGE_PAIR_MAX_ERROR:g})")
+    # not _half_size(1j * E): -(1j E) has -0.0 real parts where -1j E has 0.0, and a CSV writes "-0"
     vals = np.concatenate([1j * E, -1j * E])
     order = np.lexsort((vals.imag, vals.real))
     spec = Spectrum(eigenvalues=vals[order], eigenvectors=None, source=source)
@@ -655,15 +633,17 @@ def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:
     In (x, p) block order M = [[0, -i Qp], [i Qx, 0]], so M (x, p) = E (x, p)
     holds exactly when Qp Qx x = E^2 x and p = i Qx x / E: each eigenpair
     (mu, x) of the real, half-dimensional Qp Qx gives the eigenvalues
-    E = +-sqrt(mu) (`_half_size`).  Where Qx and Qp are both centrosymmetric
-    (`_mirrored`), Qp Qx is solved as its two mirror halves Qp+- Qx+-
-    (module docstring) and x is joined from their eigenvectors
-    (`_mirror_join`).  A point whose smallest |E| is at or below
-    ``XP_MIN_EIGENVALUE`` * max|Q| goes to `eigendecompose` instead; M is
-    built only for that dense solve.  The residual check reads M's diagonals
-    off Q (`excitation_bands`) and runs on the +E columns alone: M couples x
-    only to p, so each -E column (x, -y) is the Sigma-flip of its +E partner
-    (x, y), and their residuals are equal bit for bit.
+    E = +-sqrt(mu), sorted by `_half_size`.  Where Qx and Qp are both
+    centrosymmetric (`_mirrored`), Qp Qx is solved as its two mirror halves
+    Qp+- Qx+- (module docstring) and x is joined from their eigenvectors
+    (`_mirror_join`).  The route's own guard sends a point whose smallest
+    |E| is at or below ``XP_MIN_EIGENVALUE`` * max|Q| to `eigendecompose`
+    instead; M is built only for that dense solve.  The 2N base columns
+    (x, y), normalised together, are checked as they are: the residual check
+    reads M's diagonals off Q (`excitation_bands`), and M couples x only to
+    p, so each -E column (x, -y) is the Sigma-flip of its +E partner (x, y),
+    with a residual equal bit for bit.  `_sorted_pairs` writes both into
+    their sorted places.
     """
     Qx, Qp = q.Q[0::2, 0::2], q.Q[1::2, 1::2]
     source = f"xp[symplectic,{q.bc.value},n={q.n_cells}]"
@@ -675,18 +655,17 @@ def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:
         blocks = [(Qx, Qp)]
     solved = [_square_eig(P @ T, vectors) for T, P in blocks]
     mu = np.concatenate([m for m, _ in solved])
-    try:
-        vals, order, root = _half_size(mu, XP_MIN_EIGENVALUE, np.abs(q.Q).max(), "Q")
-    except _SmallEigenvalue as guard:
+    root = np.sqrt(mu.astype(complex))
+    small = ~(np.abs(root) > XP_MIN_EIGENVALUE * np.abs(q.Q).max())
+    if small.any():
         del solved  # not used by the dense solve
+        count = f", {small.sum()} values" if small.sum() > 1 else ""
         spec = eigendecompose(excitation_matrix(q), vectors)
-        return replace(spec, source=f"{spec.source} (x/p guard: {guard})")
+        return replace(spec, source=f"{spec.source} (x/p guard: min|E| {np.abs(root).min():.2e}"
+                                    f" <= {XP_MIN_EIGENVALUE:g} max|Q|{count})")
+    vals, order = _half_size(root)
     if not vectors:
         return Spectrum(eigenvalues=vals, eigenvectors=None, source=source)
-    # Allocated before the temporaries below, so that freeing them leaves no
-    # hole under it; allocated after them, it raised the peak RSS of a fig9
-    # ensemble run by 2 MB (4%).
-    vecs = np.empty((q.dim, q.dim), dtype=complex)
     if split:
         X = _mirror_join(*(Y for _, Y in solved))
         Y = _mirror_join(*(T @ Y for (T, _), (_, Y) in zip(blocks, solved)))
@@ -695,11 +674,14 @@ def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:
         Y = Qx @ X
     del solved
     Y = Y * (1j / root)
-    _paired(X, Y, order, vecs)
-    del X, Y  # the residual check below is the peak of memory use
-    plus = order < len(root)
-    _check_residual(excitation_bands(q), vecs[:, plus], vals[plus])
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs, source=source)
+    norm = np.sqrt((np.abs(X) ** 2).sum(axis=0) + (np.abs(Y) ** 2).sum(axis=0))
+    plus = np.empty((q.dim, len(root)), dtype=complex)  # site a at x row 2a and p row 2a + 1
+    np.divide(X, norm, out=plus[0::2])
+    np.divide(Y, norm, out=plus[1::2])
+    del X, Y  # freed before `_sorted_pairs` writes all 4N columns: the peak of memory use
+    _check_residual(excitation_bands(q), plus, root)
+    return Spectrum(eigenvalues=vals, eigenvectors=_sorted_pairs(plus, order, np.arange(len(root))),
+                    source=source)
 
 
 def _bloch_spectrum(p: Union[BKCParams, ModBKCParams], vectors: bool) -> Spectrum:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import bkchain
+from bkchain import disorder
 from bkchain.cli import ConfigError, main, parse_config
 from bkchain.topology import MAX_THREADS
 
@@ -306,6 +307,33 @@ observables = zero_gap
         assert main(["disorder", "--config", cfg, "--out", str(out1)]) == 0
         assert main(["disorder", "--config", cfg, "--out", str(out2), "--seed", "2"]) == 0
         assert (out1 / "zero_gap.csv").read_bytes() != (out2 / "zero_gap.csv").read_bytes()
+
+    @pytest.mark.parametrize("sweep,obs,table,column", [
+        ("", "zero_gap,abs_spectrum", "zero_gap.csv", 0),
+        ("", "zero_gap,abs_spectrum", "abs_spectrum_realizations.csv", 0),
+        (SWEEP.format(name="J2", step=0.5), "zero_gap", "zero_gap_realizations.csv", 1),
+    ], ids=["zero-gap", "abs-spectrum", "sweep"])
+    def test_rows_keep_their_realization_after_a_failure(self, tmp_path, monkeypatch, sweep, obs, table, column):
+        # realization 1 of 4 fails: every other row keeps the index and value of its own realization
+        text = MODBKC_MODEL.format(bc="obc") + sweep + DISORDER.format(obs=obs).replace("realizations = 2", "realizations = 4")
+        cfg = write(tmp_path, text)
+        assert main(["disorder", "--config", cfg, "--out", str(tmp_path / "all")]) == 0
+        draw = disorder.sample_site_fields
+
+        def failing(base, spec, realization):
+            if realization == 1:
+                raise ValueError("forced failure")
+            return draw(base, spec, realization)
+
+        monkeypatch.setattr(disorder, "sample_site_fields", failing)
+        assert main(["disorder", "--config", cfg, "--out", str(tmp_path / "cut")]) == 0
+
+        def labelled(sub):
+            rows = (tmp_path / sub / table).read_text().splitlines()[1:]
+            return [row for row in rows if row.split(",")[column].isdigit()]  # not the mean and std rows
+
+        assert labelled("cut") == [row for row in labelled("all") if row.split(",")[column] != "1"]
+        assert {row.split(",")[column] for row in labelled("cut")} == {"0", "2", "3"}
 
     def test_phase_scan_csv_schema(self, tmp_path):
         text = """

@@ -1130,6 +1130,53 @@ def guarded_fields(draw):
     return replace(f, J2=J2)
 
 
+XP_SWEEP = [ModBKCParams(J1=1.4, J2=1.2, Delta1=d, Delta2=1.0, omega=0.3, N=100) for d in (0.0, 0.75, 1.5, 2.25, 3.0)]
+
+
+def _fig9_realization(r):
+    base = ModBKCParams(J1=2.2, J2=1.0, Delta1=2.1, Delta2=1.5, omega=0.05, N=100)
+    return sample_site_fields(base, DisorderSpec({"omega": 2.0}, seed=20240601, realizations=20), r)
+
+
+def _mirror_note(n):
+    return f" (mirror halves: 2 x {n})"
+
+
+def _xp_paired_reference(q, vectors):
+    """(source, eigenvalues, eigenvectors or None) of the x/p route, its vectors paired and gathered whole.
+
+    The columns (x, y), y = i Qx x / E, are normalised as a pair; each sorted
+    column takes the x and y rows of its root, and the y rows of every -E
+    column are negated by a multiply with -1.
+    """
+    Qx, Qp = q.Q[0::2, 0::2], q.Q[1::2, 1::2]
+    source = f"xp[symplectic,{q.bc.value},n={q.n_cells}]"
+    split = spectral._mirrored(Qx) and spectral._mirrored(Qp)
+    blocks = list(zip(spectral._mirror_halves(Qx), spectral._mirror_halves(Qp))) if split else [(Qx, Qp)]
+    source += _mirror_note(len(Qx) // 2) if split else ""
+    solved = [spectral._square_eig(P @ T, vectors) for T, P in blocks]
+    root = np.sqrt(np.concatenate([mu for mu, _ in solved]).astype(complex))
+    vals = np.concatenate([root, -root])
+    order = np.lexsort((vals.imag, vals.real))
+    if not vectors:
+        return source, vals[order], None
+    if split:
+        X = spectral._mirror_join(*(Y for _, Y in solved))
+        Y = spectral._mirror_join(*(T @ Y for (T, _), (_, Y) in zip(blocks, solved)))
+    else:
+        X = solved[0][1]
+        Y = Qx @ X
+    Y = Y * (1j / root)
+    norm = np.sqrt((np.abs(X) ** 2).sum(axis=0) + (np.abs(Y) ** 2).sum(axis=0))
+    X, Y = X / norm, Y / norm
+    half = len(root)
+    vecs = np.empty((q.dim, q.dim), dtype=complex)
+    vecs[0::2] = X[:, order % half]
+    vecs[1::2] = Y[:, order % half]
+    vecs[1::2] *= np.where(order < half, 1.0, -1.0)
+    return source, vals[order], vecs
+
+
 # Points whose M couples x only to p, so that M anticommutes with
 # Sigma = diag(+1, -1) over (x, p), with the ``source`` note each must carry.
 SIGMA_POINTS = {
@@ -1206,14 +1253,17 @@ class TestResidualCheck:
     def test_gamma_partners_at_n100(self, p):
         _assert_flip_pairs(solve(p, OBC), _quadratic_matrix(p, OBC), flip="Gamma")
 
-    @pytest.mark.parametrize("p,note,columns", [
-        (ModBKCParams(J1=0.0, J2=0.5, Delta1=1.0, Delta2=1.5, omega=0.0, N=40), "", 40),     # all real
-        (ModBKCParams(J1=2.0, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=40), "", 40),     # half-size
-        (ModBKCParams(J1=1.4, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=40), "(deflated edge pair", 40),
-        (_fig5_split(1e-6), "(half-size guard", 200),
-    ], ids=["all-real", "half-size", "deflated", "guarded"])
-    def test_lift_and_check_take_one_column_per_root(self, p, note, columns, monkeypatch):
-        # N columns where each root's -root eigenvector is a Gamma-flip, 2N on the guarded fallback
+    @pytest.mark.parametrize("p,note,columns,lifts", [
+        (ModBKCParams(J1=0.0, J2=0.5, Delta1=1.0, Delta2=1.5, omega=0.0, N=40), "", 40, True),     # all real
+        (ModBKCParams(J1=2.0, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=40), "", 40, True),     # half-size
+        (ModBKCParams(J1=1.4, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=40), "(deflated edge pair", 40, True),
+        (_fig5_split(1e-6), "(half-size guard", 200, True),
+        (XP_SWEEP[1], _mirror_note(100), 200, False),
+        (_fig9_realization(0), "xp[", 200, False),
+    ], ids=["all-real", "half-size", "deflated", "guarded", "xp-mirror-halves", "xp-fig9"])
+    def test_lift_and_check_take_one_column_per_root(self, p, note, columns, lifts, monkeypatch):
+        # N columns where each root's -root eigenvector is a Gamma-flip, 2N on the guarded fallback;
+        # the x/p route lifts nothing and checks its 2N +E columns, each -E column being a Sigma-flip
         lifted, checked = [], []
 
         def lift(A, vectors):
@@ -1228,8 +1278,18 @@ class TestResidualCheck:
         monkeypatch.setattr(spectral, "_check_residual", check)
         s = solve(p, OBC)
         assert note in s.source and s.eigenvectors is not None and s.eigenvectors.shape == (4 * p.N, 4 * p.N)
-        assert lifted == [(4 * p.N, columns)]
+        assert lifted == ([(4 * p.N, columns)] if lifts else [])
         assert checked == [((4 * p.N, columns), (columns,))]
+
+    @pytest.mark.parametrize("p", [*XP_SWEEP, *(_fig9_realization(r) for r in range(3))],
+                             ids=[f"sweep-{p.Delta1:g}" for p in XP_SWEEP] + [f"fig9-{r}" for r in range(3)])
+    def test_xp_columns_match_the_paired_assembly(self, p):
+        # `_sorted_pairs` writes what the x/p route's own pairing wrote: equal bit for bit up to the sign of zero
+        q = build_modbkc_quadratic(p, OBC)
+        for vectors in (False, True):
+            s, (source, vals, vecs) = solve(p, OBC, vectors), _xp_paired_reference(q, vectors)
+            assert s.source == source and s.eigenvalues.tobytes() == vals.tobytes()
+        assert (s.eigenvectors + 0.0).tobytes() == (vecs + 0.0).tobytes()
 
     @pytest.mark.parametrize("q", [
         build_modbkc_quadratic(ModBKCParams(J1=1.4, J2=1.2, Delta1=0.7, Delta2=1.0, omega=0.3, N=20), OBC),
@@ -1350,10 +1410,6 @@ def mirrored_fields(draw):
     return _mirrored_fields(draw(disordered_omega_site_fields()))
 
 
-def _mirror_note(n):
-    return f" (mirror halves: 2 x {n})"
-
-
 class TestMirrorSplit:
     """The x/p route's solve of a centrosymmetric Qp Qx as its even and odd mirror halves."""
 
@@ -1391,7 +1447,7 @@ class TestMirrorSplit:
             assert _distance(s.eigenvalues, split.eigenvalues) <= bound
 
     @pytest.mark.parametrize("p", [
-        *(ModBKCParams(J1=1.4, J2=1.2, Delta1=d, Delta2=1.0, omega=0.3, N=100) for d in (0.0, 0.75, 1.5, 2.25, 3.0)),
+        *XP_SWEEP,
         ModBKCParams(J1=0.4, J2=0.1, Delta1=1.0, Delta2=0.5, omega=0.1, N=100),
     ], ids=["sweep-0", "sweep-0.75", "sweep-1.5", "sweep-2.25", "sweep-3", "fig3b"])
     def test_matches_the_unsplit_solve_at_n100(self, p):
