@@ -315,7 +315,8 @@ observables = zero_gap
     ], ids=["zero-gap", "abs-spectrum", "sweep"])
     def test_rows_keep_their_realization_after_a_failure(self, tmp_path, monkeypatch, sweep, obs, table, column):
         # realization 1 of 4 fails: every other row keeps the index and value of its own realization
-        text = MODBKC_MODEL.format(bc="obc") + sweep + DISORDER.format(obs=obs).replace("realizations = 2", "realizations = 4")
+        disorder_section = DISORDER.format(obs=obs).replace("realizations = 2", "realizations = 4")
+        text = MODBKC_MODEL.format(bc="obc") + sweep + disorder_section
         cfg = write(tmp_path, text)
         assert main(["disorder", "--config", cfg, "--out", str(tmp_path / "all")]) == 0
         draw = disorder.sample_site_fields
