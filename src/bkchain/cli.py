@@ -295,13 +295,13 @@ def _parse_floquet(sec: dict) -> tuple:
 class _Table(NamedTuple):
     name: str                         # file name in the output directory
     header: tuple
-    rows: list
+    columns: tuple                    # one per header entry: an array, or a sequence of cells (`write_csv`)
 
 
 class _Plot(NamedTuple):
     name: str
     writer: Callable                  # svgplot.scatter_svg, line_svg or heatmap_svg
-    data: object                      # the writer's series list or matrix
+    data: object                      # the writer's series list (arrays) or matrix
     labels: tuple                     # title, xlabel, ylabel
 
 
@@ -318,19 +318,21 @@ def _points(cfg: RunConfig):
         yield (float(v),), dataclasses.replace(cfg.model, **{axis.name: float(v)})
 
 
+def _columns(rows) -> tuple:
+    """The columns of ``rows``: a float array where every cell is a float, else the cells."""
+    return tuple(np.array(col) if all(isinstance(v, float) for v in col) else col for col in zip(*rows))
+
+
 def _spectrum(cfg, seed, threads):
     head = tuple(ax.name for ax in cfg.axes)
     out, series = [], []
     for b in cfg.bcs:
-        rows = []
-        for x, p in _points(cfg):
-            rows += [x + (i, e.real, e.imag) for i, e in enumerate(solve(p, b, vectors=False).eigenvalues)]
-        out.append(_Table(f"{b.value}.csv", head + ("index", "re_E", "im_E"), rows))
-        if head:
-            xs, ys = [r[0] for r in rows], [abs(complex(r[2], r[3])) for r in rows]
-        else:
-            xs, ys = [r[1] for r in rows], [r[2] for r in rows]
-        series.append((b.value, xs, ys, _COLORS[b]))
+        solved = [(x, solve(p, b, vectors=False).eigenvalues) for x, p in _points(cfg)]
+        E = np.concatenate([e for _, e in solved])
+        at = tuple(np.repeat([x for x, _ in solved], [len(e) for _, e in solved], axis=0).T)
+        index = np.concatenate([np.arange(len(e)) for _, e in solved])
+        out.append(_Table(f"{b.value}.csv", head + ("index", "re_E", "im_E"), at + (index, E.real, E.imag)))
+        series.append((b.value, *((at[0], np.abs(E)) if head else (E.real, E.imag)), _COLORS[b]))
     labels = (head[0], "|E|") if head else ("Re E", "Im E")
     return out + [_Plot("spectrum.svg", svgplot.scatter_svg, series, ("excitation spectrum",) + labels)]
 
@@ -343,7 +345,7 @@ def _profiles(cfg, seed, threads):
             raise RuntimeError(f"profiles unavailable: {s.source}")
         P = profile_matrix(s, cfg.model.N)
         header = ("state",) + tuple(f"b{a}" for a in range(P.shape[1]))
-        out += [_Table(f"profiles_{b.value}.csv", header, [[m] + list(P[m]) for m in range(P.shape[0])]),
+        out += [_Table(f"profiles_{b.value}.csv", header, (np.arange(len(P)),) + tuple(P.T)),
                 _Plot(f"profiles_{b.value}.svg", svgplot.heatmap_svg, P,
                       ("eigenstate occupation probabilities", "flat basis index", "eigenstate"))]
     return out
@@ -360,25 +362,25 @@ def _winding(cfg, seed, threads):
         except GapClosedError:
             w = (None,) * 4
         rows.append(x + (eff.dtilde1.real, eff.dtilde1.imag, eff.dtilde2.real, eff.dtilde2.imag) + w)
+    cols = _columns(rows)
     out = [_Table("winding.csv", head + ("re_dtilde1", "im_dtilde1", "re_dtilde2", "im_dtilde2",
                                          "w_plus_numeric", "w_minus_numeric", "w_plus_analytic",
-                                         "w_minus_analytic"), rows)]
+                                         "w_minus_analytic"), cols)]
     if head:  # a gap-closed point's None reads as NaN, which the plot leaves out
         out.append(_Plot("winding.svg", svgplot.line_svg,
-                         [("w_plus", [r[0] for r in rows], [r[5] for r in rows], "crimson")],
+                         [("w_plus", cols[0], np.array(cols[5], dtype=float), "crimson")],
                          ("winding number", head[0], "w_plus")))
     return out
 
 
 def _phase_scan(cfg, seed, threads):
     head = tuple(ax.name for ax in cfg.axes)
-    rows = [pt.values + (pt.zero_gap, pt.zero_modes, pt.w_plus, pt.w_minus, pt.nhse_fraction, pt.error)
-            for pt in phase_scan(cfg.model, cfg.axes, threads=threads).points]
+    cols = _columns([pt.values + (pt.zero_gap, pt.zero_modes, pt.w_plus, pt.w_minus, pt.nhse_fraction, pt.error)
+                     for pt in phase_scan(cfg.model, cfg.axes, threads=threads).points])
     out = [_Table("phase_scan.csv", head + ("abs_E_min", "zero_modes", "w_plus", "w_minus",
-                                            "nhse_fraction", "error"), rows)]
+                                            "nhse_fraction", "error"), cols)]
     if len(head) == 1:
-        out.append(_Plot("phase_scan.svg", svgplot.line_svg,
-                         [("min |E|", [r[0] for r in rows], [r[1] for r in rows], "crimson")],
+        out.append(_Plot("phase_scan.svg", svgplot.line_svg, [("min |E|", cols[0], cols[1], "crimson")],
                          ("gap scan", head[0], "min |E|")))
     return out
 
@@ -402,29 +404,29 @@ def _disorder(cfg, seed, threads):
         if head:
             agg = [x + (float(res.mean[name]), float(res.std[name]), spec.realizations - len(res.failures))
                    for x, res in results]
-            out += [_Table(f"{name}_aggregate.csv", head + ("mean", "std", "n"), agg),
-                    _Table(f"{name}_realizations.csv", head + ("realization", name), per)]
+            out += [_Table(f"{name}_aggregate.csv", head + ("mean", "std", "n"), _columns(agg)),
+                    _Table(f"{name}_realizations.csv", head + ("realization", name), _columns(per))]
         else:
             res = results[0][1]
             out.append(_Table(f"{name}.csv", ("realization", name),
-                              per + [("mean", float(res.mean[name])), ("std", float(res.std[name]))]))
+                              _columns(per + [("mean", float(res.mean[name])), ("std", float(res.std[name]))])))
     if head:  # every observable is scalar here: parse_config rejects the others with a [sweep]
         name = cfg.observables[0]
         return out + [_Plot("disorder_sweep.svg", svgplot.line_svg,
-                            [(name, [x[0] for x, _ in results], [float(res.mean[name]) for _, res in results],
-                              "crimson")], (f"disorder-averaged {name}", head[0], name))]
+                            [(name, *_columns((x[0], float(res.mean[name])) for x, res in results), "crimson")],
+                            (f"disorder-averaged {name}", head[0], name))]
     res = results[0][1]
     if "mean_profile" in cfg.observables:
-        prof = res.mean["mean_profile"]
-        out += [_Table("mean_profile.csv", ("flat_index", "probability"),
-                       [(a, float(v)) for a, v in enumerate(prof)]),
+        prof = np.asarray(res.mean["mean_profile"], dtype=float)
+        out += [_Table("mean_profile.csv", ("flat_index", "probability"), (np.arange(len(prof)), prof)),
                 _Plot("mean_profile.svg", svgplot.line_svg,
                       [("mean profile", np.arange(len(prof)), prof, "crimson")],
                       ("disorder-averaged profile", "flat basis index", "probability"))]
     if "abs_spectrum" in cfg.observables:
-        arr = res.observables["abs_spectrum"]
+        arr = np.asarray(res.observables["abs_spectrum"], dtype=float)
         out.append(_Table("abs_spectrum_realizations.csv", ("realization", "index", "abs_E"),
-                          [(r, i, float(v)) for r, row in zip(_kept(res), arr) for i, v in enumerate(row)]))
+                          (np.repeat(_kept(res), arr.shape[1]), np.tile(np.arange(arr.shape[1]), len(arr)),
+                           arr.ravel())))
     return out
 
 
@@ -435,11 +437,10 @@ def _floquet(cfg, seed, threads):
         eff = effective_params(drive)
         rows.append((drive.lam, eff.J1.real, eff.J1.imag, eff.J2.real, eff.J2.imag,
                      abs(bessel_j0(math.pi * drive.lam / 2))))
-    lams = [r[0] for r in rows]
-    return [_Table("floquet.csv", ("lambda", "re_J1", "im_J1", "re_J2", "im_J2", "abs_bessel"), rows),
+    cols = _columns(rows)
+    return [_Table("floquet.csv", ("lambda", "re_J1", "im_J1", "re_J2", "im_J2", "abs_bessel"), cols),
             _Plot("floquet.svg", svgplot.line_svg,
-                  [("Re J1", lams, [r[1] for r in rows], "crimson"),
-                   ("Im J1", lams, [r[2] for r in rows], "royalblue")],
+                  [("Re J1", cols[0], cols[1], "crimson"), ("Im J1", cols[0], cols[2], "royalblue")],
                   ("effective hopping vs drive strength", "lambda", "J1"))]
 
 
@@ -467,7 +468,7 @@ def run(cfg: RunConfig, out_dir: str, plots: bool, seed, threads: int) -> list:
     for item in outputs:
         path = os.path.join(out_dir, item.name)
         if isinstance(item, _Table):
-            files.append(write_csv(path, item.header, item.rows))
+            files.append(write_csv(path, item.header, item.columns))
         elif plots:
             files.append(item.writer(path, item.data, *item.labels))
     return files + [write_manifest(os.path.join(out_dir, "manifest.cfg"), cfg.command,

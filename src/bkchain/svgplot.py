@@ -1,7 +1,10 @@
 """Minimal self-contained SVG writers: scatter, line and heat-map plots.
 
 No plotting toolchain is assumed; the files are static SVG 1.1 with inline
-styling, good enough to eyeball spectra, sweeps and profile maps.
+styling, good enough to eyeball spectra, sweeps and profile maps.  Each
+writer formats its point or cell arrays with one '%'.  Coordinates are
+'%.2f', rounded half to even on the binary value, and a heat-map colour
+channel is ``np.rint`` of its interpolated value, also half to even.
 """
 
 from __future__ import annotations
@@ -79,14 +82,13 @@ def _series_svg(path, series, title, xlabel, ylabel, line):
     ylo, yhi = _limits(ally)
     parts = _axes(xlo, xhi, ylo, yhi, title, xlabel, ylabel)
     for i, (label, xs, ys, color) in enumerate(series):
-        px, py = _proj(xs, ys, xlo, xhi, ylo, yhi)
+        xy = np.column_stack(_proj(xs, ys, xlo, xhi, ylo, yhi))
         if line:
-            order = np.argsort(xs)
-            pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px[order], py[order]))
+            pts = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(xy[np.argsort(xs)].ravel().tolist())
             parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        else:
-            parts += [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.2" fill="{color}" fill-opacity="0.7"/>'
-                      for x, y in zip(px, py)]
+        elif len(xs):
+            circle = '<circle cx="%.2f" cy="%.2f" r="2.2" fill="' + color.replace("%", "%%") + '" fill-opacity="0.7"/>'
+            parts.append("\n".join([circle] * len(xs)) % tuple(xy.ravel().tolist()))
         parts.append(f'<text x="{_W-_MR-8}" y="{_MT+16+14*i}" text-anchor="end" '
                      f'font-size="11" fill="{color}">{label}</text>')
     return _write(path, parts)
@@ -102,34 +104,24 @@ def line_svg(path, series, title="", xlabel="", ylabel=""):
     return _series_svg(path, series, title, xlabel, ylabel, line=True)
 
 
-def _viridis(v):
-    # coarse 6-anchor approximation of a perceptual colormap
-    anchors = [(68, 1, 84), (59, 82, 139), (33, 145, 140), (94, 201, 98), (253, 231, 37), (253, 231, 37)]
-    v = min(max(v, 0.0), 1.0) * (len(anchors) - 2)
-    i = int(v)
-    t = v - i
+def _viridis(v: np.ndarray) -> np.ndarray:
+    """(..., 3) RGB channels at each value of ``v`` in [0, 1]: a coarse 6-anchor perceptual colormap."""
+    anchors = np.array([(68, 1, 84), (59, 82, 139), (33, 145, 140), (94, 201, 98), (253, 231, 37), (253, 231, 37)])
+    v = np.clip(v, 0.0, 1.0) * (len(anchors) - 2)
+    i = v.astype(int)
     a, b = anchors[i], anchors[i + 1]
-    rgb = tuple(round(a[c] + t * (b[c] - a[c])) for c in range(3))
-    return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
+    return np.rint(a + (v - i)[..., None] * (b - a))
 
 
 def _downsample(Z, max_cells=128):
     """Block-average oversized heat maps so files stay a few hundred kB."""
     for axis in (0, 1):
-        n = Z.shape[axis]
-        if n > max_cells:
-            factor = -(-n // max_cells)
-            pad = (-n) % factor
-            if pad:
-                padding = [(0, 0), (0, 0)]
-                padding[axis] = (0, pad)
-                Z = np.pad(Z, padding, mode="edge")
-            shape = list(Z.shape)
-            shape[axis] = Z.shape[axis] // factor
-            if axis == 0:
-                Z = Z.reshape(shape[0], factor, Z.shape[1]).mean(axis=1)
-            else:
-                Z = Z.reshape(Z.shape[0], shape[1], factor).mean(axis=2)
+        factor = -(-Z.shape[axis] // max_cells)
+        if factor > 1:
+            pad = [(0, 0), (0, 0)]
+            pad[axis] = (0, -Z.shape[axis] % factor)
+            Z = np.pad(Z, pad, mode="edge")
+            Z = Z.reshape((-1, factor, Z.shape[1]) if axis == 0 else (Z.shape[0], -1, factor)).mean(axis=axis + 1)
     return Z
 
 
@@ -146,11 +138,11 @@ def heatmap_svg(path, matrix, title="", xlabel="", ylabel="", log_floor=1e-12):
     cw = (_W - _ML - _MR) / ncols
     ch = (_H - _MT - _MB) / nrows
     parts = _axes(0, ncols, 0, nrows, title, xlabel, ylabel)
-    for i in range(nrows):
-        for j in range(ncols):
-            v = (logz[i, j] - lo) / (hi - lo)
-            x = _ML + j * cw
-            y = _H - _MB - (i + 1) * ch
-            parts.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{math.ceil(cw*100)/100:.2f}" '
-                         f'height="{math.ceil(ch*100)/100:.2f}" fill="{_viridis(v)}"/>')
+    cells = np.empty((nrows, ncols, 5))  # x, y, r, g, b of each rect
+    cells[..., 0] = _ML + np.arange(ncols) * cw
+    cells[..., 1] = (_H - _MB - (np.arange(nrows) + 1) * ch)[:, None]
+    cells[..., 2:] = _viridis((logz - lo) / (hi - lo))
+    rect = (f'<rect x="%.2f" y="%.2f" width="{math.ceil(cw*100)/100:.2f}" '
+            f'height="{math.ceil(ch*100)/100:.2f}" fill="rgb(%d,%d,%d)"/>')
+    parts.append("\n".join([rect] * (nrows * ncols)) % tuple(cells.ravel().tolist()))
     return _write(path, parts)

@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -360,6 +361,35 @@ step = 0.1
         lines = (out / "phase_scan.csv").read_text().splitlines()
         assert lines[0] == "J1,abs_E_min,zero_modes,w_plus,w_minus,nhse_fraction,error"
         assert len(lines) == 4
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_phase_scan_error_cells_are_quoted(self, tmp_path):
+        # Delta2 = 1e200 overflows Qp Qx: each point fails with a message that holds a comma
+        text = """
+[model]
+kind = modbkc
+J1 = 0
+J2 = 0.5
+Delta1 = 1
+Delta2 = 1e200
+omega = 0.1
+N = 4
+bc = obc
+
+[sweep]
+parameter = J1
+min = 0
+max = 0.5
+step = 0.5
+"""
+        out = tmp_path / "scan"
+        assert main(["phase-scan", "--config", write(tmp_path, text), "--out", str(out)]) == 0
+        with open(out / "phase_scan.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert len(header) == 7 and len(rows) == 2
+        for row in rows:
+            assert len(row) == 7
+            assert row[-1] == "SolverError: half-size eigensolver failed, dim=4: Array must not contain infs or NaNs"
 
     def test_bkc_sweep_over_j0(self, tmp_path):
         cfg = write(tmp_path, BKC_MODEL.format(n=8) + SWEEP.format(name="J0", step=0.5))
