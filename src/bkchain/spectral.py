@@ -622,9 +622,13 @@ def _mirror_halves(T: np.ndarray):
     return T[:h, :h] + flip, T[:h, :h] - flip
 
 
-def _mirror_join(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """[[Y+, Y-], [J Y+, -J Y-]]: the columns (y, J y) of ``even`` and (y, -J y) of ``odd`` on the whole chain."""
-    return np.block([[even, odd], [even[::-1], -odd[::-1]]])
+def _mirror_join(even: np.ndarray, odd: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """[[Y+, Y-], [J Y+, -J Y-]] in ``out`` or a new array: columns (y, J y) of ``even``, (y, -J y) of ``odd``."""
+    h = len(even)
+    out = np.empty((2 * h, 2 * h), np.result_type(even, odd)) if out is None else out
+    out[:h, :h], out[:h, h:], out[h:, :h] = even, odd, even[::-1]
+    np.negative(odd[::-1], out=out[h:, h:])
+    return out
 
 
 def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:
@@ -666,19 +670,20 @@ def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:
     vals, order = _half_size(root)
     if not vectors:
         return Spectrum(eigenvalues=vals, eigenvectors=None, source=source)
+    plus = np.zeros((q.dim, len(root)), dtype=complex)  # site a at x row 2a and p row 2a + 1
+    # real x rows are normalised as reals: a complex division rounds differently
+    X, Y = plus[0::2] if np.result_type(*(V for _, V in solved)).kind == "c" else plus[0::2].real, plus[1::2]
     if split:
-        X = _mirror_join(*(Y for _, Y in solved))
-        Y = _mirror_join(*(T @ Y for (T, _), (_, Y) in zip(blocks, solved)))
+        _mirror_join(*(V for _, V in solved), out=X)
+        _mirror_join(*(T @ V for (T, _), (_, V) in zip(blocks, solved)), out=Y)
     else:
-        X = solved[0][1]
-        Y = Qx @ X
+        X[:] = solved[0][1]
+        Y[:] = Qx @ solved[0][1]
     del solved
-    Y = Y * (1j / root)
+    Y *= 1j / root
     norm = np.sqrt((np.abs(X) ** 2).sum(axis=0) + (np.abs(Y) ** 2).sum(axis=0))
-    plus = np.empty((q.dim, len(root)), dtype=complex)  # site a at x row 2a and p row 2a + 1
-    np.divide(X, norm, out=plus[0::2])
-    np.divide(Y, norm, out=plus[1::2])
-    del X, Y  # freed before `_sorted_pairs` writes all 4N columns: the peak of memory use
+    X /= norm
+    Y /= norm
     _check_residual(excitation_bands(q), plus, root)
     return Spectrum(eigenvalues=vals, eigenvectors=_sorted_pairs(plus, order, np.arange(len(root))),
                     source=source)
