@@ -16,7 +16,17 @@ default 100) it times, best of K runs (default 7), in milliseconds:
   the reduced and x/p routes) and `_residuals`, each timed inside ``solve``
   by wrapping it (null where the route runs no such step);
 * ``census``: `nhse_fraction` on the spectrum with vectors;
-* ``csv_write``: one `write_csv` of the point's eigenvalues.
+* ``csv_write``: one `write_csv` of the point's eigenvalues, as the
+  columns index, re_E and im_E;
+* ``profile_csv_write``: one `write_csv` of the point's profile table
+  (`profile_matrix`) as the ``profiles`` command writes it;
+* ``svg_write``: `scatter_svg` of the eigenvalues plus `heatmap_svg` of the
+  profile matrix, as the ``spectrum`` and ``profiles`` commands plot them.
+
+``census``, ``profile_csv_write`` and ``svg_write`` are null where the
+spectrum has no vectors.  The writer stages run after every point's other
+stages, so that the memory they leave with the allocator does not change
+the page-fault counts below.
 
 It also reports ``minor_faults_per_solve``, the median over the K timed
 ``solve(p, bc)`` calls of the minor page faults each took (``ru_minflt`` of
@@ -48,6 +58,7 @@ import numpy as np  # noqa: E402
 
 from bkchain import spectral, transform  # noqa: E402
 from bkchain.csvio import write_csv  # noqa: E402
+from bkchain.svgplot import heatmap_svg, scatter_svg  # noqa: E402
 from bkchain.disorder import DisorderSpec, sample_site_fields  # noqa: E402
 from bkchain.model import (  # noqa: E402
     BKCParams,
@@ -59,7 +70,7 @@ from bkchain.model import (  # noqa: E402
     excitation_bands,
     excitation_matrix,
 )
-from bkchain.skin import nhse_fraction  # noqa: E402
+from bkchain.skin import nhse_fraction, profile_matrix  # noqa: E402
 
 OBC, PBC = BoundaryCondition.OBC, BoundaryCondition.PBC
 
@@ -147,7 +158,8 @@ class StageTimer:
         return 1e3 * sum(called) if called else None
 
 
-def route_stages(p, bc, repeats, tmpdir):
+def route_stages(p, bc, repeats):
+    """The point's record, with every stage but the writers', and its spectrum with vectors."""
     build = build_bkc_quadratic if isinstance(p, BKCParams) else build_modbkc_quadratic
     with StageTimer((transform.SimilarityMatrix, "lift"), (spectral, "_sorted_pairs")) as lift, \
             StageTimer((spectral, "_residuals")) as residuals:
@@ -163,14 +175,33 @@ def route_stages(p, bc, repeats, tmpdir):
         "residuals": residuals.best_ms(),
         "census": None if census is None else 1e3 * min(census[0]),
     }
-    rows = [(i, e.real, e.imag) for i, e in enumerate(spec.eigenvalues)]
-    path = os.path.join(tmpdir, "eigenvalues.csv")
-    stages["csv_write"] = best_ms(lambda: write_csv(path, ("index", "re_E", "im_E"), rows), repeats)
     params = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in asdict(p).items()}
-    return {"params": params, "bc": bc.value, "source": spec.source,
-            "stages_ms": {k: None if v is None else round(v, 3) for k, v in stages.items()},
+    return {"params": params, "bc": bc.value, "source": spec.source, "stages_ms": stages,
             "minor_faults_per_solve": statistics.median(solve_faults),
-            "minor_faults_per_census": None if census is None else statistics.median(census[1])}
+            "minor_faults_per_census": None if census is None else statistics.median(census[1])}, spec
+
+
+def writer_stages(spec, n_cells, repeats, tmpdir):
+    """The writer stages of one point: ``csv_write``, ``profile_csv_write`` and ``svg_write``."""
+    E = spec.eigenvalues
+    stages = {"csv_write": best_ms(lambda: write_csv(os.path.join(tmpdir, "eigenvalues.csv"),
+                                                     ("index", "re_E", "im_E"), (np.arange(len(E)), E.real, E.imag)),
+                                   repeats),
+              "profile_csv_write": None, "svg_write": None}
+    if spec.eigenvectors is not None:
+        P = profile_matrix(spec, n_cells)
+        header = ("state",) + tuple(f"b{a}" for a in range(P.shape[1]))
+        stages["profile_csv_write"] = best_ms(lambda: write_csv(os.path.join(tmpdir, "profiles.csv"), header,
+                                                                (np.arange(len(P)),) + tuple(P.T)), repeats)
+
+        def svg_write():
+            scatter_svg(os.path.join(tmpdir, "spectrum.svg"), [("spectrum", E.real, E.imag, "crimson")],
+                        "excitation spectrum", "Re E", "Im E")
+            heatmap_svg(os.path.join(tmpdir, "profiles.svg"), P, "eigenstate occupation probabilities",
+                        "flat basis index", "eigenstate")
+
+        stages["svg_write"] = best_ms(svg_write, repeats)
+    return stages
 
 
 def main(argv=None):
@@ -183,7 +214,12 @@ def main(argv=None):
     base = ModBKCParams(J1=1.0, J2=1.4, Delta1=1.5, Delta2=2.1, omega=0.3, N=args.cells)
     spec = DisorderSpec({"J1": 0.5, "J2": 0.5, "Delta1": 0.5, "Delta2": 0.5, "omega": 0.5}, seed=1)
     with tempfile.TemporaryDirectory() as tmpdir:
-        routes = {label: route_stages(p, bc, args.repeats, tmpdir) for label, p, bc in points(args.cells)}
+        solved = {label: (p, *route_stages(p, bc, args.repeats)) for label, p, bc in points(args.cells)}
+        for p, record, spectrum in solved.values():
+            record["stages_ms"].update(writer_stages(spectrum, p.N, args.repeats, tmpdir))
+    routes = {label: record for label, (_, record, _) in solved.items()}
+    for record in routes.values():
+        record["stages_ms"] = {k: None if v is None else round(v, 3) for k, v in record["stages_ms"].items()}
     report = {
         "cells": args.cells,
         "repeats": args.repeats,
