@@ -58,7 +58,6 @@ import numpy as np  # noqa: E402
 
 from bkchain import spectral, transform  # noqa: E402
 from bkchain.csvio import write_csv  # noqa: E402
-from bkchain.svgplot import heatmap_svg, scatter_svg  # noqa: E402
 from bkchain.disorder import DisorderSpec, sample_site_fields  # noqa: E402
 from bkchain.model import (  # noqa: E402
     BKCParams,
@@ -71,6 +70,7 @@ from bkchain.model import (  # noqa: E402
     excitation_matrix,
 )
 from bkchain.skin import nhse_fraction, profile_matrix  # noqa: E402
+from bkchain.svgplot import heatmap_svg, scatter_svg  # noqa: E402
 
 OBC, PBC = BoundaryCondition.OBC, BoundaryCondition.PBC
 
