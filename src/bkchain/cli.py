@@ -341,7 +341,7 @@ def _profiles(cfg, seed, threads):
     out = []
     for b in cfg.bcs:
         s = solve(cfg.model, b)
-        if s.eigenvectors is None:
+        if s.base is None:
             raise RuntimeError(f"profiles unavailable: {s.source}")
         P = profile_matrix(s, cfg.model.N)
         header = ("state",) + tuple(f"b{a}" for a in range(P.shape[1]))

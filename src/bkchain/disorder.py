@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .model import BoundaryCondition, ModBKCParams, SiteFields
-from .skin import edge_weight, spatial_profile
+from .skin import edge_weight, profile_rows, spatial_profile
 from .spectral import solve, zero_gap
 from .topology import map_points, zero_modes_per_copy
 
@@ -126,9 +126,9 @@ def ensemble_observables(base: ModBKCParams, spec: DisorderSpec,
     A realization that raises one of `topology.POINT_ERRORS` is recorded and
     skipped; the run only fails if every realization does.  ``zero_modes`` is
     the per-quadrature-copy count of the open chain at omega = 0 and the
-    literal threshold count otherwise.  Eigenvectors are solved, and their
-    `spatial_profile` built once, only when ``nhse_fraction`` or
-    ``mean_profile`` asks for them.
+    literal threshold count otherwise.  Eigenvectors are solved, and the
+    `spatial_profile` of their base columns built once, only when
+    ``nhse_fraction`` or ``mean_profile`` asks for them.
     """
     names = tuple(observables)
     for name in names:
@@ -148,12 +148,12 @@ def ensemble_observables(base: ModBKCParams, spec: DisorderSpec,
                 out[name] = zero_gap(spectrum)
             elif name == "zero_modes":
                 out[name] = zero_modes_per_copy(spectrum, f, bc, zero_tol)
-            elif spectrum.eigenvectors is None:
+            elif spectrum.base is None:
                 raise ValueError(f"{name} needs a spectrum with eigenvectors")
-            else:  # nhse_fraction or mean_profile, from one profile per realization
-                profile = profile or spatial_profile(spectrum.eigenvectors, base.N)
+            else:  # nhse_fraction or mean_profile, from one profile of the base columns per realization
+                profile = profile or spatial_profile(spectrum.base, base.N)
                 out[name] = (float((edge_weight(profile, frac) > threshold).mean()) if name == "nhse_fraction"
-                             else profile.prob.T.mean(axis=0))
+                             else profile_rows(spectrum, profile).mean(axis=0))
         return out
 
     results = map_points(one, range(spec.realizations), threads)

@@ -5,6 +5,12 @@ basis (occupation probability).  Edge weight sums the profile over the first
 and last ceil(frac*N) unit cells; `nhse_fraction` reports how many eigenstates
 clear an edge-weight threshold, which distinguishes the skin-effect regime
 (all states pile up at the boundaries) from the delocalized one.
+
+Every profile of a `Spectrum` is read off its base columns
+(``Spectrum.base``): the sign flips the half-size routes add have the
+profile of their base column, bit for bit.  `profile_rows` writes each base
+profile into the rows of its sorted slots, so `profile_matrix` equals the
+profiles of ``Spectrum.eigenvectors`` bit for bit without building them.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ __all__ = [
     "spatial_profile",
     "edge_weight",
     "nhse_fraction",
-    "mean_position",
+    "profile_rows",
     "profile_matrix",
 ]
 
@@ -71,19 +77,28 @@ def edge_weight(p: SpatialProfile, frac: float):
 
 
 def nhse_fraction(s: Spectrum, frac: float, threshold: float, n_cells: int) -> float:
-    """Fraction of eigenstates with edge weight above the threshold."""
-    if s.eigenvectors is None:
+    """Fraction of eigenstates with edge weight above the threshold.
+
+    Counted on the base columns: each stands for the same number of
+    eigenstates, so the fraction is the same double as over all of them.
+    """
+    if s.base is None:
         raise ValueError("nhse_fraction needs a spectrum with eigenvectors")
-    return float((edge_weight(spatial_profile(s.eigenvectors, n_cells), frac) > threshold).mean())
+    return float((edge_weight(spatial_profile(s.base, n_cells), frac) > threshold).mean())
 
 
-def mean_position(p: SpatialProfile):
-    """Profile-weighted mean cell index, per column."""
-    return _per_column(cell_index(len(p.prob), p.n_cells) @ p.prob)
+def profile_rows(s: Spectrum, p: SpatialProfile) -> np.ndarray:
+    """The profiles ``p`` of ``s.base``, each written into the rows of its sorted slots (``Spectrum.slots``)."""
+    if s.slots is None:
+        return p.prob.T
+    rows = np.empty((len(s), len(p.prob)))
+    for slot in s.slots.reshape(-1, p.prob.shape[1]):
+        rows[slot] = p.prob.T
+    return rows
 
 
 def profile_matrix(s: Spectrum, n_cells: int) -> np.ndarray:
     """Stacked profiles, row = eigenstate (in eigenvalue sort order), column = flat index."""
-    if s.eigenvectors is None:
+    if s.base is None:
         raise ValueError("profile_matrix needs a spectrum with eigenvectors")
-    return spatial_profile(s.eigenvectors, n_cells).prob.T
+    return profile_rows(s, spatial_profile(s.base, n_cells))

@@ -122,6 +122,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -190,27 +191,39 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues with column-aligned unit-norm right eigenvectors.
+    """Eigenvalues, sorted lexicographically by (real part, imaginary part), and their checked eigenvectors.
 
-    Sorted lexicographically by (real part, imaginary part).  ``eigenvectors``
-    is None in a spectrum solved with ``vectors=False``, and where a gauge
-    route has eigenvalues only (singular gauge, or vectors that failed the
-    residual check); ``source`` then says why.
+    ``base`` holds the checked unit-norm base columns: F-ordered 4N x N on
+    the reduced route and 4N x 2N on the x/p route, every column in sorted
+    order on the dense, Bloch and Hatano-Nelson routes.  ``slots[s, g, c]``
+    is the sorted place of base column c flipped by Sigma^s Gamma^g (module
+    docstring), None where ``base`` holds every column.  A flip has the
+    |v|^2 of its base column, so profiles read ``base`` alone.
+    ``eigenvectors``, every column in sorted order, is written by
+    `_sorted_pairs` on first read.  Both are None in a spectrum solved with
+    ``vectors=False``, and where a gauge route has eigenvalues only
+    (singular gauge, or vectors that failed the residual check); ``source``
+    then says why.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: Optional[np.ndarray]
+    base: Optional[np.ndarray] = None
     source: str = field(default="", compare=False)
+    slots: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
+
+    @cached_property
+    def eigenvectors(self) -> Optional[np.ndarray]:
+        return self.base if self.slots is None else _sorted_pairs(self.base.copy(), self.slots)
 
 
 def _sorted(eigenvalues, eigenvectors, source):
     """Spectrum in (Re, Im) order; every route hands in unit-norm columns already."""
     order = np.lexsort((eigenvalues.imag, eigenvalues.real))
     vecs = None if eigenvectors is None else eigenvectors[:, order]
-    return Spectrum(eigenvalues=eigenvalues[order], eigenvectors=vecs, source=source)
+    return Spectrum(eigenvalues=eigenvalues[order], base=vecs, source=source)
 
 
 def _bands(M: np.ndarray) -> list:
@@ -263,7 +276,7 @@ def eigendecompose(M: ExcitationMatrix, vectors: bool = True) -> Spectrum:
     spec = _sorted(vals, vecs, source=f"eig[{M.source},{M.bc.value},n={M.n_cells}]")
     del vals, vecs  # the residual check below is the peak of memory use
     if vectors:
-        _check_residual(_bands(M.M), spec.eigenvectors, spec.eigenvalues)
+        _check_residual(_bands(M.M), spec.base, spec.eigenvalues)
     return spec
 
 
@@ -298,12 +311,12 @@ def _hatano_nelson_spectrum(p: BKCParams, vectors: bool) -> Spectrum:
     vecs = np.zeros((2 * n, 2 * n), dtype=complex, order="F")
     for rows, cols in ((slice(0, None, 2), place[:n]), (slice(1, None, 2), place[n:])):
         vecs[rows, cols] = replace(A, log_scale=A.log_scale[rows], phase=A.phase[rows]).lift(U)
-    spec = Spectrum(eigenvalues=vals[order], eigenvectors=vecs, source=source)
+    spec = Spectrum(eigenvalues=vals[order], base=vecs, source=source)
     bands = excitation_bands(build_bkc_quadratic(p, BoundaryCondition.OBC))  # M's diagonals; M is never formed
     try:
-        _check_residual(bands, spec.eigenvectors, spec.eigenvalues)
+        _check_residual(bands, vecs, spec.eigenvalues)
     except SolverError as err:  # the eigenvalues are exact, so they stay
-        return replace(spec, eigenvectors=None, source=f"{source} (no vectors: {err})")
+        return replace(spec, base=None, source=f"{source} (no vectors: {err})")
     return spec
 
 
@@ -485,27 +498,34 @@ def _twisted(mag: np.ndarray, lower: np.ndarray, E: np.ndarray) -> np.ndarray:
     return z
 
 
-def _sorted_pairs(base: np.ndarray, order: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The checked columns ``base`` and their chiral flips, each written into its sorted place.
+def _pair_slots(order: np.ndarray, cols: np.ndarray, columns: int) -> np.ndarray:
+    """``Spectrum.slots`` of a half-size route: [Sigma, Gamma, column] -> sorted place.
 
-    The eigenvector writer of both half-size routes.  ``order`` sorts the
-    eigenvalues concat([e, -e]): e = i E on the reduced route, the roots
-    sqrt(mu) on the x/p route.  Column c of [``base``, Gamma ``base``]
-    belongs to e[cols[c]] and its Sigma-flip to -e[cols[c]].  Sigma negates
-    the p rows, Gamma the x and p rows of the B sites; where ``cols`` has one
-    entry per column (the x/p route, and the reduced route's full-size
-    solve) only Sigma-flips are written.  Each column is written once into an
-    F-contiguous array, the layout of a ``[:, order]`` gather, which
-    `spatial_profile`'s column sums depend on.  The flips negate rows of
-    ``base`` in place, which allocates nothing beside the result.
+    ``order`` sorts the eigenvalues concat([e, -e]): e = i E on the reduced
+    route, the roots sqrt(mu) on the x/p route.  Column c of [base, Gamma
+    base] belongs to e[cols[c]] and its Sigma-flip to -e[cols[c]]; where
+    ``cols`` has one entry per base column (the x/p route, and the reduced
+    route's full-size solve) there are no Gamma-flips.
     """
     place = np.empty_like(order)
     place[order] = np.arange(len(order))
-    slots = place.reshape(2, -1)[:, cols].reshape(2, -1, base.shape[1])  # [Sigma, Gamma, column]
-    out = np.empty((len(base), len(order)), dtype=complex, order="F")
+    return place.reshape(2, -1)[:, cols].reshape(2, -1, columns)
+
+
+def _sorted_pairs(base: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """The checked columns ``base`` and their chiral flips, each written into its sorted place ``slots``.
+
+    The eigenvector writer of both half-size routes, run by
+    ``Spectrum.eigenvectors``.  Sigma negates the p rows, Gamma the x and p
+    rows of the B sites (`_pair_slots`).  Each column is written once into
+    an F-contiguous array, the layout of a ``[:, order]`` gather.  The flips
+    negate rows of ``base`` in place, which allocates nothing beside the
+    result.
+    """
+    out = np.empty((len(base), slots.size), dtype=complex, order="F")
     p_rows, b_rows = [base[1::2]], [base[2::4], base[3::4]]  # B_j is site 2j + 1: rows 4j + 2, 4j + 3
     walk = [((0, 0), []), ((1, 0), p_rows), ((1, 1), b_rows), ((0, 1), p_rows)]  # 1, Sigma, Sigma Gamma, Gamma
-    for (s, g), negate in walk[:len(order) // base.shape[1]]:
+    for (s, g), negate in walk[:slots.size // base.shape[1]]:
         for rows in negate:
             np.negative(rows, out=rows)
         out[:, slots[s, g]] = base
@@ -595,7 +615,7 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     # not _half_size(1j * E): -(1j E) has -0.0 real parts where -1j E has 0.0, and a CSV writes "-0"
     vals = np.concatenate([1j * E, -1j * E])
     order = np.lexsort((vals.imag, vals.real))
-    spec = Spectrum(eigenvalues=vals[order], eigenvectors=None, source=source)
+    spec = Spectrum(eigenvalues=vals[order], source=source)
     if U is None:
         return spec
     bands = excitation_bands(build_modbkc_quadratic(p, bc))
@@ -607,7 +627,8 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
         _check_residual(bands, plus, 1j * root)
     except SolverError as err:  # the eigenvalues are exact, so they stay
         return replace(spec, source=f"{source} (no vectors: {err})")
-    return replace(spec, eigenvectors=_sorted_pairs(plus, order, cols))
+    # F-ordered, as `_sorted_pairs` writes every column: `spatial_profile`'s column sums depend on it
+    return replace(spec, base=np.asfortranarray(plus), slots=_pair_slots(order, cols, plus.shape[1]))
 
 
 def _mirrored(T: np.ndarray) -> bool:
@@ -669,8 +690,8 @@ def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:
                                     f" <= {XP_MIN_EIGENVALUE:g} max|Q|{count})")
     vals, order = _half_size(root)
     if not vectors:
-        return Spectrum(eigenvalues=vals, eigenvectors=None, source=source)
-    plus = np.zeros((q.dim, len(root)), dtype=complex)  # site a at x row 2a and p row 2a + 1
+        return Spectrum(eigenvalues=vals, source=source)
+    plus = np.zeros((q.dim, len(root)), dtype=complex, order="F")  # site a at x row 2a and p row 2a + 1
     # real x rows are normalised as reals: a complex division rounds differently
     X, Y = plus[0::2] if np.result_type(*(V for _, V in solved)).kind == "c" else plus[0::2].real, plus[1::2]
     if split:
@@ -681,12 +702,15 @@ def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:
         Y[:] = Qx @ solved[0][1]
     del solved
     Y *= 1j / root
-    norm = np.sqrt((np.abs(X) ** 2).sum(axis=0) + (np.abs(Y) ** 2).sum(axis=0))
+    square = np.empty(X.shape)  # C-ordered: its column sums add row by row
+    norm = np.square(np.abs(X, out=square), out=square).sum(axis=0)
+    norm += np.square(np.abs(Y, out=square), out=square).sum(axis=0)
+    np.sqrt(norm, out=norm)
     X /= norm
     Y /= norm
     _check_residual(excitation_bands(q), plus, root)
-    return Spectrum(eigenvalues=vals, eigenvectors=_sorted_pairs(plus, order, np.arange(len(root))),
-                    source=source)
+    return Spectrum(eigenvalues=vals, base=plus, source=source,
+                    slots=_pair_slots(order, np.arange(len(root)), len(root)))
 
 
 def _bloch_spectrum(p: Union[BKCParams, ModBKCParams], vectors: bool) -> Spectrum:
@@ -721,7 +745,7 @@ def _bloch_spectrum(p: Union[BKCParams, ModBKCParams], vectors: bool) -> Spectru
     wave = np.exp(2j * np.pi * m / n) / np.sqrt(n)   # w^t / sqrt(N), t = j m mod N
     np.multiply(wave[np.outer(m, mk) % n][:, None, :], U[mk, :, band].T,
                 out=vecs.reshape(n, s, n * s))
-    spec = Spectrum(eigenvalues=vals[order], eigenvectors=vecs, source=source)
+    spec = Spectrum(eigenvalues=vals[order], base=vecs, source=source)
     _check_residual(bands, vecs, spec.eigenvalues)
     return spec
 

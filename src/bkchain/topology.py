@@ -43,7 +43,6 @@ __all__ = [
     "zero_modes",
     "zero_modes_per_copy",
     "edge_mode_count",
-    "gap_closing_predicates",
     "AxisSpec",
     "PhasePoint",
     "PhaseDiagram",
@@ -149,31 +148,6 @@ def edge_mode_count(p: Union[ModBKCParams, SiteFields], tol: float = 1e-6,
     return zero_modes_per_copy(solve(p, bc, vectors=False), p, bc, tol)
 
 
-def gap_closing_predicates(p: ModBKCParams, rel_tol: float = 1e-9) -> dict:
-    """Open/periodic gap-closing identities as booleans.
-
-    obc_type1: dtilde1^2 =  dtilde2^2  (Delta1^2 - J1^2 =   Delta2^2 - J2^2)
-    obc_type2: dtilde1^2 = -dtilde2^2  (Delta1^2 - J1^2 = -(Delta2^2 - J2^2))
-    pbc: with one coupling switched off, J^2 = (Delta1 +- Delta2)^2 for the
-    other; the mixed-J periodic closing has no closed form here.
-    """
-    scale = max(1.0, p.J1 ** 2, p.J2 ** 2, p.Delta1 ** 2, p.Delta2 ** 2)
-    t1 = (p.Delta1 ** 2 - p.J1 ** 2) - (p.Delta2 ** 2 - p.J2 ** 2)
-    t2 = (p.Delta1 ** 2 - p.J1 ** 2) + (p.Delta2 ** 2 - p.J2 ** 2)
-    pbc = False
-    for sign in (1.0, -1.0):
-        target = (p.Delta1 + sign * p.Delta2) ** 2
-        if p.J2 == 0 and abs(p.J1 ** 2 - target) <= rel_tol * scale:
-            pbc = True
-        if p.J1 == 0 and abs(p.J2 ** 2 - target) <= rel_tol * scale:
-            pbc = True
-    return {
-        "obc_type1": abs(t1) <= rel_tol * scale,
-        "obc_type2": abs(t2) <= rel_tol * scale,
-        "pbc": pbc,
-    }
-
-
 @dataclass(frozen=True)
 class AxisSpec:
     """One swept parameter, inclusive range; the name is a coupling or omega of either model."""
@@ -235,7 +209,7 @@ def _scan_point(p: ModBKCParams, values: tuple, tol: float, frac: float, thresho
     except GapClosedError:
         w_plus = w_minus = None
     spec = solve(p, BoundaryCondition.OBC)
-    nhse = None if spec.eigenvectors is None else nhse_fraction(spec, frac, threshold, p.N)
+    nhse = None if spec.base is None else nhse_fraction(spec, frac, threshold, p.N)
     return PhasePoint(values=values, zero_gap=_zero_gap(spec),
                       zero_modes=zero_modes_per_copy(spec, p, BoundaryCondition.OBC, tol),
                       w_plus=w_plus, w_minus=w_minus, nhse_fraction=nhse)

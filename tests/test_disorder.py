@@ -254,8 +254,8 @@ def test_ensemble_solves_vectors_only_when_read(monkeypatch, observables, vector
 @pytest.mark.parametrize("observables", [("nhse_fraction", "mean_profile"), ("mean_profile", "zero_gap"),
                                          ("nhse_fraction",)])
 def test_ensemble_builds_one_profile_per_realization(monkeypatch, observables):
-    # nhse_fraction and mean_profile read one `spatial_profile` per realization, with the values
-    # `nhse_fraction` and `profile_matrix` give
+    # nhse_fraction and mean_profile read one `spatial_profile` per realization, of the 2N base
+    # columns of the x/p route, with the values `nhse_fraction` and `profile_matrix` give
     built = []
 
     def recording(v, n_cells):
@@ -266,7 +266,7 @@ def test_ensemble_builds_one_profile_per_realization(monkeypatch, observables):
     base = ModBKCParams(J1=2.2, J2=1.0, Delta1=2.1, Delta2=1.5, omega=0.05, N=20)
     spec = DisorderSpec(strengths={"omega": 2.0}, seed=5, realizations=3)
     res = ensemble_observables(base, spec, observables)
-    assert built == [(80, 80)] * 3
+    assert built == [(80, 40)] * 3
     for r in range(3):
         s = solve(sample_site_fields(base, spec, r), OBC)
         if "nhse_fraction" in observables:

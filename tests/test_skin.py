@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bkchain.model import BoundaryCondition, ModBKCParams, build_modbkc_excitation_direct
+from bkchain.model import BoundaryCondition, ModBKCParams, build_modbkc_excitation_direct, cell_index
 from bkchain.skin import (
     SpatialProfile,
     edge_weight,
-    mean_position,
     nhse_fraction,
     profile_matrix,
     spatial_profile,
@@ -15,6 +14,12 @@ from bkchain.skin import (
 from bkchain.spectral import Spectrum, eigendecompose, modbkc_spectrum_zero_omega
 
 OBC = BoundaryCondition.OBC
+
+
+def mean_position(p: SpatialProfile):
+    """Profile-weighted mean cell index, per column."""
+    x = cell_index(len(p.prob), p.n_cells) @ p.prob
+    return float(x) if np.ndim(x) == 0 else x
 
 
 class TestSpatialProfile:

@@ -88,7 +88,7 @@ from bkchain.model import (
 )
 from bkchain import model, spectral, topology, transform
 from bkchain.disorder import DisorderSpec, sample_site_fields
-from bkchain.skin import nhse_fraction, profile_matrix
+from bkchain.skin import nhse_fraction, profile_matrix, spatial_profile
 from bkchain.spectral import (
     REDUCED_MIN_EIGENVALUE,
     XP_MIN_EIGENVALUE,
@@ -96,6 +96,7 @@ from bkchain.spectral import (
     Spectrum,
     _bands,
     _check_residual,
+    _pair_slots,
     _residuals,
     _sorted_pairs,
     _twisted,
@@ -983,7 +984,8 @@ class TestProductLift:
         vals = np.concatenate([1j * E, -1j * E])
         order = np.lexsort((vals.imag, vals.real))
         cols = np.arange(two_n)
-        ref, out = _lift_reference(A, U, order), _sorted_pairs(A.lift(np.repeat(U, 2, axis=0)), order, cols)
+        ref = _lift_reference(A, U, order)
+        out = _sorted_pairs(A.lift(np.repeat(U, 2, axis=0)), _pair_slots(order, cols, two_n))
         assert np.array_equal(out, ref)
         assert np.all(np.isfinite(out))
         assert out.flags.f_contiguous == ref.flags.f_contiguous
@@ -1013,7 +1015,7 @@ class TestProductLift:
         order = np.lexsort((vals.imag, vals.real))
         cols = np.argsort(half_order)
         ref = _lift_reference(A, _gamma_partners(U, cols), order)
-        out = _sorted_pairs(A.lift(np.repeat(U, 2, axis=0)), order, cols)
+        out = _sorted_pairs(A.lift(np.repeat(U, 2, axis=0)), _pair_slots(order, cols, n))
         assert np.array_equal(out, ref)
         assert np.all(np.isfinite(out))
         assert out.flags.f_contiguous == ref.flags.f_contiguous
@@ -1037,17 +1039,23 @@ class TestProductLift:
             seen.update(A=A, U=U.copy())
             return _LIFT(A, plus)
 
-        def full_basis(base, order, cols):
+        def slots_recording(order, cols, n):
+            seen.update(order=order, cols=cols)
+            return _pair_slots(order, cols, n)
+
+        def full_basis(base, slots):
             # the full product basis of the SSH eigenvectors in E order, lifted at once
-            assert len(cols) == len(seen["U"]) and base.shape[1] == columns
-            return _lift_reference(seen["A"], _gamma_partners(seen["U"], cols), order)
+            assert len(seen["cols"]) == len(seen["U"]) and base.shape[1] == columns
+            return _lift_reference(seen["A"], _gamma_partners(seen["U"], seen["cols"]), seen["order"])
 
         monkeypatch.setattr(SimilarityMatrix, "lift", lift_recording)
+        monkeypatch.setattr(spectral, "_pair_slots", slots_recording)
         monkeypatch.setattr(spectral, "_sorted_pairs", full_basis)
         ref = solve(p, OBC)
         assert np.array_equal(s.eigenvectors, ref.eigenvectors)
         assert s.eigenvectors.flags.f_contiguous and ref.eigenvectors.flags.f_contiguous
-        assert profile_matrix(s, p.N).tobytes() == profile_matrix(ref, p.N).tobytes()
+        # the profiles, read off the base columns, are those of the full basis
+        assert profile_matrix(s, p.N).tobytes() == spatial_profile(ref.eigenvectors, p.N).prob.T.tobytes()
 
 
 # site fields for `ssh_bonds`: uniform couplings, sign-mixed bonds, and

@@ -132,16 +132,16 @@ class TestDispersion:
 
 class TestSpectrumComparisons:
     def test_identical_spectra_distance_zero(self):
-        s = Spectrum(eigenvalues=np.array([1.0, 2.0 + 1j]), eigenvectors=None)
+        s = Spectrum(eigenvalues=np.array([1.0, 2.0 + 1j]))
         assert spectrum_distance(s, s) == 0.0
 
     def test_singleton_distance_is_euclidean(self):
-        a = Spectrum(eigenvalues=np.array([0.0 + 0j]), eigenvectors=None)
-        b = Spectrum(eigenvalues=np.array([3.0 + 4j]), eigenvectors=None)
+        a = Spectrum(eigenvalues=np.array([0.0 + 0j]))
+        b = Spectrum(eigenvalues=np.array([3.0 + 4j]))
         assert spectrum_distance(a, b) == pytest.approx(5.0)
 
     def test_empty_spectrum_rejected(self):
-        s = Spectrum(eigenvalues=np.array([]), eigenvectors=None)
+        s = Spectrum(eigenvalues=np.array([]))
         with pytest.raises(ValueError):
             spectrum_distance(s, s)
 
@@ -152,9 +152,9 @@ class TestSpectrumComparisons:
         assert d > 0.9 * skin_bkc.Delta0  # of order the imaginary gap
 
     def test_zero_gap(self):
-        s = Spectrum(eigenvalues=np.array([1.0, -1.0, 1j, -1j]), eigenvectors=None)
+        s = Spectrum(eigenvalues=np.array([1.0, -1.0, 1j, -1j]))
         assert zero_gap(s) == pytest.approx(1.0)
-        s0 = Spectrum(eigenvalues=np.array([0.0, 2.0]), eigenvectors=None)
+        s0 = Spectrum(eigenvalues=np.array([0.0, 2.0]))
         assert zero_gap(s0) == 0.0
 
     def test_zero_gap_in_topological_window(self):

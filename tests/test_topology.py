@@ -12,7 +12,6 @@ from bkchain.topology import (
     AxisSpec,
     GapClosedError,
     edge_mode_count,
-    gap_closing_predicates,
     h_pm,
     phase_scan,
     winding_analytic,
@@ -22,6 +21,31 @@ from bkchain.topology import (
 from bkchain.transform import EffectiveSSHParams, effective_ssh_params
 
 OBC = BoundaryCondition.OBC
+
+
+def gap_closing_predicates(p: ModBKCParams, rel_tol: float = 1e-9) -> dict:
+    """Open/periodic gap-closing identities as booleans.
+
+    obc_type1: dtilde1^2 =  dtilde2^2  (Delta1^2 - J1^2 =   Delta2^2 - J2^2)
+    obc_type2: dtilde1^2 = -dtilde2^2  (Delta1^2 - J1^2 = -(Delta2^2 - J2^2))
+    pbc: with one coupling switched off, J^2 = (Delta1 +- Delta2)^2 for the
+    other; the mixed-J periodic closing has no closed form here.
+    """
+    scale = max(1.0, p.J1 ** 2, p.J2 ** 2, p.Delta1 ** 2, p.Delta2 ** 2)
+    t1 = (p.Delta1 ** 2 - p.J1 ** 2) - (p.Delta2 ** 2 - p.J2 ** 2)
+    t2 = (p.Delta1 ** 2 - p.J1 ** 2) + (p.Delta2 ** 2 - p.J2 ** 2)
+    pbc = False
+    for sign in (1.0, -1.0):
+        target = (p.Delta1 + sign * p.Delta2) ** 2
+        if p.J2 == 0 and abs(p.J1 ** 2 - target) <= rel_tol * scale:
+            pbc = True
+        if p.J1 == 0 and abs(p.J2 ** 2 - target) <= rel_tol * scale:
+            pbc = True
+    return {
+        "obc_type1": abs(t1) <= rel_tol * scale,
+        "obc_type2": abs(t2) <= rel_tol * scale,
+        "pbc": pbc,
+    }
 
 
 class TestHPM:
@@ -110,7 +134,7 @@ class TestWinding:
 
 class TestZeroModes:
     def test_literal_threshold_count(self):
-        s = Spectrum(eigenvalues=np.array([0.0, 1e-9, 1.0, -1.0]), eigenvectors=None)
+        s = Spectrum(eigenvalues=np.array([0.0, 1e-9, 1.0, -1.0]))
         count, idx = zero_modes(s, 1e-6)
         assert count == 2 and idx == [0, 1]
 
