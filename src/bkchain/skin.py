@@ -6,11 +6,9 @@ and last ceil(frac*N) unit cells; `nhse_fraction` reports how many eigenstates
 clear an edge-weight threshold, which distinguishes the skin-effect regime
 (all states pile up at the boundaries) from the delocalized one.
 
-Every profile of a `Spectrum` is read off its base columns
-(``Spectrum.base``): the sign flips the half-size routes add have the
-profile of their base column, bit for bit.  `profile_rows` writes each base
-profile into the rows of its sorted slots, so `profile_matrix` equals the
-profiles of ``Spectrum.eigenvectors`` bit for bit without building them.
+The profiles of a `Spectrum` are read off ``Spectrum.base``: each sign flip
+has the profile of its base column, so `profile_matrix` (`profile_rows`)
+equals the profiles of ``Spectrum.eigenvectors`` bit for bit.
 """
 
 from __future__ import annotations
@@ -48,11 +46,6 @@ class SpatialProfile:
             raise ValueError(f"profile must sum to 1, off by {drift!r}")
 
 
-def _per_column(x):
-    """A float for a single profile, an array with one entry per column otherwise."""
-    return float(x) if np.ndim(x) == 0 else x
-
-
 def spatial_profile(v: np.ndarray, n_cells: int) -> SpatialProfile:
     """Normalized |v|^2 over the flat basis; a 2-D ``v`` holds one vector per column."""
     prob = np.abs(np.asarray(v)).astype(float, copy=False)
@@ -72,15 +65,14 @@ def edge_weight(p: SpatialProfile, frac: float):
     n = p.n_cells
     ncells = math.ceil(frac * n)
     cells = cell_index(len(p.prob), n)
-    mask = (cells < ncells) | (cells >= n - ncells)
-    return _per_column(p.prob[mask].sum(axis=0))
+    weight = p.prob[(cells < ncells) | (cells >= n - ncells)].sum(axis=0)
+    return float(weight) if np.ndim(weight) == 0 else weight  # a float for a single profile
 
 
 def nhse_fraction(s: Spectrum, frac: float, threshold: float, n_cells: int) -> float:
-    """Fraction of eigenstates with edge weight above the threshold.
+    """Fraction of eigenstates with edge weight above the threshold, counted on the base columns.
 
-    Counted on the base columns: each stands for the same number of
-    eigenstates, so the fraction is the same double as over all of them.
+    Each stands for as many eigenstates as every other, so the double is the one all of them give.
     """
     if s.base is None:
         raise ValueError("nhse_fraction needs a spectrum with eigenvectors")

@@ -19,35 +19,34 @@ code that picks a solve route:
   real or imaginary bonds, so a diagonal S of exact phases +-1, +-i maps it
   onto a real H_r with eigenvectors S U_r.  H_r is bipartite with a zero
   diagonal, [[0, D], [F, 0]] in sublattice order, so its spectrum is
-  E = +-sqrt(mu) over N values mu: the eigenvalues of the N x N real D F
-  where some Delta^2 - J^2 < 0, else the squares of the upper half of
-  `eigvalsh` of the symmetric H_r, whose roots return them exactly.
-  `_half_size` sorts the roots +-sqrt(mu), as on the x/p route, and
-  `_twisted` gives the eigenvector of H_r at each root, accurate entry by
-  entry, as the gauge lift of a localized state needs.  Squaring E loses
-  accuracy near 0, so a value with |E| <= ``REDUCED_MIN_EIGENVALUE`` *
-  max|H_r| is not taken from its square.
+  E = +-sqrt(mu) over the N eigenvalues mu of the real D F.  Where every
+  bond is real, F = D^T is upper bidiagonal and E are its singular values,
+  each to high relative accuracy however small (Demmel & Kahan, SIAM J.
+  Sci. Stat. Comput. 11, 873 (1990)).  `_half_size` sorts the roots, as
+  on the x/p route, and `_twisted` gives the eigenvector of H_r at each
+  root, accurate entry by entry, as the gauge lift of a localized state
+  needs.
 
-  In the topological phase H_r has one such value, its edge pair,
-  exponentially close to 0: a dense solve returns noise for E and mixes the
-  two vectors.  `_edge_pair` deflates the pair in O(N): E from the
-  determinant identity det(D F) = prod(mu), vectors from the sublattice
-  zero-mode recursions, or, near a transition where those are too
-  inexact, from `_twisted`; the guard judges the other N - 1 values only.
-  A chain with more than one small value (weakly coupled pieces, an edge
-  pair each) or an exactly zero bond takes the full-size solve of H_r
-  instead: `eigh` where every bond is real, else the real `eig`.
+  In the topological phase H_r has one value with |E| <=
+  ``REDUCED_MIN_EIGENVALUE`` * max|H_r|, its edge pair, exponentially close
+  to 0: a dense solve or a root of mu returns noise for E, and a dense
+  solve or `_twisted` mixes the two vectors.  `_edge_pair` deflates the pair in O(N): E on sign-mixed
+  chains from the determinant identity det(D F) = prod(mu), vectors from
+  the sublattice zero-mode recursions, or, near a transition where those
+  are too inexact, from `_twisted`.  A chain with more than one small
+  value (weakly coupled pieces, an edge pair each) or an exactly zero bond
+  takes the full-size solve of H_r instead: `eigh` for the vectors where
+  every bond is real, whose singular values stay, else the real `eig`.
   ``Spectrum.source`` names the deflation or the fallback.  M anticommutes
   with Sigma = diag(+1, -1) over (x, p) and with Gamma = diag(+1, -1) over
   the sublattices (Asboth, Oroszlany & Palyi, LNP 919 (2016), ch. 1): with
   v the lifted column for +i root, Gamma v and Sigma v belong to -i root
   and Sigma Gamma v to +i root.  So only the N columns v, the SSH
   eigenvector at both quadratures of each site, are lifted
-  (``SimilarityMatrix.lift``) and checked; `_sorted_pairs` writes all 4N
-  into their sorted places.  The fallback's -E vectors are no Gamma-flips,
-  so it lifts 2N columns and adds their Sigma-flips.  At Delta = +-J
-  exactly on some bond the eigenvalues stay exact but no eigenvectors are
-  computed.
+  (``SimilarityMatrix.lift``), checked and kept as ``Spectrum.base``.  The
+  fallback's -E vectors are no Gamma-flips, so it keeps 2N columns, each
+  with its Sigma-flip.  At Delta = +-J exactly on some bond the eigenvalues
+  stay exact but no eigenvectors are computed.
 * **Bloch** (uniform ring of either model, `BKCParams` or `ModBKCParams`
   under PBC, any omega).  Translation invariance splits the ring into N
   independent blocks B(k), k = 2 pi m / N, 2x2 or 4x4, read off the model's
@@ -101,21 +100,22 @@ check: there is nothing to check it on.  Per route:
 
 * Hatano-Nelson gauge: the same closed form, with no standing wave or Q;
   the dense fallback at Delta0 = +-J0 takes `eigvals` of M.
-* SSH reduction: the same values mu, roots, deflation and guard, without
-  `_twisted`; the fallback takes `eigvalsh` or `eigvals` of H_r.  Both
-  paths write the same ``source`` and, off the fallback, the same
-  eigenvalues bit for bit.  A singular gauge, which has no vectors either
-  way, is solved the same way.
+* SSH reduction: the same values, roots, deflation and guard, without
+  `_twisted`; the sign-mixed fallback takes `eigvals` of H_r.  Both paths
+  write the same ``source`` and, off that fallback, the same eigenvalues
+  bit for bit.  A singular gauge, which has no vectors either way, is
+  solved the same way.
 * Bloch: one batched `eigvals` of the N blocks; neither the ring's Q nor M is
   built.
 * x/p: `eigvals` of Qp Qx, or of its two mirror halves where Qx and Qp are
   centrosymmetric; a guarded point takes the dense `eigvals` of M.
 
 The x/p and reduced half-size solves share the +- sort of their roots
-(`_half_size`) and one eigenvector writer, `_sorted_pairs`, which writes
-each checked column and its sign flips into their sorted places.  Each route
-owns its small-|E| guard: `_edge_pair` decides it on the reduced route, one
-test in `_xp_spectrum` on the x/p route.
+(`_half_size`) and the sorted places of their base columns and sign flips
+(`_pair_slots`); `_sorted_pairs` writes every column only where
+``Spectrum.eigenvectors`` is read.  Each route owns its small-|E| guard:
+`_edge_pair` on the reduced route, one test in `_xp_spectrum` on the x/p
+route.
 """
 
 from __future__ import annotations
@@ -191,19 +191,14 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues, sorted lexicographically by (real part, imaginary part), and their checked eigenvectors.
+    """Eigenvalues, sorted by (real part, imaginary part), and their checked unit-norm eigenvectors.
 
-    ``base`` holds the checked unit-norm base columns: F-ordered 4N x N on
-    the reduced route and 4N x 2N on the x/p route, every column in sorted
-    order on the dense, Bloch and Hatano-Nelson routes.  ``slots[s, g, c]``
-    is the sorted place of base column c flipped by Sigma^s Gamma^g (module
-    docstring), None where ``base`` holds every column.  A flip has the
-    |v|^2 of its base column, so profiles read ``base`` alone.
-    ``eigenvectors``, every column in sorted order, is written by
-    `_sorted_pairs` on first read.  Both are None in a spectrum solved with
-    ``vectors=False``, and where a gauge route has eigenvalues only
-    (singular gauge, or vectors that failed the residual check); ``source``
-    then says why.
+    ``base`` holds the checked base columns: F-ordered 4N x N (reduced route)
+    or 4N x 2N (x/p), every column in sorted order elsewhere, where ``slots``
+    is None; ``slots[s, g, c]`` is the sorted place of base column c flipped
+    by Sigma^s Gamma^g.  ``eigenvectors``, every column, is written on first
+    read.  Both are None without ``vectors`` and where a gauge route has
+    eigenvalues only (singular gauge, failed check); ``source`` says why.
     """
 
     eigenvalues: np.ndarray
@@ -363,7 +358,7 @@ def _half_size(root: np.ndarray):
 
 class _EdgePair(NamedTuple):
     m: int                  # index of the pair's value in mu
-    E: complex              # its root, from the determinant identity
+    E: complex              # its root, from the determinant identity; used on sign-mixed chains
     error: float            # backward error of the closed-form vectors, relative to max|H_r|
     u: Optional[np.ndarray]  # eigenvector of H_r for +E; None where error > EDGE_PAIR_MAX_ERROR
 
@@ -371,9 +366,9 @@ class _EdgePair(NamedTuple):
 def _edge_pair(mag: np.ndarray, lower: np.ndarray, mu: np.ndarray) -> Optional[_EdgePair]:
     """The near-zero eigenpair of H_r = diag(mag, 1) + diag(lower, -1), in closed form.
 
-    ``mu`` holds the N values E^2 of H_r from one solve (the eigenvalues of
-    D F).  Returns None where every |E| lies above the half-size guard
-    (``REDUCED_MIN_EIGENVALUE`` max|H_r|).  Where exactly one lies at or
+    ``mu`` holds the N values E^2 of H_r (the eigenvalues of D F, or the
+    squared singular values of F = D^T).  Returns None where every |E| lies
+    above the half-size guard (``REDUCED_MIN_EIGENVALUE`` max|H_r|).  Where exactly one lies at or
     below it, returns an `_EdgePair`: mu[m] is that value, E its root, u the
     eigenvector of H_r for +E, with max|u| = 1 (for -E negate its B
     entries), and ``error`` the backward error of u; u is None where that
@@ -395,6 +390,7 @@ def _edge_pair(mag: np.ndarray, lower: np.ndarray, mu: np.ndarray) -> Optional[_
     * E: det(D F) = prod_j mag[2j] lower[2j] is the product of all N values
       of mu, so mu[m] is that determinant over the other N - 1.  They lie
       above the guard, so their rounding, and hence E's, stays relative.
+      All-real chains take E from the singular values, but k needs log E.
     * u = (a, k b).  The left A mode has entries tau_j a_j (tau_j = +-1) and
       D^T (tau a) = mag[-1] tau_{N-1} a_{N-1} e_{N-1}, so an exact eigenvector
       (x_A, x_B) has E (tau a . x_A) = mag[-1] tau_{N-1} a_{N-1} x_B[N-1].
@@ -503,9 +499,8 @@ def _pair_slots(order: np.ndarray, cols: np.ndarray, columns: int) -> np.ndarray
 
     ``order`` sorts the eigenvalues concat([e, -e]): e = i E on the reduced
     route, the roots sqrt(mu) on the x/p route.  Column c of [base, Gamma
-    base] belongs to e[cols[c]] and its Sigma-flip to -e[cols[c]]; where
-    ``cols`` has one entry per base column (the x/p route, and the reduced
-    route's full-size solve) there are no Gamma-flips.
+    base] belongs to e[cols[c]] and its Sigma-flip to -e[cols[c]]; ``cols``
+    has one entry per base column where there are no Gamma-flips.
     """
     place = np.empty_like(order)
     place[order] = np.arange(len(order))
@@ -515,12 +510,10 @@ def _pair_slots(order: np.ndarray, cols: np.ndarray, columns: int) -> np.ndarray
 def _sorted_pairs(base: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """The checked columns ``base`` and their chiral flips, each written into its sorted place ``slots``.
 
-    The eigenvector writer of both half-size routes, run by
-    ``Spectrum.eigenvectors``.  Sigma negates the p rows, Gamma the x and p
-    rows of the B sites (`_pair_slots`).  Each column is written once into
-    an F-contiguous array, the layout of a ``[:, order]`` gather.  The flips
-    negate rows of ``base`` in place, which allocates nothing beside the
-    result.
+    ``Spectrum.eigenvectors`` of both half-size routes.  Sigma negates the p
+    rows, Gamma the x and p rows of the B sites.  Each column is written
+    once into an F-contiguous array, the layout of a ``[:, order]`` gather.
+    The flips negate rows of ``base`` in place.
     """
     out = np.empty((len(base), slots.size), dtype=complex, order="F")
     p_rows, b_rows = [base[1::2]], [base[2::4], base[3::4]]  # B_j is site 2j + 1: rows 4j + 2, 4j + 3
@@ -538,29 +531,31 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     """Exact omega=0 spectrum of the open two-sublattice chain via the SSH reduction.
 
     Eigenvalues are +-i E_m over the reduced SSH spectrum {E_m}, solved in
-    real arithmetic through the phase gauge of the module docstring: the N
-    values mu = E^2 are the squares of the upper half of `eigvalsh` of H_r
-    where every bond is real, else the eigenvalues of D F, and `_half_size`
-    sorts their roots.  A lone value with |E| <= ``REDUCED_MIN_EIGENVALUE``
-    * max|H_r|, the topological edge pair, is replaced by its closed form
-    (`_edge_pair`): E = +-sqrt(det(D F) / prod of the other values of mu),
-    which is forward-accurate however small E is, and vectors (a, +-k b)
-    from the sublattice zero-mode recursions where their backward error is
-    at most ``EDGE_PAIR_MAX_ERROR``.  Every other eigenvector of H_r comes
-    from `_twisted`.  Where more than one value is that small or a bond is
-    zero, the full-size solve of H_r runs instead, `eigh` where every bond
-    is real, else the real `eig`.  ``Spectrum.source`` names the deflation,
-    with the closed form's backward error, or the reason for the fallback.
-    Eigenvectors are the product basis lifted through the combined gauge
+    real arithmetic through the phase gauge of the module docstring: E are
+    the singular values of the upper-bidiagonal F = D^T where every bond is
+    real, else the roots of the eigenvalues mu of D F, and `_half_size`
+    sorts them.  A lone value with |E| <= ``REDUCED_MIN_EIGENVALUE`` *
+    max|H_r|, the topological edge pair, is deflated (`_edge_pair`): on a
+    sign-mixed chain E = +-sqrt(det(D F) / prod of the other values of mu),
+    forward-accurate however small E is, and on every chain vectors
+    (a, +-k b) from the sublattice zero-mode recursions where their backward
+    error is at most ``EDGE_PAIR_MAX_ERROR``.  Every other eigenvector of
+    H_r comes from `_twisted`.  Where more than one value is that small or
+    a bond is zero, the full-size solve of H_r runs instead: `eigh` for the
+    vectors of an all-real chain, whose singular values stay, else the real
+    `eig`.  ``Spectrum.source`` names the deflation, with the closed form's
+    backward error, or the reason for the fallback.  Eigenvectors are the
+    product basis lifted through the combined gauge
     (``SimilarityMatrix.lift``): N unit columns v for +i root, phase-gauged
-    and lifted, then Gamma v, Sigma v and Sigma Gamma v (module docstring);
-    the fallback lifts 2N columns and adds their Sigma-flips.  The lifted
-    columns are checked; where they fail, the eigenvalues are returned alone
-    and ``source`` names the failure.  With ``with_vectors=False`` (or at
-    singular gauge points Delta = +-J) only the eigenvalues are computed,
-    along the same path; they remain exact at singular points by continuity
-    of the characteristic polynomial.  Open boundaries only: the gauge does
-    not close around a ring, so the reduced ring is not the PBC spectrum.
+    and lifted, kept as ``Spectrum.base`` with the slots of Gamma v, Sigma v
+    and Sigma Gamma v (module docstring); the fallback keeps 2N columns and
+    their Sigma-flips.  The lifted columns are checked; where they fail, the
+    eigenvalues are returned alone and ``source`` names the failure.  With
+    ``with_vectors=False`` (or at singular gauge points Delta = +-J) only
+    the eigenvalues are computed, along the same path; they remain exact at
+    singular points by continuity of the characteristic polynomial.  Open
+    boundaries only: the gauge does not close around a ring, so the reduced
+    ring is not the PBC spectrum.
     """
     if bc is not BoundaryCondition.OBC:
         raise ValueError("modbkc_spectrum_zero_omega requires open boundaries")
@@ -572,7 +567,6 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     b = ssh_bonds(p)
     mag = np.abs(b)
     lower = np.where(b.imag != 0, -mag, mag)
-    Hr = np.diag(mag, 1) + np.diag(lower, -1)
     A = None
     if with_vectors:
         try:
@@ -581,22 +575,25 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
             source += f" (no vectors: {err})"
     vectors = A is not None
     mixed = b.imag.any()
+    F = np.diag(lower[0::2]) + np.diag(mag[1::2], 1)  # H_r = [[0, D], [F, 0]] in sublattice order
+    if mixed:  # E^2 = eigvals(D F)
+        mu, _ = _square_eig((np.diag(mag[0::2]) + np.diag(lower[1::2], -1)) @ F, False)
+        root = np.sqrt(mu.astype(complex))
+    else:  # F = D^T is upper bidiagonal: E = its singular values, ascending, each to high relative accuracy
+        s = np.linalg.svd(F, compute_uv=False)[::-1]
+        root, mu = s.astype(complex), s * s
     try:
-        if mixed:  # bipartite: [[0, D], [F, 0]] in sublattice order, E^2 = eigvals(D F)
-            mu, _ = _square_eig(Hr[0::2, 1::2] @ Hr[1::2, 0::2], False)
-        else:  # symmetric: eigvalsh is ascending and symmetric about 0, and sqrt(x^2) = |x| exactly
-            mu = np.linalg.eigvalsh(Hr)[p.N:] ** 2
         pair = _edge_pair(mag, lower, mu)
     except _SmallEigenvalue as guard:
         source, pair = f"{source} (half-size guard: {guard})", None
-        if vectors:
-            E, U = np.linalg.eig(Hr) if mixed else np.linalg.eigh(Hr)
-        else:
-            E, U = np.linalg.eigvals(Hr) if mixed else np.linalg.eigvalsh(Hr), None
+        Hr = np.diag(mag, 1) + np.diag(lower, -1)
+        if mixed:
+            E, U = np.linalg.eig(Hr) if vectors else (np.linalg.eigvals(Hr), None)
+        else:  # the singular values stay: eigh orders its columns by the same ascending E
+            E, U = np.concatenate([-s[::-1], s]), np.linalg.eigh(Hr)[1] if vectors else None
         root, cols = E, np.arange(len(E))  # column j belongs to E[j]; -E[j]'s is no Gamma-flip of it
     else:
-        root = np.sqrt(mu.astype(complex))
-        if pair is not None:  # the one value too small to take from its square
+        if mixed and pair is not None:  # the one value too small to take from its square
             root[pair.m] = pair.E
         E, half_order = _half_size(root)
         U = None
@@ -606,7 +603,6 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
                 U[:, pair.m] = pair.u
             U /= np.sqrt((np.abs(U[0::2]) ** 2).sum(axis=0) + (np.abs(U[1::2]) ** 2).sum(axis=0))
         cols = np.argsort(half_order)  # column c of [U, Gamma U] belongs to E[cols[c]]
-    del Hr  # freed, like U below, before the lift's arrays: the peak of memory use
     if pair is not None and pair.u is not None:
         source += f" (deflated edge pair, closed form: backward error {pair.error:.1e})"
     elif pair is not None:
@@ -667,8 +663,8 @@ def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:
     (x, y), normalised together, are checked as they are: the residual check
     reads M's diagonals off Q (`excitation_bands`), and M couples x only to
     p, so each -E column (x, -y) is the Sigma-flip of its +E partner (x, y),
-    with a residual equal bit for bit.  `_sorted_pairs` writes both into
-    their sorted places.
+    with a residual equal bit for bit.  The base columns are kept, with the
+    slots of both.
     """
     Qx, Qp = q.Q[0::2, 0::2], q.Q[1::2, 1::2]
     source = f"xp[symplectic,{q.bc.value},n={q.n_cells}]"
@@ -702,10 +698,8 @@ def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:
         Y[:] = Qx @ solved[0][1]
     del solved
     Y *= 1j / root
-    square = np.empty(X.shape)  # C-ordered: its column sums add row by row
-    norm = np.square(np.abs(X, out=square), out=square).sum(axis=0)
-    norm += np.square(np.abs(Y, out=square), out=square).sum(axis=0)
-    np.sqrt(norm, out=norm)
+    square = np.empty(X.shape)  # C-ordered, so its column sums add row by row
+    norm = np.sqrt(sum(np.square(np.abs(Z, out=square), out=square).sum(axis=0) for Z in (X, Y)))
     X /= norm
     Y /= norm
     _check_residual(excitation_bands(q), plus, root)

@@ -71,6 +71,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import linear_sum_assignment
 
 from bkchain.model import (
@@ -848,6 +849,61 @@ class TestEdgePair:
         assert np.all(s.eigenvalues[edge] == 0)
         M = _quadratic_matrix(p, OBC)
         assert _residuals(_bands(M), s.eigenvectors[:, edge], s.eigenvalues[edge]).max() <= 1e-15 * np.abs(M).max()
+
+
+@st.composite
+def all_real_fields(draw):
+    """omega = 0 fields, N in [2, 64], every bond real: |J| < |Delta| on each, its bond from ~1e-6 |Delta| up.
+
+    Deep in the topological phase the edge pair lies far below every bond,
+    and chains with several weak bonds take the half-size guard.
+    """
+    n = draw(st.integers(2, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    delta = rng.uniform(0.5, 2.0, (2, n)) * rng.choice([-1.0, 1.0], (2, n))
+    J = delta * (1 - 10 ** rng.uniform(-12, 0, (2, n))) * rng.choice([-1.0, 1.0], (2, n))
+    zero = np.zeros(n)
+    return SiteFields(J1=J[0], J2=J[1], Delta1=delta[0], Delta2=delta[1], omega_A=zero, omega_B=zero)
+
+
+def _upper_bidiagonal(f):
+    """F = D^T of H_r for an all-real chain: |bonds| of the A -> B hops on the diagonal, B -> A above it."""
+    mag = np.abs(ssh_bonds(f))
+    return np.diag(mag[0::2]) + np.diag(mag[1::2], 1)
+
+
+class TestAllRealSingularValues:
+    """All-real reduced chains take E from the singular values of the upper-bidiagonal F = D^T of H_r."""
+
+    @pytest.mark.parametrize("J1,digits", [(0.0, "2.0497e-18"), (0.5, "1.3930e-24"), (0.9, "2.9264e-54")])
+    def test_fig4_edge_values(self, J1, digits):
+        # LAPACK computes the singular values of a bidiagonal matrix to high relative accuracy
+        # (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11, 873 (1990)) once it has one: NumPy's
+        # OpenBLAS 0.3.31 keeps the upper-bidiagonal F exact, but its bidiagonal reduction of the
+        # lower-bidiagonal D = F^T returned 1.7e-16, 1.6e-16 and 0 for these three values.  This
+        # test guards the orientation of the input.
+        p = ModBKCParams(J1=J1, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100)
+        s = np.linalg.svd(_upper_bidiagonal(p), compute_uv=False)
+        exact = _mp_edge_energy(p)
+        assert f"{float(exact):.4e}" == digits
+        assert float(abs(mpmath.mpf(float(s.min())) / exact - 1)) <= 1e-12
+        for vectors in (False, True):
+            assert zero_gap(solve(p, OBC, vectors=vectors)) == s.min()
+
+    @given(f=all_real_fields())
+    @settings(PROPERTY, max_examples=80)
+    def test_values_match_eigh_tridiagonal(self, f):
+        bare, full = solve(f, OBC, vectors=False), solve(f, OBC)
+        assert _route(bare) == "reduced["
+        if full.base is None:  # a chain with several weak bonds takes the guard, whose eigh(H_r) vectors can fail
+            assert full.source.startswith(f"{bare.source} (no vectors: eigenpair residual ")
+        else:
+            assert full.source == bare.source
+        assert bare.eigenvalues.tobytes() == full.eigenvalues.tobytes()  # guarded or not
+        ref = eigh_tridiagonal(np.zeros(2 * f.N), np.abs(ssh_bonds(f)), eigvals_only=True)
+        assert np.all(bare.eigenvalues.real == 0)
+        E = np.sort(bare.eigenvalues.imag)
+        assert np.abs(E - np.sort(np.concatenate([ref, ref]))).max() <= 1e-13 * np.abs(ref).max()
 
 
 def _twisted_two_loops(mag, lower, E):
