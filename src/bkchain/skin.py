@@ -70,10 +70,7 @@ def edge_weight(p: SpatialProfile, frac: float):
 
 
 def nhse_fraction(s: Spectrum, frac: float, threshold: float, n_cells: int) -> float:
-    """Fraction of eigenstates with edge weight above the threshold, counted on the base columns.
-
-    Each stands for as many eigenstates as every other, so the double is the one all of them give.
-    """
+    """Fraction of eigenstates with edge weight above the threshold; each base column stands for equally many."""
     if s.base is None:
         raise ValueError("nhse_fraction needs a spectrum with eigenvectors")
     return float((edge_weight(spatial_profile(s.base, n_cells), frac) > threshold).mean())

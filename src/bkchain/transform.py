@@ -98,7 +98,9 @@ class SimilarityMatrix:
             top = (np.log(np.abs(v)) + s).max(axis=0)
         # s_i - t_m <= -log|v_im| < 709 wherever v_im is a normal number; the
         # clip keeps the factor finite on zero and subnormal entries
-        out = v * np.exp(np.minimum(s - top, 700.0))
+        factor = s - top
+        out = v * np.exp(np.minimum(factor, 700.0, out=factor), out=factor)
+        del factor  # before the norms' temporary: a smaller peak of memory
         out *= self.phase[:, None]
         # `np.linalg.norm`'s column norms from one temporary; Re(conj(v) v) rounds once (FMA), re^2 + im^2 twice
         sq = np.conj(out)
