@@ -11,11 +11,19 @@ default 100) it times, best of K runs (default 7), in milliseconds:
   dense excitation matrix M on the dense route;
 * ``solve`` and ``solve_no_vectors``: ``solve(p, bc)`` and
   ``solve(p, bc, vectors=False)``;
-* ``lift`` and ``residuals``: the writing of the eigenvector columns
-  (``SimilarityMatrix.lift`` on both gauge routes, plus `_sorted_pairs` on
-  the reduced and x/p routes) and `_residuals`, each timed inside ``solve``
-  by wrapping it (null where the route runs no such step);
-* ``census``: `nhse_fraction` on the spectrum with vectors;
+* ``eigenvalues``: the reduced route's eigenvalue kernel inside
+  ``solve(p, bc, vectors=False)``, timed by wrapping it: `np.linalg.svd`
+  of the upper-bidiagonal F = D^T where every bond is real, the
+  eigenvalues of D F (`_square_eig`) where some bond is imaginary (null off
+  the reduced route);
+* ``lift`` and ``residuals``: ``SimilarityMatrix.lift`` of the checked
+  eigenvector columns on both gauge routes and `_residuals`, each timed
+  inside ``solve`` by wrapping it (null where the route runs no such step);
+* ``census``: the skin census over every eigenvector column, the edge
+  weights of ``spatial_profile(spectrum.eigenvectors)``, with
+  ``Spectrum.eigenvectors`` written beforehand;
+* ``census_base``: `nhse_fraction`, the census the program runs, on the
+  spectrum's base columns;
 * ``csv_write``: one `write_csv` of the point's eigenvalues, as the
   columns index, re_E and im_E;
 * ``profile_csv_write``: one `write_csv` of the point's profile table
@@ -23,16 +31,17 @@ default 100) it times, best of K runs (default 7), in milliseconds:
 * ``svg_write``: `scatter_svg` of the eigenvalues plus `heatmap_svg` of the
   profile matrix, as the ``spectrum`` and ``profiles`` commands plot them.
 
-``census``, ``profile_csv_write`` and ``svg_write`` are null where the
-spectrum has no vectors.  The writer stages run after every point's other
-stages, so that the memory they leave with the allocator does not change
-the page-fault counts below.
+``census``, ``census_base``, ``profile_csv_write`` and ``svg_write`` are
+null where the spectrum has no vectors.
 
-It also reports ``minor_faults_per_solve``, the median over the K timed
+It also reports ``minor_faults_per_solve``: in a fresh process per point
+(``spawn``), after ``WARMUP_SOLVES`` solves of that point, the median over K
 ``solve(p, bc)`` calls of the minor page faults each took (``ru_minflt`` of
-`resource.getrusage`): the cost of fresh pages for the arrays a solve
-allocates.  ``minor_faults_per_census`` is the same median over the K timed
-census calls (null where the spectrum has no vectors).
+`resource.getrusage`), the cost of fresh pages for the arrays a solve
+allocates.  Counted apart from every other stage, it does not depend on
+what the script allocated before.  ``minor_faults_per_census`` is the
+median over the K timed ``census_base`` calls in the main process (null
+where the spectrum has no vectors).
 
 ``sample_site_fields`` (one realization with every parameter disordered) is
 timed once.  BLAS and OpenMP run on one thread unless the environment sets
@@ -47,6 +56,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import multiprocessing  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
@@ -69,16 +79,18 @@ from bkchain.model import (  # noqa: E402
     excitation_bands,
     excitation_matrix,
 )
-from bkchain.skin import nhse_fraction, profile_matrix  # noqa: E402
+from bkchain.skin import edge_weight, nhse_fraction, profile_matrix, spatial_profile  # noqa: E402
 from bkchain.svgplot import heatmap_svg, scatter_svg  # noqa: E402
 
 OBC, PBC = BoundaryCondition.OBC, BoundaryCondition.PBC
+# solves of a point before its page faults are counted, in a process of its own
+WARMUP_SOLVES = 3
 
 
 def points(n):
     """(label, params, bc): one point per route; the reduced route has five cases, the x/p route two.
 
-    ``reduced_all_real`` (every bond real: `eigvalsh` of H_r) and
+    ``reduced_all_real`` (every bond real: singular values of F = D^T) and
     ``reduced_deflated`` (sign-mixed: eigenvalues of D F) are topological,
     with a closed-form edge pair; both take their other eigenvectors from
     the twisted factorization.  ``reduced_half_size`` is sign-mixed and
@@ -159,26 +171,40 @@ class StageTimer:
 
 
 def route_stages(p, bc, repeats):
-    """The point's record, with every stage but the writers', and its spectrum with vectors."""
+    """The point's record, with every stage but the writers' and the page faults per solve, and its spectrum."""
     build = build_bkc_quadratic if isinstance(p, BKCParams) else build_modbkc_quadratic
-    with StageTimer((transform.SimilarityMatrix, "lift"), (spectral, "_sorted_pairs")) as lift, \
-            StageTimer((spectral, "_residuals")) as residuals:
-        solve_times, solve_faults = runs(lambda: spectral.solve(p, bc), repeats)
+    with StageTimer((transform.SimilarityMatrix, "lift")) as lift, StageTimer((spectral, "_residuals")) as residuals:
+        solve_ms = best_ms(lambda: spectral.solve(p, bc), repeats)
+    with StageTimer((np.linalg, "svd"), (spectral, "_square_eig")) as kernel:
+        bare_ms = best_ms(lambda: spectral.solve(p, bc, vectors=False), repeats)
     spec = spectral.solve(p, bc)
     checked = excitation_matrix if spec.source.startswith("eig[") else excitation_bands
-    census = None if spec.eigenvectors is None else runs(lambda: nhse_fraction(spec, 0.1, 0.9, p.N), repeats)
+    census = census_base = None
+    if spec.base is not None:
+        vectors = spec.eigenvectors
+        census = best_ms(lambda: (edge_weight(spatial_profile(vectors, p.N), 0.1) > 0.9).mean(), repeats)
+        census_base = runs(lambda: nhse_fraction(spec, 0.1, 0.9, p.N), repeats)
     stages = {
         "build": best_ms(lambda: checked(build(p, bc)), repeats),
-        "solve": 1e3 * min(solve_times),
-        "solve_no_vectors": best_ms(lambda: spectral.solve(p, bc, vectors=False), repeats),
+        "solve": solve_ms,
+        "solve_no_vectors": bare_ms,
+        "eigenvalues": kernel.best_ms() if spec.source.startswith("reduced[") else None,
         "lift": lift.best_ms(),
         "residuals": residuals.best_ms(),
-        "census": None if census is None else 1e3 * min(census[0]),
+        "census": census,
+        "census_base": None if census_base is None else 1e3 * min(census_base[0]),
     }
     params = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in asdict(p).items()}
     return {"params": params, "bc": bc.value, "source": spec.source, "stages_ms": stages,
-            "minor_faults_per_solve": statistics.median(solve_faults),
-            "minor_faults_per_census": None if census is None else statistics.median(census[1])}, spec
+            "minor_faults_per_census": None if census_base is None else statistics.median(census_base[1])}, spec
+
+
+def solve_faults(label, cells, repeats):
+    """``minor_faults_per_solve`` of the point ``label``; run in a fresh process, after ``WARMUP_SOLVES`` solves."""
+    p, bc = next((p, bc) for name, p, bc in points(cells) if name == label)
+    for _ in range(WARMUP_SOLVES):
+        spectral.solve(p, bc)
+    return statistics.median(runs(lambda: spectral.solve(p, bc), repeats)[1])
 
 
 def writer_stages(spec, n_cells, repeats, tmpdir):
@@ -188,7 +214,7 @@ def writer_stages(spec, n_cells, repeats, tmpdir):
                                                      ("index", "re_E", "im_E"), (np.arange(len(E)), E.real, E.imag)),
                                    repeats),
               "profile_csv_write": None, "svg_write": None}
-    if spec.eigenvectors is not None:
+    if spec.base is not None:
         P = profile_matrix(spec, n_cells)
         header = ("state",) + tuple(f"b{a}" for a in range(P.shape[1]))
         stages["profile_csv_write"] = best_ms(lambda: write_csv(os.path.join(tmpdir, "profiles.csv"), header,
@@ -217,6 +243,9 @@ def main(argv=None):
         solved = {label: (p, *route_stages(p, bc, args.repeats)) for label, p, bc in points(args.cells)}
         for p, record, spectrum in solved.values():
             record["stages_ms"].update(writer_stages(spectrum, p.N, args.repeats, tmpdir))
+    with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:  # a new process per point
+        for label, (_, record, _) in solved.items():
+            record["minor_faults_per_solve"] = pool.apply(solve_faults, (label, args.cells, args.repeats))
     routes = {label: record for label, (_, record, _) in solved.items()}
     for record in routes.values():
         record["stages_ms"] = {k: None if v is None else round(v, 3) for k, v in record["stages_ms"].items()}
