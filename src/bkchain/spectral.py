@@ -617,7 +617,7 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     bands = excitation_bands(build_modbkc_quadratic(p, bc))
     # U = S U_r; |b| / b and S hold +-1, +-i only, so every product is exact
     S = np.concatenate([[1], np.cumprod(np.sign(b.real) - 1j * np.sign(b.imag))])
-    U = np.repeat(S[:, None] * U, 2, axis=0)  # site a at x row 2a and p row 2a + 1; the N x N U is freed
+    U = np.repeat(S[:, None] * U, 2, axis=0)  # site a at x row 2a and p row 2a + 1; the 2N x N U is freed
     plus = A.lift(U)
     del U
     try:  # the Sigma- and Gamma-flips of these columns have equal residuals
