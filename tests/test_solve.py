@@ -875,14 +875,17 @@ def _upper_bidiagonal(f):
 class TestAllRealSingularValues:
     """All-real reduced chains take E from the singular values of the upper-bidiagonal F = D^T of H_r."""
 
-    @pytest.mark.parametrize("J1,digits", [(0.0, "2.0497e-18"), (0.5, "1.3930e-24"), (0.9, "2.9264e-54")])
-    def test_fig4_edge_values(self, J1, digits):
+    @pytest.mark.parametrize("J1,N,digits", [
+        (0.0, 100, "2.0497e-18"), (0.5, 100, "1.3930e-24"), (0.9, 100, "2.9264e-54"),
+        (0.0, 200, "5.0416e-36"), (0.9, 200, "6.2357e-108")])
+    def test_fig4_edge_values(self, J1, N, digits):
         # LAPACK computes the singular values of a bidiagonal matrix to high relative accuracy
         # (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11, 873 (1990)) once it has one: NumPy's
         # OpenBLAS 0.3.31 keeps the upper-bidiagonal F exact, but its bidiagonal reduction of the
-        # lower-bidiagonal D = F^T returned 1.7e-16, 1.6e-16 and 0 for these three values.  This
-        # test guards the orientation of the input.
-        p = ModBKCParams(J1=J1, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100)
+        # lower-bidiagonal D = F^T returned 1.7e-16, 1.6e-16 and 0 for the three N = 100 values.
+        # This test guards the orientation of the input; the N = 200 cases reach the blocked
+        # reduction (dgebrd with dlabrd, taken from N = 128 on in reference LAPACK).
+        p = ModBKCParams(J1=J1, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=N)
         s = np.linalg.svd(_upper_bidiagonal(p), compute_uv=False)
         exact = _mp_edge_energy(p)
         assert f"{float(exact):.4e}" == digits
@@ -1086,6 +1089,7 @@ class TestProductLift:
     ], ids=["p0", "p1", "p2", "p3", "p4", "guarded"])
     def test_profiles_unchanged(self, p, columns, monkeypatch):
         s = solve(p, OBC)
+        vecs = s.eigenvectors  # written by the production _sorted_pairs, before it is patched below
         seen = {}
 
         def lift_recording(A, plus):
@@ -1108,8 +1112,8 @@ class TestProductLift:
         monkeypatch.setattr(spectral, "_pair_slots", slots_recording)
         monkeypatch.setattr(spectral, "_sorted_pairs", full_basis)
         ref = solve(p, OBC)
-        assert np.array_equal(s.eigenvectors, ref.eigenvectors)
-        assert s.eigenvectors.flags.f_contiguous and ref.eigenvectors.flags.f_contiguous
+        assert np.array_equal(vecs, ref.eigenvectors)
+        assert vecs.flags.f_contiguous and ref.eigenvectors.flags.f_contiguous
         # the profiles, read off the base columns, are those of the full basis
         assert profile_matrix(s, p.N).tobytes() == spatial_profile(ref.eigenvectors, p.N).prob.T.tobytes()
 
