@@ -6,9 +6,11 @@ Usage: PYTHONPATH=src python scripts/per_point.py [--cells N] [--repeats K]
 For one point of each route of `bkchain.spectral.solve` (chain length N,
 default 100) it times, best of K runs (default 7), in milliseconds:
 
-* ``build``: what the route builds for its checks: the quadratic form Q
-  and the diagonals of M read off it (`excitation_bands`), or Q and the
-  dense excitation matrix M on the dense route;
+* ``build``: what the route builds to check or solve: on the gauge, Bloch
+  and x/p routes Q's diagonals (``build_*_quadratic``) and M's diagonals
+  mapped from them (`excitation_bands`); on the dense route, including the
+  x/p guard's fallback, Q's diagonals, the dense Q and the dense excitation
+  matrix M (`excitation_matrix`);
 * ``solve`` and ``solve_no_vectors``: ``solve(p, bc)`` and
   ``solve(p, bc, vectors=False)``;
 * ``eigenvalues``: the reduced route's eigenvalue kernel inside

@@ -25,7 +25,7 @@ where Sigma[a, b] = [v_a, v_b] / i is the symplectic form.  The basis is
 site-major: flat index 2j+s for the single-band chain and 4j+2S+s for the
 two-sublattice chain (S = 0 for A, 1 for B; s = 0 for x, 1 for p).
 
-Every production matrix is ``excitation_matrix(build_*_quadratic(...))``.
+Only the dense solve and `bloch_matrix` form the dense Q and M.
 The ``build_*_excitation_direct`` builders transcribe M from the commutators
 instead; they are kept only as an independent oracle for tests and are
 called nowhere else in the package.
@@ -34,8 +34,10 @@ called nowhere else in the package.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -59,8 +61,6 @@ __all__ = [
     "bloch_matrix",
 ]
 
-_ASYMMETRY_TOL = 1e-14
-
 
 class BoundaryCondition(Enum):
     OBC = "obc"
@@ -83,7 +83,7 @@ class BKCParams:
     N: int
 
     def __post_init__(self):
-        if self.N < 2:
+        if operator.index(self.N) < 2:  # a non-integer N raises TypeError
             raise ValueError(f"chain length N must be >= 2, got {self.N}")
         _require_finite("BKCParams", self.J0, self.Delta0, self.omega)
 
@@ -100,7 +100,7 @@ class ModBKCParams:
     N: int
 
     def __post_init__(self):
-        if self.N < 2:
+        if operator.index(self.N) < 2:  # a non-integer N raises TypeError
             raise ValueError(f"cell count N must be >= 2, got {self.N}")
         for name in ("J1", "J2", "Delta1", "Delta2"):
             v = getattr(self, name)
@@ -126,10 +126,11 @@ class SiteFields:
     omega_B: np.ndarray
 
     def __post_init__(self):
-        arrays = {name: np.asarray(getattr(self, name), dtype=float)
-                  for name in ("J1", "J2", "Delta1", "Delta2", "omega_A", "omega_B")}
-        n = len(arrays["J1"])
-        for name, arr in arrays.items():
+        n = len(self.J1)
+        for name in ("J1", "J2", "Delta1", "Delta2", "omega_A", "omega_B"):
+            if np.iscomplexobj(getattr(self, name)):  # a float conversion would drop the imaginary part
+                raise TypeError(f"SiteFields.{name} must be real; complex couplings are not supported")
+            arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (n,):
                 raise ValueError(f"SiteFields.{name} must have length {n}, got shape {arr.shape}")
             if not np.all(np.isfinite(arr)):
@@ -154,21 +155,42 @@ class SiteFields:
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """Real symmetric matrix Q with H = (1/2) v^T Q v in the flat basis."""
+    """Real symmetric matrix Q with H = (1/2) v^T Q v in the flat basis, held as its upper diagonals.
 
-    Q: np.ndarray
+    ``diagonals`` maps offsets 0 <= d < dim to ``np.diagonal(Q, d)``; ``Q`` is formed on first read.
+    """
+
+    diagonals: dict
     n_cells: int
     n_sublattices: int  # 1 for the single-band chain, 2 for the SSH-like chain
     bc: BoundaryCondition
 
     def __post_init__(self):
-        dim = 2 * self.n_cells * self.n_sublattices
-        if self.Q.shape != (dim, dim):
-            raise ValueError(f"Q must be {dim}x{dim}, got {self.Q.shape}")
+        for d, values in self.diagonals.items():
+            if not (0 <= d < self.dim and np.shape(values) == (self.dim - d,)):
+                raise ValueError(f"diagonal {d}: need 0 <= d < {self.dim} and {self.dim} - d values,"
+                                 f" got shape {np.shape(values)}")
 
     @property
     def dim(self) -> int:
-        return self.Q.shape[0]
+        return 2 * self.n_cells * self.n_sublattices
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        return _symmetric(self.dim, self.diagonals)
+
+    def block(self, s: int) -> np.ndarray:
+        """``Q[s::2, s::2]``, the x (s = 0) or p (s = 1) block, from the even-offset diagonals alone."""
+        return _symmetric(self.dim // 2, {d // 2: v[s::2] for d, v in self.diagonals.items() if d % 2 == 0})
+
+
+def _symmetric(dim: int, diagonals: dict) -> np.ndarray:
+    """The dense symmetric dim x dim matrix with the upper diagonals ``diagonals`` (offset -> values)."""
+    Q = np.zeros((dim, dim))
+    for d, values in diagonals.items():
+        i = np.arange(dim - d)
+        Q[i, i + d] = Q[i + d, i] = values
+    return Q
 
 
 @dataclass(frozen=True)
@@ -200,48 +222,29 @@ def cell_index(dim: int, n_cells: int) -> np.ndarray:
     return np.repeat(np.arange(n_cells), per_cell)
 
 
-def _bonds(n: int, bc: BoundaryCondition):
-    bonds = [(j, j + 1) for j in range(n - 1)]
-    if bc is BoundaryCondition.PBC:
-        bonds.append((n - 1, 0))
-    return bonds
-
-
-def _add_symmetric(Q: np.ndarray, rows, cols, values):
-    """Q[r, c] += v and Q[c, r] += v; repeated entries accumulate (np.add.at).
-
-    The N = 2 periodic wrap bond of the single-band chain lands on the same
-    entries as the inner bond, so plain fancy-indexed assignment would drop it.
-    """
-    np.add.at(Q, (rows, cols), values)
-    np.add.at(Q, (cols, rows), values)
-
-
 def build_bkc_quadratic(p: BKCParams, bc: BoundaryCondition) -> QuadraticForm:
     """Quadratic form of the single-band chain; PBC adds the wrap bond."""
     n = p.N
-    Q = np.zeros((2 * n, 2 * n))
-    Q[np.diag_indices(2 * n)] = p.omega
-    a, b = np.array(_bonds(n, bc)).T
-    _add_symmetric(Q, 2 * a, 2 * b + 1, p.Delta0 - p.J0)  # -(J0-Delta0) x_a p_b
-    _add_symmetric(Q, 2 * a + 1, 2 * b, p.J0 + p.Delta0)  # +(J0+Delta0) p_a x_b
-    return QuadraticForm(Q=Q, n_cells=n, n_sublattices=1, bc=bc)
+    diagonals = {0: np.full(2 * n, float(p.omega)), 1: np.zeros(2 * n - 1), 3: np.zeros(2 * n - 3)}
+    diagonals[1][1::2] += p.J0 + p.Delta0  # +(J0+Delta0) p_a x_{a+1} at Q[2a + 1, 2a + 2]
+    diagonals[3][0::2] += p.Delta0 - p.J0  # -(J0-Delta0) x_a p_{a+1} at Q[2a, 2a + 3]
+    if bc is BoundaryCondition.PBC:  # wrap bond: Q[1, 2n - 2], Q[0, 2n - 1]; at n = 2 it adds to the inner bond's
+        diagonals.setdefault(2 * n - 3, np.zeros(3))[1] += p.Delta0 - p.J0
+        diagonals.setdefault(2 * n - 1, np.zeros(1))[0] += p.J0 + p.Delta0
+    return QuadraticForm(diagonals=diagonals, n_cells=n, n_sublattices=1, bc=bc)
 
 
 def build_modbkc_quadratic(p: Union[ModBKCParams, SiteFields], bc: BoundaryCondition) -> QuadraticForm:
     """Quadratic form of the two-sublattice chain, uniform or site-resolved."""
     f = SiteFields.uniform(p) if isinstance(p, ModBKCParams) else p
     n = f.N
-    Q = np.diag(np.repeat(np.column_stack([f.omega_A, f.omega_B]).ravel(), 2))
-    x_a = 4 * np.arange(n)  # flat index of x_{A,j}; p_A, x_B, p_B follow
-    # (J1+Delta1) x_{A,j} x_{B,j} + (J1-Delta1) p_{A,j} p_{B,j}
-    _add_symmetric(Q, x_a, x_a + 2, f.J1 + f.Delta1)
-    _add_symmetric(Q, x_a + 1, x_a + 3, f.J1 - f.Delta1)
-    # (J2+Delta2) x_{B,a} x_{A,b} + (J2-Delta2) p_{B,a} p_{A,b}
-    a, b = np.array(_bonds(n, bc)).T
-    _add_symmetric(Q, 4 * a + 2, 4 * b, f.J2[a] + f.Delta2[a])
-    _add_symmetric(Q, 4 * a + 3, 4 * b + 1, f.J2[a] - f.Delta2[a])
-    return QuadraticForm(Q=Q, n_cells=n, n_sublattices=2, bc=bc)
+    # Q[4j + r, 4j + r + 2], r = 0..3: (J1+Delta1) x_{A,j} x_{B,j}, (J1-Delta1) p_{A,j} p_{B,j},
+    # (J2+Delta2) x_{B,j} x_{A,j+1}, (J2-Delta2) p_{B,j} p_{A,j+1}; + 0.0 stores -0.0 as 0.0, as += onto zeros does
+    bonds = np.column_stack([f.J1 + f.Delta1, f.J1 - f.Delta1, f.J2 + f.Delta2, f.J2 - f.Delta2]).ravel() + 0.0
+    diagonals = {0: np.repeat(np.column_stack([f.omega_A, f.omega_B]).ravel(), 2), 2: bonds[:-2]}
+    if bc is BoundaryCondition.PBC:  # the last intercell bond wraps to cell 0: Q[0, 4n - 2] and Q[1, 4n - 1]
+        diagonals[4 * n - 2] = bonds[-2:]
+    return QuadraticForm(diagonals=diagonals, n_cells=n, n_sublattices=2, bc=bc)
 
 
 def excitation_matrix(q: QuadraticForm) -> ExcitationMatrix:
@@ -252,9 +255,6 @@ def excitation_matrix(q: QuadraticForm) -> ExcitationMatrix:
     sign makes a single oscillator (Q = omega*I) come out as omega*sigma_y in
     the (x, p) basis, consistent with the direct builders below.
     """
-    asym = np.abs(q.Q - q.Q.T).max()
-    if asym > _ASYMMETRY_TOL:
-        raise ValueError(f"quadratic form is not symmetric: max asymmetry {asym:.3e}")
     SQ = np.empty_like(q.Q)
     SQ[0::2] = q.Q[1::2]
     SQ[1::2] = -q.Q[0::2]
@@ -265,25 +265,20 @@ def excitation_matrix(q: QuadraticForm) -> ExcitationMatrix:
 def excitation_bands(q: QuadraticForm) -> list:
     """Nonzero diagonals of ``excitation_matrix(q).M`` as (offset, values) pairs, by ascending offset.
 
-    ``values`` equals ``np.diagonal(M, offset)``, computed by the same
-    arithmetic as `excitation_matrix`, but M is never formed: its diagonal d
-    reads Q's diagonal d - 1 on even rows and d + 1 on odd rows.  Both
-    builders couple a cell only to itself and to its neighbours, a ring's
-    last cell also to its first, so Q's nonzero diagonals lie within 2s - 1
-    of its main diagonal or of its corners (s quadratures per cell), and
-    only those O(s) diagonals of Q are read.  An all-zero M has no band.
+    ``values`` equals ``np.diagonal(M, d)``, computed by the same arithmetic
+    as `excitation_matrix`, but neither M nor the dense Q is formed: M's
+    diagonal d reads Q's diagonal d - 1 on even rows and d + 1 on odd rows.
+    An all-zero M has no band.
     """
-    Q, n = q.Q, q.dim
-    reach = 2 * n // q.n_cells - 1
-    near = range(-reach, reach + 1)
-    far = range(n - reach, n) if q.bc is BoundaryCondition.PBC else range(0)
-    offsets = {e for e in (*near, *far, *(-f for f in far)) if abs(e) < n and np.diagonal(Q, e).any()}
+    n, zero = q.dim, np.zeros(q.dim)
+    by_row = {e: np.concatenate([v, zero[:e]]) for e, v in q.diagonals.items()}  # Q[r, r + e] at r, else 0
+    by_row.update({-e: np.roll(row, e) for e, row in by_row.items()})  # Q[r, r - e] = Q[r - e, r] at r, else 0
     bands = []
-    for d in sorted({e + t for e in offsets for t in (-1, 1) if abs(e + t) < n}):
-        rows = np.arange(max(0, -d), min(n, n - d))
-        SQ = Q[rows ^ 1, rows + d]  # row 2i of Sigma Q is Q[2i + 1], row 2i + 1 is -Q[2i]
-        np.negative(SQ, out=SQ, where=rows % 2 == 1)
-        values = -1j * SQ
+    for d in sorted({e + t for e in by_row for t in (-1, 1) if abs(e + t) < n}):
+        SQ = np.empty(n)
+        SQ[0::2] = by_row.get(d - 1, zero)[1::2]  # row 2i of Sigma Q is Q[2i + 1], row 2i + 1 is -Q[2i]
+        SQ[1::2] = -by_row.get(d + 1, zero)[0::2]
+        values = -1j * SQ[max(0, -d):n - max(0, d)]
         if values.any():
             bands.append((d, values))
     return bands
@@ -302,7 +297,8 @@ def build_bkc_excitation_direct(p: BKCParams, bc: BoundaryCondition) -> Excitati
     for j in range(n):
         M[flat_index_bkc(j, 0), flat_index_bkc(j, 1)] = -1j * p.omega
         M[flat_index_bkc(j, 1), flat_index_bkc(j, 0)] = 1j * p.omega
-    for a, b in _bonds(n, bc):
+    for a in range(n if bc is BoundaryCondition.PBC else n - 1):  # bond (a, b); a ring's last bond wraps to 0
+        b = (a + 1) % n
         M[flat_index_bkc(a, 0), flat_index_bkc(b, 0)] += -1j * (p.J0 + p.Delta0)
         M[flat_index_bkc(b, 0), flat_index_bkc(a, 0)] += 1j * (p.J0 - p.Delta0)
         M[flat_index_bkc(a, 1), flat_index_bkc(b, 1)] += -1j * (p.J0 - p.Delta0)
@@ -328,7 +324,8 @@ def build_modbkc_excitation_direct(p: ModBKCParams, bc: BoundaryCondition) -> Ex
         M[ix(j, 0, 1), ix(j, 1, 0)] += 1j * (p.Delta1 + p.J1)
         M[ix(j, 1, 0), ix(j, 0, 1)] += 1j * (p.Delta1 - p.J1)
         M[ix(j, 1, 1), ix(j, 0, 0)] += 1j * (p.Delta1 + p.J1)
-    for a, b in _bonds(n, bc):
+    for a in range(n if bc is BoundaryCondition.PBC else n - 1):  # bond (a, b); a ring's last bond wraps to 0
+        b = (a + 1) % n
         M[ix(b, 0, 0), ix(a, 1, 1)] += 1j * (p.Delta2 - p.J2)
         M[ix(b, 0, 1), ix(a, 1, 0)] += 1j * (p.Delta2 + p.J2)
         M[ix(a, 1, 0), ix(b, 0, 1)] += 1j * (p.Delta2 - p.J2)

@@ -83,8 +83,8 @@ code that picks a solve route:
 Every route checks its eigenvectors by `_check_residual`: each eigenpair's
 residual on M must be at most ``RESIDUAL_FACTOR`` * max|M| * dim.  The
 check runs on M's nonzero diagonals.  The dense route reads them off the M
-it builds (`_bands`); every other route reads them off Q
-(`excitation_bands`) and never forms M.  On the SSH reduction and x/p
+it builds (`_bands`); every other route maps them from Q's diagonals
+(`excitation_bands`) and forms no dense Q or M.  On the SSH reduction and x/p
 routes M couples x only to p, so it anticommutes with Sigma, and each -E
 eigenvector is the exact Sigma-flip of its +E partner.
 Their residuals are equal bit for bit, as are those of Gamma-flips, so the
@@ -307,7 +307,7 @@ def _hatano_nelson_spectrum(p: BKCParams, vectors: bool) -> Spectrum:
     for rows, cols in ((slice(0, None, 2), place[:n]), (slice(1, None, 2), place[n:])):
         vecs[rows, cols] = replace(A, log_scale=A.log_scale[rows], phase=A.phase[rows]).lift(U)
     spec = Spectrum(eigenvalues=vals[order], base=vecs, source=source)
-    bands = excitation_bands(build_bkc_quadratic(p, BoundaryCondition.OBC))  # M's diagonals; M is never formed
+    bands = excitation_bands(build_bkc_quadratic(p, BoundaryCondition.OBC))  # M's diagonals, from Q's
     try:
         _check_residual(bands, vecs, spec.eigenvalues)
     except SolverError as err:  # the eigenvalues are exact, so they stay
@@ -660,14 +660,14 @@ def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:
     Qp+- Qx+- (module docstring) and x is joined from their eigenvectors
     (`_mirror_join`).  The route's own guard sends a point whose smallest
     |E| is at or below ``XP_MIN_EIGENVALUE`` * max|Q| to `eigendecompose`
-    instead; M is built only for that dense solve.  The 2N base columns
-    (x, y), normalised together, are checked as they are: the residual check
-    reads M's diagonals off Q (`excitation_bands`), and M couples x only to
+    instead; the dense Q and M are formed only for that solve.  The 2N base
+    columns (x, y), normalised together, are checked as they are: the check
+    maps M's diagonals from Q's (`excitation_bands`), and M couples x only to
     p, so each -E column (x, -y) is the Sigma-flip of its +E partner (x, y),
     with a residual equal bit for bit.  The base columns are kept, with the
     slots of both.
     """
-    Qx, Qp = q.Q[0::2, 0::2], q.Q[1::2, 1::2]
+    Qx, Qp = q.block(0), q.block(1)
     source = f"xp[symplectic,{q.bc.value},n={q.n_cells}]"
     split = _mirrored(Qx) and _mirrored(Qp)
     if split:
@@ -678,7 +678,8 @@ def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:
     solved = [_square_eig(P @ T, vectors) for T, P in blocks]
     mu = np.concatenate([m for m, _ in solved])
     root = np.sqrt(mu.astype(complex))
-    small = ~(np.abs(root) > XP_MIN_EIGENVALUE * np.abs(q.Q).max())
+    scale = max((np.abs(v).max() for v in q.diagonals.values()), default=0.0)  # max|Q|
+    small = ~(np.abs(root) > XP_MIN_EIGENVALUE * scale)
     if small.any():
         del solved  # not used by the dense solve
         count = f", {small.sum()} values" if small.sum() > 1 else ""
@@ -714,8 +715,8 @@ def _bloch_spectrum(p: Union[BKCParams, ModBKCParams], vectors: bool) -> Spectru
     Each eigenpair (E, u) of the block at k = 2 pi m / N gives the ring
     eigenpair (E, v), v[(j, a)] = w^(j m) u_a / sqrt(N), with w = exp(2 pi i / N)
     (see `bloch_matrix`).  The plane waves are written straight into the
-    ring's eigenvector array, in the order `_sorted` gives.  The check reads
-    M's diagonals off the ring's Q (`excitation_bands`) and never forms M.
+    ring's eigenvector array, in the order `_sorted` gives.  The check maps
+    M's diagonals from the ring's Q's (`excitation_bands`) and never forms M.
     Without ``vectors`` only the block eigenvalues are solved, and the ring's
     Q is not built.
     """
@@ -762,7 +763,7 @@ def solve(p: Union[BKCParams, ModBKCParams, SiteFields], bc: BoundaryCondition,
     if single_band and p.omega == 0:  # open: the ring took the Bloch route
         return _hatano_nelson_spectrum(p, vectors)
     q = build_bkc_quadratic(p, bc) if single_band else build_modbkc_quadratic(p, bc)
-    if np.any(q.Q[0::2, 1::2]):
+    if any(v.any() for d, v in q.diagonals.items() if d % 2):  # Q[0::2, 1::2] lies on the odd-offset diagonals
         return eigendecompose(excitation_matrix(q), vectors)
     return _xp_spectrum(q, vectors)
 

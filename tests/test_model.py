@@ -100,28 +100,53 @@ class TestQuadraticForms:
             SiteFields(J1=np.ones(3), J2=np.ones(3), Delta1=np.ones(2), Delta2=np.ones(3),
                        omega_A=np.zeros(3), omega_B=np.zeros(3))
 
+    def test_rejects_malformed_diagonals(self):
+        # a form held as its upper diagonals is symmetric by construction; what
+        # can be wrong is an offset outside [0, dim) or a diagonal of the wrong length
+        from bkchain.model import QuadraticForm
+        for diagonals, match in (({4: np.ones(0)}, "diagonal 4:"), ({-1: np.ones(3)}, "diagonal -1:"),
+                                 ({1: np.ones(4)}, "shape \\(4,\\)"), ({0: np.ones((2, 2))}, "shape \\(2, 2\\)")):
+            with pytest.raises(ValueError, match=match):
+                QuadraticForm(diagonals=diagonals, n_cells=2, n_sublattices=1, bc=OBC)
+        corner = np.zeros((4, 4))
+        corner[0, 3] = corner[3, 0] = 5.0
+        q = QuadraticForm(diagonals={3: np.array([5.0])}, n_cells=2, n_sublattices=1, bc=OBC)
+        assert np.array_equal(q.Q, corner)
+
+    def test_complex_site_fields_rejected(self):
+        # as for ModBKCParams: a float conversion would keep only the real parts
+        with pytest.raises(TypeError, match="J1 must be real"):
+            ModBKCParams(J1=1 + 1j, J2=1, Delta1=1, Delta2=1, omega=0, N=3)
+        for name in ("J1", "omega_B"):
+            fields = {k: np.ones(3) for k in ("J1", "J2", "Delta1", "Delta2", "omega_A", "omega_B")}
+            fields[name] = np.array([1 + 1j, 1, 1])
+            with pytest.raises(TypeError, match=f"SiteFields.{name} must be real"):
+                SiteFields(**fields)
+
     def test_small_chains_rejected(self):
         with pytest.raises(ValueError):
             BKCParams(J0=1, Delta0=0, omega=0, N=1)
         with pytest.raises(ValueError):
             ModBKCParams(J1=1, J2=1, Delta1=1, Delta2=1, omega=0, N=1)
 
+    def test_non_integer_chain_length_rejected(self):
+        for N in (2.5, 3.0, "3"):
+            with pytest.raises(TypeError):
+                BKCParams(J0=1, Delta0=0, omega=0, N=N)
+            with pytest.raises(TypeError):
+                ModBKCParams(J1=1, J2=1, Delta1=1, Delta2=1, omega=0, N=N)
+        assert BKCParams(J0=1, Delta0=0, omega=0, N=np.int64(3)).N == 3
+        assert ModBKCParams(J1=1, J2=1, Delta1=1, Delta2=1, omega=0, N=np.int64(3)).N == 3
+
 
 class TestExcitationMatrix:
     def test_single_oscillator_is_omega_sigma_y(self):
         from bkchain.model import QuadraticForm
-        q = QuadraticForm(Q=np.eye(2), n_cells=1, n_sublattices=1, bc=OBC)
+        q = QuadraticForm(diagonals={0: np.ones(2)}, n_cells=1, n_sublattices=1, bc=OBC)
         M = excitation_matrix(q).M
         sigma_y = np.array([[0, -1j], [1j, 0]])
         assert np.array_equal(M, sigma_y)
         assert sorted(np.linalg.eigvals(M).real) == pytest.approx([-1.0, 1.0])
-
-    def test_rejects_asymmetric_form(self):
-        from bkchain.model import QuadraticForm
-        Q = np.array([[0.0, 1.0], [0.999999, 0.0]])
-        q = QuadraticForm(Q=Q, n_cells=1, n_sublattices=1, bc=OBC)
-        with pytest.raises(ValueError, match="symmetric"):
-            excitation_matrix(q)
 
     def test_sweet_spot_zero_mode_rows(self):
         # p_0 and x_{N-1} commute with H at J0 = Delta0, omega = 0: in the

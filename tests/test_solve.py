@@ -51,11 +51,14 @@ the small-eigenvalue guard).  The references are:
 * the reduced route's closed-form edge pair: its |E| against inverse
   iteration on D F in 200-digit arithmetic, and its residual on the 4N
   matrix;
-* the residual check, which works from M's diagonals read off Q and, on the
-  reduced and x/p routes, skips each -E column: the diagonals and residuals
-  of the dense M, bit for bit, and the Sigma-flipped partner of every
-  column, with a residual equal bit for bit (on the reduced route off its
-  fallback also the Gamma-flipped partner, which it never checks).
+* the residual check, which works from M's diagonals mapped from Q's and,
+  on the reduced and x/p routes, skips each -E column: the diagonals and
+  residuals of the dense M, bit for bit, and the Sigma-flipped partner of
+  every column, with a residual equal bit for bit (on the reduced route off
+  its fallback also the Gamma-flipped partner, which it never checks);
+* the x/p blocks taken from Q's diagonals: the strided blocks of the dense
+  Q, bit for bit; and a patched dense Q view, which only the dense route,
+  its fallbacks and `bloch_matrix`'s three-cell ring may read.
 
 Couplings are drawn with |Delta -+ J| bounded away from zero, so the gauge
 ratios r = (Delta+J)/(Delta-J) stay within 1/4 <= |r| <= 4 (6.5 for the
@@ -78,6 +81,7 @@ from bkchain.model import (
     BKCParams,
     BoundaryCondition,
     ModBKCParams,
+    QuadraticForm,
     SiteFields,
     bloch_matrix,
     build_bkc_excitation_direct,
@@ -1278,6 +1282,33 @@ def _assert_flip_pairs(s, M, flip="Sigma"):
         assert res[partner[0]].tobytes() == res[j].tobytes()
 
 
+def _small_forms():
+    """(id, form) at N = 2..6 under both boundaries: seeded site fields, and single-band chains on a grid.
+
+    The grid holds Delta0 = +-J0, where one coupling vanishes, and Delta0 = 0,
+    where the two-cell ring's wrap bond cancels its inner bond.  Each fields
+    ring also comes with a wrap bond J2 = Delta2 = 0 and one with J2 = -Delta2,
+    which cancels one of its two corner entries.
+    """
+    rng = np.random.default_rng(11)
+    forms = []
+    for N in range(2, 7):
+        for bc in (OBC, PBC):
+            f = SiteFields(*rng.uniform(-3, 3, (6, N)))
+            forms.append((f"fields-{bc.value}-n{N}", build_modbkc_quadratic(f, bc)))
+            if bc is PBC:
+                for name, J2, Delta2 in (("open-wrap", 0.0, 0.0), ("half-wrap", f.J2[-1], -f.J2[-1])):
+                    g = replace(f, J2=np.append(f.J2[:-1], J2), Delta2=np.append(f.Delta2[:-1], Delta2))
+                    forms.append((f"fields-{bc.value}-n{N}-{name}", build_modbkc_quadratic(g, bc)))
+            for J0, Delta0, omega in ((0.5, 1.0, 0.3), (0.8, 0.8, 0.0), (0.8, -0.8, 0.5), (-1.0, 0.0, 0.0)):
+                forms.append((f"bkc-{bc.value}-n{N}-{J0:g}-{Delta0:g}",
+                              build_bkc_quadratic(BKCParams(J0=J0, Delta0=Delta0, omega=omega, N=N), bc)))
+    return forms
+
+
+SMALL_FORMS = _small_forms()
+
+
 class TestResidualCheck:
     @pytest.mark.parametrize("kind", sorted(SIGMA_POINTS))
     @given(data=st.data())
@@ -1372,11 +1403,16 @@ class TestResidualCheck:
         build_bkc_quadratic(BKCParams(J0=0.5, Delta0=1.0, omega=0.3, N=2), PBC),
         build_bkc_quadratic(BKCParams(J0=0.5, Delta0=1.0, omega=0.0, N=3), PBC),
         build_bkc_quadratic(BKCParams(J0=-1.0, Delta0=-0.0, omega=0.0, N=2), PBC),  # the wrap bond cancels: M = 0
+        *(q for _, q in SMALL_FORMS),
     ], ids=["modbkc-obc", "modbkc-obc-omega0", "modbkc-pbc", "modbkc-pbc-n2", "modbkc-pbc-n3", "fields-pbc",
-            "bkc-obc", "bkc-pbc", "bkc-pbc-n2", "bkc-pbc-n3-omega0", "zero"])
+            "bkc-obc", "bkc-pbc", "bkc-pbc-n2", "bkc-pbc-n3-omega0", "zero", *(name for name, _ in SMALL_FORMS)])
     def test_bands_match_dense_matrix(self, q):
-        M = excitation_matrix(q).M
+        # the bands and the x/p blocks come from Q's diagonals; the references from the dense Q
         bands = excitation_bands(q)
+        blocks = q.block(0), q.block(1)
+        M = excitation_matrix(q).M
+        for s, block in enumerate(blocks):
+            assert block.tobytes() == np.ascontiguousarray(q.Q[s::2, s::2]).tobytes()
         assert [d for d, _ in bands] == [d for d, _ in _bands(M)]
         for d, values in bands:
             assert np.array_equal(values, np.diagonal(M, d))
@@ -1415,6 +1451,43 @@ class TestResidualCheck:
         s = solve(p, bc)
         assert _route(s) == route and s.eigenvectors is not None
         assert cells == ([3] if route == "bloch[" else [])
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    @pytest.mark.parametrize("p,bc,note,forms", [
+        (ModBKCParams(J1=0.0, J2=0.5, Delta1=1.0, Delta2=1.5, omega=0.0, N=20), OBC, "reduced[", False),  # all real
+        (ModBKCParams(J1=2.0, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=20), OBC, "reduced[", False),  # sign-mixed
+        (_fig5_split(1e-6), OBC, "(half-size guard", False),
+        (ModBKCParams(J1=0.8, J2=1.4, Delta1=0.8, Delta2=2.1, omega=0.0, N=20), OBC, "reduced[", False),  # no gauge
+        (BKCParams(J0=0.5, Delta0=1.0, omega=0.0, N=20), OBC, "similarity[", False),
+        (ModBKCParams(J1=1.4, J2=1.2, Delta1=1.0, Delta2=1.0, omega=0.3, N=20), PBC, "bloch[", False),
+        (BKCParams(J0=0.5, Delta0=1.0, omega=0.3, N=20), PBC, "bloch[", False),
+        (ModBKCParams(J1=1.4, J2=1.2, Delta1=1.0, Delta2=1.0, omega=0.3, N=20), OBC, _mirror_note(20), False),
+        (_fig9_realization(0), OBC, "xp[", False),
+        (BKCParams(J0=0.5, Delta0=1.0, omega=0.5, N=20), OBC, "eig[", True),
+        (BKCParams(J0=0.8, Delta0=0.8, omega=0.0, N=20), OBC, "eig[", True),  # no gauge: the dense fallback
+        (SiteFields.uniform(ModBKCParams(J1=1.4, J2=1.2, Delta1=1.5, Delta2=1.0, omega=0.3, N=100)), PBC,
+         "(x/p guard", True),
+    ], ids=["reduced-all-real", "reduced-sign-mixed", "reduced-guarded", "reduced-singular", "similarity",
+            "bloch", "bloch-bkc", "xp-mirror-halves", "xp-fig9", "dense", "similarity-singular", "xp-guard"])
+    def test_only_dense_solves_form_dense_q(self, p, bc, note, forms, vectors, monkeypatch):
+        # every other route reads Q's diagonals; `bloch_matrix` reads the blocks of a three-cell ring off its dense M
+        dense = QuadraticForm.__dict__["Q"]
+
+        def refuse(q):
+            if q.n_cells == 3:
+                return dense.func(q)
+            raise AssertionError("dense Q formed")
+
+        monkeypatch.setattr(QuadraticForm, "Q", property(refuse))
+        if forms:
+            with pytest.raises(AssertionError, match="dense Q formed"):
+                solve(p, bc, vectors)
+            monkeypatch.undo()
+            assert note in solve(p, bc, vectors).source
+            return
+        s = solve(p, bc, vectors)
+        assert note in s.source
+        assert (s.eigenvectors is not None) == (vectors and "(no vectors" not in s.source)
 
     @pytest.mark.parametrize("name", ["dense", "obc", "pbc", "bkc-pbc-n2"])
     def test_blocked_residual_matches_dense_product(self, name):

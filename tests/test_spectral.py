@@ -25,7 +25,7 @@ OBC, PBC = BoundaryCondition.OBC, BoundaryCondition.PBC
 
 class TestEigendecompose:
     def test_single_oscillator(self):
-        q = QuadraticForm(Q=np.eye(2), n_cells=1, n_sublattices=1, bc=OBC)
+        q = QuadraticForm(diagonals={0: np.ones(2)}, n_cells=1, n_sublattices=1, bc=OBC)
         s = eigendecompose(excitation_matrix(q))
         assert s.eigenvalues == pytest.approx([-1.0, 1.0])
 
