@@ -45,6 +45,16 @@ what the script allocated before.  ``minor_faults_per_census`` is the
 median over the K timed ``census_base`` calls in the main process (null
 where the spectrum has no vectors).
 
+``imports`` has one entry per CLI command: the bkchain modules a small run
+of that command loads (``modules``, read off a fresh interpreter that runs
+it) and ``median_ms``, the median over K fresh interpreters of the time to
+import `bkchain.cli` and those modules, NumPy already loaded.  The
+interpreters run with ``PYTHONDONTWRITEBYTECODE=1``, as the benchmark runs
+its children, on a copy of the package without its ``__pycache__``, so
+every bkchain module is compiled as in a fresh checkout.  The spectrum, profiles and disorder
+runs are off the gauge routes (omega = 0.3), as the benchmark's ``sweep``
+and ``ensemble`` are; winding and phase-scan run at omega = 0, as they must.
+
 ``sample_site_fields`` (one realization with every parameter disordered) is
 timed once.  BLAS and OpenMP run on one thread unless the environment sets
 otherwise; the JSON printed on standard output records the thread settings
@@ -61,13 +71,17 @@ import json  # noqa: E402
 import multiprocessing  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
+import shutil  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
 from dataclasses import asdict, replace  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+import bkchain  # noqa: E402
 from bkchain import spectral, transform  # noqa: E402
 from bkchain.csvio import write_csv  # noqa: E402
 from bkchain.disorder import DisorderSpec, sample_site_fields  # noqa: E402
@@ -87,6 +101,29 @@ from bkchain.svgplot import heatmap_svg, scatter_svg  # noqa: E402
 OBC, PBC = BoundaryCondition.OBC, BoundaryCondition.PBC
 # solves of a point before its page faults are counted, in a process of its own
 WARMUP_SOLVES = 3
+
+_MODEL = "[model]\nkind = modbkc\nJ1 = 1\nJ2 = 0.5\nDelta1 = 1.5\nDelta2 = 2.1\nomega = {omega}\nN = 8\nbc = {bc}\n"
+# command -> the config of its small run in `import_record`
+IMPORT_RUNS = {
+    "spectrum": _MODEL.format(omega=0.3, bc="both"),
+    "profiles": _MODEL.format(omega=0.3, bc="obc"),
+    "winding": _MODEL.format(omega=0, bc="obc"),
+    "phase-scan": _MODEL.format(omega=0, bc="obc") + "[sweep]\nparameter = J1\nmin = 0\nmax = 1\nstep = 0.5\n",
+    "disorder": _MODEL.format(omega=0.3, bc="obc") + "[disorder]\nW_J1 = 0.1\nrealizations = 2\n",
+    "floquet": "[floquet]\nlambdas = 0,0.5\n",
+}
+_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'bkchain')"
+# runs the command in argv and prints the bkchain modules it loaded
+_RUN_SCRIPT = ("import json, sys\nfrom bkchain.cli import main\nassert main(sys.argv[1:]) == 0\n"
+               f"print(json.dumps({_LOADED}))")
+# imports the modules in argv after NumPy and prints the seconds it took
+_IMPORT_SCRIPT = """import importlib, sys, time
+import numpy
+t0 = time.perf_counter()
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+print(time.perf_counter() - t0)
+"""
 
 
 def points(n):
@@ -232,6 +269,35 @@ def writer_stages(spec, n_cells, repeats, tmpdir):
     return stages
 
 
+def _fresh_interpreter(root, script, *args):
+    """Standard output of ``script`` run with ``args`` in a fresh interpreter that writes no bytecode.
+
+    ``root`` is put first on its path: a directory that holds the bkchain package.
+    """
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, check=True, capture_output=True,
+                          text=True, timeout=120).stdout
+
+
+def import_record(repeats, tmpdir):
+    """The ``imports`` record: per command, the bkchain modules its run loads and their median import time."""
+    root = os.path.join(tmpdir, "checkout")  # the sources alone, with no cached bytecode, as in a fresh checkout
+    shutil.copytree(os.path.dirname(bkchain.__file__), os.path.join(root, "bkchain"),
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    record = {}
+    for command, text in IMPORT_RUNS.items():
+        cfg = os.path.join(tmpdir, f"{command}.cfg")
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        loaded = json.loads(_fresh_interpreter(root, _RUN_SCRIPT, command, "--config", cfg, "--out",
+                                               os.path.join(tmpdir, command)).splitlines()[-1])
+        modules = ["bkchain.cli"] + [m for m in loaded if m != "bkchain.cli"]
+        times = [float(_fresh_interpreter(root, _IMPORT_SCRIPT, *modules)) for _ in range(repeats)]
+        record[command] = {"modules": loaded, "median_ms": round(1e3 * statistics.median(times), 2)}
+    return record
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--cells", type=int, default=100, help="chain length N (default 100)")
@@ -245,6 +311,7 @@ def main(argv=None):
         solved = {label: (p, *route_stages(p, bc, args.repeats)) for label, p, bc in points(args.cells)}
         for p, record, spectrum in solved.values():
             record["stages_ms"].update(writer_stages(spectrum, p.N, args.repeats, tmpdir))
+        imports = import_record(args.repeats, tmpdir)
     with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:  # a new process per point
         for label, (_, record, _) in solved.items():
             record["minor_faults_per_solve"] = pool.apply(solve_faults, (label, args.cells, args.repeats))
@@ -261,6 +328,7 @@ def main(argv=None):
                                                        "MKL_NUM_THREADS")},
         "nproc": os.cpu_count(),
         "routes": routes,
+        "imports": imports,
         "sample_site_fields_ms": round(best_ms(lambda: sample_site_fields(base, spec, 0), args.repeats), 3),
     }
     print(json.dumps(report, indent=1))

@@ -33,6 +33,12 @@ Thread count: --threads beats the BKCHAIN_THREADS environment variable beats
 the config.  Only phase-scan points and disorder realizations are farmed out
 over the threads, deterministically; spectrum, profiles, winding and floquet
 run on one thread whatever the count.
+
+Each command loads only the bkchain modules its run executes: every command
+loads csvio, model, spectral and svgplot, to which profiles adds skin,
+phase-scan and winding add topology, skin and transform, disorder adds
+disorder, topology and skin, floquet adds floquet, a solve on a gauge route
+(an open chain at omega = 0) adds transform, and --seed adds disorder.
 """
 
 from __future__ import annotations
@@ -49,24 +55,20 @@ import numpy as np
 
 from . import __version__
 from .csvio import write_csv, write_manifest
-from .model import BKCParams, BoundaryCondition, ModBKCParams
-from .skin import profile_matrix
-from .spectral import solve
-from .topology import (
+from .model import (
     MAX_CELLS,
     MAX_THREADS,
     MIN_WINDING_GRID,
     AxisSpec,
-    GapClosedError,
+    BKCParams,
+    BoundaryCondition,
+    ModBKCParams,
     grid_size,
-    phase_scan,
-    winding_analytic,
-    winding_numeric,
 )
-from .transform import effective_ssh_params
+from .spectral import solve
 from . import svgplot
 
-if TYPE_CHECKING:  # disorder and floquet are imported by the commands and checks that use them
+if TYPE_CHECKING:  # the other modules are imported by the commands and checks that use them
     from .disorder import DisorderSpec
 
 _SCHEMA = {
@@ -338,6 +340,7 @@ def _spectrum(cfg, seed, threads):
 
 
 def _profiles(cfg, seed, threads):
+    from .skin import profile_matrix
     out = []
     for b in cfg.bcs:
         s = solve(cfg.model, b)
@@ -352,6 +355,8 @@ def _profiles(cfg, seed, threads):
 
 
 def _winding(cfg, seed, threads):
+    from .topology import GapClosedError, winding_analytic, winding_numeric
+    from .transform import effective_ssh_params
     head = tuple(ax.name for ax in cfg.axes)
     rows = []
     for x, p in _points(cfg):
@@ -374,6 +379,7 @@ def _winding(cfg, seed, threads):
 
 
 def _phase_scan(cfg, seed, threads):
+    from .topology import phase_scan
     head = tuple(ax.name for ax in cfg.axes)
     cols = _columns([pt.values + (pt.zero_gap, pt.zero_modes, pt.w_plus, pt.w_minus, pt.nhse_fraction, pt.error)
                      for pt in phase_scan(cfg.model, cfg.axes, threads=threads).points])

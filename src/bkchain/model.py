@@ -29,6 +29,11 @@ Only the dense solve and `bloch_matrix` form the dense Q and M.
 The ``build_*_excitation_direct`` builders transcribe M from the commutators
 instead; they are kept only as an independent oracle for tests and are
 called nowhere else in the package.
+
+The run limits (``MAX_CELLS``, ``MAX_THREADS``, ``MIN_WINDING_GRID``,
+``MAX_GRID_POINTS``) and the sweep axes (`AxisSpec`, `grid_size`) live here,
+beside the parameters they bound, so that checking a run configuration
+loads no solver beyond this module; `bkchain.topology` exports them too.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -59,7 +64,17 @@ __all__ = [
     "build_bkc_excitation_direct",
     "build_modbkc_excitation_direct",
     "bloch_matrix",
+    "AxisSpec",
+    "grid_size",
 ]
+
+MAX_GRID_POINTS = 10 ** 6
+# Largest chain length a run config may ask for: the 4N x 4N complex
+# eigenvectors of a two-sublattice chain take 1.6 GB at N = 2500 cells
+MAX_CELLS = 2500
+# Most worker threads a run config may ask for; topology.map_points starts at most one per point
+MAX_THREADS = 64
+MIN_WINDING_GRID = 64
 
 
 class BoundaryCondition(Enum):
@@ -361,3 +376,39 @@ def bloch_matrix(p: Union[BKCParams, ModBKCParams], k) -> np.ndarray:
     M = excitation_matrix(build(replace(p, N=3), BoundaryCondition.PBC)).M
     s = M.shape[0] // 3
     return M[:s, :s] + M[:s, s:2 * s] * fwd + M[:s, 2 * s:] * fwd.conj()
+
+
+@dataclass(frozen=True)
+class AxisSpec:
+    """One swept parameter, inclusive range; the name is a coupling or omega of either model."""
+
+    name: str
+    start: float
+    stop: float
+    step: float
+
+    def count(self) -> int:
+        """Number of grid points, computed without allocating the grid."""
+        if self.name not in ("J0", "Delta0", "J1", "J2", "Delta1", "Delta2", "omega"):
+            raise ValueError(f"unknown sweep parameter {self.name!r}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop) and math.isfinite(self.step)):
+            raise ValueError("axis start, stop and step must be finite")
+        if self.step <= 0:
+            raise ValueError("axis step must be positive")
+        if self.stop < self.start:
+            raise ValueError("axis stop must be >= start")
+        ratio = (self.stop - self.start) / self.step
+        if not math.isfinite(ratio):
+            raise ValueError(f"axis step {self.step!r} gives a non-finite number of points")
+        return int(round(ratio)) + 1
+
+    def values(self) -> np.ndarray:
+        return self.start + self.step * np.arange(grid_size([self]))
+
+
+def grid_size(axes: Sequence[AxisSpec]) -> int:
+    """Points of the product grid; raises ValueError above the 1e6 limit."""
+    total = math.prod(ax.count() for ax in axes)
+    if total > MAX_GRID_POINTS:
+        raise ValueError(f"grid has {total} points, above the 1e6 limit")
+    return total

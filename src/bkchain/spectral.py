@@ -65,10 +65,11 @@ code that picks a solve route:
   same from both ends, such as every uniform open chain, is symmetric under
   the mirror A_j <-> B_{N-1-j}, which reverses the site order: Qx and Qp
   then equal their own reversals T[::-1, ::-1] (centrosymmetric), a test
-  read off Q exactly.  With J the reversal of N sites, such a T of 2N sites
-  maps the even vectors (y, J y) and the odd ones (y, -J y) into
-  themselves, through the N x N blocks T+- = T[:N, :N] +- T[:N, N:] J
-  (Cantoni & Butler, Linear Algebra Appl. 13, 275 (1976)).  So Qp Qx is
+  read off Q's diagonals exactly (`_mirrored`).  With J the reversal of N
+  sites, such a T of 2N sites maps the even vectors (y, J y) and the odd
+  ones (y, -J y) into themselves, through the N x N blocks
+  T+- = T[:N, :N] +- T[:N, N:] J (Cantoni & Butler, Linear Algebra
+  Appl. 13, 275 (1976)).  So Qp Qx is
   solved as Qp+ Qx+ and Qp- Qx-, two N x N problems in place of one
   2N x 2N, and x is (y, +-J y) from their eigenvectors y;
   ``Spectrum.source`` adds " (mirror halves: 2 x N)".  Squaring loses about
@@ -139,13 +140,6 @@ from .model import (
     build_modbkc_quadratic,
     excitation_bands,
     excitation_matrix,
-)
-from .transform import (
-    SingularTransformError,
-    a_combined,
-    hatano_nelson_A,
-    hatano_nelson_coupling,
-    ssh_bonds,
 )
 
 __all__ = [
@@ -286,6 +280,7 @@ def _hatano_nelson_spectrum(p: BKCParams, vectors: bool) -> Spectrum:
     through that channel's rows of the gauge and written into its sorted
     columns; the other channel's rows stay zero.
     """
+    from .transform import SingularTransformError, hatano_nelson_A, hatano_nelson_coupling
     try:
         A = hatano_nelson_A(p)
     except SingularTransformError as err:  # Delta0 = +-J0: no gauge, so the dense solver
@@ -561,6 +556,7 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
         raise ValueError("modbkc_spectrum_zero_omega requires open boundaries")
     if not _zero_omega(p):
         raise ValueError("modbkc_spectrum_zero_omega requires all onsite omega = 0")
+    from .transform import SingularTransformError, a_combined, ssh_bonds
     source = f"reduced[modbkc,{bc.value},n={p.N}]"
     # H is tridiagonal with bonds b_k, each real or purely imaginary: with s_{k+1} = s_k |b_k| / b_k,
     # a power of i, S^-1 H S is the real H_r with |b_k| above and b_k^2 / |b_k| below the diagonal.
@@ -628,9 +624,15 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     return replace(spec, base=np.asfortranarray(plus), slots=_pair_slots(order, cols, plus.shape[1]))
 
 
-def _mirrored(T: np.ndarray) -> bool:
-    """Whether T has even size and equals its own reversal T[::-1, ::-1] exactly (centrosymmetric)."""
-    return len(T) % 2 == 0 and np.array_equal(T, T[::-1, ::-1])
+def _mirrored(q: QuadraticForm, s: int) -> bool:
+    """Whether ``q.block(s)`` has even size and equals its own reversal T[::-1, ::-1] exactly.
+
+    A symmetric T is centrosymmetric exactly when each of its upper diagonals
+    reads the same reversed, and T's diagonal e is Q's diagonal 2 e at rows
+    s, s + 2, ...: an O(N) test that forms no block.
+    """
+    return q.dim % 4 == 0 and all(np.array_equal(v[s::2], v[s::2][::-1])
+                                  for d, v in q.diagonals.items() if d % 2 == 0)
 
 
 def _mirror_halves(T: np.ndarray):
@@ -669,7 +671,7 @@ def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:
     """
     Qx, Qp = q.block(0), q.block(1)
     source = f"xp[symplectic,{q.bc.value},n={q.n_cells}]"
-    split = _mirrored(Qx) and _mirrored(Qp)
+    split = _mirrored(q, 0) and _mirrored(q, 1)
     if split:
         blocks = list(zip(_mirror_halves(Qx), _mirror_halves(Qp)))
         source += f" (mirror halves: 2 x {len(Qx) // 2})"

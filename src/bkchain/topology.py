@@ -24,14 +24,26 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
-from .model import BoundaryCondition, ModBKCParams, SiteFields
+from .model import (  # noqa: F401  the run limits and axes are exported here too
+    MAX_CELLS,
+    MAX_GRID_POINTS,
+    MAX_THREADS,
+    MIN_WINDING_GRID,
+    AxisSpec,
+    BoundaryCondition,
+    ModBKCParams,
+    SiteFields,
+    grid_size,
+)
 from .skin import nhse_fraction
 from .spectral import SolverError, Spectrum, reduced_route, solve, zero_gap as _zero_gap
-from .transform import EffectiveSSHParams, effective_ssh_params
+
+if TYPE_CHECKING:  # transform is imported by the functions that use it: an x/p run never loads it
+    from .transform import EffectiveSSHParams
 
 __all__ = [
     "WindingResult",
@@ -54,13 +66,6 @@ __all__ = [
 
 _WINDING_RESIDUE_TOL = 0.01
 _GAP_TOL = 1e-10
-MAX_GRID_POINTS = 10 ** 6
-# Largest chain length a run config may ask for: the 4N x 4N complex
-# eigenvectors of a two-sublattice chain take 1.6 GB at N = 2500 cells
-MAX_CELLS = 2500
-# Most worker threads a run config may ask for; map_points starts at most one per point
-MAX_THREADS = 64
-MIN_WINDING_GRID = 64
 
 
 class GapClosedError(ValueError):
@@ -107,6 +112,7 @@ def winding_numeric(eff: EffectiveSSHParams, grid: int = 1024) -> WindingResult:
 
 def winding_analytic(p: Union[ModBKCParams, EffectiveSSHParams]) -> WindingResult:
     """Closed form: (+1, -1) when |dtilde2| > |dtilde1|, else (0, 0)."""
+    from .transform import EffectiveSSHParams, effective_ssh_params
     eff = p if isinstance(p, EffectiveSSHParams) else effective_ssh_params(p)
     a1, a2 = abs(eff.dtilde1), abs(eff.dtilde2)
     if math.isclose(a1, a2, rel_tol=1e-12, abs_tol=1e-15):
@@ -149,42 +155,6 @@ def edge_mode_count(p: Union[ModBKCParams, SiteFields], tol: float = 1e-6,
 
 
 @dataclass(frozen=True)
-class AxisSpec:
-    """One swept parameter, inclusive range; the name is a coupling or omega of either model."""
-
-    name: str
-    start: float
-    stop: float
-    step: float
-
-    def count(self) -> int:
-        """Number of grid points, computed without allocating the grid."""
-        if self.name not in ("J0", "Delta0", "J1", "J2", "Delta1", "Delta2", "omega"):
-            raise ValueError(f"unknown sweep parameter {self.name!r}")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop) and math.isfinite(self.step)):
-            raise ValueError("axis start, stop and step must be finite")
-        if self.step <= 0:
-            raise ValueError("axis step must be positive")
-        if self.stop < self.start:
-            raise ValueError("axis stop must be >= start")
-        ratio = (self.stop - self.start) / self.step
-        if not math.isfinite(ratio):
-            raise ValueError(f"axis step {self.step!r} gives a non-finite number of points")
-        return int(round(ratio)) + 1
-
-    def values(self) -> np.ndarray:
-        return self.start + self.step * np.arange(grid_size([self]))
-
-
-def grid_size(axes: Sequence[AxisSpec]) -> int:
-    """Points of the product grid; raises ValueError above the 1e6 limit."""
-    total = math.prod(ax.count() for ax in axes)
-    if total > MAX_GRID_POINTS:
-        raise ValueError(f"grid has {total} points, above the 1e6 limit")
-    return total
-
-
-@dataclass(frozen=True)
 class PhasePoint:
     values: tuple
     zero_gap: float
@@ -202,6 +172,7 @@ class PhaseDiagram:
 
 
 def _scan_point(p: ModBKCParams, values: tuple, tol: float, frac: float, threshold: float) -> PhasePoint:
+    from .transform import effective_ssh_params
     eff = effective_ssh_params(p)
     try:
         w = winding_analytic(eff)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import bkchain
-from bkchain import disorder
+from bkchain import disorder, model, topology
 from bkchain.cli import ConfigError, main, parse_config
 from bkchain.topology import MAX_THREADS
 
@@ -507,21 +507,53 @@ bc = obc
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "t")]) == 0
 
 
-@pytest.mark.parametrize("command,text,flags,loaded", [
-    ("spectrum", MINIMAL_SPECTRUM, [], []),
-    ("phase-scan", MODBKC_MODEL.format(bc="obc") + SWEEP.format(name="J1", step=0.5), [], []),
-    ("spectrum", MODBKC_MODEL.format(bc="obc"), ["--seed", "3"], ["bkchain.disorder"]),
-    ("disorder", MODBKC_MODEL.format(bc="obc") + DISORDER.format(obs="zero_gap"), [], ["bkchain.disorder"]),
-    ("floquet", "[floquet]\nlambdas = 0,0.5\n", [], ["bkchain.floquet"]),
-], ids=["spectrum", "phase-scan", "spectrum-seed", "disorder", "floquet"])
-def test_commands_import_disorder_and_floquet_only_where_used(tmp_path, command, text, flags, loaded):
-    # a fresh interpreter runs the command; [disorder], [floquet] and --seed import their modules
-    argv = [command, "--config", write(tmp_path, text), "--out", str(tmp_path / "out"), *flags]
-    script = ("import sys\nfrom bkchain.cli import main\ncode = main(sys.argv[1:])\n"
-              "print(code, [m for m in ('bkchain.disorder', 'bkchain.floquet') if m in sys.modules])")
+# bkchain modules that `import bkchain.cli` loads, and so every command
+CLI_MODULES = ("bkchain", "bkchain.cli", "bkchain.csvio", "bkchain.model", "bkchain.spectral", "bkchain.svgplot")
+XP_MODEL = MODBKC_MODEL.replace("omega = 0\n", "omega = 0.3\n")  # off the gauge route: x/p or Bloch
+
+
+def _fresh_interpreter(script, *argv):
+    """The last line a fresh interpreter prints running ``script`` with ``argv``, against this bkchain."""
     src = os.path.dirname(os.path.dirname(bkchain.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env,
                          timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == f"0 {loaded}"
+    return run.stdout.splitlines()[-1]
+
+
+_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'bkchain')"
+
+
+def test_cli_import_loads_the_core_modules_only():
+    assert _fresh_interpreter(f"import sys\nimport bkchain.cli\nprint({_LOADED})") == str(sorted(CLI_MODULES))
+
+
+@pytest.mark.parametrize("command,text,flags,loaded", [
+    ("spectrum", MINIMAL_SPECTRUM, [], ["transform"]),  # the open single-band chain at omega = 0: its gauge
+    ("spectrum", XP_MODEL.format(bc="obc"), [], []),
+    ("spectrum", XP_MODEL.format(bc="pbc"), [], []),
+    ("phase-scan", MODBKC_MODEL.format(bc="obc") + SWEEP.format(name="J1", step=0.5), [],
+     ["skin", "topology", "transform"]),
+    ("spectrum", MODBKC_MODEL.format(bc="obc"), ["--seed", "3"], ["disorder", "skin", "topology", "transform"]),
+    ("disorder", MODBKC_MODEL.format(bc="obc") + DISORDER.format(obs="zero_gap"), [],
+     ["disorder", "skin", "topology", "transform"]),
+    ("disorder", XP_MODEL.format(bc="obc") + DISORDER.format(obs="zero_gap"), [], ["disorder", "skin", "topology"]),
+    ("floquet", "[floquet]\nlambdas = 0,0.5\n", [], ["floquet"]),
+    ("profiles", XP_MODEL.format(bc="obc"), [], ["skin"]),
+    ("winding", MODBKC_MODEL.format(bc="obc"), [], ["skin", "topology", "transform"]),
+], ids=["spectrum", "spectrum-xp", "spectrum-bloch", "phase-scan", "spectrum-seed", "disorder", "disorder-xp",
+        "floquet", "profiles-xp", "winding"])
+def test_commands_import_disorder_and_floquet_only_where_used(tmp_path, command, text, flags, loaded):
+    # a fresh interpreter runs the command; each command imports only the modules its run executes
+    argv = [command, "--config", write(tmp_path, text), "--out", str(tmp_path / "out"), *flags]
+    script = f"import sys\nfrom bkchain.cli import main\ncode = main(sys.argv[1:])\nprint(code, {_LOADED})"
+    expected = sorted(CLI_MODULES + tuple(f"bkchain.{m}" for m in loaded))
+    assert _fresh_interpreter(script, *argv) == f"0 {expected}"
+
+
+@pytest.mark.parametrize("name", ["AxisSpec", "grid_size", "MAX_GRID_POINTS", "MAX_CELLS", "MAX_THREADS",
+                                  "MIN_WINDING_GRID"])
+def test_run_limits_and_axes_are_the_model_names(name):
+    # parse_config reads them from model, so a config check loads no topology; topology exports the same objects
+    assert getattr(topology, name) is getattr(model, name)

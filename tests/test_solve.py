@@ -913,6 +913,89 @@ class TestAllRealSingularValues:
         assert np.abs(E - np.sort(np.concatenate([ref, ref]))).max() <= 1e-13 * np.abs(ref).max()
 
 
+@st.composite
+def all_real_chains(draw):
+    """omega = 0 fields, N in [2, 40], with Delta^2 - J^2 >= 0 on every bond: generic, near-transition or cut.
+
+    Bond magnitudes m are drawn first and each pair is J in [-3 m, 3 m] with
+    Delta = +-sqrt(m^2 + J^2), so every bond of the open chain is real.
+    Generic chains draw m in [0.5, 2]; near-transition chains have intracell
+    bonds a and intercell bonds a (1 + t), |t| <= 0.05, up to a 1e-3 jitter
+    per bond, so the edge pair lies anywhere from deep below to inside the
+    bulk; cut chains are generic with up to three bonds at Delta = +-J exactly.
+    """
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["generic", "near-transition", "cut"]))
+    if kind == "near-transition":
+        a, t = draw(st.floats(0.5, 2.0)), draw(st.floats(-0.05, 0.05))
+        m = a * np.array([[1.0], [1 + t]]) * rng.uniform(1 - 1e-3, 1 + 1e-3, (2, n))
+    else:
+        m = rng.uniform(0.5, 2.0, (2, n))
+    J = m * rng.uniform(-3, 3, (2, n))
+    delta = np.sqrt(m * m + J * J) * rng.choice([-1.0, 1.0], (2, n))
+    if kind == "cut":
+        for k in draw(st.lists(st.integers(0, 2 * n - 2), min_size=1, max_size=3)):
+            J[k % 2, k // 2] = delta[k % 2, k // 2] * draw(st.sampled_from([1.0, -1.0]))
+    zero = np.zeros(n)
+    return SiteFields(J1=J[0], J2=J[1], Delta1=delta[0], Delta2=delta[1], omega_A=zero, omega_B=zero)
+
+
+def _sturm_count(mag, x):
+    """Eigenvalues of H_r below x, from the inertia of H_r - x I (Demmel, Applied Numerical Linear Algebra, 5.3.4).
+
+    H_r is the symmetric tridiagonal chain with a zero diagonal and the bond
+    magnitudes ``mag``: the LDL^T pivots are d_1 = -x and
+    d_{i+1} = -x - mag_i^2 / d_i, and the count is that of negative pivots
+    (Sylvester).  A pivot below ``pivmin`` in magnitude is taken as -pivmin,
+    as LAPACK's bisection does.
+    """
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(mag, initial=0.0)) ** 2)
+    d, count = -x, 0
+    for e in [0.0, *mag]:
+        d = -x - (e * e / d if e else 0.0)
+        if abs(d) < pivmin:
+            d = -pivmin
+        count += d < 0
+    return count
+
+
+class TestAllRealReferences:
+    """All-real reduced chains against references that share no code with the route: LAPACK's tridiagonal
+    eigensolver of H_r and a Sturm count of its inertia."""
+
+    @given(f=all_real_chains())
+    @settings(PROPERTY, max_examples=150)
+    def test_values_match_eigh_tridiagonal(self, f):
+        mag = np.abs(ssh_bonds(f))
+        ref = eigh_tridiagonal(np.zeros(2 * f.N), mag, eigvals_only=True)
+        for vectors in (False, True):
+            s = solve(f, OBC, vectors=vectors)
+            assert _route(s) == "reduced["
+            assert np.all(s.eigenvalues.real == 0)
+            E = np.sort(s.eigenvalues.imag)
+            assert np.abs(E - np.sort(np.concatenate([ref, ref]))).max() <= 1e-13 * np.abs(ref).max()
+
+    @given(f=all_real_chains(), exponent=st.floats(-14, 0))
+    @settings(PROPERTY, max_examples=150)
+    def test_zero_modes_match_the_sturm_count(self, f, exponent):
+        tol = 10.0 ** exponent
+        mag = np.abs(ssh_bonds(f))
+        # no eigenvalue of H_r within 1e-9 relative of +-tol, where rounding may put it on either side
+        for x in (tol, -tol):
+            assume(_sturm_count(mag, x * (1 - 1e-9)) == _sturm_count(mag, x * (1 + 1e-9)))
+        inside = _sturm_count(mag, tol) - _sturm_count(mag, -tol)  # eigenvalues in (-tol, tol)
+        for vectors in (False, True):
+            assert zero_modes_per_copy(solve(f, OBC, vectors=vectors), f, OBC, tol) == inside
+        assert edge_mode_count(f, tol) == inside
+
+    def test_sturm_count_of_the_uniform_chain(self):
+        # the 2N = 6 site chain with unit bonds has E = 2 cos(pi k / 7), k = 1..6
+        E = np.sort(2 * np.cos(np.pi * np.arange(1, 7) / 7))
+        for x in (-2.0, -1.0, -0.1, 0.1, 0.5, 1.5, 2.0):
+            assert _sturm_count(np.ones(5), x) == np.sum(E < x)
+
+
 def _twisted_two_loops(mag, lower, E):
     """`_twisted` with its P and Q pivots in two arrays, each advanced on its own: the reference."""
     n = len(mag) + 1
@@ -1214,6 +1297,11 @@ def _mirror_note(n):
     return f" (mirror halves: 2 x {n})"
 
 
+def _centrosymmetric(T):
+    """The dense definition of a mirror-symmetric block: even size and T equal to T[::-1, ::-1]."""
+    return len(T) % 2 == 0 and np.array_equal(T, T[::-1, ::-1])
+
+
 def _xp_paired_reference(q, vectors):
     """(source, eigenvalues, eigenvectors or None) of the x/p route, its vectors paired and gathered whole.
 
@@ -1223,7 +1311,7 @@ def _xp_paired_reference(q, vectors):
     """
     Qx, Qp = q.Q[0::2, 0::2], q.Q[1::2, 1::2]
     source = f"xp[symplectic,{q.bc.value},n={q.n_cells}]"
-    split = spectral._mirrored(Qx) and spectral._mirrored(Qp)
+    split = _centrosymmetric(Qx) and _centrosymmetric(Qp)
     blocks = list(zip(spectral._mirror_halves(Qx), spectral._mirror_halves(Qp))) if split else [(Qx, Qp)]
     source += _mirror_note(len(Qx) // 2) if split else ""
     solved = [spectral._square_eig(P @ T, vectors) for T, P in blocks]
@@ -1551,8 +1639,53 @@ def mirrored_fields(draw):
     return _mirrored_fields(draw(disordered_omega_site_fields()))
 
 
+@st.composite
+def nudged_fields(draw):
+    """`mirrored_fields` with one entry of one field moved by one ulp, or not moved."""
+    f = draw(mirrored_fields())
+    if not draw(st.booleans()):
+        return f
+    name = draw(st.sampled_from(["J1", "J2", "Delta1", "Delta2", "omega_A", "omega_B"]))
+    moved = getattr(f, name).copy()
+    j = draw(st.integers(0, f.N - 1))
+    moved[j] = np.nextafter(moved[j], draw(st.sampled_from([-np.inf, np.inf])))
+    return replace(f, **{name: moved})
+
+
+@st.composite
+def built_forms(draw):
+    """Forms of uniform chains of both models, of mirror-symmetric fields (one ulp off or not) and of
+    disordered ones, under either boundary condition."""
+    p = draw(st.one_of(modbkc_params(), bkc_params(), nudged_fields(), disordered_omega_site_fields(),
+                       zero_omega_site_fields()))
+    return (build_bkc_quadratic if isinstance(p, BKCParams) else build_modbkc_quadratic)(p, draw(bcs))
+
+
+@st.composite
+def diagonal_forms(draw):
+    """Forms of 2 to 7 single-band cells whose diagonals hold small integers, with each parity of each diagonal
+    made palindromic or not, odd offsets included: no builder writes such forms."""
+    n = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    diagonals = {}
+    for d in draw(st.lists(st.integers(0, 2 * n - 1), unique=True, max_size=4)):
+        v = rng.integers(-1, 2, 2 * n - d).astype(float)
+        for s in (0, 1):
+            if draw(st.booleans()):
+                w = v[s::2]
+                v[s::2] = np.where(np.arange(len(w)) < len(w) / 2, w, w[::-1])
+        diagonals[d] = v
+    return QuadraticForm(diagonals=diagonals, n_cells=n, n_sublattices=1, bc=draw(bcs))
+
+
 class TestMirrorSplit:
     """The x/p route's solve of a centrosymmetric Qp Qx as its even and odd mirror halves."""
+
+    @given(q=st.one_of(built_forms(), diagonal_forms()))
+    @settings(PROPERTY, max_examples=400)
+    def test_mirror_test_matches_the_dense_definition(self, q):
+        for s in (0, 1):
+            assert spectral._mirrored(q, s) == _centrosymmetric(q.Q[s::2, s::2])
 
     @given(f=mirrored_fields(), bc=bcs)
     @settings(PROPERTY, max_examples=40)
