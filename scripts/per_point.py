@@ -51,9 +51,10 @@ it) and ``median_ms``, the median over K fresh interpreters of the time to
 import `bkchain.cli` and those modules, NumPy already loaded.  The
 interpreters run with ``PYTHONDONTWRITEBYTECODE=1``, as the benchmark runs
 its children, on a copy of the package without its ``__pycache__``, so
-every bkchain module is compiled as in a fresh checkout.  The spectrum, profiles and disorder
-runs are off the gauge routes (omega = 0.3), as the benchmark's ``sweep``
-and ``ensemble`` are; winding and phase-scan run at omega = 0, as they must.
+every bkchain module is compiled as in a fresh checkout.  The spectrum,
+profiles and disorder runs are off the gauge routes (omega = 0.3), as the
+benchmark's ``sweep`` and ``ensemble`` are; winding and phase-scan run at
+omega = 0, as they must.
 
 ``sample_site_fields`` (one realization with every parameter disordered) is
 timed once.  BLAS and OpenMP run on one thread unless the environment sets

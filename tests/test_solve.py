@@ -22,7 +22,9 @@ the small-eigenvalue guard).  The references are:
   eigenvalues, the residual of all 4N columns on the dense M and their
   Sigma-flips; the same fields one ulp off the mirror, which take the
   unsplit solve; and, at N = 100 on the benchmark's Delta1 sweep and the
-  fig3b point, the unsplit ``eigvals(Qp Qx)``;
+  fig3b point, the unsplit ``eigvals(Qp Qx)``; its test of centrosymmetry,
+  read off Q's diagonals (`_mirrored`): the dense definition
+  ``T == T[::-1, ::-1]`` of each strided block, on built and random forms;
 * the Hatano-Nelson route's closed form, in every sign quadrant of
   (J0, Delta0): the per-channel `eigvalsh` of the gauge image
   ``hatano_nelson_A(p).conjugate(M)``, the dense eigenvalues of the
@@ -41,6 +43,9 @@ the small-eigenvalue guard).  The references are:
   and their Sigma-flips): ``SimilarityMatrix.lift`` of the full product
   basis, equal in value, and the lift's column norms against
   `np.linalg.norm`, bit for bit;
+* all-real reduced chains (generic, near a transition, or cut): the
+  eigenvalues of `scipy.linalg.eigh_tridiagonal` of H_r, and for the
+  zero-mode count the LDL^T (Sturm) inertia count of H_r -+ tol;
 * the reduced route's SSH bonds (`ssh_bonds`): the superdiagonal of
   `effective_ssh_matrix`, bit for bit, which no reduced solve builds;
 * eigenvalue-only solves (``vectors=False``): the same route with vectors,
