@@ -18,9 +18,10 @@ default 100) it times, best of K runs (default 7), in milliseconds:
   of the upper-bidiagonal F = D^T where every bond is real, the
   eigenvalues of D F (`_square_eig`) where some bond is imaginary (null off
   the reduced route);
-* ``lift`` and ``residuals``: ``SimilarityMatrix.lift`` of the checked
-  eigenvector columns on both gauge routes and `_residuals`, each timed
-  inside ``solve`` by wrapping it (null where the route runs no such step);
+* ``lift`` and ``residuals``: the lift kernel ``SimilarityMatrix.lift_polar``
+  of the checked eigenvector columns on both gauge routes and `_residuals`,
+  each timed inside ``solve`` by wrapping it (null where the route runs no
+  such step);
 * ``census``: the skin census over every eigenvector column, the edge
   weights of ``spatial_profile(spectrum.eigenvectors)``, with
   ``Spectrum.eigenvectors`` written beforehand;
@@ -37,11 +38,13 @@ default 100) it times, best of K runs (default 7), in milliseconds:
 null where the spectrum has no vectors.
 
 It also reports ``minor_faults_per_solve``: in a fresh process per point
-(``spawn``), after ``WARMUP_SOLVES`` solves of that point, the median over K
+(``spawn``), under the CLI's heap policy (`bkchain.cli.keep_freed_heap`),
+after ``WARMUP_SOLVES`` solves of that point, the median over K
 ``solve(p, bc)`` calls of the minor page faults each took (``ru_minflt`` of
 `resource.getrusage`), the cost of fresh pages for the arrays a solve
 allocates.  Counted apart from every other stage, it does not depend on
-what the script allocated before.  ``minor_faults_per_census`` is the
+what the script allocated before.  ``keep_freed_heap`` records whether
+mallopt took that policy in every such process.  ``minor_faults_per_census`` is the
 median over the K timed ``census_base`` calls in the main process (null
 where the spectrum has no vectors).
 
@@ -84,6 +87,7 @@ import numpy as np  # noqa: E402
 
 import bkchain  # noqa: E402
 from bkchain import spectral, transform  # noqa: E402
+from bkchain.cli import keep_freed_heap  # noqa: E402
 from bkchain.csvio import write_csv  # noqa: E402
 from bkchain.disorder import DisorderSpec, sample_site_fields  # noqa: E402
 from bkchain.model import (  # noqa: E402
@@ -213,7 +217,8 @@ class StageTimer:
 def route_stages(p, bc, repeats):
     """The point's record, with every stage but the writers' and the page faults per solve, and its spectrum."""
     build = build_bkc_quadratic if isinstance(p, BKCParams) else build_modbkc_quadratic
-    with StageTimer((transform.SimilarityMatrix, "lift")) as lift, StageTimer((spectral, "_residuals")) as residuals:
+    with StageTimer((transform.SimilarityMatrix, "lift_polar")) as lift, \
+            StageTimer((spectral, "_residuals")) as residuals:
         solve_ms = best_ms(lambda: spectral.solve(p, bc), repeats)
     with StageTimer((np.linalg, "svd"), (spectral, "_square_eig")) as kernel:
         bare_ms = best_ms(lambda: spectral.solve(p, bc, vectors=False), repeats)
@@ -240,11 +245,15 @@ def route_stages(p, bc, repeats):
 
 
 def solve_faults(label, cells, repeats):
-    """``minor_faults_per_solve`` of the point ``label``; run in a fresh process, after ``WARMUP_SOLVES`` solves."""
+    """(``minor_faults_per_solve`` of the point ``label``, whether mallopt took the CLI's heap policy).
+
+    Run in a fresh process, under that policy, after ``WARMUP_SOLVES`` solves.
+    """
+    kept = keep_freed_heap()
     p, bc = next((p, bc) for name, p, bc in points(cells) if name == label)
     for _ in range(WARMUP_SOLVES):
         spectral.solve(p, bc)
-    return statistics.median(runs(lambda: spectral.solve(p, bc), repeats)[1])
+    return statistics.median(runs(lambda: spectral.solve(p, bc), repeats)[1]), kept
 
 
 def writer_stages(spec, n_cells, repeats, tmpdir):
@@ -313,9 +322,11 @@ def main(argv=None):
         for p, record, spectrum in solved.values():
             record["stages_ms"].update(writer_stages(spectrum, p.N, args.repeats, tmpdir))
         imports = import_record(args.repeats, tmpdir)
+    kept = []
     with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:  # a new process per point
         for label, (_, record, _) in solved.items():
-            record["minor_faults_per_solve"] = pool.apply(solve_faults, (label, args.cells, args.repeats))
+            record["minor_faults_per_solve"], heap = pool.apply(solve_faults, (label, args.cells, args.repeats))
+            kept.append(heap)
     routes = {label: record for label, (_, record, _) in solved.items()}
     for record in routes.values():
         record["stages_ms"] = {k: None if v is None else round(v, 3) for k, v in record["stages_ms"].items()}
@@ -328,6 +339,7 @@ def main(argv=None):
         "thread_env": {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                                        "MKL_NUM_THREADS")},
         "nproc": os.cpu_count(),
+        "keep_freed_heap": all(kept),
         "routes": routes,
         "imports": imports,
         "sample_site_fields_ms": round(best_ms(lambda: sample_site_fields(base, spec, 0), args.repeats), 3),

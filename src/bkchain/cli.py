@@ -36,15 +36,20 @@ run on one thread whatever the count.
 
 Each command loads only the bkchain modules its run executes: every command
 loads csvio, model, spectral and svgplot, to which profiles adds skin,
-phase-scan and winding add topology, skin and transform, disorder adds
-disorder, topology and skin, floquet adds floquet, a solve on a gauge route
-(an open chain at omega = 0) adds transform, and --seed adds disorder.
+phase-scan adds topology, skin and transform, winding adds topology and
+transform, disorder adds disorder and topology, and skin where an observable
+reads profiles, floquet adds floquet, and a solve on a gauge route (an open
+chain at omega = 0) adds transform.
+
+On glibc, `main` keeps freed memory on the heap (`keep_freed_heap`), so a
+run's repeated solves reuse their pages instead of faulting fresh ones in.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import dataclasses
 import math
 import os
@@ -57,6 +62,7 @@ from . import __version__
 from .csvio import write_csv, write_manifest
 from .model import (
     MAX_CELLS,
+    MAX_SEED,
     MAX_THREADS,
     MIN_WINDING_GRID,
     AxisSpec,
@@ -90,6 +96,9 @@ _SECTIONS = {
     "floquet": ({"floquet"}, set()),
 }
 COMMANDS = tuple(_SECTIONS)
+# (mallopt parameter, value) of `keep_freed_heap`: M_MMAP_THRESHOLD (-3 in malloc.h), so blocks below 32 MiB,
+# glibc's cap, come from the heap, and M_TRIM_THRESHOLD (-1), so up to 64 MiB may lie free at its top
+_HEAP_POLICY = ((-3, 32 << 20), (-1, 64 << 20))
 # observables with one value per realization; the others are arrays, written without a [sweep] only
 _SCALAR_OBSERVABLES = ("zero_gap", "zero_modes", "nhse_fraction")
 
@@ -481,6 +490,19 @@ def run(cfg: RunConfig, out_dir: str, plots: bool, seed, threads: int) -> list:
                                    cfg.sections, seed, __version__, files)]
 
 
+def keep_freed_heap() -> bool:
+    """Keep freed arrays on glibc's heap for the next solve (``_HEAP_POLICY``); whether mallopt took it.
+
+    glibc's dynamic thresholds hand them back, so each solve faults its pages in anew; no-op without mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no handle on the process's own symbols
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return all([mallopt(param, value) == 1 for param, value in _HEAP_POLICY])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="bkchain", description=__doc__.splitlines()[0])
     parser.add_argument("command", choices=COMMANDS)
@@ -490,15 +512,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override the disorder seed")
     parser.add_argument("--threads", type=int, default=None, help="worker threads (default 1)")
     args = parser.parse_args(argv)
+    keep_freed_heap()
 
     try:
         cfg = parse_config(args.config, args.command)
-        if args.seed is not None:
-            from .disorder import DisorderSpec
-            try:
-                DisorderSpec(strengths={}, seed=args.seed)
-            except ValueError as err:
-                raise ConfigError(f"--seed: {err}") from None
+        if args.seed is not None and not 0 <= args.seed <= MAX_SEED:
+            raise ConfigError(f"--seed: seed must be in [0, 2**64), got {args.seed}")
         threads = args.threads
         if threads is None:
             env = os.environ.get("BKCHAIN_THREADS", "").strip()

@@ -17,8 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import BoundaryCondition, ModBKCParams, SiteFields
-from .skin import edge_weight, profile_rows, spatial_profile
+from .model import MAX_SEED, BoundaryCondition, ModBKCParams, SiteFields
 from .spectral import solve, zero_gap
 from .topology import map_points, zero_modes_per_copy
 
@@ -31,7 +30,6 @@ __all__ = [
 ]
 
 _PARAM_IDS = {"J1": 1, "J2": 2, "Delta1": 3, "Delta2": 4, "omega_A": 5, "omega_B": 6}
-_MASK64 = (1 << 64) - 1
 
 OBSERVABLES = ("abs_spectrum", "zero_gap", "zero_modes", "nhse_fraction", "mean_profile")
 
@@ -55,7 +53,7 @@ class DisorderSpec:
                 raise ValueError(f"unknown disorder parameter {name!r}; allowed: {sorted(allowed)}")
             if not 0 <= w < math.inf:
                 raise ValueError(f"disorder strength W_{name} must be finite and >= 0, got {w}")
-        if not 0 <= self.seed <= _MASK64:
+        if not 0 <= self.seed <= MAX_SEED:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
@@ -151,6 +149,7 @@ def ensemble_observables(base: ModBKCParams, spec: DisorderSpec,
             elif spectrum.base is None:
                 raise ValueError(f"{name} needs a spectrum with eigenvectors")
             else:  # nhse_fraction or mean_profile, from one profile of the base columns per realization
+                from .skin import edge_weight, profile_rows, spatial_profile  # only a run that reads profiles
                 profile = profile or spatial_profile(spectrum.base, base.N)
                 out[name] = (float((edge_weight(profile, frac) > threshold).mean()) if name == "nhse_fraction"
                              else profile_rows(spectrum, profile).mean(axis=0))

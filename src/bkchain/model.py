@@ -75,6 +75,7 @@ MAX_CELLS = 2500
 # Most worker threads a run config may ask for; topology.map_points starts at most one per point
 MAX_THREADS = 64
 MIN_WINDING_GRID = 64
+MAX_SEED = (1 << 64) - 1  # largest disorder seed: the keyed hash reads 64 bits, so a larger one would alias
 
 
 class BoundaryCondition(Enum):

@@ -24,7 +24,8 @@ code that picks a solve route:
   each to high relative accuracy however small (Demmel & Kahan, SIAM J.
   Sci. Stat. Comput. 11, 873 (1990)).  `_half_size` sorts the roots, as
   on the x/p route, and `_twisted` gives the eigenvector of H_r at each
-  root, accurate entry by entry, as the gauge lift of a localized state
+  root as log-moduli and phases, in real arithmetic where every bond is
+  real, accurate entry by entry, as the gauge lift of a localized state
   needs.
 
   In the topological phase H_r has one value with |E| <=
@@ -42,11 +43,12 @@ code that picks a solve route:
   the sublattices (Asboth, Oroszlany & Palyi, LNP 919 (2016), ch. 1): with
   v the lifted column for +i root, Gamma v and Sigma v belong to -i root
   and Sigma Gamma v to +i root.  So only the N columns v, the SSH
-  eigenvector at both quadratures of each site, are lifted
-  (``SimilarityMatrix.lift``), checked and kept as ``Spectrum.base``.  The
-  fallback's -E vectors are no Gamma-flips, so it keeps 2N columns, each
-  with its Sigma-flip.  At Delta = +-J exactly on some bond the eigenvalues
-  stay exact but no eigenvectors are computed.
+  eigenvector at both quadratures of each site, are lifted from their
+  log-moduli (``SimilarityMatrix.lift_polar``, which exponentiates each
+  entry once, with the gauge's), checked and kept as ``Spectrum.base``.
+  The fallback's -E vectors are no Gamma-flips, so it keeps 2N columns,
+  each with its Sigma-flip.  At Delta = +-J exactly on some bond the
+  eigenvalues stay exact but no eigenvectors are computed.
 * **Bloch** (uniform ring of either model, `BKCParams` or `ModBKCParams`
   under PBC, any omega).  Translation invariance splits the ring into N
   independent blocks B(k), k = 2 pi m / N, 2x2 or 4x4, read off the model's
@@ -355,7 +357,7 @@ class _EdgePair(NamedTuple):
     m: int                  # index of the pair's value in mu
     E: complex              # its root, from the determinant identity; used on sign-mixed chains
     error: float            # backward error of the closed-form vectors, relative to max|H_r|
-    u: Optional[np.ndarray]  # eigenvector of H_r for +E; None where error > EDGE_PAIR_MAX_ERROR
+    u: Optional[tuple]      # eigenvector of H_r for +E as (log|u|, u / |u|); None where error > EDGE_PAIR_MAX_ERROR
 
 
 def _edge_pair(mag: np.ndarray, lower: np.ndarray, mu: np.ndarray) -> Optional[_EdgePair]:
@@ -365,10 +367,10 @@ def _edge_pair(mag: np.ndarray, lower: np.ndarray, mu: np.ndarray) -> Optional[_
     squared singular values of F = D^T).  Returns None where every |E| lies
     above the half-size guard (``REDUCED_MIN_EIGENVALUE`` max|H_r|).  Where exactly one lies at or
     below it, returns an `_EdgePair`: mu[m] is that value, E its root, u the
-    eigenvector of H_r for +E, with max|u| = 1 (for -E negate its B
-    entries), and ``error`` the backward error of u; u is None where that
-    error exceeds ``EDGE_PAIR_MAX_ERROR``.  Raises `_SmallEigenvalue` where
-    more values are small or a bond is zero.
+    eigenvector of H_r for +E as (log|u|, u / |u|), the form of `_twisted`'s
+    columns (for -E negate its B entries), and ``error`` the backward error
+    of u; u is None where that error exceeds ``EDGE_PAIR_MAX_ERROR``.
+    Raises `_SmallEigenvalue` where more values are small or a bond is zero.
 
     H_r is bipartite with a zero diagonal; site 2j is A_j and 2j+1 is B_j.
     Its A-sublattice zero mode a solves every B row but the last,
@@ -377,10 +379,7 @@ def _edge_pair(mag: np.ndarray, lower: np.ndarray, mu: np.ndarray) -> Optional[_
     end (the transfer recursion of Kunst, Edvardsson, Budich & Bergholtz,
     PRL 121, 026808 (2018); Asboth, Oroszlany & Palyi, LNP 919 (2016),
     ch. 1).  Both are kept as cumulative sums of log ratios and cumulative
-    sign products, so nothing overflows; entries below 1e-308 max|u| flush
-    to zero.  They are the far tails of a and b, which the gauge lifts no
-    higher than the other mode's entries in the same cell, so the lift
-    loses nothing by them.
+    sign products, so nothing overflows, and are handed to the lift so.
 
     * E: det(D F) = prod_j mag[2j] lower[2j] is the product of all N values
       of mu, so mu[m] is that determinant over the other N - 1.  They lie
@@ -431,14 +430,13 @@ def _edge_pair(mag: np.ndarray, lower: np.ndarray, mu: np.ndarray) -> Optional[_
         return _EdgePair(m, E, error, None)
     log_u = np.empty(2 * len(la))
     log_u[0::2], log_u[1::2] = la, log_k + lb
-    u = np.exp(log_u - log_u.max()).astype(complex)
-    u[0::2] *= sa
-    u[1::2] *= phase_k * sb
-    return _EdgePair(m, E, error, u)
+    phase = np.empty(2 * len(la), dtype=np.result_type(phase_k, float))  # real on all-real chains
+    phase[0::2], phase[1::2] = sa, phase_k * sb
+    return _EdgePair(m, E, error, (log_u, phase))
 
 
-def _twisted(mag: np.ndarray, lower: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """Eigenvectors of H_r = diag(mag, 1) + diag(lower, -1), one column per eigenvalue in E.
+def _twisted(mag: np.ndarray, lower: np.ndarray, E: np.ndarray):
+    """Eigenvectors z of H_r = diag(mag, 1) + diag(lower, -1), one column per eigenvalue in E, as (log|z|, z / |z|).
 
     Twisted factorization (Parlett & Dhillon, Linear Algebra Appl. 267, 247
     (1997)): for each E the pivots of H_r - E from the top,
@@ -451,15 +449,16 @@ def _twisted(mag: np.ndarray, lower: np.ndarray, E: np.ndarray) -> np.ndarray:
     the residual small.  A dense solver's eigenvectors carry errors of
     eps max|z| instead, which the gauge lifts above the true tails of a
     localized state: in disordered chains those columns failed the check on
-    M.  The ratios are accumulated as logs and unit phases; entries below
-    1e-308 of a column's largest flush to zero.  All columns are solved at
-    once, one row at a time.
+    M.  The ratios are accumulated, and returned, as log-moduli and unit
+    phases, which `SimilarityMatrix.lift_polar` lifts; a real E (every bond
+    real) runs in real arithmetic, with phases +-1.  All columns are solved
+    at once, one row at a time.
     """
     n = len(mag) + 1
     bond = mag * lower
     # W[i] stacks P_i and Q_{n-1-i}: both recurrences advance in one step per row
-    W = np.empty((n, 2, len(E)), dtype=complex)
-    step = np.stack([bond, bond[::-1]], axis=1)[:, :, None]
+    W = np.empty((n, 2, len(E)), dtype=E.dtype)
+    rows, steps = list(W), list(np.stack([bond, bond[::-1]], axis=1)[:, :, None])
     pivmin = np.finfo(float).eps * mag.max()
     minus_E = -E
     W[0] = minus_E
@@ -471,22 +470,22 @@ def _twisted(mag: np.ndarray, lower: np.ndarray, E: np.ndarray) -> np.ndarray:
         for fix in (False, True):
             for i in range(1, n):
                 if fix:
-                    W[i - 1, W[i - 1] == 0] = pivmin
-                W[i] = minus_E - step[i - 1] / W[i - 1]
+                    rows[i - 1][rows[i - 1] == 0] = pivmin
+                np.divide(steps[i - 1], rows[i - 1], out=rows[i])
+                np.subtract(minus_E, rows[i], out=rows[i])
             if W.all():
                 break
         P, Q = W[:, 0], W[::-1, 1]
         twist = np.argmin(np.abs(P + Q + E), axis=0)
         ratio = np.where(np.arange(n - 1)[:, None] < twist, -P[:-1] / mag[:, None], -lower[:, None] / Q[1:])
-        del W, P, Q
+        del W, P, Q, rows
         size = np.abs(ratio)
         log_z = np.zeros((n, len(E)))
         np.cumsum(np.log(size), axis=0, out=log_z[1:])
         ratio /= size
-    z = np.ones((n, len(E)), dtype=complex)
-    np.cumprod(ratio, axis=0, out=z[1:])
-    z *= np.exp(log_z - log_z.max(axis=0))
-    return z
+    phase = np.ones((n, len(E)), dtype=E.dtype)
+    np.cumprod(ratio, axis=0, out=phase[1:])
+    return log_z, phase
 
 
 def _pair_slots(order: np.ndarray, cols: np.ndarray, columns: int) -> np.ndarray:
@@ -540,9 +539,9 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     vectors of an all-real chain, whose singular values stay, else the real
     `eig`.  ``Spectrum.source`` names the deflation, with the closed form's
     backward error, or the reason for the fallback.  Eigenvectors are the
-    product basis lifted through the combined gauge
-    (``SimilarityMatrix.lift``): N unit columns v for +i root, phase-gauged
-    and lifted, kept as ``Spectrum.base`` with the slots of Gamma v, Sigma v
+    product basis lifted through the combined gauge from log-moduli
+    (``SimilarityMatrix.lift_polar``): N unit columns v for +i root, written
+    F-ordered and kept as ``Spectrum.base`` with the slots of Gamma v, Sigma v
     and Sigma Gamma v (module docstring); the fallback keeps 2N columns and
     their Sigma-flips.  The lifted columns are checked; where they fail, the
     eigenvalues are returned alone and ``source`` names the failure.  With
@@ -558,15 +557,16 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
         raise ValueError("modbkc_spectrum_zero_omega requires all onsite omega = 0")
     from .transform import SingularTransformError, a_combined, ssh_bonds
     source = f"reduced[modbkc,{bc.value},n={p.N}]"
+    f = SiteFields.uniform(p) if isinstance(p, ModBKCParams) else p  # the bonds, gauge and Q all read it
     # H is tridiagonal with bonds b_k, each real or purely imaginary: with s_{k+1} = s_k |b_k| / b_k,
     # a power of i, S^-1 H S is the real H_r with |b_k| above and b_k^2 / |b_k| below the diagonal.
-    b = ssh_bonds(p)
+    b = ssh_bonds(f)
     mag = np.abs(b)
     lower = np.where(b.imag != 0, -mag, mag)
     A = None
     if with_vectors:
         try:
-            A = a_combined(p)
+            A = a_combined(f)
         except SingularTransformError as err:  # Delta = +-J somewhere: no gauge, eigenvalues only
             source += f" (no vectors: {err})"
     vectors = A is not None
@@ -593,11 +593,10 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
             root[pair.m] = pair.E
         E, half_order = _half_size(root)
         U = None
-        if vectors:  # unit eigenvectors (z_A, z_B) of H_r for +root; (z_A, -z_B) belongs to -root
-            U = _twisted(mag, lower, root)
+        if vectors:  # eigenvectors (z_A, z_B) of H_r for +root as (log|z|, z / |z|); (z_A, -z_B) belongs to -root
+            U = _twisted(mag, lower, root if mixed else root.real)
             if pair is not None and pair.u is not None:
-                U[:, pair.m] = pair.u
-            U /= np.sqrt((np.abs(U[0::2]) ** 2).sum(axis=0) + (np.abs(U[1::2]) ** 2).sum(axis=0))
+                U[0][:, pair.m], U[1][:, pair.m] = pair.u
         cols = np.argsort(half_order)  # column c of [U, Gamma U] belongs to E[cols[c]]
     if pair is not None and pair.u is not None:
         source += f" (deflated edge pair, closed form: backward error {pair.error:.1e})"
@@ -610,18 +609,18 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     spec = Spectrum(eigenvalues=vals[order], source=source)
     if U is None:
         return spec
-    bands = excitation_bands(build_modbkc_quadratic(p, bc))
-    # U = S U_r; |b| / b and S hold +-1, +-i only, so every product is exact
+    bands = excitation_bands(build_modbkc_quadratic(f, bc))
+    # U = S U_r, S in the gauge's phases; |b| / b and S hold +-1, +-i only, so every product is exact
     S = np.concatenate([[1], np.cumprod(np.sign(b.real) - 1j * np.sign(b.imag))])
-    U = np.repeat(S[:, None] * U, 2, axis=0)  # site a at x row 2a and p row 2a + 1; the 2N x N U is freed
-    plus = A.lift(U)
+    A = replace(A, phase=A.phase * np.repeat(S, 2))
+    plus = A.lift(U) if isinstance(U, np.ndarray) else A.lift_polar(*U)
     del U
     try:  # the Sigma- and Gamma-flips of these columns have equal residuals
         _check_residual(bands, plus, 1j * root)
     except SolverError as err:  # the eigenvalues are exact, so they stay
         return replace(spec, source=f"{source} (no vectors: {err})")
     # F-ordered, as `_sorted_pairs` writes every column: `spatial_profile`'s column sums depend on it
-    return replace(spec, base=np.asfortranarray(plus), slots=_pair_slots(order, cols, plus.shape[1]))
+    return replace(spec, base=plus, slots=_pair_slots(order, cols, plus.shape[1]))
 
 
 def _mirrored(q: QuadraticForm, s: int) -> bool:

@@ -39,7 +39,6 @@ from .model import (  # noqa: F401  the run limits and axes are exported here to
     SiteFields,
     grid_size,
 )
-from .skin import nhse_fraction
 from .spectral import SolverError, Spectrum, reduced_route, solve, zero_gap as _zero_gap
 
 if TYPE_CHECKING:  # transform is imported by the functions that use it: an x/p run never loads it
@@ -172,6 +171,7 @@ class PhaseDiagram:
 
 
 def _scan_point(p: ModBKCParams, values: tuple, tol: float, frac: float, threshold: float) -> PhasePoint:
+    from .skin import nhse_fraction
     from .transform import effective_ssh_params
     eff = effective_ssh_params(p)
     try:

@@ -85,28 +85,40 @@ class SimilarityMatrix:
         return out
 
     def lift(self, vectors: np.ndarray) -> np.ndarray:
-        """Map eigenvectors of A^{-1} M A to unit-norm eigenvectors of M.
+        """Unit-norm eigenvectors of M from real or complex eigenvectors v of A^{-1} M A: `lift_polar`."""
+        v = np.asarray(vectors)
+        size, phase = np.abs(v), np.zeros_like(v)
+        # part by part: a complex division rounds twice, and a real v + 0j would get phases off +-1
+        for part, out in ((v.real, phase.real), (v.imag, phase.imag))[:1 + np.iscomplexobj(v)]:
+            np.divide(part, size, out=out, where=size > 0)
+        with np.errstate(divide="ignore"):  # log|0| = -inf: the entry stays zero
+            return self.lift_polar(np.log(size), phase)
 
-        Columns are vectors.  Entry v_im becomes v_im phase_i exp(s_i - t_m),
-        s = ``log_scale``, with the column maximum t_m = max_i (s_i + log|v_im|)
-        taken in log space, so the result is finite even when the explicit
-        diagonal would overflow, and exact zeros stay zero.
+    def lift_polar(self, log_modulus: np.ndarray, phase: np.ndarray) -> np.ndarray:
+        """Unit-norm eigenvectors of M, F-ordered, from eigenvectors v of A^{-1} M A given as log|v| and v / |v|.
+
+        One column per vector, one row per row of A or per site (shared by its
+        x and p rows).  The moduli are exponentiated once, in real arithmetic,
+        below their column maxima of ``log_scale`` + log|v|, taken in log space:
+        no entry overflows, and log|v| = -inf stays zero.  The columns are
+        normalised from their real squares; the phases of A and v come last.
         """
-        v = np.asarray(vectors, dtype=complex)
-        s = self.log_scale[:, None]
-        with np.errstate(divide="ignore"):  # log|0| = -inf never wins a maximum
-            top = (np.log(np.abs(v)) + s).max(axis=0)
-        # s_i - t_m <= -log|v_im| < 709 wherever v_im is a normal number; the
-        # clip keeps the factor finite on zero and subnormal entries
-        factor = s - top
-        out = v * np.exp(np.minimum(factor, 700.0, out=factor), out=factor)
-        del factor  # before the norms' temporary: a smaller peak of memory
-        out *= self.phase[:, None]
-        # `np.linalg.norm`'s column norms from one temporary; Re(conj(v) v) rounds once (FMA), re^2 + im^2 twice
-        sq = np.conj(out)
-        sq *= out
-        out /= np.sqrt(np.add.reduce(sq.real, axis=0))
-        return out
+        sites, columns = log_modulus.shape
+        rows = self.dim // sites
+        # (column, site, row) in C order is the F-ordered (row of A, column); each loop runs over the sites
+        log_t, mod = np.ascontiguousarray(log_modulus.T), np.empty((columns, sites, rows))
+        for r in range(rows):
+            np.add(log_t, self.log_scale[r::rows], out=mod[:, :, r])
+        flat = mod.reshape(columns, self.dim)
+        flat -= flat.max(axis=1, keepdims=True)
+        np.exp(flat, out=flat)
+        # squares summed row by row, as over the rows of a C-ordered array: zero rows change no bit
+        flat /= np.sqrt(np.square(flat.T, out=np.empty((self.dim, columns))).sum(axis=0))[:, None]
+        out = np.empty((columns, sites, rows), dtype=complex)
+        for r in range(rows):
+            np.multiply(phase.T, self.phase[r::rows], out=out[:, :, r])
+        out *= mod
+        return out.reshape(columns, self.dim).T
 
 
 def _log_ratios(delta, J, what: str):

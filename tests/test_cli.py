@@ -1,5 +1,6 @@
 import csv
 import os
+import platform
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import bkchain
-from bkchain import disorder, model, topology
+from bkchain import cli, disorder, model, topology
 from bkchain.cli import ConfigError, main, parse_config
 from bkchain.topology import MAX_THREADS
 
@@ -535,15 +536,17 @@ def test_cli_import_loads_the_core_modules_only():
     ("spectrum", XP_MODEL.format(bc="pbc"), [], []),
     ("phase-scan", MODBKC_MODEL.format(bc="obc") + SWEEP.format(name="J1", step=0.5), [],
      ["skin", "topology", "transform"]),
-    ("spectrum", MODBKC_MODEL.format(bc="obc"), ["--seed", "3"], ["disorder", "skin", "topology", "transform"]),
+    ("spectrum", MODBKC_MODEL.format(bc="obc"), ["--seed", "3"], ["transform"]),  # --seed is range-checked in cli
     ("disorder", MODBKC_MODEL.format(bc="obc") + DISORDER.format(obs="zero_gap"), [],
-     ["disorder", "skin", "topology", "transform"]),
-    ("disorder", XP_MODEL.format(bc="obc") + DISORDER.format(obs="zero_gap"), [], ["disorder", "skin", "topology"]),
+     ["disorder", "topology", "transform"]),
+    ("disorder", XP_MODEL.format(bc="obc") + DISORDER.format(obs="zero_gap"), [], ["disorder", "topology"]),
+    ("disorder", XP_MODEL.format(bc="obc") + DISORDER.format(obs="nhse_fraction"), [],
+     ["disorder", "skin", "topology"]),  # an observable that reads profiles
     ("floquet", "[floquet]\nlambdas = 0,0.5\n", [], ["floquet"]),
     ("profiles", XP_MODEL.format(bc="obc"), [], ["skin"]),
-    ("winding", MODBKC_MODEL.format(bc="obc"), [], ["skin", "topology", "transform"]),
+    ("winding", MODBKC_MODEL.format(bc="obc"), [], ["topology", "transform"]),
 ], ids=["spectrum", "spectrum-xp", "spectrum-bloch", "phase-scan", "spectrum-seed", "disorder", "disorder-xp",
-        "floquet", "profiles-xp", "winding"])
+        "disorder-xp-profiles", "floquet", "profiles-xp", "winding"])
 def test_commands_import_disorder_and_floquet_only_where_used(tmp_path, command, text, flags, loaded):
     # a fresh interpreter runs the command; each command imports only the modules its run executes
     argv = [command, "--config", write(tmp_path, text), "--out", str(tmp_path / "out"), *flags]
@@ -557,3 +560,52 @@ def test_commands_import_disorder_and_floquet_only_where_used(tmp_path, command,
 def test_run_limits_and_axes_are_the_model_names(name):
     # parse_config reads them from model, so a config check loads no topology; topology exports the same objects
     assert getattr(topology, name) is getattr(model, name)
+
+
+def test_largest_seed_flag_is_accepted(tmp_path):
+    # --seed is checked against the bound DisorderSpec holds, model.MAX_SEED, without loading disorder
+    text = MODBKC_MODEL.format(bc="obc")
+    assert main(["spectrum", "--config", write(tmp_path, text), "--out", str(tmp_path / "out"),
+                 f"--seed={model.MAX_SEED}"]) == 0
+    disorder.DisorderSpec(strengths={}, seed=model.MAX_SEED)
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        disorder.DisorderSpec(strengths={}, seed=model.MAX_SEED + 1)
+
+
+def test_main_applies_the_heap_policy(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "keep_freed_heap", lambda: calls.append(1) or True)
+    assert main(["spectrum", "--config", write(tmp_path, MINIMAL_SPECTRUM), "--out", str(tmp_path / "out")]) == 0
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("failure", ["no-mallopt", "no-handle"])
+def test_heap_policy_is_a_no_op_without_mallopt(monkeypatch, failure):
+    def cdll(name):
+        if failure == "no-handle":
+            raise OSError("no shared object")
+        return object()  # a C library without mallopt, as on macOS or Windows
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert cli.keep_freed_heap() is False
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's mallopt")
+def test_heap_policy_keeps_reduced_solves_off_fresh_pages():
+    # a fresh interpreter, as a CLI run: under the policy a reduced N = 100 vector solve, after three
+    # warm-up solves, faults in (almost) no fresh pages; without it, every solve faulted in 300 or more
+    script = """import resource, statistics, sys
+from bkchain.cli import keep_freed_heap
+from bkchain.model import BoundaryCondition, ModBKCParams
+from bkchain.spectral import solve
+kept = keep_freed_heap()
+p = ModBKCParams(J1=0.0, J2=0.5, Delta1=1.0, Delta2=1.5, omega=0.0, N=100)
+faults = []
+for i in range(8):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    solve(p, BoundaryCondition.OBC)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(kept, statistics.median(faults[3:]))
+"""
+    kept, faults = _fresh_interpreter(script).split()
+    assert kept == "True" and float(faults) < 50

@@ -16,7 +16,7 @@ from bkchain.model import (
     build_modbkc_quadratic,
     excitation_matrix,
 )
-from bkchain import disorder, topology
+from bkchain import disorder, skin, topology
 from bkchain.skin import nhse_fraction, profile_matrix, spatial_profile
 from bkchain.spectral import SolverError, modbkc_spectrum_zero_omega, solve, zero_gap
 from bkchain.topology import AxisSpec, edge_mode_count, phase_scan, zero_modes_per_copy
@@ -262,7 +262,7 @@ def test_ensemble_builds_one_profile_per_realization(monkeypatch, observables):
         built.append(v.shape)
         return spatial_profile(v, n_cells)
 
-    monkeypatch.setattr(disorder, "spatial_profile", recording)
+    monkeypatch.setattr(skin, "spatial_profile", recording)  # disorder imports it where profiles are asked for
     base = ModBKCParams(J1=2.2, J2=1.0, Delta1=2.1, Delta2=1.5, omega=0.05, N=20)
     spec = DisorderSpec(strengths={"omega": 2.0}, seed=5, realizations=3)
     res = ensemble_observables(base, spec, observables)

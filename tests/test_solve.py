@@ -34,15 +34,18 @@ the small-eigenvalue guard).  The references are:
 * the reduced route's real gauge: the complex eigenvalues of
   `effective_ssh_matrix` and the eigenpair residual on the 4N matrix;
 * the reduced route's eigenvectors, which come from the twisted
-  factorization of H_r (`_twisted`) on every chain off the guarded
+  factorization of H_r (`_twisted`, as log-moduli and phases, in real
+  arithmetic on all-real chains) on every chain off the guarded
   fallback: the same, the eigenvalue-only solve, and the skin census of the
   full-size `eig` of H_r; at an exactly zero pivot, the eigen-equation of
-  the uniform chain; for its stacked P and Q recurrences, the two-loop
-  factorization, bit for bit; its lift of one column per root, with their
-  Gamma-, Sigma- and Sigma-Gamma-flips (on the guarded fallback, 2N columns
-  and their Sigma-flips): ``SimilarityMatrix.lift`` of the full product
-  basis, equal in value, and the lift's column norms against
-  `np.linalg.norm`, bit for bit;
+  the uniform chain; for its stacked P and Q recurrences, written in place,
+  the two-loop factorization, complex or real, bit for bit; its lift of one
+  column per root, with their Gamma-, Sigma- and Sigma-Gamma-flips (on the
+  guarded fallback, 2N columns and their Sigma-flips):
+  ``SimilarityMatrix.lift_polar`` of the full product basis, equal in
+  value, and the lift against the polar formula with `np.linalg.norm`'s
+  column norms, bit for bit (their forward accuracy is in
+  ``test_forward_accuracy.py``);
 * all-real reduced chains (generic, near a transition, or cut): the
   eigenvalues of `scipy.linalg.eigh_tridiagonal` of H_r, and for the
   zero-mode count the LDL^T (Sturm) inertia count of H_r -+ tol;
@@ -1002,11 +1005,14 @@ class TestAllRealReferences:
 
 
 def _twisted_two_loops(mag, lower, E):
-    """`_twisted` with its P and Q pivots in two arrays, each advanced on its own: the reference."""
+    """`_twisted` with its P and Q pivots in two arrays, each advanced on its own: the reference.
+
+    Returns (log|z|, z / |z|), in real arithmetic where E is real, as `_twisted` does.
+    """
     n = len(mag) + 1
     bond = (mag * lower)[:, None]
-    P = np.empty((n, len(E)), dtype=complex)
-    Q = np.empty((n, len(E)), dtype=complex)
+    P = np.empty((n, len(E)), dtype=E.dtype)
+    Q = np.empty((n, len(E)), dtype=E.dtype)
     pivmin = np.finfo(float).eps * mag.max()
     P[0] = Q[-1] = -E
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -1024,10 +1030,14 @@ def _twisted_two_loops(mag, lower, E):
         log_z = np.zeros((n, len(E)))
         np.cumsum(np.log(size), axis=0, out=log_z[1:])
         ratio /= size
-    z = np.ones((n, len(E)), dtype=complex)
-    np.cumprod(ratio, axis=0, out=z[1:])
-    z *= np.exp(log_z - log_z.max(axis=0))
-    return z
+    phase = np.ones((n, len(E)), dtype=E.dtype)
+    np.cumprod(ratio, axis=0, out=phase[1:])
+    return log_z, phase
+
+
+def _columns(log_z, phase):
+    """The vectors phase exp(log|z|) that `_twisted` returns in polar form, each scaled to max|z| = 1."""
+    return phase * np.exp(log_z - log_z.max(axis=0))
 
 
 class TestTwisted:
@@ -1037,10 +1047,13 @@ class TestTwisted:
         # the uniform 14-site chain has E = 2 cos(5 pi / 15) = 1, also an
         # eigenvalue of its leading 2 x 2 block, so the pivot P_1 = -1 - 1 / (-1) is 0
         mag = np.ones(13)
-        z = _twisted(mag, mag, np.array([1 + 0j]))
         H = np.diag(mag, 1) + np.diag(mag, -1)
-        assert np.all(np.isfinite(z))
-        assert np.linalg.norm(H @ z - z) <= 1e-15 * np.linalg.norm(z)
+        for E in (np.array([1 + 0j]), np.array([1.0])):  # complex, and real as on an all-real chain
+            log_z, phase = _twisted(mag, mag, E)
+            assert phase.dtype == E.dtype
+            z = _columns(log_z, phase)
+            assert np.all(np.isfinite(z))
+            assert np.linalg.norm(H @ z - z) <= 1e-15 * np.linalg.norm(z)
 
     def test_uniform_chain_through_solve(self):
         # the same chain as an omega = 0 excitation matrix: Delta = -1, J = 0, N = 7
@@ -1049,31 +1062,38 @@ class TestTwisted:
         assert s.source == "reduced[modbkc,obc,n=7]" and s.eigenvectors is not None
         _check_residual(_bands(_quadratic_matrix(p, OBC)), s.eigenvectors, s.eigenvalues)
 
-    @pytest.mark.parametrize("chain", ["uniform-zero-pivot", "fig4", "fig5", "sign-mixed", "random"])
+    @pytest.mark.parametrize("chain", ["uniform-zero-pivot", "fig4", "fig5", "sign-mixed", "random",
+                                       "uniform-zero-pivot-real", "fig6-real", "random-real"])
     def test_stacked_recurrences_match_two_loops(self, chain):
-        # `_twisted` runs the P and Q recurrences as one loop over stacked rows; same arithmetic, same bytes
-        if chain == "uniform-zero-pivot":
+        # `_twisted` runs the P and Q recurrences as one loop over stacked rows, written in place;
+        # same arithmetic, same bytes, complex or, on all-real chains, real
+        if chain.startswith("uniform-zero-pivot"):
             mag = lower = np.ones(13)
             E = np.array([1 + 0j, 0.3 + 0j])
-        elif chain == "random":
+        elif chain.startswith("random"):
             rng = np.random.default_rng(3)
             mag = rng.uniform(0.1, 2.0, 39)
-            lower = mag * rng.choice([-1.0, 1.0], 39)
+            lower = mag if chain.endswith("real") else mag * rng.choice([-1.0, 1.0], 39)
             E = rng.normal(size=20) + 1j * rng.normal(size=20)
         else:
             p = {"fig4": ModBKCParams(J1=1.2, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=40),
                  "fig5": ModBKCParams(J1=0.0, J2=2.2, Delta1=1.0, Delta2=1.5, omega=0.0, N=40),
+                 "fig6-real": ModBKCParams(J1=0.0, J2=0.5, Delta1=1.0, Delta2=1.5, omega=0.0, N=40),
                  "sign-mixed": _all_mixed_chain(40)}[chain]
             b = ssh_bonds(p)
             mag = np.abs(b)
             lower = np.where(b.imag != 0, -mag, mag)
             Hr = np.diag(mag, 1) + np.diag(lower, -1)
             E = np.sqrt(np.linalg.eigvals(Hr[0::2, 1::2] @ Hr[1::2, 0::2]).astype(complex))
-        assert _twisted(mag, lower, E).tobytes() == _twisted_two_loops(mag, lower, E).tobytes()
+        if chain.endswith("real"):  # every bond real: the route passes real roots
+            assert np.array_equal(lower, mag)
+            E = E.real.copy()
+        for got, ref in zip(_twisted(mag, lower, E), _twisted_two_loops(mag, lower, E)):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
-# the lift itself: `TestProductLift.test_profiles_unchanged` replaces ``SimilarityMatrix.lift``
-_LIFT = SimilarityMatrix.lift
+# the lift itself: `TestProductLift.test_profiles_unchanged` replaces ``SimilarityMatrix.lift_polar``
+_LIFT, _LIFT_POLAR = SimilarityMatrix.lift, SimilarityMatrix.lift_polar
 
 
 def _lift_reference(A, U, order):
@@ -1085,11 +1105,23 @@ def _lift_reference(A, U, order):
     return _LIFT(A, basis)[:, order]
 
 
-def _gamma_partners(U, cols):
-    """The SSH eigenvector matrix in E order: column c of [U, Gamma U] at cols[c], Gamma negating the B rows."""
+def _polar_reference(A, log_u, phase, order):
+    """`_lift_reference` of U = phase exp(log_u), in polar form: ``SimilarityMatrix.lift_polar`` of the full basis."""
+    two_n = log_u.shape[1]
+    phases = np.empty((2 * len(phase), 2 * two_n), dtype=complex)
+    phases[0::2] = np.hstack([phase, phase])
+    phases[1::2] = np.hstack([phase, -phase])
+    return _LIFT_POLAR(A, np.repeat(np.hstack([log_u, log_u]), 2, axis=0), phases)[:, order]
+
+
+def _gamma_partners(U, cols, sign=-1):
+    """The SSH eigenvector matrix in E order: column c of [U, Gamma U] at cols[c], Gamma negating the B rows.
+
+    ``sign`` = 1 arranges log-moduli, which Gamma leaves as they are.
+    """
     flipped = U.copy()
-    flipped[1::2] *= -1
-    full = np.empty((len(U), len(cols)), dtype=complex)
+    flipped[1::2] *= sign
+    full = np.empty((len(U), len(cols)), dtype=U.dtype)
     full[:, cols] = np.hstack([U, flipped])[:, :len(cols)]
     return full
 
@@ -1144,15 +1176,23 @@ class TestProductLift:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("two_n", [2, 7, 24, 200])
     def test_lift_norm_is_linalg_norm(self, seed, two_n):
-        # the lift's column norms avoid `np.linalg.norm`'s two complex copies, with the same bytes
+        # the lift normalises the real moduli exp(s + log|v| - t) by `np.linalg.norm` of a C-ordered array,
+        # without its copies, and multiplies the product of the phases in last, with the same bytes
         U, A, _ = _random_lift(seed, two_n, two_n)
         for V in (np.repeat(U, 2, axis=0), np.repeat(U, 2, axis=0)[:, : two_n // 2 + 1], np.asfortranarray(
                 np.vstack([U, -U]))):
+            size = np.abs(V)
+            phase = np.zeros_like(V)
+            nonzero = size > 0
+            phase.real[nonzero], phase.imag[nonzero] = V.real[nonzero] / size[nonzero], V.imag[nonzero] / size[nonzero]
             with np.errstate(divide="ignore"):
-                top = (np.log(np.abs(V)) + A.log_scale[:, None]).max(axis=0)
-            ref = V * np.exp(np.minimum(A.log_scale[:, None] - top, 700.0)) * A.phase[:, None]
-            ref /= np.linalg.norm(ref, axis=0)
-            assert A.lift(V).tobytes() == ref.tobytes()
+                log_size = np.log(size) + A.log_scale[:, None]
+            modulus = np.ascontiguousarray(np.exp(log_size - log_size.max(axis=0)))
+            ref = phase * A.phase[:, None] * (modulus / np.linalg.norm(modulus, axis=0))
+            out = A.lift(V)
+            assert out.flags.f_contiguous and out.tobytes(order="A") == np.asfortranarray(ref).tobytes(order="A")
+        # one row per site, shared by its x and p rows: the same bytes as the repeated rows
+        assert A.lift(U).tobytes() == A.lift(np.repeat(U, 2, axis=0)).tobytes()
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("n", [1, 4, 12, 100])
@@ -1184,12 +1224,11 @@ class TestProductLift:
         vecs = s.eigenvectors  # written by the production _sorted_pairs, before it is patched below
         seen = {}
 
-        def lift_recording(A, plus):
-            # the route lifts its base columns, with U at the x and p rows of each site
-            U = plus[0::2]
-            assert np.array_equal(plus[1::2], U)
-            seen.update(A=A, U=U.copy())
-            return _LIFT(A, plus)
+        def lift_recording(A, log_u, phase):
+            # the route lifts its base columns in polar form, one row per site for its x and p rows
+            assert 2 * len(log_u) == A.dim
+            seen.update(A=A, log_u=log_u.copy(), phase=phase.copy())
+            return _LIFT_POLAR(A, log_u, phase)
 
         def slots_recording(order, cols, n):
             seen.update(order=order, cols=cols)
@@ -1197,10 +1236,12 @@ class TestProductLift:
 
         def full_basis(base, slots):
             # the full product basis of the SSH eigenvectors in E order, lifted at once
-            assert len(seen["cols"]) == len(seen["U"]) and base.shape[1] == columns
-            return _lift_reference(seen["A"], _gamma_partners(seen["U"], seen["cols"]), seen["order"])
+            cols = seen["cols"]
+            assert len(cols) == len(seen["log_u"]) and base.shape[1] == columns
+            return _polar_reference(seen["A"], _gamma_partners(seen["log_u"], cols, sign=1),
+                                    _gamma_partners(seen["phase"], cols), seen["order"])
 
-        monkeypatch.setattr(SimilarityMatrix, "lift", lift_recording)
+        monkeypatch.setattr(SimilarityMatrix, "lift_polar", lift_recording)
         monkeypatch.setattr(spectral, "_pair_slots", slots_recording)
         monkeypatch.setattr(spectral, "_sorted_pairs", full_basis)
         ref = solve(p, OBC)
@@ -1458,15 +1499,15 @@ class TestResidualCheck:
         # the x/p route lifts nothing and checks its 2N +E columns, each -E column being a Sigma-flip
         lifted, checked = [], []
 
-        def lift(A, vectors):
-            lifted.append(vectors.shape)
-            return _LIFT(A, vectors)
+        def lift(A, log_modulus, phase):
+            lifted.append((A.dim, log_modulus.shape[1]))
+            return _LIFT_POLAR(A, log_modulus, phase)
 
         def check(bands, vectors, eigenvalues):
             checked.append((vectors.shape, eigenvalues.shape))
             return _check_residual(bands, vectors, eigenvalues)
 
-        monkeypatch.setattr(SimilarityMatrix, "lift", lift)
+        monkeypatch.setattr(SimilarityMatrix, "lift_polar", lift)
         monkeypatch.setattr(spectral, "_check_residual", check)
         s = solve(p, OBC)
         assert note in s.source and s.eigenvectors is not None and s.eigenvectors.shape == (4 * p.N, 4 * p.N)
