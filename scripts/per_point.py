@@ -22,11 +22,8 @@ default 100) it times, best of K runs (default 7), in milliseconds:
   of the checked eigenvector columns on both gauge routes and `_residuals`,
   each timed inside ``solve`` by wrapping it (null where the route runs no
   such step);
-* ``census``: the skin census over every eigenvector column, the edge
-  weights of ``spatial_profile(spectrum.eigenvectors)``, with
-  ``Spectrum.eigenvectors`` written beforehand;
 * ``census_base``: `nhse_fraction`, the census the program runs, on the
-  spectrum's base columns;
+  spectrum's base columns, at the census defaults of `bkchain.topology`;
 * ``csv_write``: one `write_csv` of the point's eigenvalues, as the
   columns index, re_E and im_E;
 * ``profile_csv_write``: one `write_csv` of the point's profile table
@@ -34,8 +31,8 @@ default 100) it times, best of K runs (default 7), in milliseconds:
 * ``svg_write``: `scatter_svg` of the eigenvalues plus `heatmap_svg` of the
   profile matrix, as the ``spectrum`` and ``profiles`` commands plot them.
 
-``census``, ``census_base``, ``profile_csv_write`` and ``svg_write`` are
-null where the spectrum has no vectors.
+``census_base``, ``profile_csv_write`` and ``svg_write`` are null where
+the spectrum has no vectors.
 
 It also reports ``minor_faults_per_solve``: in a fresh process per point
 (``spawn``), under the CLI's heap policy (`bkchain.cli.keep_freed_heap`),
@@ -100,8 +97,9 @@ from bkchain.model import (  # noqa: E402
     excitation_bands,
     excitation_matrix,
 )
-from bkchain.skin import edge_weight, nhse_fraction, profile_matrix, spatial_profile  # noqa: E402
+from bkchain.skin import nhse_fraction, profile_matrix  # noqa: E402
 from bkchain.svgplot import heatmap_svg, scatter_svg  # noqa: E402
+from bkchain.topology import EDGE_FRAC, EDGE_THRESHOLD  # noqa: E402
 
 OBC, PBC = BoundaryCondition.OBC, BoundaryCondition.PBC
 # solves of a point before its page faults are counted, in a process of its own
@@ -224,11 +222,9 @@ def route_stages(p, bc, repeats):
         bare_ms = best_ms(lambda: spectral.solve(p, bc, vectors=False), repeats)
     spec = spectral.solve(p, bc)
     checked = excitation_matrix if spec.source.startswith("eig[") else excitation_bands
-    census = census_base = None
+    census_base = None
     if spec.base is not None:
-        vectors = spec.eigenvectors
-        census = best_ms(lambda: (edge_weight(spatial_profile(vectors, p.N), 0.1) > 0.9).mean(), repeats)
-        census_base = runs(lambda: nhse_fraction(spec, 0.1, 0.9, p.N), repeats)
+        census_base = runs(lambda: nhse_fraction(spec, EDGE_FRAC, EDGE_THRESHOLD, p.N), repeats)
     stages = {
         "build": best_ms(lambda: checked(build(p, bc)), repeats),
         "solve": solve_ms,
@@ -236,7 +232,6 @@ def route_stages(p, bc, repeats):
         "eigenvalues": kernel.best_ms() if spec.source.startswith("reduced[") else None,
         "lift": lift.best_ms(),
         "residuals": residuals.best_ms(),
-        "census": census,
         "census_base": None if census_base is None else 1e3 * min(census_base[0]),
     }
     params = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in asdict(p).items()}

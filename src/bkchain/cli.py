@@ -2,7 +2,7 @@
 
     bkchain <command> --config <file> [--out <dir>] [--plots] [--seed <u64>] [--threads <n>]
 
-Run configurations are INI-style files (key = value under sections, see
+Run configurations are INI-style UTF-8 files (key = value under sections, see
 configs/ for one per reproduced figure).  The sections each command reads:
 
     command      required              optional
@@ -15,13 +15,14 @@ configs/ for one per reproduced figure).  The sections each command reads:
 
 Every command may also have an [output] section; any other section is a
 configuration error.  [sweep] has one axis (parameter, min, max, step);
-phase-scan takes a second (parameter2, min2, max2, step2).
+phase-scan takes a second (parameter2, min2, max2, step2) on another
+parameter.  disorder.observables lists each observable once.
 
 Integer keys (model.N, disorder.seed and .realizations, winding.grid,
 output.threads) are integer literals, parsed exactly.  A chain has at most
 MAX_CELLS = 2500 cells, a disorder seed, from the config or --seed, lies in
-[0, 2**64), and a thread count, from any of the three sources below, lies in
-[1, MAX_THREADS = 64].
+[0, 2**64), winding.grid in [64, MAX_GRID_POINTS = 10**6], and a thread
+count, from any of the three sources below, lies in [1, MAX_THREADS = 64].
 
 Every run writes CSV files plus a run manifest listing them; --plots adds
 self-contained SVG figures.  A run computes all of its outputs before it
@@ -62,6 +63,7 @@ from . import __version__
 from .csvio import write_csv, write_manifest
 from .model import (
     MAX_CELLS,
+    MAX_GRID_POINTS,
     MAX_SEED,
     MAX_THREADS,
     MIN_WINDING_GRID,
@@ -69,7 +71,7 @@ from .model import (
     BKCParams,
     BoundaryCondition,
     ModBKCParams,
-    grid_size,
+    grid_points,
 )
 from .spectral import solve
 from . import svgplot
@@ -143,7 +145,10 @@ def parse_config(path: str, command: str) -> RunConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     cp.optionxform = str  # preserve key case (parameters are case-sensitive)
     try:
-        cp.read(path)
+        with open(path, encoding="utf-8") as fh:
+            cp.read_file(fh)
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read {path}: {err}") from err
     except configparser.Error as err:
         raise ConfigError(f"cannot parse {path}: {err}") from err
     sections = {}
@@ -174,8 +179,8 @@ def parse_config(path: str, command: str) -> RunConfig:
         cfg = dataclasses.replace(cfg, **_parse_disorder(sections["disorder"], cfg.axes))
     elif command == "winding":
         grid = _get_int(cfg.section("winding"), "grid", "winding", 1024)
-        if grid < MIN_WINDING_GRID:
-            raise ConfigError(f"winding.grid must be >= {MIN_WINDING_GRID}, got {grid}")
+        if not MIN_WINDING_GRID <= grid <= MAX_GRID_POINTS:
+            raise ConfigError(f"winding.grid must be in [{MIN_WINDING_GRID}, {MAX_GRID_POINTS}], got {grid}")
         cfg = dataclasses.replace(cfg, winding_grid=grid)
     elif command == "floquet":
         cfg = dataclasses.replace(cfg, drives=_parse_floquet(sections["floquet"]))
@@ -238,7 +243,7 @@ def _parse_model(sec: dict, command: str):
 
 
 def _parse_axes(sec: dict, p, command: str) -> tuple:
-    """[sweep] axes, checked against the model and the grid-size cap; only phase-scan has two."""
+    """[sweep] axes, checked against the model by `grid_points`; only phase-scan has two."""
     axes = []
     for suffix in ("", "2"):
         name, start, stop, step = (key + suffix for key in ("parameter", "min", "max", "step"))
@@ -251,12 +256,8 @@ def _parse_axes(sec: dict, p, command: str) -> tuple:
     if len(axes) > 1 and command != "phase-scan":
         raise ConfigError(f"{command} sweeps one parameter; remove parameter2, min2, max2 and step2 "
                           "from [sweep]")
-    fields = {f.name for f in dataclasses.fields(p)}
-    for ax in axes:
-        if ax.name not in fields:
-            raise ConfigError(f"sweep parameter {ax.name!r} does not exist on this model")
     try:
-        grid_size(axes)
+        grid_points(p, axes)
     except ValueError as err:
         raise ConfigError(f"[sweep]: {err}") from err
     return tuple(axes)
@@ -265,6 +266,7 @@ def _parse_axes(sec: dict, p, command: str) -> tuple:
 def _parse_disorder(sec: dict, axes: tuple) -> dict:
     """RunConfig fields of the [disorder] section."""
     from .disorder import OBSERVABLES, DisorderSpec
+    from .topology import EDGE_FRAC, EDGE_THRESHOLD, ZERO_TOL
     strengths = {key[2:]: _get_float(sec, key, "disorder") for key in sec if key.startswith("W_")}
     try:
         spec = DisorderSpec(strengths=strengths,
@@ -276,12 +278,14 @@ def _parse_disorder(sec: dict, axes: tuple) -> dict:
     for name in names:
         if name not in OBSERVABLES:
             raise ConfigError(f"unknown observable {name!r} in [disorder]; choose from {OBSERVABLES}")
+        if names.count(name) > 1:
+            raise ConfigError(f"observable {name!r} is listed twice in [disorder]")
         if axes and name not in _SCALAR_OBSERVABLES:
             raise ConfigError(f"observable {name!r} has no [sweep] output; choose from "
                               f"{_SCALAR_OBSERVABLES} or remove the [sweep] section")
-    frac = _get_float(sec, "frac", "disorder", 0.1)
-    threshold = _get_float(sec, "threshold", "disorder", 0.9)
-    zero_tol = _get_float(sec, "zero_tol", "disorder", 1e-6)
+    frac = _get_float(sec, "frac", "disorder", EDGE_FRAC)
+    threshold = _get_float(sec, "threshold", "disorder", EDGE_THRESHOLD)
+    zero_tol = _get_float(sec, "zero_tol", "disorder", ZERO_TOL)
     for name, value, ok, domain in (("frac", frac, 0 < frac <= 0.5, "(0, 0.5]"),
                                     ("threshold", threshold, 0 <= threshold <= 1, "[0, 1]"),
                                     ("zero_tol", zero_tol, 0 < zero_tol < math.inf, "(0, inf)")):
@@ -319,16 +323,6 @@ class _Plot(NamedTuple):
 _COLORS = {BoundaryCondition.OBC: "crimson", BoundaryCondition.PBC: "royalblue"}
 
 
-def _points(cfg: RunConfig):
-    """(sweep value, parameters) per point: ((), model) alone, or ((v,), model at v) per [sweep] value."""
-    if not cfg.axes:
-        yield (), cfg.model
-        return
-    axis = cfg.axes[0]
-    for v in axis.values():
-        yield (float(v),), dataclasses.replace(cfg.model, **{axis.name: float(v)})
-
-
 def _columns(rows) -> tuple:
     """The columns of ``rows``: a float array where every cell is a float, else the cells."""
     return tuple(np.array(col) if all(isinstance(v, float) for v in col) else col for col in zip(*rows))
@@ -338,7 +332,7 @@ def _spectrum(cfg, seed, threads):
     head = tuple(ax.name for ax in cfg.axes)
     out, series = [], []
     for b in cfg.bcs:
-        solved = [(x, solve(p, b, vectors=False).eigenvalues) for x, p in _points(cfg)]
+        solved = [(x, solve(p, b, vectors=False).eigenvalues) for x, p in grid_points(cfg.model, cfg.axes)]
         E = np.concatenate([e for _, e in solved])
         at = tuple(np.repeat([x for x, _ in solved], [len(e) for _, e in solved], axis=0).T)
         index = np.concatenate([np.arange(len(e)) for _, e in solved])
@@ -368,7 +362,7 @@ def _winding(cfg, seed, threads):
     from .transform import effective_ssh_params
     head = tuple(ax.name for ax in cfg.axes)
     rows = []
-    for x, p in _points(cfg):
+    for x, p in grid_points(cfg.model, cfg.axes):
         eff = effective_ssh_params(p)
         try:
             wn, wa = winding_numeric(eff, cfg.winding_grid), winding_analytic(p)
@@ -412,7 +406,7 @@ def _disorder(cfg, seed, threads):
     head = tuple(ax.name for ax in cfg.axes)
     results = [(x, ensemble_observables(p, spec, cfg.observables, bc=cfg.bcs[0], zero_tol=cfg.zero_tol,
                                         frac=cfg.frac, threshold=cfg.threshold, threads=threads))
-               for x, p in _points(cfg)]
+               for x, p in grid_points(cfg.model, cfg.axes)]
     out = []
     for name in (n for n in cfg.observables if n in _SCALAR_OBSERVABLES):
         per = [x + (r, float(v)) for x, res in results for r, v in zip(_kept(res), res.observables[name])]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .model import MAX_SEED, BoundaryCondition, ModBKCParams, SiteFields
 from .spectral import solve, zero_gap
-from .topology import map_points, zero_modes_per_copy
+from .topology import EDGE_FRAC, EDGE_THRESHOLD, ZERO_TOL, map_points, zero_modes_per_copy
 
 __all__ = [
     "DisorderSpec",
@@ -116,8 +116,8 @@ class EnsembleResult:
 def ensemble_observables(base: ModBKCParams, spec: DisorderSpec,
                          observables: Iterable[str] = ("zero_gap", "zero_modes"),
                          bc: BoundaryCondition = BoundaryCondition.OBC,
-                         zero_tol: float = 1e-6,
-                         frac: float = 0.1, threshold: float = 0.9,
+                         zero_tol: float = ZERO_TOL,
+                         frac: float = EDGE_FRAC, threshold: float = EDGE_THRESHOLD,
                          threads: int = 1) -> EnsembleResult:
     """Disorder-averaged observables over ``spec.realizations`` realizations.
 

@@ -31,16 +31,17 @@ instead; they are kept only as an independent oracle for tests and are
 called nowhere else in the package.
 
 The run limits (``MAX_CELLS``, ``MAX_THREADS``, ``MIN_WINDING_GRID``,
-``MAX_GRID_POINTS``) and the sweep axes (`AxisSpec`, `grid_size`) live here,
-beside the parameters they bound, so that checking a run configuration
-loads no solver beyond this module; `bkchain.topology` exports them too.
+``MAX_GRID_POINTS``) and sweep grids (`AxisSpec`, `grid_size`, `grid_points`)
+live here, beside the parameters they bound, so that a config check loads
+no solver beyond this module; `bkchain.topology` exports them too.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property
 from typing import Sequence, Union
@@ -66,6 +67,7 @@ __all__ = [
     "bloch_matrix",
     "AxisSpec",
     "grid_size",
+    "grid_points",
 ]
 
 MAX_GRID_POINTS = 10 ** 6
@@ -215,7 +217,6 @@ class ExcitationMatrix:
 
     M: np.ndarray
     n_cells: int
-    n_sublattices: int
     bc: BoundaryCondition
     source: str = field(default="", compare=False)
 
@@ -274,8 +275,7 @@ def excitation_matrix(q: QuadraticForm) -> ExcitationMatrix:
     SQ = np.empty_like(q.Q)
     SQ[0::2] = q.Q[1::2]
     SQ[1::2] = -q.Q[0::2]
-    return ExcitationMatrix(M=-1j * SQ, n_cells=q.n_cells, n_sublattices=q.n_sublattices,
-                            bc=q.bc, source="symplectic")
+    return ExcitationMatrix(M=-1j * SQ, n_cells=q.n_cells, bc=q.bc, source="symplectic")
 
 
 def excitation_bands(q: QuadraticForm) -> list:
@@ -319,7 +319,7 @@ def build_bkc_excitation_direct(p: BKCParams, bc: BoundaryCondition) -> Excitati
         M[flat_index_bkc(b, 0), flat_index_bkc(a, 0)] += 1j * (p.J0 - p.Delta0)
         M[flat_index_bkc(a, 1), flat_index_bkc(b, 1)] += -1j * (p.J0 - p.Delta0)
         M[flat_index_bkc(b, 1), flat_index_bkc(a, 1)] += 1j * (p.J0 + p.Delta0)
-    return ExcitationMatrix(M=M, n_cells=n, n_sublattices=1, bc=bc, source="direct")
+    return ExcitationMatrix(M=M, n_cells=n, bc=bc, source="direct")
 
 
 def build_modbkc_excitation_direct(p: ModBKCParams, bc: BoundaryCondition) -> ExcitationMatrix:
@@ -346,7 +346,7 @@ def build_modbkc_excitation_direct(p: ModBKCParams, bc: BoundaryCondition) -> Ex
         M[ix(b, 0, 1), ix(a, 1, 0)] += 1j * (p.Delta2 + p.J2)
         M[ix(a, 1, 0), ix(b, 0, 1)] += 1j * (p.Delta2 - p.J2)
         M[ix(a, 1, 1), ix(b, 0, 0)] += 1j * (p.Delta2 + p.J2)
-    return ExcitationMatrix(M=M, n_cells=n, n_sublattices=2, bc=bc, source="direct")
+    return ExcitationMatrix(M=M, n_cells=n, bc=bc, source="direct")
 
 
 def bloch_matrix(p: Union[BKCParams, ModBKCParams], k) -> np.ndarray:
@@ -390,8 +390,6 @@ class AxisSpec:
 
     def count(self) -> int:
         """Number of grid points, computed without allocating the grid."""
-        if self.name not in ("J0", "Delta0", "J1", "J2", "Delta1", "Delta2", "omega"):
-            raise ValueError(f"unknown sweep parameter {self.name!r}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop) and math.isfinite(self.step)):
             raise ValueError("axis start, stop and step must be finite")
         if self.step <= 0:
@@ -413,3 +411,23 @@ def grid_size(axes: Sequence[AxisSpec]) -> int:
     if total > MAX_GRID_POINTS:
         raise ValueError(f"grid has {total} points, above the 1e6 limit")
     return total
+
+
+def grid_points(base: Union[BKCParams, ModBKCParams], axes: Sequence[AxisSpec]):
+    """(values, parameters) per point of the product grid of ``axes`` over ``base``, first axis slowest.
+
+    The one walk of a sweep grid.  It raises ValueError when called, on an
+    axis whose name is no coupling or omega of ``base`` or is on another axis
+    (whose value it would overwrite), or on a grid `grid_size` rejects.  The
+    values are floats; no axes give the one point ``((), base)``.
+    """
+    names = tuple(ax.name for ax in axes)
+    known = {f.name for f in fields(base)} - {"N"}  # the couplings and omega: N sizes the chain
+    for i, name in enumerate(names):
+        if name not in known:
+            raise ValueError(f"sweep parameter {name!r} is no coupling or omega of {type(base).__name__}")
+        if name in names[:i]:
+            raise ValueError(f"sweep parameter {name!r} is on two axes")
+    grid_size(axes)
+    return ((values, replace(base, **dict(zip(names, values))) if names else base)
+            for values in itertools.product(*(ax.values().tolist() for ax in axes)))

@@ -641,13 +641,11 @@ def _mirror_halves(T: np.ndarray):
     return T[:h, :h] + flip, T[:h, :h] - flip
 
 
-def _mirror_join(even: np.ndarray, odd: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """[[Y+, Y-], [J Y+, -J Y-]] in ``out`` or a new array: columns (y, J y) of ``even``, (y, -J y) of ``odd``."""
+def _mirror_join(even: np.ndarray, odd: np.ndarray, out: np.ndarray) -> None:
+    """Write [[Y+, Y-], [J Y+, -J Y-]] to ``out``: columns (y, J y) of ``even``, (y, -J y) of ``odd``."""
     h = len(even)
-    out = np.empty((2 * h, 2 * h), np.result_type(even, odd)) if out is None else out
     out[:h, :h], out[:h, h:], out[h:, :h] = even, odd, even[::-1]
     np.negative(odd[::-1], out=out[h:, h:])
-    return out
 
 
 def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:

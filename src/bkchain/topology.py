@@ -17,13 +17,15 @@ literal `zero_modes` count on that spectrum; `zero_modes_per_copy` takes it
 from a spectrum already solved, and `edge_mode_count` solves the spectrum
 for it without eigenvectors.  `zero_modes` is the literal threshold
 count on whatever spectrum it is given.
+
+The census defaults are set here only: ``ZERO_TOL`` on |E|, and the skin
+census's ``EDGE_FRAC`` and ``EDGE_THRESHOLD`` (`skin.nhse_fraction`).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
@@ -37,6 +39,7 @@ from .model import (  # noqa: F401  the run limits and axes are exported here to
     BoundaryCondition,
     ModBKCParams,
     SiteFields,
+    grid_points,
     grid_size,
 )
 from .spectral import SolverError, Spectrum, reduced_route, solve, zero_gap as _zero_gap
@@ -65,6 +68,9 @@ __all__ = [
 
 _WINDING_RESIDUE_TOL = 0.01
 _GAP_TOL = 1e-10
+ZERO_TOL = 1e-6
+EDGE_FRAC = 0.1
+EDGE_THRESHOLD = 0.9
 
 
 class GapClosedError(ValueError):
@@ -102,8 +108,8 @@ def _winding_of_samples(h: np.ndarray) -> int:
 
 def winding_numeric(eff: EffectiveSSHParams, grid: int = 1024) -> WindingResult:
     """Phase-unwrapped winding numbers of h_pm over k in [-pi, pi)."""
-    if grid < MIN_WINDING_GRID:
-        raise ValueError(f"grid must be >= {MIN_WINDING_GRID}, got {grid}")
+    if not MIN_WINDING_GRID <= grid <= MAX_GRID_POINTS:
+        raise ValueError(f"grid must be in [{MIN_WINDING_GRID}, {MAX_GRID_POINTS}], got {grid}")
     ks = -np.pi + 2 * np.pi * np.arange(grid) / grid
     hp, hm = h_pm(ks, eff)
     return WindingResult(w_plus=_winding_of_samples(hp), w_minus=_winding_of_samples(hm))
@@ -139,7 +145,7 @@ def zero_modes_per_copy(s: Spectrum, p: Union[ModBKCParams, SiteFields], bc: Bou
     return zero_modes(s, tol)[0] // (2 if reduced_route(p, bc) else 1)
 
 
-def edge_mode_count(p: Union[ModBKCParams, SiteFields], tol: float = 1e-6,
+def edge_mode_count(p: Union[ModBKCParams, SiteFields], tol: float = ZERO_TOL,
                     bc: BoundaryCondition = BoundaryCondition.OBC) -> int:
     """Zero modes per quadrature copy of the open chain, from an eigenvalue-only `solve`.
 
@@ -166,11 +172,10 @@ class PhasePoint:
 
 @dataclass(frozen=True)
 class PhaseDiagram:
-    axes: tuple
     points: tuple
 
 
-def _scan_point(p: ModBKCParams, values: tuple, tol: float, frac: float, threshold: float) -> PhasePoint:
+def _scan_point(values: tuple, p: ModBKCParams) -> PhasePoint:
     from .skin import nhse_fraction
     from .transform import effective_ssh_params
     eff = effective_ssh_params(p)
@@ -180,9 +185,9 @@ def _scan_point(p: ModBKCParams, values: tuple, tol: float, frac: float, thresho
     except GapClosedError:
         w_plus = w_minus = None
     spec = solve(p, BoundaryCondition.OBC)
-    nhse = None if spec.base is None else nhse_fraction(spec, frac, threshold, p.N)
+    nhse = None if spec.base is None else nhse_fraction(spec, EDGE_FRAC, EDGE_THRESHOLD, p.N)
     return PhasePoint(values=values, zero_gap=_zero_gap(spec),
-                      zero_modes=zero_modes_per_copy(spec, p, BoundaryCondition.OBC, tol),
+                      zero_modes=zero_modes_per_copy(spec, p, BoundaryCondition.OBC, ZERO_TOL),
                       w_plus=w_plus, w_minus=w_minus, nhse_fraction=nhse)
 
 
@@ -215,23 +220,13 @@ def map_points(fn, items: Sequence, threads: int = 1) -> list:
         return list(pool.map(guarded, items))
 
 
-def phase_scan(base: ModBKCParams, axes: Sequence[AxisSpec], tol: float = 1e-6,
-               frac: float = 0.1, threshold: float = 0.9,
-               threads: int = 1) -> PhaseDiagram:
-    """Sweep 1-2 parameters; a point that fails records its error and does not abort the scan."""
+def phase_scan(base: ModBKCParams, axes: Sequence[AxisSpec], threads: int = 1) -> PhaseDiagram:
+    """Sweep 1-2 parameters (`grid_points`); a point that fails records its error and does not abort the scan."""
     if not 1 <= len(axes) <= 2:
         raise ValueError("phase_scan takes one or two axes")
-    for ax in axes:
-        if not hasattr(base, ax.name):
-            raise ValueError(f"sweep parameter {ax.name!r} does not exist on {type(base).__name__}")
-    grid_size(axes)
-    combos = [tuple(float(v) for v in vals) for vals in itertools.product(*(ax.values() for ax in axes))]
-
-    def work(vals):
-        p = replace(base, **{ax.name: v for ax, v in zip(axes, vals)})
-        return _scan_point(p, vals, tol, frac, threshold)
-
+    grid = list(grid_points(base, axes))
+    results = map_points(lambda point: _scan_point(*point), grid, threads)
     points = tuple(point or PhasePoint(values=vals, zero_gap=float("nan"), zero_modes=None, w_plus=None,
                                        w_minus=None, nhse_fraction=None, error=error)
-                   for vals, (point, error) in zip(combos, map_points(work, combos, threads)))
-    return PhaseDiagram(axes=tuple(axes), points=points)
+                   for (vals, _), (point, error) in zip(grid, results))
+    return PhaseDiagram(points=points)

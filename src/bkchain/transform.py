@@ -59,7 +59,6 @@ class SimilarityMatrix:
 
     log_scale: np.ndarray      # real log-moduli of the diagonal
     phase: np.ndarray          # unit-modulus complex phases
-    r_values: dict
 
     def __post_init__(self):
         if self.log_scale.shape != self.phase.shape:
@@ -122,7 +121,7 @@ class SimilarityMatrix:
 
 
 def _log_ratios(delta, J, what: str):
-    """(log r, r) with r = (Delta + J)/(Delta - J), elementwise over bonds.
+    """log r with r = (Delta + J)/(Delta - J), elementwise over bonds.
 
     The gauge needs Delta != +-J on every bond: Delta = J divides by zero and
     Delta = -J gives r = 0, so both raise `SingularTransformError`.  Only an
@@ -140,13 +139,12 @@ def _log_ratios(delta, J, what: str):
             f"gives Delta = +-J; transform is singular")
     # real division, then complex: a complex division can leave a signed-zero
     # imaginary part, which would flip the principal branch of log for negative r
-    r = ((delta + J) / (delta - J)).astype(complex)
-    return np.log(r), r
+    return np.log(((delta + J) / (delta - J)).astype(complex))
 
 
-def _from_log(diag_log: np.ndarray, r_values: dict) -> SimilarityMatrix:
+def _from_log(diag_log: np.ndarray) -> SimilarityMatrix:
     """Similarity whose diagonal is exp(diag_log), never formed explicitly."""
-    return SimilarityMatrix(log_scale=diag_log.real, phase=np.exp(1j * diag_log.imag), r_values=r_values)
+    return SimilarityMatrix(log_scale=diag_log.real, phase=np.exp(1j * diag_log.imag))
 
 
 def hatano_nelson_A(p: BKCParams) -> SimilarityMatrix:
@@ -156,12 +154,12 @@ def hatano_nelson_A(p: BKCParams) -> SimilarityMatrix:
     this choice A^{-1} M A is c sigma_z (x) (S + S^T), c from
     `hatano_nelson_coupling`.
     """
-    log_r, r = _log_ratios(p.Delta0, p.J0, "hatano_nelson_A")  # principal branch for negative r
+    log_r = _log_ratios(p.Delta0, p.J0, "hatano_nelson_A")  # principal branch for negative r
     j = np.arange(p.N)
     diag_log = np.empty(2 * p.N, dtype=complex)
     diag_log[0::2] = -0.5 * j * log_r  # x_j
     diag_log[1::2] = 0.5 * j * log_r   # p_j
-    return _from_log(diag_log, {"r": complex(r)})
+    return _from_log(diag_log)
 
 
 def hatano_nelson_coupling(p: BKCParams) -> complex:
@@ -203,10 +201,8 @@ def _similarity_from_products(f: SiteFields, use_r1: bool, use_r2: bool) -> Simi
     bond, which no gauge uses.
     """
     n = f.N
-    log_r1, r1 = (_log_ratios(f.Delta1, f.J1, "intracell bond") if use_r1
-                  else (np.zeros(n), None))
-    log_r2, r2 = (_log_ratios(f.Delta2[:-1], f.J2[:-1], "intercell bond") if use_r2
-                  else (np.zeros(n - 1), None))
+    log_r1 = _log_ratios(f.Delta1, f.J1, "intracell bond") if use_r1 else np.zeros(n)
+    log_r2 = _log_ratios(f.Delta2[:-1], f.J2[:-1], "intercell bond") if use_r2 else np.zeros(n - 1)
     c1 = np.concatenate([[0.0], np.cumsum(log_r1)])  # c1[j] = sum_{l<j} log r1_l, j = 0..N
     c2 = np.concatenate([[0.0], np.cumsum(log_r2)])  # j = 0..N-1
     diag_log = np.empty(4 * n, dtype=complex)
@@ -214,11 +210,7 @@ def _similarity_from_products(f: SiteFields, use_r1: bool, use_r2: bool) -> Simi
     diag_log[1::4] = 0.5 * (c2 - c1[:-1])  # A p
     diag_log[2::4] = 0.5 * (c2 - c1[1:])   # B x
     diag_log[3::4] = 0.5 * (c1[1:] - c2)   # B p
-    r_values = {}
-    for name, r in (("r1", r1), ("r2", r2)):
-        if r is not None:
-            r_values[name] = r if np.ptp(r.real) + np.ptp(r.imag) > 0 else r[0]
-    return _from_log(diag_log, r_values)
+    return _from_log(diag_log)
 
 
 def a1_prime(p: Union[ModBKCParams, SiteFields]) -> SimilarityMatrix:

@@ -10,7 +10,7 @@ import pytest
 import bkchain
 from bkchain import cli, disorder, model, topology
 from bkchain.cli import ConfigError, main, parse_config
-from bkchain.topology import MAX_THREADS
+from bkchain.topology import MAX_GRID_POINTS, MAX_THREADS
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -165,6 +165,10 @@ SECOND_AXIS = "parameter2 = J2\nmin2 = 0\nmax2 = 1\nstep2 = 0.5\n"
     ("floquet", "[floquet]\nT = nan\n"),
     ("floquet", "[floquet]\nJt1 = inf\n"),
     ("floquet", "[floquet]\nlambdas = 20\n"),
+    ("phase-scan", MODBKC_MODEL.format(bc="obc") + SWEEP.format(name="J1", step=0.4)
+     + "parameter2 = J1\nmin2 = 2\nmax2 = 2\nstep2 = 1\n"),
+    ("disorder", MODBKC_MODEL.format(bc="obc") + DISORDER.format(obs="zero_gap,zero_gap")),
+    ("winding", MODBKC_MODEL.format(bc="obc") + f"[winding]\ngrid = {MAX_GRID_POINTS + 1}\n"),
 ], ids=["unknown-sweep-parameter", "sweep-parameter-not-on-model", "zero-step",
         "oversized-sweep", "oversized-scan-grid", "phase-scan-pbc", "phase-scan-both",
         "phase-scan-bkc", "winding-bkc", "disorder-bkc", "disorder-both",
@@ -177,11 +181,25 @@ SECOND_AXIS = "parameter2 = J2\nmin2 = 0\nmax2 = 1\nstep2 = 0.5\n"
         "chain-length-above-cap", "subnormal-sweep-step", "zero-tol-zero", "zero-tol-inf", "frac-zero",
         "frac-above-half", "threshold-nan", "threshold-above-one", "threads-zero", "threads-negative",
         "threads-above-cap", "disorder-strength-nan", "disorder-strength-inf", "disorder-strength-1e400",
-        "floquet-lambda-nan", "floquet-period-nan", "floquet-hopping-inf", "floquet-lambda-beyond-series"])
+        "floquet-lambda-nan", "floquet-period-nan", "floquet-hopping-inf", "floquet-lambda-beyond-series",
+        "repeated-sweep-parameter", "repeated-observable", "winding-grid-above-cap"])
 def test_config_errors_exit_2_before_output(tmp_path, capsys, command, text):
     out = tmp_path / "out"
     assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 2
     assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["non-utf8", "directory"])
+def test_unreadable_config_exits_2_before_output(tmp_path, capsys, kind):
+    path = tmp_path / "run.cfg"
+    if kind == "directory":
+        path.mkdir()
+    else:  # a valid config but for one byte that is not UTF-8, in a comment
+        path.write_bytes(MINIMAL_SPECTRUM.encode() + b"# caf\xe9\n")
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(path), "--out", str(out)]) == 2
+    assert "configuration error: cannot read" in capsys.readouterr().err
     assert not out.exists()
 
 

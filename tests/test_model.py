@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bkchain.model import (
+    AxisSpec,
     BKCParams,
     BoundaryCondition,
     ModBKCParams,
@@ -18,6 +20,7 @@ from bkchain.model import (
     excitation_matrix,
     flat_index_bkc,
     flat_index_modbkc,
+    grid_points,
 )
 
 OBC, PBC = BoundaryCondition.OBC, BoundaryCondition.PBC
@@ -323,3 +326,31 @@ class TestBloch:
                 E, U = np.linalg.eig(bloch_matrix(p, k))
                 V = np.kron(np.exp(1j * k * np.arange(n))[:, None], U) / np.sqrt(n)
                 assert np.linalg.norm(M @ V - V * E, axis=0).max() <= 1e-12 * np.abs(M).max()
+
+
+class TestGridPoints:
+    BASE = ModBKCParams(J1=0.5, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=8)
+
+    @pytest.mark.parametrize("axes", [
+        [],
+        [AxisSpec("J1", 0.0, 1.0, 0.25)],
+        [AxisSpec("J1", 0.0, 0.4, 0.2), AxisSpec("Delta2", 1.0, 2.0, 0.5)],
+    ], ids=["no-axes", "one-axis", "two-axes"])
+    def test_points_of_the_product_grid_first_axis_slowest(self, axes):
+        reference = [(values, replace(self.BASE, **{ax.name: v for ax, v in zip(axes, values)}))
+                     for values in itertools.product(*([float(v) for v in ax.values()] for ax in axes))]
+        points = list(grid_points(self.BASE, axes))
+        assert points == reference
+        assert all(type(v) is float for values, _ in points for v in values)
+        if not axes:
+            assert points[0][1] is self.BASE
+
+    @pytest.mark.parametrize("axes,match", [
+        ([AxisSpec("J0", 0.0, 1.0, 0.5)], "J0"),
+        ([AxisSpec("N", 2.0, 4.0, 1.0)], "N"),
+        ([AxisSpec("J1", 0.0, 1.0, 0.5), AxisSpec("J1", 2.0, 2.0, 1.0)], "two axes"),
+        ([AxisSpec("J1", 0.0, 1.0, 1e-8)], "1e6"),
+    ], ids=["not-a-field", "not-a-coupling", "repeated-name", "oversized"])
+    def test_bad_axes_raise_at_the_call(self, axes, match):
+        with pytest.raises(ValueError, match=match):
+            grid_points(self.BASE, axes)  # never iterated

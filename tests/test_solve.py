@@ -1139,8 +1139,7 @@ def _random_lift(seed, rows, columns):
     U[0, 0] = 1.0  # a column with a single nonzero entry
     log_scale = rng.permutation(np.linspace(-700.0, 700.0, 2 * rows)) if seed >= 2 \
         else rng.uniform(-5.0, 5.0, 2 * rows)
-    A = SimilarityMatrix(log_scale=log_scale, phase=np.exp(1j * rng.choice([0, 0.5, 1, 1.5], 2 * rows) * np.pi),
-                         r_values={})
+    A = SimilarityMatrix(log_scale=log_scale, phase=np.exp(1j * rng.choice([0, 0.5, 1, 1.5], 2 * rows) * np.pi))
     assert (A.log10_condition > 300) == (seed >= 2)
     E = rng.normal(size=columns) + 1j * rng.normal(size=columns) * (seed % 3 != 0)
     E[: columns // 2] = E[0]  # degenerate values keep lexsort's tie order
@@ -1348,6 +1347,13 @@ def _centrosymmetric(T):
     return len(T) % 2 == 0 and np.array_equal(T, T[::-1, ::-1])
 
 
+def _joined(even, odd):
+    """`spectral._mirror_join` of the two halves, written to a new array."""
+    out = np.empty((2 * len(even), 2 * len(even)), np.result_type(even, odd))
+    spectral._mirror_join(even, odd, out=out)
+    return out
+
+
 def _xp_paired_reference(q, vectors):
     """(source, eigenvalues, eigenvectors or None) of the x/p route, its vectors paired and gathered whole.
 
@@ -1367,8 +1373,8 @@ def _xp_paired_reference(q, vectors):
     if not vectors:
         return source, vals[order], None
     if split:
-        X = spectral._mirror_join(*(Y for _, Y in solved))
-        Y = spectral._mirror_join(*(T @ Y for (T, _), (_, Y) in zip(blocks, solved)))
+        X = _joined(*(Y for _, Y in solved))
+        Y = _joined(*(T @ Y for (T, _), (_, Y) in zip(blocks, solved)))
     else:
         X = solved[0][1]
         Y = Qx @ X

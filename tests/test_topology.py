@@ -255,6 +255,12 @@ class TestPhaseScan:
         with pytest.raises(ValueError, match="1e6"):
             phase_scan(base, [AxisSpec("J1", 0.0, 1.0, 1e-8)])
 
+    def test_repeated_axis_rejected(self):
+        # the later axis would overwrite the earlier one's value on every point
+        base = ModBKCParams(J1=0.0, J2=0.0, Delta1=1.5, Delta2=1.0, omega=0.0, N=20)
+        with pytest.raises(ValueError, match="two axes"):
+            phase_scan(base, [AxisSpec("J1", 0.0, 0.4, 0.4), AxisSpec("J1", 2.0, 2.0, 1.0)])
+
     def test_single_band_axis_rejected(self):
         # AxisSpec takes J0 for single-band sweeps; the two-sublattice scan has none
         base = ModBKCParams(J1=0.0, J2=0.0, Delta1=1.5, Delta2=1.0, omega=0.0, N=20)

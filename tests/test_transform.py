@@ -32,8 +32,8 @@ OBC = BoundaryCondition.OBC
 class TestHatanoNelson:
     def test_ratio_value(self):
         A = hatano_nelson_A(BKCParams(J0=0.5, Delta0=1.0, omega=0, N=5))
-        assert A.r_values["r"] == pytest.approx(3.0)
-        # p component at cell j = 2 scales as r^{+j/2} = 3
+        # p component at cell j = 2 scales as r^{+j/2} = r = 3
+        assert np.exp(A.log_scale[5]) * A.phase[5] == pytest.approx(3.0)
         assert np.exp(A.log_scale[5]) == pytest.approx(3.0)
         # x component carries the reciprocal scale
         assert np.exp(A.log_scale[4]) == pytest.approx(1 / 3.0)
@@ -54,7 +54,8 @@ class TestHatanoNelson:
         M = build_bkc_excitation_direct(p, OBC)
         K = hatano_nelson_A(p).conjugate(M.M)
         assert np.abs(K - K.conj().T).max() < 1e-8 * np.abs(M.M).max()
-        assert hatano_nelson_A(p).r_values["r"] == pytest.approx(-3.0)
+        A = hatano_nelson_A(p)
+        assert np.exp(A.log_scale[5]) * A.phase[5] == pytest.approx(-3.0)  # r^{j/2} = r at the p component of j = 2
 
     def test_anti_hermitian_when_pairing_dominates(self, skin_bkc):
         M = build_bkc_excitation_direct(skin_bkc, OBC)
@@ -81,9 +82,11 @@ class TestSublatticeGauges:
     def test_a2_ratio_pattern(self):
         p = ModBKCParams(J1=0.0, J2=1.0, Delta1=1.0, Delta2=1.5, omega=0, N=6)
         A = a2_prime(p)
-        assert A.r_values["r2"] == pytest.approx(5.0)
-        # scale magnitudes follow r2^{+-j/2}
         from bkchain.model import flat_index_modbkc
+        # r2 = 5: A p at cell j = 2 scales as r2^{+j/2} = r2
+        assert np.exp(A.log_scale[flat_index_modbkc(2, 0, 1)]) * A.phase[flat_index_modbkc(2, 0, 1)] \
+            == pytest.approx(5.0)
+        # scale magnitudes follow r2^{+-j/2}
         for j in range(6):
             assert np.exp(A.log_scale[flat_index_modbkc(j, 0, 1)]) == pytest.approx(5.0 ** (j / 2))
             assert np.exp(A.log_scale[flat_index_modbkc(j, 0, 0)]) == pytest.approx(5.0 ** (-j / 2))
