@@ -477,7 +477,13 @@ def _twisted(mag: np.ndarray, lower: np.ndarray, E: np.ndarray):
                 break
         P, Q = W[:, 0], W[::-1, 1]
         twist = np.argmin(np.abs(P + Q + E), axis=0)
-        ratio = np.where(np.arange(n - 1)[:, None] < twist, -P[:-1] / mag[:, None], -lower[:, None] / Q[1:])
+        above = np.arange(n - 1)[:, None] < twist
+        ratio = -lower[:, None] / Q[1:]
+        if E.dtype.kind == "c":  # each side only where it is used: a masked complex division costs less
+            np.negative(P[:-1], out=ratio, where=above)
+            np.divide(ratio, mag[:, None], out=ratio, where=above)
+        else:  # a masked real division costs more than both sides in full
+            ratio = np.where(above, -P[:-1] / mag[:, None], ratio)
         del W, P, Q, rows
         size = np.abs(ratio)
         log_z = np.zeros((n, len(E)))
