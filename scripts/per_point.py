@@ -13,11 +13,17 @@ default 100) it times, best of K runs (default 7), in milliseconds:
   matrix M (`excitation_matrix`);
 * ``solve`` and ``solve_no_vectors``: ``solve(p, bc)`` and
   ``solve(p, bc, vectors=False)``;
-* ``eigenvalues``: the reduced route's eigenvalue kernel inside
-  ``solve(p, bc, vectors=False)``, timed by wrapping it: `np.linalg.svd`
-  of the upper-bidiagonal F = D^T where every bond is real, the
-  eigenvalues of D F (`_square_eig`) where some bond is imaginary (null off
-  the reduced route);
+* ``eigenvalues``: the reduced route's eigenvalue kernels inside
+  ``solve(p, bc, vectors=False)``, timed by wrapping them, the sum of each
+  called kernel's best time (null off the reduced route): `np.linalg.svd`
+  of the upper-bidiagonal F = D^T where every bond is real; where some bond
+  is imaginary, the quantisation-condition kernel `_quantised_mu`, plus the
+  dense eigenvalues of D F (`_square_eig`) where it returns None, as on
+  every chain that is not uniform.  The reduced points run: svd
+  (``reduced_all_real``), `_quantised_mu` (``reduced_half_size``,
+  ``reduced_deflated`` and ``reduced_deflated_solved``, uniform sign-mixed
+  chains), `_quantised_mu` then `_square_eig` (``reduced_guarded``, not
+  uniform);
 * ``lift`` and ``residuals``: the lift kernel ``SimilarityMatrix.lift_polar``
   of the checked eigenvector columns on both gauge routes and `_residuals`,
   each timed inside ``solve`` by wrapping it (null where the route runs no
@@ -218,7 +224,7 @@ def route_stages(p, bc, repeats):
     with StageTimer((transform.SimilarityMatrix, "lift_polar")) as lift, \
             StageTimer((spectral, "_residuals")) as residuals:
         solve_ms = best_ms(lambda: spectral.solve(p, bc), repeats)
-    with StageTimer((np.linalg, "svd"), (spectral, "_square_eig")) as kernel:
+    with StageTimer((np.linalg, "svd"), (spectral, "_quantised_mu"), (spectral, "_square_eig")) as kernel:
         bare_ms = best_ms(lambda: spectral.solve(p, bc, vectors=False), repeats)
     spec = spectral.solve(p, bc)
     checked = excitation_matrix if spec.source.startswith("eig[") else excitation_bands

@@ -145,7 +145,7 @@ def parse_config(path: str, command: str) -> RunConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     cp.optionxform = str  # preserve key case (parameters are case-sensitive)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is skipped
             cp.read_file(fh)
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read {path}: {err}") from err

@@ -19,10 +19,17 @@ code that picks a solve route:
   real or imaginary bonds, so a diagonal S of exact phases +-1, +-i maps it
   onto a real H_r with eigenvectors S U_r.  H_r is bipartite with a zero
   diagonal, [[0, D], [F, 0]] in sublattice order, so its spectrum is
-  E = +-sqrt(mu) over the N eigenvalues mu of the real D F.  Where every
-  bond is real, F = D^T is upper bidiagonal and E are its singular values,
-  each to high relative accuracy however small (Demmel & Kahan, SIAM J.
-  Sci. Stat. Comput. 11, 873 (1990)).  `_half_size` sorts the roots, as
+  E = +-sqrt(mu) over the N eigenvalues mu of the real D F.  Three kernels
+  find them.  Where every bond is real, F = D^T is upper bidiagonal and E
+  are its singular values, each to high relative accuracy however small
+  (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11, 873 (1990)).  Where some
+  bond is imaginary and the chain is uniform (every intracell bond equal,
+  every intercell bond equal), D F is tridiagonal Toeplitz but for its first
+  row, and `_quantised_mu` solves its open-boundary quantisation condition
+  by Newton's method, O(N) per step, and checks the roots.  Every other
+  sign-mixed chain, and a uniform one whose roots fail a check (a zero
+  bond, |intercell| = |intracell| bond, or close to it), takes `eigvals`
+  of the dense D F (`_square_eig`).  `_half_size` sorts the roots, as
   on the x/p route, and `_twisted` gives the eigenvector of H_r at each
   root as log-moduli and phases, in real arithmetic where every bond is
   real, accurate entry by entry, as the gauge lift of a localized state
@@ -103,7 +110,9 @@ check: there is nothing to check it on.  Per route:
 
 * Hatano-Nelson gauge: the same closed form, with no standing wave or Q;
   the dense fallback at Delta0 = +-J0 takes `eigvals` of M.
-* SSH reduction: the same values, roots, deflation and guard, without
+* SSH reduction: the same kernel for mu (singular values of F where every
+  bond is real, else `_quantised_mu` on a uniform chain whose roots pass
+  its checks, else `eigvals` of D F), roots, deflation and guard, without
   `_twisted`; the sign-mixed fallback takes `eigvals` of H_r.  Both paths
   write the same ``source`` and, off that fallback, the same eigenvalues
   bit for bit.  A singular gauge, which has no vectors either way, is
@@ -177,6 +186,18 @@ REDUCED_MIN_EIGENVALUE = 1e-2
 # |E| / max|H_r|: a pair above it lies near a transition, where |E| is large
 # enough for a solver to resolve the pair, and the pair's vectors are solved.
 EDGE_PAIR_MAX_ERROR = 1e-10
+# Acceptance of `_quantised_mu`'s roots: at most _QUANTISED_STEPS Newton steps
+# until every step of z = exp(i theta) is at most _QUANTISED_STEP |z|; any two
+# values 2 cos theta at least _QUANTISED_SEPARATION apart; and sum(mu) within
+# _QUANTISED_TRACE N eps max|mu| of the trace.  On the sign-mixed fig2, fig4,
+# fig5 and fig7 open chains (N = 100) accepted roots took 3 to 7 steps, lay at
+# least 2.4e-3 apart and met the trace to 1.7 N eps max|mu|.  Near |kappa| = 1
+# the first starts lie far from their roots and Newton needs more steps: there,
+# on 5 of those 187 chains (1 < |kappa| < 1.06), D F is solved densely.
+_QUANTISED_STEPS = 8
+_QUANTISED_STEP = 1e-13
+_QUANTISED_SEPARATION = 1e-8
+_QUANTISED_TRACE = 16
 # Columns per block of `_residuals`: its temporaries are a few (dim, 64) arrays.
 _RESIDUAL_BLOCK = 64
 
@@ -337,6 +358,79 @@ def _square_eig(P: np.ndarray, vectors: bool):
         return np.linalg.eig(P) if vectors else (np.linalg.eigvals(P), None)
     except np.linalg.LinAlgError as err:
         raise SolverError(f"half-size eigensolver failed, dim={len(P)}: {err}") from err
+
+
+def _quantised_starts(n: int, edge: bool) -> np.ndarray:
+    """Newton's starts for the N (N - 1 with an ``edge`` root) bulk roots theta of `_quantised_mu`."""
+    return np.pi / (n + 1 - edge) * np.arange(1, n + 1 - edge)
+
+
+def _quantised_mu(mag: np.ndarray, lower: np.ndarray) -> Optional[np.ndarray]:
+    """The N eigenvalues mu of D F of a uniform sign-mixed H_r, from the open-boundary quantisation condition.
+
+    H_r = diag(mag, 1) + diag(lower, -1) is uniform when every intracell bond
+    (even index) equals the first and every intercell bond (odd index) the
+    second.  With a = mag[0], c = mag[1] and sigma_1, sigma_2 the signs of
+    lower[0], lower[1], D F is tridiagonal Toeplitz but for its first row:
+    diagonal alpha = sigma_1 a^2 + sigma_2 c^2, alpha + delta in row 0
+    (delta = -sigma_2 c^2), a c above and sigma_1 sigma_2 a c below.  A
+    diagonal similarity with entries of modulus 1 maps it onto
+    alpha + s (S_0 + kappa e_0 e_0^T), S_0 = tridiag(1, 0, 1),
+    s = a c sqrt(sigma_1 sigma_2) and kappa = delta / s, |kappa| = c / a.  So
+    mu = alpha + 2 s cos theta, with sin((N + 1) theta) = kappa sin(N theta)
+    (Yueh, Appl. Math. E-Notes 5, 66 (2005); Kunst, Edvardsson, Budich &
+    Bergholtz, PRL 121, 026808 (2018)).
+
+    Newton's method solves all roots at once, from theta = m pi / (N + 1),
+    m = 1..N, where |kappa| < 1, and from m pi / N, m = 1..N - 1, where
+    |kappa| > 1; there the edge root is solved as z = exp(i theta), |z| > 1,
+    from z = kappa, on z - kappa = z^-2N (1 / z - kappa), which cannot
+    overflow.  The roots are accepted when every Newton step is small (see
+    ``_QUANTISED_STEPS``), no two values of 2 cos theta coincide (two starts
+    reached one root), and sum(mu) equals the trace N alpha + delta of D F to
+    rounding (no start reached the spurious roots theta = 0, pi, or another
+    wrong one).  Returns None on a chain that is not uniform, on a zero bond,
+    at |kappa| = 1 and where a check fails: D F is then solved densely.
+    """
+    n = (len(mag) + 1) // 2
+    if n < 2 or not all(np.all(v[k::2] == v[k]) for v in (mag, lower) for k in (0, 1)):
+        return None
+    a, c = mag[0], mag[1]
+    if not (a > 0 and c > 0) or a == c:
+        return None
+    alpha, delta = lower[0] * a + lower[1] * c, -lower[1] * c
+    s = a * c if lower[0] * lower[1] > 0 else 1j * a * c
+    kappa = delta / s
+    edge = c > a
+    theta = _quantised_starts(n, edge).astype(np.result_type(kappa, float))
+    z = kappa
+    with np.errstate(all="ignore"):  # a step that overflows or divides by zero fails the test below
+        for _ in range(_QUANTISED_STEPS):
+            step = ((np.sin((n + 1) * theta) - kappa * np.sin(n * theta))
+                    / ((n + 1) * np.cos((n + 1) * theta) - n * kappa * np.cos(n * theta)))
+            theta -= step
+            worst = np.abs(step).max()  # the step of theta is the relative step of exp(i theta)
+            if edge:
+                w = 1 / z
+                w2n = w ** (2 * n)
+                dz = (z - kappa - w2n * (w - kappa)) / (1 + w2n * w * ((2 * n + 1) * w - 2 * n * kappa))
+                z -= dz
+                worst = max(worst, abs(dz / z))
+            if worst <= _QUANTISED_STEP:
+                break
+        else:
+            return None
+        lam = 2 * np.cos(theta)
+        if edge:
+            lam = np.append(lam, z + 1 / z)
+        gap = np.abs(lam[:, None] - lam)
+        np.fill_diagonal(gap, np.inf)
+        mu = alpha + s * lam
+        trace_error = abs(mu.sum() - (n * alpha + delta))
+        if gap.min() >= _QUANTISED_SEPARATION and (
+                trace_error <= _QUANTISED_TRACE * n * np.finfo(float).eps * np.abs(mu).max()):
+            return mu
+    return None
 
 
 def _half_size(root: np.ndarray):
@@ -534,10 +628,13 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     real arithmetic through the phase gauge of the module docstring: E are
     the singular values of the upper-bidiagonal F = D^T where every bond is
     real, else the roots of the eigenvalues mu of D F, and `_half_size`
-    sorts them.  A lone value with |E| <= ``REDUCED_MIN_EIGENVALUE`` *
-    max|H_r|, the topological edge pair, is deflated (`_edge_pair`): on a
-    sign-mixed chain E = +-sqrt(det(D F) / prod of the other values of mu),
-    forward-accurate however small E is, and on every chain vectors
+    sorts them.  On a uniform chain mu come from the open-boundary
+    quantisation condition (`_quantised_mu`); where that returns None, as on
+    every chain that is not uniform, from `eigvals` of D F.  A lone value
+    with |E| <= ``REDUCED_MIN_EIGENVALUE`` * max|H_r|, the topological edge
+    pair, is deflated (`_edge_pair`): on a sign-mixed chain
+    E = +-sqrt(det(D F) / prod of the other values of mu), forward-accurate
+    however small E is, and on every chain vectors
     (a, +-k b) from the sublattice zero-mode recursions where their backward
     error is at most ``EDGE_PAIR_MAX_ERROR``.  Every other eigenvector of
     H_r comes from `_twisted`.  Where more than one value is that small or
@@ -578,8 +675,10 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     vectors = A is not None
     mixed = b.imag.any()
     F = np.diag(lower[0::2]) + np.diag(mag[1::2], 1)  # H_r = [[0, D], [F, 0]] in sublattice order
-    if mixed:  # E^2 = eigvals(D F)
-        mu, _ = _square_eig((np.diag(mag[0::2]) + np.diag(lower[1::2], -1)) @ F, False)
+    if mixed:  # E^2 = the eigenvalues mu of D F: on a uniform chain from its quantisation condition
+        mu = _quantised_mu(mag, lower)
+        if mu is None:
+            mu, _ = _square_eig((np.diag(mag[0::2]) + np.diag(lower[1::2], -1)) @ F, False)
         root = np.sqrt(mu.astype(complex))
     else:  # F = D^T is upper bidiagonal: E = its singular values, ascending, each to high relative accuracy
         s = np.linalg.svd(F, compute_uv=False)[::-1]

@@ -203,6 +203,20 @@ def test_unreadable_config_exits_2_before_output(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+def test_config_with_byte_order_mark_runs_as_without(tmp_path):
+    # an editor may save UTF-8 with a leading byte-order mark; the run must not see it
+    text = (MODBKC_MODEL.format(bc="both") + SWEEP.format(name="Delta1", step=0.5)).lstrip()  # the mark, then "[model]"
+    outs = []
+    for name, prefix in (("plain.cfg", b""), ("bom.cfg", b"\xef\xbb\xbf")):
+        path = tmp_path / name
+        path.write_bytes(prefix + text.encode())
+        out = tmp_path / name.replace(".cfg", "")
+        assert main(["spectrum", "--config", str(path), "--out", str(out), "--plots"]) == 0
+        outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(outs[0]) == ["manifest.cfg", "obc.csv", "pbc.csv", "spectrum.svg"]
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
 def test_seed_flag_out_of_range_exits_2(tmp_path, capsys, seed):
     out = tmp_path / "out"

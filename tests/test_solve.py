@@ -56,6 +56,16 @@ the small-eigenvalue guard).  The references are:
   eigenvalues bit for bit and the same ``source``, and for the reduced
   solve of a sign-mixed chain the complex eigenvalues of
   `effective_ssh_matrix`;
+* the reduced route's kernel for uniform sign-mixed chains, `_quantised_mu`
+  (the eigenvalues mu of D F from the open-boundary quantisation
+  condition), in both phases and for each sign pattern of the bonds:
+  40-digit `mpmath.eig` of D F at N <= 12, and at N = 100 the roots of
+  det(D F - mu) refined to 40 digits from the dense eigenvalues; the dense
+  `eigvals(D F)` on every sign-mixed fig2 OBC, fig4, fig5 and fig7 chain
+  and across 1 < |kappa| < 1.2; `_square_eig`, counted, at |kappa| = 1, on
+  a zero bond and on fields one ulp off uniform; and starts patched to
+  reach one root twice or the spurious root theta = 0, which its checks
+  reject;
 * the reduced route's closed-form edge pair: its |E| against inverse
   iteration on D F in 200-digit arithmetic, and its residual on the 4N
   matrix;
@@ -754,6 +764,253 @@ class TestReducedHalfSizeVectors:
         full = [solve(p, OBC) for p in points]
         assert all("half-size guard" in s.source for s in full)
         assert half == [nhse_fraction(s, 0.1, 0.9, p.N) for s, p in zip(full, points)]
+
+
+def _uniform_bonds(n, a, c, signs):
+    """mag and lower of a uniform H_r: intracell bonds a, intercell bonds c, lower's signs (sigma_1, sigma_2)."""
+    mag = np.empty(2 * n - 1)
+    mag[0::2], mag[1::2] = a, c
+    lower = mag.copy()
+    lower[0::2] *= signs[0]
+    lower[1::2] *= signs[1]
+    return mag, lower
+
+
+def _reduced_bonds(p):
+    """mag and lower of H_r for the chain ``p``, as `modbkc_spectrum_zero_omega` reads them off `ssh_bonds`."""
+    b = ssh_bonds(SiteFields.uniform(p) if isinstance(p, ModBKCParams) else p)
+    mag = np.abs(b)
+    return mag, np.where(b.imag != 0, -mag, mag)
+
+
+def _dense_df(mag, lower):
+    """D F of H_r = [[0, D], [F, 0]], as the dense fallback forms it."""
+    return (np.diag(mag[0::2]) + np.diag(lower[1::2], -1)) @ (np.diag(lower[0::2]) + np.diag(mag[1::2], 1))
+
+
+def _mp_df(mag, lower):
+    """D F in mpmath, from the doubles that make up H_r, at the working precision."""
+    n = (len(mag) + 1) // 2
+    D, F = mpmath.zeros(n), mpmath.zeros(n)
+    for j in range(n):
+        D[j, j], F[j, j] = mpmath.mpf(float(mag[2 * j])), mpmath.mpf(float(lower[2 * j]))
+    for j in range(n - 1):
+        D[j + 1, j], F[j, j + 1] = mpmath.mpf(float(lower[2 * j + 1])), mpmath.mpf(float(mag[2 * j + 1]))
+    return D * F
+
+
+def _mp_refined_mu(mag, lower, starts):
+    """Each start refined to an eigenvalue of D F by Newton's method on det(D F - mu), at 40 digits.
+
+    The determinant and its derivative run through the three-term recurrence
+    of the tridiagonal D F, in O(N) per step.  The refined values must be
+    pairwise distinct: the N starts reached N different eigenvalues.
+    """
+    with mpmath.workdps(40):
+        T = _mp_df(mag, lower)
+        n = T.rows
+        couple = [T[k, k + 1] * T[k + 1, k] for k in range(n - 1)]
+        out = []
+        for start in starts:
+            mu = mpmath.mpc(complex(start))
+            for _ in range(50):
+                p0, p1, q0, q1 = mpmath.mpf(1), T[0, 0] - mu, mpmath.mpf(0), mpmath.mpf(-1)
+                for k in range(1, n):
+                    p0, p1, q0, q1 = (p1, (T[k, k] - mu) * p1 - couple[k - 1] * p0,
+                                      q1, -p1 + (T[k, k] - mu) * q1 - couple[k - 1] * q0)
+                step = p1 / q1
+                mu -= step
+                if abs(step) <= mpmath.mpf(10) ** -35 * max(abs(mu), 1):
+                    break
+            else:
+                raise AssertionError("Newton refinement did not converge")
+            out.append(complex(mu))
+    out = np.array(out)
+    gap = np.abs(out[:, None] - out)
+    np.fill_diagonal(gap, np.inf)
+    assert gap.min() > 1e-10 * np.abs(out).max()
+    return out
+
+
+def _square_eig_calls(monkeypatch):
+    """Record the dimension of every `_square_eig` call, the dense solve of D F."""
+    calls, inner = [], spectral._square_eig
+
+    def recording(P, vectors):
+        calls.append(len(P))
+        return inner(P, vectors)
+
+    monkeypatch.setattr(spectral, "_square_eig", recording)
+    return calls
+
+
+def _sign_mixed_figure_chains():
+    """(label, chain) over every sign-mixed fig2 OBC, fig4, fig5 and fig7 chain at N = 100."""
+    scan = ModBKCParams(J1=0.0, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100)
+    fig2 = ModBKCParams(J1=1.4, J2=1.2, Delta1=1.0, Delta2=1.0, omega=0.0, N=100)
+    grids = [("fig2", fig2, AxisSpec("Delta1", 0.0, 3.0, 0.05)), ("fig4", scan, AxisSpec("J1", 0.0, 2.5, 0.02)),
+             ("fig5", scan, AxisSpec("J2", 0.0, 2.5, 0.02))]
+    chains = [(f"{name} {ax.name}={v:.2f}", replace(base, **{ax.name: float(v)}))
+              for name, base, ax in grids for v in ax.values()]
+    chains.append(("fig7", ModBKCParams(J1=2.2, J2=1.0, Delta1=2.1, Delta2=1.5, omega=0.0, N=100)))
+    return [(label, p) for label, p in chains if ssh_bonds(SiteFields.uniform(p)).imag.any()]
+
+
+# The uniform chain's kernel `_quantised_mu` and the dense eigvals(D F) it
+# replaces, against 40-digit eigenvalues of D F, relative to max|mu|: measured
+# at most 2.5e-16 and 1.6e-15 (N <= 12), 5.5e-16 and 8.9e-15 (N = 100).
+QUANTISED_MP_BOUND = 2e-15
+DENSE_MU_MP_BOUND = 2e-14
+# The kernel against eigvals(D F) on the figure chains, relative to max|mu|:
+# measured at most 1.0e-14, where the dense solve carries most of the error.
+QUANTISED_DENSE_BOUND = 5e-14
+SIGN_PATTERNS = [(-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)]
+
+
+class TestQuantisedEigenvalues:
+    """The eigenvalues mu of D F of a uniform sign-mixed chain, from the open-boundary quantisation condition."""
+
+    @pytest.mark.parametrize("signs", SIGN_PATTERNS, ids=["-+", "+-", "--"])
+    @pytest.mark.parametrize("kappa", [0.5, 3.0], ids=["trivial", "topological"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 12])
+    def test_small_chains_match_mpmath_eig(self, n, kappa, signs):
+        mag, lower = _uniform_bonds(n, 1.3, 1.3 * kappa, signs)
+        with mpmath.workdps(40):
+            ref = np.array([complex(e) for e in mpmath.eig(_mp_df(mag, lower), left=False, right=False)])
+        mu = spectral._quantised_mu(mag, lower)
+        scale = np.abs(ref).max()
+        assert mu is not None and len(mu) == n
+        assert _distance(mu, ref) <= QUANTISED_MP_BOUND * scale
+        assert _distance(np.linalg.eigvals(_dense_df(mag, lower)), ref) <= DENSE_MU_MP_BOUND * scale
+
+    @pytest.mark.parametrize("signs", SIGN_PATTERNS, ids=["-+", "+-", "--"])
+    @pytest.mark.parametrize("kappa", [0.8, 1.25], ids=["trivial", "topological"])
+    def test_n100_matches_refined_determinant_roots(self, kappa, signs):
+        # the reference starts from the dense eigenvalues, so it does not rest on the kernel's roots
+        mag, lower = _uniform_bonds(100, 1.3, 1.3 * kappa, signs)
+        dense = np.linalg.eigvals(_dense_df(mag, lower))
+        ref = _mp_refined_mu(mag, lower, dense)
+        mu = spectral._quantised_mu(mag, lower)
+        scale = np.abs(ref).max()
+        assert mu is not None
+        assert _distance(mu, ref) <= QUANTISED_MP_BOUND * scale
+        assert _distance(dense, ref) <= DENSE_MU_MP_BOUND * scale
+
+    def test_figure_chains_match_dense_eigenvalues(self):
+        # every sign-mixed chain of the figure grids (fig2's Delta1 = 1.4 + 1e-16
+        # has |kappa| ~ 1e8); near the transition, 1 < |kappa| < 1.06, five take
+        # the dense solve (fig2 Delta1 = 1.25, fig4 J1 = 1.76 to 1.8, fig5 J2 = 1.82)
+        chains, fallbacks = _sign_mixed_figure_chains(), []
+        for label, p in chains:
+            mag, lower = _reduced_bonds(p)
+            mu = spectral._quantised_mu(mag, lower)
+            if mu is None:
+                fallbacks.append(label)
+                assert 1 < mag[1] / mag[0] < 1.06, label
+                continue
+            dense = np.linalg.eigvals(_dense_df(mag, lower))
+            assert _distance(mu, dense) <= QUANTISED_DENSE_BOUND * np.abs(dense).max(), label
+        assert len(chains) == 187 and len(fallbacks) <= 5, fallbacks
+
+    @pytest.mark.parametrize("signs,runs_from", [((-1.0, 1.0), 1.04), ((1.0, -1.0), 1.04), ((-1.0, -1.0), 1.1)],
+                             ids=["-+", "+-", "--"])
+    def test_near_transition_band(self, signs, runs_from):
+        # 1 < |kappa| < 1.2 at N = 100: where the kernel's roots pass its
+        # checks they match the dense solve.  With kappa imaginary the roots
+        # leave the real axis and the kernel runs from |kappa| = 1.04 on; with
+        # kappa real (both bonds imaginary) the first roots lie near the
+        # midpoints between the starts, and it runs from 1.1 on
+        for kappa in 1 + 0.005 * np.arange(1, 40):
+            mag, lower = _uniform_bonds(100, 1.3, 1.3 * kappa, signs)
+            mu = spectral._quantised_mu(mag, lower)
+            assert (mu is not None) == (kappa >= runs_from), kappa
+            if mu is not None:
+                dense = np.linalg.eigvals(_dense_df(mag, lower))
+                assert _distance(mu, dense) <= QUANTISED_DENSE_BOUND * np.abs(dense).max()
+
+    @pytest.mark.parametrize("p", [
+        ModBKCParams(J1=1.4, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # fig4, closed-form edge pair
+        ModBKCParams(J1=1.7, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # fig4, solved edge vectors
+        ModBKCParams(J1=2.0, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # fig4, trivial
+        ModBKCParams(J1=0.0, J2=2.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # fig5, topological
+        ModBKCParams(J1=1.4, J2=1.2, Delta1=0.5, Delta2=1.0, omega=0.0, N=100),  # fig2, (-, -) trivial
+        ModBKCParams(J1=1.4, J2=1.2, Delta1=1.3, Delta2=1.0, omega=0.0, N=100),  # (-, -) topological
+        ModBKCParams(J1=1.4, J2=1.2, Delta1=2.0, Delta2=1.0, omega=0.0, N=100),  # fig2, (+, -)
+        ModBKCParams(J1=2.2, J2=1.0, Delta1=2.1, Delta2=1.5, omega=0.0, N=100),  # fig7
+    ], ids=["fig4-1.4", "fig4-1.7", "fig4-2.0", "fig5-2.0", "fig2-0.5", "mm-topological", "fig2-2.0", "fig7"])
+    def test_vector_and_eigenvalue_solves_agree_bit_for_bit(self, p, monkeypatch):
+        calls = _square_eig_calls(monkeypatch)
+        full, bare = solve(p, OBC), solve(p, OBC, vectors=False)
+        assert calls == []  # both took the kernel
+        _assert_reduced_parity(full, bare)
+        _check_residual(_bands(_quadratic_matrix(p, OBC)), full.eigenvectors, full.eigenvalues)
+        # constant site fields are uniform too: the same kernel and the same values
+        assert np.array_equal(solve(SiteFields.uniform(p), OBC, vectors=False).eigenvalues, bare.eigenvalues)
+        assert calls == []
+
+    def test_kappa_one_takes_the_dense_solve(self, monkeypatch):
+        # |Delta1^2 - J1^2| = |Delta2^2 - J2^2| = 3: |kappa| = 1 exactly, the transition
+        p = ModBKCParams(J1=2.0, J2=1.0, Delta1=1.0, Delta2=2.0, omega=0.0, N=100)
+        mag, lower = _reduced_bonds(p)
+        assert mag[0] == mag[1] and lower[0] == -lower[1]
+        calls = _square_eig_calls(monkeypatch)
+        s = solve(p, OBC, vectors=False)
+        assert calls == [100] and spectral._quantised_mu(mag, lower) is None
+        E = np.linalg.eigvals(effective_ssh_matrix(p))
+        assert _distance(s.eigenvalues, np.concatenate([1j * E, -1j * E])) <= SSH_BOUND * np.abs(E).max()
+
+    def test_zero_bond_takes_the_dense_solve(self, monkeypatch):
+        # J2 = Delta2: every intercell bond is zero, and the chain falls apart into dimers of |E| = sqrt(3)
+        p = ModBKCParams(J1=2.0, J2=1.5, Delta1=1.0, Delta2=1.5, omega=0.0, N=100)
+        calls = _square_eig_calls(monkeypatch)
+        s = solve(p, OBC, vectors=False)
+        assert calls == [100] and spectral._quantised_mu(*_reduced_bonds(p)) is None
+        assert np.abs(np.abs(s.eigenvalues) - np.sqrt(3)).max() <= 1e-14
+
+    def test_one_ulp_off_uniform_takes_the_dense_solve(self, monkeypatch):
+        f = SiteFields.uniform(ModBKCParams(J1=1.4, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100))
+        J1 = f.J1.copy()
+        J1[37] = np.nextafter(J1[37], np.inf)
+        nudged = replace(f, J1=J1)
+        mag, uniform = _reduced_bonds(nudged)[0], _reduced_bonds(f)[0]
+        assert np.flatnonzero(mag != uniform).tolist() == [74]
+        assert abs(mag[74] / uniform[74] - 1) <= 4 * np.finfo(float).eps
+        calls = _square_eig_calls(monkeypatch)
+        s, ref = solve(nudged, OBC, vectors=False), solve(f, OBC, vectors=False)
+        assert calls == [100]
+        assert s.source == ref.source
+        assert _distance(s.eigenvalues, ref.eigenvalues) <= 1e-13 * np.abs(ref.eigenvalues).max()
+
+    def test_two_starts_on_one_root_are_rejected(self, monkeypatch):
+        # kappa = 1e-6 i: the spectrum is +- symmetric to rounding, so two
+        # starts sent to the 2nd and (N-1)th roots in place of the 1st and Nth
+        # keep the trace; only the separation of the roots shows the duplicates
+        mag, lower = _uniform_bonds(100, 1.3, 1.3e-6, (-1.0, 1.0))
+        assert spectral._quantised_mu(mag, lower) is not None
+        starts = spectral._quantised_starts
+
+        def duplicated(n, edge):
+            theta = starts(n, edge)
+            theta[0], theta[-1] = theta[1], theta[-2]
+            return theta
+
+        monkeypatch.setattr(spectral, "_quantised_starts", duplicated)
+        assert spectral._quantised_mu(mag, lower) is None
+
+    def test_spurious_root_is_rejected(self, monkeypatch):
+        # a start near theta = 0 converges to that root of the quantisation
+        # condition, which is no eigenvalue; the roots stay distinct, and only
+        # the trace shows the missing one
+        mag, lower = _uniform_bonds(100, 1.3, 0.65, (-1.0, 1.0))
+        starts = spectral._quantised_starts
+
+        def near_zero(n, edge):
+            theta = starts(n, edge)
+            theta[0] = 1e-3
+            return theta
+
+        monkeypatch.setattr(spectral, "_quantised_starts", near_zero)
+        assert spectral._quantised_mu(mag, lower) is None
 
 
 def _mp_edge_energy(f):
