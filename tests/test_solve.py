@@ -803,21 +803,25 @@ def _mp_refined_mu(mag, lower, starts):
     """Each start refined to an eigenvalue of D F by Newton's method on det(D F - mu), at 40 digits.
 
     The determinant and its derivative run through the three-term recurrence
-    of the tridiagonal D F, in O(N) per step.  The refined values must be
-    pairwise distinct: the N starts reached N different eigenvalues.
+    of the tridiagonal D F, in O(N) per step, on its entries formed from
+    those of D and F: diagonal mag[2k] lower[2k] + lower[2k-1] mag[2k-1],
+    and mag[2k] mag[2k+1] lower[2k+1] lower[2k] for the product of the
+    off-diagonal pair.  The refined values must be pairwise distinct: the N
+    starts reached N different eigenvalues.
     """
     with mpmath.workdps(40):
-        T = _mp_df(mag, lower)
-        n = T.rows
-        couple = [T[k, k + 1] * T[k + 1, k] for k in range(n - 1)]
+        m, low = [mpmath.mpf(float(x)) for x in mag], [mpmath.mpf(float(x)) for x in lower]
+        n = (len(mag) + 1) // 2
+        diag = [m[2 * k] * low[2 * k] + (low[2 * k - 1] * m[2 * k - 1] if k else 0) for k in range(n)]
+        couple = [m[2 * k] * m[2 * k + 1] * low[2 * k + 1] * low[2 * k] for k in range(n - 1)]
         out = []
         for start in starts:
             mu = mpmath.mpc(complex(start))
             for _ in range(50):
-                p0, p1, q0, q1 = mpmath.mpf(1), T[0, 0] - mu, mpmath.mpf(0), mpmath.mpf(-1)
+                p0, p1, q0, q1 = mpmath.mpf(1), diag[0] - mu, mpmath.mpf(0), mpmath.mpf(-1)
                 for k in range(1, n):
-                    p0, p1, q0, q1 = (p1, (T[k, k] - mu) * p1 - couple[k - 1] * p0,
-                                      q1, -p1 + (T[k, k] - mu) * q1 - couple[k - 1] * q0)
+                    p0, p1, q0, q1 = (p1, (diag[k] - mu) * p1 - couple[k - 1] * p0,
+                                      q1, -p1 + (diag[k] - mu) * q1 - couple[k - 1] * q0)
                 step = p1 / q1
                 mu -= step
                 if abs(step) <= mpmath.mpf(10) ** -35 * max(abs(mu), 1):
