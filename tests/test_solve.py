@@ -778,7 +778,7 @@ def _uniform_bonds(n, a, c, signs):
 
 def _reduced_bonds(p):
     """mag and lower of H_r for the chain ``p``, as `modbkc_spectrum_zero_omega` reads them off `ssh_bonds`."""
-    b = ssh_bonds(SiteFields.uniform(p) if isinstance(p, ModBKCParams) else p)
+    b = ssh_bonds(p)
     mag = np.abs(b)
     return mag, np.where(b.imag != 0, -mag, mag)
 
@@ -857,7 +857,7 @@ def _sign_mixed_figure_chains():
     chains = [(f"{name} {ax.name}={v:.2f}", replace(base, **{ax.name: float(v)}))
               for name, base, ax in grids for v in ax.values()]
     chains.append(("fig7", ModBKCParams(J1=2.2, J2=1.0, Delta1=2.1, Delta2=1.5, omega=0.0, N=100)))
-    return [(label, p) for label, p in chains if ssh_bonds(SiteFields.uniform(p)).imag.any()]
+    return [(label, p) for label, p in chains if ssh_bonds(p).imag.any()]
 
 
 # The uniform chain's kernel `_quantised_mu` and the dense eigvals(D F) it
