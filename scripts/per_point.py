@@ -148,7 +148,10 @@ def points(n):
     edge pairs send it to the full-size solve.  ``xp`` is the uniform open
     chain, which the x/p route solves as two mirror halves; ``xp_fields``
     is the first fig9 realization (onsite omega disordered, no mirror
-    symmetry), which keeps the unsplit x/p solve.
+    symmetry), which keeps the unsplit x/p solve.  ``eig`` is the open
+    single-band chain at omega = 0.5, whose x-p cross block is nonzero: the
+    dense route, `eigendecompose`, which solves the real 2N x 2N Im M
+    (M = i Im M) and returns E = i eig(Im M).
     """
     scan = ModBKCParams(J1=0.0, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=n)
     split = SiteFields.uniform(replace(scan, J2=2.2))

@@ -88,7 +88,10 @@ code that picks a solve route:
   the guard and the smallest |E|.
 * **Dense** `eigendecompose` of ``excitation_matrix(build_*_quadratic(p, bc))``
   for everything else: the open single-band chain off the gauge route (its
-  cross block is nonzero) and the points the x/p guard turns away.
+  cross block is nonzero) and the points the x/p guard turns away.  Every
+  builder writes M = -i Sigma Q, i times the real K = Im M, so E = i eig(K)
+  in real arithmetic: K's complex eigenvalues come in exact conjugate pairs,
+  so each E pairs with -conj(E) bit for bit; a nonzero Re M is rejected.
 
 Every route checks its eigenvectors by `_check_residual`: each eigenpair's
 residual on M must be at most ``RESIDUAL_FACTOR`` * max|M| * dim.  The
@@ -109,7 +112,7 @@ and builds no M that it does not solve.  These spectra get no residual
 check: there is nothing to check it on.  Per route:
 
 * Hatano-Nelson gauge: the same closed form, with no standing wave or Q;
-  the dense fallback at Delta0 = +-J0 takes `eigvals` of M.
+  the dense fallback at Delta0 = +-J0 takes `eigvals` of Im M.
 * SSH reduction: the same kernel for mu (singular values of F where every
   bond is real, else `_quantised_mu` on a uniform chain whose roots pass
   its checks, else `eigvals` of D F), roots, deflation and guard, without
@@ -120,7 +123,7 @@ check: there is nothing to check it on.  Per route:
 * Bloch: one batched `eigvals` of the N blocks; neither the ring's Q nor M is
   built.
 * x/p: `eigvals` of Qp Qx, or of its two mirror halves where Qx and Qp are
-  centrosymmetric; a guarded point takes the dense `eigvals` of M.
+  centrosymmetric; a guarded point takes the dense `eigvals` of Im M.
 
 The x/p and reduced half-size solves share the +- sort of their roots
 (`_half_size`) and the sorted places of their base columns and sign flips
@@ -277,14 +280,20 @@ def _check_residual(bands: list, vectors: np.ndarray, eigenvalues: np.ndarray):
 
 
 def eigendecompose(M: ExcitationMatrix, vectors: bool = True) -> Spectrum:
-    """Full spectrum from the dense solver, with right eigenvectors unless ``vectors`` is False."""
+    """Full spectrum from the dense solver, with right eigenvectors unless ``vectors`` is False.
+
+    M = i Im M, as every builder writes it, so E = i eig(Im M) in real arithmetic, each E
+    paired with -conj(E) bit for bit.  An M with a nonzero real part raises `SolverError`.
+    """
     if not np.all(np.isfinite(M.M)):
         raise SolverError(f"matrix contains non-finite entries ({M.source}, bc={M.bc})")
+    if np.any(M.M.real):
+        raise SolverError(f"matrix has a nonzero real part ({M.source}, bc={M.bc})")
     try:
-        vals, vecs = np.linalg.eig(M.M) if vectors else (np.linalg.eigvals(M.M), None)
+        lam, vecs = np.linalg.eig(M.M.imag) if vectors else (np.linalg.eigvals(M.M.imag), None)
     except np.linalg.LinAlgError as err:
-        raise SolverError(
-            f"eigensolver failed for {M.source} matrix, dim={M.dim}, bc={M.bc}: {err}") from err
+        raise SolverError(f"eigensolver failed for {M.source} matrix, dim={M.dim}, bc={M.bc}: {err}") from err
+    vals = 1j * lam + 0.0  # + 0.0 turns every -0.0 part, which a CSV writes as "-0", into 0
     spec = _sorted(vals, vecs, source=f"eig[{M.source},{M.bc.value},n={M.n_cells}]")
     del vals, vecs  # the residual check below is the peak of memory use
     if vectors:
@@ -622,37 +631,25 @@ def _sorted_pairs(base: np.ndarray, slots: np.ndarray) -> np.ndarray:
 def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
                                bc: BoundaryCondition = BoundaryCondition.OBC,
                                with_vectors: bool = True) -> Spectrum:
-    """Exact omega=0 spectrum of the open two-sublattice chain via the SSH reduction.
+    """Exact omega=0 spectrum of the open two-sublattice chain via the SSH reduction (module docstring).
 
-    Eigenvalues are +-i E_m over the reduced SSH spectrum {E_m}, solved in
-    real arithmetic through the phase gauge of the module docstring: E are
-    the singular values of the upper-bidiagonal F = D^T where every bond is
-    real, else the roots of the eigenvalues mu of D F, and `_half_size`
-    sorts them.  On a uniform chain mu come from the open-boundary
-    quantisation condition (`_quantised_mu`); where that returns None, as on
-    every chain that is not uniform, from `eigvals` of D F.  A lone value
-    with |E| <= ``REDUCED_MIN_EIGENVALUE`` * max|H_r|, the topological edge
-    pair, is deflated (`_edge_pair`): on a sign-mixed chain
-    E = +-sqrt(det(D F) / prod of the other values of mu), forward-accurate
-    however small E is, and on every chain vectors
-    (a, +-k b) from the sublattice zero-mode recursions where their backward
-    error is at most ``EDGE_PAIR_MAX_ERROR``.  Every other eigenvector of
-    H_r comes from `_twisted`.  Where more than one value is that small or
-    a bond is zero, the full-size solve of H_r runs instead: `eigh` for the
-    vectors of an all-real chain, whose singular values stay, else the real
-    `eig`.  ``Spectrum.source`` names the deflation, with the closed form's
-    backward error, or the reason for the fallback.  Eigenvectors are the
-    product basis lifted through the combined gauge from log-moduli
-    (``SimilarityMatrix.lift_polar``): N unit columns v for +i root, written
-    F-ordered and kept as ``Spectrum.base`` with the slots of Gamma v, Sigma v
-    and Sigma Gamma v (module docstring); the fallback keeps 2N columns and
-    their Sigma-flips.  The lifted columns are checked; where they fail, the
-    eigenvalues are returned alone and ``source`` names the failure.  With
-    ``with_vectors=False`` (or at singular gauge points Delta = +-J) only
-    the eigenvalues are computed, along the same path; they remain exact at
-    singular points by continuity of the characteristic polynomial.  Open
-    boundaries only: the gauge does not close around a ring, so the reduced
-    ring is not the PBC spectrum.
+    Eigenvalues are +-i E_m over the reduced SSH spectrum {E_m} of H_r, in
+    real arithmetic: the singular values of F = D^T where every bond is real,
+    else the roots of the eigenvalues mu of D F, from `_quantised_mu` on a
+    uniform chain whose roots pass its checks, else from `eigvals` of D F;
+    `_half_size` sorts them.  A lone |E| <= ``REDUCED_MIN_EIGENVALUE`` *
+    max|H_r|, the topological edge pair, is deflated (`_edge_pair`).  Where
+    more than one value is that small or a bond is zero, the full-size solve
+    of H_r runs instead, and its LAPACK failure raises `SolverError`.
+    ``Spectrum.source`` names the deflation or the fallback and its reason.
+    Eigenvectors are lifted through the combined gauge from log-moduli: N
+    unit columns v for +i root, F-ordered, kept as ``Spectrum.base`` with the
+    slots of Gamma v, Sigma v and Sigma Gamma v; the fallback keeps 2N
+    columns and their Sigma-flips.  Where the lifted columns fail their
+    check, the eigenvalues are returned alone and ``source`` names the
+    failure.  With ``with_vectors=False`` (or at singular gauge points
+    Delta = +-J) only the eigenvalues are computed, along the same path.
+    Open boundaries only: the gauge does not close around a ring.
     """
     if bc is not BoundaryCondition.OBC:
         raise ValueError("modbkc_spectrum_zero_omega requires open boundaries")
@@ -688,10 +685,13 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     except _SmallEigenvalue as guard:
         source, pair = f"{source} (half-size guard: {guard})", None
         Hr = np.diag(mag, 1) + np.diag(lower, -1)
-        if mixed:
-            E, U = np.linalg.eig(Hr) if vectors else (np.linalg.eigvals(Hr), None)
-        else:  # the singular values stay: eigh orders its columns by the same ascending E
-            E, U = np.concatenate([-s[::-1], s]), np.linalg.eigh(Hr)[1] if vectors else None
+        try:
+            if mixed:
+                E, U = np.linalg.eig(Hr) if vectors else (np.linalg.eigvals(Hr), None)
+            else:  # the singular values stay: eigh orders its columns by the same ascending E
+                E, U = np.concatenate([-s[::-1], s]), np.linalg.eigh(Hr)[1] if vectors else None
+        except np.linalg.LinAlgError as err:
+            raise SolverError(f"full-size eigensolver failed, dim={len(Hr)}: {err}") from err
         root, cols = E, np.arange(len(E))  # column j belongs to E[j]; -E[j]'s is no Gamma-flip of it
     else:
         if mixed and pair is not None:  # the one value too small to take from its square

@@ -680,6 +680,22 @@ class TestReducedHalfSize:
         assert zero_modes_per_copy(bare, f, OBC, 1e-6) == zero_modes_per_copy(full, f, OBC, 1e-6) == 2
         assert _distance(full.eigenvalues, bare.eigenvalues) <= 1e-12 * np.abs(full.eigenvalues).max()
 
+    @pytest.mark.parametrize("J1,J2,vectors,kernel", [
+        (1.4, 0.0, True, "eig"), (1.4, 0.0, False, "eigvals"), (0.0, 0.5, True, "eigh")],
+        ids=["mixed", "mixed-values", "all-real"])
+    def test_full_size_failure_raises_solver_error(self, monkeypatch, J1, J2, vectors, kernel):
+        # the guard raised so that every chain takes the full-size solve of H_r, whose LAPACK call fails:
+        # the failure comes out as a SolverError that names the matrix, as on every other route
+        monkeypatch.setattr(spectral, "REDUCED_MIN_EIGENVALUE", np.inf)
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, kernel, failing)
+        p = ModBKCParams(J1=J1, J2=J2, Delta1=1.0, Delta2=1.5, omega=0.0, N=100)
+        with pytest.raises(SolverError, match=r"^full-size eigensolver failed, dim=200: did not converge$"):
+            solve(p, OBC, vectors)
+
     @pytest.mark.parametrize("J1,note,count", [
         (1.4, " (deflated edge pair, closed form: backward error ", 2),
         (1.7, " (deflated edge pair, solved vectors: closed-form backward error ", 0),
