@@ -16,10 +16,12 @@ default 100) it times, best of K runs (default 7), in milliseconds:
 * ``eigenvalues``: the reduced route's eigenvalue kernels inside
   ``solve(p, bc, vectors=False)``, timed by wrapping them, the sum of each
   called kernel's best time (null off the reduced route): `np.linalg.svd`
-  of the upper-bidiagonal F = D^T where every bond is real; where some bond
-  is imaginary, the quantisation-condition kernel `_quantised_mu`, plus the
-  dense eigenvalues of D F (`_square_eig`) where it returns None, as on
-  every chain that is not uniform.  The reduced points run: svd
+  of the upper-bidiagonal F = D^T on a single-phase chain (every bond real,
+  or every bond imaginary, solved as T = H_ssh / i); on a sign-mixed chain
+  (real and imaginary bonds), the quantisation-condition kernel
+  `_quantised_mu`, plus the dense eigenvalues of D F (`_square_eig`) where
+  it returns None, as on every such chain that is not uniform.  The reduced
+  points run: svd
   (``reduced_all_real``), `_quantised_mu` (``reduced_half_size``,
   ``reduced_deflated`` and ``reduced_deflated_solved``, uniform sign-mixed
   chains), `_quantised_mu` then `_square_eig` (``reduced_guarded``, not

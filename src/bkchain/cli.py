@@ -21,7 +21,8 @@ parameter.  disorder.observables lists each observable once.
 Integer keys (model.N, disorder.seed and .realizations, winding.grid,
 output.threads) are integer literals, parsed exactly.  A chain has at most
 MAX_CELLS = 2500 cells, a disorder seed, from the config or --seed, lies in
-[0, 2**64), winding.grid in [64, MAX_GRID_POINTS = 10**6], and a thread
+[0, 2**64), winding.grid in [64, MAX_GRID_POINTS = 10**6], disorder runs
+at most MAX_GRID_POINTS realizations over all [sweep] points, and a thread
 count, from any of the three sources below, lies in [1, MAX_THREADS = 64].
 
 Every run writes CSV files plus a run manifest listing them; --plots adds
@@ -274,6 +275,8 @@ def _parse_disorder(sec: dict, axes: tuple) -> dict:
                             realizations=_get_int(sec, "realizations", "disorder", 20))
     except ValueError as err:
         raise ConfigError(f"[disorder]: {err}") from err
+    if spec.realizations * math.prod(ax.count() for ax in axes) > MAX_GRID_POINTS:  # all queued before one ends
+        raise ConfigError(f"[disorder]: {spec.realizations} realizations over the [sweep] points exceed 1e6 solves")
     names = tuple(x.strip() for x in sec.get("observables", "zero_gap,zero_modes").split(","))
     for name in names:
         if name not in OBSERVABLES:

@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import MAX_SEED, BoundaryCondition, ModBKCParams, SiteFields
+from .model import MAX_GRID_POINTS, MAX_SEED, BoundaryCondition, ModBKCParams, SiteFields
 from .spectral import solve, zero_gap
 from .topology import EDGE_FRAC, EDGE_THRESHOLD, ZERO_TOL, map_points, zero_modes_per_copy
 
@@ -55,8 +55,8 @@ class DisorderSpec:
                 raise ValueError(f"disorder strength W_{name} must be finite and >= 0, got {w}")
         if not 0 <= self.seed <= MAX_SEED:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        if self.realizations < 1:
-            raise ValueError("realizations must be >= 1")
+        if not 1 <= self.realizations <= MAX_GRID_POINTS:
+            raise ValueError(f"realizations must be in [1, {MAX_GRID_POINTS}], got {self.realizations}")
 
     def strength(self, name: str) -> float:
         return float(self.strengths.get(name, 0.0))

@@ -16,24 +16,24 @@ code that picks a solve route:
   SSH chain, so `modbkc_spectrum_zero_omega` solves the 2N-dimensional H_ssh
   and lifts the product basis (sigma_x eigenvector) (x) (SSH eigenvector);
   every eigenvalue is exactly twofold degenerate.  H_ssh is tridiagonal with
-  real or imaginary bonds, so a diagonal S of exact phases +-1, +-i maps it
-  onto a real H_r with eigenvectors S U_r.  H_r is bipartite with a zero
-  diagonal, [[0, D], [F, 0]] in sublattice order, so its spectrum is
-  E = +-sqrt(mu) over the N eigenvalues mu of the real D F.  Three kernels
-  find them.  Where every bond is real, F = D^T is upper bidiagonal and E
-  are its singular values, each to high relative accuracy however small
-  (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11, 873 (1990)).  Where some
-  bond is imaginary and the chain is uniform (every intracell bond equal,
-  every intercell bond equal), D F is tridiagonal Toeplitz but for its first
-  row, and `_quantised_mu` solves its open-boundary quantisation condition
-  by Newton's method, O(N) per step, and checks the roots.  Every other
-  sign-mixed chain, and a uniform one whose roots fail a check (a zero
-  bond, |intercell| = |intracell| bond, or close to it), takes `eigvals`
-  of the dense D F (`_square_eig`).  `_half_size` sorts the roots, as
-  on the x/p route, and `_twisted` gives the eigenvector of H_r at each
-  root as log-moduli and phases, in real arithmetic where every bond is
-  real, accurate entry by entry, as the gauge lift of a localized state
-  needs.
+  real or imaginary bonds; where all are imaginary, H_ssh = i T and the real
+  T is solved in its place, its eigenvalues times i.  A diagonal S of exact
+  phases +-1, +-i maps the bonds onto a real H_r with eigenvectors S U_r.
+  H_r is bipartite with a zero diagonal, [[0, D], [F, 0]] in sublattice
+  order, so its spectrum is E = +-sqrt(mu) over the N eigenvalues mu of the
+  real D F.  Three kernels find them.  On a single-phase chain F = D^T is
+  upper bidiagonal and E are its singular values, each to high relative
+  accuracy however small (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11,
+  873 (1990)).  On a uniform sign-mixed chain (real and imaginary bonds,
+  every intracell bond equal, every intercell bond equal), D F is
+  tridiagonal Toeplitz but for its first row, and `_quantised_mu` solves its
+  open-boundary quantisation condition by Newton's method, O(N) per step,
+  and checks the roots.  Every other sign-mixed chain, and a uniform one
+  whose roots fail a check, takes `eigvals` of the dense D F
+  (`_square_eig`).  `_half_size` sorts the roots, and `_twisted` gives the
+  eigenvector of H_r at each root as log-moduli and phases, real on a
+  single-phase chain, accurate entry by entry, as the gauge lift of a
+  localized state needs.
 
   In the topological phase H_r has one value with |E| <=
   ``REDUCED_MIN_EIGENVALUE`` * max|H_r|, its edge pair, exponentially close
@@ -43,8 +43,8 @@ code that picks a solve route:
   the sublattice zero-mode recursions, or, near a transition where those
   are too inexact, from `_twisted`.  A chain with more than one small
   value (weakly coupled pieces, an edge pair each) or an exactly zero bond
-  takes the full-size solve of H_r instead: `eigh` for the vectors where
-  every bond is real, whose singular values stay, else the real `eig`.
+  takes the full-size solve of H_r instead: `eigh` for the vectors of a
+  single-phase chain, whose singular values stay, else the real `eig`.
   ``Spectrum.source`` names the deflation or the fallback.  M anticommutes
   with Sigma = diag(+1, -1) over (x, p) and with Gamma = diag(+1, -1) over
   the sublattices (Asboth, Oroszlany & Palyi, LNP 919 (2016), ch. 1): with
@@ -113,13 +113,12 @@ check: there is nothing to check it on.  Per route:
 
 * Hatano-Nelson gauge: the same closed form, with no standing wave or Q;
   the dense fallback at Delta0 = +-J0 takes `eigvals` of Im M.
-* SSH reduction: the same kernel for mu (singular values of F where every
-  bond is real, else `_quantised_mu` on a uniform chain whose roots pass
-  its checks, else `eigvals` of D F), roots, deflation and guard, without
-  `_twisted`; the sign-mixed fallback takes `eigvals` of H_r.  Both paths
-  write the same ``source`` and, off that fallback, the same eigenvalues
-  bit for bit.  A singular gauge, which has no vectors either way, is
-  solved the same way.
+* SSH reduction: the same kernel for mu (singular values of F on every
+  single-phase chain, `_quantised_mu` or `eigvals` of D F on a sign-mixed
+  one), roots, deflation and guard, without `_twisted`; the sign-mixed
+  fallback takes `eigvals` of H_r.  Both paths write the same ``source``
+  and, off that fallback, the same eigenvalues bit for bit.  A singular
+  gauge, which has no vectors either way, is solved the same way.
 * Bloch: one batched `eigvals` of the N blocks; neither the ring's Q nor M is
   built.
 * x/p: `eigvals` of Qp Qx, or of its two mirror halves where Qx and Qp are
@@ -192,11 +191,11 @@ EDGE_PAIR_MAX_ERROR = 1e-10
 # Acceptance of `_quantised_mu`'s roots: at most _QUANTISED_STEPS Newton steps
 # until every step of z = exp(i theta) is at most _QUANTISED_STEP |z|; any two
 # values 2 cos theta at least _QUANTISED_SEPARATION apart; and sum(mu) within
-# _QUANTISED_TRACE N eps max|mu| of the trace.  On the sign-mixed fig2, fig4,
-# fig5 and fig7 open chains (N = 100) accepted roots took 3 to 7 steps, lay at
-# least 2.4e-3 apart and met the trace to 1.7 N eps max|mu|.  Near |kappa| = 1
-# the first starts lie far from their roots and Newton needs more steps: there,
-# on 5 of those 187 chains (1 < |kappa| < 1.06), D F is solved densely.
+# _QUANTISED_TRACE N eps max|mu| of the trace.  On the 159 sign-mixed fig2,
+# fig4, fig5 and fig7 open chains (N = 100) accepted roots took at most 7 steps,
+# lay at least 2.9e-3 apart and met the trace to 1.7 N eps max|mu|.  Near
+# |kappa| = 1 the first starts lie far from their roots: on 4 of those chains
+# (1 < |kappa| < 1.04) Newton needs more steps, and D F is solved densely.
 _QUANTISED_STEPS = 8
 _QUANTISED_STEP = 1e-13
 _QUANTISED_SEPARATION = 1e-8
@@ -379,13 +378,13 @@ def _quantised_mu(mag: np.ndarray, lower: np.ndarray) -> Optional[np.ndarray]:
 
     H_r = diag(mag, 1) + diag(lower, -1) is uniform when every intracell bond
     (even index) equals the first and every intercell bond (odd index) the
-    second.  With a = mag[0], c = mag[1] and sigma_1, sigma_2 the signs of
-    lower[0], lower[1], D F is tridiagonal Toeplitz but for its first row:
-    diagonal alpha = sigma_1 a^2 + sigma_2 c^2, alpha + delta in row 0
-    (delta = -sigma_2 c^2), a c above and sigma_1 sigma_2 a c below.  A
-    diagonal similarity with entries of modulus 1 maps it onto
-    alpha + s (S_0 + kappa e_0 e_0^T), S_0 = tridiag(1, 0, 1),
-    s = a c sqrt(sigma_1 sigma_2) and kappa = delta / s, |kappa| = c / a.  So
+    second.  It is sign-mixed here: lower[0] and lower[1] have opposite signs
+    sigma_1, sigma_2.  With a = mag[0], c = mag[1], D F is tridiagonal
+    Toeplitz but for its first row: diagonal alpha = sigma_1 a^2 + sigma_2 c^2,
+    alpha + delta in row 0 (delta = -sigma_2 c^2), a c above and -a c below.
+    A diagonal similarity with entries of modulus 1 maps it onto
+    alpha + s (S_0 + kappa e_0 e_0^T), S_0 = tridiag(1, 0, 1), s = i a c and
+    kappa = delta / s, imaginary, |kappa| = c / a.  So
     mu = alpha + 2 s cos theta, with sin((N + 1) theta) = kappa sin(N theta)
     (Yueh, Appl. Math. E-Notes 5, 66 (2005); Kunst, Edvardsson, Budich &
     Bergholtz, PRL 121, 026808 (2018)).
@@ -398,20 +397,19 @@ def _quantised_mu(mag: np.ndarray, lower: np.ndarray) -> Optional[np.ndarray]:
     ``_QUANTISED_STEPS``), no two values of 2 cos theta coincide (two starts
     reached one root), and sum(mu) equals the trace N alpha + delta of D F to
     rounding (no start reached the spurious roots theta = 0, pi, or another
-    wrong one).  Returns None on a chain that is not uniform, on a zero bond,
-    at |kappa| = 1 and where a check fails: D F is then solved densely.
+    wrong one).  Returns None on a single-phase or non-uniform chain, on a zero
+    bond, at |kappa| = 1 or where a check fails: D F is then solved densely.
     """
     n = (len(mag) + 1) // 2
     if n < 2 or not all(np.all(v[k::2] == v[k]) for v in (mag, lower) for k in (0, 1)):
         return None
     a, c = mag[0], mag[1]
-    if not (a > 0 and c > 0) or a == c:
+    if not (a > 0 and c > 0) or a == c or lower[0] * lower[1] > 0:
         return None
-    alpha, delta = lower[0] * a + lower[1] * c, -lower[1] * c
-    s = a * c if lower[0] * lower[1] > 0 else 1j * a * c
+    alpha, delta, s = lower[0] * a + lower[1] * c, -lower[1] * c, 1j * a * c
     kappa = delta / s
     edge = c > a
-    theta = _quantised_starts(n, edge).astype(np.result_type(kappa, float))
+    theta = _quantised_starts(n, edge).astype(complex)
     z = kappa
     with np.errstate(all="ignore"):  # a step that overflows or divides by zero fails the test below
         for _ in range(_QUANTISED_STEPS):
@@ -466,8 +464,8 @@ class _EdgePair(NamedTuple):
 def _edge_pair(mag: np.ndarray, lower: np.ndarray, mu: np.ndarray) -> Optional[_EdgePair]:
     """The near-zero eigenpair of H_r = diag(mag, 1) + diag(lower, -1), in closed form.
 
-    ``mu`` holds the N values E^2 of H_r (the eigenvalues of D F, or the
-    squared singular values of F = D^T).  Returns None where every |E| lies
+    ``mu`` holds the N values E^2 of H_r (the eigenvalues of D F, or on a
+    single-phase chain the squared singular values of F = D^T).  Returns None where every |E| lies
     above the half-size guard (``REDUCED_MIN_EIGENVALUE`` max|H_r|).  Where exactly one lies at or
     below it, returns an `_EdgePair`: mu[m] is that value, E its root, u the
     eigenvector of H_r for +E as (log|u|, u / |u|), the form of `_twisted`'s
@@ -487,7 +485,7 @@ def _edge_pair(mag: np.ndarray, lower: np.ndarray, mu: np.ndarray) -> Optional[_
     * E: det(D F) = prod_j mag[2j] lower[2j] is the product of all N values
       of mu, so mu[m] is that determinant over the other N - 1.  They lie
       above the guard, so their rounding, and hence E's, stays relative.
-      All-real chains take E from the singular values, but k needs log E.
+      Single-phase chains take E from the singular values, but k needs log E.
     * u = (a, k b).  The left A mode has entries tau_j a_j (tau_j = +-1) and
       D^T (tau a) = mag[-1] tau_{N-1} a_{N-1} e_{N-1}, so an exact eigenvector
       (x_A, x_B) has E (tau a . x_A) = mag[-1] tau_{N-1} a_{N-1} x_B[N-1].
@@ -633,21 +631,20 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
                                with_vectors: bool = True) -> Spectrum:
     """Exact omega=0 spectrum of the open two-sublattice chain via the SSH reduction (module docstring).
 
-    Eigenvalues are +-i E_m over the reduced SSH spectrum {E_m} of H_r, in
-    real arithmetic: the singular values of F = D^T where every bond is real,
-    else the roots of the eigenvalues mu of D F, from `_quantised_mu` on a
-    uniform chain whose roots pass its checks, else from `eigvals` of D F;
-    `_half_size` sorts them.  A lone |E| <= ``REDUCED_MIN_EIGENVALUE`` *
-    max|H_r|, the topological edge pair, is deflated (`_edge_pair`).  Where
-    more than one value is that small or a bond is zero, the full-size solve
-    of H_r runs instead, and its LAPACK failure raises `SolverError`.
+    Eigenvalues are +-i E_m over the reduced SSH spectrum {E_m}, in real
+    arithmetic, from the module docstring's kernels: the singular values of F
+    on a single-phase chain (an all-imaginary one solved as T = H_ssh / i,
+    its E_m times i), else the roots of `_quantised_mu` or `eigvals` of D F.
+    A lone |E| <= ``REDUCED_MIN_EIGENVALUE`` * max|H_r|, the edge pair, is
+    deflated (`_edge_pair`); more such values, or a zero bond, send H_r to
+    the full-size solve, whose LAPACK failure raises `SolverError`.
     ``Spectrum.source`` names the deflation or the fallback and its reason.
     Eigenvectors are lifted through the combined gauge from log-moduli: N
     unit columns v for +i root, F-ordered, kept as ``Spectrum.base`` with the
     slots of Gamma v, Sigma v and Sigma Gamma v; the fallback keeps 2N
     columns and their Sigma-flips.  Where the lifted columns fail their
     check, the eigenvalues are returned alone and ``source`` names the
-    failure.  With ``with_vectors=False`` (or at singular gauge points
+    failure.  With ``with_vectors=False`` (or at a singular gauge,
     Delta = +-J) only the eigenvalues are computed, along the same path.
     Open boundaries only: the gauge does not close around a ring.
     """
@@ -660,7 +657,8 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     f = SiteFields.uniform(p) if isinstance(p, ModBKCParams) else p  # the bonds, gauge and Q all read it
     # H is tridiagonal with bonds b_k, each real or purely imaginary: with s_{k+1} = s_k |b_k| / b_k,
     # a power of i, S^-1 H S is the real H_r with |b_k| above and b_k^2 / |b_k| below the diagonal.
-    b = ssh_bonds(f)
+    b = ssh_bonds(f)  # M's eigenvalues are i E over H's E; where every b_k is imaginary, H = i T: solve the real T
+    b, turn = (b.imag, 1j * 1j) if not b.real.any() else (b, 1j)
     mag = np.abs(b)
     lower = np.where(b.imag != 0, -mag, mag)
     A = None
@@ -708,8 +706,7 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     elif pair is not None:
         source += (f" (deflated edge pair, solved vectors: closed-form backward error {pair.error:.2e}"
                    f" > {EDGE_PAIR_MAX_ERROR:g})")
-    # not _half_size(1j * E): -(1j E) has -0.0 real parts where -1j E has 0.0, and a CSV writes "-0"
-    vals = np.concatenate([1j * E, -1j * E])
+    vals = np.concatenate([turn * E, -turn * E]) + 0.0  # + 0.0 turns each -0.0 part, a CSV's "-0", into 0
     order = np.lexsort((vals.imag, vals.real))
     spec = Spectrum(eigenvalues=vals[order], source=source)
     if U is None:
@@ -721,7 +718,7 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     plus = A.lift(U) if isinstance(U, np.ndarray) else A.lift_polar(*U)
     del U
     try:  # the Sigma- and Gamma-flips of these columns have equal residuals
-        _check_residual(bands, plus, 1j * root)
+        _check_residual(bands, plus, turn * root)
     except SolverError as err:  # the eigenvalues are exact, so they stay
         return replace(spec, source=f"{source} (no vectors: {err})")
     # F-ordered, as `_sorted_pairs` writes every column: `spatial_profile`'s column sums depend on it

@@ -203,6 +203,28 @@ def test_unreadable_config_exits_2_before_output(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sweep,points", [("", 1), (SWEEP.format(name="J1", step=0.5), 3)], ids=["alone", "sweep"])
+def test_disorder_realizations_above_cap_exit_2_before_compute(tmp_path, capsys, monkeypatch, sweep, points):
+    # every realization at every point is queued on the pool before any returns:
+    # realizations x points above the cap is refused before a compute step or thread starts
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a compute step or worker thread started")
+
+    monkeypatch.setitem(cli._STEPS, "disorder", refuse)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    text = MODBKC_MODEL.format(bc="obc") + sweep + DISORDER.format(obs="zero_gap")
+    top = MAX_GRID_POINTS // points
+    cfg = parse_config(write(tmp_path, text.replace("realizations = 2", f"realizations = {top}")), "disorder")
+    assert cfg.disorder.realizations * points == top * points <= MAX_GRID_POINTS  # at the cap: parsed
+    out = tmp_path / "out"
+    path = write(tmp_path, text.replace("realizations = 2", f"realizations = {top + 1}"))
+    assert main(["disorder", "--config", path, "--out", str(out), "--threads", "2"]) == 2
+    assert "realizations" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_with_byte_order_mark_runs_as_without(tmp_path):
     # an editor may save UTF-8 with a leading byte-order mark; the run must not see it
     text = (MODBKC_MODEL.format(bc="both") + SWEEP.format(name="Delta1", step=0.5)).lstrip()  # the mark, then "[model]"

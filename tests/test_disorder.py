@@ -9,6 +9,7 @@ from bkchain.disorder import (
     sample_site_fields,
 )
 from bkchain.model import (
+    MAX_GRID_POINTS,
     BoundaryCondition,
     ModBKCParams,
     SiteFields,
@@ -97,6 +98,13 @@ class TestSampling:
         # the hash keys on 64 bits: 2**64 would draw the realizations of seed 0
         with pytest.raises(ValueError, match="seed"):
             DisorderSpec(strengths={}, seed=seed, realizations=1)
+
+    @pytest.mark.parametrize("realizations", [0, MAX_GRID_POINTS + 1])
+    def test_out_of_range_realization_count_rejected(self, realizations):
+        # each realization is a solve, queued on the pool before any returns
+        with pytest.raises(ValueError, match="realizations"):
+            DisorderSpec(strengths={}, seed=1, realizations=realizations)
+        assert DisorderSpec(strengths={}, seed=1, realizations=MAX_GRID_POINTS).realizations == MAX_GRID_POINTS
 
     def test_out_of_range_realization_rejected(self, base):
         spec = DisorderSpec(strengths={}, seed=1, realizations=2)

@@ -3,7 +3,8 @@
 A backward residual does not bound the forward error on the non-normal open
 chains, so the per-row profiles |v_i|^2 / ||v||^2 of the reduced route's
 base columns are compared with those of an independent reference, for
-chains of N <= 12 cells: all-real, sign-mixed, with a deflated edge pair
+chains of N <= 12 cells: all-real, all-imaginary (which the route solves as
+the all-real T = H_ssh / i), sign-mixed, with a deflated edge pair
 (closed-form and solved vectors) and on the guarded fallback.
 
 The reference works from M alone, in mpmath at 40 digits.  M is built from
@@ -27,10 +28,11 @@ from bkchain.spectral import solve
 OBC = BoundaryCondition.OBC
 # Largest difference of a profile entry, route against reference, over the
 # chains below: the larger of the two measured before and after the reduced
-# route took its vectors from log-moduli (see CHANGES.md).
+# route took its vectors from log-moduli, and for the all-imaginary chains
+# before and after they took the all-real path (see CHANGES.md).
 PROFILE_BOUND = {"all-real": 1.0e-15, "all-real-deflated": 1.9e-15, "sign-mixed": 1.4e-15,
                  "sign-mixed-deflated": 3.4e-15, "sign-mixed-solved": 7.8e-16, "random-mixed": 2.0e-15,
-                 "guarded": 4.2e-14}
+                 "all-imaginary": 1.5e-15, "all-imaginary-deflated": 2.6e-15, "guarded": 4.2e-14}
 
 
 def _fields(p):
@@ -66,6 +68,10 @@ CHAINS = {
                             "(deflated edge pair, closed form"),
     "sign-mixed-solved": (ModBKCParams(J1=1.4, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=12),
                           "(deflated edge pair, solved vectors"),
+    "all-imaginary": (ModBKCParams(J1=2.0, J2=1.2, Delta1=1.0, Delta2=1.0, omega=0.0, N=12),
+                      "reduced[modbkc,obc,n=12]"),
+    "all-imaginary-deflated": (ModBKCParams(J1=1.005, J2=1.5, Delta1=1.0, Delta2=0.0, omega=0.0, N=12),
+                               "(deflated edge pair, closed form"),
     "random-mixed": (_random_mixed_chain(), "reduced[modbkc,obc,n=12]"),
     "guarded": (_guarded_chain(), "(half-size guard"),
 }

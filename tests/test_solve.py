@@ -56,16 +56,23 @@ the small-eigenvalue guard).  The references are:
   eigenvalues bit for bit and the same ``source``, and for the reduced
   solve of a sign-mixed chain the complex eigenvalues of
   `effective_ssh_matrix`;
-* the reduced route's kernel for uniform sign-mixed chains, `_quantised_mu`
-  (the eigenvalues mu of D F from the open-boundary quantisation
-  condition), in both phases and for each sign pattern of the bonds:
-  40-digit `mpmath.eig` of D F at N <= 12, and at N = 100 the roots of
-  det(D F - mu) refined to 40 digits from the dense eigenvalues; the dense
-  `eigvals(D F)` on every sign-mixed fig2 OBC, fig4, fig5 and fig7 chain
-  and across 1 < |kappa| < 1.2; `_square_eig`, counted, at |kappa| = 1, on
-  a zero bond and on fields one ulp off uniform; and starts patched to
-  reach one root twice or the spurious root theta = 0, which its checks
-  reject;
+* the reduced route's kernel for uniform sign-mixed chains (real and
+  imaginary bonds), `_quantised_mu` (the eigenvalues mu of D F from the
+  open-boundary quantisation condition), in both phases and for both sign
+  patterns: 40-digit `mpmath.eig` of D F at N <= 12, and at N = 100 the
+  roots of det(D F - mu) refined to 40 digits from the dense eigenvalues;
+  the dense `eigvals(D F)` on every sign-mixed fig2 OBC, fig4, fig5 and
+  fig7 chain and across 1 < |kappa| < 1.2; `_square_eig`, counted, at
+  |kappa| = 1, on a zero bond and on fields one ulp off uniform; and starts
+  patched to reach one root twice or the spurious root theta = 0, which its
+  checks reject.  On same-sign bonds it returns None, and the same
+  references match -s^2 over the singular values s of T = H_ssh / i;
+* all-imaginary chains, which the route solves as the real T = H_ssh / i
+  on the all-real path: 40-digit `mpmath.eigsy` of T, the smallest |E|
+  relative to itself, at N in {2, 3, 5, 12} in both phases, on fig2
+  Delta1 = 1.25 and near |kappa| = 1 (N = 40) and on the guarded fallback;
+  `eigh_tridiagonal` of T across 1 < |kappa| < 1.2 at N = 100; and no call
+  of `_quantised_mu`, `_square_eig` or `np.linalg.eig` on any of them;
 * the reduced route's closed-form edge pair: its |E| against inverse
   iteration on D F in 200-digit arithmetic, and its residual on the 4N
   matrix;
@@ -865,7 +872,7 @@ def _square_eig_calls(monkeypatch):
 
 
 def _sign_mixed_figure_chains():
-    """(label, chain) over every sign-mixed fig2 OBC, fig4, fig5 and fig7 chain at N = 100."""
+    """(label, chain) over every fig2 OBC, fig4, fig5 and fig7 chain at N = 100 with both real and imaginary bonds."""
     scan = ModBKCParams(J1=0.0, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100)
     fig2 = ModBKCParams(J1=1.4, J2=1.2, Delta1=1.0, Delta2=1.0, omega=0.0, N=100)
     grids = [("fig2", fig2, AxisSpec("Delta1", 0.0, 3.0, 0.05)), ("fig4", scan, AxisSpec("J1", 0.0, 2.5, 0.02)),
@@ -873,17 +880,29 @@ def _sign_mixed_figure_chains():
     chains = [(f"{name} {ax.name}={v:.2f}", replace(base, **{ax.name: float(v)}))
               for name, base, ax in grids for v in ax.values()]
     chains.append(("fig7", ModBKCParams(J1=2.2, J2=1.0, Delta1=2.1, Delta2=1.5, omega=0.0, N=100)))
-    return [(label, p) for label, p in chains if ssh_bonds(p).imag.any()]
+    return [(label, p) for label, p in chains if ssh_bonds(p).imag.any() and ssh_bonds(p).real.any()]
+
+
+def _same_sign_case(mag, lower, ref):
+    """Both bonds imaginary: `_quantised_mu` takes no such chain, whose mu are -s^2 over the singular values s of T.
+
+    The route solves T = H_ssh / i, with the bonds mag, on the all-real path: F = D^T of T is upper bidiagonal.
+    """
+    assert spectral._quantised_mu(mag, lower) is None
+    s = np.linalg.svd(np.diag(mag[0::2]) + np.diag(mag[1::2], 1), compute_uv=False)
+    assert _distance(-s * s, ref) <= QUANTISED_MP_BOUND * np.abs(ref).max()
 
 
 # The uniform chain's kernel `_quantised_mu` and the dense eigvals(D F) it
 # replaces, against 40-digit eigenvalues of D F, relative to max|mu|: measured
-# at most 2.5e-16 and 1.6e-15 (N <= 12), 5.5e-16 and 8.9e-15 (N = 100).
+# at most 2.5e-16 and 1.6e-15 (N <= 12), 5.5e-16 and 8.9e-15 (N = 100).  On
+# same-sign bonds, -s^2 over the singular values of T: at most 8.3e-16.
 QUANTISED_MP_BOUND = 2e-15
 DENSE_MU_MP_BOUND = 2e-14
 # The kernel against eigvals(D F) on the figure chains, relative to max|mu|:
 # measured at most 1.0e-14, where the dense solve carries most of the error.
 QUANTISED_DENSE_BOUND = 5e-14
+# (sigma_1, sigma_2): "--" has both bonds imaginary, which `_quantised_mu` returns None on
 SIGN_PATTERNS = [(-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)]
 
 
@@ -897,6 +916,9 @@ class TestQuantisedEigenvalues:
         mag, lower = _uniform_bonds(n, 1.3, 1.3 * kappa, signs)
         with mpmath.workdps(40):
             ref = np.array([complex(e) for e in mpmath.eig(_mp_df(mag, lower), left=False, right=False)])
+        if signs[0] == signs[1]:
+            _same_sign_case(mag, lower, ref)
+            return
         mu = spectral._quantised_mu(mag, lower)
         scale = np.abs(ref).max()
         assert mu is not None and len(mu) == n
@@ -910,6 +932,9 @@ class TestQuantisedEigenvalues:
         mag, lower = _uniform_bonds(100, 1.3, 1.3 * kappa, signs)
         dense = np.linalg.eigvals(_dense_df(mag, lower))
         ref = _mp_refined_mu(mag, lower, dense)
+        if signs[0] == signs[1]:
+            _same_sign_case(mag, lower, ref)
+            return
         mu = spectral._quantised_mu(mag, lower)
         scale = np.abs(ref).max()
         assert mu is not None
@@ -917,9 +942,10 @@ class TestQuantisedEigenvalues:
         assert _distance(dense, ref) <= DENSE_MU_MP_BOUND * scale
 
     def test_figure_chains_match_dense_eigenvalues(self):
-        # every sign-mixed chain of the figure grids (fig2's Delta1 = 1.4 + 1e-16
-        # has |kappa| ~ 1e8); near the transition, 1 < |kappa| < 1.06, five take
-        # the dense solve (fig2 Delta1 = 1.25, fig4 J1 = 1.76 to 1.8, fig5 J2 = 1.82)
+        # every figure chain with both bond phases (fig2's Delta1 = 1.4 + 1e-16
+        # has |kappa| ~ 1e8); near the transition, 1 < |kappa| < 1.06, four take
+        # the dense solve (fig4 J1 = 1.76 to 1.8, fig5 J2 = 1.82).  The 28
+        # all-imaginary fig2 chains (Delta1 < 1.4) take the all-real kernels
         chains, fallbacks = _sign_mixed_figure_chains(), []
         for label, p in chains:
             mag, lower = _reduced_bonds(p)
@@ -930,16 +956,15 @@ class TestQuantisedEigenvalues:
                 continue
             dense = np.linalg.eigvals(_dense_df(mag, lower))
             assert _distance(mu, dense) <= QUANTISED_DENSE_BOUND * np.abs(dense).max(), label
-        assert len(chains) == 187 and len(fallbacks) <= 5, fallbacks
+        assert len(chains) == 159 and len(fallbacks) <= 4, fallbacks
 
-    @pytest.mark.parametrize("signs,runs_from", [((-1.0, 1.0), 1.04), ((1.0, -1.0), 1.04), ((-1.0, -1.0), 1.1)],
+    @pytest.mark.parametrize("signs,runs_from", [((-1.0, 1.0), 1.04), ((1.0, -1.0), 1.04), ((-1.0, -1.0), np.inf)],
                              ids=["-+", "+-", "--"])
     def test_near_transition_band(self, signs, runs_from):
         # 1 < |kappa| < 1.2 at N = 100: where the kernel's roots pass its
-        # checks they match the dense solve.  With kappa imaginary the roots
-        # leave the real axis and the kernel runs from |kappa| = 1.04 on; with
-        # kappa real (both bonds imaginary) the first roots lie near the
-        # midpoints between the starts, and it runs from 1.1 on
+        # checks they match the dense solve.  kappa is imaginary, the roots
+        # leave the real axis and the kernel runs from |kappa| = 1.04 on.  It
+        # never runs with both bonds imaginary (see `TestAllImaginaryChains`)
         for kappa in 1 + 0.005 * np.arange(1, 40):
             mag, lower = _uniform_bonds(100, 1.3, 1.3 * kappa, signs)
             mu = spectral._quantised_mu(mag, lower)
@@ -953,15 +978,15 @@ class TestQuantisedEigenvalues:
         ModBKCParams(J1=1.7, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # fig4, solved edge vectors
         ModBKCParams(J1=2.0, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # fig4, trivial
         ModBKCParams(J1=0.0, J2=2.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100),  # fig5, topological
-        ModBKCParams(J1=1.4, J2=1.2, Delta1=0.5, Delta2=1.0, omega=0.0, N=100),  # fig2, (-, -) trivial
-        ModBKCParams(J1=1.4, J2=1.2, Delta1=1.3, Delta2=1.0, omega=0.0, N=100),  # (-, -) topological
+        ModBKCParams(J1=1.4, J2=1.2, Delta1=0.5, Delta2=1.0, omega=0.0, N=100),  # fig2, all imaginary, trivial
+        ModBKCParams(J1=1.4, J2=1.2, Delta1=1.3, Delta2=1.0, omega=0.0, N=100),  # all imaginary, topological
         ModBKCParams(J1=1.4, J2=1.2, Delta1=2.0, Delta2=1.0, omega=0.0, N=100),  # fig2, (+, -)
         ModBKCParams(J1=2.2, J2=1.0, Delta1=2.1, Delta2=1.5, omega=0.0, N=100),  # fig7
     ], ids=["fig4-1.4", "fig4-1.7", "fig4-2.0", "fig5-2.0", "fig2-0.5", "mm-topological", "fig2-2.0", "fig7"])
     def test_vector_and_eigenvalue_solves_agree_bit_for_bit(self, p, monkeypatch):
         calls = _square_eig_calls(monkeypatch)
         full, bare = solve(p, OBC), solve(p, OBC, vectors=False)
-        assert calls == []  # both took the kernel
+        assert calls == []  # both took the kernel, or the singular values where every bond is imaginary
         _assert_reduced_parity(full, bare)
         _check_residual(_bands(_quadratic_matrix(p, OBC)), full.eigenvectors, full.eigenvalues)
         # constant site fields are uniform too: the same kernel and the same values
@@ -980,12 +1005,19 @@ class TestQuantisedEigenvalues:
         assert _distance(s.eigenvalues, np.concatenate([1j * E, -1j * E])) <= SSH_BOUND * np.abs(E).max()
 
     def test_zero_bond_takes_the_dense_solve(self, monkeypatch):
-        # J2 = Delta2: every intercell bond is zero, and the chain falls apart into dimers of |E| = sqrt(3)
-        p = ModBKCParams(J1=2.0, J2=1.5, Delta1=1.0, Delta2=1.5, omega=0.0, N=100)
+        # imaginary intracell and real intercell bonds, one of them zero (J2 = Delta2 at
+        # cell 37): the chain is not uniform and falls apart into two pieces
+        f = SiteFields.uniform(ModBKCParams(J1=2.0, J2=1.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100))
+        J2 = f.J2.copy()
+        J2[37] = f.Delta2[37]
+        cut = replace(f, J2=J2)
+        b = ssh_bonds(cut)
+        assert b[75] == 0 and b.real.any() and b.imag.any()
         calls = _square_eig_calls(monkeypatch)
-        s = solve(p, OBC, vectors=False)
-        assert calls == [100] and spectral._quantised_mu(*_reduced_bonds(p)) is None
-        assert np.abs(np.abs(s.eigenvalues) - np.sqrt(3)).max() <= 1e-14
+        s = solve(cut, OBC, vectors=False)
+        assert calls == [100] and spectral._quantised_mu(*_reduced_bonds(cut)) is None
+        E = np.linalg.eigvals(effective_ssh_matrix(cut))
+        assert _distance(s.eigenvalues, np.concatenate([1j * E, -1j * E])) <= SSH_BOUND * np.abs(E).max()
 
     def test_one_ulp_off_uniform_takes_the_dense_solve(self, monkeypatch):
         f = SiteFields.uniform(ModBKCParams(J1=1.4, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100))
@@ -1031,6 +1063,102 @@ class TestQuantisedEigenvalues:
 
         monkeypatch.setattr(spectral, "_quantised_starts", near_zero)
         assert spectral._quantised_mu(mag, lower) is None
+
+
+def _all_imaginary_chain(n, a, c):
+    """The uniform chain at Delta1 = Delta2 = 1 whose bonds are i a (intracell) and i c (intercell), to rounding."""
+    return ModBKCParams(J1=float(np.hypot(1.0, a)), J2=float(np.hypot(1.0, c)), Delta1=1.0, Delta2=1.0,
+                        omega=0.0, N=n)
+
+
+def _mp_eigsy_of_t(p):
+    """Eigenvalues of T = H_ssh / i of an all-imaginary chain, by 40-digit `mpmath.eigsy` of its doubles."""
+    t = ssh_bonds(p)
+    assert not t.real.any()
+    with mpmath.workdps(40):
+        T = mpmath.zeros(len(t) + 1)
+        for k, x in enumerate(t.imag):
+            T[k, k + 1] = T[k + 1, k] = mpmath.mpf(float(x))
+        return np.array([float(e) for e in mpmath.eigsy(T, eigvals_only=True)])
+
+
+def _route_calls(monkeypatch):
+    """Record by name every call of `_quantised_mu`, `_square_eig` and `np.linalg.eig`, the sign-mixed kernels."""
+    calls = []
+
+    def recording(name, inner):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+        return call
+
+    for module, name in ((spectral, "_quantised_mu"), (spectral, "_square_eig"), (np.linalg, "eig")):
+        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+    return calls
+
+
+# The all-imaginary route against 40-digit eigenvalues of T: the spectrum
+# relative to max|E| and the edge value relative to itself, measured at most
+# 1.8e-15 (fig2 Delta1 = 1.25, N = 40, the smallest |E|).
+ALL_IMAGINARY_MP_BOUND = 5e-15
+def _all_imaginary_guarded_chain():
+    """Two topological all-imaginary pieces of six cells joined by an intercell bond of ~1.4e-3 i: the guard."""
+    f = SiteFields.uniform(_all_imaginary_chain(12, 0.13, 1.3))
+    J2 = f.J2.copy()
+    J2[5] = f.Delta2[5] * (1 + 1e-6)
+    return replace(f, J2=J2)
+
+
+ALL_IMAGINARY_CHAINS = [(f"{n}-{phase}", _all_imaginary_chain(n, 1.3, 1.3 * kappa))
+                        for n in (2, 3, 5, 12) for phase, kappa in (("trivial", 0.5), ("topological", 3.0))] + [
+    ("fig2-1.25", ModBKCParams(J1=1.4, J2=1.2, Delta1=1.25, Delta2=1.0, omega=0.0, N=40)),
+    ("near-kappa-1", ModBKCParams(J1=3.0, J2=2.9, Delta1=1.0, Delta2=1.0, omega=0.0, N=40)),
+    ("guarded", _all_imaginary_guarded_chain()),
+]
+
+
+class TestAllImaginaryChains:
+    """Open chains whose every bond is imaginary: H_ssh = i T, with T real, solved on the all-real path.
+
+    The spectrum of M is that of T, each value twice.  None of these chains
+    reaches a sign-mixed kernel: `_quantised_mu`, `_square_eig` (the dense
+    D F) or the complex `eig` of H_r.
+    """
+
+    @pytest.mark.parametrize("p", [p for _, p in ALL_IMAGINARY_CHAINS], ids=[i for i, _ in ALL_IMAGINARY_CHAINS])
+    def test_chains_match_mpmath_eigsy(self, p, monkeypatch):
+        calls = _route_calls(monkeypatch)
+        full, bare = solve(p, OBC), solve(p, OBC, vectors=False)
+        assert calls == []
+        _assert_reduced_parity(full, bare)
+        assert "no vectors" not in full.source
+        _check_residual(_bands(_quadratic_matrix(p, OBC)), full.eigenvectors, full.eigenvalues)
+        lam = _mp_eigsy_of_t(p)
+        E = bare.eigenvalues
+        assert not E.imag.any() and not np.signbit(E.imag).any()  # real, and no -0 for a CSV
+        assert _distance(E, np.concatenate([lam, -lam])) <= ALL_IMAGINARY_MP_BOUND * np.abs(lam).max()
+        edge = np.abs(lam).min()
+        assert abs(np.abs(E).min() - edge) <= ALL_IMAGINARY_MP_BOUND * edge
+
+    def test_near_transition_band_takes_no_dense_solve(self, monkeypatch):
+        # 1 < |kappa| < 1.2 at N = 100, where `_quantised_mu` fell back to the
+        # dense D F on kappa real: the singular values of T throughout
+        calls = _route_calls(monkeypatch)
+        for kappa in 1 + 0.005 * np.arange(1, 40):
+            p = _all_imaginary_chain(100, 1.3, 1.3 * kappa)
+            E = solve(p, OBC, vectors=False).eigenvalues
+            t = ssh_bonds(p).imag
+            lam = eigh_tridiagonal(np.zeros(len(t) + 1), t, eigvals_only=True)
+            assert _distance(E, np.concatenate([lam, -lam])) <= 1e-14 * np.abs(lam).max(), kappa
+        assert calls == []
+
+    def test_zero_bond_takes_the_singular_values(self, monkeypatch):
+        # J2 = Delta2: every intercell bond is zero, and the chain falls apart into dimers of |E| = sqrt(3)
+        p = ModBKCParams(J1=2.0, J2=1.5, Delta1=1.0, Delta2=1.5, omega=0.0, N=100)
+        calls = _route_calls(monkeypatch)
+        s = solve(p, OBC, vectors=False)
+        assert calls == []
+        assert np.all(np.abs(s.eigenvalues) == np.sqrt(3))
 
 
 def _mp_edge_energy(f):
