@@ -64,6 +64,11 @@ profiles and disorder runs are off the gauge routes (omega = 0.3), as the
 benchmark's ``sweep`` and ``ensemble`` are; winding and phase-scan run at
 omega = 0, as they must.
 
+Every stage runs under the CLI's heap policy, as `bkchain.cli.main` applies
+it before any solve: the main process takes it before the first stage, so
+its ``solve`` times hold no page faults that the CLI does not take either.
+``keep_freed_heap_stages`` records whether mallopt took it there.
+
 ``sample_site_fields`` (one realization with every parameter disordered) is
 timed once.  BLAS and OpenMP run on one thread unless the environment sets
 otherwise; the JSON printed on standard output records the thread settings
@@ -323,6 +328,7 @@ def main(argv=None):
         parser.error("--cells must be >= 2 and --repeats >= 1")
     base = ModBKCParams(J1=1.0, J2=1.4, Delta1=1.5, Delta2=2.1, omega=0.3, N=args.cells)
     spec = DisorderSpec({"J1": 0.5, "J2": 0.5, "Delta1": 0.5, "Delta2": 0.5, "omega": 0.5}, seed=1)
+    kept_stages = keep_freed_heap()
     with tempfile.TemporaryDirectory() as tmpdir:
         solved = {label: (p, *route_stages(p, bc, args.repeats)) for label, p, bc in points(args.cells)}
         for p, record, spectrum in solved.values():
@@ -346,6 +352,7 @@ def main(argv=None):
                                                        "MKL_NUM_THREADS")},
         "nproc": os.cpu_count(),
         "keep_freed_heap": all(kept),
+        "keep_freed_heap_stages": kept_stages,
         "routes": routes,
         "imports": imports,
         "sample_site_fields_ms": round(best_ms(lambda: sample_site_fields(base, spec, 0), args.repeats), 3),

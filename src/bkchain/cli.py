@@ -275,7 +275,7 @@ def _parse_disorder(sec: dict, axes: tuple) -> dict:
                             realizations=_get_int(sec, "realizations", "disorder", 20))
     except ValueError as err:
         raise ConfigError(f"[disorder]: {err}") from err
-    if spec.realizations * math.prod(ax.count() for ax in axes) > MAX_GRID_POINTS:  # all queued before one ends
+    if spec.realizations * math.prod(ax.count() for ax in axes) > MAX_GRID_POINTS:  # one solve each, one result kept
         raise ConfigError(f"[disorder]: {spec.realizations} realizations over the [sweep] points exceed 1e6 solves")
     names = tuple(x.strip() for x in sec.get("observables", "zero_gap,zero_modes").split(","))
     for name in names:

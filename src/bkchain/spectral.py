@@ -30,10 +30,9 @@ code that picks a solve route:
   open-boundary quantisation condition by Newton's method, O(N) per step,
   and checks the roots.  Every other sign-mixed chain, and a uniform one
   whose roots fail a check, takes `eigvals` of the dense D F
-  (`_square_eig`).  `_half_size` sorts the roots, and `_twisted` gives the
-  eigenvector of H_r at each root as log-moduli and phases, real on a
-  single-phase chain, accurate entry by entry, as the gauge lift of a
-  localized state needs.
+  (`_square_eig`).  `_twisted` gives the eigenvector of H_r at each root as
+  log-moduli and phases, real on a single-phase chain, accurate entry by
+  entry, as the gauge lift of a localized state needs.
 
   In the topological phase H_r has one value with |E| <=
   ``REDUCED_MIN_EIGENVALUE`` * max|H_r|, its edge pair, exponentially close
@@ -124,9 +123,9 @@ check: there is nothing to check it on.  Per route:
 * x/p: `eigvals` of Qp Qx, or of its two mirror halves where Qx and Qp are
   centrosymmetric; a guarded point takes the dense `eigvals` of Im M.
 
-The x/p and reduced half-size solves share the +- sort of their roots
-(`_half_size`) and the sorted places of their base columns and sign flips
-(`_pair_slots`); `_sorted_pairs` writes every column only where
+Every route sorts by `_order`, with no -0.0 part (a CSV's "-0"); the
+half-size solves keep the sorted places of their base columns and flips as
+``Spectrum.slots``, which `_sorted_pairs` writes out only where
 ``Spectrum.eigenvectors`` is read.  Each route owns its small-|E| guard:
 `_edge_pair` on the reduced route, one test in `_xp_spectrum` on the x/p
 route.
@@ -214,10 +213,11 @@ class Spectrum:
 
     ``base`` holds the checked base columns: F-ordered 4N x N (reduced route)
     or 4N x 2N (x/p), every column in sorted order elsewhere, where ``slots``
-    is None; ``slots[s, g, c]`` is the sorted place of base column c flipped
-    by Sigma^s Gamma^g.  ``eigenvectors``, every column, is written on first
-    read.  Both are None without ``vectors`` and where a gauge route has
-    eigenvalues only (singular gauge, failed check); ``source`` says why.
+    is None; ``slots[s, g, c]``, `_order`'s place of the values laid out as
+    [s][g][c], is the sorted place of base column c flipped by Sigma^s
+    Gamma^g.  ``eigenvectors``, every column, is written on first read.  Both
+    are None without ``vectors`` and where a gauge route has eigenvalues only
+    (singular gauge, failed check); ``source`` says why.
     """
 
     eigenvalues: np.ndarray
@@ -233,11 +233,23 @@ class Spectrum:
         return self.base if self.slots is None else _sorted_pairs(self.base.copy(), self.slots)
 
 
+def _order(vals: np.ndarray):
+    """The sort of every route: ``(sorted, order, place)`` of ``vals`` by (Re, Im), place[order] = 0, 1, ...
+
+    Adding 0.0 turns every -0.0 part, which a CSV writes as "-0", into 0.
+    """
+    vals = vals + 0.0
+    order = np.lexsort((vals.imag, vals.real))
+    place = np.empty_like(order)
+    place[order] = np.arange(len(order))
+    return vals[order], order, place
+
+
 def _sorted(eigenvalues, eigenvectors, source):
     """Spectrum in (Re, Im) order; every route hands in unit-norm columns already."""
-    order = np.lexsort((eigenvalues.imag, eigenvalues.real))
+    vals, order, _ = _order(eigenvalues)
     vecs = None if eigenvectors is None else eigenvectors[:, order]
-    return Spectrum(eigenvalues=eigenvalues[order], base=vecs, source=source)
+    return Spectrum(eigenvalues=vals, base=vecs, source=source)
 
 
 def _bands(M: np.ndarray) -> list:
@@ -292,9 +304,8 @@ def eigendecompose(M: ExcitationMatrix, vectors: bool = True) -> Spectrum:
         lam, vecs = np.linalg.eig(M.M.imag) if vectors else (np.linalg.eigvals(M.M.imag), None)
     except np.linalg.LinAlgError as err:
         raise SolverError(f"eigensolver failed for {M.source} matrix, dim={M.dim}, bc={M.bc}: {err}") from err
-    vals = 1j * lam + 0.0  # + 0.0 turns every -0.0 part, which a CSV writes as "-0", into 0
-    spec = _sorted(vals, vecs, source=f"eig[{M.source},{M.bc.value},n={M.n_cells}]")
-    del vals, vecs  # the residual check below is the peak of memory use
+    spec = _sorted(1j * lam, vecs, source=f"eig[{M.source},{M.bc.value},n={M.n_cells}]")
+    del vecs  # the residual check below is the peak of memory use
     if vectors:
         _check_residual(_bands(M.M), spec.base, spec.eigenvalues)
     return spec
@@ -321,18 +332,15 @@ def _hatano_nelson_spectrum(p: BKCParams, vectors: bool) -> Spectrum:
     source = f"similarity[symplectic,{BoundaryCondition.OBC.value},n={n}]"
     m = np.arange(1, n + 1)
     E = 2 * hatano_nelson_coupling(p) * np.sin(np.pi * (n + 1 - 2 * m) / (2 * n + 2))
-    vals = np.concatenate([E, -E]) + 0.0  # + 0.0 turns every -0.0 part, which a CSV writes as "-0", into 0
+    vals, _, place = _order(np.concatenate([E, -E]))  # column c of [x, p channel] is sorted column place[c]
     if not vectors:
-        return _sorted(vals, None, source)
-    order = np.lexsort((vals.imag, vals.real))
-    place = np.empty_like(order)
-    place[order] = np.arange(2 * n)  # column c of concat([x channel, p channel]) is sorted column place[c]
+        return Spectrum(eigenvalues=vals, source=source)
     U = np.sqrt(2 / (n + 1)) * np.sin(np.pi * (np.outer(m, m) % (2 * n + 2)) / (n + 1))  # row j, column m - 1
     # each column lives on one channel: lift that channel's rows only, into the layout of a [:, order] gather
     vecs = np.zeros((2 * n, 2 * n), dtype=complex, order="F")
     for rows, cols in ((slice(0, None, 2), place[:n]), (slice(1, None, 2), place[n:])):
         vecs[rows, cols] = replace(A, log_scale=A.log_scale[rows], phase=A.phase[rows]).lift(U)
-    spec = Spectrum(eigenvalues=vals[order], base=vecs, source=source)
+    spec = Spectrum(eigenvalues=vals, base=vecs, source=source)
     bands = excitation_bands(build_bkc_quadratic(p, BoundaryCondition.OBC))  # M's diagonals, from Q's
     try:
         _check_residual(bands, vecs, spec.eigenvalues)
@@ -438,20 +446,6 @@ def _quantised_mu(mag: np.ndarray, lower: np.ndarray) -> Optional[np.ndarray]:
                 trace_error <= _QUANTISED_TRACE * n * np.finfo(float).eps * np.abs(mu).max()):
             return mu
     return None
-
-
-def _half_size(root: np.ndarray):
-    """The +- sort both half-size routes share: ``(vals, order)`` for the spectrum +-``root``.
-
-    ``vals`` is concat([root, -root])[order], sorted as `_sorted` sorts.  The
-    x/p route passes the roots sqrt(mu) of P = Qp Qx, the reduced route those
-    of P = D F of H_r.  It holds no guard: each route rules out the small |E|
-    that squaring cannot resolve before it calls this, the x/p route by its
-    own test, the reduced route in `_edge_pair`.
-    """
-    vals = np.concatenate([root, -root])
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order], order
 
 
 class _EdgePair(NamedTuple):
@@ -595,19 +589,6 @@ def _twisted(mag: np.ndarray, lower: np.ndarray, E: np.ndarray):
     return log_z, phase
 
 
-def _pair_slots(order: np.ndarray, cols: np.ndarray, columns: int) -> np.ndarray:
-    """``Spectrum.slots`` of a half-size route: [Sigma, Gamma, column] -> sorted place.
-
-    ``order`` sorts the eigenvalues concat([e, -e]): e = i E on the reduced
-    route, the roots sqrt(mu) on the x/p route.  Column c of [base, Gamma
-    base] belongs to e[cols[c]] and its Sigma-flip to -e[cols[c]]; ``cols``
-    has one entry per base column where there are no Gamma-flips.
-    """
-    place = np.empty_like(order)
-    place[order] = np.arange(len(order))
-    return place.reshape(2, -1)[:, cols].reshape(2, -1, columns)
-
-
 def _sorted_pairs(base: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """The checked columns ``base`` and their chiral flips, each written into its sorted place ``slots``.
 
@@ -690,25 +671,23 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
                 E, U = np.concatenate([-s[::-1], s]), np.linalg.eigh(Hr)[1] if vectors else None
         except np.linalg.LinAlgError as err:
             raise SolverError(f"full-size eigensolver failed, dim={len(Hr)}: {err}") from err
-        root, cols = E, np.arange(len(E))  # column j belongs to E[j]; -E[j]'s is no Gamma-flip of it
+        root, gamma = E, False  # column j belongs to E[j]; -E[j]'s is no Gamma-flip of it
     else:
         if mixed and pair is not None:  # the one value too small to take from its square
             root[pair.m] = pair.E
-        E, half_order = _half_size(root)
-        U = None
+        U, gamma = None, True
         if vectors:  # eigenvectors (z_A, z_B) of H_r for +root as (log|z|, z / |z|); (z_A, -z_B) belongs to -root
             U = _twisted(mag, lower, root if mixed else root.real)
             if pair is not None and pair.u is not None:
                 U[0][:, pair.m], U[1][:, pair.m] = pair.u
-        cols = np.argsort(half_order)  # column c of [U, Gamma U] belongs to E[cols[c]]
     if pair is not None and pair.u is not None:
         source += f" (deflated edge pair, closed form: backward error {pair.error:.1e})"
     elif pair is not None:
         source += (f" (deflated edge pair, solved vectors: closed-form backward error {pair.error:.2e}"
                    f" > {EDGE_PAIR_MAX_ERROR:g})")
-    vals = np.concatenate([turn * E, -turn * E]) + 0.0  # + 0.0 turns each -0.0 part, a CSV's "-0", into 0
-    order = np.lexsort((vals.imag, vals.real))
-    spec = Spectrum(eigenvalues=vals[order], source=source)
+    e = turn * root  # M's eigenvalue for each base column; -e for its Sigma- and its Gamma-flip
+    vals, _, place = _order(np.concatenate([e, -e, -e, e] if gamma else [e, -e]))  # [Sigma][Gamma][column]
+    spec = Spectrum(eigenvalues=vals, source=source)
     if U is None:
         return spec
     bands = excitation_bands(build_modbkc_quadratic(f, bc))
@@ -718,11 +697,11 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     plus = A.lift(U) if isinstance(U, np.ndarray) else A.lift_polar(*U)
     del U
     try:  # the Sigma- and Gamma-flips of these columns have equal residuals
-        _check_residual(bands, plus, turn * root)
+        _check_residual(bands, plus, e)
     except SolverError as err:  # the eigenvalues are exact, so they stay
         return replace(spec, source=f"{source} (no vectors: {err})")
     # F-ordered, as `_sorted_pairs` writes every column: `spatial_profile`'s column sums depend on it
-    return replace(spec, base=plus, slots=_pair_slots(order, cols, plus.shape[1]))
+    return replace(spec, base=plus, slots=place.reshape(2, -1, plus.shape[1]))
 
 
 def _mirrored(q: QuadraticForm, s: int) -> bool:
@@ -756,7 +735,7 @@ def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:
     In (x, p) block order M = [[0, -i Qp], [i Qx, 0]], so M (x, p) = E (x, p)
     holds exactly when Qp Qx x = E^2 x and p = i Qx x / E: each eigenpair
     (mu, x) of the real, half-dimensional Qp Qx gives the eigenvalues
-    E = +-sqrt(mu), sorted by `_half_size`.  Where Qx and Qp are both
+    E = +-sqrt(mu), sorted by `_order`.  Where Qx and Qp are both
     centrosymmetric (`_mirrored`), Qp Qx is solved as its two mirror halves
     Qp+- Qx+- (module docstring) and x is joined from their eigenvectors
     (`_mirror_join`).  The route's own guard sends a point whose smallest
@@ -787,7 +766,7 @@ def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:
         spec = eigendecompose(excitation_matrix(q), vectors)
         return replace(spec, source=f"{spec.source} (x/p guard: min|E| {np.abs(root).min():.2e}"
                                     f" <= {XP_MIN_EIGENVALUE:g} max|Q|{count})")
-    vals, order = _half_size(root)
+    vals, _, place = _order(np.concatenate([root, -root]))  # [Sigma][column]
     if not vectors:
         return Spectrum(eigenvalues=vals, source=source)
     plus = np.zeros((q.dim, len(root)), dtype=complex, order="F")  # site a at x row 2a and p row 2a + 1
@@ -806,8 +785,7 @@ def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:
     X /= norm
     Y /= norm
     _check_residual(excitation_bands(q), plus, root)
-    return Spectrum(eigenvalues=vals, base=plus, source=source,
-                    slots=_pair_slots(order, np.arange(len(root)), len(root)))
+    return Spectrum(eigenvalues=vals, base=plus, source=source, slots=place.reshape(2, 1, -1))
 
 
 def _bloch_spectrum(p: Union[BKCParams, ModBKCParams], vectors: bool) -> Spectrum:
@@ -836,13 +814,12 @@ def _bloch_spectrum(p: Union[BKCParams, ModBKCParams], vectors: bool) -> Spectru
         E, U = np.linalg.eig(B)
     except np.linalg.LinAlgError as err:
         raise SolverError(f"Bloch eigensolver failed, n={n}: {err}") from err
-    vals = E.ravel()
-    order = np.lexsort((vals.imag, vals.real))
+    vals, order, _ = _order(E.ravel())
     mk, band = np.divmod(order, s)
     wave = np.exp(2j * np.pi * m / n) / np.sqrt(n)   # w^t / sqrt(N), t = j m mod N
     np.multiply(wave[np.outer(m, mk) % n][:, None, :], U[mk, :, band].T,
                 out=vecs.reshape(n, s, n * s))
-    spec = Spectrum(eigenvalues=vals[order], base=vecs, source=source)
+    spec = Spectrum(eigenvalues=vals, base=vecs, source=source)
     _check_residual(bands, vecs, spec.eigenvalues)
     return spec
 

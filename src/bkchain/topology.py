@@ -195,13 +195,16 @@ def _scan_point(values: tuple, p: ModBKCParams) -> PhasePoint:
 # programming error and propagates.  ValueError covers SingularTransformError
 # and GapClosedError.
 POINT_ERRORS = (SolverError, ValueError, np.linalg.LinAlgError)
+# Tasks in flight per worker thread in `map_points`; `Executor.map` would submit every item at once.
+TASKS_PER_WORKER = 4
 
 
 def map_points(fn, items: Sequence, threads: int = 1) -> list:
     """fn over items in input order, on min(threads, len(items)) worker threads.
 
     Each result is ``(fn(item), None)``, or ``(None, "Name: message")`` where
-    fn raised one of `POINT_ERRORS`; any other exception propagates.
+    fn raised one of `POINT_ERRORS`; any other exception propagates.  At most
+    ``TASKS_PER_WORKER`` tasks per worker are in flight.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -217,7 +220,12 @@ def map_points(fn, items: Sequence, threads: int = 1) -> list:
         return [guarded(item) for item in items]
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(guarded, items))
+        results, pending = [], []
+        for item in items:
+            pending.append(pool.submit(guarded, item))
+            if len(pending) == TASKS_PER_WORKER * workers:
+                results.append(pending.pop(0).result())
+        return results + [future.result() for future in pending]
 
 
 def phase_scan(base: ModBKCParams, axes: Sequence[AxisSpec], threads: int = 1) -> PhaseDiagram:

@@ -3,9 +3,9 @@
 A `Spectrum` keeps the checked base columns of its route and the sorted slot
 of each and of its sign flips (``Spectrum.slots``).  ``Spectrum.eigenvectors``
 writes every column on first read; the skin census, `profile_matrix` and the
-disorder `mean_profile` read the base columns alone.  `_eager_pairs` is the
-writer that assembled every column inside each half-size solve, with its own
-sort bookkeeping, and the eager census functions below read all of those
+disorder `mean_profile` read the base columns alone.  `_eager_pairs` gathers
+every column at once from the base columns and their flips, by the order of
+the route's one sort, and the eager census functions below read all of those
 columns.  On every route the lazy forms must equal them bit for bit.
 """
 
@@ -24,19 +24,16 @@ from bkchain.spectral import solve
 OBC, PBC = BoundaryCondition.OBC, BoundaryCondition.PBC
 
 
-def _eager_pairs(base, order, cols):
-    """Every column in sorted order, written inside the solve: the base columns and their chiral flips."""
-    place = np.empty_like(order)
-    place[order] = np.arange(len(order))
-    slots = place.reshape(2, -1)[:, cols].reshape(2, -1, base.shape[1])  # [Sigma, Gamma, column]
-    out = np.empty((len(base), len(order)), dtype=complex, order="F")
-    p_rows, b_rows = [base[1::2]], [base[2::4], base[3::4]]  # B_j is site 2j + 1: rows 4j + 2, 4j + 3
-    walk = [((0, 0), []), ((1, 0), p_rows), ((1, 1), b_rows), ((0, 1), p_rows)]  # 1, Sigma, Sigma Gamma, Gamma
-    for (s, g), negate in walk[:len(order) // base.shape[1]]:
-        for rows in negate:
-            np.negative(rows, out=rows)
-        out[:, slots[s, g]] = base
-    return out
+def _eager_pairs(base, order):
+    """Every column in sorted order: the base columns and their chiral flips, laid out [Sigma][Gamma][column].
+
+    ``order`` sorted the route's values in that layout; without Gamma-flips it is [Sigma][column].
+    """
+    rows = np.arange(len(base))[:, None]
+    p_row, b_row = rows % 2 == 1, rows // 2 % 2 == 1  # B_j is site 2j + 1: rows 4j + 2, 4j + 3
+    gammas = (False, True)[:len(order) // base.shape[1] // 2]
+    full = np.hstack([np.where((s & p_row) ^ (g & b_row), -base, base) for s in (False, True) for g in gammas])
+    return np.asfortranarray(full[:, order])
 
 
 def _eager_nhse_fraction(V, n_cells, frac, threshold):
@@ -82,33 +79,35 @@ ROUTES = {
 
 
 def _solve_recording(p, bc, monkeypatch):
-    """solve(p, bc) and the (order, cols) its half-size route sorted its base columns by, if any."""
-    seen = {}
+    """solve(p, bc) and the ``order`` of every sort (`spectral._order`) it made."""
+    orders = []
 
-    def recording(order, cols, columns):
-        seen.update(order=order.copy(), cols=cols.copy())
-        return real(order, cols, columns)
+    def recording(vals):
+        out = real(vals)
+        orders.append(out[1].copy())
+        return out
 
-    real = spectral._pair_slots
-    monkeypatch.setattr(spectral, "_pair_slots", recording)
+    real = spectral._order
+    monkeypatch.setattr(spectral, "_order", recording)
     s = solve(p, bc)
-    monkeypatch.setattr(spectral, "_pair_slots", real)
-    return s, seen
+    monkeypatch.setattr(spectral, "_order", real)
+    return s, orders
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_lazy_columns_match_the_eager_assembly(route, monkeypatch):
     p, bc, prefix, fraction = ROUTES[route]
-    s, seen = _solve_recording(p, bc, monkeypatch)
+    s, orders = _solve_recording(p, bc, monkeypatch)
     assert s.source.startswith(prefix) and s.base is not None
+    assert len(orders) == 1  # every route sorts once
     if fraction is None:
-        assert s.slots is None and not seen and s.eigenvectors is s.base
+        assert s.slots is None and s.eigenvectors is s.base
         ref = s.base
     else:
         assert s.base.shape == (len(s), len(s) * fraction // 4) and s.base.flags.f_contiguous
         assert s.slots.size == len(s) and np.array_equal(np.sort(s.slots, axis=None), np.arange(len(s)))
         before = s.base.tobytes()
-        ref = _eager_pairs(s.base.copy(), seen["order"], seen["cols"])
+        ref = _eager_pairs(s.base, orders[0])
         assert s.eigenvectors.tobytes() == ref.tobytes() and s.eigenvectors.flags.f_contiguous
         assert s.base.tobytes() == before  # writing every column leaves the base columns as they were
     # each base profile is the profile of every sorted column it stands for
@@ -121,6 +120,16 @@ def test_lazy_columns_match_the_eager_assembly(route, monkeypatch):
     assert P.tobytes() == _eager_profile_matrix(ref, p.N).tobytes()
     assert P.mean(axis=0).tobytes() == _eager_profile_matrix(ref, p.N).mean(axis=0).tobytes()
     assert P.flags.c_contiguous == _eager_profile_matrix(ref, p.N).flags.c_contiguous
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_no_route_returns_a_negative_zero(route):
+    # a CSV writes a -0.0 part as "-0"
+    p, bc, prefix, _ = ROUTES[route]
+    for vectors in (True, False):
+        s = solve(p, bc, vectors)
+        parts = np.concatenate([s.eigenvalues.real, s.eigenvalues.imag])
+        assert s.source.startswith(prefix) and not np.signbit(parts[parts == 0]).any()
 
 
 @pytest.mark.parametrize("base,strengths,prefix", [

@@ -1,6 +1,7 @@
 import csv
 import os
 import platform
+import re
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 import bkchain
 from bkchain import cli, disorder, model, topology
 from bkchain.cli import ConfigError, main, parse_config
+from bkchain.spectral import solve
 from bkchain.topology import MAX_GRID_POINTS, MAX_THREADS
 
 
@@ -663,3 +665,20 @@ print(kept, statistics.median(faults[3:]))
 """
     kept, faults = _fresh_interpreter(script).split()
     assert kept == "True" and float(faults) < 50
+
+
+@pytest.mark.parametrize("text,route", [
+    (BKC_MODEL.format(n=8), "similarity["),
+    (BKC_MODEL.format(n=8).replace("omega = 0\n", "omega = 0.5\n"), "eig["),
+    (MODBKC_MODEL.format(bc="obc"), "reduced["),
+    (XP_MODEL.format(bc="obc"), "(mirror halves"),
+    (XP_MODEL.format(bc="pbc"), "bloch["),
+], ids=["hatano-nelson", "dense", "reduced", "xp-mirror-halves", "bloch"])
+def test_spectrum_writes_no_negative_zero(tmp_path, text, route):
+    # every route turns a -0.0 part into 0 before a CSV can write it as "-0"
+    cfg = write(tmp_path, text)
+    run = parse_config(cfg, "spectrum")
+    assert all(route in solve(run.model, bc).source for bc in run.bcs)
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    for path in (tmp_path / "out").glob("*.csv"):
+        assert not any(re.search(r"(^|,)-0(,|$)", line) for line in path.read_text().splitlines()), path.name

@@ -326,3 +326,38 @@ def test_only_point_errors_are_recorded(monkeypatch, error, recorded, threads):
 def test_map_points_rejects_fewer_than_one_thread(threads):
     with pytest.raises(ValueError, match="threads"):
         topology.map_points(abs, [1, 2], threads)
+
+
+def test_map_points_keeps_a_bounded_window_in_flight():
+    # the first item blocks: no more than the window may be drawn from the input until it ends
+    import threading
+    from collections.abc import Sequence
+
+    workers = 2
+    window = topology.TASKS_PER_WORKER * workers
+    drawn, overdrawn, threads_seen = [], threading.Event(), set()
+
+    class Items(Sequence):
+        def __len__(self):
+            return 1000
+
+        def __getitem__(self, i):
+            if not 0 <= i < len(self):
+                raise IndexError(i)
+            drawn.append(i)
+            if len(drawn) > window:
+                overdrawn.set()
+            return i
+
+    def fn(i):
+        threads_seen.add(threading.get_ident())
+        if i == 0:  # released by an overdraw, else after a wait in which an unbounded queue would fill
+            overdrawn.wait(timeout=0.5)
+            return len(drawn)
+        return -i
+
+    before = threading.active_count()
+    results = topology.map_points(fn, Items(), workers)
+    assert results[0] == (window, None)
+    assert results[1:] == [(-i, None) for i in range(1, 1000)]  # in input order
+    assert len(threads_seen) <= workers and threading.active_count() == before

@@ -1,4 +1,4 @@
-"""Forward accuracy of the reduced route's eigenvectors against 40-digit eigenvectors of M.
+"""Forward accuracy of the solve routes against 40-digit eigenpairs of M.
 
 A backward residual does not bound the forward error on the non-normal open
 chains, so the per-row profiles |v_i|^2 / ||v||^2 of the reduced route's
@@ -15,17 +15,36 @@ the route's gauge, which fixes the eigenvector within the twofold
 degenerate eigenspace of M.  Each eigenvector w of H (mpmath's ``eig``) for
 E gives the eigenvector v = G (w at both quadratures of each site) of M for
 iE, and ||M v - iE v|| is checked to 40 digits.
+
+The eigenvalues of the other routes, x/p (split into mirror halves and not),
+Bloch (both models) and dense, are compared with those of M itself, of 4N
+(2N for the single-band chain) <= 24, in mpmath at 40 digits.  M =
+`excitation_matrix` of the chain's quadratic form is i Im M exactly, so the
+reference is i times mpmath's ``eig`` of the real Im M, each float entry
+taken exactly.
 """
+
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from bkchain.model import BoundaryCondition, ModBKCParams, SiteFields
+from bkchain.disorder import DisorderSpec, sample_site_fields
+from bkchain.model import (
+    BKCParams,
+    BoundaryCondition,
+    ModBKCParams,
+    SiteFields,
+    build_bkc_quadratic,
+    build_modbkc_quadratic,
+    excitation_matrix,
+)
 from bkchain.skin import spatial_profile
 from bkchain.spectral import solve
 
-OBC = BoundaryCondition.OBC
+OBC, PBC = BoundaryCondition.OBC, BoundaryCondition.PBC
 # Largest difference of a profile entry, route against reference, over the
 # chains below: the larger of the two measured before and after the reduced
 # route took its vectors from log-moduli, and for the all-imaginary chains
@@ -165,3 +184,65 @@ def test_profiles_match_the_mp_eigenvectors(name):
     error, source = profile_errors(p)
     assert note in source
     assert error <= PROFILE_BOUND[name]
+
+
+def _cut_chain():
+    """Every intracell bond at Delta = J and one onsite omega: the x/p guard's dense solve of a defective M.
+
+    The cuts couple each cell to the next one way only, so M is defective:
+    its eigenvalues 0 (the zero modes) and +-i sqrt(2) are each 4-fold, in
+    Jordan blocks of up to z = 4, which a dense solve resolves to about
+    eps^(1/z), as in tests/test_solve.py.
+    """
+    f = SiteFields.uniform(ModBKCParams(J1=1.0, J2=0.5, Delta1=1.0, Delta2=1.5, omega=0.0, N=4))
+    return replace(f, omega_A=np.array([0.0, 0.0, 0.0, 0.3]))
+
+
+_SWEEP = ModBKCParams(J1=1.4, J2=1.2, Delta1=1.0, Delta2=1.0, omega=0.3, N=6)
+_FIG9 = ModBKCParams(J1=2.2, J2=1.0, Delta1=2.1, Delta2=1.5, omega=0.05, N=6)
+# (chain, boundary, a fragment of the route's source, z): z counts the zero
+# modes, and where it is nonzero M is defective with at most z equal eigenvalues
+EIGENVALUE_CHAINS = {
+    "xp-split": (_SWEEP, OBC, "(mirror halves: 2 x 6)", 0),
+    "xp-unsplit": (sample_site_fields(_FIG9, DisorderSpec({"omega": 2.0}, seed=20240601), 0), OBC,
+                   "xp[symplectic,obc,n=6]", 0),
+    "bloch-modbkc": (_SWEEP, PBC, "bloch[", 0),
+    "bloch-bkc": (BKCParams(J0=0.5, Delta0=1.0, omega=0.5, N=12), PBC, "bloch[", 0),
+    "dense": (BKCParams(J0=0.5, Delta0=1.0, omega=0.5, N=12), OBC, "eig[symplectic,obc,n=12]", 0),
+    "dense-cut": (_cut_chain(), OBC, "(x/p guard", 4),
+}
+# Largest matched eigenvalue error relative to max(1, max|E|), with and without
+# vectors: twice the value measured (see CHANGES.md).  A defective M is
+# bounded by 10 eps^(1/z) instead (measured 5.6e-6 at z = 4).
+EIGENVALUE_BOUND = {"xp-split": 5.3e-15, "xp-unsplit": 1.2e-15, "bloch-modbkc": 2.4e-15, "bloch-bkc": 1.4e-15,
+                    "dense": 7e-15}
+
+
+def _mp_eigenvalues(p, bc):
+    """The eigenvalues of M = `excitation_matrix` of the chain, as i eig(Im M) at 40 digits."""
+    build = build_bkc_quadratic if isinstance(p, BKCParams) else build_modbkc_quadratic
+    M = excitation_matrix(build(p, bc)).M
+    assert not M.real.any() and len(M) <= 24
+    with mpmath.workdps(40):
+        values = mpmath.eig(mpmath.matrix(M.imag.tolist()), left=False, right=False)
+        return np.array([complex(1j * e) for e in values])
+
+
+def matched_gap(values, reference):
+    """Largest gap of the one-to-one matching of ``values`` to ``reference``, relative to max(1, max|reference|)."""
+    gap = np.abs(values[:, None] - reference[None, :])
+    rows, cols = linear_sum_assignment(gap)
+    return float(gap[rows, cols].max()) / max(1.0, float(np.abs(reference).max()))
+
+
+@pytest.mark.parametrize("name", list(EIGENVALUE_CHAINS))
+def test_eigenvalues_match_the_mp_eigenvalues(name):
+    p, bc, note, z = EIGENVALUE_CHAINS[name]
+    reference = _mp_eigenvalues(p, bc)
+    equal = np.abs(reference[:, None] - reference) <= 1e-8 * np.abs(reference).max()
+    assert (np.abs(reference) <= 1e-8 * np.abs(reference).max()).sum() == z
+    assert not z or equal.sum(axis=0).max() == z
+    bound = 10 * np.finfo(float).eps ** (1 / z) if z else EIGENVALUE_BOUND[name]
+    for vectors in (True, False):
+        s = solve(p, bc, vectors)
+        assert note in s.source and matched_gap(s.eigenvalues, reference) <= bound

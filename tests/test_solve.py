@@ -126,7 +126,7 @@ from bkchain.spectral import (
     Spectrum,
     _bands,
     _check_residual,
-    _pair_slots,
+    _order,
     _residuals,
     _sorted_pairs,
     _twisted,
@@ -1519,16 +1519,14 @@ def _polar_reference(A, log_u, phase, order):
     return _LIFT_POLAR(A, np.repeat(np.hstack([log_u, log_u]), 2, axis=0), phases)[:, order]
 
 
-def _gamma_partners(U, cols, sign=-1):
-    """The SSH eigenvector matrix in E order: column c of [U, Gamma U] at cols[c], Gamma negating the B rows.
+def _gamma_partners(U, columns, sign=-1):
+    """The first ``columns`` of the SSH eigenvectors [U, Gamma U], laid out [Gamma][column]; Gamma negates the B rows.
 
     ``sign`` = 1 arranges log-moduli, which Gamma leaves as they are.
     """
     flipped = U.copy()
     flipped[1::2] *= sign
-    full = np.empty((len(U), len(cols)), dtype=U.dtype)
-    full[:, cols] = np.hstack([U, flipped])[:, :len(cols)]
-    return full
+    return np.hstack([U, flipped])[:, :columns]
 
 
 def _random_lift(seed, rows, columns):
@@ -1568,11 +1566,9 @@ class TestProductLift:
     def test_bit_identical_on_random_vectors(self, seed, two_n):  # equal in value: see the class docstring
         # the guarded fallback: 2N columns, each with its Sigma-flip
         U, A, E = _random_lift(seed, two_n, two_n)
-        vals = np.concatenate([1j * E, -1j * E])
-        order = np.lexsort((vals.imag, vals.real))
-        cols = np.arange(two_n)
+        _, order, place = _order(np.concatenate([1j * E, -1j * E]))
         ref = _lift_reference(A, U, order)
-        out = _sorted_pairs(A.lift(np.repeat(U, 2, axis=0)), _pair_slots(order, cols, two_n))
+        out = _sorted_pairs(A.lift(np.repeat(U, 2, axis=0)), place.reshape(2, -1, two_n))
         assert np.array_equal(out, ref)
         assert np.all(np.isfinite(out))
         assert out.flags.f_contiguous == ref.flags.f_contiguous
@@ -1601,16 +1597,12 @@ class TestProductLift:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("n", [1, 4, 12, 100])
     def test_chiral_flips_on_random_vectors(self, seed, n):  # equal in value: see the class docstring
-        # the half-size path: N columns for +root, their Gamma-flips for -root, as `_half_size` sorts them
+        # the half-size path: N columns for +root, their Gamma-flips for -root, sorted as the reduced route sorts them
         U, A, root = _random_lift(seed, 2 * n, n)
-        both = np.concatenate([root, -root])
-        half_order = np.lexsort((both.imag, both.real))
-        E = both[half_order]
-        vals = np.concatenate([1j * E, -1j * E])
-        order = np.lexsort((vals.imag, vals.real))
-        cols = np.argsort(half_order)
-        ref = _lift_reference(A, _gamma_partners(U, cols), order)
-        out = _sorted_pairs(A.lift(np.repeat(U, 2, axis=0)), _pair_slots(order, cols, n))
+        e = 1j * root
+        _, order, place = _order(np.concatenate([e, -e, -e, e]))  # [Sigma][Gamma][column]
+        ref = _lift_reference(A, _gamma_partners(U, 2 * n), order)
+        out = _sorted_pairs(A.lift(np.repeat(U, 2, axis=0)), place.reshape(2, -1, n))
         assert np.array_equal(out, ref)
         assert np.all(np.isfinite(out))
         assert out.flags.f_contiguous == ref.flags.f_contiguous
@@ -1634,19 +1626,20 @@ class TestProductLift:
             seen.update(A=A, log_u=log_u.copy(), phase=phase.copy())
             return _LIFT_POLAR(A, log_u, phase)
 
-        def slots_recording(order, cols, n):
-            seen.update(order=order, cols=cols)
-            return _pair_slots(order, cols, n)
+        def order_recording(vals):
+            out = _order(vals)
+            seen.update(order=out[1])
+            return out
 
         def full_basis(base, slots):
-            # the full product basis of the SSH eigenvectors in E order, lifted at once
-            cols = seen["cols"]
-            assert len(cols) == len(seen["log_u"]) and base.shape[1] == columns
-            return _polar_reference(seen["A"], _gamma_partners(seen["log_u"], cols, sign=1),
-                                    _gamma_partners(seen["phase"], cols), seen["order"])
+            # the full product basis of the SSH eigenvectors, laid out as the route sorted their values, lifted at once
+            half = len(seen["order"]) // 2
+            assert half == len(seen["log_u"]) and base.shape[1] == columns
+            return _polar_reference(seen["A"], _gamma_partners(seen["log_u"], half, sign=1),
+                                    _gamma_partners(seen["phase"], half), seen["order"])
 
         monkeypatch.setattr(SimilarityMatrix, "lift_polar", lift_recording)
-        monkeypatch.setattr(spectral, "_pair_slots", slots_recording)
+        monkeypatch.setattr(spectral, "_order", order_recording)
         monkeypatch.setattr(spectral, "_sorted_pairs", full_basis)
         ref = solve(p, OBC)
         assert np.array_equal(vecs, ref.eigenvectors)
@@ -1773,7 +1766,7 @@ def _xp_paired_reference(q, vectors):
     source += _mirror_note(len(Qx) // 2) if split else ""
     solved = [spectral._square_eig(P @ T, vectors) for T, P in blocks]
     root = np.sqrt(np.concatenate([mu for mu, _ in solved]).astype(complex))
-    vals = np.concatenate([root, -root])
+    vals = np.concatenate([root, -root]) + 0.0  # no -0.0 part, which a CSV writes as "-0"
     order = np.lexsort((vals.imag, vals.real))
     if not vectors:
         return source, vals[order], None
