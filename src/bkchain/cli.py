@@ -368,7 +368,7 @@ def _winding(cfg, seed, threads):
     for x, p in grid_points(cfg.model, cfg.axes):
         eff = effective_ssh_params(p)
         try:
-            wn, wa = winding_numeric(eff, cfg.winding_grid), winding_analytic(p)
+            wn, wa = winding_numeric(eff, cfg.winding_grid), winding_analytic(eff)
             w = (wn.w_plus, wn.w_minus, wa.w_plus, wa.w_minus)
         except GapClosedError:
             w = (None,) * 4
@@ -388,7 +388,7 @@ def _phase_scan(cfg, seed, threads):
     from .topology import phase_scan
     head = tuple(ax.name for ax in cfg.axes)
     cols = _columns([pt.values + (pt.zero_gap, pt.zero_modes, pt.w_plus, pt.w_minus, pt.nhse_fraction, pt.error)
-                     for pt in phase_scan(cfg.model, cfg.axes, threads=threads).points])
+                     for pt in phase_scan(cfg.model, cfg.axes, threads=threads)])
     out = [_Table("phase_scan.csv", head + ("abs_E_min", "zero_modes", "w_plus", "w_minus",
                                             "nhse_fraction", "error"), cols)]
     if len(head) == 1:

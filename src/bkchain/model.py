@@ -32,8 +32,8 @@ called nowhere else in the package.
 
 The run limits (``MAX_CELLS``, ``MAX_THREADS``, ``MIN_WINDING_GRID``,
 ``MAX_GRID_POINTS``) and sweep grids (`AxisSpec`, `grid_size`, `grid_points`)
-live here, beside the parameters they bound, so that a config check loads
-no solver beyond this module; `bkchain.topology` exports them too.
+live here only, beside the parameters they bound, so that a config check
+loads no solver beyond this module.
 """
 
 from __future__ import annotations
@@ -389,7 +389,7 @@ class AxisSpec:
     step: float
 
     def count(self) -> int:
-        """Number of grid points, computed without allocating the grid."""
+        """Number of points start + i step <= stop, with 1e-9 relative slack for rounding; no grid allocated."""
         if not (math.isfinite(self.start) and math.isfinite(self.stop) and math.isfinite(self.step)):
             raise ValueError("axis start, stop and step must be finite")
         if self.step <= 0:
@@ -399,7 +399,7 @@ class AxisSpec:
         ratio = (self.stop - self.start) / self.step
         if not math.isfinite(ratio):
             raise ValueError(f"axis step {self.step!r} gives a non-finite number of points")
-        return int(round(ratio)) + 1
+        return math.floor(ratio + 1e-9 * max(1.0, ratio)) + 1
 
     def values(self) -> np.ndarray:
         return self.start + self.step * np.arange(grid_size([self]))

@@ -618,7 +618,7 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     its E_m times i), else the roots of `_quantised_mu` or `eigvals` of D F.
     A lone |E| <= ``REDUCED_MIN_EIGENVALUE`` * max|H_r|, the edge pair, is
     deflated (`_edge_pair`); more such values, or a zero bond, send H_r to
-    the full-size solve, whose LAPACK failure raises `SolverError`.
+    the full-size solve.  A LAPACK failure on any kernel raises `SolverError`.
     ``Spectrum.source`` names the deflation or the fallback and its reason.
     Eigenvectors are lifted through the combined gauge from log-moduli: N
     unit columns v for +i root, F-ordered, kept as ``Spectrum.base`` with the
@@ -657,7 +657,10 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
             mu, _ = _square_eig((np.diag(mag[0::2]) + np.diag(lower[1::2], -1)) @ F, False)
         root = np.sqrt(mu.astype(complex))
     else:  # F = D^T is upper bidiagonal: E = its singular values, ascending, each to high relative accuracy
-        s = np.linalg.svd(F, compute_uv=False)[::-1]
+        try:
+            s = np.linalg.svd(F, compute_uv=False)[::-1]
+        except np.linalg.LinAlgError as err:
+            raise SolverError(f"half-size singular value solve failed, dim={len(F)}: {err}") from err
         root, mu = s.astype(complex), s * s
     try:
         pair = _edge_pair(mag, lower, mu)

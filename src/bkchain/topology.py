@@ -14,12 +14,14 @@ of the reduced SSH spectrum (+-i E_m each), so counting threshold crossings on
 the full matrix double-counts the physical edge modes.  The per-copy count,
 2 in the topological phase and 0 in the trivial one, is therefore half of the
 literal `zero_modes` count on that spectrum; `zero_modes_per_copy` takes it
-from a spectrum already solved, and `edge_mode_count` solves the spectrum
-for it without eigenvectors.  `zero_modes` is the literal threshold
+from a spectrum already solved, and `edge_mode_count` solves the open
+chain for it without eigenvectors.  `zero_modes` is the literal threshold
 count on whatever spectrum it is given.
 
-The census defaults are set here only: ``ZERO_TOL`` on |E|, and the skin
-census's ``EDGE_FRAC`` and ``EDGE_THRESHOLD`` (`skin.nhse_fraction`).
+`phase_scan` returns one `PhasePoint` per point of `model.grid_points`; the
+sweep axes and run limits live in `model` only.  The census defaults are set
+here only: ``ZERO_TOL`` on |E|, and the skin census's ``EDGE_FRAC`` and
+``EDGE_THRESHOLD`` (`skin.nhse_fraction`).
 """
 
 from __future__ import annotations
@@ -30,18 +32,8 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
-from .model import (  # noqa: F401  the run limits and axes are exported here too
-    MAX_CELLS,
-    MAX_GRID_POINTS,
-    MAX_THREADS,
-    MIN_WINDING_GRID,
-    AxisSpec,
-    BoundaryCondition,
-    ModBKCParams,
-    SiteFields,
-    grid_points,
-    grid_size,
-)
+from .model import (MAX_GRID_POINTS, MIN_WINDING_GRID, AxisSpec, BoundaryCondition, ModBKCParams, SiteFields,
+                    grid_points)
 from .spectral import SolverError, Spectrum, reduced_route, solve, zero_gap as _zero_gap
 
 if TYPE_CHECKING:  # transform is imported by the functions that use it: an x/p run never loads it
@@ -57,10 +49,7 @@ __all__ = [
     "zero_modes",
     "zero_modes_per_copy",
     "edge_mode_count",
-    "AxisSpec",
     "PhasePoint",
-    "PhaseDiagram",
-    "grid_size",
     "POINT_ERRORS",
     "map_points",
     "phase_scan",
@@ -115,10 +104,8 @@ def winding_numeric(eff: EffectiveSSHParams, grid: int = 1024) -> WindingResult:
     return WindingResult(w_plus=_winding_of_samples(hp), w_minus=_winding_of_samples(hm))
 
 
-def winding_analytic(p: Union[ModBKCParams, EffectiveSSHParams]) -> WindingResult:
+def winding_analytic(eff: EffectiveSSHParams) -> WindingResult:
     """Closed form: (+1, -1) when |dtilde2| > |dtilde1|, else (0, 0)."""
-    from .transform import EffectiveSSHParams, effective_ssh_params
-    eff = p if isinstance(p, EffectiveSSHParams) else effective_ssh_params(p)
     a1, a2 = abs(eff.dtilde1), abs(eff.dtilde2)
     if math.isclose(a1, a2, rel_tol=1e-12, abs_tol=1e-15):
         raise GapClosedError(f"|dtilde1| = |dtilde2| = {a1:.6g}: phase boundary, winding undefined")
@@ -145,18 +132,14 @@ def zero_modes_per_copy(s: Spectrum, p: Union[ModBKCParams, SiteFields], bc: Bou
     return zero_modes(s, tol)[0] // (2 if reduced_route(p, bc) else 1)
 
 
-def edge_mode_count(p: Union[ModBKCParams, SiteFields], tol: float = ZERO_TOL,
-                    bc: BoundaryCondition = BoundaryCondition.OBC) -> int:
+def edge_mode_count(p: Union[ModBKCParams, SiteFields], tol: float = ZERO_TOL) -> int:
     """Zero modes per quadrature copy of the open chain, from an eigenvalue-only `solve`.
 
-    This is `zero_modes_per_copy` on ``solve(p, bc, vectors=False)``, which
+    This is `zero_modes_per_copy` on ``solve(p, OBC, vectors=False)``, which
     callers that already hold the spectrum compute directly; at omega = 0 it
-    counts on the reduced SSH spectrum.  Edge modes live on open chains
-    only, so PBC is rejected.
+    counts on the reduced SSH spectrum.  Edge modes live on open chains only.
     """
-    if bc is not BoundaryCondition.OBC:
-        raise ValueError("edge_mode_count requires open boundaries")
-    return zero_modes_per_copy(solve(p, bc, vectors=False), p, bc, tol)
+    return zero_modes_per_copy(solve(p, BoundaryCondition.OBC, vectors=False), p, BoundaryCondition.OBC, tol)
 
 
 @dataclass(frozen=True)
@@ -168,11 +151,6 @@ class PhasePoint:
     w_minus: Optional[int]
     nhse_fraction: Optional[float]
     error: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class PhaseDiagram:
-    points: tuple
 
 
 def _scan_point(values: tuple, p: ModBKCParams) -> PhasePoint:
@@ -192,9 +170,9 @@ def _scan_point(values: tuple, p: ModBKCParams) -> PhasePoint:
 
 
 # Errors that fail a single point or realization.  Anything else is a
-# programming error and propagates.  ValueError covers SingularTransformError
-# and GapClosedError.
-POINT_ERRORS = (SolverError, ValueError, np.linalg.LinAlgError)
+# programming error and propagates.  SolverError covers every LAPACK failure
+# of a solve; ValueError covers SingularTransformError and GapClosedError.
+POINT_ERRORS = (SolverError, ValueError)
 # Tasks in flight per worker thread in `map_points`; `Executor.map` would submit every item at once.
 TASKS_PER_WORKER = 4
 
@@ -228,13 +206,12 @@ def map_points(fn, items: Sequence, threads: int = 1) -> list:
         return results + [future.result() for future in pending]
 
 
-def phase_scan(base: ModBKCParams, axes: Sequence[AxisSpec], threads: int = 1) -> PhaseDiagram:
-    """Sweep 1-2 parameters (`grid_points`); a point that fails records its error and does not abort the scan."""
+def phase_scan(base: ModBKCParams, axes: Sequence[AxisSpec], threads: int = 1) -> tuple:
+    """`PhasePoint` per point of a 1-2 parameter sweep (`grid_points`); a point that fails records its error."""
     if not 1 <= len(axes) <= 2:
         raise ValueError("phase_scan takes one or two axes")
     grid = list(grid_points(base, axes))
     results = map_points(lambda point: _scan_point(*point), grid, threads)
-    points = tuple(point or PhasePoint(values=vals, zero_gap=float("nan"), zero_modes=None, w_plus=None,
-                                       w_minus=None, nhse_fraction=None, error=error)
-                   for (vals, _), (point, error) in zip(grid, results))
-    return PhaseDiagram(points=points)
+    return tuple(point or PhasePoint(values=vals, zero_gap=float("nan"), zero_modes=None, w_plus=None,
+                                     w_minus=None, nhse_fraction=None, error=error)
+                 for (vals, _), (point, error) in zip(grid, results))

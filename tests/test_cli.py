@@ -1,5 +1,8 @@
 import csv
+import importlib
+import inspect
 import os
+import pkgutil
 import platform
 import re
 import subprocess
@@ -9,10 +12,10 @@ import numpy as np
 import pytest
 
 import bkchain
-from bkchain import cli, disorder, model, topology
+from bkchain import cli, disorder, model
 from bkchain.cli import ConfigError, main, parse_config
+from bkchain.model import MAX_GRID_POINTS, MAX_THREADS
 from bkchain.spectral import solve
-from bkchain.topology import MAX_GRID_POINTS, MAX_THREADS
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -203,6 +206,24 @@ def test_unreadable_config_exits_2_before_output(tmp_path, capsys, kind):
     assert main(["spectrum", "--config", str(path), "--out", str(out)]) == 2
     assert "configuration error: cannot read" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("stop,step,values", [(1.3, 0.5, [0.0, 0.5, 1.0]), (0.3, 0.1, [0.0, 0.1, 0.2, 0.1 * 3])],
+                         ids=["off-grid", "on-grid"])
+def test_sweep_runs_no_point_beyond_its_max(tmp_path, stop, step, values):
+    # 1.3 / 0.5 = 2.6 steps: the last point is 1.0, not 1.5; 0.3 / 0.1 falls just short of 3 and keeps 0.3
+    text = MODBKC_MODEL.format(bc="obc") + f"[sweep]\nparameter = J1\nmin = 0\nmax = {stop}\nstep = {step}\n"
+    (axis,) = parse_config(write(tmp_path, text), "spectrum").axes
+    assert axis.values().tolist() == values
+
+
+@pytest.mark.parametrize("name,command,points", [
+    ("fig2_spectrum_vs_delta1", "spectrum", 61), ("fig4_zero_modes_vs_j1", "phase-scan", 126),
+    ("fig5_zero_modes_vs_j2", "phase-scan", 126), ("fig8_disorder_robustness", "disorder", 26)])
+def test_figure_grids_keep_their_points(name, command, points):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name}.cfg")
+    (axis,) = parse_config(path, command).axes
+    assert axis.count() == points and axis.values()[-1] == pytest.approx(axis.stop, abs=1e-12)
 
 
 @pytest.mark.parametrize("sweep,points", [("", 1), (SWEEP.format(name="J1", step=0.5), 3)], ids=["alone", "sweep"])
@@ -611,11 +632,13 @@ def test_commands_import_disorder_and_floquet_only_where_used(tmp_path, command,
     assert _fresh_interpreter(script, *argv) == f"0 {expected}"
 
 
-@pytest.mark.parametrize("name", ["AxisSpec", "grid_size", "MAX_GRID_POINTS", "MAX_CELLS", "MAX_THREADS",
-                                  "MIN_WINDING_GRID"])
-def test_run_limits_and_axes_are_the_model_names(name):
-    # parse_config reads them from model, so a config check loads no topology; topology exports the same objects
-    assert getattr(topology, name) is getattr(model, name)
+@pytest.mark.parametrize("name", sorted(info.name for info in pkgutil.iter_modules(bkchain.__path__)))
+def test_each_public_name_has_one_home(name):
+    # a class or function that a module lists in __all__ is defined there, not re-exported from another module
+    module = importlib.import_module(f"bkchain.{name}")
+    public = [getattr(module, attr) for attr in getattr(module, "__all__", ())]
+    defined = [obj for obj in public if isinstance(obj, type) or inspect.isfunction(obj)]
+    assert [obj.__qualname__ for obj in defined if obj.__module__ != module.__name__] == []
 
 
 def test_largest_seed_flag_is_accepted(tmp_path):

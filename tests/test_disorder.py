@@ -10,6 +10,7 @@ from bkchain.disorder import (
 )
 from bkchain.model import (
     MAX_GRID_POINTS,
+    AxisSpec,
     BoundaryCondition,
     ModBKCParams,
     SiteFields,
@@ -20,7 +21,7 @@ from bkchain.model import (
 from bkchain import disorder, skin, topology
 from bkchain.skin import nhse_fraction, profile_matrix, spatial_profile
 from bkchain.spectral import SolverError, modbkc_spectrum_zero_omega, solve, zero_gap
-from bkchain.topology import AxisSpec, edge_mode_count, phase_scan, zero_modes_per_copy
+from bkchain.topology import edge_mode_count, phase_scan, zero_modes_per_copy
 from bkchain.transform import SingularTransformError, a_combined, ssh_lift_target, transform_residual
 
 OBC = BoundaryCondition.OBC
@@ -312,7 +313,7 @@ def test_only_point_errors_are_recorded(monkeypatch, error, recorded, threads):
     axes = [AxisSpec("J1", 0.0, 0.4, 0.2)]
     if recorded:
         d = phase_scan(base, axes, threads=threads)
-        assert [pt.error for pt in d.points] == ["SolverError: broken solve"] * 3
+        assert [pt.error for pt in d] == ["SolverError: broken solve"] * 3
         with pytest.raises(RuntimeError, match="all 3 realizations failed; first: SolverError"):
             ensemble_observables(base, spec, threads=threads)
     else:

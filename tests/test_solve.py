@@ -103,6 +103,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import linear_sum_assignment
 
 from bkchain.model import (
+    AxisSpec,
     BKCParams,
     BoundaryCondition,
     ModBKCParams,
@@ -136,7 +137,7 @@ from bkchain.spectral import (
     solve,
     zero_gap,
 )
-from bkchain.topology import AxisSpec, edge_mode_count, phase_scan, zero_modes_per_copy
+from bkchain.topology import edge_mode_count, phase_scan, zero_modes_per_copy
 from bkchain.transform import (
     SimilarityMatrix,
     effective_ssh_matrix,
@@ -420,7 +421,7 @@ class TestSolveRoutes:
         assert s.source.startswith("reduced[") and "no vectors: eigenpair residual" in s.source
         assert s.eigenvectors is None
         assert np.array_equal(s.eigenvalues, modbkc_spectrum_zero_omega(p, OBC).eigenvalues)
-        pt = phase_scan(replace(p, J1=0.0), [AxisSpec("J1", 1.2, 1.2, 0.02)]).points[0]
+        pt = phase_scan(replace(p, J1=0.0), [AxisSpec("J1", 1.2, 1.2, 0.02)])[0]
         assert (pt.nhse_fraction, pt.zero_modes, pt.error) == (None, 2, None)
 
 
@@ -702,6 +703,19 @@ class TestReducedHalfSize:
         p = ModBKCParams(J1=J1, J2=J2, Delta1=1.0, Delta2=1.5, omega=0.0, N=100)
         with pytest.raises(SolverError, match=r"^full-size eigensolver failed, dim=200: did not converge$"):
             solve(p, OBC, vectors)
+
+    def test_singular_value_failure_raises_solver_error(self, monkeypatch):
+        # an all-real chain takes its E_m from the SVD of F; a LAPACK failure there is a SolverError too,
+        # so a phase-scan point records it as such
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        p = ModBKCParams(J1=0.0, J2=0.5, Delta1=1.0, Delta2=1.5, omega=0.0, N=100)
+        message = "half-size singular value solve failed, dim=100: did not converge"
+        with pytest.raises(SolverError, match=f"^{message}$"):
+            solve(p, OBC, vectors=False)
+        assert [pt.error for pt in phase_scan(p, [AxisSpec("J1", 0.0, 0.0, 0.1)])] == [f"SolverError: {message}"]
 
     @pytest.mark.parametrize("J1,note,count", [
         (1.4, " (deflated edge pair, closed form: backward error ", 2),
@@ -2061,10 +2075,6 @@ class TestReductionIsOpenOnly:
     def test_reduced_spectrum_rejects_pbc(self):
         with pytest.raises(ValueError, match="open boundaries"):
             modbkc_spectrum_zero_omega(self.p, PBC)
-
-    def test_edge_mode_count_rejects_pbc(self):
-        with pytest.raises(ValueError, match="open boundaries"):
-            edge_mode_count(self.p, bc=PBC)
 
 
 def _mirrored_fields(f):

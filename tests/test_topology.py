@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bkchain.model import BoundaryCondition, ModBKCParams
+from bkchain.model import AxisSpec, BoundaryCondition, ModBKCParams
 from bkchain.skin import edge_weight, spatial_profile
 from bkchain.spectral import Spectrum, modbkc_spectrum_zero_omega
 from bkchain.topology import (
-    AxisSpec,
     GapClosedError,
     edge_mode_count,
     h_pm,
@@ -93,14 +92,14 @@ class TestWinding:
 
     def test_analytic_pairing_only(self):
         p = ModBKCParams(J1=0, J2=0, Delta1=1.0, Delta2=2.0, omega=0, N=4)
-        assert winding_analytic(p) == winding_numeric(effective_ssh_params(p))
+        assert winding_analytic(effective_ssh_params(p)) == winding_numeric(effective_ssh_params(p))
 
     def test_analytic_window_case_ii(self):
         # nontrivial inside sqrt(Delta1^2 - Delta2^2) < J1 < sqrt(Delta1^2 + Delta2^2)
         p = ModBKCParams(J1=1.2, J2=0, Delta1=1.5, Delta2=1.0, omega=0, N=4)
-        assert winding_analytic(p).w_plus == 1
+        assert winding_analytic(effective_ssh_params(p)).w_plus == 1
         p_lo = ModBKCParams(J1=1.0, J2=0, Delta1=1.5, Delta2=1.0, omega=0, N=4)
-        assert winding_analytic(p_lo).w_plus == 0
+        assert winding_analytic(effective_ssh_params(p_lo)).w_plus == 0
 
     def test_analytic_intracell_dominant(self, intracell_dominant):
         # |dtilde1| = sqrt(0.43) < |dtilde2| = sqrt(1.25): nontrivial even
@@ -108,7 +107,7 @@ class TestWinding:
         eff = effective_ssh_params(intracell_dominant)
         assert abs(eff.dtilde1) == pytest.approx(np.sqrt(0.43))
         assert abs(eff.dtilde2) == pytest.approx(np.sqrt(1.25))
-        assert winding_analytic(intracell_dominant).w_plus == 1
+        assert winding_analytic(eff).w_plus == 1
 
     def test_boundary_raises(self):
         with pytest.raises(GapClosedError):
@@ -210,15 +209,15 @@ class TestPhaseScan:
     def test_degenerate_axis_single_column(self):
         base = ModBKCParams(J1=0.5, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=20)
         d = phase_scan(base, [AxisSpec("J1", 0.5, 0.5, 0.1)])
-        assert len(d.points) == 1
-        assert d.points[0].values == (0.5,)
+        assert len(d) == 1
+        assert d[0].values == (0.5,)
 
     def test_zero_mode_region_matches_winding(self):
         # sweep J1 in [0, 2.5] at Delta1=1, Delta2=1.5: nontrivial for
         # J1 < sqrt(Delta1^2 + Delta2^2); compare regions away from the edge
         base = ModBKCParams(J1=0.0, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100)
         d = phase_scan(base, [AxisSpec("J1", 0.0, 2.5, 0.05)])
-        for pt in d.points:
+        for pt in d:
             if pt.error is not None:
                 continue
             if pt.w_plus is None:
@@ -236,7 +235,7 @@ class TestPhaseScan:
         # out (reduced route), so no error; nhse_fraction is unavailable there
         base = ModBKCParams(J1=0.0, J2=0.0, Delta1=1.5, Delta2=1.0, omega=0.0, N=20)
         d = phase_scan(base, [AxisSpec("J1", 1.5, 1.5, 1.0)])
-        pt = d.points[0]
+        pt = d[0]
         assert pt.error is None
         assert np.isfinite(pt.zero_gap)
         assert pt.nhse_fraction is None
@@ -246,8 +245,8 @@ class TestPhaseScan:
         # on its own spectrum, edge_mode_count solves the reduced chain again
         base = ModBKCParams(J1=0.0, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=100)
         d = phase_scan(base, [AxisSpec("J1", 0.0, 2.5, 0.1)])
-        counts = [edge_mode_count(replace(base, J1=pt.values[0])) for pt in d.points]
-        assert [pt.zero_modes for pt in d.points] == counts
+        counts = [edge_mode_count(replace(base, J1=pt.values[0])) for pt in d]
+        assert [pt.zero_modes for pt in d] == counts
         assert counts.count(2) > 5 and counts.count(0) > 5
 
     def test_grid_size_limit(self):
@@ -272,6 +271,6 @@ class TestPhaseScan:
         d1 = phase_scan(base, [AxisSpec("J1", 0.0, 0.4, 0.2), AxisSpec("J2", 0.0, 0.4, 0.2)])
         d2 = phase_scan(base, [AxisSpec("J1", 0.0, 0.4, 0.2), AxisSpec("J2", 0.0, 0.4, 0.2)],
                         threads=4)
-        assert len(d1.points) == 9
-        assert [pt.values for pt in d1.points] == [pt.values for pt in d2.points]
-        assert [pt.zero_gap for pt in d1.points] == [pt.zero_gap for pt in d2.points]
+        assert len(d1) == 9
+        assert [pt.values for pt in d1] == [pt.values for pt in d2]
+        assert [pt.zero_gap for pt in d1] == [pt.zero_gap for pt in d2]
