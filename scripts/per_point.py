@@ -6,11 +6,11 @@ Usage: PYTHONPATH=src python scripts/per_point.py [--cells N] [--repeats K]
 For one point of each route of `bkchain.spectral.solve` (chain length N,
 default 100) it times, best of K runs (default 7), in milliseconds:
 
-* ``build``: what the route builds to check or solve: on the gauge, Bloch
-  and x/p routes Q's diagonals (``build_*_quadratic``) and M's diagonals
-  mapped from them (`excitation_bands`); on the dense route, including the
-  x/p guard's fallback, Q's diagonals, the dense Q and the dense excitation
-  matrix M (`excitation_matrix`);
+* ``build``: what the route builds to check or solve: Q's diagonals
+  (``build_*_quadratic``) and the diagonals of the real K = -i M mapped
+  from them (`excitation_bands`); on the dense route, including the x/p
+  guard's fallback, also the dense K scattered from those diagonals
+  (`excitation_matrix`).  No route forms the dense Q;
 * ``solve`` and ``solve_no_vectors``: ``solve(p, bc)`` and
   ``solve(p, bc, vectors=False)``;
 * ``eigenvalues``: the reduced route's eigenvalue kernels inside
@@ -237,12 +237,12 @@ def route_stages(p, bc, repeats):
     with StageTimer((np.linalg, "svd"), (spectral, "_quantised_mu"), (spectral, "_square_eig")) as kernel:
         bare_ms = best_ms(lambda: spectral.solve(p, bc, vectors=False), repeats)
     spec = spectral.solve(p, bc)
-    checked = excitation_matrix if spec.source.startswith("eig[") else excitation_bands
+    built = excitation_matrix if spec.source.startswith("eig[") else excitation_bands  # the dense K, else its bands
     census_base = None
     if spec.base is not None:
         census_base = runs(lambda: nhse_fraction(spec, EDGE_FRAC, EDGE_THRESHOLD, p.N), repeats)
     stages = {
-        "build": best_ms(lambda: checked(build(p, bc)), repeats),
+        "build": best_ms(lambda: built(build(p, bc)), repeats),
         "solve": solve_ms,
         "solve_no_vectors": bare_ms,
         "eigenvalues": kernel.best_ms() if spec.source.startswith("reduced[") else None,

@@ -86,7 +86,7 @@ _SCHEMA = {
     "disorder": {"W_J1", "W_J2", "W_Delta1", "W_Delta2", "W_omega", "realizations", "seed",
                  "observables", "frac", "threshold", "zero_tol"},
     "winding": {"grid"},
-    "floquet": {"lambdas", "T", "Jt1", "Jt2", "Dt1", "Dt2", "phi1", "phi2"},
+    "floquet": {"lambdas", "Jt1", "Jt2"},
     "output": {"dir", "plots", "threads"},
 }
 # command -> (required sections, optional sections besides [output]), as in the module docstring
@@ -300,11 +300,9 @@ def _parse_disorder(sec: dict, axes: tuple) -> dict:
 def _parse_floquet(sec: dict) -> tuple:
     """One DriveSpec per drive strength in floquet.lambdas."""
     from .floquet import DriveSpec
-    base = {key: _get_float(sec, key, "floquet", default)
-            for key, default in (("T", 1.0), ("Jt1", 0.0), ("Jt2", 0.0), ("Dt1", 0.0),
-                                 ("Dt2", 0.0), ("phi1", 0.0), ("phi2", 0.0))}
+    Jt1, Jt2 = (_get_float(sec, key, "floquet", 0.0) for key in ("Jt1", "Jt2"))
     try:
-        return tuple(DriveSpec(lam=float(x), **base)
+        return tuple(DriveSpec(lam=float(x), Jt1=Jt1, Jt2=Jt2)
                      for x in sec.get("lambdas", "0,0.25,0.5,0.75,1").split(","))
     except ValueError as err:
         raise ConfigError(f"[floquet]: {err}") from err

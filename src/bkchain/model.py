@@ -19,14 +19,18 @@ Both Hamiltonians are quadratic, H = (1/2) v^T Q v with v the vector of
 quadrature operators, so the commutator map [H, .] closes on the operator
 basis and is represented by the (generally non-Hermitian) excitation matrix
 
-    [H, v_a] = sum_b  M[a, b] v_b,      M = -i Sigma Q,
+    [H, v_a] = sum_b  M[a, b] v_b,      M = -i Sigma Q = i K,
 
-where Sigma[a, b] = [v_a, v_b] / i is the symplectic form.  The basis is
-site-major: flat index 2j+s for the single-band chain and 4j+2S+s for the
-two-sublattice chain (S = 0 for A, 1 for B; s = 0 for x, 1 for p).
+where Sigma[a, b] = [v_a, v_b] / i is the symplectic form.  Q is real
+symmetric, so K = -Sigma Q is real (Colpa, Physica A 93, 327 (1978)): K is
+the model's excitation operator.  The basis is site-major: flat index 2j+s
+for the single-band chain and 4j+2S+s for the two-sublattice chain (S = 0
+for A, 1 for B; s = 0 for x, 1 for p).
 
-Only the dense solve and `bloch_matrix` form the dense Q and M.
-The ``build_*_excitation_direct`` builders transcribe M from the commutators
+`excitation_bands` maps Q's diagonals onto K's, and `excitation_matrix`
+scatters them into a dense K.  No solve forms the dense Q, nor the complex
+M of the chain it solves (`bloch_matrix` reads a three-cell ring's M).
+The ``build_*_excitation_direct`` builders transcribe K from the commutators
 instead; they are kept only as an independent oracle for tests and are
 called nowhere else in the package.
 
@@ -204,25 +208,38 @@ class QuadraticForm:
 
 def _symmetric(dim: int, diagonals: dict) -> np.ndarray:
     """The dense symmetric dim x dim matrix with the upper diagonals ``diagonals`` (offset -> values)."""
-    Q = np.zeros((dim, dim))
-    for d, values in diagonals.items():
-        i = np.arange(dim - d)
-        Q[i, i + d] = Q[i + d, i] = values
-    return Q
+    return _scatter(np.zeros((dim, dim)), [*diagonals.items(), *((-d, v) for d, v in diagonals.items() if d)])
+
+
+def _scatter(A: np.ndarray, bands) -> np.ndarray:
+    """``A`` with the diagonals ``bands`` ((offset, values) pairs) written into it."""
+    for d, values in bands:
+        i = np.arange(len(A) - abs(d))
+        A[i + max(0, -d), i + max(0, d)] = values
+    return A
 
 
 @dataclass(frozen=True)
 class ExcitationMatrix:
-    """Dense matrix of the commutator map [H, .] on the quadrature basis."""
+    """The commutator map [H, .] on the quadrature basis, M = i K, held as the dense K; a complex K raises TypeError."""
 
-    M: np.ndarray
+    K: np.ndarray
     n_cells: int
     bc: BoundaryCondition
     source: str = field(default="", compare=False)
 
+    def __post_init__(self):
+        if np.iscomplexobj(self.K):
+            raise TypeError("ExcitationMatrix.K must be real: M = i K with K real")
+
+    @property
+    def M(self) -> np.ndarray:
+        """M = -i (-K), formed on each read as -i Sigma Q writes it: every real part +0.0, every imaginary part K's."""
+        return -1j * -self.K
+
     @property
     def dim(self) -> int:
-        return self.M.shape[0]
+        return self.K.shape[0]
 
 
 def flat_index_bkc(j: int, s: int) -> int:
@@ -265,36 +282,32 @@ def build_modbkc_quadratic(p: Union[ModBKCParams, SiteFields], bc: BoundaryCondi
 
 
 def excitation_matrix(q: QuadraticForm) -> ExcitationMatrix:
-    """Commutator map of a quadratic Hamiltonian: M = -i Sigma Q.
-
-    Sigma[a, b] = [v_a, v_b]/i is block-diagonal with [[0, 1], [-1, 0]] per
-    (site, sublattice), so Sigma Q is a signed swap of the x and p rows.  The
-    sign makes a single oscillator (Q = omega*I) come out as omega*sigma_y in
-    the (x, p) basis, consistent with the direct builders below.
-    """
-    SQ = np.empty_like(q.Q)
-    SQ[0::2] = q.Q[1::2]
-    SQ[1::2] = -q.Q[0::2]
-    return ExcitationMatrix(M=-1j * SQ, n_cells=q.n_cells, bc=q.bc, source="symplectic")
+    """The dense real K of M = -i Sigma Q = i K, scattered from `excitation_bands`; the dense Q is not formed."""
+    K = np.zeros((q.dim, q.dim))
+    K[0::2] = -0.0  # row 2i is -Q[2i + 1]: LAPACK reads the sign of a zero, and single-band solves move without it
+    return ExcitationMatrix(K=_scatter(K, excitation_bands(q)), n_cells=q.n_cells, bc=q.bc, source="symplectic")
 
 
 def excitation_bands(q: QuadraticForm) -> list:
-    """Nonzero diagonals of ``excitation_matrix(q).M`` as (offset, values) pairs, by ascending offset.
+    """Nonzero diagonals of K = -Sigma Q as (offset, values) pairs, by ascending offset; no dense Q is formed.
 
-    ``values`` equals ``np.diagonal(M, d)``, computed by the same arithmetic
-    as `excitation_matrix`, but neither M nor the dense Q is formed: M's
-    diagonal d reads Q's diagonal d - 1 on even rows and d + 1 on odd rows.
-    An all-zero M has no band.
+    Sigma[a, b] = [v_a, v_b]/i is block-diagonal with [[0, 1], [-1, 0]] per
+    (site, sublattice), so Sigma Q is a signed swap of the x and p rows: row
+    2i of K is -Q[2i + 1] and row 2i + 1 is Q[2i].  K's diagonal d therefore
+    reads Q's diagonal d - 1 on even rows and d + 1 on odd rows.  The sign
+    makes a single oscillator (Q = omega*I) come out as M = omega*sigma_y in
+    the (x, p) basis, consistent with the direct builders below.  An
+    all-zero K has no band.
     """
     n, zero = q.dim, np.zeros(q.dim)
     by_row = {e: np.concatenate([v, zero[:e]]) for e, v in q.diagonals.items()}  # Q[r, r + e] at r, else 0
     by_row.update({-e: np.roll(row, e) for e, row in by_row.items()})  # Q[r, r - e] = Q[r - e, r] at r, else 0
     bands = []
     for d in sorted({e + t for e in by_row for t in (-1, 1) if abs(e + t) < n}):
-        SQ = np.empty(n)
-        SQ[0::2] = by_row.get(d - 1, zero)[1::2]  # row 2i of Sigma Q is Q[2i + 1], row 2i + 1 is -Q[2i]
-        SQ[1::2] = -by_row.get(d + 1, zero)[0::2]
-        values = -1j * SQ[max(0, -d):n - max(0, d)]
+        K = np.empty(n)
+        K[0::2] = -by_row.get(d - 1, zero)[1::2]
+        K[1::2] = by_row.get(d + 1, zero)[0::2]
+        values = K[max(0, -d):n - max(0, d)]
         if values.any():
             bands.append((d, values))
     return bands
@@ -306,20 +319,21 @@ def build_bkc_excitation_direct(p: BKCParams, bc: BoundaryCondition) -> Excitati
     Per bond (a -> b = a+1):  [H, x_a] picks up -i(J0+Delta0) x_b,
     [H, x_b] picks up +i(J0-Delta0) x_a, and the p channel has the two
     couplings interchanged; onsite, [H, x_j] = -i omega p_j and
-    [H, p_j] = +i omega x_j (the omega*sigma_y block).
+    [H, p_j] = +i omega x_j (the omega*sigma_y block).  Each entry is
+    written as K's, the real coefficient of i.
     """
     n = p.N
-    M = np.zeros((2 * n, 2 * n), dtype=complex)
+    K = np.zeros((2 * n, 2 * n))
     for j in range(n):
-        M[flat_index_bkc(j, 0), flat_index_bkc(j, 1)] = -1j * p.omega
-        M[flat_index_bkc(j, 1), flat_index_bkc(j, 0)] = 1j * p.omega
+        K[flat_index_bkc(j, 0), flat_index_bkc(j, 1)] = -p.omega
+        K[flat_index_bkc(j, 1), flat_index_bkc(j, 0)] = p.omega
     for a in range(n if bc is BoundaryCondition.PBC else n - 1):  # bond (a, b); a ring's last bond wraps to 0
         b = (a + 1) % n
-        M[flat_index_bkc(a, 0), flat_index_bkc(b, 0)] += -1j * (p.J0 + p.Delta0)
-        M[flat_index_bkc(b, 0), flat_index_bkc(a, 0)] += 1j * (p.J0 - p.Delta0)
-        M[flat_index_bkc(a, 1), flat_index_bkc(b, 1)] += -1j * (p.J0 - p.Delta0)
-        M[flat_index_bkc(b, 1), flat_index_bkc(a, 1)] += 1j * (p.J0 + p.Delta0)
-    return ExcitationMatrix(M=M, n_cells=n, bc=bc, source="direct")
+        K[flat_index_bkc(a, 0), flat_index_bkc(b, 0)] += -(p.J0 + p.Delta0)
+        K[flat_index_bkc(b, 0), flat_index_bkc(a, 0)] += p.J0 - p.Delta0
+        K[flat_index_bkc(a, 1), flat_index_bkc(b, 1)] += -(p.J0 - p.Delta0)
+        K[flat_index_bkc(b, 1), flat_index_bkc(a, 1)] += p.J0 + p.Delta0
+    return ExcitationMatrix(K=K, n_cells=n, bc=bc, source="direct")
 
 
 def build_modbkc_excitation_direct(p: ModBKCParams, bc: BoundaryCondition) -> ExcitationMatrix:
@@ -328,25 +342,26 @@ def build_modbkc_excitation_direct(p: ModBKCParams, bc: BoundaryCondition) -> Ex
     Intracell, [H', x_{A,j}] = ... + i(Delta1-J1) p_{B,j} and
     [H', p_{A,j}] = ... + i(Delta1+J1) x_{B,j} (and A <-> B mirrored);
     intercell bonds couple (B, a) to (A, a+1) with Delta2 -+ J2 weights.
+    Each entry is written as K's, the real coefficient of i.
     """
     n = p.N
-    M = np.zeros((4 * n, 4 * n), dtype=complex)
+    K = np.zeros((4 * n, 4 * n))
     ix = flat_index_modbkc
     for j in range(n):
         for S in (0, 1):
-            M[ix(j, S, 0), ix(j, S, 1)] = -1j * p.omega
-            M[ix(j, S, 1), ix(j, S, 0)] = 1j * p.omega
-        M[ix(j, 0, 0), ix(j, 1, 1)] += 1j * (p.Delta1 - p.J1)
-        M[ix(j, 0, 1), ix(j, 1, 0)] += 1j * (p.Delta1 + p.J1)
-        M[ix(j, 1, 0), ix(j, 0, 1)] += 1j * (p.Delta1 - p.J1)
-        M[ix(j, 1, 1), ix(j, 0, 0)] += 1j * (p.Delta1 + p.J1)
+            K[ix(j, S, 0), ix(j, S, 1)] = -p.omega
+            K[ix(j, S, 1), ix(j, S, 0)] = p.omega
+        K[ix(j, 0, 0), ix(j, 1, 1)] += p.Delta1 - p.J1
+        K[ix(j, 0, 1), ix(j, 1, 0)] += p.Delta1 + p.J1
+        K[ix(j, 1, 0), ix(j, 0, 1)] += p.Delta1 - p.J1
+        K[ix(j, 1, 1), ix(j, 0, 0)] += p.Delta1 + p.J1
     for a in range(n if bc is BoundaryCondition.PBC else n - 1):  # bond (a, b); a ring's last bond wraps to 0
         b = (a + 1) % n
-        M[ix(b, 0, 0), ix(a, 1, 1)] += 1j * (p.Delta2 - p.J2)
-        M[ix(b, 0, 1), ix(a, 1, 0)] += 1j * (p.Delta2 + p.J2)
-        M[ix(a, 1, 0), ix(b, 0, 1)] += 1j * (p.Delta2 - p.J2)
-        M[ix(a, 1, 1), ix(b, 0, 0)] += 1j * (p.Delta2 + p.J2)
-    return ExcitationMatrix(M=M, n_cells=n, bc=bc, source="direct")
+        K[ix(b, 0, 0), ix(a, 1, 1)] += p.Delta2 - p.J2
+        K[ix(b, 0, 1), ix(a, 1, 0)] += p.Delta2 + p.J2
+        K[ix(a, 1, 0), ix(b, 0, 1)] += p.Delta2 - p.J2
+        K[ix(a, 1, 1), ix(b, 0, 0)] += p.Delta2 + p.J2
+    return ExcitationMatrix(K=K, n_cells=n, bc=bc, source="direct")
 
 
 def bloch_matrix(p: Union[BKCParams, ModBKCParams], k) -> np.ndarray:

@@ -85,33 +85,33 @@ code that picks a solve route:
   ``XP_MIN_EIGENVALUE`` * max|Q|, judged on the values of both halves
   together, is solved densely instead, and its ``Spectrum.source`` names
   the guard and the smallest |E|.
-* **Dense** `eigendecompose` of ``excitation_matrix(build_*_quadratic(p, bc))``
-  for everything else: the open single-band chain off the gauge route (its
-  cross block is nonzero) and the points the x/p guard turns away.  Every
-  builder writes M = -i Sigma Q, i times the real K = Im M, so E = i eig(K)
-  in real arithmetic: K's complex eigenvalues come in exact conjugate pairs,
-  so each E pairs with -conj(E) bit for bit; a nonzero Re M is rejected.
+* **Dense** `eigendecompose` of the real K of
+  ``excitation_matrix(build_*_quadratic(p, bc))`` for everything else: the
+  open single-band chain off the gauge route (its cross block is nonzero)
+  and the points the x/p guard turns away.  M = i K, so E = i eig(K) in
+  real arithmetic: K's complex eigenvalues come in exact conjugate pairs,
+  so each E pairs with -conj(E) bit for bit.
 
 Every route checks its eigenvectors by `_check_residual`: each eigenpair's
-residual on M must be at most ``RESIDUAL_FACTOR`` * max|M| * dim.  The
-check runs on M's nonzero diagonals.  The dense route reads them off the M
-it builds (`_bands`); every other route maps them from Q's diagonals
-(`excitation_bands`) and forms no dense Q or M.  On the SSH reduction and x/p
-routes M couples x only to p, so it anticommutes with Sigma, and each -E
-eigenvector is the exact Sigma-flip of its +E partner.
-Their residuals are equal bit for bit, as are those of Gamma-flips, so the
-x/p route checks its 2N +E columns and the reduction its N lifted ones.  A
-failure raises `SolverError`, except on the two gauge routes: their
-eigenvalues are exact, so they are returned without eigenvectors, and
-``Spectrum.source`` names the failure.
+residual |K v + i E v| = |M v - E v| must be at most ``RESIDUAL_FACTOR`` *
+max|K| * dim.  The check runs on K's real nonzero diagonals: the dense
+route reads them off the K it solves (`_bands`), every other route maps
+them from Q's diagonals (`excitation_bands`), and none forms the dense Q or
+the complex M of its chain.  On the SSH reduction and x/p routes M couples x
+only to p, so it anticommutes with Sigma, and each -E eigenvector is the
+exact Sigma-flip of its +E partner.  Their residuals are equal bit for bit,
+as are those of Gamma-flips, so the x/p route checks its 2N +E columns and
+the reduction its N lifted ones.  A failure raises `SolverError`, except on
+the two gauge routes: their eigenvalues are exact, so they are returned
+without eigenvectors, and ``Spectrum.source`` names the failure.
 
 **Eigenvalues only.**  ``solve(p, bc, vectors=False)`` takes the same route,
 with the same ``source`` prefix, but computes no eigenvector, lifts nothing
-and builds no M that it does not solve.  These spectra get no residual
+and builds no K that it does not solve.  These spectra get no residual
 check: there is nothing to check it on.  Per route:
 
 * Hatano-Nelson gauge: the same closed form, with no standing wave or Q;
-  the dense fallback at Delta0 = +-J0 takes `eigvals` of Im M.
+  the dense fallback at Delta0 = +-J0 takes `eigvals` of K.
 * SSH reduction: the same kernel for mu (singular values of F on every
   single-phase chain, `_quantised_mu` or `eigvals` of D F on a sign-mixed
   one), roots, deflation and guard, without `_twisted`; the sign-mixed
@@ -121,7 +121,7 @@ check: there is nothing to check it on.  Per route:
 * Bloch: one batched `eigvals` of the N blocks; neither the ring's Q nor M is
   built.
 * x/p: `eigvals` of Qp Qx, or of its two mirror halves where Qx and Qp are
-  centrosymmetric; a guarded point takes the dense `eigvals` of Im M.
+  centrosymmetric; a guarded point takes the dense `eigvals` of K.
 
 Every route sorts by `_order`, with no -0.0 part (a CSV's "-0"); the
 half-size solves keep the sorted places of their base columns and flips as
@@ -252,20 +252,20 @@ def _sorted(eigenvalues, eigenvectors, source):
     return Spectrum(eigenvalues=vals, base=vecs, source=source)
 
 
-def _bands(M: np.ndarray) -> list:
-    """Nonzero diagonals of a dense M as (offset, values) pairs, in the format of `excitation_bands`."""
-    n = M.shape[0]
-    flat = np.flatnonzero(M != 0)
-    return [(d, np.diagonal(M, d)) for d in np.unique(flat % n - flat // n)]
+def _bands(A: np.ndarray) -> list:
+    """Nonzero diagonals of a dense matrix as (offset, values) pairs, in the format of `excitation_bands`."""
+    n = A.shape[0]
+    flat = np.flatnonzero(A != 0)
+    return [(d, np.diagonal(A, d)) for d in np.unique(flat % n - flat // n)]
 
 
 def _residuals(bands: list, vectors: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
-    """Column norms of M V - V diag(E), with M given by its nonzero diagonals.
+    """Column norms of A V - V diag(lambda), with A given by its nonzero diagonals.
 
     ``bands`` holds (offset d, values) pairs by ascending d, values laid out
-    as ``np.diagonal(M, d)``: four for an open chain of either model, eight
-    for a two-sublattice ring with its wrap corners, 2n - 1 for a dense M.
-    M V is accumulated over them ``_RESIDUAL_BLOCK`` columns at a time, in
+    as ``np.diagonal(A, d)``: four for an open chain of either model, eight
+    for a two-sublattice ring with its wrap corners, 2n - 1 for a dense A.
+    A V is accumulated over them ``_RESIDUAL_BLOCK`` columns at a time, in
     O(len(bands) n) time per column, so no n x n temporary is allocated.
     """
     n = len(vectors)
@@ -283,9 +283,9 @@ def _residuals(bands: list, vectors: np.ndarray, eigenvalues: np.ndarray) -> np.
 
 
 def _check_residual(bands: list, vectors: np.ndarray, eigenvalues: np.ndarray):
-    """Raise `SolverError` unless every column's residual is at most ``RESIDUAL_FACTOR`` max|M| dim."""
+    """Raise `SolverError` unless each |K v + i E v| is at most ``RESIDUAL_FACTOR`` max|K| dim; ``bands`` are K's."""
     bound = RESIDUAL_FACTOR * max((np.abs(m).max() for _, m in bands), default=0.0) * len(vectors)
-    worst = _residuals(bands, vectors, eigenvalues).max()
+    worst = _residuals(bands, vectors, -1j * eigenvalues).max()
     if not worst <= bound:
         raise SolverError(f"eigenpair residual {worst:.3e} exceeds bound {bound:.3e}")
 
@@ -293,21 +293,20 @@ def _check_residual(bands: list, vectors: np.ndarray, eigenvalues: np.ndarray):
 def eigendecompose(M: ExcitationMatrix, vectors: bool = True) -> Spectrum:
     """Full spectrum from the dense solver, with right eigenvectors unless ``vectors`` is False.
 
-    M = i Im M, as every builder writes it, so E = i eig(Im M) in real arithmetic, each E
-    paired with -conj(E) bit for bit.  An M with a nonzero real part raises `SolverError`.
+    Solves the real K of M = i K and writes E = i eig(K), each E paired
+    with -conj(E) bit for bit; the check runs on K's diagonals.
     """
-    if not np.all(np.isfinite(M.M)):
+    K = M.K
+    if not np.all(np.isfinite(K)):
         raise SolverError(f"matrix contains non-finite entries ({M.source}, bc={M.bc})")
-    if np.any(M.M.real):
-        raise SolverError(f"matrix has a nonzero real part ({M.source}, bc={M.bc})")
     try:
-        lam, vecs = np.linalg.eig(M.M.imag) if vectors else (np.linalg.eigvals(M.M.imag), None)
+        lam, vecs = np.linalg.eig(K) if vectors else (np.linalg.eigvals(K), None)
     except np.linalg.LinAlgError as err:
         raise SolverError(f"eigensolver failed for {M.source} matrix, dim={M.dim}, bc={M.bc}: {err}") from err
     spec = _sorted(1j * lam, vecs, source=f"eig[{M.source},{M.bc.value},n={M.n_cells}]")
     del vecs  # the residual check below is the peak of memory use
     if vectors:
-        _check_residual(_bands(M.M), spec.base, spec.eigenvalues)
+        _check_residual(_bands(K), spec.base, spec.eigenvalues)
     return spec
 
 
@@ -341,7 +340,7 @@ def _hatano_nelson_spectrum(p: BKCParams, vectors: bool) -> Spectrum:
     for rows, cols in ((slice(0, None, 2), place[:n]), (slice(1, None, 2), place[n:])):
         vecs[rows, cols] = replace(A, log_scale=A.log_scale[rows], phase=A.phase[rows]).lift(U)
     spec = Spectrum(eigenvalues=vals, base=vecs, source=source)
-    bands = excitation_bands(build_bkc_quadratic(p, BoundaryCondition.OBC))  # M's diagonals, from Q's
+    bands = excitation_bands(build_bkc_quadratic(p, BoundaryCondition.OBC))  # K's diagonals, from Q's
     try:
         _check_residual(bands, vecs, spec.eigenvalues)
     except SolverError as err:  # the eigenvalues are exact, so they stay
@@ -743,9 +742,9 @@ def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:
     Qp+- Qx+- (module docstring) and x is joined from their eigenvectors
     (`_mirror_join`).  The route's own guard sends a point whose smallest
     |E| is at or below ``XP_MIN_EIGENVALUE`` * max|Q| to `eigendecompose`
-    instead; the dense Q and M are formed only for that solve.  The 2N base
+    instead; the dense K is formed only for that solve.  The 2N base
     columns (x, y), normalised together, are checked as they are: the check
-    maps M's diagonals from Q's (`excitation_bands`), and M couples x only to
+    maps K's diagonals from Q's (`excitation_bands`), and M couples x only to
     p, so each -E column (x, -y) is the Sigma-flip of its +E partner (x, y),
     with a residual equal bit for bit.  The base columns are kept, with the
     slots of both.
@@ -798,7 +797,7 @@ def _bloch_spectrum(p: Union[BKCParams, ModBKCParams], vectors: bool) -> Spectru
     eigenpair (E, v), v[(j, a)] = w^(j m) u_a / sqrt(N), with w = exp(2 pi i / N)
     (see `bloch_matrix`).  The plane waves are written straight into the
     ring's eigenvector array, in the order `_sorted` gives.  The check maps
-    M's diagonals from the ring's Q's (`excitation_bands`) and never forms M.
+    K's diagonals from the ring's Q's (`excitation_bands`) and never forms K.
     Without ``vectors`` only the block eigenvalues are solved, and the ring's
     Q is not built.
     """
@@ -833,8 +832,8 @@ def solve(p: Union[BKCParams, ModBKCParams, SiteFields], bc: BoundaryCondition,
 
     With ``vectors=False`` the same route returns the eigenvalues alone
     (``eigenvectors`` is None, ``source`` has the same route prefix): it
-    computes, lifts and residual-checks no eigenvector, and builds M only
-    where M itself is solved.  Use it wherever only eigenvalues are read.
+    computes, lifts and residual-checks no eigenvector, and builds K only
+    where K itself is solved.  Use it wherever only eigenvalues are read.
     """
     if reduced_route(p, bc):
         return modbkc_spectrum_zero_omega(p, bc, with_vectors=vectors)

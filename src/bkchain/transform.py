@@ -236,18 +236,15 @@ class EffectiveSSHParams:
     dtilde2: complex
 
 
-def effective_ssh_params(p: Union[ModBKCParams, SiteFields]) -> EffectiveSSHParams:
-    """Principal-branch roots dtilde_i = sqrt(Delta_i^2 - J_i^2).
+def effective_ssh_params(p: ModBKCParams) -> EffectiveSSHParams:
+    """Principal-branch roots dtilde_i = sqrt(Delta_i^2 - J_i^2) of a uniform chain.
 
-    Purely real when Delta > |J|, purely imaginary when Delta < |J|.
-    Site-resolved fields use the per-cell leading values; use
-    `effective_ssh_matrix` for the full disordered couplings.  Each root is
-    taken from (Delta - J)(Delta + J), as in `ssh_bonds`, which
-    stays accurate where |J| is close to |Delta|.
+    Purely real when Delta > |J|, purely imaginary when Delta < |J|.  Each
+    root is taken from (Delta - J)(Delta + J), as in `ssh_bonds`, which
+    stays accurate where |J| is close to |Delta|; `ssh_bonds` also gives the
+    bonds of site-resolved fields.
     """
-    f = _fields(p)
-    d1, d2 = (np.sqrt(complex((delta[0] - J[0]) * (delta[0] + J[0])))
-              for delta, J in ((f.Delta1, f.J1), (f.Delta2, f.J2)))
+    d1, d2 = (np.sqrt(complex((delta - J) * (delta + J))) for delta, J in ((p.Delta1, p.J1), (p.Delta2, p.J2)))
     return EffectiveSSHParams(dtilde1=d1, dtilde2=d2)
 
 

@@ -133,7 +133,7 @@ SECOND_AXIS = "parameter2 = J2\nmin2 = 0\nmax2 = 1\nstep2 = 0.5\n"
     ("spectrum", BKC_MODEL.format(n=1)),
     ("winding", MODBKC_MODEL.format(bc="obc") + "[winding]\ngrid = 10\n"),
     ("floquet", "[floquet]\nlambdas = 0,x\n"),
-    ("floquet", "[floquet]\nT = 0\n"),
+    ("floquet", "[floquet]\nT = 0\n"),  # the period is no key (t counts modulation periods): an unknown key
     ("spectrum", MODBKC_MODEL.format(bc="obc") + SWEEP.format(name="J1", step=0.5) + SECOND_AXIS),
     ("winding", MODBKC_MODEL.format(bc="obc") + SWEEP.format(name="J1", step=0.5) + SECOND_AXIS),
     ("disorder", MODBKC_MODEL.format(bc="obc") + SWEEP.format(name="J1", step=0.5) + SECOND_AXIS
@@ -167,7 +167,7 @@ SECOND_AXIS = "parameter2 = J2\nmin2 = 0\nmax2 = 1\nstep2 = 0.5\n"
     ("disorder", MODBKC_MODEL.format(bc="obc") + DISORDER.format(obs="zero_gap").replace("W_J1 = 0.1", "W_J1 = inf")),
     ("disorder", MODBKC_MODEL.format(bc="obc") + DISORDER.format(obs="zero_gap").replace("W_J1 = 0.1", "W_J1 = 1e400")),
     ("floquet", "[floquet]\nlambdas = 0,nan\n"),
-    ("floquet", "[floquet]\nT = nan\n"),
+    ("floquet", "[floquet]\nT = nan\n"),  # unknown key, as above
     ("floquet", "[floquet]\nJt1 = inf\n"),
     ("floquet", "[floquet]\nlambdas = 20\n"),
     ("phase-scan", MODBKC_MODEL.format(bc="obc") + SWEEP.format(name="J1", step=0.4)
@@ -528,7 +528,6 @@ bc = obc
         text = """
 [floquet]
 lambdas = 0,1
-T = 1
 Jt1 = 0.4
 Jt2 = 0.1
 """
@@ -538,6 +537,24 @@ Jt2 = 0.1
         lines = (out / "floquet.csv").read_text().splitlines()
         assert lines[0] == "lambda,re_J1,im_J1,re_J2,im_J2,abs_bessel"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("key,value", [("lambdas", "0,0.5"), ("Jt1", "0.3"), ("Jt2", "0.2")])
+    def test_each_floquet_key_changes_the_table(self, tmp_path, key, value):
+        # every key of [floquet] reaches floquet.csv: none is parsed, checked and echoed only
+        base = {"lambdas": "0,1", "Jt1": "0.4", "Jt2": "0.1"}
+        tables = []
+        for name, values in (("base", base), ("perturbed", {**base, key: value})):
+            cfg = write(tmp_path, "[floquet]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()), name + ".cfg")
+            assert main(["floquet", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            tables.append((tmp_path / name / "floquet.csv").read_bytes())
+        assert tables[0] != tables[1]
+
+    @pytest.mark.parametrize("key", ["T", "Dt1", "Dt2", "phi1", "phi2"])
+    def test_unused_drive_keys_are_unknown(self, tmp_path, capsys, key):
+        out = tmp_path / "out"
+        assert main(["floquet", "--config", write(tmp_path, f"[floquet]\n{key} = 1\n"), "--out", str(out)]) == 2
+        assert f"unknown key {key!r} in section [floquet]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_winding_command(self, tmp_path):
         text = """

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import j0 as scipy_j0
 
+from bkchain import floquet
 from bkchain.floquet import (
     DriveSpec,
     averaged_phase,
@@ -18,38 +19,31 @@ from bkchain.floquet import (
 
 
 class TestDrive:
+    # t is in modulation periods
     def test_modulation_at_quarter_period(self):
-        d = DriveSpec(lam=1.0, T=2.0)
-        assert delta_omega(0.0, d) == 0.0
-        assert delta_omega(d.T / 4, d) == pytest.approx(math.pi ** 2 / (2 * d.T))
+        assert delta_omega(0.0, 1.0) == 0.0
+        assert delta_omega(0.25, 1.0) == pytest.approx(math.pi ** 2 / 2)
 
     def test_no_drive_no_modulation(self):
-        d = DriveSpec(lam=0.0, T=1.0)
-        assert all(delta_omega(t, d) == 0.0 for t in np.linspace(0, 1, 7))
+        assert all(delta_omega(t, 0.0) == 0.0 for t in np.linspace(0, 1, 7))
 
     def test_accumulated_phase_closed_form_vs_quadrature(self):
         # chi(t) = 2 * integral of delta_omega, cross-checked by quadrature
-        d = DriveSpec(lam=0.7, T=1.3)
         for t in (0.2, 0.5, 0.9, 1.3):
-            integral, _ = quad(lambda u: delta_omega(u, d), 0.0, t, epsabs=1e-13)
-            assert chi(t, d) == pytest.approx(2 * integral, abs=1e-10)
+            integral, _ = quad(lambda u: delta_omega(u, 0.7), 0.0, t, epsabs=1e-13)
+            assert chi(t, 0.7) == pytest.approx(2 * integral, abs=1e-10)
 
     def test_phase_returns_after_full_period(self):
-        d = DriveSpec(lam=1.0, T=2.0)
-        assert chi(0.0, d) == 0.0
-        assert chi(d.T / 2, d) == pytest.approx(math.pi)
-        assert chi(d.T, d) == pytest.approx(0.0, abs=1e-14)
+        assert chi(0.0, 1.0) == 0.0
+        assert chi(0.5, 1.0) == pytest.approx(math.pi)
+        assert chi(1.0, 1.0) == pytest.approx(0.0, abs=1e-14)
 
-    def test_invalid_period_rejected(self):
-        with pytest.raises(ValueError):
-            DriveSpec(lam=0.5, T=0.0)
-
-    @pytest.mark.parametrize("fields", [dict(lam=math.nan), dict(T=math.nan), dict(T=math.inf),
-                                        dict(Jt1=math.inf), dict(phi2=-math.inf), dict(lam=5.1), dict(lam=-20.0)])
+    @pytest.mark.parametrize("fields", [dict(lam=math.nan), dict(lam=math.inf), dict(lam=-math.inf),
+                                        dict(Jt1=math.inf), dict(Jt2=-math.inf), dict(lam=5.1), dict(lam=-20.0)])
     def test_non_finite_or_beyond_series_rejected(self, fields):
         # |pi lam / 2| <= 8, the range of bessel_j0's series, is |lam| <= 5.09
         with pytest.raises(ValueError):
-            DriveSpec(**{"lam": 0.5, "T": 1.0, **fields})
+            DriveSpec(**{"lam": 0.5, **fields})
 
 
 class TestAveragedPhase:
@@ -74,15 +68,15 @@ class TestAveragedPhase:
 
     def test_conjugate_pairing(self):
         # the e^{-i chi} average is the conjugate of the e^{+i chi} one
-        d = DriveSpec(lam=0.6, T=1.0)
         ts = np.arange(512) / 512
-        plus = np.mean([np.exp(1j * chi(t, d)) for t in ts])
-        minus = np.mean([np.exp(-1j * chi(t, d)) for t in ts])
+        plus = np.mean([np.exp(1j * chi(t, 0.6)) for t in ts])
+        minus = np.mean([np.exp(-1j * chi(t, 0.6)) for t in ts])
         assert minus == pytest.approx(np.conj(plus), abs=1e-14)
 
-    def test_low_order_rejected(self):
-        with pytest.raises(ValueError):
-            averaged_phase(0.5, order=16)
+    def test_low_order_rejected(self, monkeypatch):
+        monkeypatch.setattr(floquet, "QUADRATURE_ORDER", 16)
+        with pytest.raises(ValueError, match="quadrature order must be >= 32, got 16"):
+            averaged_phase(0.5)
 
 
 class TestBessel:
@@ -109,16 +103,12 @@ class TestBessel:
 
 class TestEffectiveParams:
     def test_undriven_is_identity_on_hoppings(self):
-        d = DriveSpec(lam=0.0, T=1.0, Jt1=0.4, Jt2=0.1, Dt1=1.0, Dt2=0.5, phi1=0.3, phi2=-0.2)
-        eff = effective_params(d)
-        assert eff.J1 == pytest.approx(0.4)
-        assert eff.J2 == pytest.approx(0.1)
-        assert eff.Delta1 == pytest.approx(np.exp(0.3j) * 1.0)
-        assert eff.Delta2 == pytest.approx(np.exp(-0.2j) * 0.5)
-        assert eff.omega == 0.0
+        for Jt1, Jt2 in ((0.4, 0.1), (-0.7, 2.5), (0.0, -1.3)):
+            eff = effective_params(DriveSpec(lam=0.0, Jt1=Jt1, Jt2=Jt2))
+            assert (eff.J1, eff.J2) == (Jt1, Jt2)
 
     def test_full_drive_gives_imaginary_hoppings(self):
-        d = DriveSpec(lam=1.0, T=1.0, Jt1=0.4, Jt2=0.1)
+        d = DriveSpec(lam=1.0, Jt1=0.4, Jt2=0.1)
         eff = effective_params(d)
         assert eff.J1.real == pytest.approx(0.0, abs=1e-15)
         assert eff.J1.imag > 0
@@ -126,14 +116,13 @@ class TestEffectiveParams:
         assert eff.J2.imag < 0
 
     def test_zero_phase_undriven_reproduces_chain_couplings(self):
-        # lam = 0, phi = 0 feeds the two-sublattice model parameters directly
-        d = DriveSpec(lam=0.0, T=1.0, Jt1=0.4, Jt2=0.1, Dt1=1.0, Dt2=0.5)
-        eff = effective_params(d)
-        assert (eff.J1, eff.J2, eff.Delta1, eff.Delta2) == (0.4, 0.1, 1.0, 0.5)
+        # lam = 0 feeds the two-sublattice model's hoppings directly
+        eff = effective_params(DriveSpec(lam=0.0, Jt1=0.4, Jt2=0.1))
+        assert (eff.J1, eff.J2) == (0.4, 0.1)
 
     @given(st.floats(min_value=0, max_value=1))
     @settings(max_examples=40, deadline=None)
     def test_common_bessel_factor_property(self, lam):
-        d = DriveSpec(lam=lam, T=1.0, Jt1=0.4, Jt2=0.1)
+        d = DriveSpec(lam=lam, Jt1=0.4, Jt2=0.1)
         eff = effective_params(d)
         assert abs(eff.J1) == pytest.approx(abs(eff.J2) * (0.4 / 0.1), abs=1e-12)

@@ -176,6 +176,20 @@ class TestExcitationMatrix:
         sigma_y = np.array([[0, -1j], [1j, 0]])
         assert np.array_equal(M, np.kron(np.eye(4), sigma_y))
 
+    def test_dense_build_holds_k_alone(self):
+        # a 400 x 400 open single-band chain: the real K (1.28 MB) is the one dense array the build
+        # allocates, with no dense Q, Sigma Q or complex M beside it
+        import tracemalloc
+        q = build_bkc_quadratic(BKCParams(J0=0.5, Delta0=1.0, omega=0.5, N=200), OBC)
+        tracemalloc.start()
+        try:
+            K = excitation_matrix(q).K
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert K.shape == (400, 400) and K.dtype == np.float64
+        assert peak <= 1.5e6
+
     def test_pairing_only_is_i_sigma_x_times_ssh(self):
         # With J1 = J2 = omega = 0 the matrix factorizes as i sigma_x (x) SSH
         p = ModBKCParams(J1=0, J2=0, Delta1=0.7, Delta2=1.3, omega=0, N=3)

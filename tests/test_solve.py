@@ -76,14 +76,14 @@ the small-eigenvalue guard).  The references are:
 * the reduced route's closed-form edge pair: its |E| against inverse
   iteration on D F in 200-digit arithmetic, and its residual on the 4N
   matrix;
-* the residual check, which works from M's diagonals mapped from Q's and,
-  on the reduced and x/p routes, skips each -E column: the diagonals and
-  residuals of the dense M, bit for bit, and the Sigma-flipped partner of
-  every column, with a residual equal bit for bit (on the reduced route off
+* the residual check, which works from the diagonals of the real K
+  (M = i K) mapped from Q's and, on the reduced and x/p routes, skips each
+  -E column: the diagonals of -Sigma Q, the dense K scattered from them
+  and its residuals, bit for bit, and the Sigma-flipped partner of every
+  column, with a residual on M equal bit for bit (on the reduced route off
   its fallback also the Gamma-flipped partner, which it never checks);
 * the x/p blocks taken from Q's diagonals: the strided blocks of the dense
-  Q, bit for bit; and a patched dense Q view, which only the dense route,
-  its fallbacks and `bloch_matrix`'s three-cell ring may read.
+  Q, bit for bit; and a patched dense Q view, which no route may read.
 
 Couplings are drawn with |Delta -+ J| bounded away from zero, so the gauge
 ratios r = (Delta+J)/(Delta-J) stay within 1/4 <= |r| <= 4 (6.5 for the
@@ -289,6 +289,11 @@ def _check_against_oracles(p, bc, direct, gauge_route):
 
 def _quadratic_matrix(f, bc):
     return excitation_matrix(build_modbkc_quadratic(f, bc)).M
+
+
+def _excitation_k(f, bc):
+    """The dense real K of M = i K, whose diagonals `_check_residual` reads."""
+    return excitation_matrix(build_modbkc_quadratic(f, bc)).K
 
 
 def _dense_quadratic(f, bc):
@@ -684,7 +689,7 @@ class TestReducedHalfSize:
         for s in (bare, full):
             assert s.source.startswith("reduced[modbkc,obc,n=100] (half-size guard: min|E| ")
             assert s.source.endswith(" <= 0.01 max|H_r|, 2 values)")
-        _check_residual(_bands(_quadratic_matrix(f, OBC)), full.eigenvectors, full.eigenvalues)
+        _check_residual(_bands(_excitation_k(f, OBC)), full.eigenvectors, full.eigenvalues)
         assert zero_modes_per_copy(bare, f, OBC, 1e-6) == zero_modes_per_copy(full, f, OBC, 1e-6) == 2
         assert _distance(full.eigenvalues, bare.eigenvalues) <= 1e-12 * np.abs(full.eigenvalues).max()
 
@@ -733,7 +738,7 @@ class TestReducedHalfSize:
             assert s.source.startswith("reduced[modbkc,obc,n=100]")
             assert (note in s.source) if note else s.source == "reduced[modbkc,obc,n=100]"
         _assert_reduced_parity(full, bare)
-        _check_residual(_bands(_quadratic_matrix(p, OBC)), full.eigenvectors, full.eigenvalues)
+        _check_residual(_bands(_excitation_k(p, OBC)), full.eigenvectors, full.eigenvalues)
         assert zero_modes_per_copy(full, p, OBC, 1e-6) == zero_modes_per_copy(bare, p, OBC, 1e-6) == count
 
 
@@ -1002,7 +1007,7 @@ class TestQuantisedEigenvalues:
         full, bare = solve(p, OBC), solve(p, OBC, vectors=False)
         assert calls == []  # both took the kernel, or the singular values where every bond is imaginary
         _assert_reduced_parity(full, bare)
-        _check_residual(_bands(_quadratic_matrix(p, OBC)), full.eigenvectors, full.eigenvalues)
+        _check_residual(_bands(_excitation_k(p, OBC)), full.eigenvectors, full.eigenvalues)
         # constant site fields are uniform too: the same kernel and the same values
         assert np.array_equal(solve(SiteFields.uniform(p), OBC, vectors=False).eigenvalues, bare.eigenvalues)
         assert calls == []
@@ -1146,7 +1151,7 @@ class TestAllImaginaryChains:
         assert calls == []
         _assert_reduced_parity(full, bare)
         assert "no vectors" not in full.source
-        _check_residual(_bands(_quadratic_matrix(p, OBC)), full.eigenvectors, full.eigenvalues)
+        _check_residual(_bands(_excitation_k(p, OBC)), full.eigenvectors, full.eigenvalues)
         lam = _mp_eigsy_of_t(p)
         E = bare.eigenvalues
         assert not E.imag.any() and not np.signbit(E.imag).any()  # real, and no -0 for a CSV
@@ -1479,7 +1484,7 @@ class TestTwisted:
         p = ModBKCParams(J1=0.0, J2=0.0, Delta1=-1.0, Delta2=-1.0, omega=0.0, N=7)
         s = solve(p, OBC)
         assert s.source == "reduced[modbkc,obc,n=7]" and s.eigenvectors is not None
-        _check_residual(_bands(_quadratic_matrix(p, OBC)), s.eigenvectors, s.eigenvalues)
+        _check_residual(_bands(_excitation_k(p, OBC)), s.eigenvectors, s.eigenvalues)
 
     @pytest.mark.parametrize("chain", ["uniform-zero-pivot", "fig4", "fig5", "sign-mixed", "random",
                                        "uniform-zero-pivot-real", "fig6-real", "random-real"])
@@ -1959,19 +1964,24 @@ class TestResidualCheck:
     ], ids=["modbkc-obc", "modbkc-obc-omega0", "modbkc-pbc", "modbkc-pbc-n2", "modbkc-pbc-n3", "fields-pbc",
             "bkc-obc", "bkc-pbc", "bkc-pbc-n2", "bkc-pbc-n3-omega0", "zero", *(name for name, _ in SMALL_FORMS)])
     def test_bands_match_dense_matrix(self, q):
-        # the bands and the x/p blocks come from Q's diagonals; the references from the dense Q
+        # the bands, the dense K and the x/p blocks come from Q's diagonals; the references from the dense Q
         bands = excitation_bands(q)
         blocks = q.block(0), q.block(1)
-        M = excitation_matrix(q).M
+        K = excitation_matrix(q).K
         for s, block in enumerate(blocks):
             assert block.tobytes() == np.ascontiguousarray(q.Q[s::2, s::2]).tobytes()
-        assert [d for d, _ in bands] == [d for d, _ in _bands(M)]
+        ref = np.empty_like(q.Q)  # K = -Sigma Q: row 2i is -Q[2i + 1], row 2i + 1 is Q[2i]
+        ref[0::2], ref[1::2] = -q.Q[1::2], q.Q[0::2]
+        assert [d for d, _ in bands] == [d for d, _ in _bands(ref)]
         for d, values in bands:
-            assert np.array_equal(values, np.diagonal(M, d))
+            assert np.array_equal(values, np.diagonal(ref, d))
+        assert K.tobytes() == ref.tobytes()  # -0.0 included: LAPACK reads the sign of a zero
+        M = excitation_matrix(q).M
+        assert M.imag.tobytes() == K.tobytes() and not np.signbit(M.real).any() and not M.real.any()
         rng = np.random.default_rng(5)
-        V = rng.normal(size=M.shape) + 1j * rng.normal(size=M.shape)
-        E = rng.normal(size=len(M)) + 1j * rng.normal(size=len(M))
-        assert _residuals(bands, V, E).tobytes() == _residuals(_bands(M), V, E).tobytes()
+        V = rng.normal(size=K.shape) + 1j * rng.normal(size=K.shape)
+        E = rng.normal(size=len(K)) + 1j * rng.normal(size=len(K))
+        assert _residuals(bands, V, E).tobytes() == _residuals(_bands(K), V, E).tobytes()
 
     def test_zero_matrix_passes_at_bound_zero(self):
         p = BKCParams(J0=-1.0, Delta0=-0.0, omega=0.0, N=2)
@@ -2005,38 +2015,29 @@ class TestResidualCheck:
         assert cells == ([3] if route == "bloch[" else [])
 
     @pytest.mark.parametrize("vectors", [True, False])
-    @pytest.mark.parametrize("p,bc,note,forms", [
-        (ModBKCParams(J1=0.0, J2=0.5, Delta1=1.0, Delta2=1.5, omega=0.0, N=20), OBC, "reduced[", False),  # all real
-        (ModBKCParams(J1=2.0, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=20), OBC, "reduced[", False),  # sign-mixed
-        (_fig5_split(1e-6), OBC, "(half-size guard", False),
-        (ModBKCParams(J1=0.8, J2=1.4, Delta1=0.8, Delta2=2.1, omega=0.0, N=20), OBC, "reduced[", False),  # no gauge
-        (BKCParams(J0=0.5, Delta0=1.0, omega=0.0, N=20), OBC, "similarity[", False),
-        (ModBKCParams(J1=1.4, J2=1.2, Delta1=1.0, Delta2=1.0, omega=0.3, N=20), PBC, "bloch[", False),
-        (BKCParams(J0=0.5, Delta0=1.0, omega=0.3, N=20), PBC, "bloch[", False),
-        (ModBKCParams(J1=1.4, J2=1.2, Delta1=1.0, Delta2=1.0, omega=0.3, N=20), OBC, _mirror_note(20), False),
-        (_fig9_realization(0), OBC, "xp[", False),
-        (BKCParams(J0=0.5, Delta0=1.0, omega=0.5, N=20), OBC, "eig[", True),
-        (BKCParams(J0=0.8, Delta0=0.8, omega=0.0, N=20), OBC, "eig[", True),  # no gauge: the dense fallback
+    @pytest.mark.parametrize("p,bc,note", [
+        (ModBKCParams(J1=0.0, J2=0.5, Delta1=1.0, Delta2=1.5, omega=0.0, N=20), OBC, "reduced["),  # all real
+        (ModBKCParams(J1=2.0, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0.0, N=20), OBC, "reduced["),  # sign-mixed
+        (_fig5_split(1e-6), OBC, "(half-size guard"),
+        (ModBKCParams(J1=0.8, J2=1.4, Delta1=0.8, Delta2=2.1, omega=0.0, N=20), OBC, "reduced["),  # no gauge
+        (BKCParams(J0=0.5, Delta0=1.0, omega=0.0, N=20), OBC, "similarity["),
+        (ModBKCParams(J1=1.4, J2=1.2, Delta1=1.0, Delta2=1.0, omega=0.3, N=20), PBC, "bloch["),
+        (BKCParams(J0=0.5, Delta0=1.0, omega=0.3, N=20), PBC, "bloch["),
+        (ModBKCParams(J1=1.4, J2=1.2, Delta1=1.0, Delta2=1.0, omega=0.3, N=20), OBC, _mirror_note(20)),
+        (_fig9_realization(0), OBC, "xp["),
+        (BKCParams(J0=0.5, Delta0=1.0, omega=0.5, N=20), OBC, "eig["),
+        (BKCParams(J0=0.8, Delta0=0.8, omega=0.0, N=20), OBC, "eig["),  # no gauge: the dense fallback
         (SiteFields.uniform(ModBKCParams(J1=1.4, J2=1.2, Delta1=1.5, Delta2=1.0, omega=0.3, N=100)), PBC,
-         "(x/p guard", True),
+         "(x/p guard"),
     ], ids=["reduced-all-real", "reduced-sign-mixed", "reduced-guarded", "reduced-singular", "similarity",
             "bloch", "bloch-bkc", "xp-mirror-halves", "xp-fig9", "dense", "similarity-singular", "xp-guard"])
-    def test_only_dense_solves_form_dense_q(self, p, bc, note, forms, vectors, monkeypatch):
-        # every other route reads Q's diagonals; `bloch_matrix` reads the blocks of a three-cell ring off its dense M
-        dense = QuadraticForm.__dict__["Q"]
-
+    def test_only_dense_solves_form_dense_q(self, p, bc, note, vectors, monkeypatch):
+        # no solve forms the dense Q, the dense ones no more than the rest: every route reads Q's diagonals,
+        # and the dense K, of the chain or of `bloch_matrix`'s three-cell ring, is scattered from K's bands
         def refuse(q):
-            if q.n_cells == 3:
-                return dense.func(q)
             raise AssertionError("dense Q formed")
 
         monkeypatch.setattr(QuadraticForm, "Q", property(refuse))
-        if forms:
-            with pytest.raises(AssertionError, match="dense Q formed"):
-                solve(p, bc, vectors)
-            monkeypatch.undo()
-            assert note in solve(p, bc, vectors).source
-            return
         s = solve(p, bc, vectors)
         assert note in s.source
         assert (s.eigenvectors is not None) == (vectors and "(no vectors" not in s.source)
@@ -2156,7 +2157,7 @@ class TestMirrorSplit:
         M = _quadratic_matrix(f, bc)
         ref = np.linalg.eigvals(M)
         assert _distance(s.eigenvalues, ref) <= DENSE_BOUND * max(1.0, float(np.abs(ref).max()))
-        _check_residual(_bands(M), s.eigenvectors, s.eigenvalues)  # all 4N columns, on the dense M
+        _check_residual(_bands(_excitation_k(f, bc)), s.eigenvectors, s.eigenvalues)  # all 4N columns, on the dense K
         _assert_flip_pairs(s, M)
         bare = solve(f, bc, vectors=False)
         assert bare.source == s.source

@@ -18,7 +18,6 @@ from bkchain.model import (
     excitation_matrix,
 )
 from bkchain.spectral import (
-    SolverError,
     Spectrum,
     bkc_pbc_dispersion,
     eigendecompose,
@@ -115,11 +114,11 @@ class TestEigendecompose:
         assert np.abs(E[rows] - ref[cols]).max() <= DENSE_COMPLEX_BOUND * np.abs(ref).max()
 
     def test_nonzero_real_part_rejected(self):
+        # M = i K, so a nonzero Re M is a complex K, which no excitation matrix may hold, as no SiteFields may
         M = build_modbkc_excitation_direct(ModBKCParams(J1=1.4, J2=1.2, Delta1=1.0, Delta2=1.0, omega=0.3, N=4), OBC)
-        bad = replace(M, M=M.M + 1e-3 * np.eye(M.dim))
-        for vectors in (True, False):
-            with pytest.raises(SolverError, match=r"nonzero real part \(direct, bc=BoundaryCondition.OBC\)"):
-                eigendecompose(bad, vectors)
+        for K in (M.K - 1e-3j * np.eye(M.dim), M.K.astype(complex)):
+            with pytest.raises(TypeError, match="ExcitationMatrix.K must be real"):
+                replace(M, K=K)
 
     def test_lapack_gets_real_arrays(self, monkeypatch):
         dtypes = []

@@ -22,6 +22,7 @@ from bkchain.transform import (
     effective_ssh_matrix,
     hatano_nelson_A,
     hatano_nelson_target,
+    ssh_bonds,
     ssh_lift_target,
     transform_residual,
 )
@@ -266,14 +267,20 @@ class TestEffectiveParams:
     @pytest.mark.parametrize("fields", [False, True])
     def test_root_near_delta_equals_j(self, fields):
         # fig2's sweep point one ulp above J1 = 1.4: Delta1^2 - J1^2 cancels
-        # to a 3.5e-2 relative error there
+        # to a 3.5e-2 relative error there; site fields take their roots from `ssh_bonds`
         p = ModBKCParams(J1=1.4, J2=1.2, Delta1=1.4000000000000001, Delta2=1.0, omega=0.0, N=4)
-        eff = effective_ssh_params(SiteFields.uniform(p) if fields else p)
+        root = ssh_bonds(SiteFields.uniform(p))[0] if fields else effective_ssh_params(p).dtilde1
         with mpmath.workdps(50):
             ref = mpmath.sqrt(mpmath.mpf(p.Delta1) ** 2 - mpmath.mpf(p.J1) ** 2)
-            assert eff.dtilde1.imag == 0
-            assert float(abs(mpmath.mpf(float(eff.dtilde1.real)) / ref - 1)) <= 1e-15
-            assert np.array_equal(np.diagonal(effective_ssh_matrix(p), 1)[0], eff.dtilde1)
+            assert root.imag == 0
+            assert float(abs(mpmath.mpf(float(root.real)) / ref - 1)) <= 1e-15
+            assert np.array_equal(np.diagonal(effective_ssh_matrix(p), 1)[0], root)
+
+    def test_site_fields_rejected(self):
+        # a disordered chain has no one root per bond kind: its bonds are `ssh_bonds`, not cell 0's
+        f = SiteFields.uniform(ModBKCParams(J1=0.4, J2=0.1, Delta1=1.0, Delta2=0.5, omega=0.0, N=4))
+        with pytest.raises(TypeError):
+            effective_ssh_params(f)
 
 
 class TestResidualMechanics:
