@@ -47,7 +47,6 @@ import math
 import operator
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -174,12 +173,17 @@ class SiteFields:
             omega_A=np.full(n, p.omega), omega_B=np.full(n, p.omega),
         )
 
+    @classmethod
+    def of(cls, p: Union[ModBKCParams, "SiteFields"]) -> "SiteFields":
+        """``p`` as site fields: a `ModBKCParams` is made `uniform`, site fields are returned as they are."""
+        return cls.uniform(p) if isinstance(p, ModBKCParams) else p
+
 
 @dataclass(frozen=True)
 class QuadraticForm:
     """Real symmetric matrix Q with H = (1/2) v^T Q v in the flat basis, held as its upper diagonals.
 
-    ``diagonals`` maps offsets 0 <= d < dim to ``np.diagonal(Q, d)``; ``Q`` is formed on first read.
+    ``diagonals`` maps offsets 0 <= d < dim to ``np.diagonal(Q, d)``; the dense Q is never formed.
     """
 
     diagonals: dict
@@ -196,10 +200,6 @@ class QuadraticForm:
     @property
     def dim(self) -> int:
         return 2 * self.n_cells * self.n_sublattices
-
-    @cached_property
-    def Q(self) -> np.ndarray:
-        return _symmetric(self.dim, self.diagonals)
 
     def block(self, s: int) -> np.ndarray:
         """``Q[s::2, s::2]``, the x (s = 0) or p (s = 1) block, from the even-offset diagonals alone."""
@@ -270,7 +270,7 @@ def build_bkc_quadratic(p: BKCParams, bc: BoundaryCondition) -> QuadraticForm:
 
 def build_modbkc_quadratic(p: Union[ModBKCParams, SiteFields], bc: BoundaryCondition) -> QuadraticForm:
     """Quadratic form of the two-sublattice chain, uniform or site-resolved."""
-    f = SiteFields.uniform(p) if isinstance(p, ModBKCParams) else p
+    f = SiteFields.of(p)
     n = f.N
     # Q[4j + r, 4j + r + 2], r = 0..3: (J1+Delta1) x_{A,j} x_{B,j}, (J1-Delta1) p_{A,j} p_{B,j},
     # (J2+Delta2) x_{B,j} x_{A,j+1}, (J2-Delta2) p_{B,j} p_{A,j+1}; + 0.0 stores -0.0 as 0.0, as += onto zeros does

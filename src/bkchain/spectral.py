@@ -8,9 +8,9 @@ code that picks a solve route:
   so a dense solver returns pseudospectra.  The gauge maps M onto
   c sigma_z (x) (S + S^T), a uniform open chain per channel (Hatano &
   Nelson, PRL 77, 570 (1996)): `_hatano_nelson_spectrum` writes its
-  standing waves in closed form and lifts them.  At Delta0 = +-J0 there is
-  no gauge (`SingularTransformError`): the dense route is taken, and
-  ``Spectrum.source`` names the error.
+  eigenvalues and standing waves in closed form.  At Delta0 = +-J0, M is
+  nilpotent and every eigenvalue exactly 0; there is no gauge
+  (`SingularTransformError`), so no eigenvectors, and ``source`` says so.
 * **SSH reduction** (two-sublattice chain, OBC, every onsite omega = 0).  The
   combined gauge maps M onto i sigma_x (x) H_ssh, two decoupled copies of an
   SSH chain, so `modbkc_spectrum_zero_omega` solves the 2N-dimensional H_ssh
@@ -101,17 +101,17 @@ the complex M of its chain.  On the SSH reduction and x/p routes M couples x
 only to p, so it anticommutes with Sigma, and each -E eigenvector is the
 exact Sigma-flip of its +E partner.  Their residuals are equal bit for bit,
 as are those of Gamma-flips, so the x/p route checks its 2N +E columns and
-the reduction its N lifted ones.  A failure raises `SolverError`, except on
-the two gauge routes: their eigenvalues are exact, so they are returned
-without eigenvectors, and ``Spectrum.source`` names the failure.
+the reduction its N lifted ones.  A failure raises `SolverError`, except in
+`_checked`, the two gauge routes' tail: their eigenvalues are exact, so
+they are returned alone, and ``Spectrum.source`` names the failure.
 
 **Eigenvalues only.**  ``solve(p, bc, vectors=False)`` takes the same route,
 with the same ``source`` prefix, but computes no eigenvector, lifts nothing
 and builds no K that it does not solve.  These spectra get no residual
 check: there is nothing to check it on.  Per route:
 
-* Hatano-Nelson gauge: the same closed form, with no standing wave or Q;
-  the dense fallback at Delta0 = +-J0 takes `eigvals` of K.
+* Hatano-Nelson gauge: the same closed form, with no gauge, standing wave
+  or Q, at Delta0 = +-J0 too.
 * SSH reduction: the same kernel for mu (singular values of F on every
   single-phase chain, `_quantised_mu` or `eigvals` of D F on a sign-mixed
   one), roots, deflation and guard, without `_twisted`; the sign-mixed
@@ -315,18 +315,15 @@ def _hatano_nelson_spectrum(p: BKCParams, vectors: bool) -> Spectrum:
 
     The x channel has E_m = 2 c sin(pi (N + 1 - 2 m) / (2 N + 2)), which is
     2 c cos(pi m / (N + 1)), m = 1..N; the p channel has -E_m.  The odd sine
-    argument makes the set its own negative bit for bit.  Both channels share
+    argument makes the set its own negative bit for bit; at Delta0 = +-J0,
+    c = 0 and every E is exactly 0.  Only ``vectors`` builds the gauge, and
+    where it is singular the eigenvalues come alone.  Both channels share
     the standing waves sqrt(2 / (N + 1)) sin(pi m (j + 1) / (N + 1)).  Each
     column lives on one channel, so each channel's N x N block is lifted
     through that channel's rows of the gauge and written into its sorted
     columns; the other channel's rows stay zero.
     """
     from .transform import SingularTransformError, hatano_nelson_A, hatano_nelson_coupling
-    try:
-        A = hatano_nelson_A(p)
-    except SingularTransformError as err:  # Delta0 = +-J0: no gauge, so the dense solver
-        spec = eigendecompose(excitation_matrix(build_bkc_quadratic(p, BoundaryCondition.OBC)), vectors)
-        return replace(spec, source=f"{spec.source} (no gauge: {err})")
     n = p.N
     source = f"similarity[symplectic,{BoundaryCondition.OBC.value},n={n}]"
     m = np.arange(1, n + 1)
@@ -334,24 +331,30 @@ def _hatano_nelson_spectrum(p: BKCParams, vectors: bool) -> Spectrum:
     vals, _, place = _order(np.concatenate([E, -E]))  # column c of [x, p channel] is sorted column place[c]
     if not vectors:
         return Spectrum(eigenvalues=vals, source=source)
+    try:
+        A = hatano_nelson_A(p)
+    except SingularTransformError as err:  # Delta0 = +-J0: no gauge, eigenvalues only
+        return Spectrum(eigenvalues=vals, source=f"{source} (no vectors: {err})")
     U = np.sqrt(2 / (n + 1)) * np.sin(np.pi * (np.outer(m, m) % (2 * n + 2)) / (n + 1))  # row j, column m - 1
     # each column lives on one channel: lift that channel's rows only, into the layout of a [:, order] gather
     vecs = np.zeros((2 * n, 2 * n), dtype=complex, order="F")
     for rows, cols in ((slice(0, None, 2), place[:n]), (slice(1, None, 2), place[n:])):
         vecs[rows, cols] = replace(A, log_scale=A.log_scale[rows], phase=A.phase[rows]).lift(U)
-    spec = Spectrum(eigenvalues=vals, base=vecs, source=source)
-    bands = excitation_bands(build_bkc_quadratic(p, BoundaryCondition.OBC))  # K's diagonals, from Q's
+    return _checked(vals, source, build_bkc_quadratic(p, BoundaryCondition.OBC), vecs, vals)
+
+
+def _checked(vals: np.ndarray, source: str, q: QuadraticForm, columns: np.ndarray, e: np.ndarray,
+             slots: Optional[np.ndarray] = None) -> Spectrum:
+    """The gauge routes' tail: the exact ``vals``, with ``columns`` and their ``slots`` where these pass the check.
+
+    ``columns`` belong to the eigenvalues ``e`` and are checked on K's diagonals
+    from ``q``'s (`excitation_bands`); where they fail, ``source`` says why.
+    """
     try:
-        _check_residual(bands, vecs, spec.eigenvalues)
-    except SolverError as err:  # the eigenvalues are exact, so they stay
-        return replace(spec, base=None, source=f"{source} (no vectors: {err})")
-    return spec
-
-
-def _zero_omega(p: Union[ModBKCParams, SiteFields]) -> bool:
-    if isinstance(p, ModBKCParams):
-        return p.omega == 0
-    return bool(np.all(p.omega_A == 0) and np.all(p.omega_B == 0))
+        _check_residual(excitation_bands(q), columns, e)
+    except SolverError as err:
+        return Spectrum(eigenvalues=vals, source=f"{source} (no vectors: {err})")
+    return Spectrum(eigenvalues=vals, base=columns, source=source, slots=slots)
 
 
 def reduced_route(p: Union[BKCParams, ModBKCParams, SiteFields], bc: BoundaryCondition) -> bool:
@@ -360,7 +363,9 @@ def reduced_route(p: Union[BKCParams, ModBKCParams, SiteFields], bc: BoundaryCon
     Its spectrum holds two exact copies of the reduced SSH spectrum, so each
     edge mode appears twice.
     """
-    return not isinstance(p, BKCParams) and bc is BoundaryCondition.OBC and _zero_omega(p)
+    if isinstance(p, BKCParams) or bc is not BoundaryCondition.OBC:
+        return False
+    return bool(p.omega == 0 if isinstance(p, ModBKCParams) else not (p.omega_A.any() or p.omega_B.any()))
 
 
 class _SmallEigenvalue(Exception):
@@ -622,19 +627,18 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     Eigenvectors are lifted through the combined gauge from log-moduli: N
     unit columns v for +i root, F-ordered, kept as ``Spectrum.base`` with the
     slots of Gamma v, Sigma v and Sigma Gamma v; the fallback keeps 2N
-    columns and their Sigma-flips.  Where the lifted columns fail their
-    check, the eigenvalues are returned alone and ``source`` names the
-    failure.  With ``with_vectors=False`` (or at a singular gauge,
-    Delta = +-J) only the eigenvalues are computed, along the same path.
-    Open boundaries only: the gauge does not close around a ring.
+    columns and their Sigma-flips.  Where `_checked` finds them failing,
+    the eigenvalues are returned alone and ``source`` names the failure.
+    With ``with_vectors=False`` (or at a singular gauge, Delta = +-J) only
+    the eigenvalues are computed, along the same path.  A chain that
+    `reduced_route` turns away raises ValueError.
     """
-    if bc is not BoundaryCondition.OBC:
-        raise ValueError("modbkc_spectrum_zero_omega requires open boundaries")
-    if not _zero_omega(p):
-        raise ValueError("modbkc_spectrum_zero_omega requires all onsite omega = 0")
+    if not reduced_route(p, bc):
+        raise ValueError("modbkc_spectrum_zero_omega requires a two-sublattice chain with open boundaries"
+                         " and every onsite omega = 0")
     from .transform import SingularTransformError, a_combined, ssh_bonds
     source = f"reduced[modbkc,{bc.value},n={p.N}]"
-    f = SiteFields.uniform(p) if isinstance(p, ModBKCParams) else p  # the bonds, gauge and Q all read it
+    f = SiteFields.of(p)  # the bonds, gauge and Q all read it
     # H is tridiagonal with bonds b_k, each real or purely imaginary: with s_{k+1} = s_k |b_k| / b_k,
     # a power of i, S^-1 H S is the real H_r with |b_k| above and b_k^2 / |b_k| below the diagonal.
     b = ssh_bonds(f)  # M's eigenvalues are i E over H's E; where every b_k is imaginary, H = i T: solve the real T
@@ -689,21 +693,16 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
                    f" > {EDGE_PAIR_MAX_ERROR:g})")
     e = turn * root  # M's eigenvalue for each base column; -e for its Sigma- and its Gamma-flip
     vals, _, place = _order(np.concatenate([e, -e, -e, e] if gamma else [e, -e]))  # [Sigma][Gamma][column]
-    spec = Spectrum(eigenvalues=vals, source=source)
     if U is None:
-        return spec
-    bands = excitation_bands(build_modbkc_quadratic(f, bc))
+        return Spectrum(eigenvalues=vals, source=source)
     # U = S U_r, S in the gauge's phases; |b| / b and S hold +-1, +-i only, so every product is exact
     S = np.concatenate([[1], np.cumprod(np.sign(b.real) - 1j * np.sign(b.imag))])
     A = replace(A, phase=A.phase * np.repeat(S, 2))
     plus = A.lift(U) if isinstance(U, np.ndarray) else A.lift_polar(*U)
     del U
-    try:  # the Sigma- and Gamma-flips of these columns have equal residuals
-        _check_residual(bands, plus, e)
-    except SolverError as err:  # the eigenvalues are exact, so they stay
-        return replace(spec, source=f"{source} (no vectors: {err})")
-    # F-ordered, as `_sorted_pairs` writes every column: `spatial_profile`'s column sums depend on it
-    return replace(spec, base=plus, slots=place.reshape(2, -1, plus.shape[1]))
+    # the Sigma- and Gamma-flips of these columns have equal residuals; F-ordered, as `_sorted_pairs`
+    # writes every column: `spatial_profile`'s column sums depend on it
+    return _checked(vals, source, build_modbkc_quadratic(f, bc), plus, e, place.reshape(2, -1, plus.shape[1]))
 
 
 def _mirrored(q: QuadraticForm, s: int) -> bool:

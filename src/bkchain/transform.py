@@ -183,10 +183,6 @@ def hatano_nelson_target(p: BKCParams) -> np.ndarray:
     return T
 
 
-def _fields(p: Union[ModBKCParams, SiteFields]) -> SiteFields:
-    return SiteFields.uniform(p) if isinstance(p, ModBKCParams) else p
-
-
 def _similarity_from_products(f: SiteFields, use_r1: bool, use_r2: bool) -> SimilarityMatrix:
     """Product-form diagonal; uniform fields collapse to powers of r1, r2.
 
@@ -215,17 +211,17 @@ def _similarity_from_products(f: SiteFields, use_r1: bool, use_r2: bool) -> Simi
 
 def a1_prime(p: Union[ModBKCParams, SiteFields]) -> SimilarityMatrix:
     """Intracell gauge (ratio r1 only); identity when J1 = 0."""
-    return _similarity_from_products(_fields(p), use_r1=True, use_r2=False)
+    return _similarity_from_products(SiteFields.of(p), use_r1=True, use_r2=False)
 
 
 def a2_prime(p: Union[ModBKCParams, SiteFields]) -> SimilarityMatrix:
     """Intercell gauge (ratio r2 only); identity when J2 = 0."""
-    return _similarity_from_products(_fields(p), use_r1=False, use_r2=True)
+    return _similarity_from_products(SiteFields.of(p), use_r1=False, use_r2=True)
 
 
 def a_combined(p: Union[ModBKCParams, SiteFields]) -> SimilarityMatrix:
     """Product of the intracell and intercell gauges (elementwise diagonal)."""
-    return _similarity_from_products(_fields(p), use_r1=True, use_r2=True)
+    return _similarity_from_products(SiteFields.of(p), use_r1=True, use_r2=True)
 
 
 @dataclass(frozen=True)
@@ -255,7 +251,7 @@ def ssh_bonds(p: Union[ModBKCParams, SiteFields]) -> np.ndarray:
     imaginary; the product (Delta - J)(Delta + J) stays accurate where |J|
     is close to |Delta|, and the ring's wrap bond is not among them.
     """
-    f = _fields(p)
+    f = SiteFields.of(p)
     delta, J = np.empty((2, 2 * f.N - 1))
     delta[0::2], delta[1::2] = f.Delta1, f.Delta2[:-1]
     J[0::2], J[1::2] = f.J1, f.J2[:-1]

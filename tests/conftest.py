@@ -22,6 +22,15 @@ def intracell_dominant():
     return ModBKCParams(J1=2.2, J2=1.0, Delta1=2.1, Delta2=1.5, omega=0.0, N=100)
 
 
+def dense_q(q):
+    """The dense symmetric Q of the form ``q``: each of ``q.diagonals`` written into both triangles."""
+    Q = np.zeros((q.dim, q.dim))
+    for d, values in q.diagonals.items():
+        i = np.arange(q.dim - d)
+        Q[i, i + d] = Q[i + d, i] = values
+    return Q
+
+
 def hausdorff(a, b):
     a = np.asarray(a)
     b = np.asarray(b)

@@ -195,6 +195,24 @@ def test_config_errors_exit_2_before_output(tmp_path, capsys, command, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,text,message", [
+    ("spectrum", MINIMAL_SPECTRUM + "[plot]\ndpi = 90\n", "unknown section [plot]"),
+    ("disorder", MODBKC_MODEL.format(bc="obc"), "disorder requires a [disorder] section"),
+    ("spectrum", "kind = bkc\n" + MINIMAL_SPECTRUM, "cannot parse"),
+    ("spectrum", MINIMAL_SPECTRUM.replace("kind = bkc", "kind = kitaev"), "model.kind must be 'bkc' or 'modbkc'"),
+    ("spectrum", MINIMAL_SPECTRUM.replace("bc = both", "bc = open"), "model.bc must be one of obc, pbc, both"),
+    ("spectrum", MODBKC_MODEL.format(bc="obc") + SWEEP.format(name="J1", step=0.5).replace("parameter = J1\n", ""),
+     "missing required key 'parameter' in section [sweep]"),
+], ids=["unknown-section", "missing-section", "no-section-header", "unknown-kind", "unknown-bc",
+        "sweep-without-parameter"])
+def test_config_errors_name_their_cause(tmp_path, capsys, command, text, message):
+    # each is refused by its own check: with that check gone, another message or a traceback follows
+    out = tmp_path / "out"
+    assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["non-utf8", "directory"])
 def test_unreadable_config_exits_2_before_output(tmp_path, capsys, kind):
     path = tmp_path / "run.cfg"

@@ -159,6 +159,10 @@ class TestDisorderedSimilarity:
 
 
 class TestEnsembles:
+    def test_unknown_observable_rejected(self, base):
+        with pytest.raises(ValueError, match="unknown observable 'gap_ratio'"):
+            ensemble_observables(base, DisorderSpec(strengths={}, seed=1, realizations=1), ("zero_gap", "gap_ratio"))
+
     def test_single_clean_realization_equals_clean_values(self, base):
         spec = DisorderSpec(strengths={}, seed=1, realizations=1)
         res = ensemble_observables(base, spec, ("zero_gap", "zero_modes"))

@@ -23,6 +23,8 @@ from bkchain.model import (
     grid_points,
 )
 
+from conftest import dense_q
+
 OBC, PBC = BoundaryCondition.OBC, BoundaryCondition.PBC
 
 finite = st.floats(min_value=-3, max_value=3, allow_nan=False)
@@ -31,7 +33,7 @@ finite = st.floats(min_value=-3, max_value=3, allow_nan=False)
 class TestQuadraticForms:
     def test_onsite_only_is_identity_times_omega(self):
         q = build_bkc_quadratic(BKCParams(J0=0, Delta0=0, omega=1.0, N=3), OBC)
-        assert np.array_equal(q.Q, np.eye(6))
+        assert np.array_equal(dense_q(q), np.eye(6))
 
     def test_sweet_spot_kills_xp_coupling(self):
         # J0 = Delta0 removes the x_j p_{j+1} term; p_0 x_1 carries J0+Delta0 = 2
@@ -39,13 +41,13 @@ class TestQuadraticForms:
         expect = np.zeros((4, 4))
         expect[flat_index_bkc(0, 1), flat_index_bkc(1, 0)] = 2.0
         expect[flat_index_bkc(1, 0), flat_index_bkc(0, 1)] = 2.0
-        assert np.array_equal(q.Q, expect)
+        assert np.array_equal(dense_q(q), expect)
 
     def test_pbc_adds_wrap_row(self):
         p = BKCParams(J0=0.5, Delta0=1.0, omega=0, N=4)
         q_obc = build_bkc_quadratic(p, OBC)
         q_pbc = build_bkc_quadratic(p, PBC)
-        wrap = q_pbc.Q - q_obc.Q
+        wrap = dense_q(q_pbc) - dense_q(q_obc)
         # the wrap bond carries the same couplings as a bulk bond
         assert wrap[flat_index_bkc(3, 0), flat_index_bkc(0, 1)] == pytest.approx(0.5)   # Delta0-J0
         assert wrap[flat_index_bkc(3, 1), flat_index_bkc(0, 0)] == pytest.approx(1.5)   # Delta0+J0
@@ -68,11 +70,11 @@ class TestQuadraticForms:
             else:
                 Q[a, b] += c
                 Q[b, a] += c
-        assert np.allclose(build_bkc_quadratic(p, OBC).Q, Q, atol=1e-15)
+        assert np.allclose(dense_q(build_bkc_quadratic(p, OBC)), Q, atol=1e-15)
 
     def test_modbkc_onsite_only(self):
         q = build_modbkc_quadratic(ModBKCParams(J1=0, J2=0, Delta1=0, Delta2=0, omega=2.0, N=2), OBC)
-        assert np.array_equal(q.Q, 2.0 * np.eye(8))
+        assert np.array_equal(dense_q(q), 2.0 * np.eye(8))
 
     def test_modbkc_sweet_spot_intracell(self):
         q = build_modbkc_quadratic(ModBKCParams(J1=1, J2=0, Delta1=1, Delta2=0, omega=0, N=2), OBC)
@@ -80,7 +82,7 @@ class TestQuadraticForms:
         for j in range(2):
             expect[flat_index_modbkc(j, 0, 0), flat_index_modbkc(j, 1, 0)] = 2.0
             expect[flat_index_modbkc(j, 1, 0), flat_index_modbkc(j, 0, 0)] = 2.0
-        assert np.array_equal(q.Q, expect)
+        assert np.array_equal(dense_q(q), expect)
 
     def test_modbkc_quadratic_matches_term_expansion(self):
         p = ModBKCParams(J1=0.4, J2=0.1, Delta1=1.0, Delta2=0.5, omega=0, N=3)
@@ -96,7 +98,7 @@ class TestQuadraticForms:
                               (ix(j, 1, 1), ix(j + 1, 0, 1), p.J2 - p.Delta2)]:
                 Q[a, b] += c
                 Q[b, a] += c
-        assert np.allclose(build_modbkc_quadratic(p, OBC).Q, Q, atol=1e-15)
+        assert np.allclose(dense_q(build_modbkc_quadratic(p, OBC)), Q, atol=1e-15)
 
     def test_site_fields_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
@@ -114,7 +116,7 @@ class TestQuadraticForms:
         corner = np.zeros((4, 4))
         corner[0, 3] = corner[3, 0] = 5.0
         q = QuadraticForm(diagonals={3: np.array([5.0])}, n_cells=2, n_sublattices=1, bc=OBC)
-        assert np.array_equal(q.Q, corner)
+        assert np.array_equal(dense_q(q), corner)
 
     def test_complex_site_fields_rejected(self):
         # as for ModBKCParams: a float conversion would keep only the real parts
@@ -125,6 +127,14 @@ class TestQuadraticForms:
             fields[name] = np.array([1 + 1j, 1, 1])
             with pytest.raises(TypeError, match=f"SiteFields.{name} must be real"):
                 SiteFields(**fields)
+
+    def test_site_fields_non_finite_or_short_rejected(self):
+        fields = {k: np.ones(3) for k in ("J1", "J2", "Delta1", "Delta2", "omega_A", "omega_B")}
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="SiteFields.Delta2 contains non-finite entries"):
+                SiteFields(**{**fields, "Delta2": np.array([1.0, value, 1.0])})
+        with pytest.raises(ValueError, match="at least 2 cells, got 1"):
+            SiteFields(**{k: v[:1] for k, v in fields.items()})
 
     def test_small_chains_rejected(self):
         with pytest.raises(ValueError):
@@ -277,7 +287,7 @@ class TestVectorizedBuilders:
     def test_bkc_quadratic_equals_loop(self, J0, Delta0, omega, N, pbc):
         p = BKCParams(J0=J0, Delta0=Delta0, omega=omega, N=N)
         bc = PBC if pbc else OBC
-        assert np.array_equal(build_bkc_quadratic(p, bc).Q, _loop_bkc_quadratic(p, bc))
+        assert np.array_equal(dense_q(build_bkc_quadratic(p, bc)), _loop_bkc_quadratic(p, bc))
 
     @given(seed=st.integers(0, 2 ** 32 - 1), N=st.integers(min_value=2, max_value=6),
            pbc=st.booleans())
@@ -286,7 +296,7 @@ class TestVectorizedBuilders:
         rng = np.random.default_rng(seed)
         f = SiteFields(*(rng.uniform(-3, 3, N) for _ in range(6)))
         bc = PBC if pbc else OBC
-        assert np.array_equal(build_modbkc_quadratic(f, bc).Q, _loop_modbkc_quadratic(f, bc))
+        assert np.array_equal(dense_q(build_modbkc_quadratic(f, bc)), _loop_modbkc_quadratic(f, bc))
 
     @given(seed=st.integers(0, 2 ** 32 - 1), N=st.integers(min_value=2, max_value=6))
     @settings(max_examples=30, deadline=None)
@@ -294,10 +304,15 @@ class TestVectorizedBuilders:
         rng = np.random.default_rng(seed)
         q = build_modbkc_quadratic(SiteFields(*(rng.uniform(-3, 3, N) for _ in range(6))), PBC)
         sigma = np.kron(np.eye(2 * N), [[0.0, 1.0], [-1.0, 0.0]])
-        assert np.array_equal(excitation_matrix(q).M, -1j * sigma @ q.Q)
+        assert np.array_equal(excitation_matrix(q).M, -1j * sigma @ dense_q(q))
 
 
 class TestBloch:
+    @pytest.mark.parametrize("k", [np.nan, np.inf, [0.0, -np.inf]])
+    def test_non_finite_momentum_rejected(self, k):
+        with pytest.raises(ValueError, match="momentum must be finite"):
+            bloch_matrix(BKCParams(J0=0.5, Delta0=1.0, omega=0.0, N=4), k)
+
     def test_bkc_k0_sweet_spot(self):
         B = bloch_matrix(BKCParams(J0=1, Delta0=1, omega=0, N=4), 0.0)
         assert np.allclose(B, -2j * np.diag([1, -1]), atol=1e-15)
@@ -368,3 +383,11 @@ class TestGridPoints:
     def test_bad_axes_raise_at_the_call(self, axes, match):
         with pytest.raises(ValueError, match=match):
             grid_points(self.BASE, axes)  # never iterated
+
+    @pytest.mark.parametrize("start,stop,match", [
+        (np.nan, 1.0, "must be finite"), (-np.inf, 1.0, "must be finite"), (0.0, np.inf, "must be finite"),
+        (1.0, 0.5, "stop must be >= start"),
+    ], ids=["start-nan", "start-inf", "stop-inf", "stop-below-start"])
+    def test_bad_bounds_rejected_by_count(self, start, stop, match):
+        with pytest.raises(ValueError, match=match):
+            AxisSpec("J1", start, stop, 0.1).count()

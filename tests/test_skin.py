@@ -146,6 +146,19 @@ class TestColumnwise:
         with pytest.raises(ValueError, match="zero or non-finite"):
             nhse_fraction(Spectrum(s.eigenvalues, vecs), 0.1, 0.9, self.p.N)
 
+    def test_negative_entries_rejected(self):
+        prob = np.full((8, 2), 0.125)
+        prob[0, 1], prob[1, 1] = -0.125, 0.375  # the column still sums to 1
+        with pytest.raises(ValueError, match="non-negative"):
+            SpatialProfile(prob=prob, n_cells=2)
+
+    def test_spectrum_without_vectors_rejected(self):
+        s = modbkc_spectrum_zero_omega(self.p, OBC, with_vectors=False)
+        with pytest.raises(ValueError, match="nhse_fraction needs a spectrum with eigenvectors"):
+            nhse_fraction(s, 0.1, 0.9, self.p.N)
+        with pytest.raises(ValueError, match="profile_matrix needs a spectrum with eigenvectors"):
+            profile_matrix(s, self.p.N)
+
     def test_each_column_must_sum_to_one(self):
         prob = np.full((8, 2), 0.125)
         prob[0, 1] = 0.25

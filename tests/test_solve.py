@@ -30,7 +30,8 @@ the small-eigenvalue guard).  The references are:
   ``hatano_nelson_A(p).conjugate(M)``, the dense eigenvalues of the
   direct M at N <= 10, and the eigenpair residual on the direct M; its
   per-channel lift: the lift of the whole 2N x 2N standing-wave array,
-  bit for bit up to the sign of zero;
+  bit for bit up to the sign of zero; at Delta0 = +-J0, where the gauge is
+  singular, the nilpotency of the direct M (exact zeros, no vectors);
 * the reduced route's real gauge: the complex eigenvalues of
   `effective_ssh_matrix` and the eigenpair residual on the 4N matrix;
 * the reduced route's eigenvectors, which come from the twisted
@@ -83,7 +84,8 @@ the small-eigenvalue guard).  The references are:
   column, with a residual on M equal bit for bit (on the reduced route off
   its fallback also the Gamma-flipped partner, which it never checks);
 * the x/p blocks taken from Q's diagonals: the strided blocks of the dense
-  Q, bit for bit; and a patched dense Q view, which no route may read.
+  Q (``conftest.dense_q``), bit for bit; and a recording `model._symmetric`,
+  which no route may call at the chain's full dimension.
 
 Couplings are drawn with |Delta -+ J| bounded away from zero, so the gauge
 ratios r = (Delta+J)/(Delta-J) stay within 1/4 <= |r| <= 4 (6.5 for the
@@ -145,6 +147,8 @@ from bkchain.transform import (
     hatano_nelson_coupling,
     ssh_bonds,
 )
+
+from conftest import dense_q
 
 OBC = BoundaryCondition.OBC
 PBC = BoundaryCondition.PBC
@@ -378,24 +382,25 @@ class TestSolveRoutes:
         mean_xp, mean_dense = profile_matrix(s, f.N).mean(0), profile_matrix(dense, f.N).mean(0)
         assert np.abs(mean_xp - mean_dense).max() <= 1e-12
 
-    def test_bkc_singular_point_falls_back_to_dense(self):
+    def test_bkc_singular_point_is_exactly_zero(self):
         # Delta0 = J0: no gauge exists; the hopping is one-way, so M is
-        # nilpotent with exact spectrum {0}, which a dense solve of a
-        # nilpotent chain of length N resolves to ~eps^(1/N) * max|M|
+        # nilpotent, one Jordan block of size N per channel (M^N = 0, rank
+        # 2N - 2), with exact spectrum {0}: the closed form's c = 0 gives it
+        # as it is, where a dense solve scatters it to ~eps^(1/N) * max|M|
         p = BKCParams(J0=0.8, Delta0=0.8, omega=0.0, N=4)
-        s = solve(p, OBC)
-        assert s.source.startswith("eig[")
-        assert s.eigenvectors is not None
-        scale = np.abs(build_bkc_excitation_direct(p, OBC).M).max()
-        assert np.abs(s.eigenvalues).max() <= 10 * np.finfo(float).eps ** (1 / p.N) * scale
+        M = build_bkc_excitation_direct(p, OBC).M
+        assert not np.linalg.matrix_power(M, p.N).any() and np.linalg.matrix_rank(M) == 2 * p.N - 2
+        for s in (solve(p, OBC), solve(p, OBC, vectors=False)):
+            assert _route(s) == "similarity[" and s.base is None and s.eigenvectors is None
+            assert s.eigenvalues.tobytes() == np.zeros(2 * p.N, dtype=complex).tobytes()  # 0+0j, no -0
 
     @pytest.mark.parametrize("Delta0", [0.8, -0.8])
     def test_bkc_singular_point_names_the_missing_gauge(self, Delta0):
-        # Delta0 = +-J0: the dense fallback says why it was taken, on both paths
+        # Delta0 = +-J0: the gauge is built for vectors only, and its error says why there are none
         p = BKCParams(J0=0.8, Delta0=Delta0, omega=0.0, N=4)
-        note = f" (no gauge: hatano_nelson_A: Delta = {Delta0!r}, J = 0.8 gives Delta = +-J; transform is singular)"
-        for s in (solve(p, OBC), solve(p, OBC, vectors=False)):
-            assert s.source == "eig[symplectic,obc,n=4]" + note
+        note = f" (no vectors: hatano_nelson_A: Delta = {Delta0!r}, J = 0.8 gives Delta = +-J; transform is singular)"
+        assert solve(p, OBC).source == "similarity[symplectic,obc,n=4]" + note
+        assert solve(p, OBC, vectors=False).source == "similarity[symplectic,obc,n=4]"
 
     @pytest.mark.parametrize("Delta0,N", [(0.5001, 200), (0.51, 400),
                                           (np.nextafter(0.5, 1), 100), (np.nextafter(0.5, 0), 100)])
@@ -523,14 +528,14 @@ class TestEigenvaluesOnly:
         assert _route(full) == "similarity["
 
     @pytest.mark.parametrize("Delta0", [0.8, -0.8])
-    def test_single_band_dense_fallback(self, Delta0):
-        # Delta0 = +-J0: M is nilpotent, and any dense solve scatters its
-        # eigenvalues to ~eps^(1/N) * max|M| (see the singular-point test above)
+    def test_single_band_singular_point(self, Delta0):
+        # Delta0 = +-J0: M is nilpotent (see the singular-point test above);
+        # both paths give the closed form's exact zeros and no vectors
         p = BKCParams(J0=0.8, Delta0=Delta0, omega=0.0, N=4)
-        bare = solve(p, OBC, vectors=False)
-        assert bare.eigenvectors is None and _route(bare) == _route(solve(p, OBC)) == "eig["
-        scale = np.abs(build_bkc_excitation_direct(p, OBC).M).max()
-        assert np.abs(bare.eigenvalues).max() <= 10 * np.finfo(float).eps ** (1 / p.N) * scale
+        full, bare = solve(p, OBC), solve(p, OBC, vectors=False)
+        assert full.eigenvectors is None and bare.eigenvectors is None
+        assert _route(bare) == _route(full) == "similarity["
+        assert full.eigenvalues.tobytes() == bare.eigenvalues.tobytes() == np.zeros(8, dtype=complex).tobytes()
 
     def test_edge_mode_count_solves_no_vectors(self, monkeypatch):
         calls = []
@@ -623,19 +628,36 @@ class TestHatanoNelsonRoute:
 
     @pytest.mark.parametrize("vectors", [True, False])
     @pytest.mark.parametrize("J0,Delta0", [(0.5, 1.0), (-2.0, 1.0), (-0.5, -1.0), (2.0, 0.0),
-                                           (0.8, 0.8), (0.8, -0.8)])
+                                           (0.8, 0.8), (0.8, -0.8), (0.0, 0.0)])
     def test_never_forms_M(self, J0, Delta0, vectors, monkeypatch):
-        def refuse(q):
-            raise AssertionError("excitation_matrix called")
+        # nor solves anything: the eigenvalues are the closed form's, at a singular gauge (|J0| = |Delta0|) too
+        def refuse(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} called")
+            return call
 
-        monkeypatch.setattr(spectral, "excitation_matrix", refuse)
+        for module, name in ((spectral, "excitation_matrix"), (spectral, "eigendecompose"),
+                             *((np.linalg, name) for name in ("eig", "eigvals", "eigh", "eigvalsh", "svd"))):
+            monkeypatch.setattr(module, name, refuse(name))
         p = BKCParams(J0=J0, Delta0=Delta0, omega=0.0, N=20)
-        if abs(J0) == abs(Delta0):  # no gauge: the dense fallback builds M
-            with pytest.raises(AssertionError, match="excitation_matrix called"):
-                solve(p, OBC, vectors=vectors)
-            return
         s = solve(p, OBC, vectors=vectors)
-        assert _route(s) == "similarity[" and (s.eigenvectors is not None) == vectors
+        assert _route(s) == "similarity[" and (s.eigenvectors is not None) == (vectors and abs(J0) != abs(Delta0))
+        if abs(J0) == abs(Delta0):
+            assert s.eigenvalues.tobytes() == np.zeros(2 * p.N, dtype=complex).tobytes()
+
+    def test_failed_check_keeps_the_eigenvalues(self, monkeypatch):
+        # a gauge one entry off lifts no eigenvector: the check fails, and the exact eigenvalues come alone
+        def skewed(p):
+            A = hatano_nelson_A(p)
+            return replace(A, log_scale=A.log_scale + np.eye(1, A.dim, 2)[0])
+
+        p = BKCParams(J0=0.5, Delta0=1.0, omega=0.0, N=20)
+        exact = solve(p, OBC)
+        monkeypatch.setattr(transform, "hatano_nelson_A", skewed)
+        s = solve(p, OBC)
+        assert s.source.startswith("similarity[symplectic,obc,n=20] (no vectors: eigenpair residual ")
+        assert s.base is None and s.eigenvectors is None
+        assert s.eigenvalues.tobytes() == exact.eigenvalues.tobytes()
 
 
 class TestReducedHalfSize:
@@ -1778,7 +1800,8 @@ def _xp_paired_reference(q, vectors):
     column takes the x and y rows of its root, and the y rows of every -E
     column are negated by a multiply with -1.
     """
-    Qx, Qp = q.Q[0::2, 0::2], q.Q[1::2, 1::2]
+    Q = dense_q(q)
+    Qx, Qp = Q[0::2, 0::2], Q[1::2, 1::2]
     source = f"xp[symplectic,{q.bc.value},n={q.n_cells}]"
     split = _centrosymmetric(Qx) and _centrosymmetric(Qp)
     blocks = list(zip(spectral._mirror_halves(Qx), spectral._mirror_halves(Qp))) if split else [(Qx, Qp)]
@@ -1968,10 +1991,11 @@ class TestResidualCheck:
         bands = excitation_bands(q)
         blocks = q.block(0), q.block(1)
         K = excitation_matrix(q).K
+        Q = dense_q(q)
         for s, block in enumerate(blocks):
-            assert block.tobytes() == np.ascontiguousarray(q.Q[s::2, s::2]).tobytes()
-        ref = np.empty_like(q.Q)  # K = -Sigma Q: row 2i is -Q[2i + 1], row 2i + 1 is Q[2i]
-        ref[0::2], ref[1::2] = -q.Q[1::2], q.Q[0::2]
+            assert block.tobytes() == np.ascontiguousarray(Q[s::2, s::2]).tobytes()
+        ref = np.empty_like(Q)  # K = -Sigma Q: row 2i is -Q[2i + 1], row 2i + 1 is Q[2i]
+        ref[0::2], ref[1::2] = -Q[1::2], Q[0::2]
         assert [d for d, _ in bands] == [d for d, _ in _bands(ref)]
         for d, values in bands:
             assert np.array_equal(values, np.diagonal(ref, d))
@@ -2026,21 +2050,28 @@ class TestResidualCheck:
         (ModBKCParams(J1=1.4, J2=1.2, Delta1=1.0, Delta2=1.0, omega=0.3, N=20), OBC, _mirror_note(20)),
         (_fig9_realization(0), OBC, "xp["),
         (BKCParams(J0=0.5, Delta0=1.0, omega=0.5, N=20), OBC, "eig["),
-        (BKCParams(J0=0.8, Delta0=0.8, omega=0.0, N=20), OBC, "eig["),  # no gauge: the dense fallback
+        (BKCParams(J0=0.8, Delta0=0.8, omega=0.0, N=20), OBC, "similarity["),  # no gauge: eigenvalues only
         (SiteFields.uniform(ModBKCParams(J1=1.4, J2=1.2, Delta1=1.5, Delta2=1.0, omega=0.3, N=100)), PBC,
          "(x/p guard"),
     ], ids=["reduced-all-real", "reduced-sign-mixed", "reduced-guarded", "reduced-singular", "similarity",
             "bloch", "bloch-bkc", "xp-mirror-halves", "xp-fig9", "dense", "similarity-singular", "xp-guard"])
     def test_only_dense_solves_form_dense_q(self, p, bc, note, vectors, monkeypatch):
         # no solve forms the dense Q, the dense ones no more than the rest: every route reads Q's diagonals,
-        # and the dense K, of the chain or of `bloch_matrix`'s three-cell ring, is scattered from K's bands
-        def refuse(q):
-            raise AssertionError("dense Q formed")
+        # and the dense K, of the chain or of `bloch_matrix`'s three-cell ring, is scattered from K's bands;
+        # `model._symmetric` is the package's one writer of a dense symmetric matrix from Q's diagonals,
+        # called by `QuadraticForm.block` at half the chain's dimension
+        sizes = []
 
-        monkeypatch.setattr(QuadraticForm, "Q", property(refuse))
+        def recording(dim, diagonals):
+            sizes.append(dim)
+            return symmetric(dim, diagonals)
+
+        symmetric = model._symmetric
+        monkeypatch.setattr(model, "_symmetric", recording)
         s = solve(p, bc, vectors)
         assert note in s.source
         assert (s.eigenvectors is not None) == (vectors and "(no vectors" not in s.source)
+        assert all(size <= len(s) // 2 for size in sizes)
 
     @pytest.mark.parametrize("name", ["dense", "obc", "pbc", "bkc-pbc-n2"])
     def test_blocked_residual_matches_dense_product(self, name):
@@ -2076,6 +2107,17 @@ class TestReductionIsOpenOnly:
     def test_reduced_spectrum_rejects_pbc(self):
         with pytest.raises(ValueError, match="open boundaries"):
             modbkc_spectrum_zero_omega(self.p, PBC)
+
+    @pytest.mark.parametrize("p", [
+        BKCParams(J0=0.5, Delta0=1.0, omega=0.0, N=10),
+        replace(p, omega=0.3),
+        replace(SiteFields.uniform(p), omega_B=np.eye(1, 10, 9)[0]),
+    ], ids=["single-band", "omega", "site-omega"])
+    def test_reduced_spectrum_rejects_other_chains(self, p):
+        # the test of `reduced_route`: a single-band chain raises ValueError, not AttributeError
+        assert not spectral.reduced_route(p, OBC)
+        with pytest.raises(ValueError, match="two-sublattice chain with open boundaries and every onsite omega = 0"):
+            modbkc_spectrum_zero_omega(p, OBC)
 
 
 def _mirrored_fields(f):
@@ -2146,7 +2188,7 @@ class TestMirrorSplit:
     @settings(PROPERTY, max_examples=400)
     def test_mirror_test_matches_the_dense_definition(self, q):
         for s in (0, 1):
-            assert spectral._mirrored(q, s) == _centrosymmetric(q.Q[s::2, s::2])
+            assert spectral._mirrored(q, s) == _centrosymmetric(dense_q(q)[s::2, s::2])
 
     @given(f=mirrored_fields(), bc=bcs)
     @settings(PROPERTY, max_examples=40)
@@ -2187,7 +2229,7 @@ class TestMirrorSplit:
     ], ids=["sweep-0", "sweep-0.75", "sweep-1.5", "sweep-2.25", "sweep-3", "fig3b"])
     def test_matches_the_unsplit_solve_at_n100(self, p):
         # measured <= 1.3e-14 max|E|
-        Q = build_modbkc_quadratic(p, OBC).Q
+        Q = dense_q(build_modbkc_quadratic(p, OBC))
         root = np.sqrt(np.linalg.eigvals(Q[1::2, 1::2] @ Q[0::2, 0::2]).astype(complex))
         ref = np.concatenate([root, -root])
         for vectors in (True, False):

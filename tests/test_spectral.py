@@ -18,6 +18,7 @@ from bkchain.model import (
     excitation_matrix,
 )
 from bkchain.spectral import (
+    SolverError,
     Spectrum,
     bkc_pbc_dispersion,
     eigendecompose,
@@ -65,6 +66,15 @@ REAL_LAMBDA_CASES = [
     build_bkc_excitation_direct(BKCParams(J0=1, Delta0=0, omega=0.3, N=30), OBC),
     build_modbkc_excitation_direct(ModBKCParams(J1=0.7, J2=1.1, Delta1=0, Delta2=0, omega=0.2, N=15), OBC),
 ]
+
+
+def _fail_lapack(monkeypatch):
+    """Make every `np.linalg.eig` and `eigvals` call fail as LAPACK does when it does not converge."""
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    for name in ("eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, fail)
 
 
 class TestEigendecompose:
@@ -119,6 +129,22 @@ class TestEigendecompose:
         for K in (M.K - 1e-3j * np.eye(M.dim), M.K.astype(complex)):
             with pytest.raises(TypeError, match="ExcitationMatrix.K must be real"):
                 replace(M, K=K)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        M = build_bkc_excitation_direct(BKCParams(J0=0.5, Delta0=1.0, omega=0.5, N=4), OBC)
+        K = M.K.copy()
+        K[2, 3] = bad
+        with pytest.raises(SolverError, match=r"matrix contains non-finite entries \(direct, bc=BoundaryCondition.OBC\)"):
+            eigendecompose(replace(M, K=K))
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_lapack_failure_raises_solver_error(self, vectors, monkeypatch):
+        _fail_lapack(monkeypatch)
+        M = build_bkc_excitation_direct(BKCParams(J0=0.5, Delta0=1.0, omega=0.5, N=4), OBC)
+        with pytest.raises(SolverError, match="eigensolver failed for direct matrix, dim=8, bc=BoundaryCondition.OBC: "
+                                              "did not converge"):
+            eigendecompose(M, vectors)
 
     def test_lapack_gets_real_arrays(self, monkeypatch):
         dtypes = []
@@ -202,6 +228,17 @@ class TestTransformedRoutes:
         assert np.abs(s.eigenvalues.real).max() < 1e-12
 
 
+class TestBlochRoute:
+    @pytest.mark.parametrize("vectors", [True, False])
+    @pytest.mark.parametrize("p", [BKCParams(J0=0.5, Delta0=1.0, omega=0.5, N=6),
+                                   ModBKCParams(J1=1.4, J2=1.2, Delta1=1.0, Delta2=1.0, omega=0.3, N=6)],
+                             ids=["bkc", "modbkc"])
+    def test_lapack_failure_raises_solver_error(self, p, vectors, monkeypatch):
+        _fail_lapack(monkeypatch)
+        with pytest.raises(SolverError, match="Bloch eigensolver failed, n=6: did not converge"):
+            solve(p, PBC, vectors)
+
+
 class TestDispersion:
     @pytest.mark.parametrize("k,expect", [
         (0.0, (2j, -2j)),
@@ -249,6 +286,10 @@ class TestSpectrumComparisons:
         assert zero_gap(s) == pytest.approx(1.0)
         s0 = Spectrum(eigenvalues=np.array([0.0, 2.0]))
         assert zero_gap(s0) == 0.0
+
+    def test_zero_gap_of_empty_spectrum_rejected(self):
+        with pytest.raises(ValueError, match="zero_gap requires a non-empty spectrum"):
+            zero_gap(Spectrum(eigenvalues=np.array([])))
 
     def test_zero_gap_in_topological_window(self):
         # inside the window sqrt(Delta1^2-Delta2^2) < J1 < sqrt(Delta1^2+Delta2^2)

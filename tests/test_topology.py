@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bkchain.model import AxisSpec, BoundaryCondition, ModBKCParams
 from bkchain.skin import edge_weight, spatial_profile
-from bkchain.spectral import Spectrum, modbkc_spectrum_zero_omega
+from bkchain.spectral import Spectrum, modbkc_spectrum_zero_omega, solve, zero_gap
 from bkchain.topology import (
     GapClosedError,
     edge_mode_count,
@@ -137,6 +137,11 @@ class TestZeroModes:
         count, idx = zero_modes(s, 1e-6)
         assert count == 2 and idx == [0, 1]
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6])
+    def test_non_positive_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            zero_modes(Spectrum(eigenvalues=np.array([0.0, 1.0])), tol)
+
     def test_full_spectrum_count_is_doubled(self, intercell_dominant):
         # the omega = 0 spectrum is two exact quadrature copies, so the raw
         # threshold count is twice the per-copy edge-mode count
@@ -239,6 +244,20 @@ class TestPhaseScan:
         assert pt.error is None
         assert np.isfinite(pt.zero_gap)
         assert pt.nhse_fraction is None
+
+    def test_gap_closed_point_keeps_its_gap(self):
+        # |dtilde1| = |dtilde2|: the winding is undefined there, but the point is no error
+        base = ModBKCParams(J1=0.0, J2=0.0, Delta1=1.5, Delta2=1.5, omega=0.0, N=20)
+        (pt,) = phase_scan(base, [AxisSpec("J1", 0.0, 0.0, 1.0)])
+        assert pt.error is None and pt.w_plus is None and pt.w_minus is None
+        assert pt.zero_gap == zero_gap(solve(base, BoundaryCondition.OBC))
+
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_axis_count_rejected(self, count):
+        base = ModBKCParams(J1=0.0, J2=0.0, Delta1=1.5, Delta2=1.0, omega=0.0, N=4)
+        axes = [AxisSpec(name, 0.0, 0.0, 1.0) for name in ("J1", "J2", "omega")[:count]]
+        with pytest.raises(ValueError, match="one or two axes"):
+            phase_scan(base, axes)
 
     def test_scan_count_matches_edge_mode_count(self):
         # every 5th point of the fig4 grid; the scan halves the literal count

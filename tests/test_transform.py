@@ -14,6 +14,7 @@ from bkchain.model import (
 )
 from bkchain.spectral import _bands, _residuals, eigendecompose, modbkc_spectrum_zero_omega, solve, zero_gap
 from bkchain.transform import (
+    SimilarityMatrix,
     SingularTransformError,
     a1_prime,
     a2_prime,
@@ -284,6 +285,27 @@ class TestEffectiveParams:
 
 
 class TestResidualMechanics:
+    def test_similarity_rejects_mismatched_or_non_finite(self):
+        with pytest.raises(ValueError, match="equal shapes"):
+            SimilarityMatrix(log_scale=np.zeros(3), phase=np.ones(4))
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(SingularTransformError, match="zero or infinite entries"):
+                SimilarityMatrix(log_scale=np.array([0.0, bad]), phase=np.ones(2))
+
+    def test_residual_rejects_mismatched_dimensions(self):
+        A = SimilarityMatrix(log_scale=np.zeros(4), phase=np.ones(4))
+        for M, target in ((np.eye(6), np.eye(6)), (np.eye(4), np.eye(6))):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                transform_residual(M, A, target)
+
+    def test_residual_of_zero_matrix_is_max_target(self):
+        # no scale to divide by: the residual is the target's own size
+        A = SimilarityMatrix(log_scale=np.arange(4.0), phase=np.ones(4))
+        target = np.zeros((4, 4), dtype=complex)
+        assert transform_residual(np.zeros((4, 4)), A, target) == 0.0
+        target[1, 2] = -0.25j
+        assert transform_residual(np.zeros((4, 4)), A, target) == 0.25
+
     def test_identity_transform_zero_residual(self):
         p = ModBKCParams(J1=0.0, J2=0.0, Delta1=1.0, Delta2=1.5, omega=0, N=10)
         M = build_modbkc_excitation_direct(p, OBC)
