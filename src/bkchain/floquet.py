@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "DriveSpec",
     "EffectiveParams",
-    "delta_omega",
     "chi",
     "averaged_phase",
     "effective_params",
@@ -59,11 +58,6 @@ class EffectiveParams:
 
     J1: complex
     J2: complex
-
-
-def delta_omega(t: float, lam: float) -> float:
-    """Instantaneous cavity-frequency modulation at t modulation periods."""
-    return lam * math.pi ** 2 * math.sin(2 * math.pi * t) / 2
 
 
 def chi(t: float, lam: float) -> float:

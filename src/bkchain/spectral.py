@@ -162,7 +162,6 @@ __all__ = [
     "modbkc_spectrum_zero_omega",
     "reduced_route",
     "bkc_pbc_dispersion",
-    "spectrum_distance",
     "zero_gap",
 ]
 
@@ -852,15 +851,6 @@ def bkc_pbc_dispersion(p: BKCParams, k: float):
     root = cmath.sqrt(p.omega ** 2 - 4 * p.Delta0 ** 2 * np.cos(k) ** 2)
     base = 2 * p.J0 * np.sin(k)
     return base + root, base - root
-
-
-def spectrum_distance(a: Spectrum, b: Spectrum) -> float:
-    """Symmetric Hausdorff distance between two eigenvalue sets."""
-    ea, eb = np.asarray(a.eigenvalues), np.asarray(b.eigenvalues)
-    if len(ea) == 0 or len(eb) == 0:
-        raise ValueError("spectrum_distance requires non-empty spectra")
-    d = np.abs(ea[:, None] - eb[None, :])
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
 def zero_gap(s: Spectrum) -> float:

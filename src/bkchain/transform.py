@@ -25,12 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .model import (
-    BKCParams,
-    ExcitationMatrix,
-    ModBKCParams,
-    SiteFields,
-)
+from .model import BKCParams, ModBKCParams, SiteFields
 
 __all__ = [
     "SingularTransformError",
@@ -38,15 +33,10 @@ __all__ = [
     "EffectiveSSHParams",
     "hatano_nelson_A",
     "hatano_nelson_coupling",
-    "hatano_nelson_target",
-    "a1_prime",
-    "a2_prime",
     "a_combined",
     "effective_ssh_params",
     "ssh_bonds",
     "effective_ssh_matrix",
-    "ssh_lift_target",
-    "transform_residual",
 ]
 
 class SingularTransformError(ValueError):
@@ -73,15 +63,6 @@ class SimilarityMatrix:
     @property
     def log10_condition(self) -> float:
         return float((self.log_scale.max() - self.log_scale.min()) / np.log(10.0))
-
-    def conjugate(self, M: np.ndarray) -> np.ndarray:
-        """A^{-1} M A, computed entrywise only on the nonzero pattern of M."""
-        rows, cols = np.nonzero(M)
-        out = np.zeros_like(M, dtype=complex)
-        ratio = np.exp(self.log_scale[cols] - self.log_scale[rows]) \
-            * self.phase[cols] / self.phase[rows]
-        out[rows, cols] = M[rows, cols] * ratio
-        return out
 
     def lift(self, vectors: np.ndarray) -> np.ndarray:
         """Unit-norm eigenvectors of M from real or complex eigenvectors v of A^{-1} M A: `lift_polar`."""
@@ -163,7 +144,7 @@ def hatano_nelson_A(p: BKCParams) -> SimilarityMatrix:
 
 
 def hatano_nelson_coupling(p: BKCParams) -> complex:
-    """Bond c = -sign(J0 + Delta0) sqrt((J0 - Delta0)(J0 + Delta0)) of `hatano_nelson_target`.
+    """Bond c = -sign(J0 + Delta0) sqrt((J0 - Delta0)(J0 + Delta0)) of the gauge image c sigma_z (x) (S + S^T).
 
     Real (Hermitian image) where |J0| > |Delta0|, else purely imaginary; the
     sign matches the gauge's principal branch of log r in every quadrant.
@@ -171,20 +152,8 @@ def hatano_nelson_coupling(p: BKCParams) -> complex:
     return complex(-np.sign(p.J0 + p.Delta0) * np.sqrt(complex((p.J0 - p.Delta0) * (p.J0 + p.Delta0))))
 
 
-def hatano_nelson_target(p: BKCParams) -> np.ndarray:
-    """The open omega=0 chain under `hatano_nelson_A`: c sigma_z (x) (S + S^T), c = `hatano_nelson_coupling`."""
-    c = hatano_nelson_coupling(p)
-    n = p.N
-    T = np.zeros((2 * n, 2 * n), dtype=complex)
-    a = np.arange(n - 1)
-    b = a + 1
-    T[2 * a, 2 * b] = T[2 * b, 2 * a] = c                   # x channel
-    T[2 * a + 1, 2 * b + 1] = T[2 * b + 1, 2 * a + 1] = -c   # p channel
-    return T
-
-
-def _similarity_from_products(f: SiteFields, use_r1: bool, use_r2: bool) -> SimilarityMatrix:
-    """Product-form diagonal; uniform fields collapse to powers of r1, r2.
+def a_combined(p: Union[ModBKCParams, SiteFields]) -> SimilarityMatrix:
+    """Product of the intracell gauge (ratios r1) and the intercell gauge (ratios r2), as one diagonal.
 
     Channel exponents (uniform limit, cell j):
         A x:  r1^(+j/2)  r2^(-j/2)
@@ -194,34 +163,19 @@ def _similarity_from_products(f: SiteFields, use_r1: bool, use_r2: bool) -> Simi
 
     r1 runs over the N intracell bonds and r2 over the N - 1 intercell bonds
     of the open chain; the last entry of ``J2``/``Delta2`` is the ring's wrap
-    bond, which no gauge uses.
+    bond, which no gauge uses.  A bond with J = 0 has r = 1 exactly, so the
+    chain with every J2 = 0 gives the intracell gauge alone, and every J1 = 0
+    the intercell one.
     """
-    n = f.N
-    log_r1 = _log_ratios(f.Delta1, f.J1, "intracell bond") if use_r1 else np.zeros(n)
-    log_r2 = _log_ratios(f.Delta2[:-1], f.J2[:-1], "intercell bond") if use_r2 else np.zeros(n - 1)
-    c1 = np.concatenate([[0.0], np.cumsum(log_r1)])  # c1[j] = sum_{l<j} log r1_l, j = 0..N
-    c2 = np.concatenate([[0.0], np.cumsum(log_r2)])  # j = 0..N-1
-    diag_log = np.empty(4 * n, dtype=complex)
+    f = SiteFields.of(p)
+    c1 = np.concatenate([[0.0], np.cumsum(_log_ratios(f.Delta1, f.J1, "intracell bond"))])  # j = 0..N
+    c2 = np.concatenate([[0.0], np.cumsum(_log_ratios(f.Delta2[:-1], f.J2[:-1], "intercell bond"))])  # j < N
+    diag_log = np.empty(4 * f.N, dtype=complex)
     diag_log[0::4] = 0.5 * (c1[:-1] - c2)  # A x
     diag_log[1::4] = 0.5 * (c2 - c1[:-1])  # A p
     diag_log[2::4] = 0.5 * (c2 - c1[1:])   # B x
     diag_log[3::4] = 0.5 * (c1[1:] - c2)   # B p
     return _from_log(diag_log)
-
-
-def a1_prime(p: Union[ModBKCParams, SiteFields]) -> SimilarityMatrix:
-    """Intracell gauge (ratio r1 only); identity when J1 = 0."""
-    return _similarity_from_products(SiteFields.of(p), use_r1=True, use_r2=False)
-
-
-def a2_prime(p: Union[ModBKCParams, SiteFields]) -> SimilarityMatrix:
-    """Intercell gauge (ratio r2 only); identity when J2 = 0."""
-    return _similarity_from_products(SiteFields.of(p), use_r1=False, use_r2=True)
-
-
-def a_combined(p: Union[ModBKCParams, SiteFields]) -> SimilarityMatrix:
-    """Product of the intracell and intercell gauges (elementwise diagonal)."""
-    return _similarity_from_products(SiteFields.of(p), use_r1=True, use_r2=True)
 
 
 @dataclass(frozen=True)
@@ -272,29 +226,3 @@ def effective_ssh_matrix(p: Union[ModBKCParams, SiteFields]) -> np.ndarray:
     k = np.arange(len(b))
     H[k, k + 1] = H[k + 1, k] = b
     return H
-
-
-def ssh_lift_target(p: Union[ModBKCParams, SiteFields]) -> np.ndarray:
-    """4N target matrix i sigma_x (x) effective_ssh_matrix in the flat basis."""
-    H = effective_ssh_matrix(p)
-    T = np.zeros((2 * H.shape[0], 2 * H.shape[0]), dtype=complex)
-    # SSH site a = 2j+S sits at flat index 2a (x) and 2a+1 (p); sigma_x
-    # flips the quadrature bit
-    T[0::2, 1::2] = T[1::2, 0::2] = 1j * H
-    return T
-
-
-def transform_residual(M: Union[ExcitationMatrix, np.ndarray],
-                       A: SimilarityMatrix,
-                       target: np.ndarray) -> float:
-    """max-norm residual of A^{-1} M A against a target, relative to max|M|."""
-    Mm = M.M if isinstance(M, ExcitationMatrix) else np.asarray(M)
-    if Mm.shape[0] != A.dim or Mm.shape != target.shape:
-        raise ValueError("dimension mismatch between matrix, similarity and target")
-    scale = np.abs(Mm).max()
-    if scale == 0:
-        return float(np.abs(target).max())
-    # conjugate() only touches the nonzero pattern of M; entries where the
-    # target is nonzero but M is zero must still be counted.
-    diff = A.conjugate(Mm) - target
-    return float(np.abs(diff).max() / scale)

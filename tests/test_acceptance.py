@@ -33,20 +33,11 @@ from bkchain.spectral import (
     eigendecompose,
     modbkc_spectrum_zero_omega,
     solve,
-    spectrum_distance,
 )
 from bkchain.topology import edge_mode_count, winding_analytic, winding_numeric, zero_modes
 from bkchain.topology import GapClosedError
-from bkchain.transform import (
-    a1_prime,
-    a2_prime,
-    a_combined,
-    effective_ssh_params,
-    hatano_nelson_A,
-    hatano_nelson_target,
-    ssh_lift_target,
-    transform_residual,
-)
+from bkchain.transform import a_combined, effective_ssh_params, hatano_nelson_A
+from conftest import a1_prime, a2_prime, hatano_nelson_target, spectrum_distance, ssh_lift_target, transform_residual
 
 OBC, PBC = BoundaryCondition.OBC, BoundaryCondition.PBC
 

@@ -22,7 +22,8 @@ from bkchain import disorder, skin, topology
 from bkchain.skin import nhse_fraction, profile_matrix, spatial_profile
 from bkchain.spectral import SolverError, modbkc_spectrum_zero_omega, solve, zero_gap
 from bkchain.topology import edge_mode_count, phase_scan, zero_modes_per_copy
-from bkchain.transform import SingularTransformError, a_combined, ssh_lift_target, transform_residual
+from bkchain.transform import SingularTransformError, a_combined
+from conftest import ssh_lift_target, transform_residual
 
 OBC = BoundaryCondition.OBC
 PBC = BoundaryCondition.PBC

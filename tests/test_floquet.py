@@ -13,9 +13,9 @@ from bkchain.floquet import (
     averaged_phase,
     bessel_j0,
     chi,
-    delta_omega,
     effective_params,
 )
+from conftest import delta_omega
 
 
 class TestDrive:

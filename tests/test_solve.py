@@ -27,8 +27,8 @@ the small-eigenvalue guard).  The references are:
   ``T == T[::-1, ::-1]`` of each strided block, on built and random forms;
 * the Hatano-Nelson route's closed form, in every sign quadrant of
   (J0, Delta0): the per-channel `eigvalsh` of the gauge image
-  ``hatano_nelson_A(p).conjugate(M)``, the dense eigenvalues of the
-  direct M at N <= 10, and the eigenpair residual on the direct M; its
+  ``conftest.conjugate(hatano_nelson_A(p), M)``, the dense eigenvalues of
+  the direct M at N <= 10, and the eigenpair residual on the direct M; its
   per-channel lift: the lift of the whole 2N x 2N standing-wave array,
   bit for bit up to the sign of zero; at Delta0 = +-J0, where the gauge is
   singular, the nilpotency of the direct M (exact zeros, no vectors);
@@ -148,7 +148,7 @@ from bkchain.transform import (
     ssh_bonds,
 )
 
-from conftest import dense_q
+from conftest import conjugate, dense_q
 
 OBC = BoundaryCondition.OBC
 PBC = BoundaryCondition.PBC
@@ -555,12 +555,12 @@ HN_POINTS = [(J0, Delta0) for J0 in _HN_VALUES for Delta0 in _HN_VALUES if abs(J
 
 
 def _image_channel_eigenvalues(p):
-    """Per-channel eigenvalues of the gauge image ``hatano_nelson_A(p).conjugate(M)``, by `eigvalsh`.
+    """Per-channel eigenvalues of the gauge image ``conjugate(hatano_nelson_A(p), M)``, by `eigvalsh`.
 
     Each channel is Hermitian (|J0| > |Delta0|) or anti-Hermitian; an
     anti-Hermitian K is -i times the Hermitian i K.
     """
-    K = hatano_nelson_A(p).conjugate(build_bkc_excitation_direct(p, OBC).M)
+    K = conjugate(hatano_nelson_A(p), build_bkc_excitation_direct(p, OBC).M)
     out = []
     for c in (0, 1):
         H = K[c::2, c::2]

@@ -24,9 +24,9 @@ from bkchain.spectral import (
     eigendecompose,
     modbkc_spectrum_zero_omega,
     solve,
-    spectrum_distance,
     zero_gap,
 )
+from conftest import spectrum_distance
 
 OBC, PBC = BoundaryCondition.OBC, BoundaryCondition.PBC
 

@@ -16,17 +16,13 @@ from bkchain.spectral import _bands, _residuals, eigendecompose, modbkc_spectrum
 from bkchain.transform import (
     SimilarityMatrix,
     SingularTransformError,
-    a1_prime,
-    a2_prime,
     a_combined,
     effective_ssh_params,
     effective_ssh_matrix,
     hatano_nelson_A,
-    hatano_nelson_target,
     ssh_bonds,
-    ssh_lift_target,
-    transform_residual,
 )
+from conftest import a1_prime, a2_prime, conjugate, hatano_nelson_target, ssh_lift_target, transform_residual
 
 OBC = BoundaryCondition.OBC
 
@@ -54,14 +50,14 @@ class TestHatanoNelson:
         # transformed matrix literally Hermitian
         p = BKCParams(J0=2.0, Delta0=1.0, omega=0.0, N=60)
         M = build_bkc_excitation_direct(p, OBC)
-        K = hatano_nelson_A(p).conjugate(M.M)
+        K = conjugate(hatano_nelson_A(p), M.M)
         assert np.abs(K - K.conj().T).max() < 1e-8 * np.abs(M.M).max()
         A = hatano_nelson_A(p)
         assert np.exp(A.log_scale[5]) * A.phase[5] == pytest.approx(-3.0)  # r^{j/2} = r at the p component of j = 2
 
     def test_anti_hermitian_when_pairing_dominates(self, skin_bkc):
         M = build_bkc_excitation_direct(skin_bkc, OBC)
-        K = hatano_nelson_A(skin_bkc).conjugate(M.M)
+        K = conjugate(hatano_nelson_A(skin_bkc), M.M)
         assert np.abs(K + K.conj().T).max() < 1e-8 * np.abs(M.M).max()
 
     def test_singular_at_sweet_spot(self):
@@ -145,7 +141,7 @@ class TestSublatticeGauges:
         p = ModBKCParams(J1=1.0, J2=1.4, Delta1=1.5, Delta2=2.1, omega=0.5, N=10)
         onsite = build_modbkc_excitation_direct(
             ModBKCParams(J1=0, J2=0, Delta1=0, Delta2=0, omega=0.5, N=10), OBC).M
-        K = a_combined(p).conjugate(onsite)
+        K = conjugate(a_combined(p), onsite)
         assert np.abs(K - onsite).max() > 1.0
 
     def test_singular_gauge_raises(self):
@@ -328,7 +324,7 @@ class TestResidualMechanics:
         assert A.log10_condition < 12
         M = build_modbkc_excitation_direct(p, OBC)
         direct = np.linalg.eigvals(M.M)
-        transformed = np.linalg.eigvals(A.conjugate(M.M))
+        transformed = np.linalg.eigvals(conjugate(A, M.M))
         assert set_distance(direct, transformed) < 1e-7 * np.abs(M.M).max()
 
 
