@@ -11,6 +11,7 @@ code that picks a solve route:
   eigenvalues and standing waves in closed form.  At Delta0 = +-J0, M is
   nilpotent and every eigenvalue exactly 0; there is no gauge
   (`SingularTransformError`), so no eigenvectors, and ``source`` says so.
+  Only J0 = Delta0 = 0, where M = 0, keeps the identity gauge and its vectors.
 * **SSH reduction** (two-sublattice chain, OBC, every onsite omega = 0).  The
   combined gauge maps M onto i sigma_x (x) H_ssh, two decoupled copies of an
   SSH chain, so `modbkc_spectrum_zero_omega` solves the 2N-dimensional H_ssh

@@ -15,7 +15,8 @@ is never formed, and all products are taken entrywise in log space.
 Transforms are exact entrywise (each transformed entry is a single product),
 which keeps residual checks at machine precision even when the condition
 number of the diagonal is 1e60+.  A gauge is singular, and raises
-`SingularTransformError`, only where Delta = +-J exactly on a bond.
+`SingularTransformError`, only where Delta = +-J exactly on a bond; the
+single-band chain's J0 = Delta0 = 0 has no bond at all, and the identity.
 """
 
 from __future__ import annotations
@@ -133,9 +134,10 @@ def hatano_nelson_A(p: BKCParams) -> SimilarityMatrix:
 
     Scales are r^(-j/2) on x components and r^(+j/2) on p components; with
     this choice A^{-1} M A is c sigma_z (x) (S + S^T), c from
-    `hatano_nelson_coupling`.
+    `hatano_nelson_coupling`.  At J0 = Delta0 = 0 the chain has no bonds and
+    the gauge is the identity.
     """
-    log_r = _log_ratios(p.Delta0, p.J0, "hatano_nelson_A")  # principal branch for negative r
+    log_r = 0j if p.J0 == p.Delta0 == 0 else _log_ratios(p.Delta0, p.J0, "hatano_nelson_A")  # principal branch
     j = np.arange(p.N)
     diag_log = np.empty(2 * p.N, dtype=complex)
     diag_log[0::2] = -0.5 * j * log_r  # x_j

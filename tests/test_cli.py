@@ -524,6 +524,18 @@ bc = obc
         row = np.array([float(x) for x in lines[1].split(",")[1:]])
         assert row.sum() == pytest.approx(1.0, abs=1e-9)
 
+    def test_profiles_of_the_uncoupled_chain(self, tmp_path):
+        # J0 = Delta0 = 0 at omega = 0: M = 0, and the identity gauge keeps the standing waves
+        text = BKC_MODEL.format(n=10).replace("J0 = 0.5", "J0 = 0").replace("Delta0 = 1", "Delta0 = 0")
+        out = tmp_path / "prof"
+        assert main(["profiles", "--config", write(tmp_path, text), "--out", str(out)]) == 0
+        P = np.loadtxt(out / "profiles_obc.csv", delimiter=",", skiprows=1)[:, 1:]
+        assert np.all(P[:, 0::2] * P[:, 1::2] == 0)  # each state lives on the x or the p channel
+        m = np.arange(1, 11)
+        waves = 2 / 11 * np.sin(np.pi * np.outer(m, m) / 11) ** 2  # standing wave m at site j + 1
+        assert np.allclose(sorted(map(tuple, P[:, 0::2] + P[:, 1::2])), sorted(map(tuple, np.vstack([waves, waves]))),
+                           rtol=0, atol=1e-15)
+
     def test_profiles_inside_the_topological_window(self, tmp_path):
         # fig4 at J1 = 1.2: the open chain's edge pair is ~7e-36 from zero
         text = """

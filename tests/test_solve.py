@@ -31,7 +31,8 @@ the small-eigenvalue guard).  The references are:
   the direct M at N <= 10, and the eigenpair residual on the direct M; its
   per-channel lift: the lift of the whole 2N x 2N standing-wave array,
   bit for bit up to the sign of zero; at Delta0 = +-J0, where the gauge is
-  singular, the nilpotency of the direct M (exact zeros, no vectors);
+  singular, the nilpotency of the direct M (exact zeros, no vectors), but
+  at J0 = Delta0 = 0, where M = 0, exact zeros and the standing waves;
 * the reduced route's real gauge: the complex eigenvalues of
   `effective_ssh_matrix` and the eigenpair residual on the 4N matrix;
 * the reduced route's eigenvectors, which come from the twisted
@@ -641,7 +642,8 @@ class TestHatanoNelsonRoute:
             monkeypatch.setattr(module, name, refuse(name))
         p = BKCParams(J0=J0, Delta0=Delta0, omega=0.0, N=20)
         s = solve(p, OBC, vectors=vectors)
-        assert _route(s) == "similarity[" and (s.eigenvectors is not None) == (vectors and abs(J0) != abs(Delta0))
+        singular = abs(J0) == abs(Delta0) != 0  # J0 = Delta0 = 0 has the identity gauge
+        assert _route(s) == "similarity[" and (s.eigenvectors is not None) == (vectors and not singular)
         if abs(J0) == abs(Delta0):
             assert s.eigenvalues.tobytes() == np.zeros(2 * p.N, dtype=complex).tobytes()
 
