@@ -136,6 +136,16 @@ class TestQuadraticForms:
         with pytest.raises(ValueError, match="at least 2 cells, got 1"):
             SiteFields(**{k: v[:1] for k, v in fields.items()})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, value):
+        for name in ("J0", "Delta0", "omega"):
+            with pytest.raises(ValueError, match="BKCParams: parameters must be finite"):
+                BKCParams(**{"J0": 1.0, "Delta0": 0.5, "omega": 0.0, "N": 4, name: value})
+        for name in ("J1", "J2", "Delta1", "Delta2", "omega"):
+            kwargs = {"J1": 1.0, "J2": 0.5, "Delta1": 1.5, "Delta2": 2.0, "omega": 0.0, "N": 4, name: value}
+            with pytest.raises(ValueError, match="ModBKCParams: parameters must be finite"):
+                ModBKCParams(**kwargs)
+
     def test_small_chains_rejected(self):
         with pytest.raises(ValueError):
             BKCParams(J0=1, Delta0=0, omega=0, N=1)
