@@ -15,8 +15,8 @@ is never formed, and all products are taken entrywise in log space.
 Transforms are exact entrywise (each transformed entry is a single product),
 which keeps residual checks at machine precision even when the condition
 number of the diagonal is 1e60+.  A gauge is singular, and raises
-`SingularTransformError`, only where Delta = +-J exactly on a bond; the
-single-band chain's J0 = Delta0 = 0 has no bond at all, and the identity.
+`SingularTransformError`, only where Delta = +-J exactly on a bond; at
+J0 = Delta0 = 0 the single-band chain has no bonds and its gauge is the identity.
 """
 
 from __future__ import annotations
@@ -170,8 +170,10 @@ def a_combined(p: Union[ModBKCParams, SiteFields]) -> SimilarityMatrix:
     the intercell one.
     """
     f = SiteFields.of(p)
-    c1 = np.concatenate([[0.0], np.cumsum(_log_ratios(f.Delta1, f.J1, "intracell bond"))])  # j = 0..N
-    c2 = np.concatenate([[0.0], np.cumsum(_log_ratios(f.Delta2[:-1], f.J2[:-1], "intercell bond"))])  # j < N
+    log_r1 = _log_ratios(f.Delta1, f.J1, "intracell bond")
+    log_r2 = _log_ratios(f.Delta2[:-1], f.J2[:-1], "intercell bond")
+    c1 = np.concatenate([[0.0], np.cumsum(log_r1)])  # c1[j] = sum_{l<j} log r1_l, j = 0..N
+    c2 = np.concatenate([[0.0], np.cumsum(log_r2)])  # j = 0..N-1
     diag_log = np.empty(4 * f.N, dtype=complex)
     diag_log[0::4] = 0.5 * (c1[:-1] - c2)  # A x
     diag_log[1::4] = 0.5 * (c2 - c1[:-1])  # A p
