@@ -7,8 +7,9 @@ clear an edge-weight threshold, which distinguishes the skin-effect regime
 (all states pile up at the boundaries) from the delocalized one.
 
 The profiles of a `Spectrum` are read off ``Spectrum.base``: each sign flip
-has the profile of its base column, so `profile_matrix` (`profile_rows`)
-equals the profiles of ``Spectrum.eigenvectors`` bit for bit.
+has the profile of its base column, so `profile_rows` gathers one row per
+eigenstate through ``Spectrum.order``, and `profile_matrix` equals the
+profiles of ``Spectrum.eigenvectors`` bit for bit.
 """
 
 from __future__ import annotations
@@ -77,13 +78,8 @@ def nhse_fraction(s: Spectrum, frac: float, threshold: float, n_cells: int) -> f
 
 
 def profile_rows(s: Spectrum, p: SpatialProfile) -> np.ndarray:
-    """The profiles ``p`` of ``s.base``, each written into the rows of its sorted slots (``Spectrum.slots``)."""
-    if s.slots is None:
-        return p.prob.T
-    rows = np.empty((len(s), len(p.prob)))
-    for slot in s.slots.reshape(-1, p.prob.shape[1]):
-        rows[slot] = p.prob.T
-    return rows
+    """The profiles ``p`` of ``s.base``, one row per eigenstate in sort order: row i is base column s.order[i] % C."""
+    return p.prob.T[s.order % p.prob.shape[1]]
 
 
 def profile_matrix(s: Spectrum, n_cells: int) -> np.ndarray:

@@ -42,9 +42,11 @@ code that picks a solve route:
   chains from the determinant identity det(D F) = prod(mu), vectors from
   the sublattice zero-mode recursions, or, near a transition where those
   are too inexact, from `_twisted`.  A chain with more than one small
-  value (weakly coupled pieces, an edge pair each) or an exactly zero bond
-  takes the full-size solve of H_r instead: `eigh` for the vectors of a
-  single-phase chain, whose singular values stay, else the real `eig`.
+  value (weakly coupled pieces, an edge pair each) takes the full-size
+  solve of H_r instead: `eigh` for the vectors of a single-phase chain,
+  whose singular values stay, else the real `eig`.  So does a chain with
+  an exactly zero bond (Delta = +-J), where a value is small or vectors
+  are solved: the recursions and `_twisted` divide by every bond.
   ``Spectrum.source`` names the deflation or the fallback.  M anticommutes
   with Sigma = diag(+1, -1) over (x, p) and with Gamma = diag(+1, -1) over
   the sublattices (Asboth, Oroszlany & Palyi, LNP 919 (2016), ch. 1): with
@@ -54,7 +56,7 @@ code that picks a solve route:
   log-moduli (``SimilarityMatrix.lift_polar``, which exponentiates each
   entry once, with the gauge's), checked and kept as ``Spectrum.base``.
   The fallback's -E vectors are no Gamma-flips, so it keeps 2N columns,
-  each with its Sigma-flip.  At Delta = +-J exactly on some bond the
+  each with its Sigma-flip.  At Delta = +-J != 0 on some bond the
   eigenvalues stay exact but no eigenvectors are computed.
 * **Bloch** (uniform ring of either model, `BKCParams` or `ModBKCParams`
   under PBC, any omega).  Translation invariance splits the ring into N
@@ -109,7 +111,8 @@ they are returned alone, and ``Spectrum.source`` names the failure.
 **Eigenvalues only.**  ``solve(p, bc, vectors=False)`` takes the same route,
 with the same ``source`` prefix, but computes no eigenvector, lifts nothing
 and builds no K that it does not solve.  These spectra get no residual
-check: there is nothing to check it on.  Per route:
+check, and no ``base`` or ``order``: there is nothing to check or place.
+Per route:
 
 * Hatano-Nelson gauge: the same closed form, with no gauge, standing wave
   or Q, at Delta0 = +-J0 too.
@@ -117,19 +120,23 @@ check: there is nothing to check it on.  Per route:
   single-phase chain, `_quantised_mu` or `eigvals` of D F on a sign-mixed
   one), roots, deflation and guard, without `_twisted`; the sign-mixed
   fallback takes `eigvals` of H_r.  Both paths write the same ``source``
-  and, off that fallback, the same eigenvalues bit for bit.  A singular
-  gauge, which has no vectors either way, is solved the same way.
+  and, off that fallback, the same eigenvalues bit for bit, but on a chain
+  cut by a bond with J = Delta = 0, where only a vector solve takes the
+  fallback.  A singular gauge, which has no vectors either way, is solved
+  the same way.
 * Bloch: one batched `eigvals` of the N blocks; neither the ring's Q nor M is
   built.
 * x/p: `eigvals` of Qp Qx, or of its two mirror halves where Qx and Qp are
   centrosymmetric; a guarded point takes the dense `eigvals` of K.
 
-Every route sorts by `_order`, with no -0.0 part (a CSV's "-0"); the
-half-size solves keep the sorted places of their base columns and flips as
-``Spectrum.slots``, which `_sorted_pairs` writes out only where
-``Spectrum.eigenvectors`` is read.  Each route owns its small-|E| guard:
-`_edge_pair` on the reduced route, one test in `_xp_spectrum` on the x/p
-route.
+Every route sorts by `_order`, with no -0.0 part (a CSV's "-0").  No route
+writes its columns in sorted order.  Each keeps them in its own layout as
+``Spectrum.base``: every column on the dense, Bloch and Hatano-Nelson
+routes, the base columns on the half-size ones.  The sort's permutation,
+``Spectrum.order``, places each column and each of its flips; only a read
+of ``Spectrum.eigenvectors`` gathers every column.  Each route owns its
+small-|E| guard: `_edge_pair` on the reduced route, one test in
+`_xp_spectrum` on the x/p route.
 """
 
 from __future__ import annotations
@@ -211,45 +218,48 @@ class SolverError(RuntimeError):
 class Spectrum:
     """Eigenvalues, sorted by (real part, imaginary part), and their checked unit-norm eigenvectors.
 
-    ``base`` holds the checked base columns: F-ordered 4N x N (reduced route)
-    or 4N x 2N (x/p), every column in sorted order elsewhere, where ``slots``
-    is None; ``slots[s, g, c]``, `_order`'s place of the values laid out as
-    [s][g][c], is the sorted place of base column c flipped by Sigma^s
-    Gamma^g.  ``eigenvectors``, every column, is written on first read.  Both
-    are None without ``vectors`` and where a gauge route has eigenvalues only
-    (singular gauge, failed check); ``source`` says why.
+    ``base`` holds the checked base columns in the route's own layout: every
+    column (dense, Bloch, Hatano-Nelson), N of 4N (reduced route) or 2N of
+    4N (x/p, and the reduced route's fallback).  `_order` sorted the route's
+    values laid out [Sigma][Gamma][column], its columns and their flips:
+    sorted place i holds layout entry ``order[i]``, which is base column
+    ``order[i] % C`` (C = ``base.shape[1]``) flipped by Sigma^s Gamma^g, with
+    ``order[i] // C`` = 2 s + g for 4C values, s for 2C and 0 for C.
+    ``eigenvectors``, every column in sorted order, is gathered on first
+    read.  ``base`` and ``order`` are None without ``vectors`` and where a
+    gauge route has eigenvalues only (singular gauge, failed check);
+    ``source`` says why.
     """
 
     eigenvalues: np.ndarray
     base: Optional[np.ndarray] = None
     source: str = field(default="", compare=False)
-    slots: Optional[np.ndarray] = field(default=None, compare=False)
+    order: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
 
     @cached_property
     def eigenvectors(self) -> Optional[np.ndarray]:
-        return self.base if self.slots is None else _sorted_pairs(self.base.copy(), self.slots)
+        """Every column in sorted order, in the memory layout of ``base``: one gather, then the flips."""
+        if self.base is None:
+            return None
+        C = self.base.shape[1]
+        sigma, gamma = np.divmod(self.order // C, max(len(self) // C // 2, 1))  # gamma = 0 below 4 C values
+        rows = np.arange(len(self.base))[:, None]
+        V = self.base[:, self.order % C].copy(order="F" if self.base.flags.f_contiguous else "C")
+        # Sigma negates the p rows 2a + 1, Gamma the rows 4j + 2, 4j + 3 of the B sites 2j + 1
+        return np.negative(V, out=V, where=(sigma & rows) ^ (gamma & rows // 2) == 1)
 
 
 def _order(vals: np.ndarray):
-    """The sort of every route: ``(sorted, order, place)`` of ``vals`` by (Re, Im), place[order] = 0, 1, ...
+    """The sort of every route: ``(sorted, order)``, ``sorted = vals[order]`` by (Re, Im).
 
     Adding 0.0 turns every -0.0 part, which a CSV writes as "-0", into 0.
     """
     vals = vals + 0.0
     order = np.lexsort((vals.imag, vals.real))
-    place = np.empty_like(order)
-    place[order] = np.arange(len(order))
-    return vals[order], order, place
-
-
-def _sorted(eigenvalues, eigenvectors, source):
-    """Spectrum in (Re, Im) order; every route hands in unit-norm columns already."""
-    vals, order, _ = _order(eigenvalues)
-    vecs = None if eigenvectors is None else eigenvectors[:, order]
-    return Spectrum(eigenvalues=vals, base=vecs, source=source)
+    return vals[order], order
 
 
 def _bands(A: np.ndarray) -> list:
@@ -303,11 +313,13 @@ def eigendecompose(M: ExcitationMatrix, vectors: bool = True) -> Spectrum:
         lam, vecs = np.linalg.eig(K) if vectors else (np.linalg.eigvals(K), None)
     except np.linalg.LinAlgError as err:
         raise SolverError(f"eigensolver failed for {M.source} matrix, dim={M.dim}, bc={M.bc}: {err}") from err
-    spec = _sorted(1j * lam, vecs, source=f"eig[{M.source},{M.bc.value},n={M.n_cells}]")
-    del vecs  # the residual check below is the peak of memory use
-    if vectors:
-        _check_residual(_bands(K), spec.base, spec.eigenvalues)
-    return spec
+    vals, order = _order(1j * lam)
+    source = f"eig[{M.source},{M.bc.value},n={M.n_cells}]"
+    if not vectors:
+        return Spectrum(eigenvalues=vals, source=source)
+    vecs = np.asfortranarray(vecs)  # `spatial_profile`'s column sums depend on the layout
+    _check_residual(_bands(K), vecs, 1j * lam)
+    return Spectrum(eigenvalues=vals, base=vecs, source=source, order=order)
 
 
 def _hatano_nelson_spectrum(p: BKCParams, vectors: bool) -> Spectrum:
@@ -320,15 +332,17 @@ def _hatano_nelson_spectrum(p: BKCParams, vectors: bool) -> Spectrum:
     where it is singular the eigenvalues come alone.  Both channels share
     the standing waves sqrt(2 / (N + 1)) sin(pi m (j + 1) / (N + 1)).  Each
     column lives on one channel, so each channel's N x N block is lifted
-    through that channel's rows of the gauge and written into its sorted
-    columns; the other channel's rows stay zero.
+    through that channel's rows of the gauge and written into that channel's
+    N columns, x then p, the layout of the values [E, -E]; the other
+    channel's rows stay zero.
     """
     from .transform import SingularTransformError, hatano_nelson_A, hatano_nelson_coupling
     n = p.N
     source = f"similarity[symplectic,{BoundaryCondition.OBC.value},n={n}]"
     m = np.arange(1, n + 1)
     E = 2 * hatano_nelson_coupling(p) * np.sin(np.pi * (n + 1 - 2 * m) / (2 * n + 2))
-    vals, _, place = _order(np.concatenate([E, -E]))  # column c of [x, p channel] is sorted column place[c]
+    e = np.concatenate([E, -E])  # [x, p channel][column]
+    vals, order = _order(e)
     if not vectors:
         return Spectrum(eigenvalues=vals, source=source)
     try:
@@ -336,25 +350,26 @@ def _hatano_nelson_spectrum(p: BKCParams, vectors: bool) -> Spectrum:
     except SingularTransformError as err:  # Delta0 = +-J0: no gauge, eigenvalues only
         return Spectrum(eigenvalues=vals, source=f"{source} (no vectors: {err})")
     U = np.sqrt(2 / (n + 1)) * np.sin(np.pi * (np.outer(m, m) % (2 * n + 2)) / (n + 1))  # row j, column m - 1
-    # each column lives on one channel: lift that channel's rows only, into the layout of a [:, order] gather
+    # each column lives on one channel: lift that channel's rows only, F-ordered as `lift` writes them
     vecs = np.zeros((2 * n, 2 * n), dtype=complex, order="F")
-    for rows, cols in ((slice(0, None, 2), place[:n]), (slice(1, None, 2), place[n:])):
+    for rows, cols in ((slice(0, None, 2), slice(None, n)), (slice(1, None, 2), slice(n, None))):
         vecs[rows, cols] = replace(A, log_scale=A.log_scale[rows], phase=A.phase[rows]).lift(U)
-    return _checked(vals, source, build_bkc_quadratic(p, BoundaryCondition.OBC), vecs, vals)
+    return _checked(vals, order, source, build_bkc_quadratic(p, BoundaryCondition.OBC), vecs, e)
 
 
-def _checked(vals: np.ndarray, source: str, q: QuadraticForm, columns: np.ndarray, e: np.ndarray,
-             slots: Optional[np.ndarray] = None) -> Spectrum:
-    """The gauge routes' tail: the exact ``vals``, with ``columns`` and their ``slots`` where these pass the check.
+def _checked(vals: np.ndarray, order: np.ndarray, source: str, q: QuadraticForm, columns: np.ndarray,
+             e: np.ndarray) -> Spectrum:
+    """The gauge routes' tail: the exact ``vals``, with the base ``columns`` and ``order`` where these pass the check.
 
     ``columns`` belong to the eigenvalues ``e`` and are checked on K's diagonals
     from ``q``'s (`excitation_bands`); where they fail, ``source`` says why.
+    ``order`` sorted the route's values, ``e`` and their flips, into ``vals``.
     """
     try:
         _check_residual(excitation_bands(q), columns, e)
     except SolverError as err:
         return Spectrum(eigenvalues=vals, source=f"{source} (no vectors: {err})")
-    return Spectrum(eigenvalues=vals, base=columns, source=source, slots=slots)
+    return Spectrum(eigenvalues=vals, base=columns, source=source, order=order)
 
 
 def reduced_route(p: Union[BKCParams, ModBKCParams, SiteFields], bc: BoundaryCondition) -> bool:
@@ -459,7 +474,7 @@ class _EdgePair(NamedTuple):
     u: Optional[tuple]      # eigenvector of H_r for +E as (log|u|, u / |u|); None where error > EDGE_PAIR_MAX_ERROR
 
 
-def _edge_pair(mag: np.ndarray, lower: np.ndarray, mu: np.ndarray) -> Optional[_EdgePair]:
+def _edge_pair(mag: np.ndarray, lower: np.ndarray, mu: np.ndarray, vectors: bool) -> Optional[_EdgePair]:
     """The near-zero eigenpair of H_r = diag(mag, 1) + diag(lower, -1), in closed form.
 
     ``mu`` holds the N values E^2 of H_r (the eigenvalues of D F, or on a
@@ -469,7 +484,8 @@ def _edge_pair(mag: np.ndarray, lower: np.ndarray, mu: np.ndarray) -> Optional[_
     eigenvector of H_r for +E as (log|u|, u / |u|), the form of `_twisted`'s
     columns (for -E negate its B entries), and ``error`` the backward error
     of u; u is None where that error exceeds ``EDGE_PAIR_MAX_ERROR``.
-    Raises `_SmallEigenvalue` where more values are small or a bond is zero.
+    Raises `_SmallEigenvalue` where more values are small, or where a bond
+    is zero and a value is small or ``vectors`` are to be solved.
 
     H_r is bipartite with a zero diagonal; site 2j is A_j and 2j+1 is B_j.
     Its A-sublattice zero mode a solves every B row but the last,
@@ -497,13 +513,13 @@ def _edge_pair(mag: np.ndarray, lower: np.ndarray, mu: np.ndarray) -> Optional[_
     """
     size = np.sqrt(np.abs(mu))
     small = ~(size > REDUCED_MIN_EIGENVALUE * mag.max())
-    if not small.any():
-        return None
     if small.sum() > 1:
         raise _SmallEigenvalue(
             f"min|E| {size.min():.2e} <= {REDUCED_MIN_EIGENVALUE:g} max|H_r|, {small.sum()} values")
-    if not mag.all():
+    if not mag.all() and (small.any() or vectors):  # the recursions and `_twisted` divide by every bond
         raise _SmallEigenvalue(f"min|E| {size.min():.2e} on a chain cut by a zero bond")
+    if not small.any():
+        return None
     m = int(np.argmax(small))
     rest = np.delete(mu, m)
     sign = lower / mag
@@ -593,24 +609,6 @@ def _twisted(mag: np.ndarray, lower: np.ndarray, E: np.ndarray):
     return log_z, phase
 
 
-def _sorted_pairs(base: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """The checked columns ``base`` and their chiral flips, each written into its sorted place ``slots``.
-
-    ``Spectrum.eigenvectors`` of both half-size routes.  Sigma negates the p
-    rows, Gamma the x and p rows of the B sites.  Each column is written
-    once into an F-contiguous array, the layout of a ``[:, order]`` gather.
-    The flips negate rows of ``base`` in place.
-    """
-    out = np.empty((len(base), slots.size), dtype=complex, order="F")
-    p_rows, b_rows = [base[1::2]], [base[2::4], base[3::4]]  # B_j is site 2j + 1: rows 4j + 2, 4j + 3
-    walk = [((0, 0), []), ((1, 0), p_rows), ((1, 1), b_rows), ((0, 1), p_rows)]  # 1, Sigma, Sigma Gamma, Gamma
-    for (s, g), negate in walk[:slots.size // base.shape[1]]:
-        for rows in negate:
-            np.negative(rows, out=rows)
-        out[:, slots[s, g]] = base
-    return out
-
-
 def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
                                bc: BoundaryCondition = BoundaryCondition.OBC,
                                with_vectors: bool = True) -> Spectrum:
@@ -621,15 +619,16 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
     on a single-phase chain (an all-imaginary one solved as T = H_ssh / i,
     its E_m times i), else the roots of `_quantised_mu` or `eigvals` of D F.
     A lone |E| <= ``REDUCED_MIN_EIGENVALUE`` * max|H_r|, the edge pair, is
-    deflated (`_edge_pair`); more such values, or a zero bond, send H_r to
-    the full-size solve.  A LAPACK failure on any kernel raises `SolverError`.
+    deflated (`_edge_pair`); more such values, or a zero bond (with a small
+    value or vectors), send H_r to the full-size solve.  A LAPACK failure on any kernel raises `SolverError`.
     ``Spectrum.source`` names the deflation or the fallback and its reason.
     Eigenvectors are lifted through the combined gauge from log-moduli: N
-    unit columns v for +i root, F-ordered, kept as ``Spectrum.base`` with the
-    slots of Gamma v, Sigma v and Sigma Gamma v; the fallback keeps 2N
-    columns and their Sigma-flips.  Where `_checked` finds them failing,
-    the eigenvalues are returned alone and ``source`` names the failure.
-    With ``with_vectors=False`` (or at a singular gauge, Delta = +-J) only
+    unit columns v for +i root, F-ordered, kept as ``Spectrum.base``;
+    ``Spectrum.order`` places them and Gamma v, Sigma v and Sigma Gamma v.
+    The fallback keeps 2N columns and their Sigma-flips.  Where `_checked`
+    finds them failing, the eigenvalues are returned alone and ``source``
+    names the failure.
+    With ``with_vectors=False`` (or at a singular gauge, Delta = +-J != 0) only
     the eigenvalues are computed, along the same path.  A chain that
     `reduced_route` turns away raises ValueError.
     """
@@ -666,7 +665,7 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
             raise SolverError(f"half-size singular value solve failed, dim={len(F)}: {err}") from err
         root, mu = s.astype(complex), s * s
     try:
-        pair = _edge_pair(mag, lower, mu)
+        pair = _edge_pair(mag, lower, mu, vectors)
     except _SmallEigenvalue as guard:
         source, pair = f"{source} (half-size guard: {guard})", None
         Hr = np.diag(mag, 1) + np.diag(lower, -1)
@@ -692,17 +691,17 @@ def modbkc_spectrum_zero_omega(p: Union[ModBKCParams, SiteFields],
         source += (f" (deflated edge pair, solved vectors: closed-form backward error {pair.error:.2e}"
                    f" > {EDGE_PAIR_MAX_ERROR:g})")
     e = turn * root  # M's eigenvalue for each base column; -e for its Sigma- and its Gamma-flip
-    vals, _, place = _order(np.concatenate([e, -e, -e, e] if gamma else [e, -e]))  # [Sigma][Gamma][column]
+    vals, order = _order(np.concatenate([e, -e, -e, e] if gamma else [e, -e]))  # [Sigma][Gamma][column]
     if U is None:
         return Spectrum(eigenvalues=vals, source=source)
-    # U = S U_r, S in the gauge's phases; |b| / b and S hold +-1, +-i only, so every product is exact
-    S = np.concatenate([[1], np.cumprod(np.sign(b.real) - 1j * np.sign(b.imag))])
+    # U = S U_r, S in the gauge's phases; |b| / b and S hold +-1, +-i only, so every product is exact;
+    # a zero bond couples nothing, and S steps across it by 1
+    S = np.concatenate([[1], np.cumprod(np.where(b == 0, 1, np.sign(b.real) - 1j * np.sign(b.imag)))])
     A = replace(A, phase=A.phase * np.repeat(S, 2))
     plus = A.lift(U) if isinstance(U, np.ndarray) else A.lift_polar(*U)
     del U
-    # the Sigma- and Gamma-flips of these columns have equal residuals; F-ordered, as `_sorted_pairs`
-    # writes every column: `spatial_profile`'s column sums depend on it
-    return _checked(vals, source, build_modbkc_quadratic(f, bc), plus, e, place.reshape(2, -1, plus.shape[1]))
+    # the Sigma- and Gamma-flips of these columns have equal residuals
+    return _checked(vals, order, source, build_modbkc_quadratic(f, bc), plus, e)
 
 
 def _mirrored(q: QuadraticForm, s: int) -> bool:
@@ -745,8 +744,8 @@ def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:
     columns (x, y), normalised together, are checked as they are: the check
     maps K's diagonals from Q's (`excitation_bands`), and M couples x only to
     p, so each -E column (x, -y) is the Sigma-flip of its +E partner (x, y),
-    with a residual equal bit for bit.  The base columns are kept, with the
-    slots of both.
+    with a residual equal bit for bit.  The base columns are kept, and
+    ``Spectrum.order`` places both.
     """
     Qx, Qp = q.block(0), q.block(1)
     source = f"xp[symplectic,{q.bc.value},n={q.n_cells}]"
@@ -767,7 +766,7 @@ def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:
         spec = eigendecompose(excitation_matrix(q), vectors)
         return replace(spec, source=f"{spec.source} (x/p guard: min|E| {np.abs(root).min():.2e}"
                                     f" <= {XP_MIN_EIGENVALUE:g} max|Q|{count})")
-    vals, _, place = _order(np.concatenate([root, -root]))  # [Sigma][column]
+    vals, order = _order(np.concatenate([root, -root]))  # [Sigma][column]
     if not vectors:
         return Spectrum(eigenvalues=vals, source=source)
     plus = np.zeros((q.dim, len(root)), dtype=complex, order="F")  # site a at x row 2a and p row 2a + 1
@@ -786,7 +785,7 @@ def _xp_spectrum(q: QuadraticForm, vectors: bool) -> Spectrum:
     X /= norm
     Y /= norm
     _check_residual(excitation_bands(q), plus, root)
-    return Spectrum(eigenvalues=vals, base=plus, source=source, slots=place.reshape(2, 1, -1))
+    return Spectrum(eigenvalues=vals, base=plus, source=source, order=order)
 
 
 def _bloch_spectrum(p: Union[BKCParams, ModBKCParams], vectors: bool) -> Spectrum:
@@ -795,7 +794,7 @@ def _bloch_spectrum(p: Union[BKCParams, ModBKCParams], vectors: bool) -> Spectru
     Each eigenpair (E, u) of the block at k = 2 pi m / N gives the ring
     eigenpair (E, v), v[(j, a)] = w^(j m) u_a / sqrt(N), with w = exp(2 pi i / N)
     (see `bloch_matrix`).  The plane waves are written straight into the
-    ring's eigenvector array, in the order `_sorted` gives.  The check maps
+    ring's eigenvector array, one column per (k, band).  The check maps
     K's diagonals from the ring's Q's (`excitation_bands`) and never forms K.
     Without ``vectors`` only the block eigenvalues are solved, and the ring's
     Q is not built.
@@ -810,19 +809,17 @@ def _bloch_spectrum(p: Union[BKCParams, ModBKCParams], vectors: bool) -> Spectru
     s = B.shape[-1]
     try:
         if not vectors:
-            return _sorted(np.linalg.eigvals(B).ravel(), None, source)
-        vecs = np.empty((n * s, n * s), dtype=complex)
+            return Spectrum(eigenvalues=_order(np.linalg.eigvals(B).ravel())[0], source=source)
+        vecs = np.empty((n * s, n * s), dtype=complex)  # C-ordered: `spatial_profile`'s column sums depend on it
         E, U = np.linalg.eig(B)
     except np.linalg.LinAlgError as err:
         raise SolverError(f"Bloch eigensolver failed, n={n}: {err}") from err
-    vals, order, _ = _order(E.ravel())
-    mk, band = np.divmod(order, s)
+    vals, order = _order(E.ravel())  # [k][band]
     wave = np.exp(2j * np.pi * m / n) / np.sqrt(n)   # w^t / sqrt(N), t = j m mod N
-    np.multiply(wave[np.outer(m, mk) % n][:, None, :], U[mk, :, band].T,
-                out=vecs.reshape(n, s, n * s))
-    spec = Spectrum(eigenvalues=vals, base=vecs, source=source)
-    _check_residual(bands, vecs, spec.eigenvalues)
-    return spec
+    # row (j, a), column (k, band): w^(j k) U[k, a, band] / sqrt(N)
+    np.multiply(wave[np.outer(m, m) % n][:, None, :, None], U.transpose(1, 0, 2), out=vecs.reshape(n, s, n, s))
+    _check_residual(bands, vecs, E.ravel())
+    return Spectrum(eigenvalues=vals, base=vecs, source=source, order=order)
 
 
 def solve(p: Union[BKCParams, ModBKCParams, SiteFields], bc: BoundaryCondition,

@@ -42,7 +42,6 @@ if TYPE_CHECKING:  # transform is imported by the functions that use it: an x/p 
 __all__ = [
     "WindingResult",
     "GapClosedError",
-    "NonIntegerWindingError",
     "h_pm",
     "winding_numeric",
     "winding_analytic",
@@ -55,7 +54,6 @@ __all__ = [
     "phase_scan",
 ]
 
-_WINDING_RESIDUE_TOL = 0.01
 _GAP_TOL = 1e-10
 ZERO_TOL = 1e-6
 EDGE_FRAC = 0.1
@@ -64,10 +62,6 @@ EDGE_THRESHOLD = 0.9
 
 class GapClosedError(ValueError):
     """|h(k)| dipped below threshold somewhere on the k grid."""
-
-
-class NonIntegerWindingError(RuntimeError):
-    """Unwrapped phase did not land near an integer multiple of 2 pi."""
 
 
 @dataclass(frozen=True)
@@ -86,13 +80,9 @@ def h_pm(k: float, eff: EffectiveSSHParams):
 def _winding_of_samples(h: np.ndarray) -> int:
     if np.abs(h).min() < _GAP_TOL:
         raise GapClosedError(f"min |h| = {np.abs(h).min():.3e} below {_GAP_TOL}; winding undefined")
-    closed = np.concatenate([h, h[:1]])
+    closed = np.concatenate([h, h[:1]])  # closed on its first sample: w is an integer to rounding
     total = np.unwrap(np.angle(closed))
-    w = (total[-1] - total[0]) / (2 * np.pi)
-    nearest = round(w)
-    if abs(w - nearest) >= _WINDING_RESIDUE_TOL:
-        raise NonIntegerWindingError(f"winding residue |{w:.4f} - {nearest}| >= {_WINDING_RESIDUE_TOL}")
-    return int(nearest)
+    return round((total[-1] - total[0]) / (2 * np.pi))
 
 
 def winding_numeric(eff: EffectiveSSHParams, grid: int = 1024) -> WindingResult:

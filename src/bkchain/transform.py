@@ -15,8 +15,9 @@ is never formed, and all products are taken entrywise in log space.
 Transforms are exact entrywise (each transformed entry is a single product),
 which keeps residual checks at machine precision even when the condition
 number of the diagonal is 1e60+.  A gauge is singular, and raises
-`SingularTransformError`, only where Delta = +-J exactly on a bond; at
-J0 = Delta0 = 0 the single-band chain has no bonds and its gauge is the identity.
+`SingularTransformError`, only where Delta = +-J != 0 exactly on a bond.  A
+bond with J = Delta = 0 couples nothing and has r = 1: at J0 = Delta0 = 0
+the single-band chain's gauge is the identity.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ __all__ = [
 ]
 
 class SingularTransformError(ValueError):
-    """The requested diagonal rescaling does not exist (Delta = +-J exactly on some bond)."""
+    """The requested diagonal rescaling does not exist (Delta = +-J != 0 exactly on some bond)."""
 
 
 @dataclass(frozen=True)
@@ -103,16 +104,18 @@ class SimilarityMatrix:
 
 
 def _log_ratios(delta, J, what: str):
-    """log r with r = (Delta + J)/(Delta - J), elementwise over bonds.
+    """log r with r = (Delta + J)/(Delta - J), elementwise over bonds, and r = 1 where J = Delta = 0.
 
-    The gauge needs Delta != +-J on every bond: Delta = J divides by zero and
-    Delta = -J gives r = 0, so both raise `SingularTransformError`.  Only an
-    exact equality is singular: the gauge is built in log space, where any
-    finite ratio fits, and distinct doubles Delta, J give |r| of order 1/eps
-    at most.
+    The gauge needs Delta != +-J on every coupling bond: Delta = J divides by
+    zero and Delta = -J gives r = 0, so both raise `SingularTransformError`.
+    Only an exact equality is singular: the gauge is built in log space,
+    where any finite ratio fits, and distinct doubles Delta, J give |r| of
+    order 1/eps at most.  A bond with J = Delta = 0 cuts the chain, and any
+    r serves it; r = 1 leaves the gauge across it as it is.
     """
     delta, J = np.asarray(delta, dtype=float), np.asarray(J, dtype=float)
-    singular = (delta - J == 0) | (delta + J == 0)
+    cut = (delta == 0) & (J == 0)
+    singular = ((delta - J == 0) | (delta + J == 0)) & ~cut
     if singular.any():
         j = np.flatnonzero(singular)[0]
         where = "" if delta.ndim == 0 else f" at cell {j}"
@@ -121,7 +124,7 @@ def _log_ratios(delta, J, what: str):
             f"gives Delta = +-J; transform is singular")
     # real division, then complex: a complex division can leave a signed-zero
     # imaginary part, which would flip the principal branch of log for negative r
-    return np.log(((delta + J) / (delta - J)).astype(complex))
+    return np.log(np.divide(delta + J, delta - J, out=np.ones_like(delta), where=~cut).astype(complex))
 
 
 def _from_log(diag_log: np.ndarray) -> SimilarityMatrix:
@@ -137,7 +140,7 @@ def hatano_nelson_A(p: BKCParams) -> SimilarityMatrix:
     `hatano_nelson_coupling`.  At J0 = Delta0 = 0 the chain has no bonds and
     the gauge is the identity.
     """
-    log_r = 0j if p.J0 == p.Delta0 == 0 else _log_ratios(p.Delta0, p.J0, "hatano_nelson_A")  # principal branch
+    log_r = _log_ratios(p.Delta0, p.J0, "hatano_nelson_A")  # principal branch
     j = np.arange(p.N)
     diag_log = np.empty(2 * p.N, dtype=complex)
     diag_log[0::2] = -0.5 * j * log_r  # x_j
@@ -167,7 +170,7 @@ def a_combined(p: Union[ModBKCParams, SiteFields]) -> SimilarityMatrix:
     of the open chain; the last entry of ``J2``/``Delta2`` is the ring's wrap
     bond, which no gauge uses.  A bond with J = 0 has r = 1 exactly, so the
     chain with every J2 = 0 gives the intracell gauge alone, and every J1 = 0
-    the intercell one.
+    the intercell one; so does a bond with J = Delta = 0 (`_log_ratios`).
     """
     f = SiteFields.of(p)
     log_r1 = _log_ratios(f.Delta1, f.J1, "intracell bond")

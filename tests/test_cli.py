@@ -741,9 +741,8 @@ UNREAD_PUBLIC_NAMES = {
 }
 
 
-def test_each_public_name_is_read_in_the_package():
-    # statically: a name in a module's __all__ that no code of the package reads is test-only code,
-    # which belongs in tests/conftest.py, unless it is kept above
+def _package_trees_and_reads():
+    """Each bkchain module's syntax tree by name, and every name that code of the package reads."""
     trees = {path.stem: ast.parse(path.read_text()) for path in pathlib.Path(bkchain.__file__).parent.glob("*.py")}
     read = set()
     for node in (node for tree in trees.values() for node in ast.walk(tree)):
@@ -753,10 +752,45 @@ def test_each_public_name_is_read_in_the_package():
             read.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             read.update(alias.name for alias in node.names)
+    return trees, read
+
+
+def test_each_public_name_is_read_in_the_package():
+    # statically: a name in a module's __all__ that no code of the package reads is test-only code,
+    # which belongs in tests/conftest.py, unless it is kept above
+    trees, read = _package_trees_and_reads()
     public = {f"{module}.{name}" for module, tree in trees.items() for node in tree.body
               if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
               for name in ast.literal_eval(node.value)}
     assert sorted(name for name in public if name.split(".")[1] not in read and name not in UNREAD_PUBLIC_NAMES) == []
+
+
+def test_each_private_name_is_read_in_the_package():
+    # statically: a private module-level function, class or constant that no code of the package reads is
+    # a leftover, or test-only code, which belongs in tests/conftest.py
+    trees, read = _package_trees_and_reads()
+    defined = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update((module, t.id) for target in targets for t in ast.walk(target)
+                               if isinstance(t, ast.Name))
+    private = {(module, name) for module, name in defined if name.startswith("_") and not name.startswith("__")}
+    assert private  # the walk above finds the package's private names
+    assert sorted(f"{module}.{name}" for module, name in private if name not in read) == []
+
+
+@pytest.mark.parametrize("bonds", ["J1 = 0\nDelta1 = 0\nJ2 = 0.5\nDelta2 = 1.5", "J1 = 0.5\nDelta1 = 1.5\nJ2 = 0\nDelta2 = 0"],
+                         ids=["intracell", "intercell"])
+def test_profiles_of_a_chain_cut_by_zero_bonds(tmp_path, bonds):
+    # a bond with J = Delta = 0 couples nothing; the open chain's gauge and profiles exist
+    text = f"[model]\nkind = modbkc\n{bonds}\nomega = 0\nN = 10\nbc = obc\n"
+    assert main(["profiles", "--config", write(tmp_path, text), "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "profiles_obc.csv").read_text().splitlines()
+    assert len(rows) == 1 + 40
 
 
 def test_largest_seed_flag_is_accepted(tmp_path):

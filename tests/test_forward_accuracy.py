@@ -169,8 +169,9 @@ def profile_errors(p):
     prob = spatial_profile(s.base, p.N).prob
     reference = _mp_profiles(p)
     worst = 0.0
+    place = np.argsort(s.order)  # the sorted place of each value of the route's layout, base columns first
     for c in range(s.base.shape[1]):
-        E = s.eigenvalues[s.slots[0, 0, c]] / 1j
+        E = s.eigenvalues[place[c]] / 1j
         gaps = [abs(e - E) for e, _ in reference]
         k = int(np.argmin(gaps))
         assert sorted(gaps)[1] > 1e3 * gaps[k]  # the matching eigenvalue of H is unambiguous

@@ -132,7 +132,6 @@ from bkchain.spectral import (
     _check_residual,
     _order,
     _residuals,
-    _sorted_pairs,
     _twisted,
     bkc_pbc_dispersion,
     eigendecompose,
@@ -1545,7 +1544,7 @@ _LIFT, _LIFT_POLAR = SimilarityMatrix.lift, SimilarityMatrix.lift_polar
 
 
 def _lift_reference(A, U, order):
-    """The full product basis (sigma_pm (x) U), lifted by ``SimilarityMatrix.lift`` and gathered as `_sorted` does."""
+    """The full product basis (sigma_pm (x) U), lifted by ``SimilarityMatrix.lift`` and gathered in sorted order."""
     two_n = U.shape[1]
     basis = np.empty((2 * two_n, 2 * two_n), dtype=complex)
     basis[0::2] = np.hstack([U, U])
@@ -1596,12 +1595,12 @@ class TestProductLift:
     """The reduced route's lift of its base columns, and their chiral flips, against the full product basis.
 
     The route lifts its base columns with U at both quadratures of each site
-    and `_sorted_pairs` adds their flips: Sigma negates the p rows, Gamma the
-    rows of the B sites.  Off the guarded fallback the base columns are one
-    per root of mu and all three flips are written; on it they are the 2N
-    columns of the full-size solve, with Sigma-flips only.  Negating after
-    the gauge and phase multiply can flip the sign of a zero part, so the
-    result equals the lifted full basis in value, not in bytes.
+    and ``Spectrum.eigenvectors`` adds their flips: Sigma negates the p rows,
+    Gamma the rows of the B sites.  Off the guarded fallback the base columns
+    are one per root of mu and all three flips are gathered; on it they are
+    the 2N columns of the full-size solve, with Sigma-flips only.  Negating
+    after the gauge and phase multiply can flip the sign of a zero part, so
+    the result equals the lifted full basis in value, not in bytes.
     """
 
     @pytest.mark.parametrize("seed", range(6))
@@ -1609,9 +1608,9 @@ class TestProductLift:
     def test_bit_identical_on_random_vectors(self, seed, two_n):  # equal in value: see the class docstring
         # the guarded fallback: 2N columns, each with its Sigma-flip
         U, A, E = _random_lift(seed, two_n, two_n)
-        _, order, place = _order(np.concatenate([1j * E, -1j * E]))
+        vals, order = _order(np.concatenate([1j * E, -1j * E]))
         ref = _lift_reference(A, U, order)
-        out = _sorted_pairs(A.lift(np.repeat(U, 2, axis=0)), place.reshape(2, -1, two_n))
+        out = Spectrum(vals, A.lift(np.repeat(U, 2, axis=0)), order=order).eigenvectors
         assert np.array_equal(out, ref)
         assert np.all(np.isfinite(out))
         assert out.flags.f_contiguous == ref.flags.f_contiguous
@@ -1643,9 +1642,9 @@ class TestProductLift:
         # the half-size path: N columns for +root, their Gamma-flips for -root, sorted as the reduced route sorts them
         U, A, root = _random_lift(seed, 2 * n, n)
         e = 1j * root
-        _, order, place = _order(np.concatenate([e, -e, -e, e]))  # [Sigma][Gamma][column]
+        vals, order = _order(np.concatenate([e, -e, -e, e]))  # [Sigma][Gamma][column]
         ref = _lift_reference(A, _gamma_partners(U, 2 * n), order)
-        out = _sorted_pairs(A.lift(np.repeat(U, 2, axis=0)), place.reshape(2, -1, n))
+        out = Spectrum(vals, A.lift(np.repeat(U, 2, axis=0)), order=order).eigenvectors
         assert np.array_equal(out, ref)
         assert np.all(np.isfinite(out))
         assert out.flags.f_contiguous == ref.flags.f_contiguous
@@ -1659,8 +1658,6 @@ class TestProductLift:
         (_fig5_split(1e-6), 200),                                                      # guarded
     ], ids=["p0", "p1", "p2", "p3", "p4", "guarded"])
     def test_profiles_unchanged(self, p, columns, monkeypatch):
-        s = solve(p, OBC)
-        vecs = s.eigenvectors  # written by the production _sorted_pairs, before it is patched below
         seen = {}
 
         def lift_recording(A, log_u, phase):
@@ -1674,21 +1671,19 @@ class TestProductLift:
             seen.update(order=out[1])
             return out
 
-        def full_basis(base, slots):
-            # the full product basis of the SSH eigenvectors, laid out as the route sorted their values, lifted at once
-            half = len(seen["order"]) // 2
-            assert half == len(seen["log_u"]) and base.shape[1] == columns
-            return _polar_reference(seen["A"], _gamma_partners(seen["log_u"], half, sign=1),
-                                    _gamma_partners(seen["phase"], half), seen["order"])
-
         monkeypatch.setattr(SimilarityMatrix, "lift_polar", lift_recording)
         monkeypatch.setattr(spectral, "_order", order_recording)
-        monkeypatch.setattr(spectral, "_sorted_pairs", full_basis)
-        ref = solve(p, OBC)
-        assert np.array_equal(vecs, ref.eigenvectors)
-        assert vecs.flags.f_contiguous and ref.eigenvectors.flags.f_contiguous
+        s = solve(p, OBC)
+        assert s.base.shape[1] == columns and s.order.tobytes() == seen["order"].tobytes()
+        # the full product basis of the SSH eigenvectors, laid out as the route sorted their values, lifted at once
+        half = len(seen["order"]) // 2
+        assert half == len(seen["log_u"])
+        ref = _polar_reference(seen["A"], _gamma_partners(seen["log_u"], half, sign=1),
+                               _gamma_partners(seen["phase"], half), seen["order"])
+        assert np.array_equal(s.eigenvectors, ref)
+        assert s.eigenvectors.flags.f_contiguous and ref.flags.f_contiguous
         # the profiles, read off the base columns, are those of the full basis
-        assert profile_matrix(s, p.N).tobytes() == spatial_profile(ref.eigenvectors, p.N).prob.T.tobytes()
+        assert profile_matrix(s, p.N).tobytes() == spatial_profile(ref, p.N).prob.T.tobytes()
 
 
 # site fields for `ssh_bonds`: uniform couplings, sign-mixed bonds, and
@@ -1965,7 +1960,7 @@ class TestResidualCheck:
     @pytest.mark.parametrize("p", [*XP_SWEEP, *(_fig9_realization(r) for r in range(3))],
                              ids=[f"sweep-{p.Delta1:g}" for p in XP_SWEEP] + [f"fig9-{r}" for r in range(3)])
     def test_xp_columns_match_the_paired_assembly(self, p):
-        # `_sorted_pairs` writes what the x/p route's own pairing wrote: equal bit for bit up to the sign of zero
+        # `Spectrum.eigenvectors` gathers what the x/p route's own pairing wrote: equal bit for bit up to the sign of zero
         q = build_modbkc_quadratic(p, OBC)
         for vectors in (False, True):
             s, (source, vals, vecs) = solve(p, OBC, vectors), _xp_paired_reference(q, vectors)

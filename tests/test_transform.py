@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
@@ -198,6 +200,37 @@ class TestOpenChainBonds:
     def test_single_band_anti_sweet_spot_raises(self):
         with pytest.raises(SingularTransformError):
             hatano_nelson_A(BKCParams(J0=1.0, Delta0=-1.0, omega=0, N=5))
+
+    @pytest.mark.parametrize("J,Delta", [("J1", "Delta1"), ("J2", "Delta2")])
+    def test_bond_without_coupling_has_ratio_one(self, J, Delta):
+        # J = Delta = 0 couples nothing: r = 1, as for J = 0 with any Delta
+        f = self._fields()
+        cut, ref = (replace(f, **{J: getattr(f, J).copy(), Delta: getattr(f, Delta).copy()}) for _ in range(2))
+        getattr(cut, J)[2] = getattr(cut, Delta)[2] = 0.0
+        getattr(ref, J)[2] = 0.0
+        A, B = a_combined(cut), a_combined(ref)
+        assert A.log_scale.tobytes() == B.log_scale.tobytes() and A.phase.tobytes() == B.phase.tobytes()
+        I = hatano_nelson_A(BKCParams(J0=0.0, Delta0=0.0, omega=0, N=5))
+        assert not I.log_scale.any() and np.all(I.phase == 1)
+
+    @pytest.mark.parametrize("n", [4, 10])
+    @pytest.mark.parametrize("cut", [dict(J1=0.0, Delta1=0.0, J2=0.5, Delta2=1.5),
+                                     dict(J1=0.5, Delta1=1.5, J2=0.0, Delta2=0.0),
+                                     dict(J1=0.0, Delta1=0.0, J2=2.5, Delta2=1.5)],
+                             ids=["intracell", "intercell", "intracell-mixed"])
+    def test_chain_cut_by_zero_bonds_has_vectors(self, cut, n):
+        # the full-size solve of H_r: `_twisted` divides by every bond; the phase S steps across a zero bond by 1
+        p = ModBKCParams(omega=0.0, N=n, **cut)
+        s, bare = solve(p, OBC), solve(p, OBC, vectors=False)
+        # the singular values stay on the fallback; without small values the bare solve stays half-size
+        assert s.source.startswith(bare.source) and s.eigenvalues.tobytes() == bare.eigenvalues.tobytes()
+        assert s.source.startswith(f"reduced[modbkc,obc,n={n}] (half-size guard: ")
+        assert s.source.endswith(" on a chain cut by a zero bond)") and s.base.shape == (4 * n, 2 * n)
+        assert np.abs(np.linalg.norm(s.base, axis=0) - 1).max() <= 4 * np.finfo(float).eps
+        M = excitation_matrix(build_modbkc_quadratic(p, OBC)).M
+        V = s.eigenvectors
+        assert np.linalg.norm(M @ V - V * s.eigenvalues, axis=0).max() <= 1e-12 * np.abs(M).max()
+        assert np.linalg.matrix_rank(V) == 4 * n
 
 
 def _reference_lift(A, vectors):
